@@ -52,6 +52,10 @@ class UnknownGap(CircnotError):
     code = "unknown-gap"
 
 
+class UnknownSegment(CircnotError):
+    code = "unknown-segment"
+
+
 class NoRadialCut(CircnotError):
     """No angular slot is cut on every wire, so no valid circuit results."""
 

@@ -1,7 +1,11 @@
 """Bit-packed GF(2) linear algebra on int bitsets.
 
-Rows are Python ints; bit ``i`` is column ``i``. Pivoting always scans
-columns in ascending order so results are reproducible.
+Rows are Python ints; bit ``i`` is column ``i``. Every routine reduces its
+rows with one Gauss-Jordan kernel, which scans pivot columns in ascending
+order so results are reproducible. ``solve_tagged`` first tries unit
+propagation, which finishes the sparse, triangular systems of cut circuits
+in time linear in their size, and falls back to Gauss-Jordan for systems
+propagation cannot finish.
 """
 
 from __future__ import annotations
@@ -9,27 +13,86 @@ from __future__ import annotations
 from .errors import Inconsistent, Underdetermined
 
 
+def _eliminate(work: list[int], n_cols: int) -> dict[int, int]:
+    """Reduce ``work`` in place to reduced row echelon form.
+
+    Only the first ``n_cols`` columns are pivoted; higher bits ride along.
+    Returns pivot column -> row index, the pivot rows being the leading
+    rows of ``work`` in column order. The remaining rows are zero in the
+    first ``n_cols`` columns.
+    """
+    pivots: dict[int, int] = {}
+    done = 0
+    for col in range(n_cols):
+        if done == len(work):
+            break
+        bit = 1 << col
+        for i in range(done, len(work)):
+            if work[i] & bit:
+                break
+        else:
+            continue
+        work[done], work[i] = work[i], work[done]
+        row = work[done]
+        for i in range(len(work)):
+            if i != done and work[i] & bit:
+                work[i] ^= row
+        pivots[col] = done
+        done += 1
+    return pivots
+
+
 def rank(rows: list[int], n_cols: int) -> int:
     """Rank over GF(2) via Gaussian elimination."""
-    work = [r for r in rows if r]
-    rk = 0
-    for col in range(n_cols):
-        bit = 1 << col
-        pivot = None
-        for i in range(rk, len(work)):
-            if work[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
+    return len(_eliminate([r for r in rows if r], n_cols))
+
+
+def _propagate_units(rows: list[int], n_vars: int) -> list[int] | None:
+    """Solve by unit propagation, or return None if it cannot finish.
+
+    A row with exactly one unknown variable fixes that variable to the
+    row's right-hand side XOR its known variables. ``acc[r]`` holds that
+    XOR for row ``r``; once every variable is fixed it is zero for every
+    row exactly when the assignment satisfies the whole system, which is
+    then the unique solution (the fixing rows are triangular, full rank).
+    """
+    coeff_mask = (1 << n_vars) - 1
+    occurs: list[list[int]] = [[] for _ in range(n_vars)]
+    row_vars = []
+    unknown = []
+    units = []
+    for r, row in enumerate(rows):
+        vs = []
+        coeffs = row & coeff_mask
+        while coeffs:
+            v = coeffs.bit_length() - 1
+            coeffs ^= 1 << v
+            vs.append(v)
+            occurs[v].append(r)
+        row_vars.append(vs)
+        unknown.append(len(vs))
+        if len(vs) == 1:
+            units.append(r)
+    acc = [row >> n_vars for row in rows]
+    value: list[int | None] = [None] * n_vars
+    forced = 0
+    while units:
+        r = units.pop()
+        if unknown[r] != 1:
             continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for i in range(len(work)):
-            if i != rk and (work[i] & bit):
-                work[i] ^= work[rk]
-        rk += 1
-        if rk == len(work):
-            break
-    return rk
+        for v in row_vars[r]:
+            if value[v] is None:
+                break
+        val = value[v] = acc[r]
+        forced += 1
+        for s in occurs[v]:
+            unknown[s] -= 1
+            acc[s] ^= val
+            if unknown[s] == 1:
+                units.append(s)
+    if forced < n_vars or any(acc):
+        return None
+    return value
 
 
 def solve_tagged(rows: list[int], n_vars: int, tag_width: int) -> list[int]:
@@ -40,40 +103,30 @@ def solve_tagged(rows: list[int], n_vars: int, tag_width: int) -> list[int]:
     (symbolic right-hand side: bit j stands for input j; width 1 gives a
     plain constant column). Returns, per variable, its rhs expression.
 
-    Raises Underdetermined when a variable has no pivot and Inconsistent
-    when a zero coefficient row carries a nonzero rhs.
+    Unit propagation solves the system when repeatedly fixing the one
+    unknown of some row fixes every variable consistently with every row.
+    Otherwise Gauss-Jordan runs on the original rows; it raises
+    Inconsistent when a zero coefficient row carries a nonzero rhs and
+    Underdetermined (naming the pivot-free variables) when a variable is
+    left free.
     """
+    out = _propagate_units(rows, n_vars)
+    if out is not None:
+        return out
     work = list(rows)
-    coeff_mask = (1 << n_vars) - 1
-    pivot_row_of: list[int | None] = [None] * n_vars
-    done = 0
-    for col in range(n_vars):
-        bit = 1 << col
-        pivot = None
-        for i in range(done, len(work)):
-            if work[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[done], work[pivot] = work[pivot], work[done]
-        row = work[done]
-        for i in range(len(work)):
-            if i != done and (work[i] & bit):
-                work[i] ^= row
-        pivot_row_of[col] = done
-        done += 1
-    for i in range(done, len(work)):
+    pivots = _eliminate(work, n_vars)
+    for i in range(len(pivots), len(work)):
         if work[i] >> n_vars:
             raise Inconsistent("contradictory parity constraints")
-    free = [c for c in range(n_vars) if pivot_row_of[c] is None]
+    free = [c for c in range(n_vars) if c not in pivots]
     if free:
         raise Underdetermined(free=free)
+    coeff_mask = (1 << n_vars) - 1
     out = [0] * n_vars
-    for col in range(n_vars):
-        row = work[pivot_row_of[col]]
-        # Gauss-Jordan leaves exactly the pivot bit in the coeff part.
-        assert row & coeff_mask == (1 << col)
+    for col, r in pivots.items():
+        row = work[r]
+        if row & coeff_mask != 1 << col:
+            raise RuntimeError(f"elimination left pivot row {col} unreduced")
         out[col] = row >> n_vars
     return out
 
@@ -85,28 +138,10 @@ def solution_space(rows: list[int], n_vars: int) -> tuple[int | None, list[int]]
     ``(None, [])`` when inconsistent.
     """
     work = list(rows)
-    pivots: dict[int, int] = {}
-    done = 0
-    for col in range(n_vars):
-        bit = 1 << col
-        pivot = None
-        for i in range(done, len(work)):
-            if work[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[done], work[pivot] = work[pivot], work[done]
-        row = work[done]
-        for i in range(len(work)):
-            if i != done and (work[i] & bit):
-                work[i] ^= row
-        pivots[col] = done
-        done += 1
+    pivots = _eliminate(work, n_vars)
+    if any(work[len(pivots):]):
+        return None, []
     const_bit = 1 << n_vars
-    for i in range(done, len(work)):
-        if work[i]:
-            return None, []
     particular = 0
     for col, r in pivots.items():
         if work[r] & const_bit:
@@ -141,25 +176,7 @@ def enumerate_solutions(rows: list[int], n_vars: int):
 def invert(rows: list[int], n: int) -> list[int]:
     """Invert an n x n GF(2) matrix given as row bitmasks."""
     work = [rows[i] | (1 << (n + i)) for i in range(n)]
-    done = 0
-    for col in range(n):
-        bit = 1 << col
-        pivot = None
-        for i in range(done, len(work)):
-            if work[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            raise Inconsistent("matrix is singular")
-        work[done], work[pivot] = work[pivot], work[done]
-        row = work[done]
-        for i in range(len(work)):
-            if i != done and (work[i] & bit):
-                work[i] ^= row
-        done += 1
-    mask = (1 << n) - 1
-    out = [0] * n
-    for r in work:
-        col = (r & mask).bit_length() - 1
-        out[col] = r >> n
-    return out
+    if len(_eliminate(work, n)) < n:
+        raise Inconsistent("matrix is singular")
+    # n pivots on n rows: row i now holds the pivot of column i
+    return [r >> n for r in work]

@@ -42,6 +42,7 @@ from .errors import (
     Underdetermined,
     UnknownGap,
     UnknownGate,
+    UnknownSegment,
     UnpinnedSelector,
 )
 from .stabmap import StabiliserMap
@@ -393,7 +394,7 @@ def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId,
     index = {v: i for i, v in enumerate(s.variables)}
     for seg, value in inputs.items():
         if seg not in index:
-            raise UnknownGap(f"segment {seg.name} not in system")
+            raise UnknownSegment(f"segment {seg.name} not in system")
         rows.append((1 << index[seg]) | (int(bool(value)) << n))
     try:
         sol = gf2.solve_tagged(rows, n, 1)

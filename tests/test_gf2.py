@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -97,3 +98,135 @@ def test_invert_round_trip(n):
 def test_invert_singular():
     with pytest.raises(Inconsistent):
         gf2.invert([bits(0), bits(0)], 2)
+
+
+# --- solve_tagged against a plain Gauss-Jordan reference -----------------------
+
+
+def reference_solve(rows, n_vars):
+    """Dense Gauss-Jordan over every variable, written independently of gf2.
+
+    Returns the per-variable rhs list, or the error class and the free list
+    that the solver must raise for the same input.
+    """
+    work = list(rows)
+    pivot_of = {}
+    done = 0
+    for col in range(n_vars):
+        hit = next((i for i in range(done, len(work)) if work[i] >> col & 1), None)
+        if hit is None:
+            continue
+        work[done], work[hit] = work[hit], work[done]
+        for i in range(len(work)):
+            if i != done and work[i] >> col & 1:
+                work[i] ^= work[done]
+        pivot_of[col] = done
+        done += 1
+    if any(work[i] >> n_vars for i in range(done, len(work))):
+        return Inconsistent, None
+    free = [c for c in range(n_vars) if c not in pivot_of]
+    if free:
+        return Underdetermined, free
+    return [work[pivot_of[c]] >> n_vars for c in range(n_vars)]
+
+
+def solve_outcome(rows, n_vars, tag_width):
+    try:
+        return gf2.solve_tagged(rows, n_vars, tag_width)
+    except Underdetermined as err:
+        return Underdetermined, err.free
+    except Inconsistent:
+        return Inconsistent, None
+
+
+def triangular_system(rng, n_vars, tag_width):
+    """Each row fixes one new variable from at most two earlier ones,
+    in a random variable order, rows shuffled."""
+    order = rng.sample(range(n_vars), n_vars)
+    rows = []
+    for k, v in enumerate(order):
+        earlier = rng.sample(order[:k], min(k, rng.randint(0, 2)))
+        rows.append(bits(v, *earlier) | rng.getrandbits(tag_width) << n_vars)
+    rng.shuffle(rows)
+    return rows
+
+
+def no_unit_full_rank_system(rng, n_vars, tag_width):
+    """Random full-rank rows of two or more variables each (three or more
+    variables needed): no row starts with a single unknown, so propagation
+    cannot take a first step."""
+    rows = []
+    while gf2.rank(rows, n_vars) < n_vars:
+        row = bits(*rng.sample(range(n_vars), rng.randint(2, n_vars)))
+        if gf2.rank(rows + [row], n_vars) > len(rows):
+            rows.append(row)
+    return [r | rng.getrandbits(tag_width) << n_vars for r in rows]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_tagged_triangular_propagates(seed):
+    rng = random.Random(seed)
+    n_vars, tag_width = rng.randint(1, 40), rng.randint(1, 6)
+    rows = triangular_system(rng, n_vars, tag_width)
+    # consistent redundant rows ride along
+    for _ in range(rng.randint(0, 5)):
+        rows.append(rows[rng.randrange(n_vars)] ^ rows[rng.randrange(n_vars)])
+    assert gf2._propagate_units(rows, n_vars) is not None
+    assert gf2.solve_tagged(rows, n_vars, tag_width) == reference_solve(rows, n_vars)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_tagged_no_unit_falls_back(seed):
+    rng = random.Random(seed)
+    n_vars, tag_width = rng.randint(3, 16), rng.randint(1, 6)
+    rows = no_unit_full_rank_system(rng, n_vars, tag_width)
+    assert gf2._propagate_units(rows, n_vars) is None
+    assert gf2.solve_tagged(rows, n_vars, tag_width) == reference_solve(rows, n_vars)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_tagged_underdetermined_matches_reference(seed):
+    rng = random.Random(seed)
+    n_vars, tag_width = rng.randint(2, 30), rng.randint(1, 4)
+    rows = triangular_system(rng, n_vars, tag_width)
+    # dropping rows leaves variables free; propagation stalls or leaves them unforced
+    for _ in range(rng.randint(1, n_vars - 1)):
+        rows.pop(rng.randrange(len(rows)))
+    expected = reference_solve(rows, n_vars)
+    assert expected[0] is Underdetermined
+    assert solve_outcome(rows, n_vars, tag_width) == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_tagged_inconsistent_matches_reference(seed):
+    rng = random.Random(seed)
+    n_vars, tag_width = rng.randint(2, 30), rng.randint(1, 4)
+    rows = triangular_system(rng, n_vars, tag_width)
+    if seed % 2:
+        rows.pop(rng.randrange(n_vars))  # also underdetermined: Inconsistent wins
+    # a redundant row with a flipped rhs: propagation fixes every variable it
+    # can, then the re-check fails
+    a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+    rows.append(rows[a] ^ rows[b] ^ 1 << (n_vars + rng.randrange(tag_width)))
+    assert reference_solve(rows, n_vars) == (Inconsistent, None)
+    assert solve_outcome(rows, n_vars, tag_width) == (Inconsistent, None)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_solve_tagged_random_sparse_matches_reference(seed):
+    rng = random.Random(seed)
+    n_vars, tag_width = rng.randint(1, 12), rng.randint(1, 3)
+    rows = [
+        bits(*rng.sample(range(n_vars), rng.randint(0, min(3, n_vars))))
+        | rng.getrandbits(tag_width) << n_vars
+        for _ in range(rng.randint(0, 2 * n_vars))
+    ]
+    assert solve_outcome(rows, n_vars, tag_width) == reference_solve(rows, n_vars)
+
+
+def test_solve_tagged_checks_reduction_without_assert(monkeypatch):
+    # the read-out check is a raise, so it survives ``python -O``
+    monkeypatch.setattr(gf2, "_propagate_units", lambda rows, n_vars: None)
+    monkeypatch.setattr(gf2, "_eliminate", lambda work, n_cols: {0: 0, 1: 1})
+    with pytest.raises(RuntimeError):
+        gf2.solve_tagged([bits(0, 1), bits(1)], 2, 1)

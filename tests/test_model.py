@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from circnot import (
     CutSet,
+    circularize,
     Direction,
     Gap,
     StabiliserMap,
@@ -26,8 +28,10 @@ from circnot.errors import (
     NotAdjacent,
     Underdetermined,
     UnknownGap,
+    UnknownSegment,
     UnpinnedSelector,
 )
+from circnot import gf2
 from circnot.model import ClauseKind, ModelKind
 from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
@@ -37,6 +41,7 @@ from helpers import (
     count_model_solutions,
     isomorphic_to_reference,
     mkcirc,
+    mklin,
     swap_circular,
 )
 
@@ -285,6 +290,13 @@ class TestPropagate:
         with pytest.raises(Inconsistent):
             propagate(to_parity_system(m), pins)
 
+    def test_unknown_segment(self, swap):
+        x_seg = build_model(swap, ModelKind.X).variables[0]
+        z_system = to_parity_system(build_model(swap, ModelKind.Z))
+        with pytest.raises(UnknownSegment) as err:
+            propagate(z_system, {x_seg: True})
+        assert err.value.code == "unknown-segment"
+
 
 SWAP_MAP = StabiliserMap(
     2,
@@ -331,6 +343,37 @@ class TestDeriveTransformations:
             for q in range(lin.n_qubits):
                 sol = propagate(s, {seg: seg == ins[q] for seg in ins})
                 assert frozenset(j for j, seg in enumerate(outs) if sol[seg]) == rows[q]
+
+
+def random_circularized(seed, wires, gates):
+    rng = random.Random(seed)
+    while True:
+        pairs = [tuple(rng.sample(range(wires), 2)) for _ in range(gates)]
+        if len({q for pair in pairs for q in pair}) == wires:
+            return circularize(mklin(wires, pairs))
+
+
+def transpose(rows, n):
+    return [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+
+
+class TestLargeDerivations:
+    @pytest.mark.parametrize("wires,gates", [(16, 128), (32, 256), (64, 1024), (128, 4096)])
+    def test_z_map_is_inverse_transpose_of_x_map(self, wires, gates):
+        # CNOT circuits act symplectically: Z flow is the inverse transpose
+        # of X flow, a check that needs no oracle
+        c, record = random_circularized(wires * gates, wires, gates)
+        for d in (Direction.CW, Direction.CCW):
+            derived = derive_transformations(c, record.seam, d)
+            x_rows = [sum(1 << o for o in outs) for outs in derived.x_out]
+            z_rows = [sum(1 << o for o in outs) for outs in derived.z_out]
+            assert z_rows == transpose(gf2.invert(x_rows, wires), wires)
+
+    def test_matches_oracle_at_64_wires_1024_gates(self):
+        c, record = random_circularized(64, 64, 1024)
+        for d in (Direction.CW, Direction.CCW):
+            derived = derive_transformations(c, record.seam, d)
+            assert derived == oracle_map(linearize(c, record.seam, d))
 
 
 class TestCommutation:
