@@ -43,7 +43,6 @@ from .model import (
     ParitySystem,
     SegmentId,
     apply_cuts,
-    build_combined_model,
     build_model,
     check_commutation_invariance,
     derive_transformations,

@@ -25,12 +25,11 @@ from .circuits import (
     validate_cut_set,
 )
 from .dot import export_dot
-from .errors import CircnotError, CircuitSyntaxError
+from .errors import CircnotError, CircuitSyntaxError, WrongCircuitKind
 from .icm import FaultSpec, faulted_transformations, gadget, translate_to_icm
 from .model import (
     ModelKind,
     apply_cuts,
-    build_combined_model,
     build_model,
     derive_transformations,
     search_cuts,
@@ -57,13 +56,13 @@ def _load_cuts(args) -> tuple[CutSet, Direction]:
 
 def _require_circular(circuit) -> CircularCircuit:
     if not isinstance(circuit, CircularCircuit):
-        raise CircnotError("this command needs a circular circuit")
+        raise WrongCircuitKind("this command needs a circular circuit")
     return circuit
 
 
 def _require_linear(circuit) -> LinearCircuit:
     if not isinstance(circuit, LinearCircuit):
-        raise CircnotError("this command needs a linear circuit")
+        raise WrongCircuitKind("this command needs a linear circuit")
     return circuit
 
 
@@ -121,8 +120,7 @@ def cmd_circularize(args, out) -> int:
 
 def cmd_model(args, out) -> int:
     circuit = _require_circular(_load_circuit(args.circuit))
-    kind = {"x": ModelKind.X, "z": ModelKind.Z, "combined": ModelKind.COMBINED}[args.kind]
-    model = build_combined_model(circuit) if kind is ModelKind.COMBINED else build_model(circuit, kind)
+    model = build_model(circuit, ModelKind(args.kind))
     if args.cuts:
         cuts, _ = textio.parse_cut_file(_read(args.cuts))
         model = apply_cuts(model, cuts)
@@ -252,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cuts", help="enumerate or validate cut points")
     p.add_argument("circuit")
-    p.add_argument("--enumerate", action="store_true", default=True)
     p.add_argument("--validate", metavar="CUTFILE")
     p.set_defaults(func=cmd_cuts)
 

@@ -21,6 +21,12 @@ class CircuitSyntaxError(CircnotError):
         self.line = line
 
 
+class WrongCircuitKind(CircnotError):
+    """A command got a linear circuit where it needs a circular one, or back."""
+
+    code = "wrong-circuit-kind"
+
+
 class ControlEqualsTarget(CircnotError):
     code = "control-equals-target"
 

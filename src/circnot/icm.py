@@ -24,7 +24,7 @@ from .circuits import (
     linearize,
 )
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
-from .model import ModelKind, _rows_to_sets, _solve_map_rows, build_model
+from .model import ModelKind, build_model, input_output_segments, solve_map_rows
 from .stabmap import StabiliserMap
 
 
@@ -442,17 +442,8 @@ def faulted_transformations(
     def model_rows(m, pin_value: bool):
         sides = m.gap_sides
         anc_first = sides[anc_in_gap][1] if d is Direction.CW else sides[anc_in_gap][0]
-        ins = []
-        for q, origin in enumerate(lin.origins):
-            if q not in live_in:
-                ins.append(None)
-                continue
-            end_seg, start_seg = sides[origin.input_cut]
-            ins.append(start_seg if d is Direction.CW else end_seg)
-        outs = []
-        for origin in lin.origins:
-            end_seg, start_seg = sides[origin.output_cut]
-            outs.append(end_seg if d is Direction.CW else start_seg)
+        ins, outs = input_output_segments(m, lin, d)
+        ins = [seg if q in live_in else None for q, seg in enumerate(ins)]
         pins = {anc_first: pin_value}
         bridges: tuple = ()
         if len(added) == 2:
@@ -462,8 +453,7 @@ def faulted_transformations(
             in_side = sides[g][1] if d is Direction.CW else sides[g][0]
             if in_side != anc_first:
                 pins[in_side] = pin_value
-        rows = _solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges)
-        sets = _rows_to_sets(rows, n)
+        sets = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges)
         return tuple(
             frozenset(j for j in outs_set if j in live_out) if q in live_in else frozenset()
             for q, outs_set in enumerate(sets)

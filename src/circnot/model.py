@@ -14,13 +14,17 @@ Segment boundaries per model kind:
 * Z model: gaps and control symbols split; target symbols do not.
 * combined model: gaps and both symbol kinds split; each gate's clause
   carries a selector that picks the X reading (true) or Z reading (false).
+
+``build_model`` builds all three kinds with one segmentation. One
+translation turns clauses into parity rows, for ``to_parity_system`` and
+``solve_map_rows`` alike.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 
 from . import gf2
@@ -95,30 +99,25 @@ class Clause:
 @dataclass(frozen=True, eq=False)
 class BooleanModel:
     kind: ModelKind
-    circuit: CircularCircuit
     variables: tuple[SegmentId, ...]
     clauses: tuple[Clause, ...]
-    gap_join: dict  # Gap -> Clause | None (None for dropped self-joins)
     gap_sides: dict  # Gap -> (segment ending here, segment starting here)
     cut_gaps: frozenset[Gap] = frozenset()
 
-    def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.variables)}
-        object.__setattr__(self, "_var_index", index)
-        gate_rows = []
-        for cl in self.clauses:
-            if cl.kind is ClauseKind.CNOT:
-                gate_rows.append(
-                    (1 << index[cl.vars[0]])
-                    | (1 << index[cl.vars[1]])
-                    | (1 << index[cl.vars[2]])
-                )
-        object.__setattr__(self, "_cnot_rows", tuple(gate_rows))
-        join_rows = {}
-        for gap, cl in self.gap_join.items():
-            if cl is not None:
-                join_rows[gap] = (1 << index[cl.vars[0]]) | (1 << index[cl.vars[1]])
-        object.__setattr__(self, "_join_rows", join_rows)
+    @cached_property
+    def gap_join(self) -> dict:
+        """Gap -> its join clause, or None once cut or for a dropped self-join."""
+        joins = {cl.source_gap: cl for cl in self.clauses if cl.kind is ClauseKind.JOIN}
+        return {gap: joins.get(gap) for gap in self.gap_sides}
+
+    @cached_property
+    def _var_index(self) -> dict[SegmentId, int]:
+        return {v: i for i, v in enumerate(self.variables)}
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[Gap | None, int], ...]:
+        """Every clause's parity rows, each tagged with the gap whose cut drops it."""
+        return tuple((cl.source_gap, row) for cl in self.clauses for row in _clause_rows(self, cl))
 
     def var_index(self, seg: SegmentId) -> int:
         return self._var_index[seg]
@@ -157,129 +156,58 @@ class BooleanModel:
         return "\n".join(lines)
 
 
-def _wire_boundaries(c: CircularCircuit, wire: int, kind: ModelKind):
-    """Clockwise boundary list for one wire.
-
-    Entries are ("gap", Gap, key) or ("sym", gate_index, symbol_kind, key);
-    the sort key places each gap right after the symbol it follows.
-    """
-    syms = c.symbols(wire)
-    boundaries = []
-    for i, (pos, gi, sk) in enumerate(syms):
-        splits = (
-            kind is ModelKind.COMBINED
-            or (kind is ModelKind.X and sk == TARGET)
-            or (kind is ModelKind.Z and sk == CONTROL)
-        )
-        if splits:
-            boundaries.append(("sym", gi, sk, (pos, 0)))
-        boundaries.append(("gap", Gap(wire, i), None, (pos, 1)))
-    boundaries.sort(key=lambda b: b[3])
-    return boundaries
+_SPLITTING = {
+    ModelKind.X: (TARGET,),
+    ModelKind.Z: (CONTROL,),
+    ModelKind.COMBINED: (CONTROL, TARGET),
+}
 
 
 def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     """Model of the uncut circuit: one clause per gate, one join per gap.
 
-    A join whose two variables coincide (a wire with a single boundary) is a
-    tautology and is dropped; its gap is already cut-equivalent.
+    Gaps and the symbols of the kind's splitting roles cut each wire into
+    segments. The X clause ties the target's split to the control's
+    crossing segment, the Z clause the control's split to the target's
+    crossing segment, and the combined clause both splits. A join whose two
+    variables coincide (a wire with a single boundary) is a tautology and is
+    dropped; its gap is already cut-equivalent.
     """
-    if kind is ModelKind.COMBINED:
-        return build_combined_model(c)
+    splitting = _SPLITTING[kind]
     variables: list[SegmentId] = []
     gap_sides: dict[Gap, tuple[SegmentId, SegmentId]] = {}
-    # per (wire, gate index): (before segment, after segment) at the splitting
-    # symbol, and the containing segment at the crossing symbol
-    split_at: dict[tuple[int, int], tuple[SegmentId, SegmentId]] = {}
-    crossing_at: dict[tuple[int, int], SegmentId] = {}
+    # per (wire, gate index): (before, after) segments at a splitting symbol,
+    # or (containing segment,) at a crossing one
+    at: dict[tuple[int, int], tuple[SegmentId, ...]] = {}
     for w in range(c.wires):
-        bounds = _wire_boundaries(c, w, kind)
-        nb = len(bounds)
-        segs = [SegmentId(w, j, kind) for j in range(nb)]
+        syms = c.symbols(w)
+        n_bounds = len(syms) + sum(1 for _, _, sk in syms if sk in splitting)
+        segs = [SegmentId(w, j, kind) for j in range(n_bounds)]
         variables.extend(segs)
-        keys = [b[3] for b in bounds]
-        for j, b in enumerate(bounds):
-            start_seg = segs[j]
-            end_seg = segs[(j - 1) % nb]
-            if b[0] == "gap":
-                gap_sides[b[1]] = (end_seg, start_seg)
+        # segment j starts at the j-th boundary clockwise; each symbol's gap
+        # follows it, so j counts the boundaries passed and segs[j - 1] wraps
+        j = 0
+        for i, (_, gi, sk) in enumerate(syms):
+            if sk in splitting:
+                at[w, gi] = (segs[j - 1], segs[j])
+                j += 1
             else:
-                split_at[(w, b[1])] = (end_seg, start_seg)
-        for pos, gi, sk in c.symbols(w):
-            if (w, gi) in split_at:
-                continue
-            j = bisect.bisect_left(keys, (pos, 0)) - 1
-            crossing_at[(w, gi)] = segs[j % nb]
+                at[w, gi] = (segs[j - 1],)
+            gap_sides[Gap(w, i)] = (segs[j - 1], segs[j])
+            j += 1
 
+    clause_kind = ClauseKind.COMBINED_CNOT if kind is ModelKind.COMBINED else ClauseKind.CNOT
     clauses: list[Clause] = []
     for gi, g in enumerate(c.gates):
-        if kind is ModelKind.X:
-            before, after = split_at[(g.target, gi)]
-            crossing = crossing_at[(g.control, gi)]
-        else:
-            before, after = split_at[(g.control, gi)]
-            crossing = crossing_at[(g.target, gi)]
-        clauses.append(
-            Clause(ClauseKind.CNOT, (before, after, crossing), source_gate=g.id)
-        )
-    gap_join: dict[Gap, Clause | None] = {}
-    for gap in sorted(gap_sides):
-        end_seg, start_seg = gap_sides[gap]
-        if end_seg == start_seg:
-            gap_join[gap] = None
-            continue
-        cl = Clause(ClauseKind.JOIN, (end_seg, start_seg), source_gap=gap)
-        gap_join[gap] = cl
-        clauses.append(cl)
+        first, second = (g.target, g.control) if kind is ModelKind.X else (g.control, g.target)
+        clauses.append(Clause(clause_kind, at[first, gi] + at[second, gi], source_gate=g.id))
+    for gap, (end_seg, start_seg) in gap_sides.items():  # in (wire, index) order
+        if end_seg != start_seg:
+            clauses.append(Clause(ClauseKind.JOIN, (end_seg, start_seg), source_gap=gap))
     return BooleanModel(
         kind=kind,
-        circuit=c,
         variables=tuple(variables),
         clauses=tuple(clauses),
-        gap_join=gap_join,
-        gap_sides=gap_sides,
-    )
-
-
-def build_combined_model(c: CircularCircuit) -> BooleanModel:
-    """One clause per gate over both symbol splits plus a per-gate selector."""
-    variables: list[SegmentId] = []
-    gap_sides: dict[Gap, tuple[SegmentId, SegmentId]] = {}
-    split_at: dict[tuple[int, int], tuple[SegmentId, SegmentId]] = {}
-    for w in range(c.wires):
-        bounds = _wire_boundaries(c, w, ModelKind.COMBINED)
-        nb = len(bounds)
-        segs = [SegmentId(w, j, ModelKind.COMBINED) for j in range(nb)]
-        variables.extend(segs)
-        for j, b in enumerate(bounds):
-            start_seg = segs[j]
-            end_seg = segs[(j - 1) % nb]
-            if b[0] == "gap":
-                gap_sides[b[1]] = (end_seg, start_seg)
-            else:
-                split_at[(w, b[1])] = (end_seg, start_seg)
-    clauses: list[Clause] = []
-    for gi, g in enumerate(c.gates):
-        ca, cb = split_at[(g.control, gi)]
-        tc, td = split_at[(g.target, gi)]
-        clauses.append(
-            Clause(ClauseKind.COMBINED_CNOT, (ca, cb, tc, td), source_gate=g.id)
-        )
-    gap_join: dict[Gap, Clause | None] = {}
-    for gap in sorted(gap_sides):
-        end_seg, start_seg = gap_sides[gap]
-        if end_seg == start_seg:
-            gap_join[gap] = None
-            continue
-        cl = Clause(ClauseKind.JOIN, (end_seg, start_seg), source_gap=gap)
-        gap_join[gap] = cl
-        clauses.append(cl)
-    return BooleanModel(
-        kind=ModelKind.COMBINED,
-        circuit=c,
-        variables=tuple(variables),
-        clauses=tuple(clauses),
-        gap_join=gap_join,
         gap_sides=gap_sides,
     )
 
@@ -296,15 +224,7 @@ def pin_selectors(m: BooleanModel, selectors: dict[int, bool]) -> BooleanModel:
         else cl
         for cl in m.clauses
     )
-    return BooleanModel(
-        kind=m.kind,
-        circuit=m.circuit,
-        variables=m.variables,
-        clauses=clauses,
-        gap_join=m.gap_join,
-        gap_sides=m.gap_sides,
-        cut_gaps=m.cut_gaps,
-    )
+    return replace(m, clauses=clauses)
 
 
 def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
@@ -313,23 +233,16 @@ def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
     Cutting a gap whose self-join was already dropped is a no-op beyond
     marking the gap as cut (the gap was cut-equivalent from the start).
     """
-    gaps = cuts.sorted_gaps()
-    for gap in gaps:
+    for gap in cuts.sorted_gaps():
         if gap not in m.gap_sides:
             raise UnknownGap(f"wire {gap.wire} gap {gap.index} not in model")
         if gap in m.cut_gaps:
             raise DuplicateCut(f"wire {gap.wire} gap {gap.index} already cut")
-    removed = {m.gap_join[g] for g in gaps if m.gap_join[g] is not None}
-    clauses = tuple(cl for cl in m.clauses if cl not in removed)
-    gap_join = {g: (None if g in set(gaps) else cl) for g, cl in m.gap_join.items()}
-    return BooleanModel(
-        kind=m.kind,
-        circuit=m.circuit,
-        variables=m.variables,
-        clauses=clauses,
-        gap_join=gap_join,
-        gap_sides=m.gap_sides,
-        cut_gaps=m.cut_gaps | set(gaps),
+    gaps = cuts.gaps()
+    return replace(
+        m,
+        clauses=tuple(cl for cl in m.clauses if cl.source_gap not in gaps),
+        cut_gaps=m.cut_gaps | gaps,
     )
 
 
@@ -361,14 +274,16 @@ class ParitySystem:
 
 
 def _clause_rows(m: BooleanModel, cl: Clause) -> list[int]:
-    idx = m.var_index
-    if cl.kind is ClauseKind.CNOT:
-        return [(1 << idx(cl.vars[0])) | (1 << idx(cl.vars[1])) | (1 << idx(cl.vars[2]))]
-    if cl.kind is ClauseKind.JOIN:
-        return [(1 << idx(cl.vars[0])) | (1 << idx(cl.vars[1]))]
+    """Parity rows of one clause: CNOT and JOIN clauses are one XOR row each."""
+    index = m._var_index
+    if cl.kind is not ClauseKind.COMBINED_CNOT:
+        row = 0
+        for v in cl.vars:
+            row ^= 1 << index[v]
+        return [row]
     if cl.selector is None:
         raise UnpinnedSelector(f"combined clause for gate {cl.source_gate} has no selector")
-    a, b, tc, td = (1 << idx(v) for v in cl.vars)
+    a, b, tc, td = (1 << index[v] for v in cl.vars)
     if cl.selector:
         # X reading: control passes through (a = b), target flips by control
         return [a | b, a | tc | td]
@@ -377,10 +292,7 @@ def _clause_rows(m: BooleanModel, cl: Clause) -> list[int]:
 
 def to_parity_system(m: BooleanModel) -> ParitySystem:
     """Translate every clause to its parity rows (requiring it true)."""
-    rows: list[int] = []
-    for cl in m.clauses:
-        rows.extend(_clause_rows(m, cl))
-    return ParitySystem(variables=m.variables, rows=tuple(rows))
+    return ParitySystem(variables=m.variables, rows=tuple(row for _, row in m._rows))
 
 
 def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId, bool]:
@@ -404,7 +316,7 @@ def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId,
     return {v: bool(sol[i]) for i, v in enumerate(s.variables)}
 
 
-def _input_output_segments(m: BooleanModel, lin, d: Direction):
+def input_output_segments(m: BooleanModel, lin, d: Direction):
     """Per linear qubit, its first and last segment under the traversal."""
     ins, outs = [], []
     for origin in lin.origins:
@@ -419,27 +331,26 @@ def _input_output_segments(m: BooleanModel, lin, d: Direction):
     return ins, outs
 
 
-def _solve_map_rows(
+def solve_map_rows(
     m: BooleanModel,
     cut_gaps: frozenset[Gap],
     ins: list[SegmentId | None],
     outs: list[SegmentId],
     pins: dict[SegmentId, bool] | None = None,
     bridges: tuple[tuple[SegmentId, SegmentId], ...] = (),
-) -> list[int]:
-    """Output rows of the cut system, one bitmask over inputs per qubit.
+) -> tuple[frozenset[int], ...]:
+    """Map rows of the cut system: per input, the outputs it reaches.
 
     The solve is symbolic: input ``i`` is pinned to right-hand-side bit
     ``1 + i`` (bit 0 is the constant column used by ``pins``), so a single
-    elimination yields every single-input propagation at once. ``None``
-    entries in ``ins`` skip a qubit; ``bridges`` equate extra segment pairs.
+    elimination yields every single-input propagation at once. The joins of
+    ``cut_gaps`` are left out, ``None`` entries in ``ins`` skip a qubit and
+    ``bridges`` equate extra segment pairs. Only the linear part over the
+    symbolic inputs is read; pinned offsets in the constant column are not.
     """
     n = m.n_vars
     n_in = len(ins)
-    rows = list(m._cnot_rows)
-    for gap, row in m._join_rows.items():
-        if gap not in cut_gaps:
-            rows.append(row)
+    rows = [row for gap, row in m._rows if gap not in cut_gaps]
     for a, b in bridges:
         ia, ib = m.var_index(a), m.var_index(b)
         if ia != ib:
@@ -450,15 +361,7 @@ def _solve_map_rows(
     for seg, value in (pins or {}).items():
         rows.append((1 << m.var_index(seg)) | (int(bool(value)) << n))
     sol = gf2.solve_tagged(rows, n, 1 + n_in)
-    return [sol[m.var_index(seg)] for seg in outs]
-
-
-def _rows_to_sets(out_rows: list[int], n_in: int) -> tuple[frozenset[int], ...]:
-    """Transpose solved output rows into per-input output sets.
-
-    Only the linear part over the symbolic inputs is read; the constant
-    column carries pinned offsets and is ignored here.
-    """
+    out_rows = [sol[m.var_index(seg)] for seg in outs]
     return tuple(
         frozenset(j for j, row in enumerate(out_rows) if row >> (1 + i) & 1)
         for i in range(n_in)
@@ -481,28 +384,11 @@ def derive_transformations(
     lin = linearize(c, cuts, d)
     if models is None:
         models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-    xm, zm = models
     cut_gaps = cuts.gaps()
-    n_in = lin.n_qubits
-    x_ins, x_outs = _input_output_segments(xm, lin, d)
-    z_ins, z_outs = _input_output_segments(zm, lin, d)
-    x_rows = _solve_map_rows(xm, cut_gaps, x_ins, x_outs)
-    z_rows = _solve_map_rows(zm, cut_gaps, z_ins, z_outs)
-    return StabiliserMap(
-        n_qubits=n_in,
-        x_out=_rows_to_sets(x_rows, n_in),
-        z_out=_rows_to_sets(z_rows, n_in),
+    x_out, z_out = (
+        solve_map_rows(m, cut_gaps, *input_output_segments(m, lin, d)) for m in models
     )
-
-
-def _positions_adjacent(c: CircularCircuit, p1: int, p2: int) -> bool:
-    pos = sorted(g.position for g in c.gates)
-    m = len(pos)
-    for j in range(m):
-        a, b = pos[j], pos[(j + 1) % m]
-        if (a, b) in ((p1, p2), (p2, p1)):
-            return True
-    return False
+    return StabiliserMap(n_qubits=lin.n_qubits, x_out=x_out, z_out=z_out)
 
 
 def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
@@ -516,7 +402,9 @@ def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
     """
     ga = c.gate_by_id(g1)
     gb = c.gate_by_id(g2)
-    if ga.id == gb.id or not _positions_adjacent(c, ga.position, gb.position):
+    pair = {ga.position, gb.position}
+    slot_pairs = [{a, b} for a, b in c.slots()]
+    if ga.id == gb.id or pair not in slot_pairs:
         raise NotAdjacent(f"gates {g1} and {g2} are not cyclically adjacent")
     swapped = tuple(
         replace(g, position=gb.position if g.id == ga.id else ga.position)
@@ -525,10 +413,9 @@ def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
         for g in c.gates
     )
     c2 = CircularCircuit(wires=c.wires, gates=swapped)
-    pair = {ga.position, gb.position}
-    test_slots = [
-        j for j, (a, b) in enumerate(c.slots()) if {a, b} != pair
-    ] or list(range(len(c.slots())))
+    test_slots = [j for j, s in enumerate(slot_pairs) if s != pair] or list(
+        range(len(slot_pairs))
+    )
     models1 = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
     models2 = (build_model(c2, ModelKind.X), build_model(c2, ModelKind.Z))
     for slot in test_slots:

@@ -132,5 +132,6 @@ def statevector_run(icm, outcomes, bindings=None, choices=None) -> np.ndarray:
         eigen = MEAS_EIGENSTATES[basis][int(bit)]
         state = project_qubit(state, q, eigen, n)
     norm = np.linalg.norm(state)
-    assert abs(norm - 1.0) < 1e-9, "statevector norm drifted"
+    if not abs(norm - 1.0) < 1e-9:  # also catches a NaN norm
+        raise RuntimeError(f"statevector norm drifted to {norm}")
     return state

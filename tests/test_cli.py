@@ -142,3 +142,126 @@ def test_validate_cuts(swap_file, cuts_file):
     code, out = run(["cuts", swap_file, "--validate", cuts_file])
     assert code == 0
     assert "valid" in out
+
+
+TELEPORTED_CNOT = "cut 0 0\ncut 0 1\ncut 0 2\ncut 1 2\n"
+# ``model --parity`` stdout and exit status on the SWAP, with and without the
+# teleported-CNOT cuts. The combined model's selectors are unpinned, so its
+# clause dump is followed by an unpinned-selector error instead of rows.
+MODEL_PARITY_GOLDEN = {
+    ("x", False): (
+        0,
+        "C w1s4 w1s0 w0s3\n"
+        "C w0s0 w0s1 w1s1\n"
+        "C w1s2 w1s3 w0s2\n"
+        "J w0s3 w0s0\n"
+        "J w0s1 w0s2\n"
+        "J w0s2 w0s3\n"
+        "J w1s0 w1s1\n"
+        "J w1s1 w1s2\n"
+        "J w1s3 w1s4\n"
+        "0 0 0 1 1 0 0 0 1 0\n"
+        "1 1 0 0 0 1 0 0 0 0\n"
+        "0 0 1 0 0 0 1 1 0 0\n"
+        "1 0 0 1 0 0 0 0 0 0\n"
+        "0 1 1 0 0 0 0 0 0 0\n"
+        "0 0 1 1 0 0 0 0 0 0\n"
+        "0 0 0 0 1 1 0 0 0 0\n"
+        "0 0 0 0 0 1 1 0 0 0\n"
+        "0 0 0 0 0 0 0 1 1 0\n"
+    ),
+    ("x", True): (
+        0,
+        "C w1s4 w1s0 w0s3\n"
+        "C w0s0 w0s1 w1s1\n"
+        "C w1s2 w1s3 w0s2\n"
+        "J w1s0 w1s1\n"
+        "J w1s1 w1s2\n"
+        "0 0 0 1 1 0 0 0 1 0\n"
+        "1 1 0 0 0 1 0 0 0 0\n"
+        "0 0 1 0 0 0 1 1 0 0\n"
+        "0 0 0 0 1 1 0 0 0 0\n"
+        "0 0 0 0 0 1 1 0 0 0\n"
+    ),
+    ("z", False): (
+        0,
+        "C w0s4 w0s0 w1s3\n"
+        "C w1s0 w1s1 w0s1\n"
+        "C w0s2 w0s3 w1s2\n"
+        "J w0s0 w0s1\n"
+        "J w0s1 w0s2\n"
+        "J w0s3 w0s4\n"
+        "J w1s3 w1s0\n"
+        "J w1s1 w1s2\n"
+        "J w1s2 w1s3\n"
+        "1 0 0 0 1 0 0 0 1 0\n"
+        "0 1 0 0 0 1 1 0 0 0\n"
+        "0 0 1 1 0 0 0 1 0 0\n"
+        "1 1 0 0 0 0 0 0 0 0\n"
+        "0 1 1 0 0 0 0 0 0 0\n"
+        "0 0 0 1 1 0 0 0 0 0\n"
+        "0 0 0 0 0 1 0 0 1 0\n"
+        "0 0 0 0 0 0 1 1 0 0\n"
+        "0 0 0 0 0 0 0 1 1 0\n"
+    ),
+    ("z", True): (
+        0,
+        "C w0s4 w0s0 w1s3\n"
+        "C w1s0 w1s1 w0s1\n"
+        "C w0s2 w0s3 w1s2\n"
+        "J w1s3 w1s0\n"
+        "J w1s1 w1s2\n"
+        "1 0 0 0 1 0 0 0 1 0\n"
+        "0 1 0 0 0 1 1 0 0 0\n"
+        "0 0 1 1 0 0 0 1 0 0\n"
+        "0 0 0 0 0 1 0 0 1 0\n"
+        "0 0 0 0 0 0 1 1 0 0\n"
+    ),
+    ("combined", False): (
+        1,
+        "F w0s5 w0s0 w1s5 w1s0 x=-\n"
+        "F w1s1 w1s2 w0s1 w0s2 x=-\n"
+        "F w0s3 w0s4 w1s3 w1s4 x=-\n"
+        "J w0s0 w0s1\n"
+        "J w0s2 w0s3\n"
+        "J w0s4 w0s5\n"
+        "J w1s0 w1s1\n"
+        "J w1s2 w1s3\n"
+        "J w1s4 w1s5\n"
+    ),
+    ("combined", True): (
+        1,
+        "F w0s5 w0s0 w1s5 w1s0 x=-\n"
+        "F w1s1 w1s2 w0s1 w0s2 x=-\n"
+        "F w0s3 w0s4 w1s3 w1s4 x=-\n"
+        "J w1s0 w1s1\n"
+        "J w1s2 w1s3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,cut", sorted(MODEL_PARITY_GOLDEN))
+def test_model_parity_golden(tmp_path, swap_file, capsys, kind, cut):
+    argv = ["model", swap_file, "--kind", kind, "--parity"]
+    if cut:
+        path = tmp_path / "teleported.cuts"
+        path.write_text(TELEPORTED_CNOT)
+        argv += ["--cuts", str(path)]
+    code, out = run(argv)
+    assert (code, out) == MODEL_PARITY_GOLDEN[kind, cut]
+    if code:
+        assert "error unpinned-selector:" in capsys.readouterr().err
+
+
+def test_derive_rejects_linear_circuit(tmp_path, cuts_file, capsys):
+    path = tmp_path / "lin.circ"
+    path.write_text(LINEAR_SWAP)
+    code, out = run(["derive", str(path), "--cuts", cuts_file])
+    assert (code, out) == (1, "")
+    assert "error wrong-circuit-kind:" in capsys.readouterr().err
+
+
+def test_circularize_rejects_circular_circuit(swap_file, capsys):
+    code, out = run(["circularize", swap_file])
+    assert (code, out) == (1, "")
+    assert "error wrong-circuit-kind:" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from circnot import (
     Gap,
     StabiliserMap,
     apply_cuts,
-    build_combined_model,
     build_model,
     check_commutation_invariance,
     derive_transformations,
@@ -94,12 +93,21 @@ class TestBuildModel:
                 assert len(m.cnot_clauses()) == len(c.gates)
                 self_joins = sum(1 for cl in m.gap_join.values() if cl is None)
                 assert len(m.join_clauses()) == n_gaps - self_joins
+            # every symbol splits in the combined model: two segments per
+            # symbol, so no wire is left with a single boundary
+            m = build_model(c, ModelKind.COMBINED)
+            assert [cl.kind for cl in m.cnot_clauses()] == [ClauseKind.COMBINED_CNOT] * len(c.gates)
+            for w in range(c.wires):
+                segs = [v for v in m.variables if v.wire == w]
+                assert len(segs) == 2 * c.symbol_count(w)
+            assert all(cl is not None for cl in m.gap_join.values())
+            assert len(m.join_clauses()) == n_gaps
 
 
 class TestCombinedModel:
     def _cut_pinned(self, value):
         single = mkcirc(2, [(0, 1)])
-        m = pin_selectors(build_combined_model(single), {0: value})
+        m = pin_selectors(build_model(single, ModelKind.COMBINED), {0: value})
         m = apply_cuts(m, CutSet.of([(0, 0), (1, 0)]))
         clause = next(c for c in m.clauses if c.kind is ClauseKind.COMBINED_CNOT)
         return m, clause
@@ -125,7 +133,7 @@ class TestCombinedModel:
         assert sol[b] is False and sol[d] is False
 
     def test_unpinned_selector_rejected(self, single_cnot):
-        m = build_combined_model(single_cnot)
+        m = build_model(single_cnot, ModelKind.COMBINED)
         with pytest.raises(UnpinnedSelector):
             to_parity_system(m)
 
@@ -133,7 +141,7 @@ class TestCombinedModel:
         # pinned-true solutions over (a, c, d) with a == b equal the X-model
         # clause's; pinned-false likewise for the Z model
         for value, kind in ((True, ModelKind.X), (False, ModelKind.Z)):
-            cm = pin_selectors(build_combined_model(single_cnot), {0: value})
+            cm = pin_selectors(build_model(single_cnot, ModelKind.COMBINED), {0: value})
             clause = next(c for c in cm.clauses if c.kind is ClauseKind.COMBINED_CNOT)
             a, b, c, d = clause.vars
             combined = set()
@@ -332,17 +340,25 @@ class TestDeriveTransformations:
 
     def test_matches_per_input_propagation(self, swap, swap_cut_sets):
         # the one-shot symbolic solve must agree with per-input propagate
-        cuts = swap_cut_sets["teleported-cnot"]
-        lin = linearize(swap, cuts, Direction.CW)
-        derived = derive_transformations(swap, cuts, Direction.CW)
-        for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
-            m = apply_cuts(build_model(swap, kind), cuts)
-            s = to_parity_system(m)
-            ins = [m.gap_sides[o.input_cut][1] for o in lin.origins]
-            outs = [m.gap_sides[o.output_cut][0] for o in lin.origins]
-            for q in range(lin.n_qubits):
-                sol = propagate(s, {seg: seg == ins[q] for seg in ins})
-                assert frozenset(j for j, seg in enumerate(outs) if sol[seg]) == rows[q]
+        cases = [(swap, swap_cut_sets["teleported-cnot"], Direction.CW)]
+        for c in all_small_circuits(max_wires=3, max_gates=3):
+            for slot in range(len(c.slots())):
+                cuts = CutSet.of(c.gap_spanning(w, slot) for w in range(c.wires))
+                cases += [(c, cuts, d) for d in (Direction.CW, Direction.CCW)]
+        for c, cuts, d in cases:
+            lin = linearize(c, cuts, d)
+            derived = derive_transformations(c, cuts, d)
+            # the first segment under the traversal starts after the input
+            # cut (cw) or ends before it (ccw); the last one mirrors that
+            first, last = (1, 0) if d is Direction.CW else (0, 1)
+            for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
+                m = apply_cuts(build_model(c, kind), cuts)
+                s = to_parity_system(m)
+                ins = [m.gap_sides[o.input_cut][first] for o in lin.origins]
+                outs = [m.gap_sides[o.output_cut][last] for o in lin.origins]
+                for q in range(lin.n_qubits):
+                    sol = propagate(s, {seg: seg == ins[q] for seg in ins})
+                    assert frozenset(j for j, seg in enumerate(outs) if sol[seg]) == rows[q]
 
 
 def random_circularized(seed, wires, gates):

@@ -13,6 +13,7 @@ from circnot import (
     configure,
     gadget,
 )
+from circnot import statevec
 from circnot.errors import CountMismatch, TooManyQubits, ZeroProbabilityOutcome
 from circnot.statevec import (
     INIT_STATES,
@@ -161,3 +162,10 @@ def test_outcome_count_mismatch():
 def test_post_selection_renormalises():
     out = statevector_run(gadget("teleport"), [1], bindings={"phi": RANDOM_STATE})
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def test_norm_check_without_assert(monkeypatch):
+    # the norm check is a raise, so it survives ``python -O``
+    monkeypatch.setattr(statevec, "project_qubit", lambda state, qubit, eigen, n: 2 * state)
+    with pytest.raises(RuntimeError):
+        statevector_run(gadget("teleport"), [0], bindings={"phi": RANDOM_STATE})
