@@ -16,6 +16,7 @@ from .circuits import (
     enumerate_cut_points,
     linearize,
     radial_slots,
+    spanning_gaps,
     validate_cut_set,
 )
 from .icm import (
@@ -60,7 +61,6 @@ from .pauli import (
     propagate_pauli,
 )
 from .stabmap import StabiliserMap
-from .statevec import fidelity, reduced_density, statevector_run
 from .textio import (
     format_circuit,
     format_cut_set,

@@ -11,9 +11,9 @@ the gap that follows wire ``w``'s ``i``-th symbol in clockwise order
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .errors import (
     ControlEqualsTarget,
@@ -57,39 +57,34 @@ class CutPoint:
 
 @dataclass(frozen=True)
 class CutSet:
-    cuts: frozenset[CutPoint]
+    cuts: frozenset[Gap]
 
     @classmethod
     def of(cls, items) -> "CutSet":
-        """Build from (wire, gap) pairs, Gaps, or CutPoints; rejects repeats."""
-        points: list[CutPoint] = []
+        """Build from Gaps or (wire, gap) pairs; rejects repeats."""
+        gaps = []
         for item in items:
-            if isinstance(item, CutPoint):
-                points.append(item)
-            elif isinstance(item, Gap):
-                points.append(CutPoint(item))
-            else:
+            if not isinstance(item, Gap):
                 w, i = item
-                points.append(CutPoint(Gap(int(w), int(i))))
-        if len(set(points)) != len(points):
-            seen: set[CutPoint] = set()
-            for p in points:
-                if p in seen:
-                    raise DuplicateCut(f"cut repeated at wire {p.gap.wire} gap {p.gap.index}")
-                seen.add(p)
-        return cls(frozenset(points))
+                item = Gap(int(w), int(i))
+            gaps.append(item)
+        cuts = frozenset(gaps)
+        if len(cuts) != len(gaps):
+            dup = next(g for k, g in enumerate(gaps) if g in gaps[:k])
+            raise DuplicateCut(f"cut repeated at wire {dup.wire} gap {dup.index}")
+        return cls(cuts)
 
     def gaps(self) -> frozenset[Gap]:
-        return frozenset(p.gap for p in self.cuts)
+        return self.cuts
 
     def sorted_gaps(self) -> tuple[Gap, ...]:
-        return tuple(sorted(self.gaps()))
+        return tuple(sorted(self.cuts))
 
     def __len__(self) -> int:
         return len(self.cuts)
 
     def __contains__(self, gap: Gap) -> bool:
-        return CutPoint(gap) in self.cuts
+        return gap in self.cuts
 
 
 @dataclass(frozen=True)
@@ -131,19 +126,13 @@ class CircularCircuit:
         empty = set(range(self.wires)) - touched
         if empty:
             raise EmptyWire(empty)
-        # symbol tables: per wire, (position, gate index, kind) clockwise
+        # symbol tables: per wire, (position, gate index, kind), clockwise
+        # because the gates are sorted by position
         symbols: list[list[tuple[int, int, str]]] = [[] for _ in range(self.wires)]
         for gi, g in enumerate(gates):
             symbols[g.control].append((g.position, gi, CONTROL))
             symbols[g.target].append((g.position, gi, TARGET))
-        for row in symbols:
-            row.sort()
         object.__setattr__(self, "_symbols", tuple(tuple(row) for row in symbols))
-        sym_index: list[dict[int, int]] = [{} for _ in range(self.wires)]
-        for w, row in enumerate(symbols):
-            for si, (_, gi, _) in enumerate(row):
-                sym_index[w][gi] = si
-        object.__setattr__(self, "_sym_index", tuple(sym_index))
         object.__setattr__(
             self,
             "_slots",
@@ -152,9 +141,6 @@ class CircularCircuit:
                 for j in range(len(positions))
             ),
         )
-        object.__setattr__(
-            self, "_wire_positions", tuple(tuple(p for p, _, _ in row) for row in symbols)
-        )
 
     def symbols(self, wire: int) -> tuple[tuple[int, int, str], ...]:
         """Clockwise (position, gate index, kind) symbols on a wire."""
@@ -162,10 +148,6 @@ class CircularCircuit:
 
     def symbol_count(self, wire: int) -> int:
         return len(self._symbols[wire])
-
-    def symbol_index(self, wire: int, gate_index: int) -> int:
-        """Index of the given gate's symbol among the wire's symbols."""
-        return self._sym_index[wire][gate_index]
 
     def gate_by_id(self, gate_id: int) -> CNOTGate:
         for g in self.gates:
@@ -183,12 +165,8 @@ class CircularCircuit:
 
     def gap_spanning(self, wire: int, slot: int) -> Gap:
         """The unique gap on ``wire`` whose arc covers the given slot."""
-        q_before = self._slots[slot][0]
-        positions = self._wire_positions[wire]
-        i = bisect.bisect_right(positions, q_before) - 1
-        if i < 0:
-            i = len(positions) - 1
-        return Gap(wire, i)
+        span = next(islice(spanning_gaps(self), range(len(self.gates))[slot], None))
+        return Gap(wire, span[wire])
 
     def gap_valid(self, gap: Gap) -> bool:
         return 0 <= gap.wire < self.wires and 0 <= gap.index < len(self._symbols[gap.wire])
@@ -270,55 +248,65 @@ def enumerate_cut_points(c: CircularCircuit) -> list[CutPoint]:
     ]
 
 
-def _check_gaps_known(c: CircularCircuit, cuts: CutSet) -> None:
-    for gap in cuts.sorted_gaps():
-        if not c.gap_valid(gap):
-            raise UnknownGap(f"wire {gap.wire} gap {gap.index} does not exist")
+def spanning_gaps(c: CircularCircuit):
+    """Sweep the slots clockwise: per slot, the gap spanning it on each wire.
+
+    Yields one list per slot, updated in place between slots, whose entry
+    ``w`` is the index of the gap on wire ``w`` whose arc covers the slot:
+    the gap after the wire's last symbol at or before the slot, or after its
+    last symbol when it has none there. Callers keep a copy, not the list.
+    """
+    counts = [c.symbol_count(w) for w in range(c.wires)]
+    span = [k - 1 for k in counts]
+    for g in c.gates:
+        for w in (g.control, g.target):
+            span[w] = (span[w] + 1) % counts[w]
+        yield span
+
+
+def _radial_families(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, ...]]:
+    """Radial slots, clockwise, each with its spanning gap index on every wire."""
+    cut = {(g.wire, g.index) for g in cuts.cuts}
+    return {
+        slot: tuple(span)
+        for slot, span in enumerate(spanning_gaps(c))
+        if all(pair in cut for pair in enumerate(span))
+    }
 
 
 def radial_slots(c: CircularCircuit, cuts: CutSet) -> list[int]:
     """Slots at which every wire is cut in the gap spanning that slot."""
-    gaps = cuts.gaps()
-    out = []
-    for slot in range(len(c.slots())):
-        if all(c.gap_spanning(w, slot) in gaps for w in range(c.wires)):
-            out.append(slot)
-    return out
+    return list(_radial_families(c, cuts))
 
 
-def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> None:
+def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, ...]]:
     """Raise unless the cut set admits a valid linearization.
 
     Validity needs at least one radial family: a slot whose spanning gap is
     cut on every wire. Given one, every arc between consecutive cuts maps to
     a contiguous stretch of the unrolled timeline, so each gate's control and
-    target arcs automatically coexist at the gate's position.
+    target arcs automatically coexist at the gate's position. Returns the
+    radial slots in clockwise order, each mapped to the index of its family's
+    gap on every wire. ``NoRadialCut.missing_by_slot`` maps every slot to the
+    wires whose spanning gap is uncut.
     """
     if not cuts.cuts:
         raise EmptyCutSet("cut set is empty")
-    _check_gaps_known(c, cuts)
-    if radial_slots(c, cuts):
-        return
-    gaps = cuts.gaps()
+    for gap in cuts.sorted_gaps():
+        if not c.gap_valid(gap):
+            raise UnknownGap(f"wire {gap.wire} gap {gap.index} does not exist")
+    families = _radial_families(c, cuts)
+    if families:
+        return families
     missing = {
-        slot: tuple(w for w in range(c.wires) if c.gap_spanning(w, slot) not in gaps)
-        for slot in range(len(c.slots()))
+        slot: tuple(w for w, i in enumerate(span) if Gap(w, i) not in cuts)
+        for slot, span in enumerate(spanning_gaps(c))
     }
-    uncut_everywhere = sorted(
-        set.intersection(*(set(ws) for ws in missing.values())) if missing else set()
-    )
+    uncut_everywhere = sorted(set(range(c.wires)).intersection(*missing.values()))
     raise NoRadialCut(
         f"no slot is cut across all wires (wires never cut at any slot: {uncut_everywhere})",
         missing_by_slot=missing,
     )
-
-
-def _start_slot(c: CircularCircuit, slots_ok: list[int]) -> int:
-    """Deterministic start: prefer the wrap slot (before the first position)."""
-    wrap = len(c.slots()) - 1
-    if wrap in slots_ok:
-        return wrap
-    return slots_ok[0]
 
 
 def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
@@ -329,20 +317,20 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     from the chosen radial slot. Counter-clockwise reverses the gate order
     and swaps input/output endpoints but keeps qubit indices.
     """
-    validate_cut_set(c, cuts)
-    start = _start_slot(c, radial_slots(c, cuts))
+    families = validate_cut_set(c, cuts)
     n_gates = len(c.gates)
+    # deterministic start: prefer the wrap slot (before the first position)
+    start = n_gates - 1 if n_gates - 1 in families else next(iter(families))
     if d is Direction.CW:
         order = [(start + 1 + k) % n_gates for k in range(n_gates)]
     else:
         order = [(start - k) % n_gates for k in range(n_gates)]
 
-    gaps = cuts.gaps()
     qubits: list[tuple[int, Gap, Gap]] = []  # (wire, cw start gap, cw end gap)
     sym_to_qubit: list[dict[int, int]] = [dict() for _ in range(c.wires)]
     for w in range(c.wires):
-        wire_cuts = sorted(g.index for g in gaps if g.wire == w)
-        anchor = c.gap_spanning(w, start).index
+        wire_cuts = sorted(g.index for g in cuts.cuts if g.wire == w)
+        anchor = families[start][w]
         rotated = wire_cuts[wire_cuts.index(anchor):] + wire_cuts[: wire_cuts.index(anchor)]
         k = c.symbol_count(w)
         for a, b in zip(rotated, rotated[1:] + rotated[:1]):
@@ -352,12 +340,14 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
             for step in range(1, span + 1):
                 sym_to_qubit[w][(a + step) % k] = q
 
-    lin_gates = []
-    for t, gi in enumerate(order):
-        g = c.gates[gi]
-        cq = sym_to_qubit[g.control][c.symbol_index(g.control, gi)]
-        tq = sym_to_qubit[g.target][c.symbol_index(g.target, gi)]
-        lin_gates.append(LinearGate(control=cq, target=tq, time=t, source=g.id))
+    # a gate's symbol on each of its wires is the gap spanning the slot after it
+    qubit_pairs = [
+        (sym_to_qubit[g.control][after[g.control]], sym_to_qubit[g.target][after[g.target]])
+        for g, after in zip(c.gates, spanning_gaps(c))
+    ]
+    lin_gates = [
+        LinearGate(*qubit_pairs[gi], time=t, source=c.gates[gi].id) for t, gi in enumerate(order)
+    ]
 
     origins = tuple(
         ArcOrigin(w, a, b) if d is Direction.CW else ArcOrigin(w, b, a)

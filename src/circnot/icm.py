@@ -168,10 +168,7 @@ class ICMCircuit:
 
 def configure(l: LinearCircuit, configs) -> ICMCircuit:
     """Attach per-qubit initialisation/measurement choices to a CNOT list."""
-    configs = tuple(configs)
-    if len(configs) != l.n_qubits:
-        raise CountMismatch(f"{l.n_qubits} qubits but {len(configs)} configs")
-    return ICMCircuit(circuit=l, configs=configs)
+    return ICMCircuit(circuit=l, configs=tuple(configs))
 
 
 def _chain(pairs) -> tuple[LinearGate, ...]:
@@ -378,7 +375,7 @@ def inject_smgf(c: CircularCircuit, base: CutSet, f: FaultSpec) -> tuple[CutSet,
     gate = c.gate_by_id(f.gate)
     gi = next(i for i, g in enumerate(c.gates) if g.id == gate.id)
     w = gate.control
-    si = c.symbol_index(w, gi)
+    si = c.gap_spanning(w, gi).index  # the gap after the gate's control symbol
     k = c.symbol_count(w)
     before = Gap(w, (si - 1) % k)
     after = Gap(w, si)

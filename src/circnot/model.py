@@ -35,8 +35,8 @@ from .circuits import (
     CutSet,
     Direction,
     Gap,
-    enumerate_cut_points,
     linearize,
+    spanning_gaps,
 )
 from .errors import (
     BudgetTooSmall,
@@ -413,16 +413,13 @@ def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
         for g in c.gates
     )
     c2 = CircularCircuit(wires=c.wires, gates=swapped)
-    test_slots = [j for j, s in enumerate(slot_pairs) if s != pair] or list(
-        range(len(slot_pairs))
-    )
     models1 = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
     models2 = (build_model(c2, ModelKind.X), build_model(c2, ModelKind.Z))
-    for slot in test_slots:
-        cuts1 = CutSet.of(c.gap_spanning(w, slot) for w in range(c.wires))
-        cuts2 = CutSet.of(c2.gap_spanning(w, slot) for w in range(c2.wires))
-        m1 = derive_transformations(c, cuts1, Direction.CW, models=models1)
-        m2 = derive_transformations(c2, cuts2, Direction.CW, models=models2)
+    for span1, span2, slot_pair in zip(spanning_gaps(c), spanning_gaps(c2), slot_pairs):
+        if slot_pair == pair and len(slot_pairs) > 2:
+            continue
+        m1 = derive_transformations(c, CutSet.of(enumerate(span1)), Direction.CW, models=models1)
+        m2 = derive_transformations(c2, CutSet.of(enumerate(span2)), Direction.CW, models=models2)
         if m1 != m2:
             return False
     return True
@@ -433,30 +430,28 @@ def search_cuts(
 ) -> list[tuple[CutSet, Direction]]:
     """All (cut set, direction) pairs deriving the target map.
 
-    Enumerates cut sets by size then lexicographically by (wire, gap),
-    directions clockwise first. Only sizes equal to the target's qubit
-    count can match because every cut contributes exactly one qubit.
+    Only sizes equal to the target's qubit count can match because every
+    cut contributes exactly one qubit, and a cut set linearizes only if it
+    holds a radial family. So the candidates are built, not filtered: per
+    slot, the slot's radial family plus every choice of the remaining cuts
+    among the other gaps, without repeats. They are tried in the order of
+    ``combinations`` over all gaps by (wire, gap), clockwise first.
     """
     if max_cuts < c.wires:
         raise BudgetTooSmall(f"need at least one cut per wire ({c.wires})")
     need = target.n_qubits
     if need < c.wires or need > max_cuts:
         return []
-    spanning = [
-        {slot: c.gap_spanning(w, slot) for slot in range(len(c.slots()))}
-        for w in range(c.wires)
-    ]
-    n_slots = len(c.slots())
-    all_gaps = [p.gap for p in enumerate_cut_points(c)]
+    all_gaps = [(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+    candidates = set()
+    for span in spanning_gaps(c):
+        family = set(enumerate(span))
+        others = [gap for gap in all_gaps if gap not in family]
+        for extra in combinations(others, need - c.wires):
+            candidates.add(tuple(sorted(family.union(extra))))
     models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
     found: list[tuple[CutSet, Direction]] = []
-    for combo in combinations(all_gaps, need):
-        chosen = set(combo)
-        if not any(
-            all(spanning[w][slot] in chosen for w in range(c.wires))
-            for slot in range(n_slots)
-        ):
-            continue
+    for combo in sorted(candidates):
         cuts = CutSet.of(combo)
         for d in (Direction.CW, Direction.CCW):
             try:

@@ -67,6 +67,17 @@ def all_small_circuits(max_wires: int = 3, max_gates: int = 4):
     return out
 
 
+def spanning_gap_index(pairs, wire: int, slot: int) -> int:
+    """Index of the gap on ``wire`` spanning ``slot``, from the gate list alone.
+
+    As in the circuit file format, gates are listed clockwise and gap ``i``
+    of a wire follows its ``i``-th symbol; slot ``j`` follows gate ``j``. The
+    spanning gap follows the wire's last symbol at or before gate ``j``, or
+    its last symbol when it has none there.
+    """
+    touches = [k for k, (c, t) in enumerate(pairs) if wire in (c, t)]
+    return (sum(1 for k in touches if k <= slot) - 1) % len(touches)
+
 # --- dense unitary brute force ---------------------------------------------
 
 PAULI_1Q = {

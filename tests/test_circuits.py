@@ -16,6 +16,7 @@ from circnot import (
     enumerate_cut_points,
     linearize,
     radial_slots,
+    spanning_gaps,
     validate_cut_set,
 )
 from circnot.errors import (
@@ -28,7 +29,7 @@ from circnot.errors import (
     WireOutOfRange,
 )
 from circnot.textio import parse_circuit
-from helpers import all_small_circuits, mkcirc, mklin, swap_circular
+from helpers import all_small_circuits, mkcirc, mklin, spanning_gap_index, swap_circular
 
 
 class TestParsing:
@@ -127,6 +128,43 @@ class TestValidateCutSet:
             validate_cut_set(swap, CutSet.of([(0, 0), (0, 1), (0, 2)]))
         # wire 1 lacks a cut at every slot
         assert all(1 in wires for wires in err.value.missing_by_slot.values())
+
+
+class TestSpanningReference:
+    """Spanning gaps, radial slots and ``missing_by_slot`` against the
+    definition read off the gate list (``helpers.spanning_gap_index``)."""
+
+    def test_matches_definition_exhaustive(self):
+        subsets = 0
+        for c in all_small_circuits(3, 4):
+            pairs = [(g.control, g.target) for g in c.gates]
+            span = [
+                [spanning_gap_index(pairs, w, j) for w in range(c.wires)]
+                for j in range(len(pairs))
+            ]
+            assert [list(row) for row in spanning_gaps(c)] == span
+            for j, row in enumerate(span):
+                assert [c.gap_spanning(w, j) for w in range(c.wires)] == [
+                    Gap(w, i) for w, i in enumerate(row)
+                ]
+            gaps = [(w, i) for w in range(c.wires) for i in range(sum(w in p for p in pairs))]
+            for k in range(1, 5):
+                for combo in itertools.combinations(gaps, k):
+                    missing = {
+                        j: tuple(w for w, i in enumerate(row) if (w, i) not in combo)
+                        for j, row in enumerate(span)
+                    }
+                    radial = [j for j, wires in missing.items() if not wires]
+                    cuts = CutSet.of(combo)
+                    assert radial_slots(c, cuts) == radial
+                    if radial:
+                        validate_cut_set(c, cuts)
+                    else:
+                        with pytest.raises(NoRadialCut) as err:
+                            validate_cut_set(c, cuts)
+                        assert err.value.missing_by_slot == missing
+                    subsets += 1
+        assert subsets > 30000
 
 
 class TestLinearize:

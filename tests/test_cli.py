@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +269,90 @@ def test_circularize_rejects_circular_circuit(swap_file, capsys):
     code, out = run(["circularize", swap_file])
     assert (code, out) == (1, "")
     assert "error wrong-circuit-kind:" in capsys.readouterr().err
+
+
+# ``search --max-cuts 4`` stdout on the SWAP, with each SWAP cut fixture's
+# clockwise oracle map as target, captured before candidates were built
+# from radial families; it pins the result order byte for byte.
+SEARCH_SWAP_GOLDEN = {
+    "swap": "cuts (0,2) (1,2) direction cw\ncuts (0,2) (1,2) direction ccw\nfound 2\n",
+    "single-cnot": (
+        "cuts (0,0) (1,0) direction cw\n"
+        "cuts (0,0) (1,0) direction ccw\n"
+        "cuts (0,1) (1,1) direction cw\n"
+        "cuts (0,1) (1,1) direction ccw\n"
+        "found 4\n"
+    ),
+    "teleported-cnot": "cuts (0,0) (0,1) (0,2) (1,2) direction cw\nfound 1\n",
+    "sdt": "cuts (0,1) (0,2) (1,0) (1,1) direction cw\nfound 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_SWAP_GOLDEN))
+def test_search_swap_golden(tmp_path, swap, swap_file, swap_cut_sets, name):
+    from circnot import Direction, linearize, oracle_map
+
+    target = tmp_path / "target.map"
+    target.write_text(oracle_map(linearize(swap, swap_cut_sets[name], Direction.CW)).report())
+    code, out = run(["search", swap_file, "--target", str(target), "--max-cuts", "4"])
+    assert (code, out) == (0, SEARCH_SWAP_GOLDEN[name])
+
+
+# A 3-wire search whose twelve results span several radial slots; the
+# target is the map of cuts (0,0) (0,2) (1,3) (2,0), clockwise.
+THREE_WIRE_CIRC = "circular\nwires 3\ncnot 0 1\ncnot 0 1\ncnot 2 1\ncnot 0 1\n"
+THREE_WIRE_TARGET = (
+    "X0 -> X{0,2}\nX1 -> X{1}\nX2 -> X{2}\nX3 -> X{2,3}\n"
+    "Z0 -> Z{0}\nZ1 -> Z{1}\nZ2 -> Z{0,2,3}\nZ3 -> Z{3}\n"
+)
+THREE_WIRE_SEARCH_GOLDEN = "".join(
+    f"cuts {gaps} direction {d}\n"
+    for gaps in (
+        "(0,0) (0,1) (1,0) (2,0)",
+        "(0,0) (0,2) (1,3) (2,0)",
+        "(0,1) (0,2) (1,1) (2,0)",
+        "(0,1) (0,2) (1,2) (2,0)",
+        "(0,1) (1,0) (1,2) (2,0)",
+        "(0,2) (1,1) (1,3) (2,0)",
+    )
+    for d in ("cw", "ccw")
+) + "found 12\n"
+
+
+def test_search_three_wire_golden(tmp_path):
+    circ = tmp_path / "three.circ"
+    circ.write_text(THREE_WIRE_CIRC)
+    target = tmp_path / "three.map"
+    target.write_text(THREE_WIRE_TARGET)
+    code, out = run(["search", str(circ), "--target", str(target), "--max-cuts", "5"])
+    assert (code, out) == (0, THREE_WIRE_SEARCH_GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "cut_text,uncut",
+    [("cut 0 0\ncut 1 1\n", "[]"), ("cut 0 0\ncut 0 1\ncut 0 2\n", "[1]")],
+)
+def test_validate_no_radial_golden(tmp_path, swap_file, capsys, cut_text, uncut):
+    bad = tmp_path / "bad.cuts"
+    bad.write_text(cut_text)
+    code, out = run(["cuts", swap_file, "--validate", str(bad)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error no-radial-cut: no slot is cut across all wires"
+        f" (wires never cut at any slot: {uncut})\n"
+    )
+
+
+def test_import_leaves_numpy_unloaded():
+    import circnot
+
+    src = str(Path(circnot.__file__).resolve().parent.parent)
+    probe = "import sys, circnot, circnot.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert result.stdout == "False\n"

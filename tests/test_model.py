@@ -24,6 +24,7 @@ from circnot import (
 from circnot.errors import (
     BudgetTooSmall,
     DuplicateCut,
+    Inconsistent,
     NotAdjacent,
     Underdetermined,
     UnknownGap,
@@ -41,6 +42,7 @@ from helpers import (
     isomorphic_to_reference,
     mkcirc,
     mklin,
+    spanning_gap_index,
     swap_circular,
 )
 
@@ -463,3 +465,69 @@ class TestSearchCuts:
         a = search_cuts(swap, SWAP_MAP, max_cuts=4)
         b = search_cuts(swap, SWAP_MAP, max_cuts=4)
         assert a == b
+
+
+class TestSearchReference:
+    """``search_cuts`` against a brute force written from the file format.
+
+    The brute force filters ``combinations`` over every gap by (wire, gap)
+    through its own radial check, one family per slot from the gate list,
+    and keeps the sets that derive the target, clockwise first.
+    """
+
+    @staticmethod
+    def brute_force_table(c, need):
+        pairs = [(g.control, g.target) for g in c.gates]
+        gaps = [Gap(w, i) for w in range(c.wires) for i in range(sum(w in p for p in pairs))]
+        families = [
+            {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(c.wires)}
+            for j in range(len(pairs))
+        ]
+        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
+        table = []
+        for combo in itertools.combinations(gaps, need):
+            if not any(family.issubset(combo) for family in families):
+                continue
+            cuts = CutSet.of(combo)
+            for d in (Direction.CW, Direction.CCW):
+                try:
+                    table.append((cuts, d, derive_transformations(c, cuts, d, models=models)))
+                except (Underdetermined, Inconsistent):
+                    pass
+        return families, gaps, table
+
+    def test_matches_brute_force_exhaustive(self):
+        searches = 0
+        for c in all_small_circuits(3, 4):
+            families, gaps, table = self.brute_force_table(c, c.wires)
+            targets = {
+                oracle_map(linearize(c, CutSet.of(family), d))
+                for family in families
+                for d in Direction
+            }
+            for target in sorted(targets, key=StabiliserMap.report):
+                expected = [(cuts, d) for cuts, d, derived in table if derived == target]
+                for max_cuts in (c.wires + 1, c.wires + 2):
+                    assert search_cuts(c, target, max_cuts) == expected
+                    searches += 1
+        assert searches > 1000
+
+    def test_matches_brute_force_beyond_family(self):
+        # targets that need one cut beyond a radial family: the wrap slot's
+        # family plus each other gap, so the built candidates carry extras
+        searches = 0
+        for c in all_small_circuits(3, 3):
+            families, gaps, table = self.brute_force_table(c, c.wires + 1)
+            wrap = families[-1]
+            targets = {
+                oracle_map(linearize(c, CutSet.of(wrap | {gap}), d))
+                for gap in gaps
+                if gap not in wrap
+                for d in Direction
+            }
+            for target in sorted(targets, key=StabiliserMap.report):
+                expected = [(cuts, d) for cuts, d, derived in table if derived == target]
+                assert search_cuts(c, target, c.wires + 1) == expected
+                assert search_cuts(c, target, c.wires) == []
+                searches += 1
+        assert searches > 50
