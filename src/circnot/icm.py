@@ -436,18 +436,20 @@ def faulted_transformations(
         q for q, o in enumerate(lin.origins) if o.output_cut != anc_out_gap
     )
 
+    # the side of a gap a traversal leaves it by: its starting segment (cw)
+    # or its ending one (ccw)
+    out_side = 1 if d is Direction.CW else 0
+
     def model_rows(m, pin_value: bool):
-        sides = m.gap_sides
-        anc_first = sides[anc_in_gap][1] if d is Direction.CW else sides[anc_in_gap][0]
+        anc_first = m.gap_pair(anc_in_gap)[out_side]
         ins, outs = input_output_segments(m, lin, d)
         ins = [seg if q in live_in else None for q, seg in enumerate(ins)]
         pins = {anc_first: pin_value}
         bridges: tuple = ()
         if len(added) == 2:
-            bridges = ((sides[patch.before_gap][0], sides[patch.after_gap][1]),)
+            bridges = ((m.gap_pair(patch.before_gap)[0], m.gap_pair(patch.after_gap)[1]),)
         elif len(added) == 1:
-            g = next(iter(added))
-            in_side = sides[g][1] if d is Direction.CW else sides[g][0]
+            in_side = m.gap_pair(next(iter(added)))[out_side]
             if in_side != anc_first:
                 pins[in_side] = pin_value
         sets = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges)

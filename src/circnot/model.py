@@ -15,14 +15,27 @@ Segment boundaries per model kind:
 * combined model: gaps and both symbol kinds split; each gate's clause
   carries a selector that picks the X reading (true) or Z reading (false).
 
-``build_model`` builds all three kinds with one segmentation. One
-translation turns clauses into parity rows, for ``to_parity_system`` and
-``solve_map_rows`` alike.
+``build_model`` builds all three kinds with one segmentation and stores
+the model as integers, which is all a derivation reads:
+
+* variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, so the
+  variables run wire by wire, each wire's segments clockwise;
+* each gate's clause is the tuple of its variable indices, in the order
+  of ``Clause.vars``;
+* each wire stores, per gap, the (ending, starting) variable pair;
+* a cut model records only its cut gaps, a pinned one only its selectors.
+
+The parity rows come from these integers once per model, tagged by the gap
+whose cut drops them, for ``to_parity_system`` and ``solve_map_rows``
+alike. ``SegmentId``, ``Clause`` and ``Gap`` objects appear only in the
+model's views (``variables``, ``clauses``, ``gap_sides``, ``gap_join``,
+``boundary_segments()``, ``dump()``), built on demand for the CLI, tests
+and ``propagate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -98,33 +111,121 @@ class Clause:
 
 @dataclass(frozen=True, eq=False)
 class BooleanModel:
+    """A parity model stored as integer variable indices.
+
+    Variable ``offsets[w] + j`` is segment ``j`` of wire ``w``; ``offsets``
+    has one entry per wire plus a last one, ``n_vars``. ``gate_vars[k]``
+    holds the clause variables of the circuit's ``k``-th gate by position,
+    in ``Clause.vars`` order, and ``gate_ids[k]`` that gate's id.
+    ``gap_vars[w][i]`` is the (ending, starting) variable pair of gap
+    ``(w, i)``. ``apply_cuts`` records only ``cut_gaps`` and
+    ``pin_selectors`` only ``selectors`` (gate id -> selector); the clauses
+    they drop or pin follow from these.
+
+    ``variables``, ``clauses``, ``gap_sides``, ``gap_join``,
+    ``boundary_segments()`` and ``dump()`` are views: computed from the
+    integers on demand (the properties cached), as ``SegmentId``,
+    ``Clause`` and ``Gap`` objects. Deriving a map reads none of them.
+    """
+
     kind: ModelKind
-    variables: tuple[SegmentId, ...]
-    clauses: tuple[Clause, ...]
-    gap_sides: dict  # Gap -> (segment ending here, segment starting here)
+    offsets: tuple[int, ...]
+    gate_vars: tuple[tuple[int, ...], ...]
+    gate_ids: tuple[int, ...]
+    gap_vars: tuple[tuple[tuple[int, int], ...], ...]
     cut_gaps: frozenset[Gap] = frozenset()
+    selectors: dict[int, bool] = field(default_factory=dict)
+
+    @property
+    def n_vars(self) -> int:
+        return self.offsets[-1]
+
+    def var_index(self, seg: SegmentId) -> int:
+        w, j = seg.wire, seg.index
+        if seg.kind is self.kind and 0 <= w < len(self.gap_vars):
+            if 0 <= j < self.offsets[w + 1] - self.offsets[w]:
+                return self.offsets[w] + j
+        raise KeyError(seg)
+
+    def gap_pair(self, gap: Gap) -> tuple[int, int]:
+        """The variables of the segments ending and starting at a gap."""
+        w, i = gap.wire, gap.index
+        if 0 <= w < len(self.gap_vars) and 0 <= i < len(self.gap_vars[w]):
+            return self.gap_vars[w][i]
+        raise UnknownGap(f"wire {w} gap {i} not in model")
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The model's parity rows, gates first, and each gap's tag into them.
+
+        ``tags[w][i]`` is the position of gap ``(w, i)``'s join row, or -1
+        when the gap is cut or its self-join was dropped, so a later cut
+        drops that row by position.
+        """
+        if self.kind is ModelKind.COMBINED:
+            rows = []
+            for gate_id, clause_vars in zip(self.gate_ids, self.gate_vars):
+                selector = self.selectors.get(gate_id)
+                if selector is None:
+                    raise UnpinnedSelector(f"combined clause for gate {gate_id} has no selector")
+                a, b, tc, td = (1 << v for v in clause_vars)
+                # X reading: control passes through (a = b), target flips by control
+                rows += [a | b, a | tc | td] if selector else [tc | td, tc | a | b]
+        else:
+            rows = [1 << a ^ 1 << b ^ 1 << crossing for a, b, crossing in self.gate_vars]
+        cut = {(gap.wire, gap.index) for gap in self.cut_gaps}
+        tags = []
+        for w, pairs in enumerate(self.gap_vars):
+            wire_tags = []
+            for i, (end, start) in enumerate(pairs):
+                if end == start or cut and (w, i) in cut:
+                    wire_tags.append(-1)
+                else:
+                    wire_tags.append(len(rows))
+                    rows.append(1 << end | 1 << start)
+            tags.append(tuple(wire_tags))
+        return tuple(rows), tuple(tags)
+
+    @cached_property
+    def variables(self) -> tuple[SegmentId, ...]:
+        offsets, kind = self.offsets, self.kind
+        return tuple(
+            SegmentId(w, j, kind)
+            for w in range(len(offsets) - 1)
+            for j in range(offsets[w + 1] - offsets[w])
+        )
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        """Gate clauses by gate position, then the uncut joins by (wire, gap)."""
+        segs = self.variables
+        kind = ClauseKind.COMBINED_CNOT if self.kind is ModelKind.COMBINED else ClauseKind.CNOT
+        gates = [
+            Clause(kind, tuple(segs[v] for v in vs), source_gate=gid, selector=self.selectors.get(gid))
+            for gid, vs in zip(self.gate_ids, self.gate_vars)
+        ]
+        joins = [
+            Clause(ClauseKind.JOIN, sides, source_gap=gap)
+            for gap, sides in self.gap_sides.items()
+            if sides[0] != sides[1] and gap not in self.cut_gaps
+        ]
+        return tuple(gates + joins)
+
+    @cached_property
+    def gap_sides(self) -> dict[Gap, tuple[SegmentId, SegmentId]]:
+        """Gap -> (segment ending here, segment starting here), cut or not."""
+        segs = self.variables
+        return {
+            Gap(w, i): (segs[end], segs[start])
+            for w, pairs in enumerate(self.gap_vars)
+            for i, (end, start) in enumerate(pairs)
+        }
 
     @cached_property
     def gap_join(self) -> dict:
         """Gap -> its join clause, or None once cut or for a dropped self-join."""
         joins = {cl.source_gap: cl for cl in self.clauses if cl.kind is ClauseKind.JOIN}
         return {gap: joins.get(gap) for gap in self.gap_sides}
-
-    @cached_property
-    def _var_index(self) -> dict[SegmentId, int]:
-        return {v: i for i, v in enumerate(self.variables)}
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[Gap | None, int], ...]:
-        """Every clause's parity rows, each tagged with the gap whose cut drops it."""
-        return tuple((cl.source_gap, row) for cl in self.clauses for row in _clause_rows(self, cl))
-
-    def var_index(self, seg: SegmentId) -> int:
-        return self._var_index[seg]
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.variables)
 
     def cnot_clauses(self) -> tuple[Clause, ...]:
         return tuple(c for c in self.clauses if c.kind is not ClauseKind.JOIN)
@@ -134,12 +235,7 @@ class BooleanModel:
 
     def boundary_segments(self) -> frozenset[SegmentId]:
         """Segments adjacent to a cut gap: input/output candidates."""
-        out = set()
-        for gap in self.cut_gaps:
-            end_seg, start_seg = self.gap_sides[gap]
-            out.add(end_seg)
-            out.add(start_seg)
-        return frozenset(out)
+        return frozenset(seg for gap in self.cut_gaps for seg in self.gap_sides[gap])
 
     def dump(self) -> str:
         """One clause per line; segment names are ``w<wire>s<index>``."""
@@ -174,57 +270,52 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     dropped; its gap is already cut-equivalent.
     """
     splitting = _SPLITTING[kind]
-    variables: list[SegmentId] = []
-    gap_sides: dict[Gap, tuple[SegmentId, SegmentId]] = {}
-    # per (wire, gate index): (before, after) segments at a splitting symbol,
-    # or (containing segment,) at a crossing one
-    at: dict[tuple[int, int], tuple[SegmentId, ...]] = {}
+    # per gate index: (before, after) variables at a splitting symbol, or
+    # (containing,) at a crossing one
+    control_at: list = [None] * len(c.gates)
+    target_at: list = [None] * len(c.gates)
+    offsets = [0]
+    gap_vars = []
     for w in range(c.wires):
         syms = c.symbols(w)
-        n_bounds = len(syms) + sum(1 for _, _, sk in syms if sk in splitting)
-        segs = [SegmentId(w, j, kind) for j in range(n_bounds)]
-        variables.extend(segs)
-        # segment j starts at the j-th boundary clockwise; each symbol's gap
-        # follows it, so j counts the boundaries passed and segs[j - 1] wraps
-        j = 0
-        for i, (_, gi, sk) in enumerate(syms):
+        first = offsets[-1]
+        n_segs = len(syms) + sum(1 for _, _, sk in syms if sk in splitting)
+        # segment j starts at the j-th boundary clockwise and each symbol's
+        # gap follows it: ``seg`` is the segment starting at the current
+        # boundary and ``prev`` the one ending there, wrapping at j = 0
+        prev, seg = first + n_segs - 1, first
+        pairs = []
+        for _, gi, sk in syms:
+            at = control_at if sk == CONTROL else target_at
             if sk in splitting:
-                at[w, gi] = (segs[j - 1], segs[j])
-                j += 1
+                at[gi] = (prev, seg)
+                prev, seg = seg, seg + 1
             else:
-                at[w, gi] = (segs[j - 1],)
-            gap_sides[Gap(w, i)] = (segs[j - 1], segs[j])
-            j += 1
-
-    clause_kind = ClauseKind.COMBINED_CNOT if kind is ModelKind.COMBINED else ClauseKind.CNOT
-    clauses: list[Clause] = []
-    for gi, g in enumerate(c.gates):
-        first, second = (g.target, g.control) if kind is ModelKind.X else (g.control, g.target)
-        clauses.append(Clause(clause_kind, at[first, gi] + at[second, gi], source_gate=g.id))
-    for gap, (end_seg, start_seg) in gap_sides.items():  # in (wire, index) order
-        if end_seg != start_seg:
-            clauses.append(Clause(ClauseKind.JOIN, (end_seg, start_seg), source_gap=gap))
+                at[gi] = (prev,)
+            pairs.append((prev, seg))
+            prev, seg = seg, seg + 1
+        offsets.append(first + n_segs)
+        gap_vars.append(tuple(pairs))
+    if kind is ModelKind.X:
+        gate_vars = tuple(t + ctl for ctl, t in zip(control_at, target_at))
+    else:
+        gate_vars = tuple(ctl + t for ctl, t in zip(control_at, target_at))
     return BooleanModel(
         kind=kind,
-        variables=tuple(variables),
-        clauses=tuple(clauses),
-        gap_sides=gap_sides,
+        offsets=tuple(offsets),
+        gate_vars=gate_vars,
+        gate_ids=tuple(g.id for g in c.gates),
+        gap_vars=tuple(gap_vars),
     )
 
 
 def pin_selectors(m: BooleanModel, selectors: dict[int, bool]) -> BooleanModel:
     """Pin the X/Z selector of combined clauses, by source gate id."""
-    known = {cl.source_gate for cl in m.clauses if cl.kind is ClauseKind.COMBINED_CNOT}
+    known = set(m.gate_ids) if m.kind is ModelKind.COMBINED else set()
     for gate_id in selectors:
         if gate_id not in known:
             raise UnknownGate(f"no combined clause for gate {gate_id}")
-    clauses = tuple(
-        replace(cl, selector=selectors[cl.source_gate])
-        if cl.kind is ClauseKind.COMBINED_CNOT and cl.source_gate in selectors
-        else cl
-        for cl in m.clauses
-    )
-    return replace(m, clauses=clauses)
+    return replace(m, selectors={**m.selectors, **selectors})
 
 
 def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
@@ -234,16 +325,10 @@ def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
     marking the gap as cut (the gap was cut-equivalent from the start).
     """
     for gap in cuts.sorted_gaps():
-        if gap not in m.gap_sides:
-            raise UnknownGap(f"wire {gap.wire} gap {gap.index} not in model")
+        m.gap_pair(gap)  # raises UnknownGap
         if gap in m.cut_gaps:
             raise DuplicateCut(f"wire {gap.wire} gap {gap.index} already cut")
-    gaps = cuts.gaps()
-    return replace(
-        m,
-        clauses=tuple(cl for cl in m.clauses if cl.source_gap not in gaps),
-        cut_gaps=m.cut_gaps | gaps,
-    )
+    return replace(m, cut_gaps=m.cut_gaps | cuts.gaps())
 
 
 @dataclass(frozen=True)
@@ -273,26 +358,9 @@ class ParitySystem:
             yield {v: bool(mask >> i & 1) for i, v in enumerate(self.variables)}
 
 
-def _clause_rows(m: BooleanModel, cl: Clause) -> list[int]:
-    """Parity rows of one clause: CNOT and JOIN clauses are one XOR row each."""
-    index = m._var_index
-    if cl.kind is not ClauseKind.COMBINED_CNOT:
-        row = 0
-        for v in cl.vars:
-            row ^= 1 << index[v]
-        return [row]
-    if cl.selector is None:
-        raise UnpinnedSelector(f"combined clause for gate {cl.source_gate} has no selector")
-    a, b, tc, td = (1 << index[v] for v in cl.vars)
-    if cl.selector:
-        # X reading: control passes through (a = b), target flips by control
-        return [a | b, a | tc | td]
-    return [tc | td, tc | a | b]
-
-
 def to_parity_system(m: BooleanModel) -> ParitySystem:
     """Translate every clause to its parity rows (requiring it true)."""
-    return ParitySystem(variables=m.variables, rows=tuple(row for _, row in m._rows))
+    return ParitySystem(variables=m.variables, rows=m._rows[0])
 
 
 def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId, bool]:
@@ -316,52 +384,55 @@ def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId,
     return {v: bool(sol[i]) for i, v in enumerate(s.variables)}
 
 
-def input_output_segments(m: BooleanModel, lin, d: Direction):
-    """Per linear qubit, its first and last segment under the traversal."""
-    ins, outs = [], []
-    for origin in lin.origins:
-        end_seg_in, start_seg_in = m.gap_sides[origin.input_cut]
-        end_seg_out, start_seg_out = m.gap_sides[origin.output_cut]
-        if d is Direction.CW:
-            ins.append(start_seg_in)
-            outs.append(end_seg_out)
-        else:
-            ins.append(end_seg_in)
-            outs.append(start_seg_out)
+def input_output_segments(m: BooleanModel, lin, d: Direction) -> tuple[list[int], list[int]]:
+    """Per linear qubit, the variables of its first and last segment under the traversal."""
+    # the first segment starts after the input cut (cw) or ends before it
+    # (ccw); the last one mirrors that
+    first, last = (1, 0) if d is Direction.CW else (0, 1)
+    ins = [m.gap_pair(origin.input_cut)[first] for origin in lin.origins]
+    outs = [m.gap_pair(origin.output_cut)[last] for origin in lin.origins]
     return ins, outs
 
 
 def solve_map_rows(
     m: BooleanModel,
     cut_gaps: frozenset[Gap],
-    ins: list[SegmentId | None],
-    outs: list[SegmentId],
-    pins: dict[SegmentId, bool] | None = None,
-    bridges: tuple[tuple[SegmentId, SegmentId], ...] = (),
+    ins: list[int | None],
+    outs: list[int],
+    pins: dict[int, bool] | None = None,
+    bridges: tuple[tuple[int, int], ...] = (),
 ) -> tuple[frozenset[int], ...]:
     """Map rows of the cut system: per input, the outputs it reaches.
 
-    The solve is symbolic: input ``i`` is pinned to right-hand-side bit
-    ``1 + i`` (bit 0 is the constant column used by ``pins``), so a single
-    elimination yields every single-input propagation at once. The joins of
-    ``cut_gaps`` are left out, ``None`` entries in ``ins`` skip a qubit and
-    ``bridges`` equate extra segment pairs. Only the linear part over the
-    symbolic inputs is read; pinned offsets in the constant column are not.
+    Segments are given by variable index. The solve is symbolic: input
+    ``i`` is pinned to right-hand-side bit ``1 + i`` (bit 0 is the constant
+    column used by ``pins``), so a single elimination yields every
+    single-input propagation at once. The joins of ``cut_gaps`` are left
+    out, ``None`` entries in ``ins`` skip a qubit and ``bridges`` equate
+    extra variable pairs. Only the linear part over the symbolic inputs is
+    read; pinned offsets in the constant column are not.
     """
     n = m.n_vars
     n_in = len(ins)
-    rows = [row for gap, row in m._rows if gap not in cut_gaps]
+    model_rows, tags = m._rows
+    rows = list(model_rows)
+    dropped = []
+    for gap in cut_gaps:
+        m.gap_pair(gap)  # raises UnknownGap
+        dropped.append(tags[gap.wire][gap.index])
+    for at in sorted(dropped, reverse=True):
+        if at >= 0:
+            del rows[at]
     for a, b in bridges:
-        ia, ib = m.var_index(a), m.var_index(b)
-        if ia != ib:
-            rows.append((1 << ia) | (1 << ib))
-    for i, seg in enumerate(ins):
-        if seg is not None:
-            rows.append((1 << m.var_index(seg)) | (1 << (n + 1 + i)))
-    for seg, value in (pins or {}).items():
-        rows.append((1 << m.var_index(seg)) | (int(bool(value)) << n))
+        if a != b:
+            rows.append(1 << a | 1 << b)
+    for i, v in enumerate(ins):
+        if v is not None:
+            rows.append(1 << v | 1 << (n + 1 + i))
+    for v, value in (pins or {}).items():
+        rows.append(1 << v | int(bool(value)) << n)
     sol = gf2.solve_tagged(rows, n, 1 + n_in)
-    out_rows = [sol[m.var_index(seg)] for seg in outs]
+    out_rows = [sol[v] for v in outs]
     return tuple(
         frozenset(j for j, row in enumerate(out_rows) if row >> (1 + i) & 1)
         for i in range(n_in)

@@ -36,6 +36,16 @@ from .icm import (
     Role,
 )
 
+# Largest wire (or qubit) count a circuit source may declare. Circuits keep
+# per-wire tables, so the count is checked before anything is built for it.
+MAX_WIRES = 1 << 16
+
+
+def _wire_count(count: int, ln: int) -> int:
+    if count > MAX_WIRES:
+        raise CircuitSyntaxError(f"more than {MAX_WIRES} wires", ln)
+    return count
+
 
 def _clean_lines(text: str):
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -57,9 +67,12 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
             header = tokens[0]
             continue
         if tokens[0] == "wires":
-            if wires is not None or len(tokens) != 2 or not tokens[1].isdigit():
+            if wires is not None or len(tokens) != 2 or not tokens[1].isdecimal():
                 raise CircuitSyntaxError(f"bad wires line {line!r}", ln)
-            wires = int(tokens[1])
+            digits = tokens[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_WIRES)):  # also too long for int() to read
+                raise CircuitSyntaxError(f"more than {MAX_WIRES} wires", ln)
+            wires = _wire_count(int(digits), ln)
             continue
         if tokens[0] == "cnot":
             if wires is None:
@@ -306,7 +319,7 @@ def circuit_from_kv(tree: dict) -> LinearCircuit | CircularCircuit:
     gates = _as_list(node.get("gate"))
     if node["kind"] == "circular":
         return CircularCircuit(
-            wires=node["wires"],
+            wires=_wire_count(node["wires"], 1),
             gates=tuple(
                 CNOTGate(
                     id=g.get("id", i),
@@ -318,7 +331,7 @@ def circuit_from_kv(tree: dict) -> LinearCircuit | CircularCircuit:
             ),
         )
     return LinearCircuit(
-        n_qubits=node["qubits"],
+        n_qubits=_wire_count(node["qubits"], 1),
         gates=tuple(
             LinearGate(control=g["control"], target=g["target"], time=g.get("time", i))
             for i, g in enumerate(gates)

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from circnot import CutSet
 from helpers import mkcirc, swap_circular
+
+# Property tests run a fixed, derandomized set of examples by default, sized
+# to a few seconds of the suite; ``pytest --hypothesis-profile=large`` runs
+# many more, with fresh randomness on every run.
+settings.register_profile("fixed", derandomize=True, deadline=None, database=None, max_examples=150)
+settings.register_profile("large", deadline=None, database=None, max_examples=5000)
+settings.load_profile("fixed")
 
 
 @pytest.fixture

@@ -136,6 +136,21 @@ def test_domain_error_exit_code(tmp_path, swap_file, capsys):
     assert "error no-radial-cut:" in capsys.readouterr().err
 
 
+def test_wire_limit_exit_code(tmp_path, capsys, monkeypatch):
+    from circnot import textio
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a circuit was built")
+
+    monkeypatch.setattr(textio, "CircularCircuit", refuse)
+    path = tmp_path / "huge.circ"
+    path.write_text("circular\nwires 1000000000\ncnot 0 1\n")
+    code, out = run(["model", str(path)])
+    assert (code, out) == (1, "")
+    expected = f"error syntax-error: line 2: more than {textio.MAX_WIRES} wires\n"
+    assert capsys.readouterr().err == expected
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["derive"])

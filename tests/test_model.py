@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from circnot import (
     CutSet,
@@ -25,14 +27,16 @@ from circnot.errors import (
     BudgetTooSmall,
     DuplicateCut,
     Inconsistent,
+    NoRadialCut,
     NotAdjacent,
     Underdetermined,
     UnknownGap,
+    UnknownGate,
     UnknownSegment,
     UnpinnedSelector,
 )
 from circnot import gf2
-from circnot.model import ClauseKind, ModelKind
+from circnot.model import ClauseKind, ModelKind, SegmentId
 from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
     SWAP_X_REF,
@@ -531,3 +535,157 @@ class TestSearchReference:
                 assert search_cuts(c, target, c.wires) == []
                 searches += 1
         assert searches > 50
+
+
+class TestModelViewsGolden:
+    """The SWAP combined model's views, text captured before the models were
+    stored as integer variable indices."""
+
+    SELECTORS = {0: True, 1: False, 2: True}
+    PINNED_DUMP = (
+        "F w0s5 w0s0 w1s5 w1s0 x=1\n"
+        "F w1s1 w1s2 w0s1 w0s2 x=0\n"
+        "F w0s3 w0s4 w1s3 w1s4 x=1\n"
+        "J w0s0 w0s1\n"
+        "J w0s2 w0s3\n"
+        "J w0s4 w0s5\n"
+        "J w1s0 w1s1\n"
+        "J w1s2 w1s3\n"
+        "J w1s4 w1s5"
+    )
+    PINNED_PARITY = (
+        "1 0 0 0 0 1 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 1 1 0 0 0 0 1 0\n"
+        "0 1 1 0 0 0 0 0 0 0 0 0 0\n"
+        "0 1 0 0 0 0 0 1 1 0 0 0 0\n"
+        "0 0 0 1 1 0 0 0 0 0 0 0 0\n"
+        "0 0 0 1 0 0 0 0 0 1 1 0 0\n"
+        "1 1 0 0 0 0 0 0 0 0 0 0 0\n"
+        "0 0 1 1 0 0 0 0 0 0 0 0 0\n"
+        "0 0 0 0 1 1 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 0 1 1 0 0 0 0 0\n"
+        "0 0 0 0 0 0 0 0 1 1 0 0 0\n"
+        "0 0 0 0 0 0 0 0 0 0 1 1 0"
+    )
+    # teleported-CNOT cuts: every gap of wire 0 and gap 2 of wire 1
+    CUT_DUMP = (
+        "F w0s5 w0s0 w1s5 w1s0 x=1\n"
+        "F w1s1 w1s2 w0s1 w0s2 x=0\n"
+        "F w0s3 w0s4 w1s3 w1s4 x=1\n"
+        "J w1s0 w1s1\n"
+        "J w1s2 w1s3"
+    )
+    CUT_PARITY = (
+        "1 0 0 0 0 1 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 1 1 0 0 0 0 1 0\n"
+        "0 1 1 0 0 0 0 0 0 0 0 0 0\n"
+        "0 1 0 0 0 0 0 1 1 0 0 0 0\n"
+        "0 0 0 1 1 0 0 0 0 0 0 0 0\n"
+        "0 0 0 1 0 0 0 0 0 1 1 0 0\n"
+        "0 0 0 0 0 0 1 1 0 0 0 0 0\n"
+        "0 0 0 0 0 0 0 0 1 1 0 0 0"
+    )
+
+    def test_pinned_dump_and_parity(self, swap):
+        m = pin_selectors(build_model(swap, ModelKind.COMBINED), self.SELECTORS)
+        assert m.dump() == self.PINNED_DUMP
+        assert to_parity_system(m).dump() == self.PINNED_PARITY
+
+    def test_cuts_before_and_after_pinning(self, swap, swap_cut_sets):
+        cuts = swap_cut_sets["teleported-cnot"]
+        m = build_model(swap, ModelKind.COMBINED)
+        for cut in (
+            apply_cuts(pin_selectors(m, self.SELECTORS), cuts),
+            pin_selectors(apply_cuts(m, cuts), self.SELECTORS),
+        ):
+            assert cut.dump() == self.CUT_DUMP
+            assert to_parity_system(cut).dump() == self.CUT_PARITY
+            assert cut.cut_gaps == cuts.gaps()
+            assert sorted(v.name for v in cut.boundary_segments()) == [
+                "w0s0", "w0s1", "w0s2", "w0s3", "w0s4", "w0s5", "w1s4", "w1s5",
+            ]
+            assert [cl is None for cl in cut.gap_join.values()] == [True] * 3 + [False] * 2 + [True]
+
+    def test_segment_views(self, swap):
+        m = build_model(swap, ModelKind.X)
+        assert [v.name for v in m.variables] == [
+            "w0s0", "w0s1", "w0s2", "w0s3", "w1s0", "w1s1", "w1s2", "w1s3", "w1s4",
+        ]
+        assert all(v.kind is ModelKind.X for v in m.variables)
+        assert {gap: (a.name, b.name) for gap, (a, b) in m.gap_sides.items()} == {
+            Gap(0, 0): ("w0s3", "w0s0"),
+            Gap(0, 1): ("w0s1", "w0s2"),
+            Gap(0, 2): ("w0s2", "w0s3"),
+            Gap(1, 0): ("w1s0", "w1s1"),
+            Gap(1, 1): ("w1s1", "w1s2"),
+            Gap(1, 2): ("w1s3", "w1s4"),
+        }
+        assert [m.var_index(v) for v in m.variables] == list(range(9))
+
+    def test_pin_unknown_gate(self, swap):
+        with pytest.raises(UnknownGate):
+            pin_selectors(build_model(swap, ModelKind.COMBINED), {3: True})
+        with pytest.raises(UnknownGate):
+            pin_selectors(build_model(swap, ModelKind.X), {0: True})
+
+    def test_var_index_rejects_foreign_segments(self, swap):
+        x, z = build_model(swap, ModelKind.X), build_model(swap, ModelKind.Z)
+        with pytest.raises(KeyError):
+            x.var_index(z.variables[0])
+        with pytest.raises(KeyError):
+            x.var_index(SegmentId(0, 4, ModelKind.X))  # wire 0 has 4 segments
+        with pytest.raises(KeyError):
+            x.var_index(SegmentId(2, 0, ModelKind.X))  # the SWAP has 2 wires
+
+
+@st.composite
+def circular_circuits(draw):
+    """2-8 wires and 1-40 gates, every wire touched."""
+    wires = draw(st.integers(2, 8))
+    # a wire and another one, drawn without rejection
+    pair = st.tuples(st.integers(0, wires - 1), st.integers(1, wires - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % wires)
+    )
+    pairs = draw(st.lists(pair, min_size=1, max_size=40 - wires))
+    for w in range(wires):
+        if not any(w in p for p in pairs):
+            other = (w + draw(st.integers(1, wires - 1))) % wires
+            gate = (w, other) if draw(st.booleans()) else (other, w)
+            pairs.insert(draw(st.integers(0, len(pairs))), gate)
+    return pairs, mkcirc(wires, pairs)
+
+
+class TestDeriveProperties:
+    """Random circuits beyond the exhaustive small sweep (profiles in conftest)."""
+
+    @given(data=st.data())
+    def test_derive_matches_oracle(self, data):
+        pairs, c = data.draw(circular_circuits())
+        slot = data.draw(st.integers(0, len(pairs) - 1))
+        family = [Gap(w, spanning_gap_index(pairs, w, slot)) for w in range(c.wires)]
+        others = [p.gap for p in enumerate_cut_points(c) if p.gap not in family]
+        extra = []
+        if others:
+            extra = data.draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+        cuts = CutSet.of(family + extra)
+        n = c.wires + len(extra)
+        for d in Direction:
+            derived = derive_transformations(c, cuts, d)
+            assert derived == oracle_map(linearize(c, cuts, d))
+            x_rows = [sum(1 << o for o in outs) for outs in derived.x_out]
+            z_rows = [sum(1 << o for o in outs) for outs in derived.z_out]
+            assert z_rows == transpose(gf2.invert(x_rows, n), n)
+
+    @given(data=st.data())
+    def test_no_radial_family_rejected(self, data):
+        pairs, c = data.draw(circular_circuits())
+        gaps = [p.gap for p in enumerate_cut_points(c)]
+        chosen = set(data.draw(st.lists(st.sampled_from(gaps), min_size=1, unique=True)))
+        families = [
+            {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(c.wires)}
+            for j in range(len(pairs))
+        ]
+        assume(not any(family <= chosen for family in families))
+        for d in Direction:
+            with pytest.raises(NoRadialCut):
+                derive_transformations(c, CutSet.of(chosen), d)

@@ -7,8 +7,10 @@ from circnot import (
     circularize,
     gadget,
 )
+from circnot import textio
 from circnot.errors import CircuitSyntaxError
 from circnot.textio import (
+    MAX_WIRES,
     circuit_from_kv,
     circuit_to_kv,
     cut_set_from_kv,
@@ -52,6 +54,48 @@ class TestCircuitFormat:
     def test_gates_before_wires(self):
         with pytest.raises(CircuitSyntaxError):
             parse_circuit("linear\ncnot 0 1\nwires 2\n")
+
+
+@pytest.fixture
+def no_circuit_built(monkeypatch):
+    """Fail any test that gets as far as building a circuit."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a circuit was built")
+
+    monkeypatch.setattr(textio, "CircularCircuit", refuse)
+    monkeypatch.setattr(textio, "LinearCircuit", refuse)
+
+
+class TestWireLimit:
+    @pytest.mark.parametrize(
+        "count", [MAX_WIRES + 1, 1_000_000_000, "9" * 5000, "0" * 5000 + str(MAX_WIRES + 1)]
+    )
+    @pytest.mark.parametrize("header", ["circular", "linear"])
+    def test_parse_rejects_before_building(self, no_circuit_built, header, count):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(f"{header}\n# many wires\nwires {count}\ncnot 0 1\n")
+        assert err.value.line == 3
+        assert err.value.code == "syntax-error"
+
+    @pytest.mark.parametrize("count", [MAX_WIRES + 1, 1_000_000_000])
+    def test_kv_rejects_before_building(self, no_circuit_built, count):
+        circular = {"circuit": {"kind": "circular", "wires": count, "gate": []}}
+        linear = {"circuit": {"kind": "linear", "qubits": count, "gate": []}}
+        for tree in (circular, linear):
+            with pytest.raises(CircuitSyntaxError):
+                circuit_from_kv(kv_loads(kv_dumps(tree)))
+
+    def test_limit_itself_accepted(self):
+        text = f"linear\nwires {MAX_WIRES}\ncnot 0 1\n"
+        assert parse_circuit(text).n_qubits == MAX_WIRES
+        assert circuit_from_kv(circuit_to_kv(parse_circuit(text))).n_qubits == MAX_WIRES
+        assert parse_circuit("linear\nwires 0002\ncnot 0 1\n").n_qubits == 2
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit("linear\nwires \u00b2\n")
+        assert err.value.line == 2
 
 
 class TestCutFormat:
