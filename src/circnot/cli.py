@@ -215,24 +215,34 @@ def cmd_check(args, out) -> int:
     return 0 if failures == 0 else 1
 
 
+# program gates by their number of qubit operands
+_OPERANDS = {"cnot": 2, "t": 1, "tdg": 1, "p": 1, "pdg": 1, "v": 1, "h": 1}
+
+
 def _parse_program(text: str) -> tuple[list[tuple], int]:
     qubits = None
     gates: list[tuple] = []
+    operand_lines: list[tuple[int, int]] = []  # (qubit, line) per gate operand
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         if tokens[0] == "qubits" and len(tokens) == 2:
-            qubits = int(tokens[1])
-        elif tokens[0] == "cnot" and len(tokens) == 3:
-            gates.append(("cnot", int(tokens[1]), int(tokens[2])))
-        elif tokens[0] in ("t", "tdg", "p", "pdg", "v", "h") and len(tokens) == 2:
-            gates.append((tokens[0], int(tokens[1])))
+            qubits = textio.parse_index(tokens[1], "qubit count", ln)
+            if qubits > textio.MAX_WIRES:
+                raise CircuitSyntaxError(f"more than {textio.MAX_WIRES} qubits", ln)
+        elif len(tokens) - 1 == _OPERANDS.get(tokens[0]):
+            operands = [textio.parse_index(tok, "qubit", ln) for tok in tokens[1:]]
+            operand_lines += [(q, ln) for q in operands]
+            gates.append((tokens[0], *operands))
         else:
             raise CircuitSyntaxError(f"bad program line {line!r}", ln)
     if qubits is None:
         raise CircuitSyntaxError("missing 'qubits N' line", 1)
+    for q, ln in operand_lines:
+        if q >= qubits:
+            raise CircuitSyntaxError(f"qubit {q} out of range for {qubits} qubits", ln)
     return gates, qubits
 
 

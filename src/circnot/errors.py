@@ -40,9 +40,14 @@ class EmptyWire(CircnotError):
 
     code = "empty-wire"
 
+    # wires named in the message; ``wires`` keeps them all
+    SHOWN = 16
+
     def __init__(self, wires, join_record=None):
-        super().__init__(f"wires without gate symbols: {sorted(wires)}")
         self.wires = tuple(sorted(wires))
+        shown = ", ".join(str(w) for w in self.wires[: self.SHOWN])
+        more = f", ...] ({len(self.wires)} wires)" if len(self.wires) > self.SHOWN else "]"
+        super().__init__(f"wires without gate symbols: [{shown}{more}")
         self.join_record = join_record
 
 
@@ -101,6 +106,12 @@ class Inconsistent(CircnotError):
 
 class BudgetTooSmall(CircnotError):
     code = "budget-too-small"
+
+
+class SearchTooLarge(CircnotError):
+    """A cut search would build more candidates than its limit allows."""
+
+    code = "search-too-large"
 
 
 class CountMismatch(CircnotError):

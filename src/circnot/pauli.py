@@ -83,14 +83,33 @@ def propagate_pauli(l: LinearCircuit, p: PauliString) -> PauliString:
 
 
 def oracle_map(l: LinearCircuit) -> StabiliserMap:
-    """Stabiliser map assembled purely by Pauli conjugation."""
+    """Stabiliser map assembled purely by Pauli conjugation.
+
+    Every single-qubit input is pushed through at once: bit ``i`` of
+    ``xcol[q]`` (``zcol[q]``) is set when the X (Z) entering on qubit ``i``
+    reaches qubit ``q``. A CNOT copies the control's X onto the target and
+    the target's Z onto the control, as in ``conjugate_cnot``, for every
+    input in one XOR each.
+    """
     n = l.n_qubits
-    x_rows = []
-    z_rows = []
-    for q in range(n):
-        x_rows.append(propagate_pauli(l, PauliString.single(n, q, "X")).x_set())
-        z_rows.append(propagate_pauli(l, PauliString.single(n, q, "Z")).z_set())
-    return StabiliserMap(n_qubits=n, x_out=tuple(x_rows), z_out=tuple(z_rows))
+    xcol = [1 << q for q in range(n)]
+    zcol = xcol[:]
+    for g in l.gates:
+        c, t = g.control, g.target
+        xcol[t] ^= xcol[c]
+        zcol[c] ^= zcol[t]
+    return StabiliserMap(n_qubits=n, x_out=_rows_of(xcol), z_out=_rows_of(zcol))
+
+
+def _rows_of(cols: list[int]) -> tuple[frozenset[int], ...]:
+    """Per input qubit, the output qubits whose column has its bit set."""
+    rows: list[list[int]] = [[] for _ in cols]
+    for q, col in enumerate(cols):
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1].append(q)
+            col ^= low
+    return tuple(frozenset(r) for r in rows)
 
 
 def equivalent_up_to_sign(a: StabiliserMap, b: StabiliserMap) -> bool:

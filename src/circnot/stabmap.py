@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from . import gf2
-from .errors import CircuitSyntaxError, CountMismatch
+from .errors import CircuitSyntaxError, CountMismatch, WireOutOfRange
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,14 @@ class StabiliserMap:
         )
 
     def inverse(self) -> "StabiliserMap":
-        """Map of the reversed circuit (CNOT lists are gate-wise self-inverse)."""
+        """Map of the reversed circuit (CNOT lists are gate-wise self-inverse).
+
+        Raises ``Inconsistent`` for a singular map and ``WireOutOfRange``
+        for a row naming an output outside ``0..n_qubits-1``.
+        """
         def invert(rows: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
+            if any(not 0 <= o < self.n_qubits for outs in rows for o in outs):
+                raise WireOutOfRange(f"map row names an output outside {self.n_qubits} qubits")
             masks = [sum(1 << o for o in outs) for outs in rows]
             inv = gf2.invert(masks, self.n_qubits)
             return tuple(

@@ -167,28 +167,47 @@ def _parse_meas(token: str, ln: int) -> MeasBasis:
     raise CircuitSyntaxError(f"unknown measurement basis {token!r}", ln)
 
 
+def parse_index(token: str, what: str, ln: int) -> int:
+    """An ASCII-decimal qubit or gate index, else ``CircuitSyntaxError``."""
+    if token.isascii() and token.isdecimal():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise CircuitSyntaxError(f"bad {what} {token!r}", ln)
+
+
 def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
     """Parse a circuit file extended with init/measure/smgf lines.
 
-    Qubits default to symbolic input ``q<i>`` with no measurement.
+    Qubits default to symbolic input ``q<i>`` with no measurement. An
+    init/measure qubit must be below the circuit's qubit count.
     """
-    circuit_lines = []
+    circuit_lines = text.splitlines()  # ICM lines blanked, line numbers kept
     init_map: dict[int, InitBasis] = {}
     meas_map: dict[int, MeasBasis] = {}
+    qubit_lines: list[tuple[int, int]] = []  # (qubit, line) per init/measure
     faults: list[FaultSpec] = []
     for ln, line in _clean_lines(text):
         tokens = line.split()
-        if tokens[0] == "init" and len(tokens) == 3:
-            init_map[int(tokens[1])] = _parse_init(tokens[2], ln)
-        elif tokens[0] == "measure" and len(tokens) == 3:
-            meas_map[int(tokens[1])] = _parse_meas(tokens[2], ln)
+        if tokens[0] in ("init", "measure") and len(tokens) == 3:
+            q = parse_index(tokens[1], "qubit", ln)
+            qubit_lines.append((q, ln))
+            if tokens[0] == "init":
+                init_map[q] = _parse_init(tokens[2], ln)
+            else:
+                meas_map[q] = _parse_meas(tokens[2], ln)
         elif tokens[0] == "smgf" and len(tokens) == 2:
-            faults.append(FaultSpec(gate=int(tokens[1])))
+            faults.append(FaultSpec(gate=parse_index(tokens[1], "gate", ln)))
         else:
-            circuit_lines.append(line)
+            continue  # a circuit line, read by parse_circuit
+        circuit_lines[ln - 1] = ""
     circuit = parse_circuit("\n".join(circuit_lines))
     if isinstance(circuit, CircularCircuit):
         raise CircuitSyntaxError("ICM files describe linear circuits", 1)
+    for q, ln in qubit_lines:
+        if q >= circuit.n_qubits:
+            raise CircuitSyntaxError(f"qubit {q} out of range for {circuit.n_qubits} qubits", ln)
     configs = []
     for q in range(circuit.n_qubits):
         init = init_map.get(q, InitBasis.symbolic(f"q{q}"))

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from circnot.cli import main
+from circnot.errors import EmptyWire
+from circnot.textio import parse_circuit
 
 SWAP_CIRC = "circular\nwires 2\ncnot 0 1\ncnot 1 0\ncnot 0 1\n"
 RADIAL_A = "cut 0 2\ncut 1 2\n"
@@ -149,6 +151,47 @@ def test_wire_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert (code, out) == (1, "")
     expected = f"error syntax-error: line 2: more than {textio.MAX_WIRES} wires\n"
     assert capsys.readouterr().err == expected
+
+
+def test_search_too_large_exit_code(tmp_path, capsys):
+    circ = tmp_path / "long.circ"
+    circ.write_text("circular\nwires 2\n" + "cnot 0 1\n" * 20)
+    target = tmp_path / "identity.map"
+    target.write_text("".join(f"{k}{q} -> {k}{{{q}}}\n" for k in "XZ" for q in range(6)))
+    code, out = run(["search", str(circ), "--target", str(target), "--max-cuts", "6"])
+    assert (code, out) == (1, "")
+    expected = "error search-too-large: search could build 1476300 candidates, more than 100000\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_empty_wire_message_capped(tmp_path, capsys):
+    path = tmp_path / "sparse.circ"
+    path.write_text("circular\nwires 65536\ncnot 0 1\n")
+    code, out = run(["model", str(path)])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error empty-wire: wires without gate symbols: [2, 3, ")
+    assert err.endswith(", 17, ...] (65534 wires)\n")
+    with pytest.raises(EmptyWire) as caught:
+        parse_circuit(path.read_text())
+    assert caught.value.wires == tuple(range(2, 65536))
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("t x", "line 3: bad qubit 'x'"),
+        ("cnot 0 -1", "line 3: bad qubit '-1'"),
+        ("h 2", "line 3: qubit 2 out of range for 2 qubits"),
+        ("qubits 65537", "line 3: more than 65536 qubits"),
+    ],
+)
+def test_icm_program_tokens_exit_code(tmp_path, capsys, line, message):
+    prog = tmp_path / "prog.txt"
+    prog.write_text(f"qubits 2\ncnot 0 1\n{line}\n")
+    code, out = run(["icm", str(prog)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error syntax-error: {message}\n"
 
 
 def test_usage_error_exit_code():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -29,14 +30,17 @@ from circnot.errors import (
     Inconsistent,
     NoRadialCut,
     NotAdjacent,
+    SearchTooLarge,
     Underdetermined,
     UnknownGap,
     UnknownGate,
     UnknownSegment,
     UnpinnedSelector,
+    WireOutOfRange,
 )
 from circnot import gf2
-from circnot.model import ClauseKind, ModelKind, SegmentId
+from circnot import model as model_module
+from circnot.model import MAX_SEARCH_CANDIDATES, ClauseKind, ModelKind, SegmentId
 from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
     SWAP_X_REF,
@@ -471,6 +475,124 @@ class TestSearchCuts:
         assert a == b
 
 
+def derive_both_ways(c, cuts, models=None):
+    """CW then CCW map, or the class of the solver error either raised."""
+    out = []
+    for d in (Direction.CW, Direction.CCW):
+        try:
+            out.append(derive_transformations(c, cuts, d, models=models))
+        except (Underdetermined, Inconsistent) as err:
+            out.append(type(err))
+    return out
+
+
+def assert_ccw_inverts_cw(cw, ccw):
+    if isinstance(cw, type) or isinstance(ccw, type):
+        assert cw is ccw
+    else:
+        assert ccw == cw.inverse()
+
+
+class TestDirectionInverse:
+    """Derive CCW equals the inverse of derive CW, as ``search_cuts`` assumes.
+
+    A CCW linearization is the CW gate list reversed on the same qubits and
+    CNOTs are self-inverse; the two directions also fail together.
+    """
+
+    def test_small_sweep_with_extra_gaps(self):
+        checked = 0
+        for c in all_small_circuits(3, 4):
+            models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
+            gaps = [p.gap for p in enumerate_cut_points(c)]
+            cut_sets = set()
+            for slot in range(len(c.gates)):
+                family = {c.gap_spanning(w, slot) for w in range(c.wires)}
+                others = [gap for gap in gaps if gap not in family]
+                for k in range(3):
+                    cut_sets.update(
+                        CutSet.of(family.union(extra)) for extra in itertools.combinations(others, k)
+                    )
+            for cuts in cut_sets:
+                assert_ccw_inverts_cw(*derive_both_ways(c, cuts, models))
+                checked += 1
+        assert checked > 13000
+
+
+def identity_map(n):
+    rows = tuple(frozenset({q}) for q in range(n))
+    return StabiliserMap(n, rows, rows)
+
+
+class TestSearchOneDerivation:
+    def test_one_linearize_per_candidate(self, swap, monkeypatch):
+        # every cut set of ``need`` gaps holding a radial family is one
+        # candidate, linearized once (clockwise) and never twice
+        pairs = [(g.control, g.target) for g in swap.gates]
+        families = [
+            {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(swap.wires)}
+            for j in range(len(pairs))
+        ]
+        gaps = [p.gap for p in enumerate_cut_points(swap)]
+        calls = []
+        real_linearize = model_module.linearize
+
+        def counted(c, cuts, d):
+            calls.append((cuts, d))
+            return real_linearize(c, cuts, d)
+
+        monkeypatch.setattr(model_module, "linearize", counted)
+        for need in (2, 3, 4):
+            calls.clear()
+            search_cuts(swap, identity_map(need), need)
+            expected = [
+                CutSet.of(combo)
+                for combo in itertools.combinations(gaps, need)
+                if any(family.issubset(combo) for family in families)
+            ]
+            assert sorted(calls, key=lambda call: call[0].sorted_gaps()) == [
+                (cuts, Direction.CW) for cuts in sorted(expected, key=CutSet.sorted_gaps)
+            ]
+
+    @pytest.mark.parametrize(
+        "x_out,error",
+        [(({0, 2}, {1}), WireOutOfRange), (({0}, {0}), Inconsistent)],
+        ids=["output-out-of-range", "singular"],
+    )
+    def test_target_without_inverse_matches_no_ccw(self, x_out, error):
+        # every reading of two equal CNOTs is the identity; such a target
+        # has no inverse, so nothing is read off one
+        c = mkcirc(2, [(0, 1), (0, 1)])
+        target = StabiliserMap(2, tuple(map(frozenset, x_out)), identity_map(2).z_out)
+        with pytest.raises(error):
+            target.inverse()
+        assert search_cuts(c, target, 2) == []
+
+
+class TestSearchBound:
+    def test_refused_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a candidate was built")
+
+        for name in ("spanning_gaps", "combinations", "build_model", "derive_transformations"):
+            monkeypatch.setattr(model_module, name, refuse)
+        c = mkcirc(2, [(0, 1)] * 20)  # 20 slots, 40 gaps
+        with pytest.raises(SearchTooLarge) as err:
+            search_cuts(c, identity_map(6), 6)
+        bound = 20 * math.comb(38, 4)
+        assert err.value.code == "search-too-large"
+        assert err.value.details == {"bound": bound, "limit": MAX_SEARCH_CANDIDATES}
+
+    def test_limit_is_inclusive(self, swap, monkeypatch):
+        # SWAP, 3 cuts: 3 slots x C(6 - 2, 3 - 2) = 12 candidates by the bound
+        monkeypatch.setattr(model_module, "MAX_SEARCH_CANDIDATES", 12)
+        search_cuts(swap, identity_map(3), 3)
+        monkeypatch.setattr(model_module, "MAX_SEARCH_CANDIDATES", 11)
+        with pytest.raises(SearchTooLarge) as err:
+            search_cuts(swap, identity_map(3), 3)
+        assert err.value.details == {"bound": 12, "limit": 11}
+
+
 class TestSearchReference:
     """``search_cuts`` against a brute force written from the file format.
 
@@ -675,6 +797,15 @@ class TestDeriveProperties:
             x_rows = [sum(1 << o for o in outs) for outs in derived.x_out]
             z_rows = [sum(1 << o for o in outs) for outs in derived.z_out]
             assert z_rows == transpose(gf2.invert(x_rows, n), n)
+
+    @given(data=st.data())
+    def test_ccw_is_inverse_of_cw(self, data):
+        pairs, c = data.draw(circular_circuits())
+        slot = data.draw(st.integers(0, len(pairs) - 1))
+        family = [Gap(w, spanning_gap_index(pairs, w, slot)) for w in range(c.wires)]
+        others = [p.gap for p in enumerate_cut_points(c) if p.gap not in family]
+        extra = data.draw(st.lists(st.sampled_from(others), max_size=3, unique=True)) if others else []
+        assert_ccw_inverts_cw(*derive_both_ways(c, CutSet.of(family + extra)))
 
     @given(data=st.data())
     def test_no_radial_family_rejected(self, data):

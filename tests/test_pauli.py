@@ -1,17 +1,22 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from circnot import (
+    CutSet,
+    Direction,
     PauliString,
+    StabiliserMap,
     conjugate_cnot,
     equivalent_up_to_sign,
+    linearize,
     oracle_map,
     propagate_pauli,
 )
 from circnot.errors import CountMismatch, WireOutOfRange
-from helpers import circuit_unitary, mklin, pauli_matrix
+from helpers import all_small_circuits, circuit_unitary, mklin, pauli_matrix
 
 
 class TestConjugateCnot:
@@ -107,6 +112,38 @@ class TestOracleMap:
                 conj = u @ pauli_matrix(label_in) @ u.conj().T
                 expected = pauli_matrix(label_out)
                 assert np.allclose(conj, expected) or np.allclose(conj, -expected)
+
+
+def per_pauli_fold(lin):
+    """The map one single-qubit Pauli at a time, by ``propagate_pauli``."""
+    n = lin.n_qubits
+    return StabiliserMap(
+        n,
+        tuple(propagate_pauli(lin, PauliString.single(n, q, "X")).x_set() for q in range(n)),
+        tuple(propagate_pauli(lin, PauliString.single(n, q, "Z")).z_set() for q in range(n)),
+    )
+
+
+class TestOracleMatchesPerPauliFold:
+    """``oracle_map`` carries every input at once; the fold carries one."""
+
+    def test_small_linearizations_exhaustive(self):
+        checked = 0
+        for c in all_small_circuits(3, 4):
+            for slot in range(len(c.gates)):
+                cuts = CutSet.of(c.gap_spanning(w, slot) for w in range(c.wires))
+                for d in Direction:
+                    lin = linearize(c, cuts, d)
+                    assert oracle_map(lin) == per_pauli_fold(lin)
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("n,gates", [(2, 1), (3, 0), (5, 20), (16, 128), (64, 1024)])
+    def test_random_circuits(self, n, gates):
+        rng = random.Random(n * 1000 + gates)
+        for _ in range(1 if n == 64 else 5):
+            lin = mklin(n, [tuple(rng.sample(range(n), 2)) for _ in range(gates)])
+            assert oracle_map(lin) == per_pauli_fold(lin)
 
 
 class TestEquivalence:

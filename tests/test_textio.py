@@ -9,6 +9,7 @@ from circnot import (
 )
 from circnot import textio
 from circnot.errors import CircuitSyntaxError
+from circnot.icm import Role
 from circnot.textio import (
     MAX_WIRES,
     circuit_from_kv,
@@ -136,6 +137,38 @@ class TestIcmFormat:
     def test_rejects_circular(self):
         with pytest.raises(CircuitSyntaxError):
             parse_icm_file("circular\nwires 2\ncnot 0 1\ncnot 1 0\n")
+
+
+class TestIcmTokens:
+    """Every init/measure/smgf token ends in ``CircuitSyntaxError`` on its line."""
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("init x zero", "bad qubit 'x'"),
+            ("smgf q", "bad gate 'q'"),
+            ("init 7 zero", "qubit 7 out of range for 2 qubits"),
+            ("measure 9 x", "qubit 9 out of range for 2 qubits"),
+            ("init -1 zero", "bad qubit '-1'"),
+            ("measure +1 x", "bad qubit '+1'"),
+            ("init \u0667 zero", "bad qubit '\u0667'"),
+            ("smgf " + "9" * 5000, "bad gate '999"),
+        ],
+    )
+    def test_rejected_on_its_line(self, line, message):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_icm_file(f"linear\nwires 2\ncnot 0 1\n# note\n{line}\n")
+        assert err.value.line == 5
+        assert str(err.value).startswith(f"line 5: {message}")
+
+    def test_circuit_line_keeps_file_line(self):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_icm_file("linear\nwires 2\ninit 0 zero\nsmgf 0\ncnot 0 x\n")
+        assert str(err.value) == "line 5: bad cnot line 'cnot 0 x'"
+
+    def test_last_qubit_accepted(self):
+        icm, _ = parse_icm_file("linear\nwires 2\ncnot 0 1\ninit 1 zero\nmeasure 01 x\n")
+        assert [cfg.role for cfg in icm.configs] == [Role.INPUT, Role.ANCILLA]
 
 
 class TestKvTree:
