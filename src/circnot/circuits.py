@@ -202,7 +202,6 @@ class LinearCircuit:
     n_qubits: int
     gates: tuple[LinearGate, ...]
     origins: tuple[ArcOrigin, ...] | None = None
-    direction: Direction | None = None
 
     def __post_init__(self):
         times = [g.time for g in self.gates]
@@ -353,12 +352,7 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
         ArcOrigin(w, a, b) if d is Direction.CW else ArcOrigin(w, b, a)
         for (w, a, b) in qubits
     )
-    return LinearCircuit(
-        n_qubits=len(qubits),
-        gates=tuple(lin_gates),
-        origins=origins,
-        direction=d,
-    )
+    return LinearCircuit(n_qubits=len(qubits), gates=tuple(lin_gates), origins=origins)
 
 
 def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:

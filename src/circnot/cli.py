@@ -25,7 +25,7 @@ from .circuits import (
     validate_cut_set,
 )
 from .dot import export_dot
-from .errors import CircnotError, CircuitSyntaxError, WrongCircuitKind
+from .errors import CircnotError, CircuitSyntaxError, WrongCircuitKind, quote
 from .icm import FaultSpec, faulted_transformations, gadget, translate_to_icm
 from .model import (
     ModelKind,
@@ -237,7 +237,7 @@ def _parse_program(text: str) -> tuple[list[tuple], int]:
             operand_lines += [(q, ln) for q in operands]
             gates.append((tokens[0], *operands))
         else:
-            raise CircuitSyntaxError(f"bad program line {line!r}", ln)
+            raise CircuitSyntaxError(f"bad program line {quote(line)}", ln)
     if qubits is None:
         raise CircuitSyntaxError("missing 'qubits N' line", 1)
     for q, ln in operand_lines:

@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+# longest token or line a message quotes whole
+QUOTE_CAP = 64
+
+
+def quote(token: str) -> str:
+    """``repr`` of a token, or of its first ``QUOTE_CAP`` characters and its length."""
+    if len(token) <= QUOTE_CAP:
+        return repr(token)
+    return f"{token[:QUOTE_CAP]!r}... ({len(token)} chars)"
+
 
 class CircnotError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -136,6 +136,13 @@ class QubitConfig:
             raise InvalidAncillaConfig("output carriers have a concrete state and no measurement")
 
 
+def role_of(init: InitBasis, meas: MeasBasis) -> Role:
+    """Input when prepared symbolically, else ancilla when measured, else output."""
+    if init.is_symbolic:
+        return Role.INPUT
+    return Role.OUTPUT if meas.kind == "none" else Role.ANCILLA
+
+
 def _input(name: str, meas: MeasBasis) -> QubitConfig:
     return QubitConfig(Role.INPUT, InitBasis.symbolic(name), meas)
 
@@ -289,14 +296,7 @@ def translate_to_icm(gates, n_qubits: int) -> ICMCircuit:
         else:
             raise UnknownGate(f"cannot translate gate {op[0]!r}")
 
-    configs = []
-    for i, (ini, mb) in enumerate(zip(inits, meas)):
-        if ini.is_symbolic:
-            configs.append(QubitConfig(Role.INPUT, ini, mb))
-        elif mb.kind == "none":
-            configs.append(QubitConfig(Role.OUTPUT, ini, mb))
-        else:
-            configs.append(QubitConfig(Role.ANCILLA, ini, mb))
+    configs = [QubitConfig(role_of(ini, mb), ini, mb) for ini, mb in zip(inits, meas)]
     circuit = LinearCircuit(
         n_qubits=len(inits),
         gates=tuple(LinearGate(control=c, target=t, time=i) for i, (c, t) in enumerate(emitted)),

@@ -468,35 +468,20 @@ def derive_transformations(
 def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
     """Whether swapping two cyclically adjacent gates preserves every map.
 
-    Swapping the gates' positions relabels their crossing segments; the swap
-    is invariant exactly when every radial linearization that keeps the pair
-    contiguous derives the same stabiliser map before and after. The slot
-    between the pair is skipped for longer circuits because cutting there
-    separates the gates instead of commuting them.
+    A circular circuit stands for every cyclic rotation of its gate list, so
+    the swap is invariant when every radial reading that keeps the pair
+    together keeps its map (a cut between the pair separates the gates
+    instead of commuting them). Each such map has the form A·(g_b·g_a)·B,
+    where A and B are the invertible maps of the gates read after and before
+    the pair. So every reading keeps its map exactly when the two CNOTs
+    commute over GF(2), and two CNOTs fail to commute only when one gate's
+    target is the other's control.
     """
     ga = c.gate_by_id(g1)
     gb = c.gate_by_id(g2)
-    pair = {ga.position, gb.position}
-    slot_pairs = [{a, b} for a, b in c.slots()]
-    if ga.id == gb.id or pair not in slot_pairs:
+    if ga.id == gb.id or {ga.position, gb.position} not in ({a, b} for a, b in c.slots()):
         raise NotAdjacent(f"gates {g1} and {g2} are not cyclically adjacent")
-    swapped = tuple(
-        replace(g, position=gb.position if g.id == ga.id else ga.position)
-        if g.id in (ga.id, gb.id)
-        else g
-        for g in c.gates
-    )
-    c2 = CircularCircuit(wires=c.wires, gates=swapped)
-    models1 = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-    models2 = (build_model(c2, ModelKind.X), build_model(c2, ModelKind.Z))
-    for span1, span2, slot_pair in zip(spanning_gaps(c), spanning_gaps(c2), slot_pairs):
-        if slot_pair == pair and len(slot_pairs) > 2:
-            continue
-        m1 = derive_transformations(c, CutSet.of(enumerate(span1)), Direction.CW, models=models1)
-        m2 = derive_transformations(c2, CutSet.of(enumerate(span2)), Direction.CW, models=models2)
-        if m1 != m2:
-            return False
-    return True
+    return not (ga.target == gb.control or gb.target == ga.control)
 
 
 MAX_SEARCH_CANDIDATES = 100_000

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from . import gf2
-from .errors import CircuitSyntaxError, CountMismatch, WireOutOfRange
+from .errors import CircuitSyntaxError, CountMismatch, WireOutOfRange, quote
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,21 @@ class StabiliserMap:
                 continue
             m = pattern.match(line)
             if not m:
-                raise CircuitSyntaxError(f"bad map line {line!r}", line=ln)
-            kind, q, body = m.group(1), int(m.group(2)), m.group(3)
-            outs = frozenset(int(tok) for tok in body.replace(",", " ").split())
+                raise CircuitSyntaxError(f"bad map line {quote(line)}", line=ln)
+            kind, body = m.group(1), m.group(3)
+            try:
+                q = int(m.group(2))
+                outs = frozenset(int(tok) for tok in body.replace(",", " ").split())
+            except ValueError:  # more digits than int() reads
+                raise CircuitSyntaxError(f"bad map line {quote(line)}", line=ln) from None
             rows[kind][q] = outs
         if sorted(rows["X"]) != sorted(rows["Z"]) or sorted(rows["X"]) != list(range(len(rows["X"]))):
             raise CountMismatch("map report must cover X and Z rows for qubits 0..n-1")
         n = len(rows["X"])
+        for kind, by_qubit in rows.items():
+            for q, outs in by_qubit.items():
+                if any(o >= n for o in outs):
+                    raise WireOutOfRange(f"map row {kind}{q} names an output outside {n} qubits")
         return cls(
             n_qubits=n,
             x_out=tuple(rows["X"][q] for q in range(n)),

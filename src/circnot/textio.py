@@ -25,7 +25,7 @@ from .circuits import (
     LinearCircuit,
     LinearGate,
 )
-from .errors import CircuitSyntaxError
+from .errors import CircuitSyntaxError, quote
 from .icm import (
     BasisState,
     FaultSpec,
@@ -33,7 +33,7 @@ from .icm import (
     InitBasis,
     MeasBasis,
     QubitConfig,
-    Role,
+    role_of,
 )
 
 # Largest wire (or qubit) count a circuit source may declare. Circuits keep
@@ -63,12 +63,12 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
         tokens = line.split()
         if header is None:
             if tokens[0] not in ("linear", "circular") or len(tokens) != 1:
-                raise CircuitSyntaxError(f"expected header 'linear' or 'circular', got {line!r}", ln)
+                raise CircuitSyntaxError(f"expected header 'linear' or 'circular', got {quote(line)}", ln)
             header = tokens[0]
             continue
         if tokens[0] == "wires":
             if wires is not None or len(tokens) != 2 or not tokens[1].isdecimal():
-                raise CircuitSyntaxError(f"bad wires line {line!r}", ln)
+                raise CircuitSyntaxError(f"bad wires line {quote(line)}", ln)
             digits = tokens[1].lstrip("0") or "0"
             if len(digits) > len(str(MAX_WIRES)):  # also too long for int() to read
                 raise CircuitSyntaxError(f"more than {MAX_WIRES} wires", ln)
@@ -78,13 +78,13 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
             if wires is None:
                 raise CircuitSyntaxError("'wires N' must precede gates", ln)
             if len(tokens) != 3:
-                raise CircuitSyntaxError(f"bad cnot line {line!r}", ln)
+                raise CircuitSyntaxError(f"bad cnot line {quote(line)}", ln)
             try:
                 pairs.append((int(tokens[1]), int(tokens[2])))
             except ValueError:
-                raise CircuitSyntaxError(f"bad cnot line {line!r}", ln) from None
+                raise CircuitSyntaxError(f"bad cnot line {quote(line)}", ln) from None
             continue
-        raise CircuitSyntaxError(f"unknown directive {tokens[0]!r}", ln)
+        raise CircuitSyntaxError(f"unknown directive {quote(tokens[0])}", ln)
     if header is None:
         raise CircuitSyntaxError("empty circuit source", 1)
     if wires is None:
@@ -123,14 +123,14 @@ def parse_cut_file(text: str) -> tuple[CutSet, Direction | None]:
             try:
                 gaps.append(Gap(int(tokens[1]), int(tokens[2])))
             except ValueError:
-                raise CircuitSyntaxError(f"bad cut line {line!r}", ln) from None
+                raise CircuitSyntaxError(f"bad cut line {quote(line)}", ln) from None
         elif tokens[0] == "direction" and len(tokens) == 2:
             try:
                 direction = Direction.parse(tokens[1])
             except ValueError:
-                raise CircuitSyntaxError(f"bad direction {tokens[1]!r}", ln) from None
+                raise CircuitSyntaxError(f"bad direction {quote(tokens[1])}", ln) from None
         else:
-            raise CircuitSyntaxError(f"bad cut-file line {line!r}", ln)
+            raise CircuitSyntaxError(f"bad cut-file line {quote(line)}", ln)
     return CutSet.of(gaps), direction
 
 
@@ -150,21 +150,21 @@ def _parse_init(token: str, ln: int) -> InitBasis:
     try:
         return InitBasis(BasisState(token))
     except ValueError:
-        raise CircuitSyntaxError(f"unknown init basis {token!r}", ln) from None
+        raise CircuitSyntaxError(f"unknown init basis {quote(token)}", ln) from None
 
 
 def _parse_meas(token: str, ln: int) -> MeasBasis:
     if token.startswith("cfg:"):
         parts = token[4:].split("/")
         if len(parts) != 2:
-            raise CircuitSyntaxError(f"bad configurable basis {token!r}", ln)
+            raise CircuitSyntaxError(f"bad configurable basis {quote(token)}", ln)
         try:
             return MeasBasis.cfg(parts[0], parts[1])
         except ValueError:
-            raise CircuitSyntaxError(f"bad configurable basis {token!r}", ln) from None
+            raise CircuitSyntaxError(f"bad configurable basis {quote(token)}", ln) from None
     if token in ("x", "y", "z", "a", "none"):
         return MeasBasis(token)
-    raise CircuitSyntaxError(f"unknown measurement basis {token!r}", ln)
+    raise CircuitSyntaxError(f"unknown measurement basis {quote(token)}", ln)
 
 
 def parse_index(token: str, what: str, ln: int) -> int:
@@ -174,14 +174,15 @@ def parse_index(token: str, what: str, ln: int) -> int:
             return int(token)
         except ValueError:  # more digits than int() reads
             pass
-    raise CircuitSyntaxError(f"bad {what} {token!r}", ln)
+    raise CircuitSyntaxError(f"bad {what} {quote(token)}", ln)
 
 
 def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
     """Parse a circuit file extended with init/measure/smgf lines.
 
     Qubits default to symbolic input ``q<i>`` with no measurement. An
-    init/measure qubit must be below the circuit's qubit count.
+    init/measure qubit must be below the circuit's qubit count and name
+    each qubit at most once per keyword.
     """
     circuit_lines = text.splitlines()  # ICM lines blanked, line numbers kept
     init_map: dict[int, InitBasis] = {}
@@ -194,9 +195,12 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
             q = parse_index(tokens[1], "qubit", ln)
             qubit_lines.append((q, ln))
             if tokens[0] == "init":
-                init_map[q] = _parse_init(tokens[2], ln)
+                seen, basis = init_map, _parse_init(tokens[2], ln)
             else:
-                meas_map[q] = _parse_meas(tokens[2], ln)
+                seen, basis = meas_map, _parse_meas(tokens[2], ln)
+            if q in seen:
+                raise CircuitSyntaxError(f"repeated {tokens[0]} line for qubit {q}", ln)
+            seen[q] = basis
         elif tokens[0] == "smgf" and len(tokens) == 2:
             faults.append(FaultSpec(gate=parse_index(tokens[1], "gate", ln)))
         else:
@@ -212,13 +216,7 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
     for q in range(circuit.n_qubits):
         init = init_map.get(q, InitBasis.symbolic(f"q{q}"))
         meas = meas_map.get(q, MeasBasis.none())
-        if init.is_symbolic:
-            role = Role.INPUT
-        elif meas.kind == "none":
-            role = Role.OUTPUT
-        else:
-            role = Role.ANCILLA
-        configs.append(QubitConfig(role, init, meas))
+        configs.append(QubitConfig(role_of(init, meas), init, meas))
     return ICMCircuit(circuit=circuit, configs=tuple(configs)), faults
 
 
@@ -277,7 +275,7 @@ def kv_loads(text: str) -> dict:
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:
-            raise CircuitSyntaxError(f"bad kv line {line!r}", ln)
+            raise CircuitSyntaxError(f"bad kv line {quote(line)}", ln)
         _kv_insert(stack[-1], parts[0], _kv_scalar(parts[1]))
     if len(stack) != 1:
         raise CircuitSyntaxError("unclosed block", 1)

@@ -2,24 +2,33 @@
 
 Everything here deliberately avoids the library's solver internals: unitary
 brute force uses numpy, truth-table counting evaluates the clauses as plain
-Boolean formulas, and circuit generators build objects through the public
-constructors only.
+Boolean formulas, map conjugation is set algebra, and circuit generators
+build objects through the public constructors only. The one exception is
+``commutation_by_derivation``, the derivation-based reference that
+``check_commutation_invariance`` is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from circnot import (
     CircularCircuit,
     CNOTGate,
+    CutSet,
+    Direction,
     LinearCircuit,
     LinearGate,
     StabiliserMap,
+    build_model,
+    derive_transformations,
+    spanning_gaps,
 )
-from circnot.model import BooleanModel, ClauseKind
+from circnot.errors import NotAdjacent
+from circnot.model import BooleanModel, ClauseKind, ModelKind
 
 
 def mkcirc(wires: int, pairs) -> CircularCircuit:
@@ -77,6 +86,70 @@ def spanning_gap_index(pairs, wire: int, slot: int) -> int:
     """
     touches = [k for k, (c, t) in enumerate(pairs) if wire in (c, t)]
     return (sum(1 for k in touches if k <= slot) - 1) % len(touches)
+
+
+# --- rotation algebra references --------------------------------------------
+
+
+def commutation_by_derivation(c: CircularCircuit, g1: int, g2: int) -> bool:
+    """Reference for ``check_commutation_invariance``: derive every radial map.
+
+    Swapping the gates' positions relabels their crossing segments; the swap
+    is invariant exactly when every radial linearization that keeps the pair
+    contiguous derives the same stabiliser map before and after. The slot
+    between the pair is skipped for longer circuits because cutting there
+    separates the gates instead of commuting them.
+    """
+    ga = c.gate_by_id(g1)
+    gb = c.gate_by_id(g2)
+    pair = {ga.position, gb.position}
+    slot_pairs = [{a, b} for a, b in c.slots()]
+    if ga.id == gb.id or pair not in slot_pairs:
+        raise NotAdjacent(f"gates {g1} and {g2} are not cyclically adjacent")
+    swapped = tuple(
+        replace(g, position=gb.position if g.id == ga.id else ga.position)
+        if g.id in (ga.id, gb.id)
+        else g
+        for g in c.gates
+    )
+    c2 = CircularCircuit(wires=c.wires, gates=swapped)
+    models1 = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
+    models2 = (build_model(c2, ModelKind.X), build_model(c2, ModelKind.Z))
+    for span1, span2, slot_pair in zip(spanning_gaps(c), spanning_gaps(c2), slot_pairs):
+        if slot_pair == pair and len(slot_pairs) > 2:
+            continue
+        m1 = derive_transformations(c, CutSet.of(enumerate(span1)), Direction.CW, models=models1)
+        m2 = derive_transformations(c2, CutSet.of(enumerate(span2)), Direction.CW, models=models2)
+        if m1 != m2:
+            return False
+    return True
+
+
+def conjugate_by_cnot(m: StabiliserMap, control: int, target: int) -> StabiliserMap:
+    """The map g·M·g of g = CNOT(control, target), by set algebra alone.
+
+    Rows are read as images: X row ``q`` is where ``X_q`` ends up. ``g``
+    sends ``X_control`` to ``X_control X_target`` and ``Z_target`` to
+    ``Z_control Z_target``, so the Z map is the X rule with control and
+    target swapped.
+    """
+
+    def conjugate(rows, c, t):
+        def gate(s):
+            return s ^ {t} if c in s else s
+
+        def through_m(s):
+            out = frozenset()
+            for i in s:
+                out ^= rows[i]
+            return out
+
+        return tuple(gate(through_m(gate(frozenset({q})))) for q in range(len(rows)))
+
+    return StabiliserMap(
+        m.n_qubits, conjugate(m.x_out, control, target), conjugate(m.z_out, target, control)
+    )
+
 
 # --- dense unitary brute force ---------------------------------------------
 

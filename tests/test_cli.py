@@ -194,6 +194,44 @@ def test_icm_program_tokens_exit_code(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"error syntax-error: {message}\n"
 
 
+def test_search_out_of_range_target_exit_code(tmp_path, swap_file, capsys):
+    target = tmp_path / "wide.map"
+    target.write_text("X0 -> X{0,2}\nX1 -> X{1}\nZ0 -> Z{0}\nZ1 -> Z{1}\n")
+    code, out = run(["search", swap_file, "--target", str(target), "--max-cuts", "3"])
+    assert (code, out) == (1, "")
+    expected = "error wire-out-of-range: map row X0 names an output outside 2 qubits\n"
+    assert capsys.readouterr().err == expected
+
+
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "command,name,text",
+    [
+        ("parse", "circuit", f"circular\nwires 2\ncnot 0 {LONG}\n"),
+        ("derive", "cuts", f"cut 0 {LONG}\n"),
+        ("search", "target", f"X0 -> X{{{LONG}}}\nZ0 -> Z{{0}}\n"),
+        ("icm", "program", f"qubits 2\nt {LONG}\n"),
+    ],
+)
+def test_long_token_message_capped(tmp_path, swap_file, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {
+        "parse": ["parse", str(path)],
+        "derive": ["derive", swap_file, "--cuts", str(path)],
+        "search": ["search", swap_file, "--target", str(path), "--max-cuts", "3"],
+        "icm": ["icm", str(path)],
+    }[command]
+    code, out = run(argv)
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error syntax-error: line ")
+    assert err.endswith(" chars)\n")
+    assert len(err) < 150
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["derive"])

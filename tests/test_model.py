@@ -46,6 +46,8 @@ from helpers import (
     SWAP_X_REF,
     SWAP_Z_REF,
     all_small_circuits,
+    commutation_by_derivation,
+    conjugate_by_cnot,
     count_model_solutions,
     isomorphic_to_reference,
     mkcirc,
@@ -371,12 +373,16 @@ class TestDeriveTransformations:
                     assert frozenset(j for j, seg in enumerate(outs) if sol[seg]) == rows[q]
 
 
-def random_circularized(seed, wires, gates):
-    rng = random.Random(seed)
+def random_pairs(rng, wires, gates):
+    """Seeded CNOT (control, target) pairs touching every wire."""
     while True:
         pairs = [tuple(rng.sample(range(wires), 2)) for _ in range(gates)]
         if len({q for pair in pairs for q in pair}) == wires:
-            return circularize(mklin(wires, pairs))
+            return pairs
+
+
+def random_circularized(seed, wires, gates):
+    return circularize(mklin(wires, random_pairs(random.Random(seed), wires, gates)))
 
 
 def transpose(rows, n):
@@ -440,6 +446,62 @@ class TestCommutation:
                     agree = False
         assert agree is expected
         assert check_commutation_invariance(mkcirc(3, pairs), 0, 1) is expected
+
+
+def adjacent_id_pairs(c):
+    """Every cyclically adjacent gate pair of ``c`` by id, in both orders."""
+    by_position = {g.position: g.id for g in c.gates}
+    pairs = {(by_position[a], by_position[b]) for a, b in c.slots() if a != b}
+    return sorted(pairs | {(b, a) for a, b in pairs})
+
+
+class TestCommutationRule:
+    """The CNOT rule equals deriving every radial map before and after the swap."""
+
+    def test_small_sweep_both_orders(self):
+        checked = 0
+        for c in all_small_circuits(3, 4):
+            adjacent = adjacent_id_pairs(c)
+            for g1, g2 in adjacent:
+                assert check_commutation_invariance(c, g1, g2) is commutation_by_derivation(c, g1, g2)
+                checked += 1
+            for g1, g2 in set(itertools.product(range(len(c.gates)), repeat=2)) - set(adjacent):
+                for check in (check_commutation_invariance, commutation_by_derivation):
+                    with pytest.raises(NotAdjacent):
+                        check(c, g1, g2)
+        assert checked == 1956
+
+    @pytest.mark.parametrize("wires,gates", [(3, 6), (4, 16), (8, 32), (16, 64)])
+    def test_random_pairs(self, wires, gates):
+        rng = random.Random(wires * gates)
+        c = mkcirc(wires, random_pairs(rng, wires, gates))
+        for g1, g2 in rng.sample(adjacent_id_pairs(c), 3):
+            assert check_commutation_invariance(c, g1, g2) is commutation_by_derivation(c, g1, g2)
+
+
+class TestSlotRotation:
+    """Moving a radial-only cut one slot clockwise conjugates its map.
+
+    Reading from slot ``s + 1`` moves gate ``g`` at position ``s + 1`` from
+    the front of the gate list to its back, so the map becomes g·M·g. The
+    expected map comes from set algebra, not from the Pauli oracle.
+    """
+
+    @pytest.mark.parametrize("wires,gates", [(16, 128), (48, 512), (128, 4096)])
+    def test_next_slot_conjugates_by_the_gate(self, wires, gates):
+        rng = random.Random(wires + gates)
+        pairs = random_pairs(rng, wires, gates)
+        c = mkcirc(wires, pairs)
+        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
+
+        def radial_map(slot):
+            cuts = CutSet.of((w, spanning_gap_index(pairs, w, slot)) for w in range(wires))
+            return derive_transformations(c, cuts, Direction.CW, models=models)
+
+        # the last slot wraps onto the first gate
+        for slot in [gates - 1, *rng.sample(range(gates - 1), 2)]:
+            after = pairs[(slot + 1) % gates]
+            assert radial_map((slot + 1) % gates) == conjugate_by_cnot(radial_map(slot), *after)
 
 
 class TestSearchCuts:

@@ -4,11 +4,12 @@ from circnot import (
     CircularCircuit,
     CutSet,
     Direction,
+    StabiliserMap,
     circularize,
     gadget,
 )
 from circnot import textio
-from circnot.errors import CircuitSyntaxError
+from circnot.errors import CircuitSyntaxError, WireOutOfRange
 from circnot.icm import Role
 from circnot.textio import (
     MAX_WIRES,
@@ -169,6 +170,42 @@ class TestIcmTokens:
     def test_last_qubit_accepted(self):
         icm, _ = parse_icm_file("linear\nwires 2\ncnot 0 1\ninit 1 zero\nmeasure 01 x\n")
         assert [cfg.role for cfg in icm.configs] == [Role.INPUT, Role.ANCILLA]
+
+    @pytest.mark.parametrize(
+        "first,second", [("init 0 zero", "init 0 plus"), ("measure 1 x", "measure 01 z")]
+    )
+    def test_repeated_line_rejected_on_its_line(self, first, second):
+        keyword, q = second.split()[0], int(second.split()[1])
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_icm_file(f"linear\nwires 2\ncnot 0 1\n{first}\ninit 1 zero\n{second}\n")
+        assert err.value.line == 6
+        assert str(err.value) == f"line 6: repeated {keyword} line for qubit {q}"
+
+    def test_long_token_quoted_as_prefix_and_length(self):
+        token = "z" * 5000
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_icm_file(f"linear\nwires 2\ncnot 0 1\nmeasure 0 {token}\n")
+        assert str(err.value) == f"line 4: unknown measurement basis {'z' * 64!r}... (5000 chars)"
+
+
+class TestMapReport:
+    def test_last_output_accepted(self):
+        text = "X0 -> X{0,1}\nX1 -> X{1}\nZ0 -> Z{0}\nZ1 -> Z{0,1}"
+        assert StabiliserMap.from_report(text).report() == text
+
+    @pytest.mark.parametrize("row", ["X0 -> X{0,2}", "Z1 -> Z{1,2}"])
+    def test_output_out_of_range_rejected(self, row):
+        rows = {"X0": "X0 -> X{0}", "X1": "X1 -> X{1}", "Z0": "Z0 -> Z{0}", "Z1": "Z1 -> Z{1}"}
+        rows[row[:2]] = row
+        with pytest.raises(WireOutOfRange) as err:
+            StabiliserMap.from_report("\n".join(rows.values()))
+        assert str(err.value) == f"map row {row[:2]} names an output outside 2 qubits"
+
+    def test_number_too_long_for_int(self):
+        with pytest.raises(CircuitSyntaxError) as err:
+            StabiliserMap.from_report("X0 -> X{" + "1" * 5000 + "}\nZ0 -> Z{0}")
+        assert err.value.line == 1
+        assert str(err.value).endswith("... (5009 chars)")
 
 
 class TestKvTree:
