@@ -24,6 +24,7 @@ from .errors import (
     UnknownGap,
     UnknownGate,
     WireOutOfRange,
+    quote_int,
 )
 
 CONTROL = "control"
@@ -71,7 +72,7 @@ class CutSet:
         cuts = frozenset(gaps)
         if len(cuts) != len(gaps):
             dup = next(g for k, g in enumerate(gaps) if g in gaps[:k])
-            raise DuplicateCut(f"cut repeated at wire {dup.wire} gap {dup.index}")
+            raise DuplicateCut(f"cut repeated at wire {quote_int(dup.wire)} gap {quote_int(dup.index)}")
         return cls(cuts)
 
     def gaps(self) -> frozenset[Gap]:
@@ -96,7 +97,7 @@ class CNOTGate:
 
     def __post_init__(self):
         if self.control == self.target:
-            raise ControlEqualsTarget(f"gate {self.id}: control == target == {self.control}")
+            raise ControlEqualsTarget(f"gate {self.id}: control == target == {quote_int(self.control)}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class CircularCircuit:
         for g in gates:
             for w in (g.control, g.target):
                 if not 0 <= w < self.wires:
-                    raise WireOutOfRange(f"gate {g.id} references wire {w} of {self.wires}")
+                    raise WireOutOfRange(f"gate {g.id} references wire {quote_int(w)} of {self.wires}")
             touched.add(g.control)
             touched.add(g.target)
         empty = set(range(self.wires)) - touched
@@ -153,7 +154,7 @@ class CircularCircuit:
         for g in self.gates:
             if g.id == gate_id:
                 return g
-        raise UnknownGate(f"no gate with id {gate_id}")
+        raise UnknownGate(f"no gate with id {quote_int(gate_id)}")
 
     def slots(self) -> tuple[tuple[int, int], ...]:
         """Inter-position angular slots as (position_before, position_after).
@@ -210,7 +211,7 @@ class LinearCircuit:
         for g in self.gates:
             for q in (g.control, g.target):
                 if not 0 <= q < self.n_qubits:
-                    raise WireOutOfRange(f"gate at t={g.time} references qubit {q} of {self.n_qubits}")
+                    raise WireOutOfRange(f"gate at t={g.time} references qubit {quote_int(q)} of {self.n_qubits}")
         if self.origins is not None and len(self.origins) != self.n_qubits:
             raise ValueError("one origin per qubit required")
 
@@ -293,7 +294,7 @@ def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
         raise EmptyCutSet("cut set is empty")
     for gap in cuts.sorted_gaps():
         if not c.gap_valid(gap):
-            raise UnknownGap(f"wire {gap.wire} gap {gap.index} does not exist")
+            raise UnknownGap(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} does not exist")
     families = _radial_families(c, cuts)
     if families:
         return families

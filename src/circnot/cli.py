@@ -25,7 +25,7 @@ from .circuits import (
     validate_cut_set,
 )
 from .dot import export_dot
-from .errors import CircnotError, CircuitSyntaxError, WrongCircuitKind, quote
+from .errors import CircnotError, CircuitSyntaxError, WrongCircuitKind, quote, quote_int
 from .icm import FaultSpec, faulted_transformations, gadget, translate_to_icm
 from .model import (
     ModelKind,
@@ -242,7 +242,7 @@ def _parse_program(text: str) -> tuple[list[tuple], int]:
         raise CircuitSyntaxError("missing 'qubits N' line", 1)
     for q, ln in operand_lines:
         if q >= qubits:
-            raise CircuitSyntaxError(f"qubit {q} out of range for {qubits} qubits", ln)
+            raise CircuitSyntaxError(f"qubit {quote_int(q)} out of range for {qubits} qubits", ln)
     return gates, qubits
 
 

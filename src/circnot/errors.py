@@ -13,6 +13,13 @@ def quote(token: str) -> str:
     return f"{token[:QUOTE_CAP]!r}... ({len(token)} chars)"
 
 
+def quote_int(n: int) -> str:
+    """A number whole up to ``QUOTE_CAP`` digits, else its first digits and digit count."""
+    text = str(n)
+    digits = len(text) - (n < 0)
+    return text if digits <= QUOTE_CAP else f"{text[:QUOTE_CAP]}... ({digits} digits)"
+
+
 class CircnotError(Exception):
     """Base class for all domain errors raised by this package."""
 

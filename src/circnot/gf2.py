@@ -1,11 +1,13 @@
-"""Bit-packed GF(2) linear algebra on int bitsets.
+"""GF(2) linear algebra: sparse parity rows and bit-packed elimination.
 
-Rows are Python ints; bit ``i`` is column ``i``. Every routine reduces its
-rows with one Gauss-Jordan kernel, which scans pivot columns in ascending
-order so results are reproducible. ``solve_tagged`` first tries unit
-propagation, which finishes the sparse, triangular systems of cut circuits
-in time linear in their size, and falls back to Gauss-Jordan for systems
-propagation cannot finish.
+``solve_tagged`` takes sparse rows, each a tuple of distinct variable
+indices plus an int right-hand side, and solves them by unit propagation,
+which finishes the sparse, triangular systems of cut circuits in time
+linear in their size. Only a system propagation cannot finish goes through
+``pack`` into bitmask rows (bit ``i`` is column ``i``) for Gauss-Jordan.
+``rank``, ``solution_space``, ``enumerate_solutions`` and ``invert`` take
+bitmask rows. Every elimination runs one kernel, which scans pivot columns
+in ascending order so results are reproducible.
 """
 
 from __future__ import annotations
@@ -47,8 +49,13 @@ def rank(rows: list[int], n_cols: int) -> int:
     return len(_eliminate([r for r in rows if r], n_cols))
 
 
-def _propagate_units(rows: list[int], n_vars: int) -> list[int] | None:
-    """Solve by unit propagation, or return None if it cannot finish.
+def pack(rows, n_vars: int) -> list[int]:
+    """Bitmask rows ``coeffs | rhs << n_vars`` of sparse ``(variables, rhs)`` rows."""
+    return [sum(1 << v for v in vs) | rhs << n_vars for vs, rhs in rows]
+
+
+def _propagate_units(rows, n_vars: int) -> list[int] | None:
+    """Solve sparse rows by unit propagation, or return None if it cannot finish.
 
     A row with exactly one unknown variable fixes that variable to the
     row's right-hand side XOR its known variables. ``acc[r]`` holds that
@@ -56,31 +63,24 @@ def _propagate_units(rows: list[int], n_vars: int) -> list[int] | None:
     row exactly when the assignment satisfies the whole system, which is
     then the unique solution (the fixing rows are triangular, full rank).
     """
-    coeff_mask = (1 << n_vars) - 1
     occurs: list[list[int]] = [[] for _ in range(n_vars)]
-    row_vars = []
     unknown = []
+    acc = []
     units = []
-    for r, row in enumerate(rows):
-        vs = []
-        coeffs = row & coeff_mask
-        while coeffs:
-            v = coeffs.bit_length() - 1
-            coeffs ^= 1 << v
-            vs.append(v)
+    for r, (vs, rhs) in enumerate(rows):
+        for v in vs:
             occurs[v].append(r)
-        row_vars.append(vs)
         unknown.append(len(vs))
+        acc.append(rhs)
         if len(vs) == 1:
             units.append(r)
-    acc = [row >> n_vars for row in rows]
     value: list[int | None] = [None] * n_vars
     forced = 0
     while units:
         r = units.pop()
         if unknown[r] != 1:
             continue
-        for v in row_vars[r]:
+        for v in rows[r][0]:
             if value[v] is None:
                 break
         val = value[v] = acc[r]
@@ -95,25 +95,24 @@ def _propagate_units(rows: list[int], n_vars: int) -> list[int] | None:
     return value
 
 
-def solve_tagged(rows: list[int], n_vars: int, tag_width: int) -> list[int]:
-    """Solve a system whose right-hand side rides in the high bits.
+def solve_tagged(rows, n_vars: int, tag_width: int) -> list[int]:
+    """Solve sparse rows whose right-hand sides are GF(2) vectors.
 
-    Each row packs ``coeffs | rhs << n_vars`` where coeffs span the first
-    ``n_vars`` columns and rhs is a GF(2) vector of width ``tag_width``
-    (symbolic right-hand side: bit j stands for input j; width 1 gives a
-    plain constant column). Returns, per variable, its rhs expression.
+    Each row is ``(variables, rhs)``: a tuple of distinct variable indices
+    below ``n_vars`` and an int of width ``tag_width`` (symbolic right-hand
+    side: bit j stands for input j; width 1 gives a plain constant).
+    Returns, per variable, its rhs expression.
 
     Unit propagation solves the system when repeatedly fixing the one
     unknown of some row fixes every variable consistently with every row.
-    Otherwise Gauss-Jordan runs on the original rows; it raises
-    Inconsistent when a zero coefficient row carries a nonzero rhs and
-    Underdetermined (naming the pivot-free variables) when a variable is
-    left free.
+    Otherwise Gauss-Jordan runs on the packed rows; it raises Inconsistent
+    when a zero coefficient row carries a nonzero rhs and Underdetermined
+    (naming the pivot-free variables) when a variable is left free.
     """
     out = _propagate_units(rows, n_vars)
     if out is not None:
         return out
-    work = list(rows)
+    work = pack(rows, n_vars)
     pivots = _eliminate(work, n_vars)
     for i in range(len(pivots), len(work)):
         if work[i] >> n_vars:

@@ -25,10 +25,12 @@ the model as integers, which is all a derivation reads:
 * each wire stores, per gap, the (ending, starting) variable pair;
 * a cut model records only its cut gaps, a pinned one only its selectors.
 
-The parity rows come from these integers once per model, tagged by the gap
-whose cut drops them, for ``to_parity_system`` and ``solve_map_rows``
-alike. ``SegmentId``, ``Clause`` and ``Gap`` objects appear only in the
-model's views (``variables``, ``clauses``, ``gap_sides``, ``gap_join``,
+The parity rows come from these integers once per model as sparse
+``(variables, rhs)`` pairs, the format ``gf2.solve_tagged`` reads, each
+join tagged by its gap; ``to_parity_system`` and ``solve_map_rows`` drop
+the joins of their cut gaps with ``_rows_without``. ``SegmentId``,
+``Clause`` and ``Gap`` objects appear only in the model's views
+(``variables``, ``clauses``, ``gap_sides``, ``gap_join``,
 ``boundary_segments()``, ``dump()``), built on demand for the CLI, tests
 and ``propagate``.
 """
@@ -64,6 +66,7 @@ from .errors import (
     UnknownSegment,
     UnpinnedSelector,
     WireOutOfRange,
+    quote_int,
 )
 from .stabmap import StabiliserMap
 
@@ -155,14 +158,15 @@ class BooleanModel:
         w, i = gap.wire, gap.index
         if 0 <= w < len(self.gap_vars) and 0 <= i < len(self.gap_vars[w]):
             return self.gap_vars[w][i]
-        raise UnknownGap(f"wire {w} gap {i} not in model")
+        raise UnknownGap(f"wire {quote_int(w)} gap {quote_int(i)} not in model")
 
     @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The model's parity rows, gates first, and each gap's tag into them.
+    def _rows(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+        """The uncut model's sparse parity rows, gates first, and each gap's tag.
 
-        ``tags[w][i]`` is the position of gap ``(w, i)``'s join row, or -1
-        when the gap is cut or its self-join was dropped, so a later cut
+        A row is ``(variables, 0)``: one per X or Z gate, two per combined
+        gate, one per join. ``tags[w][i]`` is the position of gap
+        ``(w, i)``'s join row, or -1 for a dropped self-join, so a cut
         drops that row by position.
         """
         if self.kind is ModelKind.COMBINED:
@@ -171,23 +175,34 @@ class BooleanModel:
                 selector = self.selectors.get(gate_id)
                 if selector is None:
                     raise UnpinnedSelector(f"combined clause for gate {gate_id} has no selector")
-                a, b, tc, td = (1 << v for v in clause_vars)
+                a, b, tc, td = clause_vars
                 # X reading: control passes through (a = b), target flips by control
-                rows += [a | b, a | tc | td] if selector else [tc | td, tc | a | b]
+                pair = ((a, b), (a, tc, td)) if selector else ((tc, td), (tc, a, b))
+                rows += [(vs, 0) for vs in pair]
         else:
-            rows = [1 << a ^ 1 << b ^ 1 << crossing for a, b, crossing in self.gate_vars]
-        cut = {(gap.wire, gap.index) for gap in self.cut_gaps}
+            rows = [(vs, 0) for vs in self.gate_vars]
         tags = []
-        for w, pairs in enumerate(self.gap_vars):
+        for pairs in self.gap_vars:
             wire_tags = []
-            for i, (end, start) in enumerate(pairs):
-                if end == start or cut and (w, i) in cut:
+            for end, start in pairs:
+                if end == start:
                     wire_tags.append(-1)
                 else:
                     wire_tags.append(len(rows))
-                    rows.append(1 << end | 1 << start)
+                    rows.append(((end, start), 0))
             tags.append(tuple(wire_tags))
         return tuple(rows), tuple(tags)
+
+    def _rows_without(self, gaps) -> list:
+        """The parity rows minus the joins of ``gaps`` (``UnknownGap`` outside the model)."""
+        rows, tags = self._rows
+        for gap in gaps:
+            self.gap_pair(gap)  # raises UnknownGap
+        rows = list(rows)
+        for at in sorted((tags[g.wire][g.index] for g in gaps), reverse=True):
+            if at >= 0:
+                del rows[at]
+        return rows
 
     @cached_property
     def variables(self) -> tuple[SegmentId, ...]:
@@ -317,7 +332,7 @@ def pin_selectors(m: BooleanModel, selectors: dict[int, bool]) -> BooleanModel:
     known = set(m.gate_ids) if m.kind is ModelKind.COMBINED else set()
     for gate_id in selectors:
         if gate_id not in known:
-            raise UnknownGate(f"no combined clause for gate {gate_id}")
+            raise UnknownGate(f"no combined clause for gate {quote_int(gate_id)}")
     return replace(m, selectors={**m.selectors, **selectors})
 
 
@@ -330,40 +345,40 @@ def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
     for gap in cuts.sorted_gaps():
         m.gap_pair(gap)  # raises UnknownGap
         if gap in m.cut_gaps:
-            raise DuplicateCut(f"wire {gap.wire} gap {gap.index} already cut")
+            raise DuplicateCut(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} already cut")
     return replace(m, cut_gaps=m.cut_gaps | cuts.gaps())
 
 
 @dataclass(frozen=True)
 class ParitySystem:
-    """Homogeneous GF(2) system; bit ``n_vars`` of a row is the constant."""
+    """GF(2) system of sparse ``(variables, constant)`` rows, packed to query."""
 
     variables: tuple[SegmentId, ...]
-    rows: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
     def n_vars(self) -> int:
         return len(self.variables)
 
     def rank(self) -> int:
-        return gf2.rank(list(self.rows), self.n_vars + 1)
+        return gf2.rank(gf2.pack(self.rows, self.n_vars), self.n_vars + 1)
 
     def dump(self) -> str:
         lines = []
-        for row in self.rows:
+        for row in gf2.pack(self.rows, self.n_vars):
             bits = [(row >> i) & 1 for i in range(self.n_vars + 1)]
             lines.append(" ".join(str(b) for b in bits))
         return "\n".join(lines)
 
     def solutions(self):
         """All satisfying assignments as SegmentId->bool dicts (small systems)."""
-        for mask in gf2.enumerate_solutions(list(self.rows), self.n_vars):
+        for mask in gf2.enumerate_solutions(gf2.pack(self.rows, self.n_vars), self.n_vars):
             yield {v: bool(mask >> i & 1) for i, v in enumerate(self.variables)}
 
 
 def to_parity_system(m: BooleanModel) -> ParitySystem:
     """Translate every clause to its parity rows (requiring it true)."""
-    return ParitySystem(variables=m.variables, rows=m._rows[0])
+    return ParitySystem(variables=m.variables, rows=tuple(m._rows_without(m.cut_gaps)))
 
 
 def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId, bool]:
@@ -378,7 +393,7 @@ def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId,
     for seg, value in inputs.items():
         if seg not in index:
             raise UnknownSegment(f"segment {seg.name} not in system")
-        rows.append((1 << index[seg]) | (int(bool(value)) << n))
+        rows.append(((index[seg],), int(bool(value))))
     try:
         sol = gf2.solve_tagged(rows, n, 1)
     except Underdetermined as err:
@@ -417,23 +432,10 @@ def solve_map_rows(
     """
     n = m.n_vars
     n_in = len(ins)
-    model_rows, tags = m._rows
-    rows = list(model_rows)
-    dropped = []
-    for gap in cut_gaps:
-        m.gap_pair(gap)  # raises UnknownGap
-        dropped.append(tags[gap.wire][gap.index])
-    for at in sorted(dropped, reverse=True):
-        if at >= 0:
-            del rows[at]
-    for a, b in bridges:
-        if a != b:
-            rows.append(1 << a | 1 << b)
-    for i, v in enumerate(ins):
-        if v is not None:
-            rows.append(1 << v | 1 << (n + 1 + i))
-    for v, value in (pins or {}).items():
-        rows.append(1 << v | int(bool(value)) << n)
+    rows = m._rows_without(m.cut_gaps | cut_gaps)
+    rows += [((a, b), 0) for a, b in bridges if a != b]
+    rows += [((v,), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
+    rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
     sol = gf2.solve_tagged(rows, n, 1 + n_in)
     out_rows = [sol[v] for v in outs]
     return tuple(
@@ -480,7 +482,7 @@ def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
     ga = c.gate_by_id(g1)
     gb = c.gate_by_id(g2)
     if ga.id == gb.id or {ga.position, gb.position} not in ({a, b} for a, b in c.slots()):
-        raise NotAdjacent(f"gates {g1} and {g2} are not cyclically adjacent")
+        raise NotAdjacent(f"gates {quote_int(g1)} and {quote_int(g2)} are not cyclically adjacent")
     return not (ga.target == gb.control or gb.target == ga.control)
 
 

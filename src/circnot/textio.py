@@ -25,7 +25,7 @@ from .circuits import (
     LinearCircuit,
     LinearGate,
 )
-from .errors import CircuitSyntaxError, quote
+from .errors import CircuitSyntaxError, quote, quote_int
 from .icm import (
     BasisState,
     FaultSpec,
@@ -199,7 +199,7 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
             else:
                 seen, basis = meas_map, _parse_meas(tokens[2], ln)
             if q in seen:
-                raise CircuitSyntaxError(f"repeated {tokens[0]} line for qubit {q}", ln)
+                raise CircuitSyntaxError(f"repeated {tokens[0]} line for qubit {quote_int(q)}", ln)
             seen[q] = basis
         elif tokens[0] == "smgf" and len(tokens) == 2:
             faults.append(FaultSpec(gate=parse_index(tokens[1], "gate", ln)))
@@ -211,7 +211,7 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
         raise CircuitSyntaxError("ICM files describe linear circuits", 1)
     for q, ln in qubit_lines:
         if q >= circuit.n_qubits:
-            raise CircuitSyntaxError(f"qubit {q} out of range for {circuit.n_qubits} qubits", ln)
+            raise CircuitSyntaxError(f"qubit {quote_int(q)} out of range for {circuit.n_qubits} qubits", ln)
     configs = []
     for q in range(circuit.n_qubits):
         init = init_map.get(q, InitBasis.symbolic(f"q{q}"))

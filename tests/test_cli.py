@@ -232,6 +232,43 @@ def test_long_token_message_capped(tmp_path, swap_file, capsys, command, name, t
     assert len(err) < 150
 
 
+DIGITS = "7" * 4000
+# case -> (input file, its command, error message); {n} is the number in the
+# input and {swap}, {cuts}, {path} the files
+NUMBER_CASES = {
+    "circular": (
+        "circular\nwires 2\ncnot 0 {n}\n",
+        "parse {path}",
+        "wire-out-of-range: gate 0 references wire {n} of 2",
+    ),
+    "linear": (
+        "linear\nwires 2\ncnot 0 {n}\n",
+        "parse {path}",
+        "wire-out-of-range: gate at t=0 references qubit {n} of 2",
+    ),
+    "cut": ("cut 0 {n}\n", "derive {swap} --cuts {path}", "unknown-gap: wire 0 gap {n} does not exist"),
+    "repeated-cut": (
+        "cut 0 {n}\ncut 0 {n}\n",
+        "derive {swap} --cuts {path}",
+        "duplicate-cut: cut repeated at wire 0 gap {n}",
+    ),
+    "smgf": ("", "fault {swap} --cuts {cuts} --smgf {n}", "unknown-gate: no gate with id {n}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMBER_CASES))
+def test_out_of_range_number_message_capped(tmp_path, swap_file, cuts_file, capsys, case):
+    text, command, message = NUMBER_CASES[case]
+    path = tmp_path / "input"
+    # a short number is printed whole, as before; a long one as a prefix and its length
+    for n, shown in (("7", "7"), (DIGITS, "7" * 64 + "... (4000 digits)")):
+        path.write_text(text.format(n=n))
+        argv = command.format(n=n, swap=swap_file, cuts=cuts_file, path=path).split()
+        code, out = run(argv)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error {message.format(n=shown)}\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["derive"])

@@ -14,6 +14,13 @@ def bits(*cols):
     return mask
 
 
+def sparse(rows, n_vars):
+    """``solve_tagged``'s (variables, rhs) rows of bitmask rows ``coeffs | rhs << n_vars``."""
+    return [
+        (tuple(v for v in range(n_vars) if row >> v & 1), row >> n_vars) for row in rows
+    ]
+
+
 def test_rank_simple():
     # x0+x1, x1+x2, x0+x2 : third row is the sum of the first two
     rows = [bits(0, 1), bits(1, 2), bits(0, 2)]
@@ -39,7 +46,7 @@ def test_solve_tagged_unique():
         bits(0, 1),
         bits(0, 1, 2) | (0b100 << n),
     ]
-    sol = gf2.solve_tagged(rows, n, 3)
+    sol = gf2.solve_tagged(sparse(rows, n), n, 3)
     assert sol[0] == 0b10
     assert sol[1] == 0b10
     assert sol[2] == 0b100
@@ -47,14 +54,14 @@ def test_solve_tagged_unique():
 
 def test_solve_tagged_underdetermined():
     with pytest.raises(Underdetermined):
-        gf2.solve_tagged([bits(0, 1)], 2, 1)
+        gf2.solve_tagged(sparse([bits(0, 1)], 2), 2, 1)
 
 
 def test_solve_tagged_inconsistent():
     n = 1
     rows = [bits(0) | (1 << n), bits(0)]
     with pytest.raises(Inconsistent):
-        gf2.solve_tagged(rows, n, 1)
+        gf2.solve_tagged(sparse(rows, n), n, 1)
 
 
 def test_solution_space_enumeration():
@@ -132,7 +139,7 @@ def reference_solve(rows, n_vars):
 
 def solve_outcome(rows, n_vars, tag_width):
     try:
-        return gf2.solve_tagged(rows, n_vars, tag_width)
+        return gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width)
     except Underdetermined as err:
         return Underdetermined, err.free
     except Inconsistent:
@@ -171,8 +178,8 @@ def test_solve_tagged_triangular_propagates(seed):
     # consistent redundant rows ride along
     for _ in range(rng.randint(0, 5)):
         rows.append(rows[rng.randrange(n_vars)] ^ rows[rng.randrange(n_vars)])
-    assert gf2._propagate_units(rows, n_vars) is not None
-    assert gf2.solve_tagged(rows, n_vars, tag_width) == reference_solve(rows, n_vars)
+    assert gf2._propagate_units(sparse(rows, n_vars), n_vars) is not None
+    assert gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width) == reference_solve(rows, n_vars)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -180,8 +187,8 @@ def test_solve_tagged_no_unit_falls_back(seed):
     rng = random.Random(seed)
     n_vars, tag_width = rng.randint(3, 16), rng.randint(1, 6)
     rows = no_unit_full_rank_system(rng, n_vars, tag_width)
-    assert gf2._propagate_units(rows, n_vars) is None
-    assert gf2.solve_tagged(rows, n_vars, tag_width) == reference_solve(rows, n_vars)
+    assert gf2._propagate_units(sparse(rows, n_vars), n_vars) is None
+    assert gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width) == reference_solve(rows, n_vars)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -229,4 +236,12 @@ def test_solve_tagged_checks_reduction_without_assert(monkeypatch):
     monkeypatch.setattr(gf2, "_propagate_units", lambda rows, n_vars: None)
     monkeypatch.setattr(gf2, "_eliminate", lambda work, n_cols: {0: 0, 1: 1})
     with pytest.raises(RuntimeError):
-        gf2.solve_tagged([bits(0, 1), bits(1)], 2, 1)
+        gf2.solve_tagged(sparse([bits(0, 1), bits(1)], 2), 2, 1)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pack_inverts_sparse(seed):
+    rng = random.Random(seed)
+    n_vars, tag_width = rng.randint(1, 40), rng.randint(1, 6)
+    rows = triangular_system(rng, n_vars, tag_width)
+    assert gf2.pack(sparse(rows, n_vars), n_vars) == rows

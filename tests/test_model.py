@@ -40,7 +40,16 @@ from circnot.errors import (
 )
 from circnot import gf2
 from circnot import model as model_module
-from circnot.model import MAX_SEARCH_CANDIDATES, ClauseKind, ModelKind, SegmentId
+from circnot.circuits import LinearCircuit
+from circnot.icm import FaultSpec, faulted_transformations
+from circnot.model import (
+    MAX_SEARCH_CANDIDATES,
+    ClauseKind,
+    ModelKind,
+    SegmentId,
+    input_output_segments,
+    solve_map_rows,
+)
 from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
     SWAP_X_REF,
@@ -52,6 +61,7 @@ from helpers import (
     isomorphic_to_reference,
     mkcirc,
     mklin,
+    restrict_map,
     spanning_gap_index,
     swap_circular,
 )
@@ -406,6 +416,55 @@ class TestLargeDerivations:
         for d in (Direction.CW, Direction.CCW):
             derived = derive_transformations(c, record.seam, d)
             assert derived == oracle_map(linearize(c, record.seam, d))
+
+
+class TestSparseRows:
+    """Rows stay ``(variables, rhs)`` pairs from the model to the solver."""
+
+    @pytest.fixture
+    def no_packing(self, monkeypatch):
+        # bitmask rows exist only for Gauss-Jordan, which these never reach
+        def refuse(rows, n_vars):
+            raise AssertionError("rows were packed into bitmasks")
+
+        monkeypatch.setattr(gf2, "pack", refuse)
+
+    def test_large_derivation_packs_nothing(self, no_packing):
+        c, record = random_circularized(48 * 512, 48, 512)
+        for d in (Direction.CW, Direction.CCW):
+            assert derive_transformations(c, record.seam, d) == oracle_map(linearize(c, record.seam, d))
+
+    def test_fault_packs_nothing(self, no_packing):
+        c, record = random_circularized(8 * 64, 8, 64)
+        lin = linearize(c, record.seam, Direction.CW)
+        for gate in c.gates[::16]:
+            fd = faulted_transformations(c, record.seam, Direction.CW, FaultSpec(gate=gate.id))
+            kept = tuple(g for g in lin.gates if g.source != gate.id)
+            expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
+            assert fd.map == restrict_map(expected, fd.live_inputs, fd.live_outputs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cuts_on_model_and_call_merge(self, seed):
+        # joins cut on the model and joins cut by the call drop alike
+        rng = random.Random(seed)
+        c, record = random_circularized(seed, 4, 16)
+        every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
+        extra = rng.sample(sorted(every_gap - record.seam.gaps()), 2)
+        cuts = CutSet.of(sorted(record.seam.gaps() | set(extra)))
+        d = rng.choice([Direction.CW, Direction.CCW])
+        lin = linearize(c, cuts, d)
+        gaps = sorted(cuts.gaps())
+        derived = derive_transformations(c, cuts, d)
+        for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
+            m = build_model(c, kind)
+            ins, outs = input_output_segments(m, lin, d)
+            whole = solve_map_rows(m, cuts.gaps(), ins, outs)
+            assert whole == rows
+            for _ in range(6):
+                on_model = frozenset(rng.sample(gaps, rng.randint(0, len(gaps))))
+                # the call may repeat gaps already cut on the model
+                in_call = (cuts.gaps() - on_model) | frozenset(rng.sample(gaps, rng.randint(0, 2)))
+                assert solve_map_rows(apply_cuts(m, CutSet(on_model)), in_call, ins, outs) == whole
 
 
 class TestCommutation:

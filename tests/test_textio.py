@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from circnot import (
     CircularCircuit,
@@ -7,9 +9,10 @@ from circnot import (
     StabiliserMap,
     circularize,
     gadget,
+    linearize,
 )
 from circnot import textio
-from circnot.errors import CircuitSyntaxError, WireOutOfRange
+from circnot.errors import CircuitSyntaxError, WireOutOfRange, quote_int
 from circnot.icm import Role
 from circnot.textio import (
     MAX_WIRES,
@@ -187,6 +190,18 @@ class TestIcmTokens:
             parse_icm_file(f"linear\nwires 2\ncnot 0 1\nmeasure 0 {token}\n")
         assert str(err.value) == f"line 4: unknown measurement basis {'z' * 64!r}... (5000 chars)"
 
+    def test_long_qubit_number_shown_as_prefix_and_digits(self):
+        q = "9" * 4000
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_icm_file(f"linear\nwires 2\ncnot 0 1\ninit {q} zero\n")
+        assert str(err.value) == f"line 4: qubit {'9' * 64}... (4000 digits) out of range for 2 qubits"
+
+    def test_quote_int_cap(self):
+        # 64 digits are shown whole, a sign not counted; 65 are cut
+        assert quote_int(10**63) == str(10**63)
+        assert quote_int(-(10**63)) == str(-(10**63))
+        assert quote_int(10**64) == "1" + "0" * 63 + "... (65 digits)"
+
 
 class TestMapReport:
     def test_last_output_accepted(self):
@@ -234,3 +249,53 @@ class TestKvTree:
     def test_unbalanced_brace(self):
         with pytest.raises(CircuitSyntaxError):
             kv_loads("a {\nb 1\n")
+
+
+@st.composite
+def gate_pairs(draw):
+    """2-8 wires and up to 30 (control, target) pairs touching every wire."""
+    wires = draw(st.integers(2, 8))
+    # a wire and another one, drawn without rejection
+    pair = st.tuples(st.integers(0, wires - 1), st.integers(1, wires - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % wires)
+    )
+    pairs = draw(st.lists(pair, max_size=30 - wires))
+    for w in range(wires):
+        if not any(w in p for p in pairs):
+            pairs.insert(draw(st.integers(0, len(pairs))), (w, (w + 1) % wires))
+    return wires, pairs
+
+
+circuits = gate_pairs().flatmap(
+    lambda wp: st.sampled_from([mklin(*wp), circularize(mklin(*wp))[0]])
+)
+cut_sets = st.builds(
+    CutSet.of,
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=12, unique=True),
+)
+directions = st.none() | st.sampled_from(Direction)
+
+
+class TestRoundTripProperties:
+    """Every writer's output reads back as what was written (fixed profile)."""
+
+    @given(circuits)
+    def test_circuit(self, c):
+        assert parse_circuit(format_circuit(c)) == c
+        assert circuit_from_kv(kv_loads(kv_dumps(circuit_to_kv(c)))) == c
+
+    @given(cut_sets, directions)
+    def test_cut_set(self, cuts, direction):
+        assert parse_cut_file(format_cut_set(cuts, direction)) == (cuts, direction)
+        assert cut_set_from_kv(kv_loads(kv_dumps(cut_set_to_kv(cuts, direction)))) == (cuts, direction)
+
+    @given(gate_pairs())
+    def test_circularize_join_record_and_seam(self, wires_pairs):
+        lin = mklin(*wires_pairs)
+        circ, record = circularize(lin)
+        assert join_record_from_kv(kv_loads(kv_dumps(join_record_to_kv(record)))) == record
+        # the seam gives back the source gates, each qubit renamed to its wire
+        redone = linearize(circ, record.seam, Direction.CW)
+        assert redone.gate_pairs() == tuple(
+            (record.wire_of[g.control], record.wire_of[g.target]) for g in lin.gates
+        )
