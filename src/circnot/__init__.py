@@ -16,6 +16,7 @@ from .circuits import (
     enumerate_cut_points,
     linearize,
     radial_slots,
+    resolve_arcs,
     spanning_gaps,
     validate_cut_set,
 )

@@ -309,36 +309,80 @@ def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
     )
 
 
+def resolve_arcs(
+    c: CircularCircuit, cuts: CutSet, d: Direction
+) -> tuple[int, tuple[ArcOrigin, ...]]:
+    """Validate the cut set, pick the start slot and resolve every qubit's arc.
+
+    Raises what ``validate_cut_set`` raises. The start slot is the wrap slot
+    (before the first position) when it is radial, else the first radial
+    slot clockwise. Each arc between consecutive cuts on a wire is one
+    qubit, ordered by (wire, traversal order of the arc's clockwise start)
+    from the start slot's family gap; its ``ArcOrigin`` names the cuts in
+    the traversal direction.
+
+    Every wire's sweep returns to its start, so the wrap slot spans each
+    wire's last gap and testing it takes one look per wire. Only a cut set
+    without that family runs the full sweep of ``validate_cut_set``.
+    """
+    if not cuts.cuts:
+        raise EmptyCutSet("cut set is empty")
+    symbols = c._symbols
+    on_wire: list[list[tuple[int, Gap]]] = [[] for _ in symbols]
+    bad = []
+    for gap in cuts.cuts:
+        w, i = gap.wire, gap.index
+        if 0 <= w < c.wires and 0 <= i < len(symbols[w]):
+            on_wire[w].append((i, gap))
+        else:
+            bad.append(gap)
+    if bad:
+        gap = min(bad)
+        raise UnknownGap(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} does not exist")
+    for wire_cuts in on_wire:
+        wire_cuts.sort()  # indices are distinct on a wire
+    n_gates = len(c.gates)
+    if all(wire_cuts and wire_cuts[-1][0] == len(syms) - 1 for wire_cuts, syms in zip(on_wire, symbols)):
+        start = n_gates - 1
+        anchors = [len(syms) - 1 for syms in symbols]
+    else:
+        families = validate_cut_set(c, cuts)
+        start = next(iter(families))
+        anchors = families[start]
+    origins = []
+    for w, (wire_cuts, anchor) in enumerate(zip(on_wire, anchors)):
+        at = next(k for k, (i, _) in enumerate(wire_cuts) if i == anchor)
+        rotated = [gap for _, gap in wire_cuts[at:] + wire_cuts[:at]]
+        for a, b in zip(rotated, rotated[1:] + rotated[:1]):
+            origins.append(ArcOrigin(w, a, b) if d is Direction.CW else ArcOrigin(w, b, a))
+    return start, tuple(origins)
+
+
 def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     """Cut the circle open and read the gates off in the given direction.
 
-    Each arc between consecutive cuts on a wire becomes one qubit, ordered by
-    (wire, traversal order of the arc's clockwise start). Gate times count
-    from the chosen radial slot. Counter-clockwise reverses the gate order
-    and swaps input/output endpoints but keeps qubit indices.
+    ``resolve_arcs`` validates the cuts and gives the qubits and the start
+    slot; this emits the gates. Gate times count from the start slot.
+    Counter-clockwise reverses the gate order and swaps input/output
+    endpoints but keeps qubit indices.
     """
-    families = validate_cut_set(c, cuts)
+    start, origins = resolve_arcs(c, cuts, d)
     n_gates = len(c.gates)
-    # deterministic start: prefer the wrap slot (before the first position)
-    start = n_gates - 1 if n_gates - 1 in families else next(iter(families))
     if d is Direction.CW:
         order = [(start + 1 + k) % n_gates for k in range(n_gates)]
     else:
         order = [(start - k) % n_gates for k in range(n_gates)]
 
-    qubits: list[tuple[int, Gap, Gap]] = []  # (wire, cw start gap, cw end gap)
-    sym_to_qubit: list[dict[int, int]] = [dict() for _ in range(c.wires)]
-    for w in range(c.wires):
-        wire_cuts = sorted(g.index for g in cuts.cuts if g.wire == w)
-        anchor = families[start][w]
-        rotated = wire_cuts[wire_cuts.index(anchor):] + wire_cuts[: wire_cuts.index(anchor)]
-        k = c.symbol_count(w)
-        for a, b in zip(rotated, rotated[1:] + rotated[:1]):
-            q = len(qubits)
-            qubits.append((w, Gap(w, a), Gap(w, b)))
-            span = (b - a) % k or k
-            for step in range(1, span + 1):
-                sym_to_qubit[w][(a + step) % k] = q
+    # an arc holds the symbols after its clockwise start gap, through the
+    # one its clockwise end gap follows
+    sym_to_qubit = [[0] * c.symbol_count(w) for w in range(c.wires)]
+    for q, o in enumerate(origins):
+        a, b = (o.input_cut, o.output_cut) if d is Direction.CW else (o.output_cut, o.input_cut)
+        row = sym_to_qubit[o.wire]
+        k = len(row)
+        span = (b.index - a.index) % k or k
+        for step in range(1, span + 1):
+            row[(a.index + step) % k] = q
 
     # a gate's symbol on each of its wires is the gap spanning the slot after it
     qubit_pairs = [
@@ -348,12 +392,7 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     lin_gates = [
         LinearGate(*qubit_pairs[gi], time=t, source=c.gates[gi].id) for t, gi in enumerate(order)
     ]
-
-    origins = tuple(
-        ArcOrigin(w, a, b) if d is Direction.CW else ArcOrigin(w, b, a)
-        for (w, a, b) in qubits
-    )
-    return LinearCircuit(n_qubits=len(qubits), gates=tuple(lin_gates), origins=origins)
+    return LinearCircuit(n_qubits=len(origins), gates=tuple(lin_gates), origins=origins)
 
 
 def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:

@@ -14,10 +14,23 @@ def quote(token: str) -> str:
 
 
 def quote_int(n: int) -> str:
-    """A number whole up to ``QUOTE_CAP`` digits, else its first digits and digit count."""
-    text = str(n)
-    digits = len(text) - (n < 0)
-    return text if digits <= QUOTE_CAP else f"{text[:QUOTE_CAP]}... ({digits} digits)"
+    """A number whole up to ``QUOTE_CAP`` digits, else its first digits and digit count.
+
+    A longer number is measured by integer arithmetic, not formatted whole:
+    past 4,300 digits ``str`` refuses it.
+    """
+    if -(10**QUOTE_CAP) < n < 10**QUOTE_CAP:
+        return str(n)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    # 2**(bits - 1) <= n, so the estimate is the digit count or one short
+    digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1
+    while 10**digits <= n:
+        digits += 1
+    while 10 ** (digits - 1) > n:
+        digits -= 1
+    shown = QUOTE_CAP - len(sign)
+    return f"{sign}{n // 10 ** (digits - shown)}... ({digits} digits)"
 
 
 class CircnotError(Exception):

@@ -21,7 +21,7 @@ from .circuits import (
     LinearCircuit,
     LinearGate,
     circularize,
-    linearize,
+    resolve_arcs,
 )
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
 from .model import ModelKind, build_model, input_output_segments, solve_map_rows
@@ -416,24 +416,26 @@ def faulted_transformations(
     when both are fresh the severed neighbour segments are re-joined
     (teleported continuation); when one side was a real base endpoint the
     fresh continuation starts in |0>. Base qubits whose endpoint falls
-    inside the ancilla drop out of the map.
+    inside the ancilla drop out of the map. Both models are solved: the
+    pins make X and Z independent, so Z is not the inverse transpose of X
+    here as it is in ``derive_transformations``.
     """
-    lin = linearize(c, base, d)
+    _, origins = resolve_arcs(c, base, d)
     cuts, patch = inject_smgf(c, base, f)
     if models is None:
         models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
     xm, zm = models
-    n = lin.n_qubits
+    n = len(origins)
     base_gaps = base.gaps()
     cut_gaps = cuts.gaps()
     added = {g for g in (patch.before_gap, patch.after_gap) if g not in base_gaps}
     anc_in_gap = patch.before_gap if d is Direction.CW else patch.after_gap
     anc_out_gap = patch.after_gap if d is Direction.CW else patch.before_gap
     live_in = frozenset(
-        q for q, o in enumerate(lin.origins) if o.input_cut != anc_in_gap
+        q for q, o in enumerate(origins) if o.input_cut != anc_in_gap
     )
     live_out = frozenset(
-        q for q, o in enumerate(lin.origins) if o.output_cut != anc_out_gap
+        q for q, o in enumerate(origins) if o.output_cut != anc_out_gap
     )
 
     # the side of a gap a traversal leaves it by: its starting segment (cw)
@@ -442,7 +444,7 @@ def faulted_transformations(
 
     def model_rows(m, pin_value: bool):
         anc_first = m.gap_pair(anc_in_gap)[out_side]
-        ins, outs = input_output_segments(m, lin, d)
+        ins, outs = input_output_segments(m, origins, d)
         ins = [seg if q in live_in else None for q, seg in enumerate(ins)]
         pins = {anc_first: pin_value}
         bridges: tuple = ()

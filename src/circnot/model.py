@@ -33,6 +33,12 @@ the joins of their cut gaps with ``_rows_without``. ``SegmentId``,
 (``variables``, ``clauses``, ``gap_sides``, ``gap_join``,
 ``boundary_segments()``, ``dump()``), built on demand for the CLI, tests
 and ``propagate``.
+
+``derive_transformations`` builds and solves the X model only. A CNOT
+circuit acts symplectically, so its Z map is the inverse transpose of its
+X map, read off one ``gf2.invert`` (``StabiliserMap.from_x``). The Z model
+is solved where pins make the two flows independent (fault derivations
+in ``icm``) and serves ``propagate`` and ``circnot model``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .circuits import (
     CutSet,
     Direction,
     Gap,
-    linearize,
+    resolve_arcs,
     spanning_gaps,
 )
 from .errors import (
@@ -402,13 +408,13 @@ def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId,
     return {v: bool(sol[i]) for i, v in enumerate(s.variables)}
 
 
-def input_output_segments(m: BooleanModel, lin, d: Direction) -> tuple[list[int], list[int]]:
-    """Per linear qubit, the variables of its first and last segment under the traversal."""
+def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:
+    """Per linear qubit (``ArcOrigin``), the variables of its first and last segment under the traversal."""
     # the first segment starts after the input cut (cw) or ends before it
     # (ccw); the last one mirrors that
     first, last = (1, 0) if d is Direction.CW else (0, 1)
-    ins = [m.gap_pair(origin.input_cut)[first] for origin in lin.origins]
-    outs = [m.gap_pair(origin.output_cut)[last] for origin in lin.origins]
+    ins = [m.gap_pair(origin.input_cut)[first] for origin in origins]
+    outs = [m.gap_pair(origin.output_cut)[last] for origin in origins]
     return ins, outs
 
 
@@ -448,23 +454,27 @@ def derive_transformations(
     c: CircularCircuit,
     cuts: CutSet,
     d: Direction,
-    models: tuple[BooleanModel, BooleanModel] | None = None,
+    models: tuple[BooleanModel, BooleanModel | None] | None = None,
 ) -> StabiliserMap:
-    """Stabiliser map of the cut-induced circuit, from the parity models.
+    """Stabiliser map of the cut-induced circuit, from the X parity model.
 
-    Builds (or reuses) the X and Z models, drops the cut joins, pins each
-    qubit's first segment to a distinct symbolic input, and reads the map
-    off the unique solution. Truth of an output segment means the output
-    qubit carries that Pauli kind; signs are out of model.
+    Resolves the qubits' arcs (no gates are emitted), builds (or reuses)
+    the X model, drops the cut joins, pins each qubit's first segment to a
+    distinct symbolic input, and reads the X map off the unique solution.
+    Truth of an output segment means the output qubit carries that Pauli
+    kind; signs are out of model.
+
+    A CNOT circuit acts symplectically, so its Z map is the inverse
+    transpose of its X map: Z is read off one ``gf2.invert`` of the X rows
+    instead of a second solve. ``models`` is an (X, Z) pair for callers
+    that keep both; the Z entry is not read. The Z model stays the paper's
+    second equation set for faults, whose pins make X and Z independent,
+    and for ``propagate``.
     """
-    lin = linearize(c, cuts, d)
-    if models is None:
-        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-    cut_gaps = cuts.gaps()
-    x_out, z_out = (
-        solve_map_rows(m, cut_gaps, *input_output_segments(m, lin, d)) for m in models
-    )
-    return StabiliserMap(n_qubits=lin.n_qubits, x_out=x_out, z_out=z_out)
+    _, origins = resolve_arcs(c, cuts, d)
+    xm = build_model(c, ModelKind.X) if models is None else models[0]
+    x_out = solve_map_rows(xm, cuts.gaps(), *input_output_segments(xm, origins, d))
+    return StabiliserMap.from_x(len(origins), x_out)
 
 
 def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
@@ -514,12 +524,14 @@ def search_cuts(
     Each candidate is derived once, clockwise. The counter-clockwise reading
     is the same gate list reversed on the same qubits, and CNOTs are
     self-inverse, so its map is the inverse of the clockwise one: it
-    matches exactly when the clockwise map equals ``target.inverse()``. A
-    target that is singular (or names outputs beyond its qubits) has no
-    inverse and matches no counter-clockwise reading.
+    matches exactly when the clockwise map equals ``target.inverse()``.
 
     Raises ``SearchTooLarge``, before building any candidate, when the
-    candidate count could exceed ``MAX_SEARCH_CANDIDATES``.
+    candidate count could exceed ``MAX_SEARCH_CANDIDATES``. Below that
+    bound, and still before building anything, a target that is not of
+    the form every derived map has (X invertible, Z its inverse
+    transpose) returns no match: that covers singular targets and rows
+    naming outputs beyond the target's qubits.
     """
     if max_cuts < c.wires:
         raise BudgetTooSmall(f"need at least one cut per wire ({c.wires})")
@@ -530,21 +542,25 @@ def search_cuts(
     bound = len(c.gates) * comb(len(all_gaps) - c.wires, need - c.wires)
     if bound > MAX_SEARCH_CANDIDATES:
         raise SearchTooLarge(
-            f"search could build {bound} candidates, more than {MAX_SEARCH_CANDIDATES}",
+            f"search could build {quote_int(bound)} candidates, more than {MAX_SEARCH_CANDIDATES}",
             bound=bound,
             limit=MAX_SEARCH_CANDIDATES,
         )
+    # every derived map has Z the inverse transpose of X, so a target
+    # without that form matches no candidate in either direction
+    try:
+        if StabiliserMap.from_x(need, target.x_out) != target:
+            return []
+    except (Inconsistent, WireOutOfRange):
+        return []
     candidates = set()
     for span in spanning_gaps(c):
         family = set(enumerate(span))
         others = [gap for gap in all_gaps if gap not in family]
         for extra in combinations(others, need - c.wires):
             candidates.add(tuple(sorted(family.union(extra))))
-    try:
-        inverse = target.inverse()
-    except (Inconsistent, WireOutOfRange):
-        inverse = None
-    models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
+    inverse = target.inverse()
+    models = (build_model(c, ModelKind.X), None)
     found: list[tuple[CutSet, Direction]] = []
     for combo in sorted(candidates):
         cuts = CutSet.of(combo)

@@ -64,19 +64,38 @@ class StabiliserMap:
             z_out=tuple(rows["Z"][q] for q in range(n)),
         )
 
+    @classmethod
+    def from_x(cls, n_qubits: int, x_out: tuple[frozenset[int], ...]) -> "StabiliserMap":
+        """The map with these X rows whose Z rows are their inverse transpose.
+
+        Every CNOT circuit's map has this form: it acts symplectically, so
+        Z flow is the inverse transpose of X flow. Raises ``Inconsistent``
+        for singular X rows and ``WireOutOfRange`` for a row naming an
+        output outside ``0..n_qubits-1``.
+        """
+        inv = gf2.invert(_masks(x_out, n_qubits), n_qubits)
+        z_out = tuple(
+            frozenset(i for i, row in enumerate(inv) if row >> j & 1) for j in range(n_qubits)
+        )
+        return cls(n_qubits, x_out, z_out)
+
     def inverse(self) -> "StabiliserMap":
         """Map of the reversed circuit (CNOT lists are gate-wise self-inverse).
 
         Raises ``Inconsistent`` for a singular map and ``WireOutOfRange``
         for a row naming an output outside ``0..n_qubits-1``.
         """
-        def invert(rows: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
-            if any(not 0 <= o < self.n_qubits for outs in rows for o in outs):
-                raise WireOutOfRange(f"map row names an output outside {self.n_qubits} qubits")
-            masks = [sum(1 << o for o in outs) for outs in rows]
-            inv = gf2.invert(masks, self.n_qubits)
-            return tuple(
-                frozenset(j for j in range(self.n_qubits) if m >> j & 1) for m in inv
-            )
+        n = self.n_qubits
 
-        return StabiliserMap(self.n_qubits, invert(self.x_out), invert(self.z_out))
+        def invert(rows: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
+            inv = gf2.invert(_masks(rows, n), n)
+            return tuple(frozenset(j for j in range(n) if m >> j & 1) for m in inv)
+
+        return StabiliserMap(n, invert(self.x_out), invert(self.z_out))
+
+
+def _masks(rows: tuple[frozenset[int], ...], n_qubits: int) -> list[int]:
+    """Rows as GF(2) matrix rows, bit ``o`` for output ``o``."""
+    if any(not 0 <= o < n_qubits for outs in rows for o in outs):
+        raise WireOutOfRange(f"map row names an output outside {n_qubits} qubits")
+    return [sum(1 << o for o in outs) for outs in rows]

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's solver internals: unitary
 brute force uses numpy, truth-table counting evaluates the clauses as plain
 Boolean formulas, map conjugation is set algebra, and circuit generators
-build objects through the public constructors only. The one exception is
-``commutation_by_derivation``, the derivation-based reference that
-``check_commutation_invariance`` is tested against.
+build objects through the public constructors only. The exceptions are
+two solver-based references: ``commutation_by_derivation``, which
+``check_commutation_invariance`` is tested against, and
+``solve_model_map``/``derive_by_both_models``, which solve the Z model
+directly where ``derive_transformations`` reads Z off the X map.
 """
 
 from __future__ import annotations
@@ -25,10 +27,18 @@ from circnot import (
     StabiliserMap,
     build_model,
     derive_transformations,
+    enumerate_cut_points,
+    linearize,
     spanning_gaps,
 )
 from circnot.errors import NotAdjacent
-from circnot.model import BooleanModel, ClauseKind, ModelKind
+from circnot.model import (
+    BooleanModel,
+    ClauseKind,
+    ModelKind,
+    input_output_segments,
+    solve_map_rows,
+)
 
 
 def mkcirc(wires: int, pairs) -> CircularCircuit:
@@ -86,6 +96,49 @@ def spanning_gap_index(pairs, wire: int, slot: int) -> int:
     """
     touches = [k for k, (c, t) in enumerate(pairs) if wire in (c, t)]
     return (sum(1 for k in touches if k <= slot) - 1) % len(touches)
+
+
+def small_sweep_cut_sets():
+    """Every ``all_small_circuits(3, 4)`` circuit with each radial family plus 0-2 extra gaps.
+
+    Yields ``(circuit, cut sets)``; the cut sets of one circuit are distinct.
+    """
+    for c in all_small_circuits(3, 4):
+        gaps = [p.gap for p in enumerate_cut_points(c)]
+        cut_sets = set()
+        for slot in range(len(c.gates)):
+            family = {c.gap_spanning(w, slot) for w in range(c.wires)}
+            others = [gap for gap in gaps if gap not in family]
+            for k in range(3):
+                cut_sets.update(
+                    CutSet.of(family.union(extra)) for extra in itertools.combinations(others, k)
+                )
+        yield c, sorted(cut_sets, key=CutSet.sorted_gaps)
+
+
+# --- two-model derivation references -----------------------------------------
+
+
+def solve_model_map(c: CircularCircuit, cuts: CutSet, d: Direction, model: BooleanModel):
+    """Map rows of one parity model (X or Z), solved directly from that model."""
+    origins = linearize(c, cuts, d).origins
+    return solve_map_rows(model, cuts.gaps(), *input_output_segments(model, origins, d))
+
+
+def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models=None) -> StabiliserMap:
+    """Reference for ``derive_transformations``: solve the X and the Z model.
+
+    ``derive_transformations`` solves X only and reads Z as the inverse
+    transpose; this keeps the body that solved both, so the symplectic
+    tests compare derive with an independent Z solve, not with itself.
+    """
+    if models is None:
+        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
+    lin = linearize(c, cuts, d)
+    x_out, z_out = (
+        solve_map_rows(m, cuts.gaps(), *input_output_segments(m, lin.origins, d)) for m in models
+    )
+    return StabiliserMap(lin.n_qubits, x_out, z_out)
 
 
 # --- rotation algebra references --------------------------------------------

@@ -16,9 +16,12 @@ from circnot import (
     enumerate_cut_points,
     linearize,
     radial_slots,
+    resolve_arcs,
     spanning_gaps,
     validate_cut_set,
 )
+from circnot import circuits as circuits_module
+from circnot.circuits import ArcOrigin
 from circnot.errors import (
     ControlEqualsTarget,
     DuplicateCut,
@@ -29,7 +32,14 @@ from circnot.errors import (
     WireOutOfRange,
 )
 from circnot.textio import parse_circuit
-from helpers import all_small_circuits, mkcirc, mklin, spanning_gap_index, swap_circular
+from helpers import (
+    all_small_circuits,
+    mkcirc,
+    mklin,
+    small_sweep_cut_sets,
+    spanning_gap_index,
+    swap_circular,
+)
 
 
 class TestParsing:
@@ -225,6 +235,91 @@ class TestLinearize:
         for o_cw, o_ccw in zip(cw.origins, ccw.origins):
             assert o_cw.input_cut == o_ccw.output_cut
             assert o_cw.output_cut == o_ccw.input_cut
+
+
+def arcs_reference(c, cuts, d):
+    """Start slot and arc origins by the rule ``linearize`` always used.
+
+    Start at the wrap slot when it is radial, else at the first radial slot;
+    on each wire, the arcs run between consecutive sorted cuts, from the
+    start slot's family gap on.
+    """
+    families = validate_cut_set(c, cuts)
+    wrap = len(c.gates) - 1
+    start = wrap if wrap in families else min(families)
+    origins = []
+    for w in range(c.wires):
+        indices = sorted(g.index for g in cuts.gaps() if g.wire == w)
+        at = indices.index(families[start][w])
+        rotated = indices[at:] + indices[:at]
+        for a, b in zip(rotated, rotated[1:] + rotated[:1]):
+            ends = (Gap(w, a), Gap(w, b)) if d is Direction.CW else (Gap(w, b), Gap(w, a))
+            origins.append(ArcOrigin(w, *ends))
+    return start, tuple(origins)
+
+
+def error_of(fn, *args):
+    try:
+        fn(*args)
+    except (EmptyCutSet, UnknownGap, NoRadialCut) as err:
+        return type(err), str(err), getattr(err, "missing_by_slot", None)
+    return None
+
+
+class TestResolveArcs:
+    def test_small_sweep_matches_reference(self):
+        checked = 0
+        for c, cut_sets in small_sweep_cut_sets():
+            for cuts in cut_sets:
+                for d in Direction:
+                    expected = arcs_reference(c, cuts, d)
+                    assert resolve_arcs(c, cuts, d) == expected
+                    assert linearize(c, cuts, d).origins == expected[1]
+                    checked += 1
+        assert checked > 26000
+
+    def test_errors_match_validate_cut_set(self):
+        # every subset of up to three gaps, plus empty and unknown gaps
+        checked = 0
+        for c in all_small_circuits(3, 3):
+            gaps = [p.gap for p in enumerate_cut_points(c)]
+            unknown = [Gap(c.wires, 0), Gap(0, c.symbol_count(0)), Gap(-1, 0)]
+            cut_sets = [CutSet(frozenset()), CutSet.of(unknown), CutSet.of(gaps[:1] + unknown[1:])]
+            cut_sets += [CutSet.of(combo) for k in (1, 2, 3) for combo in itertools.combinations(gaps, k)]
+            for cuts in cut_sets:
+                expected = error_of(validate_cut_set, c, cuts)
+                for d in Direction:
+                    assert error_of(resolve_arcs, c, cuts, d) == expected
+                checked += expected is not None
+        assert checked > 1000
+
+    def test_wrap_slot_not_radial(self, swap):
+        # slot 0 (after gate 0) is radial, the wrap slot 2 is not
+        cuts = CutSet.of([(0, 0), (0, 1), (1, 0)])
+        assert radial_slots(swap, cuts) == [0]
+        g = lambda w, i: Gap(w, i)  # noqa: E731
+        cw = (ArcOrigin(0, g(0, 0), g(0, 1)), ArcOrigin(0, g(0, 1), g(0, 0)), ArcOrigin(1, g(1, 0), g(1, 0)))
+        assert resolve_arcs(swap, cuts, Direction.CW) == (0, cw)
+        ccw = tuple(ArcOrigin(o.wire, o.output_cut, o.input_cut) for o in cw)
+        assert resolve_arcs(swap, cuts, Direction.CCW) == (0, ccw)
+        # read from slot 0: gates 1, 2, 0; qubit 0 holds wire 0's symbol 1
+        lin = linearize(swap, cuts, Direction.CW)
+        assert [gate.source for gate in lin.gates] == [1, 2, 0]
+        assert lin.gate_pairs() == ((2, 0), (1, 2), (1, 2))
+
+    def test_radial_wrap_slot_needs_no_sweep(self, monkeypatch):
+        c, record = circularize(mklin(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+
+        def refuse(*args):
+            raise AssertionError("the radial slots were swept")
+
+        monkeypatch.setattr(circuits_module, "spanning_gaps", refuse)
+        monkeypatch.setattr(circuits_module, "validate_cut_set", refuse)
+        start, origins = resolve_arcs(c, record.seam, Direction.CW)
+        assert start == len(c.gates) - 1
+        assert [(o.wire, o.input_cut, o.output_cut) for o in origins] == [
+            (g.wire, g, g) for g in record.seam.sorted_gaps()
+        ]
 
 
 class TestCircularize:

@@ -164,6 +164,20 @@ def test_search_too_large_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == expected
 
 
+def test_search_too_large_bound_past_str_limit(tmp_path, capsys):
+    # the bound has over 4,300 digits, more than ``str`` formats
+    circ = tmp_path / "long.circ"
+    circ.write_text("circular\nwires 2\n" + "cnot 0 1\n" * 10_000)
+    target = tmp_path / "identity.map"
+    target.write_text("".join(f"{k}{q} -> {k}{{{q}}}\n" for k in "XZ" for q in range(10_000)))
+    code, out = run(["search", str(circ), "--target", str(target), "--max-cuts", "10000"])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error search-too-large: search could build ")
+    assert err.endswith(" digits) candidates, more than 100000\n")
+    assert len(err.encode()) < 200
+
+
 def test_empty_wire_message_capped(tmp_path, capsys):
     path = tmp_path / "sparse.circ"
     path.write_text("circular\nwires 65536\ncnot 0 1\n")

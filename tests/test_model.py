@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -38,6 +39,7 @@ from circnot.errors import (
     UnpinnedSelector,
     WireOutOfRange,
 )
+from circnot import circuits as circuits_module
 from circnot import gf2
 from circnot import model as model_module
 from circnot.circuits import LinearCircuit
@@ -58,10 +60,13 @@ from helpers import (
     commutation_by_derivation,
     conjugate_by_cnot,
     count_model_solutions,
+    derive_by_both_models,
     isomorphic_to_reference,
     mkcirc,
     mklin,
     restrict_map,
+    small_sweep_cut_sets,
+    solve_model_map,
     spanning_gap_index,
     swap_circular,
 )
@@ -403,13 +408,17 @@ class TestLargeDerivations:
     @pytest.mark.parametrize("wires,gates", [(16, 128), (32, 256), (64, 1024), (128, 4096)])
     def test_z_map_is_inverse_transpose_of_x_map(self, wires, gates):
         # CNOT circuits act symplectically: Z flow is the inverse transpose
-        # of X flow, a check that needs no oracle
+        # of X flow, a check that needs no oracle; derive reads Z off X, so
+        # Z comes from solving the Z model directly
         c, record = random_circularized(wires * gates, wires, gates)
+        zm = build_model(c, ModelKind.Z)
         for d in (Direction.CW, Direction.CCW):
             derived = derive_transformations(c, record.seam, d)
+            z_solved = solve_model_map(c, record.seam, d, zm)
             x_rows = [sum(1 << o for o in outs) for outs in derived.x_out]
-            z_rows = [sum(1 << o for o in outs) for outs in derived.z_out]
+            z_rows = [sum(1 << o for o in outs) for outs in z_solved]
             assert z_rows == transpose(gf2.invert(x_rows, wires), wires)
+            assert derived.z_out == z_solved
 
     def test_matches_oracle_at_64_wires_1024_gates(self):
         c, record = random_circularized(64, 64, 1024)
@@ -457,7 +466,7 @@ class TestSparseRows:
         derived = derive_transformations(c, cuts, d)
         for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
             m = build_model(c, kind)
-            ins, outs = input_output_segments(m, lin, d)
+            ins, outs = input_output_segments(m, lin.origins, d)
             whole = solve_map_rows(m, cuts.gaps(), ins, outs)
             assert whole == rows
             for _ in range(6):
@@ -623,21 +632,60 @@ class TestDirectionInverse:
 
     def test_small_sweep_with_extra_gaps(self):
         checked = 0
-        for c in all_small_circuits(3, 4):
+        for c, cut_sets in small_sweep_cut_sets():
             models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-            gaps = [p.gap for p in enumerate_cut_points(c)]
-            cut_sets = set()
-            for slot in range(len(c.gates)):
-                family = {c.gap_spanning(w, slot) for w in range(c.wires)}
-                others = [gap for gap in gaps if gap not in family]
-                for k in range(3):
-                    cut_sets.update(
-                        CutSet.of(family.union(extra)) for extra in itertools.combinations(others, k)
-                    )
             for cuts in cut_sets:
                 assert_ccw_inverts_cw(*derive_both_ways(c, cuts, models))
                 checked += 1
         assert checked > 13000
+
+
+def derive_or_error(derive, c, cuts, d, models):
+    try:
+        return derive(c, cuts, d, models=models)
+    except (Underdetermined, Inconsistent) as err:
+        return type(err)
+
+
+class TestDeriveFromXModel:
+    """Derive solves the X model only and reads Z as its inverse transpose."""
+
+    def test_small_sweep_matches_two_model_body(self):
+        # same maps as solving both models, and the same solver errors
+        checked = 0
+        for c, cut_sets in small_sweep_cut_sets():
+            models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
+            for cuts in cut_sets:
+                for d in Direction:
+                    derived = derive_or_error(derive_transformations, c, cuts, d, models)
+                    assert derived == derive_or_error(derive_by_both_models, c, cuts, d, models)
+                    checked += 1
+        assert checked > 26000
+
+    def test_builds_and_solves_x_model_only(self, monkeypatch):
+        c, record = random_circularized(3, 8, 64)
+        built, solved = [], []
+        real_build, real_solve = model_module.build_model, gf2.solve_tagged
+
+        def build(c, kind):
+            built.append(kind)
+            return real_build(c, kind)
+
+        def solve(rows, n_vars, tag_width):
+            solved.append(n_vars)
+            return real_solve(rows, n_vars, tag_width)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("derive emitted gates")
+
+        monkeypatch.setattr(model_module, "build_model", build)
+        monkeypatch.setattr(gf2, "solve_tagged", solve)
+        monkeypatch.setattr(circuits_module, "LinearGate", refuse)
+        derived = [derive_transformations(c, record.seam, d) for d in Direction]
+        assert built == [ModelKind.X, ModelKind.X]
+        assert len(solved) == 2
+        monkeypatch.undo()
+        assert derived == [oracle_map(linearize(c, record.seam, d)) for d in Direction]
 
 
 def identity_map(n):
@@ -648,7 +696,7 @@ def identity_map(n):
 class TestSearchOneDerivation:
     def test_one_linearize_per_candidate(self, swap, monkeypatch):
         # every cut set of ``need`` gaps holding a radial family is one
-        # candidate, linearized once (clockwise) and never twice
+        # candidate, whose arcs are resolved once (clockwise) and never twice
         pairs = [(g.control, g.target) for g in swap.gates]
         families = [
             {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(swap.wires)}
@@ -656,13 +704,13 @@ class TestSearchOneDerivation:
         ]
         gaps = [p.gap for p in enumerate_cut_points(swap)]
         calls = []
-        real_linearize = model_module.linearize
+        real_resolve_arcs = model_module.resolve_arcs
 
         def counted(c, cuts, d):
             calls.append((cuts, d))
-            return real_linearize(c, cuts, d)
+            return real_resolve_arcs(c, cuts, d)
 
-        monkeypatch.setattr(model_module, "linearize", counted)
+        monkeypatch.setattr(model_module, "resolve_arcs", counted)
         for need in (2, 3, 4):
             calls.clear()
             search_cuts(swap, identity_map(need), need)
@@ -704,6 +752,20 @@ class TestSearchBound:
         assert err.value.code == "search-too-large"
         assert err.value.details == {"bound": bound, "limit": MAX_SEARCH_CANDIDATES}
 
+    def test_bound_past_str_limit(self):
+        # the message caps the bound without formatting it; details keep it whole
+        c = mkcirc(2, [(0, 1)] * 10_000)
+        with pytest.raises(SearchTooLarge) as err:
+            search_cuts(c, identity_map(10_000), 10_000)
+        bound = 10_000 * math.comb(19_998, 9_998)
+        assert err.value.details["bound"] == bound
+        shown = re.fullmatch(
+            r"search could build (\d{64})\.\.\. \((\d+) digits\) candidates, more than 100000", str(err.value)
+        )
+        digits = int(shown[2])
+        assert 10 ** (digits - 1) <= bound < 10**digits
+        assert int(shown[1]) == bound // 10 ** (digits - 64)
+
     def test_limit_is_inclusive(self, swap, monkeypatch):
         # SWAP, 3 cuts: 3 slots x C(6 - 2, 3 - 2) = 12 candidates by the bound
         monkeypatch.setattr(model_module, "MAX_SEARCH_CANDIDATES", 12)
@@ -712,6 +774,35 @@ class TestSearchBound:
         with pytest.raises(SearchTooLarge) as err:
             search_cuts(swap, identity_map(3), 3)
         assert err.value.details == {"bound": 12, "limit": 11}
+
+
+class TestSearchImpossibleTarget:
+    """Targets no derived map can equal are refused before anything is built."""
+
+    @pytest.mark.parametrize(
+        "x_out,z_out",
+        [
+            (({0, 2}, {1}), ({0}, {1})),
+            (({0}, {0}), ({0}, {1})),
+            (({0}, {1}), ({1}, {0})),
+            (({0, 1}, {1}), ({0}, {1})),
+        ],
+        ids=["output-out-of-range", "singular", "z-not-inverse-transpose", "z-not-transposed"],
+    )
+    def test_refused_before_building(self, monkeypatch, x_out, z_out):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a candidate or model was built")
+
+        for name in ("spanning_gaps", "combinations", "build_model", "derive_transformations"):
+            monkeypatch.setattr(model_module, name, refuse)
+        c = mkcirc(2, [(0, 1), (1, 0), (0, 1)])
+        target = StabiliserMap(2, tuple(map(frozenset, x_out)), tuple(map(frozenset, z_out)))
+        assert search_cuts(c, target, 2) == []
+
+    def test_possible_target_still_searched(self, swap):
+        # the SWAP's seam reading is the swap map; its Z is its inverse transpose
+        swap_map = StabiliserMap(2, (frozenset({1}), frozenset({0})), (frozenset({1}), frozenset({0})))
+        assert (CutSet.of([(0, 2), (1, 2)]), Direction.CW) in search_cuts(swap, swap_map, 2)
 
 
 class TestSearchReference:
@@ -912,11 +1003,13 @@ class TestDeriveProperties:
             extra = data.draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
         cuts = CutSet.of(family + extra)
         n = c.wires + len(extra)
+        zm = build_model(c, ModelKind.Z)
         for d in Direction:
             derived = derive_transformations(c, cuts, d)
             assert derived == oracle_map(linearize(c, cuts, d))
+            # Z solved from the Z model, not read off derive's X map
             x_rows = [sum(1 << o for o in outs) for outs in derived.x_out]
-            z_rows = [sum(1 << o for o in outs) for outs in derived.z_out]
+            z_rows = [sum(1 << o for o in outs) for outs in solve_model_map(c, cuts, d, zm)]
             assert z_rows == transpose(gf2.invert(x_rows, n), n)
 
     @given(data=st.data())

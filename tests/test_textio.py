@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -202,6 +204,25 @@ class TestIcmTokens:
         assert quote_int(-(10**63)) == str(-(10**63))
         assert quote_int(10**64) == "1" + "0" * 63 + "... (65 digits)"
 
+
+    def test_quote_int_matches_str_below_its_limit(self):
+        # the capped form is computed without ``str`` on the whole number
+        def by_str(n):
+            text = str(n)
+            digits = len(text) - (n < 0)
+            return text if digits <= 64 else f"{text[:64]}... ({digits} digits)"
+
+        rng = random.Random(5)
+        for k in range(1, 200):
+            for n in (10**k, 10**k - 1, rng.randrange(10**k)):
+                assert quote_int(n) == by_str(n)
+                assert quote_int(-n) == by_str(-n)
+        big = rng.randrange(10**4000, 10**4200)
+        assert quote_int(big) == by_str(big)
+
+    def test_quote_int_past_str_limit(self):
+        assert quote_int(10**5000) == "1" + "0" * 63 + "... (5001 digits)"
+        assert quote_int(-(10**5000) + 1) == "-" + "9" * 63 + "... (5000 digits)"
 
 class TestMapReport:
     def test_last_output_accepted(self):
