@@ -456,7 +456,7 @@ def faulted_transformations(
                 pins[in_side] = pin_value
         sets = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges)
         return tuple(
-            frozenset(j for j in outs_set if j in live_out) if q in live_in else frozenset()
+            outs_set & live_out if q in live_in else frozenset()
             for q, outs_set in enumerate(sets)
         )
 

@@ -25,10 +25,10 @@ the model as integers, which is all a derivation reads:
 * each wire stores, per gap, the (ending, starting) variable pair;
 * a cut model records only its cut gaps, a pinned one only its selectors.
 
-The parity rows come from these integers once per model as sparse
-``(variables, rhs)`` pairs, the format ``gf2.solve_tagged`` reads, each
-join tagged by its gap; ``to_parity_system`` and ``solve_map_rows`` drop
-the joins of their cut gaps with ``_rows_without``. ``SegmentId``,
+``solve_map_rows`` writes its system from these integers over join
+classes, substituting away the joins the cuts leave, so no join row is
+built. ``to_parity_system`` lists every clause, joins included, as sparse
+``(variables, rhs)`` rows for ``propagate`` and the CLI. ``SegmentId``,
 ``Clause`` and ``Gap`` objects appear only in the model's views
 (``variables``, ``clauses``, ``gap_sides``, ``gap_join``,
 ``boundary_segments()``, ``dump()``), built on demand for the CLI, tests
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from . import gf2
@@ -167,48 +167,12 @@ class BooleanModel:
         raise UnknownGap(f"wire {quote_int(w)} gap {quote_int(i)} not in model")
 
     @cached_property
-    def _rows(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-        """The uncut model's sparse parity rows, gates first, and each gap's tag.
-
-        A row is ``(variables, 0)``: one per X or Z gate, two per combined
-        gate, one per join. ``tags[w][i]`` is the position of gap
-        ``(w, i)``'s join row, or -1 for a dropped self-join, so a cut
-        drops that row by position.
-        """
-        if self.kind is ModelKind.COMBINED:
-            rows = []
-            for gate_id, clause_vars in zip(self.gate_ids, self.gate_vars):
-                selector = self.selectors.get(gate_id)
-                if selector is None:
-                    raise UnpinnedSelector(f"combined clause for gate {gate_id} has no selector")
-                a, b, tc, td = clause_vars
-                # X reading: control passes through (a = b), target flips by control
-                pair = ((a, b), (a, tc, td)) if selector else ((tc, td), (tc, a, b))
-                rows += [(vs, 0) for vs in pair]
-        else:
-            rows = [(vs, 0) for vs in self.gate_vars]
-        tags = []
-        for pairs in self.gap_vars:
-            wire_tags = []
-            for end, start in pairs:
-                if end == start:
-                    wire_tags.append(-1)
-                else:
-                    wire_tags.append(len(rows))
-                    rows.append(((end, start), 0))
-            tags.append(tuple(wire_tags))
-        return tuple(rows), tuple(tags)
-
-    def _rows_without(self, gaps) -> list:
-        """The parity rows minus the joins of ``gaps`` (``UnknownGap`` outside the model)."""
-        rows, tags = self._rows
-        for gap in gaps:
-            self.gap_pair(gap)  # raises UnknownGap
-        rows = list(rows)
-        for at in sorted((tags[g.wire][g.index] for g in gaps), reverse=True):
-            if at >= 0:
-                del rows[at]
-        return rows
+    def _split_breaks(self) -> bytes:
+        """1 at each variable starting after a split symbol: ``gate_vars[k][1]`` in X and Z."""
+        breaks = bytearray(self.n_vars)
+        for vs in self.gate_vars:
+            breaks[vs[1]] = 1
+        return bytes(breaks)
 
     @cached_property
     def variables(self) -> tuple[SegmentId, ...]:
@@ -383,8 +347,26 @@ class ParitySystem:
 
 
 def to_parity_system(m: BooleanModel) -> ParitySystem:
-    """Translate every clause to its parity rows (requiring it true)."""
-    return ParitySystem(variables=m.variables, rows=tuple(m._rows_without(m.cut_gaps)))
+    """Translate every clause to its sparse parity rows (requiring it true).
+
+    A row is ``(variables, 0)``: one per X or Z gate, two per combined gate,
+    in gate order, then one per join the cuts leave, by (wire, gap). A
+    self-join (a wire with a single boundary) is dropped.
+    """
+    if m.kind is ModelKind.COMBINED:
+        rows = []
+        for gate_id, clause_vars in zip(m.gate_ids, m.gate_vars):
+            selector = m.selectors.get(gate_id)
+            if selector is None:
+                raise UnpinnedSelector(f"combined clause for gate {gate_id} has no selector")
+            a, b, tc, td = clause_vars
+            # X reading: control passes through (a = b), target flips by control
+            rows += ((a, b), (a, tc, td)) if selector else ((tc, td), (tc, a, b))
+    else:
+        rows = list(m.gate_vars)
+    for w, pairs in enumerate(m.gap_vars):
+        rows += [p for i, p in enumerate(pairs) if p[0] != p[1] and Gap(w, i) not in m.cut_gaps]
+    return ParitySystem(variables=m.variables, rows=tuple((vs, 0) for vs in rows))
 
 
 def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId, bool]:
@@ -418,6 +400,32 @@ def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[
     return ins, outs
 
 
+def _join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
+    """Class of each variable under the joins the cuts leave, and the class count.
+
+    Within a wire, variable ``v`` continues the class of ``v - 1``
+    (cyclically) unless a split symbol or a cut gap comes before it; a wire
+    with neither is one class.
+    """
+    breaks = bytearray(m._split_breaks)
+    for gap in cut_gaps:
+        breaks[m.gap_pair(gap)[1]] = 1  # raises UnknownGap
+    wires = list(zip(m.offsets, m.offsets[1:]))
+    firsts = []
+    for lo, hi in wires:
+        first = breaks.find(1, lo, hi)
+        if first < 0:
+            first = lo
+            breaks[lo] = 1
+        firsts.append(first)
+    # class of v: the breaks up to v, less one
+    cls = list(accumulate(breaks, initial=-1))[1:]
+    for (lo, hi), first in zip(wires, firsts):
+        # the wire's head continues its last class
+        cls[lo:first] = [cls[hi - 1]] * (first - lo)
+    return cls, breaks.count(1)
+
+
 def solve_map_rows(
     m: BooleanModel,
     cut_gaps: frozenset[Gap],
@@ -428,22 +436,36 @@ def solve_map_rows(
 ) -> tuple[frozenset[int], ...]:
     """Map rows of the cut system: per input, the outputs it reaches.
 
-    Segments are given by variable index. The solve is symbolic: input
-    ``i`` is pinned to right-hand-side bit ``1 + i`` (bit 0 is the constant
-    column used by ``pins``), so a single elimination yields every
-    single-input propagation at once. The joins of ``cut_gaps`` are left
-    out, ``None`` entries in ``ins`` skip a qubit and ``bridges`` equate
-    extra variable pairs. Only the linear part over the symbolic inputs is
-    read; pinned offsets in the constant column are not.
+    Segments are given by variable index of an X or Z model. The joins the
+    cuts (``cut_gaps`` and the model's own) leave are equalities, so they
+    are substituted away first: the system is written over join classes
+    (``_join_classes``) and holds no join row. The solve is symbolic:
+    input ``i`` is pinned to right-hand-side bit ``1 + i`` (bit 0 is the
+    constant column used by ``pins``), so a single elimination yields every
+    single-input propagation at once. ``None`` entries in ``ins`` skip a
+    qubit and ``bridges`` equate extra variable pairs. Only the linear part
+    over the symbolic inputs is read; pinned offsets in the constant column
+    are not. ``Underdetermined.free`` names the least variable of each
+    free class.
     """
-    n = m.n_vars
+    if m.kind is ModelKind.COMBINED:
+        raise ValueError("solve_map_rows takes an X or Z model, not a combined one")
+    cls, n = _join_classes(m, m.cut_gaps | cut_gaps)
     n_in = len(ins)
-    rows = m._rows_without(m.cut_gaps | cut_gaps)
-    rows += [((a, b), 0) for a, b in bridges if a != b]
-    rows += [((v,), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
-    rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
-    sol = gf2.solve_tagged(rows, n, 1 + n_in)
-    out_rows = [sol[v] for v in outs]
+    rows = []
+    for before, after, crossing in m.gate_vars:
+        a, b = cls[before], cls[after]
+        # a wire whose only break is this split joins its two sides
+        rows.append(((a, b, cls[crossing]) if a != b else (cls[crossing],), 0))
+    rows += [((cls[a], cls[b]), 0) for a, b in bridges if cls[a] != cls[b]]
+    rows += [((cls[v],), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
+    rows += [((cls[v],), int(bool(value))) for v, value in (pins or {}).items()]
+    try:
+        sol = gf2.solve_tagged(rows, n, 1 + n_in)
+    except Underdetermined as err:
+        least = {k: v for v, k in reversed(list(enumerate(cls)))}
+        raise Underdetermined(free=sorted(least[k] for k in err.free)) from None
+    out_rows = [sol[cls[v]] for v in outs]
     return tuple(
         frozenset(j for j, row in enumerate(out_rows) if row >> (1 + i) & 1)
         for i in range(n_in)

@@ -4,10 +4,12 @@ Everything here deliberately avoids the library's solver internals: unitary
 brute force uses numpy, truth-table counting evaluates the clauses as plain
 Boolean formulas, map conjugation is set algebra, and circuit generators
 build objects through the public constructors only. The exceptions are
-two solver-based references: ``commutation_by_derivation``, which
-``check_commutation_invariance`` is tested against, and
+three solver-based references: ``commutation_by_derivation``, which
+``check_commutation_invariance`` is tested against;
 ``solve_model_map``/``derive_by_both_models``, which solve the Z model
-directly where ``derive_transformations`` reads Z off the X map.
+directly where ``derive_transformations`` reads Z off the X map; and
+``solve_map_rows_with_joins``, which keeps one row per uncut join where
+``solve_map_rows`` solves over join classes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from circnot import (
     CNOTGate,
     CutSet,
     Direction,
+    Gap,
     LinearCircuit,
     LinearGate,
     StabiliserMap,
@@ -31,6 +34,7 @@ from circnot import (
     linearize,
     spanning_gaps,
 )
+from circnot import gf2
 from circnot.errors import NotAdjacent
 from circnot.model import (
     BooleanModel,
@@ -139,6 +143,35 @@ def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models
         solve_map_rows(m, cuts.gaps(), *input_output_segments(m, lin.origins, d)) for m in models
     )
     return StabiliserMap(lin.n_qubits, x_out, z_out)
+
+
+def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, bridges=()):
+    """Reference for ``solve_map_rows``: one join row per gap the cuts leave.
+
+    ``solve_map_rows`` substitutes the joins away and solves over join
+    classes; this keeps the system it replaced, over every model variable:
+    the gate rows, then the uncut joins by (wire, gap), bridges, inputs
+    and pins.
+    """
+    cut = m.cut_gaps | cut_gaps
+    for gap in cut:
+        m.gap_pair(gap)  # raises UnknownGap
+    rows = [(vs, 0) for vs in m.gate_vars]
+    rows += [
+        ((end, start), 0)
+        for w, pairs in enumerate(m.gap_vars)
+        for i, (end, start) in enumerate(pairs)
+        if end != start and Gap(w, i) not in cut
+    ]
+    rows += [((a, b), 0) for a, b in bridges if a != b]
+    rows += [((v,), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
+    rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
+    sol = gf2.solve_tagged(rows, m.n_vars, 1 + len(ins))
+    out_rows = [sol[v] for v in outs]
+    return tuple(
+        frozenset(j for j, row in enumerate(out_rows) if row >> (1 + i) & 1)
+        for i in range(len(ins))
+    )
 
 
 # --- rotation algebra references --------------------------------------------

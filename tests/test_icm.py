@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from circnot import (
     CutSet,
@@ -28,6 +30,7 @@ from circnot import (
     translate_to_icm,
 )
 from circnot.errors import CountMismatch, InvalidAncillaConfig, UnknownGate
+from circnot.icm import SINGLE_QUBIT_GATES
 from circnot.statevec import fidelity, kron_all, reduced_density, statevector_run
 from helpers import mklin, restrict_map
 
@@ -320,3 +323,38 @@ class TestInjectSmgf:
             )
             expected = restrict_map(oracle_map(reduced), fd.live_inputs, fd.live_outputs)
             assert equivalent_up_to_sign(fd.map, expected)
+
+
+@st.composite
+def icm_programs(draw):
+    """A random {cnot, t, tdg, p, pdg, v, h} program up to 4 qubits x 12 gates, every qubit touched."""
+    qubits = draw(st.integers(1, 4))
+    single = st.tuples(st.sampled_from(SINGLE_QUBIT_GATES), st.integers(0, qubits - 1))
+    ops = [single]
+    if qubits > 1:
+        cnot = st.tuples(st.integers(0, qubits - 1), st.integers(1, qubits - 1)).map(
+            lambda p: ("cnot", p[0], (p[0] + p[1]) % qubits)
+        )
+        ops.append(cnot)
+    program = draw(st.lists(st.one_of(ops), max_size=12 - qubits))
+    for q in range(qubits):
+        if not any(q in op[1:] for op in program):
+            program.insert(draw(st.integers(0, len(program))), draw(single.map(lambda op: (op[0], q))))
+    return program, qubits
+
+
+class TestFaultProperties:
+    """Faults on random translated programs (profiles in conftest)."""
+
+    @given(data=st.data())
+    def test_fault_equals_gate_deleted_oracle(self, data):
+        program, qubits = data.draw(icm_programs())
+        c, record = strip_and_circularize(translate_to_icm(program, qubits))
+        ids = data.draw(st.lists(st.sampled_from([g.id for g in c.gates]), min_size=1, max_size=2, unique=True))
+        for d in Direction:
+            lin = linearize(c, record.seam, d)
+            for gate in ids:
+                fd = faulted_transformations(c, record.seam, d, FaultSpec(gate=gate))
+                kept = tuple(g for g in lin.gates if g.source != gate)
+                expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
+                assert fd.map == restrict_map(expected, fd.live_inputs, fd.live_outputs)

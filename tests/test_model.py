@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -41,8 +42,9 @@ from circnot.errors import (
 )
 from circnot import circuits as circuits_module
 from circnot import gf2
+from circnot import icm as icm_module
 from circnot import model as model_module
-from circnot.circuits import LinearCircuit
+from circnot.circuits import LinearCircuit, resolve_arcs
 from circnot.icm import FaultSpec, faulted_transformations
 from circnot.model import (
     MAX_SEARCH_CANDIDATES,
@@ -66,6 +68,7 @@ from helpers import (
     mklin,
     restrict_map,
     small_sweep_cut_sets,
+    solve_map_rows_with_joins,
     solve_model_map,
     spanning_gap_index,
     swap_circular,
@@ -474,6 +477,110 @@ class TestSparseRows:
                 # the call may repeat gaps already cut on the model
                 in_call = (cuts.gaps() - on_model) | frozenset(rng.sample(gaps, rng.randint(0, 2)))
                 assert solve_map_rows(apply_cuts(m, CutSet(on_model)), in_call, ins, outs) == whole
+
+
+def solve_or_error(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except (Underdetermined, Inconsistent) as err:
+        return type(err)
+
+
+class TestJoinClasses:
+    """``solve_map_rows`` solves over join classes; the join-row solve is the reference."""
+
+    @staticmethod
+    def assert_same(m, cut_gaps, ins, outs, pins=None, bridges=()):
+        got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins, bridges)
+        assert got == solve_or_error(solve_map_rows_with_joins, m, cut_gaps, ins, outs, pins, bridges)
+        return got
+
+    def test_small_radial_families(self):
+        # each radial family alone and with one extra gap, both kinds, both ways
+        checked = 0
+        for c in all_small_circuits(3, 3):
+            gaps = [p.gap for p in enumerate_cut_points(c)]
+            models = [build_model(c, kind) for kind in (ModelKind.X, ModelKind.Z)]
+            for slot in range(len(c.gates)):
+                family = {c.gap_spanning(w, slot) for w in range(c.wires)}
+                for extra in [()] + [(gap,) for gap in gaps if gap not in family]:
+                    cuts = CutSet.of(family.union(extra))
+                    for d in Direction:
+                        _, origins = resolve_arcs(c, cuts, d)
+                        for m in models:
+                            ins, outs = input_output_segments(m, origins, d)
+                            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), tuple)
+                            checked += 1
+        assert checked > 1800
+
+    @pytest.mark.parametrize("wires,gates", [(16, 128), (32, 256), (64, 1024)])
+    def test_large_seeded(self, wires, gates):
+        rng = random.Random(wires)
+        c, record = random_circularized(wires * gates + 1, wires, gates)
+        every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
+        extra = rng.sample(sorted(every_gap - record.seam.gaps()), 3)
+        cuts = CutSet.of(sorted(record.seam.gaps() | set(extra)))
+        for kind, d in ((ModelKind.X, Direction.CW), (ModelKind.Z, Direction.CCW)):
+            m = build_model(c, kind)
+            ins, outs = input_output_segments(m, resolve_arcs(c, cuts, d)[1], d)
+            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), tuple)
+
+    def test_fault_pins_and_bridges(self, monkeypatch):
+        # every solve of a fault derivation, checked against the reference
+        shapes = set()
+
+        def both(m, cut_gaps, ins, outs, pins=None, bridges=()):
+            shapes.add((len(pins), len(bridges)))
+            return self.assert_same(m, cut_gaps, ins, outs, pins, bridges)
+
+        monkeypatch.setattr(icm_module, "solve_map_rows", both)
+        for seed in range(3):
+            rng = random.Random(seed)
+            c, record = random_circularized(seed, 5, 32)
+            every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
+            extra = rng.sample(sorted(every_gap - record.seam.gaps()), 6)
+            for base in (record.seam, CutSet.of(sorted(record.seam.gaps() | set(extra)))):
+                for gate in c.gates[seed::3]:
+                    for d in Direction:
+                        faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
+        # both fault gaps fresh (a bridge), one fresh (a second pin), none fresh
+        assert {(1, 1), (2, 0), (1, 0)} <= shapes
+
+    def test_non_radial_cut_sets_raise_alike(self):
+        # with no radial family, inputs after and outputs before each cut:
+        # most systems raise, and both solves raise the same class
+        raised = collections.Counter()
+        for c in all_small_circuits(3, 3):
+            gaps = [p.gap for p in enumerate_cut_points(c)]
+            families = [{c.gap_spanning(w, slot) for w in range(c.wires)} for slot in range(len(c.gates))]
+            models = [build_model(c, kind) for kind in (ModelKind.X, ModelKind.Z)]
+            for k in (1, 2, 3):
+                for chosen in itertools.combinations(gaps, k):
+                    if any(family <= set(chosen) for family in families):
+                        continue
+                    for m in models:
+                        ins = [m.gap_pair(gap)[1] for gap in chosen]
+                        outs = [m.gap_pair(gap)[0] for gap in chosen]
+                        got = self.assert_same(m, frozenset(chosen), ins, outs)
+                        raised[got if isinstance(got, type) else None] += 1
+        assert raised[Underdetermined] > 900 and raised[Inconsistent] > 1300
+
+    def test_free_names_least_variable_of_each_free_class(self, single_cnot):
+        # X model: wire 0 is variable 0; the target splits wire 1 into 1 and 2,
+        # which its uncut gap joins into one free class; the join-row solve
+        # names 2, its last pivot-free column
+        m = build_model(single_cnot, ModelKind.X)
+        with pytest.raises(Underdetermined) as err:
+            solve_map_rows(m, frozenset(), [], [])
+        assert err.value.free == [1]
+        with pytest.raises(Underdetermined) as err:
+            solve_map_rows_with_joins(m, frozenset(), [], [])
+        assert err.value.free == [2]
+
+    def test_combined_model_refused(self, single_cnot):
+        m = pin_selectors(build_model(single_cnot, ModelKind.COMBINED), {0: True})
+        with pytest.raises(ValueError, match="X or Z model"):
+            solve_map_rows(m, frozenset({Gap(0, 0), Gap(1, 0)}), [None, None], [])
 
 
 class TestCommutation:
