@@ -455,10 +455,9 @@ def faulted_transformations(
             if in_side != anc_first:
                 pins[in_side] = pin_value
         sets = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges)
-        return tuple(
-            outs_set & live_out if q in live_in else frozenset()
-            for q, outs_set in enumerate(sets)
-        )
+        return tuple([
+            outs_set & live_out if q in live_in else frozenset() for q, outs_set in enumerate(sets)
+        ])
 
     x_out = model_rows(xm, False)
     z_out = model_rows(zm, True)

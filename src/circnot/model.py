@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, pairwise
 from math import comb
 
 from . import gf2
@@ -410,17 +410,16 @@ def _join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
     breaks = bytearray(m._split_breaks)
     for gap in cut_gaps:
         breaks[m.gap_pair(gap)[1]] = 1  # raises UnknownGap
-    wires = list(zip(m.offsets, m.offsets[1:]))
-    firsts = []
-    for lo, hi in wires:
+    heads = []
+    for lo, hi in pairwise(m.offsets):
         first = breaks.find(1, lo, hi)
         if first < 0:
-            first = lo
-            breaks[lo] = 1
-        firsts.append(first)
+            breaks[lo] = 1  # a wire without a break is one class
+        elif first > lo:
+            heads.append((lo, first, hi))
     # class of v: the breaks up to v, less one
     cls = list(accumulate(breaks, initial=-1))[1:]
-    for (lo, hi), first in zip(wires, firsts):
+    for lo, first, hi in heads:
         # the wire's head continues its last class
         cls[lo:first] = [cls[hi - 1]] * (first - lo)
     return cls, breaks.count(1)
@@ -466,10 +465,13 @@ def solve_map_rows(
         least = {k: v for v, k in reversed(list(enumerate(cls)))}
         raise Underdetermined(free=sorted(least[k] for k in err.free)) from None
     out_rows = [sol[cls[v]] for v in outs]
-    return tuple(
+    # tuple() of a list, not of a generator: CPython over-allocates a
+    # generator's tuple and resizes it, and keeps the resized blocks in its
+    # tuple free lists until a full collection
+    return tuple([
         frozenset(j for j, row in enumerate(out_rows) if row >> (1 + i) & 1)
         for i in range(n_in)
-    )
+    ])
 
 
 def derive_transformations(

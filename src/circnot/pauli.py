@@ -109,7 +109,7 @@ def _rows_of(cols: list[int]) -> tuple[frozenset[int], ...]:
             low = col & -col
             rows[low.bit_length() - 1].append(q)
             col ^= low
-    return tuple(frozenset(r) for r in rows)
+    return tuple([frozenset(r) for r in rows])
 
 
 def equivalent_up_to_sign(a: StabiliserMap, b: StabiliserMap) -> bool:

@@ -74,9 +74,9 @@ class StabiliserMap:
         output outside ``0..n_qubits-1``.
         """
         inv = gf2.invert(_masks(x_out, n_qubits), n_qubits)
-        z_out = tuple(
+        z_out = tuple([
             frozenset(i for i, row in enumerate(inv) if row >> j & 1) for j in range(n_qubits)
-        )
+        ])
         return cls(n_qubits, x_out, z_out)
 
     def inverse(self) -> "StabiliserMap":
@@ -89,7 +89,7 @@ class StabiliserMap:
 
         def invert(rows: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
             inv = gf2.invert(_masks(rows, n), n)
-            return tuple(frozenset(j for j in range(n) if m >> j & 1) for m in inv)
+            return tuple([frozenset(j for j in range(n) if m >> j & 1) for m in inv])
 
         return StabiliserMap(n, invert(self.x_out), invert(self.z_out))
 
