@@ -39,19 +39,15 @@ from .icm import (
 )
 from .model import (
     BooleanModel,
-    Clause,
-    ClauseKind,
     ModelKind,
-    ParitySystem,
-    SegmentId,
     apply_cuts,
     build_model,
     check_commutation_invariance,
     derive_transformations,
+    parity_rows,
     pin_selectors,
     propagate,
     search_cuts,
-    to_parity_system,
 )
 from .dot import export_dot
 from .pauli import (

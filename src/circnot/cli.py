@@ -12,7 +12,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import textio
+from . import gf2, textio
 from .circuits import (
     CircularCircuit,
     CutSet,
@@ -32,8 +32,8 @@ from .model import (
     apply_cuts,
     build_model,
     derive_transformations,
+    parity_rows,
     search_cuts,
-    to_parity_system,
 )
 from .stabmap import StabiliserMap
 
@@ -118,6 +118,13 @@ def cmd_circularize(args, out) -> int:
     return 0
 
 
+def parity_text(rows, n_vars: int) -> str:
+    """Sparse parity rows as 0/1 text: per row, each variable's bit, then the constant."""
+    return "\n".join(
+        " ".join(str(row >> i & 1) for i in range(n_vars + 1)) for row in gf2.pack(rows, n_vars)
+    )
+
+
 def cmd_model(args, out) -> int:
     circuit = _require_circular(_load_circuit(args.circuit))
     model = build_model(circuit, ModelKind(args.kind))
@@ -126,7 +133,7 @@ def cmd_model(args, out) -> int:
         model = apply_cuts(model, cuts)
     _emit(out, model.dump())
     if args.parity:
-        _emit(out, to_parity_system(model).dump())
+        _emit(out, parity_text(parity_rows(model), model.n_vars))
     return 0
 
 

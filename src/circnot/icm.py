@@ -411,7 +411,8 @@ def faulted_transformations(
 ) -> FaultedDerivation:
     """Derive the stabiliser map of the circuit with one gate missing.
 
-    The fault ancilla's input is pinned false in the X model and true in
+    The fault ancilla's input is pinned to its |0> values,
+    ``FaultPatch.x_value`` (false) in the X model and ``z_value`` (true) in
     the Z model. Cuts the fault adds are transparent to the logical flow:
     when both are fresh the severed neighbour segments are re-joined
     (teleported continuation); when one side was a real base endpoint the
@@ -459,8 +460,8 @@ def faulted_transformations(
             outs_set & live_out if q in live_in else frozenset() for q, outs_set in enumerate(sets)
         ])
 
-    x_out = model_rows(xm, False)
-    z_out = model_rows(zm, True)
+    x_out = model_rows(xm, patch.x_value)
+    z_out = model_rows(zm, patch.z_value)
     return FaultedDerivation(
         cuts=cuts,
         patch=patch,

@@ -16,23 +16,20 @@ Segment boundaries per model kind:
   carries a selector that picks the X reading (true) or Z reading (false).
 
 ``build_model`` builds all three kinds with one segmentation and stores
-the model as integers, which is all a derivation reads:
+the model as integers, its only representation:
 
-* variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, so the
-  variables run wire by wire, each wire's segments clockwise;
-* each gate's clause is the tuple of its variable indices, in the order
-  of ``Clause.vars``;
+* variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, named
+  ``w<w>s<j>``, so the variables run wire by wire, each wire's segments
+  clockwise;
+* each gate's clause is the tuple of its variable indices;
 * each wire stores, per gap, the (ending, starting) variable pair;
-* a cut model records only its cut gaps, a pinned one only its selectors.
+* a cut model records only its cut gaps, a pinned one only its selectors;
+  ``BooleanModel.joins`` lists the joins the cuts leave.
 
 ``solve_map_rows`` writes its system from these integers over join
 classes, substituting away the joins the cuts leave, so no join row is
-built. ``to_parity_system`` lists every clause, joins included, as sparse
-``(variables, rhs)`` rows for ``propagate`` and the CLI. ``SegmentId``,
-``Clause`` and ``Gap`` objects appear only in the model's views
-(``variables``, ``clauses``, ``gap_sides``, ``gap_join``,
-``boundary_segments()``, ``dump()``), built on demand for the CLI, tests
-and ``propagate``.
+built. ``parity_rows`` lists every clause, joins included, as sparse
+``(variables, rhs)`` rows for ``propagate`` and ``circnot model --parity``.
 
 ``derive_transformations`` builds and solves the X model only. A CNOT
 circuit acts symplectically, so its Z map is the inverse transpose of its
@@ -43,6 +40,7 @@ in ``icm``) and serves ``propagate`` and ``circnot model``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -83,61 +81,20 @@ class ModelKind(Enum):
     COMBINED = "combined"
 
 
-class ClauseKind(Enum):
-    CNOT = "cnot"
-    JOIN = "join"
-    COMBINED_CNOT = "combined-cnot"
-
-
-@dataclass(frozen=True)
-class SegmentId:
-    """One wire segment of one model.
-
-    ``index`` is the clockwise rank of the segment's start boundary among
-    the wire's boundaries for that model kind, so segments from different
-    model kinds never compare equal.
-    """
-
-    wire: int
-    index: int
-    kind: "ModelKind"
-
-    @property
-    def name(self) -> str:
-        return f"w{self.wire}s{self.index}"
-
-
-@dataclass(frozen=True)
-class Clause:
-    """CNOT: vars = (split-before, split-after, crossing).
-    JOIN: vars = (segment ending at gap, segment starting at gap).
-    COMBINED_CNOT: vars = (control-before, control-after, target-before,
-    target-after) plus a selector pinned per query."""
-
-    kind: ClauseKind
-    vars: tuple[SegmentId, ...]
-    source_gate: int | None = None
-    source_gap: Gap | None = None
-    selector: bool | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class BooleanModel:
     """A parity model stored as integer variable indices.
 
-    Variable ``offsets[w] + j`` is segment ``j`` of wire ``w``; ``offsets``
-    has one entry per wire plus a last one, ``n_vars``. ``gate_vars[k]``
-    holds the clause variables of the circuit's ``k``-th gate by position,
-    in ``Clause.vars`` order, and ``gate_ids[k]`` that gate's id.
+    Variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, named
+    ``w<w>s<j>`` (``segment_name``); ``offsets`` has one entry per wire
+    plus a last one, ``n_vars``. ``gate_vars[k]`` holds the clause
+    variables of the circuit's ``k``-th gate by position and ``gate_ids[k]``
+    that gate's id: (split-before, split-after, crossing) in X and Z,
+    (control-before, control-after, target-before, target-after) combined.
     ``gap_vars[w][i]`` is the (ending, starting) variable pair of gap
     ``(w, i)``. ``apply_cuts`` records only ``cut_gaps`` and
-    ``pin_selectors`` only ``selectors`` (gate id -> selector); the clauses
-    they drop or pin follow from these.
-
-    ``variables``, ``clauses``, ``gap_sides``, ``gap_join``,
-    ``boundary_segments()`` and ``dump()`` are views: computed from the
-    integers on demand (the properties cached), as ``SegmentId``,
-    ``Clause`` and ``Gap`` objects. Deriving a map reads none of them.
+    ``pin_selectors`` only ``selectors`` (gate id -> selector); the joins
+    the cuts leave are listed by ``joins``.
     """
 
     kind: ModelKind
@@ -152,19 +109,17 @@ class BooleanModel:
     def n_vars(self) -> int:
         return self.offsets[-1]
 
-    def var_index(self, seg: SegmentId) -> int:
-        w, j = seg.wire, seg.index
-        if seg.kind is self.kind and 0 <= w < len(self.gap_vars):
-            if 0 <= j < self.offsets[w + 1] - self.offsets[w]:
-                return self.offsets[w] + j
-        raise KeyError(seg)
-
     def gap_pair(self, gap: Gap) -> tuple[int, int]:
         """The variables of the segments ending and starting at a gap."""
         w, i = gap.wire, gap.index
         if 0 <= w < len(self.gap_vars) and 0 <= i < len(self.gap_vars[w]):
             return self.gap_vars[w][i]
         raise UnknownGap(f"wire {quote_int(w)} gap {quote_int(i)} not in model")
+
+    def segment_name(self, v: int) -> str:
+        """``w<wire>s<index>`` of variable ``v``."""
+        w = bisect_right(self.offsets, v) - 1
+        return f"w{w}s{v - self.offsets[w]}"
 
     @cached_property
     def _split_breaks(self) -> bytes:
@@ -175,68 +130,31 @@ class BooleanModel:
         return bytes(breaks)
 
     @cached_property
-    def variables(self) -> tuple[SegmentId, ...]:
-        offsets, kind = self.offsets, self.kind
+    def joins(self) -> tuple[tuple[Gap, tuple[int, int]], ...]:
+        """The joins the cuts leave, by (wire, gap): each gap with its (ending, starting) pair.
+
+        A self-join (a wire with a single boundary) is a tautology and is
+        not listed.
+        """
         return tuple(
-            SegmentId(w, j, kind)
-            for w in range(len(offsets) - 1)
-            for j in range(offsets[w + 1] - offsets[w])
+            (Gap(w, i), pair)
+            for w, pairs in enumerate(self.gap_vars)
+            for i, pair in enumerate(pairs)
+            if pair[0] != pair[1] and Gap(w, i) not in self.cut_gaps
         )
 
-    @cached_property
-    def clauses(self) -> tuple[Clause, ...]:
-        """Gate clauses by gate position, then the uncut joins by (wire, gap)."""
-        segs = self.variables
-        kind = ClauseKind.COMBINED_CNOT if self.kind is ModelKind.COMBINED else ClauseKind.CNOT
-        gates = [
-            Clause(kind, tuple(segs[v] for v in vs), source_gate=gid, selector=self.selectors.get(gid))
-            for gid, vs in zip(self.gate_ids, self.gate_vars)
-        ]
-        joins = [
-            Clause(ClauseKind.JOIN, sides, source_gap=gap)
-            for gap, sides in self.gap_sides.items()
-            if sides[0] != sides[1] and gap not in self.cut_gaps
-        ]
-        return tuple(gates + joins)
-
-    @cached_property
-    def gap_sides(self) -> dict[Gap, tuple[SegmentId, SegmentId]]:
-        """Gap -> (segment ending here, segment starting here), cut or not."""
-        segs = self.variables
-        return {
-            Gap(w, i): (segs[end], segs[start])
-            for w, pairs in enumerate(self.gap_vars)
-            for i, (end, start) in enumerate(pairs)
-        }
-
-    @cached_property
-    def gap_join(self) -> dict:
-        """Gap -> its join clause, or None once cut or for a dropped self-join."""
-        joins = {cl.source_gap: cl for cl in self.clauses if cl.kind is ClauseKind.JOIN}
-        return {gap: joins.get(gap) for gap in self.gap_sides}
-
-    def cnot_clauses(self) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.kind is not ClauseKind.JOIN)
-
-    def join_clauses(self) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.kind is ClauseKind.JOIN)
-
-    def boundary_segments(self) -> frozenset[SegmentId]:
-        """Segments adjacent to a cut gap: input/output candidates."""
-        return frozenset(seg for gap in self.cut_gaps for seg in self.gap_sides[gap])
-
     def dump(self) -> str:
-        """One clause per line; segment names are ``w<wire>s<index>``."""
-        lines = []
-        for cl in self.clauses:
-            names = [v.name for v in cl.vars]
-            if cl.kind is ClauseKind.CNOT:
-                lines.append(f"C {names[0]} {names[1]} {names[2]}")
-            elif cl.kind is ClauseKind.JOIN:
-                lines.append(f"J {names[0]} {names[1]}")
-            else:
-                sel = "-" if cl.selector is None else ("1" if cl.selector else "0")
-                lines.append(f"F {' '.join(names)} x={sel}")
+        """Gate clauses by position, then ``joins``; one per line, segments by name."""
+        name = self.segment_name
+        if self.kind is ModelKind.COMBINED:
+            lines = []
+            for gid, vs in zip(self.gate_ids, self.gate_vars):
+                sel = self.selectors.get(gid)
+                sel = "-" if sel is None else ("1" if sel else "0")
+                lines.append(f"F {' '.join(map(name, vs))} x={sel}")
+        else:
+            lines = [f"C {' '.join(map(name, vs))}" for vs in self.gate_vars]
+        lines += [f"J {name(a)} {name(b)}" for _, (a, b) in self.joins]
         return "\n".join(lines)
 
 
@@ -319,39 +237,11 @@ def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
     return replace(m, cut_gaps=m.cut_gaps | cuts.gaps())
 
 
-@dataclass(frozen=True)
-class ParitySystem:
-    """GF(2) system of sparse ``(variables, constant)`` rows, packed to query."""
-
-    variables: tuple[SegmentId, ...]
-    rows: tuple[tuple[tuple[int, ...], int], ...]
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.variables)
-
-    def rank(self) -> int:
-        return gf2.rank(gf2.pack(self.rows, self.n_vars), self.n_vars + 1)
-
-    def dump(self) -> str:
-        lines = []
-        for row in gf2.pack(self.rows, self.n_vars):
-            bits = [(row >> i) & 1 for i in range(self.n_vars + 1)]
-            lines.append(" ".join(str(b) for b in bits))
-        return "\n".join(lines)
-
-    def solutions(self):
-        """All satisfying assignments as SegmentId->bool dicts (small systems)."""
-        for mask in gf2.enumerate_solutions(gf2.pack(self.rows, self.n_vars), self.n_vars):
-            yield {v: bool(mask >> i & 1) for i, v in enumerate(self.variables)}
-
-
-def to_parity_system(m: BooleanModel) -> ParitySystem:
-    """Translate every clause to its sparse parity rows (requiring it true).
+def parity_rows(m: BooleanModel) -> list[tuple[tuple[int, ...], int]]:
+    """Every clause as sparse ``(variables, rhs)`` parity rows (requiring it true).
 
     A row is ``(variables, 0)``: one per X or Z gate, two per combined gate,
-    in gate order, then one per join the cuts leave, by (wire, gap). A
-    self-join (a wire with a single boundary) is dropped.
+    in gate order, then one per entry of ``m.joins``.
     """
     if m.kind is ModelKind.COMBINED:
         rows = []
@@ -364,30 +254,31 @@ def to_parity_system(m: BooleanModel) -> ParitySystem:
             rows += ((a, b), (a, tc, td)) if selector else ((tc, td), (tc, a, b))
     else:
         rows = list(m.gate_vars)
-    for w, pairs in enumerate(m.gap_vars):
-        rows += [p for i, p in enumerate(pairs) if p[0] != p[1] and Gap(w, i) not in m.cut_gaps]
-    return ParitySystem(variables=m.variables, rows=tuple((vs, 0) for vs in rows))
+    rows += [pair for _, pair in m.joins]
+    return [(vs, 0) for vs in rows]
 
 
-def propagate(s: ParitySystem, inputs: dict[SegmentId, bool]) -> dict[SegmentId, bool]:
+def propagate(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
     """Pin the given variables and complete the assignment uniquely.
 
-    Raises Underdetermined when a free variable remains (a missing radial
-    cut) and Inconsistent when the pins contradict the system.
+    Solves ``parity_rows(m)`` plus one row per pin, over every segment
+    variable. Raises UnknownSegment for a pin outside ``0..n_vars-1``,
+    Underdetermined (free segments by name) when a free variable remains
+    (a missing radial cut) and Inconsistent when the pins contradict the
+    system.
     """
-    n = s.n_vars
-    rows = list(s.rows)
-    index = {v: i for i, v in enumerate(s.variables)}
-    for seg, value in inputs.items():
-        if seg not in index:
-            raise UnknownSegment(f"segment {seg.name} not in system")
-        rows.append(((index[seg],), int(bool(value))))
+    n = m.n_vars
+    rows = parity_rows(m)
+    for v, value in pins.items():
+        if not 0 <= v < n:
+            raise UnknownSegment(f"variable {quote_int(v)} not in a model of {n} variables")
+        rows.append(((v,), int(bool(value))))
     try:
         sol = gf2.solve_tagged(rows, n, 1)
     except Underdetermined as err:
-        free = [s.variables[i].name for i in (err.free or [])]
+        free = [m.segment_name(i) for i in (err.free or [])]
         raise Underdetermined(f"free segments remain: {free}", free=free) from None
-    return {v: bool(sol[i]) for i, v in enumerate(s.variables)}
+    return [bool(bit) for bit in sol]
 
 
 def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:

@@ -1,9 +1,11 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Everything here deliberately avoids the library's solver internals: unitary
-brute force uses numpy, truth-table counting evaluates the clauses as plain
-Boolean formulas, map conjugation is set algebra, and circuit generators
-build objects through the public constructors only. The exceptions are
+brute force uses numpy, truth-table counting evaluates the model's integer
+clauses (``gate_vars``, selectors and ``joins``) as plain Boolean formulas,
+map conjugation is set algebra, and circuit generators build objects
+through the public constructors only. The exceptions are
+``parity_solutions``, which enumerates ``parity_rows`` through ``gf2``, and
 three solver-based references: ``commutation_by_derivation``, which
 ``check_commutation_invariance`` is tested against;
 ``solve_model_map``/``derive_by_both_models``, which solve the Z model
@@ -38,9 +40,9 @@ from circnot import gf2
 from circnot.errors import NotAdjacent
 from circnot.model import (
     BooleanModel,
-    ClauseKind,
     ModelKind,
     input_output_segments,
+    parity_rows,
     solve_map_rows,
 )
 
@@ -276,35 +278,42 @@ def circuit_unitary(n: int, pairs) -> np.ndarray:
 # --- truth-table oracle for Boolean models ----------------------------------
 
 
-def clause_truth(model: BooleanModel, assignment: dict) -> bool:
-    """Evaluate the model as a plain Boolean formula (no linear algebra)."""
-    for cl in model.clauses:
-        if cl.kind is ClauseKind.CNOT:
-            a, b, crossing = (assignment[v] for v in cl.vars)
-            if not (a ^ b ^ (not crossing)):
-                return False
-        elif cl.kind is ClauseKind.JOIN:
-            r, t = (assignment[v] for v in cl.vars)
-            if not ((not r) ^ t):
-                return False
-        else:
-            a, b, c, d = (assignment[v] for v in cl.vars)
-            x = cl.selector
+def clause_truth(model: BooleanModel, assignment) -> bool:
+    """Evaluate the model as a plain Boolean formula (no linear algebra).
+
+    ``assignment[v]`` is the value of variable ``v``.
+    """
+    for gate_id, clause_vars in zip(model.gate_ids, model.gate_vars):
+        if model.kind is ModelKind.COMBINED:
+            a, b, c, d = (assignment[v] for v in clause_vars)
+            x = model.selectors.get(gate_id)
             lhs = x and (a ^ c ^ (not d)) and (a ^ (not b))
             rhs = (not x) and (c ^ a ^ (not b)) and (c ^ (not d))
             if not (lhs ^ rhs):
                 return False
+        else:
+            a, b, crossing = (assignment[v] for v in clause_vars)
+            if not (a ^ b ^ (not crossing)):
+                return False
+    for _, (r, t) in model.joins:
+        if not ((not assignment[r]) ^ assignment[t]):
+            return False
     return True
 
 
 def count_model_solutions(model: BooleanModel) -> int:
-    n = len(model.variables)
+    n = model.n_vars
     count = 0
     for bits in range(1 << n):
-        assignment = {v: bool(bits >> i & 1) for i, v in enumerate(model.variables)}
-        if clause_truth(model, assignment):
+        if clause_truth(model, [bool(bits >> i & 1) for i in range(n)]):
             count += 1
     return count
+
+
+def parity_solutions(model: BooleanModel) -> list[int]:
+    """Every solution of ``parity_rows(model)``, bit ``v`` for variable ``v`` (small models)."""
+    n = model.n_vars
+    return list(gf2.enumerate_solutions(gf2.pack(parity_rows(model), n), n))
 
 
 # Clause-shape references for the circular SWAP models, written over abstract
@@ -320,16 +329,16 @@ SWAP_Z_REF = {
 
 
 def isomorphic_to_reference(model, ref) -> bool:
-    """Match clause-variable incidence against a reference up to renaming."""
-    cnots = [c for c in model.clauses if c.kind is ClauseKind.CNOT]
-    joins = [frozenset(c.vars) for c in model.clauses if c.kind is ClauseKind.JOIN]
+    """Match an X or Z model's clause-variable incidence against a reference up to renaming."""
+    cnots = list(model.gate_vars)
+    joins = [frozenset(pair) for _, pair in model.joins]
     if len(cnots) != len(ref["cnots"]) or len(joins) != len(ref["joins"]):
         return False
     for perm in itertools.permutations(range(len(cnots))):
         mapping = {}
         ok = True
         for mi, ri in enumerate(perm):
-            before, after, crossing = cnots[mi].vars
+            before, after, crossing = cnots[mi]
             for seg, label in (
                 (crossing, ref["cnots"][ri][0]),
                 (before, ref["cnots"][ri][1]),

@@ -37,7 +37,7 @@ from circnot import (
     validate_cut_set,
 )
 from circnot.errors import NoRadialCut
-from circnot.model import ModelKind, apply_cuts, build_model, to_parity_system
+from circnot.model import ModelKind, apply_cuts, build_model
 from circnot.pauli import PauliString, propagate_pauli
 from circnot.statevec import INIT_STATES, fidelity, kron_all, statevector_run
 from conftest import SWAP_CUT_FIXTURES
@@ -48,6 +48,7 @@ from helpers import (
     isomorphic_to_reference,
     mkcirc,
     mklin,
+    parity_solutions,
     restrict_map,
     swap_circular,
 )
@@ -156,9 +157,9 @@ def test_criterion_1_swap_model_structure(swap):
         xm = build_model(swap, ModelKind.X)
         zm = build_model(swap, ModelKind.Z)
         for m, ref in ((xm, SWAP_X_REF), (zm, SWAP_Z_REF)):
-            assert len(m.variables) == 9
-            assert len(m.cnot_clauses()) == 3
-            assert len(m.join_clauses()) == 6
+            assert m.n_vars == 9
+            assert len(m.gate_vars) == 3
+            assert len(m.joins) == 6
             assert isomorphic_to_reference(m, ref)
         assert time.perf_counter() - t0 < 1.0
 
@@ -217,10 +218,9 @@ def test_criterion_4_exhaustive_oracle_equivalence(sweep):
 def test_criterion_5_pinned_clause_solutions(single_cnot):
     with criterion(5, "pinning one split true leaves exactly the two complementary solutions"):
         m = apply_cuts(build_model(single_cnot, ModelKind.X), CutSet.of([(0, 0), (1, 0)]))
-        clause = m.cnot_clauses()[0]
-        before, after, crossing = clause.vars
-        sols = [s for s in to_parity_system(m).solutions() if s[before]]
-        assert {(s[crossing], s[after]) for s in sols} == {(True, False), (False, True)}
+        before, after, crossing = m.gate_vars[0]
+        sols = [s for s in parity_solutions(m) if s >> before & 1]
+        assert {(s >> crossing & 1, s >> after & 1) for s in sols} == {(1, 0), (0, 1)}
         assert len(sols) == 2
 
 

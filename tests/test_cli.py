@@ -1,10 +1,15 @@
+import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from circnot.cli import main
 from circnot.errors import EmptyWire
@@ -402,6 +407,205 @@ def test_model_parity_golden(tmp_path, swap_file, capsys, kind, cut):
     assert (code, out) == MODEL_PARITY_GOLDEN[kind, cut]
     if code:
         assert "error unpinned-selector:" in capsys.readouterr().err
+
+
+# A 4-wire circuit whose wire 2 holds one control and wire 3 one target, so
+# the X model drops wire 2's self-join and the Z model wire 3's. The cut
+# file holds a radial family plus gap (0, 2), and cuts wire 2's gap even
+# where its join was already dropped.
+FOUR_WIRE_CIRC = "circular\nwires 4\ncnot 2 0\ncnot 0 1\ncnot 1 3\ncnot 1 0\n"
+FOUR_WIRE_CUTS = "cut 0 0\ncut 0 2\ncut 1 0\ncut 2 0\ncut 3 0\n"
+UNPINNED_ERR = "error unpinned-selector: combined clause for gate 0 has no selector\n"
+# ``model --parity`` (exit status, stdout, stderr) on that circuit
+FOUR_WIRE_MODEL_GOLDEN = {
+    ("x", False): (
+        0,
+        "C w0s4 w0s0 w2s0\n"
+        "C w1s3 w1s0 w0s1\n"
+        "C w3s1 w3s0 w1s1\n"
+        "C w0s2 w0s3 w1s2\n"
+        "J w0s0 w0s1\n"
+        "J w0s1 w0s2\n"
+        "J w0s3 w0s4\n"
+        "J w1s0 w1s1\n"
+        "J w1s1 w1s2\n"
+        "J w1s2 w1s3\n"
+        "J w3s0 w3s1\n"
+        "1 0 0 0 1 0 0 0 0 1 0 0 0\n"
+        "0 1 0 0 0 1 0 0 1 0 0 0 0\n"
+        "0 0 0 0 0 0 1 0 0 0 1 1 0\n"
+        "0 0 1 1 0 0 0 1 0 0 0 0 0\n"
+        "1 1 0 0 0 0 0 0 0 0 0 0 0\n"
+        "0 1 1 0 0 0 0 0 0 0 0 0 0\n"
+        "0 0 0 1 1 0 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 1 1 0 0 0 0 0 0\n"
+        "0 0 0 0 0 0 1 1 0 0 0 0 0\n"
+        "0 0 0 0 0 0 0 1 1 0 0 0 0\n"
+        "0 0 0 0 0 0 0 0 0 0 1 1 0\n",
+        "",
+    ),
+    ("x", True): (
+        0,
+        "C w0s4 w0s0 w2s0\n"
+        "C w1s3 w1s0 w0s1\n"
+        "C w3s1 w3s0 w1s1\n"
+        "C w0s2 w0s3 w1s2\n"
+        "J w0s1 w0s2\n"
+        "J w1s1 w1s2\n"
+        "J w1s2 w1s3\n"
+        "1 0 0 0 1 0 0 0 0 1 0 0 0\n"
+        "0 1 0 0 0 1 0 0 1 0 0 0 0\n"
+        "0 0 0 0 0 0 1 0 0 0 1 1 0\n"
+        "0 0 1 1 0 0 0 1 0 0 0 0 0\n"
+        "0 1 1 0 0 0 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 0 1 1 0 0 0 0 0\n"
+        "0 0 0 0 0 0 0 1 1 0 0 0 0\n",
+        "",
+    ),
+    ("z", False): (
+        0,
+        "C w2s1 w2s0 w0s3\n"
+        "C w0s0 w0s1 w1s4\n"
+        "C w1s0 w1s1 w3s0\n"
+        "C w1s2 w1s3 w0s2\n"
+        "J w0s3 w0s0\n"
+        "J w0s1 w0s2\n"
+        "J w0s2 w0s3\n"
+        "J w1s4 w1s0\n"
+        "J w1s1 w1s2\n"
+        "J w1s3 w1s4\n"
+        "J w2s0 w2s1\n"
+        "0 0 0 1 0 0 0 0 0 1 1 0 0\n"
+        "1 1 0 0 0 0 0 0 1 0 0 0 0\n"
+        "0 0 0 0 1 1 0 0 0 0 0 1 0\n"
+        "0 0 1 0 0 0 1 1 0 0 0 0 0\n"
+        "1 0 0 1 0 0 0 0 0 0 0 0 0\n"
+        "0 1 1 0 0 0 0 0 0 0 0 0 0\n"
+        "0 0 1 1 0 0 0 0 0 0 0 0 0\n"
+        "0 0 0 0 1 0 0 0 1 0 0 0 0\n"
+        "0 0 0 0 0 1 1 0 0 0 0 0 0\n"
+        "0 0 0 0 0 0 0 1 1 0 0 0 0\n"
+        "0 0 0 0 0 0 0 0 0 1 1 0 0\n",
+        "",
+    ),
+    ("z", True): (
+        0,
+        "C w2s1 w2s0 w0s3\n"
+        "C w0s0 w0s1 w1s4\n"
+        "C w1s0 w1s1 w3s0\n"
+        "C w1s2 w1s3 w0s2\n"
+        "J w0s1 w0s2\n"
+        "J w1s1 w1s2\n"
+        "J w1s3 w1s4\n"
+        "0 0 0 1 0 0 0 0 0 1 1 0 0\n"
+        "1 1 0 0 0 0 0 0 1 0 0 0 0\n"
+        "0 0 0 0 1 1 0 0 0 0 0 1 0\n"
+        "0 0 1 0 0 0 1 1 0 0 0 0 0\n"
+        "0 1 1 0 0 0 0 0 0 0 0 0 0\n"
+        "0 0 0 0 0 1 1 0 0 0 0 0 0\n"
+        "0 0 0 0 0 0 0 1 1 0 0 0 0\n",
+        "",
+    ),
+    ("combined", False): (
+        1,
+        "F w2s1 w2s0 w0s5 w0s0 x=-\n"
+        "F w0s1 w0s2 w1s5 w1s0 x=-\n"
+        "F w1s1 w1s2 w3s1 w3s0 x=-\n"
+        "F w1s3 w1s4 w0s3 w0s4 x=-\n"
+        "J w0s0 w0s1\n"
+        "J w0s2 w0s3\n"
+        "J w0s4 w0s5\n"
+        "J w1s0 w1s1\n"
+        "J w1s2 w1s3\n"
+        "J w1s4 w1s5\n"
+        "J w2s0 w2s1\n"
+        "J w3s0 w3s1\n",
+        UNPINNED_ERR,
+    ),
+    ("combined", True): (
+        1,
+        "F w2s1 w2s0 w0s5 w0s0 x=-\n"
+        "F w0s1 w0s2 w1s5 w1s0 x=-\n"
+        "F w1s1 w1s2 w3s1 w3s0 x=-\n"
+        "F w1s3 w1s4 w0s3 w0s4 x=-\n"
+        "J w0s2 w0s3\n"
+        "J w1s2 w1s3\n"
+        "J w1s4 w1s5\n",
+        UNPINNED_ERR,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,cut", sorted(FOUR_WIRE_MODEL_GOLDEN))
+def test_model_parity_golden_self_joins(tmp_path, capsys, kind, cut):
+    circ = tmp_path / "four.circ"
+    circ.write_text(FOUR_WIRE_CIRC)
+    argv = ["model", str(circ), "--kind", kind, "--parity"]
+    if cut:
+        path = tmp_path / "four.cuts"
+        path.write_text(FOUR_WIRE_CUTS)
+        argv += ["--cuts", str(path)]
+    code, out = run(argv)
+    assert (code, out, capsys.readouterr().err) == FOUR_WIRE_MODEL_GOLDEN[kind, cut]
+
+
+# Junk for ``circnot model``: a well-formed circuit and cut file, each with
+# at most one line inserted or replaced by a bad directive (bad, negative,
+# huge, signed or non-ASCII numbers; wrong arity; wrong header) or by
+# arbitrary text. Cut gaps may lie past a wire's symbols and repeat.
+_BAD_LINES = [
+    "", "linear", "circular", "circular x", "wires", "wires 0", "wires 1", "wires 65537",
+    "wires 1111111111111111111111111", "cnot 0", "cnot 0 0", "cnot 0 9", "cnot -1 0",
+    "cnot +1 0", "cnot \u0663 0", "cnot 0 1 2", "cut 0", "cut -1 0", "cut 0 99999999999999999999",
+    "direction", "direction up", "direction cw", "# comment", "smgf 0",
+]
+_bad_line = st.sampled_from(_BAD_LINES) | st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+
+
+def _spoil(draw, lines: list) -> str:
+    edit = draw(st.none() | st.tuples(st.integers(0, len(lines)), st.booleans(), _bad_line))
+    if edit is not None:
+        at, replace, line = edit
+        lines[at : at + replace] = [line]
+    return "\n".join(lines)
+
+
+@st.composite
+def _model_inputs(draw):
+    wires = draw(st.integers(2, 4))
+    # a wire and another one, drawn without rejection
+    pair = st.tuples(st.integers(0, wires - 1), st.integers(1, wires - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % wires)
+    )
+    pairs = draw(st.lists(pair, max_size=8))
+    circuit = ["circular", f"wires {wires}", *(f"cnot {c} {t}" for c, t in pairs)]
+    gaps = draw(st.lists(st.tuples(st.integers(0, wires - 1), st.integers(0, 4)), max_size=6))
+    cuts = [f"cut {w} {i}" for w, i in gaps]
+    cuts += draw(st.lists(st.sampled_from(["direction cw", "direction ccw"]), max_size=1))
+    cut_text = _spoil(draw, cuts) if draw(st.booleans()) else None
+    return _spoil(draw, circuit), cut_text
+
+
+@given(_model_inputs(), st.sampled_from(["x", "z", "combined"]))
+def test_model_fuzz_exits_cleanly(texts, kind):
+    circuit_text, cut_text = texts
+    # junk input ends in exit 0, or in exit 1 with one ``error <code>:`` line
+    with tempfile.TemporaryDirectory() as tmp:
+        circ = Path(tmp, "junk.circ")
+        circ.write_text(circuit_text, encoding="utf-8")
+        argv = ["model", str(circ), "--kind", kind, "--parity"]
+        if cut_text is not None:
+            cuts = Path(tmp, "junk.cuts")
+            cuts.write_text(cut_text, encoding="utf-8")
+            argv += ["--cuts", str(cuts)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert re.fullmatch(r"error [a-z-]+: [^\n]*\n", err.getvalue())
 
 
 def test_derive_rejects_linear_circuit(tmp_path, cuts_file, capsys):

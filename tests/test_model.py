@@ -22,9 +22,9 @@ from circnot import (
     linearize,
     oracle_map,
     pin_selectors,
+    parity_rows,
     propagate,
     search_cuts,
-    to_parity_system,
 )
 from circnot.errors import (
     BudgetTooSmall,
@@ -45,12 +45,11 @@ from circnot import gf2
 from circnot import icm as icm_module
 from circnot import model as model_module
 from circnot.circuits import LinearCircuit, resolve_arcs
+from circnot.cli import parity_text
 from circnot.icm import FaultSpec, faulted_transformations
 from circnot.model import (
     MAX_SEARCH_CANDIDATES,
-    ClauseKind,
     ModelKind,
-    SegmentId,
     input_output_segments,
     solve_map_rows,
 )
@@ -66,6 +65,7 @@ from helpers import (
     isomorphic_to_reference,
     mkcirc,
     mklin,
+    parity_solutions,
     restrict_map,
     small_sweep_cut_sets,
     solve_map_rows_with_joins,
@@ -78,16 +78,16 @@ from helpers import (
 class TestBuildModel:
     def test_swap_x_structure(self, swap):
         m = build_model(swap, ModelKind.X)
-        assert len(m.variables) == 9
-        assert len(m.cnot_clauses()) == 3
-        assert len(m.join_clauses()) == 6
+        assert m.n_vars == 9
+        assert len(m.gate_vars) == 3
+        assert len(m.joins) == 6
         assert isomorphic_to_reference(m, SWAP_X_REF)
 
     def test_swap_z_structure(self, swap):
         m = build_model(swap, ModelKind.Z)
-        assert len(m.variables) == 9
-        assert len(m.cnot_clauses()) == 3
-        assert len(m.join_clauses()) == 6
+        assert m.n_vars == 9
+        assert len(m.gate_vars) == 3
+        assert len(m.joins) == 6
         assert isomorphic_to_reference(m, SWAP_Z_REF)
 
     def test_swap_x_and_z_mutually_isomorphic(self, swap):
@@ -108,30 +108,28 @@ class TestBuildModel:
 
     def test_single_cnot_x(self, single_cnot):
         m = build_model(single_cnot, ModelKind.X)
-        assert len(m.variables) == 3
-        assert len(m.cnot_clauses()) == 1
-        assert len(m.join_clauses()) == 1
+        assert m.n_vars == 3
+        assert len(m.gate_vars) == 1
         # the target gap keeps its join; the control gap self-join is dropped
-        assert m.gap_join[Gap(1, 0)] is not None
-        assert m.gap_join[Gap(0, 0)] is None
+        assert [gap for gap, _ in m.joins] == [Gap(1, 0)]
+        end, start = m.gap_pair(Gap(0, 0))
+        assert end == start
 
     def test_counts_invariant_exhaustive(self):
         for c in all_small_circuits(max_wires=3, max_gates=3):
             n_gaps = len(enumerate_cut_points(c))
             for kind in (ModelKind.X, ModelKind.Z):
                 m = build_model(c, kind)
-                assert len(m.cnot_clauses()) == len(c.gates)
-                self_joins = sum(1 for cl in m.gap_join.values() if cl is None)
-                assert len(m.join_clauses()) == n_gaps - self_joins
+                assert len(m.gate_vars) == len(c.gates)
+                self_joins = sum(1 for pairs in m.gap_vars for end, start in pairs if end == start)
+                assert len(m.joins) == n_gaps - self_joins
             # every symbol splits in the combined model: two segments per
             # symbol, so no wire is left with a single boundary
             m = build_model(c, ModelKind.COMBINED)
-            assert [cl.kind for cl in m.cnot_clauses()] == [ClauseKind.COMBINED_CNOT] * len(c.gates)
+            assert [len(vs) for vs in m.gate_vars] == [4] * len(c.gates)
             for w in range(c.wires):
-                segs = [v for v in m.variables if v.wire == w]
-                assert len(segs) == 2 * c.symbol_count(w)
-            assert all(cl is not None for cl in m.gap_join.values())
-            assert len(m.join_clauses()) == n_gaps
+                assert m.offsets[w + 1] - m.offsets[w] == 2 * c.symbol_count(w)
+            assert len(m.joins) == n_gaps
 
 
 class TestCombinedModel:
@@ -139,41 +137,39 @@ class TestCombinedModel:
         single = mkcirc(2, [(0, 1)])
         m = pin_selectors(build_model(single, ModelKind.COMBINED), {0: value})
         m = apply_cuts(m, CutSet.of([(0, 0), (1, 0)]))
-        clause = next(c for c in m.clauses if c.kind is ClauseKind.COMBINED_CNOT)
-        return m, clause
+        return m, m.gate_vars[0]
 
     def test_x_spreads_control_to_target(self):
         m, cl = self._cut_pinned(True)
-        a, b, c, d = cl.vars
-        sol = propagate(to_parity_system(m), {a: True, c: False})
+        a, b, c, d = cl
+        sol = propagate(m, {a: True, c: False})
         assert sol[d] is True
         assert sol[b] is True  # control unchanged: a equivalent to b
 
     def test_z_spreads_target_to_control(self):
         m, cl = self._cut_pinned(False)
-        a, b, c, d = cl.vars
-        sol = propagate(to_parity_system(m), {c: True, a: False})
+        a, b, c, d = cl
+        sol = propagate(m, {c: True, a: False})
         assert sol[b] is True
         assert sol[d] is True  # target unchanged: c equivalent to d
 
     def test_zero_input_zero_output(self):
         m, cl = self._cut_pinned(True)
-        a, b, c, d = cl.vars
-        sol = propagate(to_parity_system(m), {a: False, c: False})
+        a, b, c, d = cl
+        sol = propagate(m, {a: False, c: False})
         assert sol[b] is False and sol[d] is False
 
     def test_unpinned_selector_rejected(self, single_cnot):
         m = build_model(single_cnot, ModelKind.COMBINED)
         with pytest.raises(UnpinnedSelector):
-            to_parity_system(m)
+            parity_rows(m)
 
     def test_selector_reduction_matches_split_models(self, single_cnot):
         # pinned-true solutions over (a, c, d) with a == b equal the X-model
         # clause's; pinned-false likewise for the Z model
         for value, kind in ((True, ModelKind.X), (False, ModelKind.Z)):
             cm = pin_selectors(build_model(single_cnot, ModelKind.COMBINED), {0: value})
-            clause = next(c for c in cm.clauses if c.kind is ClauseKind.COMBINED_CNOT)
-            a, b, c, d = clause.vars
+            a, b, c, d = cm.gate_vars[0]
             combined = set()
             for bits in itertools.product([False, True], repeat=4):
                 assignment = dict(zip((a, b, c, d), bits))
@@ -194,8 +190,7 @@ class TestCombinedModel:
                     )
                     combined.add(key)
             sm = build_model(single_cnot, kind)
-            cl = sm.cnot_clauses()[0]
-            before, after, crossing = cl.vars
+            before, after, crossing = sm.gate_vars[0]
             split = set()
             for bits in itertools.product([False, True], repeat=3):
                 assignment = dict(zip((crossing, before, after), bits))
@@ -208,16 +203,16 @@ class TestApplyCuts:
     def test_radial_removal(self, swap, swap_cut_sets):
         m = build_model(swap, ModelKind.X)
         cut = apply_cuts(m, swap_cut_sets["swap"])
-        assert len(cut.join_clauses()) == 4
-        assert cut.gap_join[Gap(0, 2)] is None
-        assert cut.gap_join[Gap(1, 2)] is None
-        assert cut.variables == m.variables
-        assert len(cut.boundary_segments()) == 4
+        assert len(cut.joins) == 4
+        assert Gap(0, 2) not in dict(cut.joins)
+        assert Gap(1, 2) not in dict(cut.joins)
+        assert (cut.offsets, cut.gap_vars) == (m.offsets, m.gap_vars)
+        assert len({v for gap in cut.cut_gaps for v in cut.gap_pair(gap)}) == 4
 
     def test_teleported_cnot_removal(self, swap, swap_cut_sets):
         for kind in (ModelKind.X, ModelKind.Z):
             cut = apply_cuts(build_model(swap, kind), swap_cut_sets["teleported-cnot"])
-            assert len(cut.join_clauses()) == 2
+            assert len(cut.joins) == 2
 
     def test_duplicate_cut(self, swap, swap_cut_sets):
         m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
@@ -232,17 +227,11 @@ class TestApplyCuts:
         # removing joins only ever grows the solution set
         m = build_model(swap, ModelKind.X)
         base_count = count_model_solutions(m)
-        solutions = {
-            tuple(sorted((v.name, val) for v, val in s.items()))
-            for s in to_parity_system(m).solutions()
-        }
+        solutions = set(parity_solutions(m))
         assert len(solutions) == base_count
         for gap in (Gap(0, 2), Gap(1, 2), Gap(0, 0)):
             cut = apply_cuts(m, CutSet.of([gap]))
-            cut_solutions = {
-                tuple(sorted((v.name, val) for v, val in s.items()))
-                for s in to_parity_system(cut).solutions()
-            }
+            cut_solutions = set(parity_solutions(cut))
             assert cut_solutions >= solutions
             solutions = cut_solutions
             m = cut
@@ -253,25 +242,24 @@ class TestApplyCuts:
         # the tautological clause evaluated explicitly
         m = build_model(single_cnot, ModelKind.X)
         dropped_count = count_model_solutions(m)
-        seg = m.gap_sides[Gap(0, 0)][0]
-        assert m.gap_sides[Gap(0, 0)] == (seg, seg)
+        seg = m.gap_pair(Gap(0, 0))[0]
+        assert m.gap_pair(Gap(0, 0)) == (seg, seg)
         # not(s) xor s is always true, so the count cannot change
-        assert dropped_count == len(list(to_parity_system(m).solutions()))
+        assert dropped_count == len(parity_solutions(m))
 
 
 class TestParitySystem:
+    """``parity_rows`` as a GF(2) system: solutions, rank and the ``--parity`` text."""
+
     def test_homogeneous_zero_solution(self, swap):
-        s = to_parity_system(build_model(swap, ModelKind.X))
-        zero = {v: False for v in s.variables}
-        assert any(sol == zero for sol in s.solutions())
+        assert 0 in parity_solutions(build_model(swap, ModelKind.X))
 
     def test_cut_swap_rank_seven(self, swap, swap_cut_sets):
         cut = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
-        s = to_parity_system(cut)
         # independent oracle: truth-table count gives 2^(n-rank)
         count = count_model_solutions(cut)
         assert count == 2 ** (9 - 7)
-        assert s.rank() == 7
+        assert gf2.rank(gf2.pack(parity_rows(cut), 9), 10) == 7
 
     def test_eq6_unit_property(self, single_cnot):
         # pinning the control-side split true leaves exactly one of the
@@ -279,16 +267,14 @@ class TestParitySystem:
         m = apply_cuts(
             build_model(single_cnot, ModelKind.Z), CutSet.of([(0, 0), (1, 0)])
         )
-        clause = m.cnot_clauses()[0]
-        before, after, crossing = clause.vars
-        s = to_parity_system(m)
-        sols = [sol for sol in s.solutions() if sol[before]]
-        projected = {(sol[crossing], sol[after]) for sol in sols}
-        assert projected == {(True, False), (False, True)}
+        before, after, crossing = m.gate_vars[0]
+        sols = [sol for sol in parity_solutions(m) if sol >> before & 1]
+        projected = {(sol >> crossing & 1, sol >> after & 1) for sol in sols}
+        assert projected == {(1, 0), (0, 1)}
 
     def test_dump_shape(self, swap):
-        s = to_parity_system(build_model(swap, ModelKind.X))
-        lines = s.dump().splitlines()
+        m = build_model(swap, ModelKind.X)
+        lines = parity_text(parity_rows(m), m.n_vars).splitlines()
         assert len(lines) == 9
         assert all(len(line.split()) == 10 for line in lines)
         assert all(line.split()[-1] == "0" for line in lines)
@@ -298,42 +284,48 @@ class TestPropagate:
     def test_swap_exchanges(self, swap, swap_cut_sets):
         m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
         lin = linearize(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_sides[o.input_cut][1] for o in lin.origins]
-        outs = [m.gap_sides[o.output_cut][0] for o in lin.origins]
-        sol = propagate(to_parity_system(m), {ins[0]: True, ins[1]: False})
+        ins = [m.gap_pair(o.input_cut)[1] for o in lin.origins]
+        outs = [m.gap_pair(o.output_cut)[0] for o in lin.origins]
+        sol = propagate(m, {ins[0]: True, ins[1]: False})
         assert sol[outs[0]] is False
         assert sol[outs[1]] is True
 
     def test_all_false_inputs(self, swap, swap_cut_sets):
         m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
         lin = linearize(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_sides[o.input_cut][1] for o in lin.origins]
-        sol = propagate(to_parity_system(m), {seg: False for seg in ins})
-        assert all(v is False for v in sol.values())
+        ins = [m.gap_pair(o.input_cut)[1] for o in lin.origins]
+        sol = propagate(m, {seg: False for seg in ins})
+        assert sol == [False] * m.n_vars
 
     def test_uncut_underdetermined(self, swap):
-        with pytest.raises(Underdetermined):
-            propagate(to_parity_system(build_model(swap, ModelKind.X)), {})
+        # free segments are named as in ``circnot model``
+        for kind, free in ((ModelKind.X, "w1s4"), (ModelKind.Z, "w1s3")):
+            with pytest.raises(Underdetermined) as err:
+                propagate(build_model(swap, kind), {})
+            assert err.value.free == [free]
+            assert str(err.value) == f"free segments remain: ['{free}']"
 
     def test_conflicting_pins_inconsistent(self, swap, swap_cut_sets):
         from circnot.errors import Inconsistent
 
         m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
-        joined = m.join_clauses()[0]
-        r, t = joined.vars
+        _, (r, t) = m.joins[0]
         lin = linearize(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_sides[o.input_cut][1] for o in lin.origins]
+        ins = [m.gap_pair(o.input_cut)[1] for o in lin.origins]
         pins = {seg: False for seg in ins}
         pins[r], pins[t] = True, False  # contradict the surviving join
         with pytest.raises(Inconsistent):
-            propagate(to_parity_system(m), pins)
+            propagate(m, pins)
 
-    def test_unknown_segment(self, swap):
-        x_seg = build_model(swap, ModelKind.X).variables[0]
-        z_system = to_parity_system(build_model(swap, ModelKind.Z))
-        with pytest.raises(UnknownSegment) as err:
-            propagate(z_system, {x_seg: True})
-        assert err.value.code == "unknown-segment"
+    def test_unknown_segment(self, swap, swap_cut_sets):
+        # pins outside 0..n_vars-1 are refused; -1 must not pin the last
+        # variable through list indexing
+        m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
+        assert m.n_vars == 9
+        for v in (-1, 9):
+            with pytest.raises(UnknownSegment) as err:
+                propagate(m, {v: True})
+            assert err.value.code == "unknown-segment"
 
 
 SWAP_MAP = StabiliserMap(
@@ -383,11 +375,10 @@ class TestDeriveTransformations:
             first, last = (1, 0) if d is Direction.CW else (0, 1)
             for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
                 m = apply_cuts(build_model(c, kind), cuts)
-                s = to_parity_system(m)
-                ins = [m.gap_sides[o.input_cut][first] for o in lin.origins]
-                outs = [m.gap_sides[o.output_cut][last] for o in lin.origins]
+                ins = [m.gap_pair(o.input_cut)[first] for o in lin.origins]
+                outs = [m.gap_pair(o.output_cut)[last] for o in lin.origins]
                 for q in range(lin.n_qubits):
-                    sol = propagate(s, {seg: seg == ins[q] for seg in ins})
+                    sol = propagate(m, {seg: seg == ins[q] for seg in ins})
                     assert frozenset(j for j, seg in enumerate(outs) if sol[seg]) == rows[q]
 
 
@@ -979,8 +970,8 @@ class TestSearchReference:
 
 
 class TestModelViewsGolden:
-    """The SWAP combined model's views, text captured before the models were
-    stored as integer variable indices."""
+    """The SWAP models' dump, parity text and segment names, text captured
+    before the models were stored as integer variable indices."""
 
     SELECTORS = {0: True, 1: False, 2: True}
     PINNED_DUMP = (
@@ -1030,7 +1021,7 @@ class TestModelViewsGolden:
     def test_pinned_dump_and_parity(self, swap):
         m = pin_selectors(build_model(swap, ModelKind.COMBINED), self.SELECTORS)
         assert m.dump() == self.PINNED_DUMP
-        assert to_parity_system(m).dump() == self.PINNED_PARITY
+        assert parity_text(parity_rows(m), m.n_vars) == self.PINNED_PARITY
 
     def test_cuts_before_and_after_pinning(self, swap, swap_cut_sets):
         cuts = swap_cut_sets["teleported-cnot"]
@@ -1040,20 +1031,22 @@ class TestModelViewsGolden:
             pin_selectors(apply_cuts(m, cuts), self.SELECTORS),
         ):
             assert cut.dump() == self.CUT_DUMP
-            assert to_parity_system(cut).dump() == self.CUT_PARITY
+            assert parity_text(parity_rows(cut), cut.n_vars) == self.CUT_PARITY
             assert cut.cut_gaps == cuts.gaps()
-            assert sorted(v.name for v in cut.boundary_segments()) == [
+            boundary = {v for gap in cut.cut_gaps for v in cut.gap_pair(gap)}
+            assert sorted(map(cut.segment_name, boundary)) == [
                 "w0s0", "w0s1", "w0s2", "w0s3", "w0s4", "w0s5", "w1s4", "w1s5",
             ]
-            assert [cl is None for cl in cut.gap_join.values()] == [True] * 3 + [False] * 2 + [True]
+            assert [gap for gap, _ in cut.joins] == [Gap(1, 0), Gap(1, 1)]
 
     def test_segment_views(self, swap):
         m = build_model(swap, ModelKind.X)
-        assert [v.name for v in m.variables] == [
+        name = m.segment_name
+        assert [name(v) for v in range(m.n_vars)] == [
             "w0s0", "w0s1", "w0s2", "w0s3", "w1s0", "w1s1", "w1s2", "w1s3", "w1s4",
         ]
-        assert all(v.kind is ModelKind.X for v in m.variables)
-        assert {gap: (a.name, b.name) for gap, (a, b) in m.gap_sides.items()} == {
+        gaps = [Gap(w, i) for w in range(2) for i in range(3)]
+        assert {gap: tuple(map(name, m.gap_pair(gap))) for gap in gaps} == {
             Gap(0, 0): ("w0s3", "w0s0"),
             Gap(0, 1): ("w0s1", "w0s2"),
             Gap(0, 2): ("w0s2", "w0s3"),
@@ -1061,7 +1054,6 @@ class TestModelViewsGolden:
             Gap(1, 1): ("w1s1", "w1s2"),
             Gap(1, 2): ("w1s3", "w1s4"),
         }
-        assert [m.var_index(v) for v in m.variables] == list(range(9))
 
     def test_pin_unknown_gate(self, swap):
         with pytest.raises(UnknownGate):
@@ -1069,14 +1061,6 @@ class TestModelViewsGolden:
         with pytest.raises(UnknownGate):
             pin_selectors(build_model(swap, ModelKind.X), {0: True})
 
-    def test_var_index_rejects_foreign_segments(self, swap):
-        x, z = build_model(swap, ModelKind.X), build_model(swap, ModelKind.Z)
-        with pytest.raises(KeyError):
-            x.var_index(z.variables[0])
-        with pytest.raises(KeyError):
-            x.var_index(SegmentId(0, 4, ModelKind.X))  # wire 0 has 4 segments
-        with pytest.raises(KeyError):
-            x.var_index(SegmentId(2, 0, ModelKind.X))  # the SWAP has 2 wires
 
 
 @st.composite
