@@ -12,10 +12,8 @@ from .circuits import (
     LinearCircuit,
     LinearGate,
     circularize,
-    cyclic_equal,
     enumerate_cut_points,
     linearize,
-    radial_slots,
     resolve_arcs,
     spanning_gaps,
     validate_cut_set,
@@ -53,7 +51,6 @@ from .dot import export_dot
 from .pauli import (
     PauliString,
     conjugate_cnot,
-    equivalent_up_to_sign,
     oracle_map,
     propagate_pauli,
 )

@@ -274,11 +274,6 @@ def _radial_families(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
     }
 
 
-def radial_slots(c: CircularCircuit, cuts: CutSet) -> list[int]:
-    """Slots at which every wire is cut in the gap spanning that slot."""
-    return list(_radial_families(c, cuts))
-
-
 def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, ...]]:
     """Raise unless the cut set admits a valid linearization.
 
@@ -450,32 +445,3 @@ def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
         wire_of=record_without_seam.wire_of,
         seam=seam,
     )
-
-
-def cyclic_equal(a, b, renaming: dict[int, int] | None = None) -> bool:
-    """True when gate list ``b`` is a rotation of ``a`` under the renaming.
-
-    Lists may be (control, target) pairs or gate objects carrying those
-    attributes; times and positions are ignored.
-    """
-
-    def pairs(seq):
-        out = []
-        for g in seq:
-            if isinstance(g, tuple):
-                out.append((g[0], g[1]))
-            else:
-                out.append((g.control, g.target))
-        return out
-
-    pa, pb = pairs(a), pairs(b)
-    if len(pa) != len(pb):
-        return False
-    if renaming:
-        pa = [(renaming.get(c, c), renaming.get(t, t)) for c, t in pa]
-    if not pa:
-        return True
-    for shift in range(len(pa)):
-        if pa[shift:] + pa[:shift] == pb:
-            return True
-    return False

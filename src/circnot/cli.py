@@ -286,7 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("--kind", choices=("x", "z", "combined"), default="x")
     p.add_argument("--cuts")
-    p.add_argument("--parity", action="store_true", help="also dump the 0/1 rows")
+    p.add_argument(
+        "--parity",
+        action="store_true",
+        help="also dump the 0/1 rows; combined rows need selectors pinned through the library "
+        "(pin_selectors), so --kind combined --parity exits 1 with unpinned-selector",
+    )
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("derive", help="derive the stabiliser map of a cut circuit")

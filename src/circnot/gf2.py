@@ -6,10 +6,10 @@ which finishes the sparse, triangular systems of cut circuits in time
 linear in their size. Derivations hand it systems over join classes
 (``model.solve_map_rows``), about one variable per gate and cut. Only a
 system propagation cannot finish goes through ``pack`` into bitmask rows
-(bit ``i`` is column ``i``) for Gauss-Jordan. ``rank``,
-``solution_space``, ``enumerate_solutions`` and ``invert`` take bitmask
-rows. Every elimination runs one kernel, which scans pivot columns in
-ascending order so results are reproducible.
+(bit ``i`` is column ``i``) for Gauss-Jordan. ``invert`` takes bitmask
+rows; ``StabiliserMap`` calls it once to read Z off X and once per half
+of an inverse. Both eliminations run one kernel, which scans pivot
+columns in ascending order so results are reproducible.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ def _eliminate(work: list[int], n_cols: int) -> dict[int, int]:
         pivots[col] = done
         done += 1
     return pivots
-
-
-def rank(rows: list[int], n_cols: int) -> int:
-    """Rank over GF(2) via Gaussian elimination."""
-    return len(_eliminate([r for r in rows if r], n_cols))
 
 
 def pack(rows, n_vars: int) -> list[int]:
@@ -130,48 +125,6 @@ def solve_tagged(rows, n_vars: int, tag_width: int) -> list[int]:
             raise RuntimeError(f"elimination left pivot row {col} unreduced")
         out[col] = row >> n_vars
     return out
-
-
-def solution_space(rows: list[int], n_vars: int) -> tuple[int | None, list[int]]:
-    """Particular solution and nullspace basis of an affine system.
-
-    Rows carry an optional constant in bit ``n_vars``. Returns
-    ``(None, [])`` when inconsistent.
-    """
-    work = list(rows)
-    pivots = _eliminate(work, n_vars)
-    if any(work[len(pivots):]):
-        return None, []
-    const_bit = 1 << n_vars
-    particular = 0
-    for col, r in pivots.items():
-        if work[r] & const_bit:
-            particular |= 1 << col
-    basis = []
-    for col in range(n_vars):
-        if col in pivots:
-            continue
-        vec = 1 << col
-        for pcol, r in pivots.items():
-            if work[r] & (1 << col):
-                vec |= 1 << pcol
-        basis.append(vec)
-    return particular, basis
-
-
-def enumerate_solutions(rows: list[int], n_vars: int):
-    """Yield every satisfying assignment as a bitmask (small systems only)."""
-    particular, basis = solution_space(rows, n_vars)
-    if particular is None:
-        return
-    for combo in range(1 << len(basis)):
-        v = particular
-        c = combo
-        for b in basis:
-            if c & 1:
-                v ^= b
-            c >>= 1
-        yield v
 
 
 def invert(rows: list[int], n: int) -> list[int]:

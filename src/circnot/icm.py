@@ -407,7 +407,6 @@ def faulted_transformations(
     base: CutSet,
     d: Direction,
     f: FaultSpec,
-    models=None,
 ) -> FaultedDerivation:
     """Derive the stabiliser map of the circuit with one gate missing.
 
@@ -423,10 +422,6 @@ def faulted_transformations(
     """
     _, origins = resolve_arcs(c, base, d)
     cuts, patch = inject_smgf(c, base, f)
-    if models is None:
-        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-    xm, zm = models
-    n = len(origins)
     base_gaps = base.gaps()
     cut_gaps = cuts.gaps()
     added = {g for g in (patch.before_gap, patch.after_gap) if g not in base_gaps}
@@ -443,7 +438,7 @@ def faulted_transformations(
     # or its ending one (ccw)
     out_side = 1 if d is Direction.CW else 0
 
-    def model_rows(m, pin_value: bool):
+    def model_cols(m, pin_value: bool):
         anc_first = m.gap_pair(anc_in_gap)[out_side]
         ins, outs = input_output_segments(m, origins, d)
         ins = [seg if q in live_in else None for q, seg in enumerate(ins)]
@@ -455,17 +450,16 @@ def faulted_transformations(
             in_side = m.gap_pair(next(iter(added)))[out_side]
             if in_side != anc_first:
                 pins[in_side] = pin_value
-        sets = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges)
-        return tuple([
-            outs_set & live_out if q in live_in else frozenset() for q, outs_set in enumerate(sets)
-        ])
+        # absorbed inputs carry no tag bit, so only absorbed outputs are masked
+        cols = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges)
+        return [col if q in live_out else 0 for q, col in enumerate(cols)]
 
-    x_out = model_rows(xm, patch.x_value)
-    z_out = model_rows(zm, patch.z_value)
+    x_cols = model_cols(build_model(c, ModelKind.X), patch.x_value)
+    z_cols = model_cols(build_model(c, ModelKind.Z), patch.z_value)
     return FaultedDerivation(
         cuts=cuts,
         patch=patch,
-        map=StabiliserMap(n_qubits=n, x_out=x_out, z_out=z_out),
+        map=StabiliserMap.from_columns(x_cols, z_cols),
         live_inputs=live_in,
         live_outputs=live_out,
     )

@@ -28,14 +28,17 @@ the model as integers, its only representation:
 
 ``solve_map_rows`` writes its system from these integers over join
 classes, substituting away the joins the cuts leave, so no join row is
-built. ``parity_rows`` lists every clause, joins included, as sparse
+built. It returns the solution as int masks, one GF(2) column per
+output, and ``StabiliserMap`` alone reads masks into map rows.
+``parity_rows`` lists every clause, joins included, as sparse
 ``(variables, rhs)`` rows for ``propagate`` and ``circnot model --parity``.
 
 ``derive_transformations`` builds and solves the X model only. A CNOT
 circuit acts symplectically, so its Z map is the inverse transpose of its
-X map, read off one ``gf2.invert`` (``StabiliserMap.from_x``). The Z model
-is solved where pins make the two flows independent (fault derivations
-in ``icm``) and serves ``propagate`` and ``circnot model``.
+X map: Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns
+(``StabiliserMap.from_x``). The Z model is solved where pins make the two
+flows independent (fault derivations in ``icm``) and serves ``propagate``
+and ``circnot model``.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from .errors import (
     UnknownGate,
     UnknownSegment,
     UnpinnedSelector,
-    WireOutOfRange,
     quote_int,
 )
 from .stabmap import StabiliserMap
@@ -323,8 +325,8 @@ def solve_map_rows(
     outs: list[int],
     pins: dict[int, bool] | None = None,
     bridges: tuple[tuple[int, int], ...] = (),
-) -> tuple[frozenset[int], ...]:
-    """Map rows of the cut system: per input, the outputs it reaches.
+) -> list[int]:
+    """Map columns of the cut system: per output, the inputs that reach it.
 
     Segments are given by variable index of an X or Z model. The joins the
     cuts (``cut_gaps`` and the model's own) leave are equalities, so they
@@ -335,13 +337,13 @@ def solve_map_rows(
     single-input propagation at once. ``None`` entries in ``ins`` skip a
     qubit and ``bridges`` equate extra variable pairs. Only the linear part
     over the symbolic inputs is read; pinned offsets in the constant column
-    are not. ``Underdetermined.free`` names the least variable of each
-    free class.
+    are not. Output ``j``'s column is an int mask with bit ``i`` set when
+    input ``i`` reaches it; a skipped input sets no bit.
+    ``Underdetermined.free`` names the least variable of each free class.
     """
     if m.kind is ModelKind.COMBINED:
         raise ValueError("solve_map_rows takes an X or Z model, not a combined one")
     cls, n = _join_classes(m, m.cut_gaps | cut_gaps)
-    n_in = len(ins)
     rows = []
     for before, after, crossing in m.gate_vars:
         a, b = cls[before], cls[after]
@@ -351,18 +353,11 @@ def solve_map_rows(
     rows += [((cls[v],), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
     rows += [((cls[v],), int(bool(value))) for v, value in (pins or {}).items()]
     try:
-        sol = gf2.solve_tagged(rows, n, 1 + n_in)
+        sol = gf2.solve_tagged(rows, n, 1 + len(ins))
     except Underdetermined as err:
         least = {k: v for v, k in reversed(list(enumerate(cls)))}
         raise Underdetermined(free=sorted(least[k] for k in err.free)) from None
-    out_rows = [sol[cls[v]] for v in outs]
-    # tuple() of a list, not of a generator: CPython over-allocates a
-    # generator's tuple and resizes it, and keeps the resized blocks in its
-    # tuple free lists until a full collection
-    return tuple([
-        frozenset(j for j, row in enumerate(out_rows) if row >> (1 + i) & 1)
-        for i in range(n_in)
-    ])
+    return [sol[cls[v]] >> 1 for v in outs]
 
 
 def derive_transformations(
@@ -380,16 +375,16 @@ def derive_transformations(
     kind; signs are out of model.
 
     A CNOT circuit acts symplectically, so its Z map is the inverse
-    transpose of its X map: Z is read off one ``gf2.invert`` of the X rows
-    instead of a second solve. ``models`` is an (X, Z) pair for callers
-    that keep both; the Z entry is not read. The Z model stays the paper's
+    transpose of its X map: Z is read off one ``gf2.invert`` of the X
+    columns instead of a second solve. ``models`` is an (X, Z) pair for
+    callers that keep both; the Z entry is not read. The Z model stays the paper's
     second equation set for faults, whose pins make X and Z independent,
     and for ``propagate``.
     """
     _, origins = resolve_arcs(c, cuts, d)
     xm = build_model(c, ModelKind.X) if models is None else models[0]
-    x_out = solve_map_rows(xm, cuts.gaps(), *input_output_segments(xm, origins, d))
-    return StabiliserMap.from_x(len(origins), x_out)
+    x_cols = solve_map_rows(xm, cuts.gaps(), *input_output_segments(xm, origins, d))
+    return StabiliserMap.from_x(x_cols)
 
 
 def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
@@ -444,9 +439,9 @@ def search_cuts(
     Raises ``SearchTooLarge``, before building any candidate, when the
     candidate count could exceed ``MAX_SEARCH_CANDIDATES``. Below that
     bound, and still before building anything, a target that is not of
-    the form every derived map has (X invertible, Z its inverse
-    transpose) returns no match: that covers singular targets and rows
-    naming outputs beyond the target's qubits.
+    the form every derived map has (X·Zᵀ = I, ``is_symplectic``) returns
+    no match: that covers singular targets and rows naming outputs beyond
+    the target's qubits.
     """
     if max_cuts < c.wires:
         raise BudgetTooSmall(f"need at least one cut per wire ({c.wires})")
@@ -463,10 +458,7 @@ def search_cuts(
         )
     # every derived map has Z the inverse transpose of X, so a target
     # without that form matches no candidate in either direction
-    try:
-        if StabiliserMap.from_x(need, target.x_out) != target:
-            return []
-    except (Inconsistent, WireOutOfRange):
+    if not target.is_symplectic():
         return []
     candidates = set()
     for span in spanning_gaps(c):

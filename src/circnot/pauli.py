@@ -110,10 +110,3 @@ def _rows_of(cols: list[int]) -> tuple[frozenset[int], ...]:
             rows[low.bit_length() - 1].append(q)
             col ^= low
     return tuple([frozenset(r) for r in rows])
-
-
-def equivalent_up_to_sign(a: StabiliserMap, b: StabiliserMap) -> bool:
-    """True when the X and Z output sets agree for every input qubit."""
-    if a.n_qubits != b.n_qubits:
-        raise CountMismatch(f"maps over {a.n_qubits} vs {b.n_qubits} qubits")
-    return a.x_out == b.x_out and a.z_out == b.z_out

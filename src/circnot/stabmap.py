@@ -3,6 +3,11 @@
 X flow and Z flow never mix in a CNOT-only circuit, so the map is two
 independent GF(2) relations: for each input qubit, the set of output qubits
 carrying an X (resp. Z) when that single Pauli enters.
+
+Derivations solve for int masks, GF(2) matrices given by columns: per
+output, the inputs that reach it (bit ``i`` for input ``i``). This module
+is the one place that reads masks into the map's frozenset rows, walking
+set bits: ``from_x`` (one ``gf2.invert`` for Z) and ``from_columns``.
 """
 
 from __future__ import annotations
@@ -65,19 +70,23 @@ class StabiliserMap:
         )
 
     @classmethod
-    def from_x(cls, n_qubits: int, x_out: tuple[frozenset[int], ...]) -> "StabiliserMap":
-        """The map with these X rows whose Z rows are their inverse transpose.
+    def from_x(cls, x_cols: list[int]) -> "StabiliserMap":
+        """The map with these X columns whose Z rows are their inverse transpose.
 
-        Every CNOT circuit's map has this form: it acts symplectically, so
-        Z flow is the inverse transpose of X flow. Raises ``Inconsistent``
-        for singular X rows and ``WireOutOfRange`` for a row naming an
-        output outside ``0..n_qubits-1``.
+        ``x_cols[j]`` has bit ``i`` set when the X entering on qubit ``i``
+        reaches output ``j``: the rows of Xᵀ. Every CNOT circuit's map has
+        this form: it acts symplectically, so Z = (Xᵀ)⁻¹, one ``gf2.invert``
+        of the columns, read as rows. Raises ``Inconsistent`` for singular
+        columns.
         """
-        inv = gf2.invert(_masks(x_out, n_qubits), n_qubits)
-        z_out = tuple([
-            frozenset(i for i, row in enumerate(inv) if row >> j & 1) for j in range(n_qubits)
-        ])
-        return cls(n_qubits, x_out, z_out)
+        n = len(x_cols)
+        return cls(n, _transposed(x_cols, n), _row_sets(gf2.invert(x_cols, n)))
+
+    @classmethod
+    def from_columns(cls, x_cols: list[int], z_cols: list[int]) -> "StabiliserMap":
+        """The map with these X and Z columns (per output, the inputs reaching it)."""
+        n = len(x_cols)
+        return cls(n, _transposed(x_cols, n), _transposed(z_cols, n))
 
     def inverse(self) -> "StabiliserMap":
         """Map of the reversed circuit (CNOT lists are gate-wise self-inverse).
@@ -86,12 +95,25 @@ class StabiliserMap:
         for a row naming an output outside ``0..n_qubits-1``.
         """
         n = self.n_qubits
+        return StabiliserMap(
+            n,
+            _row_sets(gf2.invert(_masks(self.x_out, n), n)),
+            _row_sets(gf2.invert(_masks(self.z_out, n), n)),
+        )
 
-        def invert(rows: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
-            inv = gf2.invert(_masks(rows, n), n)
-            return tuple([frozenset(j for j in range(n) if m >> j & 1) for m in inv])
+    def is_symplectic(self) -> bool:
+        """Whether X·Zᵀ = I, the form every CNOT circuit's map has.
 
-        return StabiliserMap(n, invert(self.x_out), invert(self.z_out))
+        False for a singular map, a Z part other than the inverse transpose
+        of X, and a row naming an output outside ``0..n_qubits-1``.
+        """
+        try:
+            xs, zs = _masks(self.x_out, self.n_qubits), _masks(self.z_out, self.n_qubits)
+        except WireOutOfRange:
+            return False
+        return all(
+            (x & z).bit_count() & 1 == (i == k) for i, x in enumerate(xs) for k, z in enumerate(zs)
+        )
 
 
 def _masks(rows: tuple[frozenset[int], ...], n_qubits: int) -> list[int]:
@@ -99,3 +121,30 @@ def _masks(rows: tuple[frozenset[int], ...], n_qubits: int) -> list[int]:
     if any(not 0 <= o < n_qubits for outs in rows for o in outs):
         raise WireOutOfRange(f"map row names an output outside {n_qubits} qubits")
     return [sum(1 << o for o in outs) for outs in rows]
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _row_sets(rows: list[int]) -> tuple[frozenset[int], ...]:
+    """Per row mask, the set of its bits."""
+    # tuple() of a list, not of a generator: CPython over-allocates a
+    # generator's tuple and resizes it, and keeps the resized blocks in its
+    # tuple free lists until a full collection
+    return tuple([frozenset(_bits(row)) for row in rows])
+
+
+def _transposed(cols: list[int], n: int) -> tuple[frozenset[int], ...]:
+    """Per row ``i``, the columns ``j`` whose mask has bit ``i``."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i in _bits(col):
+            rows[i].append(j)
+    return tuple([frozenset(r) for r in rows])

@@ -4,14 +4,17 @@ Everything here deliberately avoids the library's solver internals: unitary
 brute force uses numpy, truth-table counting evaluates the model's integer
 clauses (``gate_vars``, selectors and ``joins``) as plain Boolean formulas,
 map conjugation is set algebra, and circuit generators build objects
-through the public constructors only. The exceptions are
-``parity_solutions``, which enumerates ``parity_rows`` through ``gf2``, and
-three solver-based references: ``commutation_by_derivation``, which
-``check_commutation_invariance`` is tested against;
+through the public constructors only. GF(2) references share no code
+with ``gf2``'s elimination kernel: ``gf2_rank`` keeps an XOR basis by
+leading bit and ``brute_force_solutions`` tries every assignment. The
+exceptions are three solver-based references: ``commutation_by_derivation``,
+which ``check_commutation_invariance`` is tested against;
 ``solve_model_map``/``derive_by_both_models``, which solve the Z model
 directly where ``derive_transformations`` reads Z off the X map; and
 ``solve_map_rows_with_joins``, which keeps one row per uncut join where
-``solve_map_rows`` solves over join classes.
+``solve_map_rows`` solves over join classes. Solver columns (per output,
+the inputs reaching it) are read into map rows by ``rows_of_columns``, by
+set algebra, not through ``StabiliserMap``.
 """
 
 from __future__ import annotations
@@ -125,10 +128,15 @@ def small_sweep_cut_sets():
 # --- two-model derivation references -----------------------------------------
 
 
+def rows_of_columns(cols) -> tuple[frozenset[int], ...]:
+    """Per input ``i``, the outputs ``j`` whose column mask has bit ``i``."""
+    return tuple(frozenset(j for j, col in enumerate(cols) if col >> i & 1) for i in range(len(cols)))
+
+
 def solve_model_map(c: CircularCircuit, cuts: CutSet, d: Direction, model: BooleanModel):
     """Map rows of one parity model (X or Z), solved directly from that model."""
     origins = linearize(c, cuts, d).origins
-    return solve_map_rows(model, cuts.gaps(), *input_output_segments(model, origins, d))
+    return rows_of_columns(solve_map_rows(model, cuts.gaps(), *input_output_segments(model, origins, d)))
 
 
 def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models=None) -> StabiliserMap:
@@ -142,7 +150,8 @@ def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models
         models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
     lin = linearize(c, cuts, d)
     x_out, z_out = (
-        solve_map_rows(m, cuts.gaps(), *input_output_segments(m, lin.origins, d)) for m in models
+        rows_of_columns(solve_map_rows(m, cuts.gaps(), *input_output_segments(m, lin.origins, d)))
+        for m in models
     )
     return StabiliserMap(lin.n_qubits, x_out, z_out)
 
@@ -169,14 +178,28 @@ def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, b
     rows += [((v,), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
     rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
     sol = gf2.solve_tagged(rows, m.n_vars, 1 + len(ins))
-    out_rows = [sol[v] for v in outs]
-    return tuple(
-        frozenset(j for j, row in enumerate(out_rows) if row >> (1 + i) & 1)
-        for i in range(len(ins))
-    )
+    return [sol[v] >> 1 for v in outs]
 
 
 # --- rotation algebra references --------------------------------------------
+
+
+def cyclic_equal(a, b, renaming: dict[int, int] | None = None) -> bool:
+    """True when gate list ``b`` is a rotation of ``a`` under the renaming.
+
+    Lists may be (control, target) pairs or gate objects carrying those
+    attributes; times and positions are ignored.
+    """
+
+    def pairs(seq):
+        return [(g[0], g[1]) if isinstance(g, tuple) else (g.control, g.target) for g in seq]
+
+    pa, pb = pairs(a), pairs(b)
+    if len(pa) != len(pb):
+        return False
+    if renaming:
+        pa = [(renaming.get(c, c), renaming.get(t, t)) for c, t in pa]
+    return not pa or any(pa[shift:] + pa[:shift] == pb for shift in range(len(pa)))
 
 
 def commutation_by_derivation(c: CircularCircuit, g1: int, g2: int) -> bool:
@@ -313,7 +336,7 @@ def count_model_solutions(model: BooleanModel) -> int:
 def parity_solutions(model: BooleanModel) -> list[int]:
     """Every solution of ``parity_rows(model)``, bit ``v`` for variable ``v`` (small models)."""
     n = model.n_vars
-    return list(gf2.enumerate_solutions(gf2.pack(parity_rows(model), n), n))
+    return brute_force_solutions([sum(1 << v for v in vs) | rhs << n for vs, rhs in parity_rows(model)], n)
 
 
 # Clause-shape references for the circular SWAP models, written over abstract
@@ -370,3 +393,29 @@ def restrict_map(m: StabiliserMap, live_in, live_out) -> StabiliserMap:
         for q in range(m.n_qubits)
     )
     return StabiliserMap(m.n_qubits, x, z)
+
+
+# --- GF(2) references, apart from gf2's elimination kernel --------------------
+
+
+def gf2_rank(rows, n_cols: int) -> int:
+    """Rank of bitmask rows over their first ``n_cols`` bits, by an XOR basis keyed by leading bit."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        row &= (1 << n_cols) - 1
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def brute_force_solutions(rows, n_vars: int) -> list[int]:
+    """Every assignment satisfying bitmask rows ``coeffs | rhs << n_vars``, trying all ``2**n_vars``."""
+    return [
+        v
+        for v in range(1 << n_vars)
+        if all(bin(v & row).count("1") & 1 == row >> n_vars for row in rows)
+    ]

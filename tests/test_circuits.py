@@ -12,10 +12,8 @@ from circnot import (
     LinearCircuit,
     LinearGate,
     circularize,
-    cyclic_equal,
     enumerate_cut_points,
     linearize,
-    radial_slots,
     resolve_arcs,
     spanning_gaps,
     validate_cut_set,
@@ -34,6 +32,7 @@ from circnot.errors import (
 from circnot.textio import parse_circuit
 from helpers import (
     all_small_circuits,
+    cyclic_equal,
     mkcirc,
     mklin,
     small_sweep_cut_sets,
@@ -166,9 +165,8 @@ class TestSpanningReference:
                     }
                     radial = [j for j, wires in missing.items() if not wires]
                     cuts = CutSet.of(combo)
-                    assert radial_slots(c, cuts) == radial
                     if radial:
-                        validate_cut_set(c, cuts)
+                        assert list(validate_cut_set(c, cuts)) == radial
                     else:
                         with pytest.raises(NoRadialCut) as err:
                             validate_cut_set(c, cuts)
@@ -215,7 +213,9 @@ class TestLinearize:
             for k in range(1, len(gaps) + 1):
                 for combo in itertools.combinations(gaps, k):
                     cuts = CutSet.of(combo)
-                    if not radial_slots(c, cuts):
+                    try:
+                        validate_cut_set(c, cuts)
+                    except NoRadialCut:
                         continue
                     assert linearize(c, cuts, Direction.CW).n_qubits == len(cuts)
 
@@ -296,7 +296,7 @@ class TestResolveArcs:
     def test_wrap_slot_not_radial(self, swap):
         # slot 0 (after gate 0) is radial, the wrap slot 2 is not
         cuts = CutSet.of([(0, 0), (0, 1), (1, 0)])
-        assert radial_slots(swap, cuts) == [0]
+        assert list(validate_cut_set(swap, cuts)) == [0]
         g = lambda w, i: Gap(w, i)  # noqa: E731
         cw = (ArcOrigin(0, g(0, 0), g(0, 1)), ArcOrigin(0, g(0, 1), g(0, 0)), ArcOrigin(1, g(1, 0), g(1, 0)))
         assert resolve_arcs(swap, cuts, Direction.CW) == (0, cw)

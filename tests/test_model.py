@@ -62,11 +62,13 @@ from helpers import (
     conjugate_by_cnot,
     count_model_solutions,
     derive_by_both_models,
+    gf2_rank,
     isomorphic_to_reference,
     mkcirc,
     mklin,
     parity_solutions,
     restrict_map,
+    rows_of_columns,
     small_sweep_cut_sets,
     solve_map_rows_with_joins,
     solve_model_map,
@@ -259,7 +261,7 @@ class TestParitySystem:
         # independent oracle: truth-table count gives 2^(n-rank)
         count = count_model_solutions(cut)
         assert count == 2 ** (9 - 7)
-        assert gf2.rank(gf2.pack(parity_rows(cut), 9), 10) == 7
+        assert gf2_rank(gf2.pack(parity_rows(cut), 9), 10) == 7
 
     def test_eq6_unit_property(self, single_cnot):
         # pinning the control-side split true leaves exactly one of the
@@ -462,7 +464,7 @@ class TestSparseRows:
             m = build_model(c, kind)
             ins, outs = input_output_segments(m, lin.origins, d)
             whole = solve_map_rows(m, cuts.gaps(), ins, outs)
-            assert whole == rows
+            assert rows_of_columns(whole) == rows
             for _ in range(6):
                 on_model = frozenset(rng.sample(gaps, rng.randint(0, len(gaps))))
                 # the call may repeat gaps already cut on the model
@@ -500,7 +502,7 @@ class TestJoinClasses:
                         _, origins = resolve_arcs(c, cuts, d)
                         for m in models:
                             ins, outs = input_output_segments(m, origins, d)
-                            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), tuple)
+                            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
                             checked += 1
         assert checked > 1800
 
@@ -514,7 +516,7 @@ class TestJoinClasses:
         for kind, d in ((ModelKind.X, Direction.CW), (ModelKind.Z, Direction.CCW)):
             m = build_model(c, kind)
             ins, outs = input_output_segments(m, resolve_arcs(c, cuts, d)[1], d)
-            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), tuple)
+            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
 
     def test_fault_pins_and_bridges(self, monkeypatch):
         # every solve of a fault derivation, checked against the reference
@@ -884,8 +886,9 @@ class TestSearchImpossibleTarget:
             (({0}, {0}), ({0}, {1})),
             (({0}, {1}), ({1}, {0})),
             (({0, 1}, {1}), ({0}, {1})),
+            (({-1}, {1}), ({0}, {1})),
         ],
-        ids=["output-out-of-range", "singular", "z-not-inverse-transpose", "z-not-transposed"],
+        ids=["output-out-of-range", "singular", "z-not-inverse-transpose", "z-not-transposed", "negative-output"],
     )
     def test_refused_before_building(self, monkeypatch, x_out, z_out):
         def refuse(*args, **kwargs):
@@ -1125,3 +1128,42 @@ class TestDeriveProperties:
         for d in Direction:
             with pytest.raises(NoRadialCut):
                 derive_transformations(c, CutSet.of(chosen), d)
+
+
+@st.composite
+def invertible_columns(draw):
+    """An invertible GF(2) matrix of 1-12 columns as masks: a permuted identity, then column additions."""
+    n = draw(st.integers(1, 12))
+    cols = [1 << q for q in draw(st.permutations(range(n)))]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)):
+        if i != j:
+            cols[i] ^= cols[j]
+    return cols
+
+
+class TestMapReadOut:
+    """``StabiliserMap.from_x`` reads solver columns into a map with Z = (Xᵀ)⁻¹."""
+
+    @given(cols=invertible_columns())
+    def test_from_x_is_symplectic_and_inverse_round_trips(self, cols):
+        m = StabiliserMap.from_x(cols)
+        assert m.x_out == rows_of_columns(cols)
+        # X·Zᵀ = I: X row i meets Z row k in an odd number of outputs iff i == k
+        for i, x in enumerate(m.x_out):
+            for k, z in enumerate(m.z_out):
+                assert len(x & z) % 2 == (i == k)
+        assert m.is_symplectic()
+        assert m.inverse().inverse() == m
+
+    def test_singular_columns_raise(self):
+        with pytest.raises(Inconsistent):
+            StabiliserMap.from_x([0b11, 0b11])
+
+    def test_one_invert_per_read_out(self, monkeypatch):
+        calls = []
+        real_invert = gf2.invert
+        monkeypatch.setattr(gf2, "invert", lambda rows, n: calls.append(n) or real_invert(rows, n))
+        m = StabiliserMap.from_x([0b01, 0b11])
+        assert calls == [2]
+        m.inverse()
+        assert calls == [2, 2, 2]

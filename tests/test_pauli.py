@@ -10,7 +10,6 @@ from circnot import (
     PauliString,
     StabiliserMap,
     conjugate_cnot,
-    equivalent_up_to_sign,
     linearize,
     oracle_map,
     propagate_pauli,
@@ -149,18 +148,17 @@ class TestOracleMatchesPerPauliFold:
 class TestEquivalence:
     def test_identical_maps(self):
         m = oracle_map(mklin(2, [(0, 1)]))
-        assert equivalent_up_to_sign(m, m)
+        assert m == oracle_map(mklin(2, [(0, 1)]))
 
     def test_detects_difference(self):
         a = oracle_map(mklin(2, [(0, 1)]))
         b = oracle_map(mklin(2, [(1, 0)]))
-        assert not equivalent_up_to_sign(a, b)
+        assert a != b
 
     def test_shape_mismatch(self):
         a = oracle_map(mklin(2, [(0, 1)]))
         b = oracle_map(mklin(3, [(0, 1), (1, 2)]))
-        with pytest.raises(CountMismatch):
-            equivalent_up_to_sign(a, b)
+        assert a != b
 
     def test_boolean_vs_oracle_swap(self, swap, swap_cut_sets):
         from circnot import Direction, derive_transformations, linearize
@@ -168,4 +166,4 @@ class TestEquivalence:
         cuts = swap_cut_sets["swap"]
         derived = derive_transformations(swap, cuts, Direction.CW)
         oracled = oracle_map(linearize(swap, cuts, Direction.CW))
-        assert equivalent_up_to_sign(derived, oracled)
+        assert derived == oracled

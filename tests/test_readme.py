@@ -1,0 +1,23 @@
+"""The README's "Key operations" table names only functions that import."""
+
+import re
+from pathlib import Path
+
+import circnot
+from circnot import statevec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def key_operation_names() -> list[str]:
+    """Backticked names in the functions column of the "Key operations" table."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Key operations:", 1)[1].strip().split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]  # past the header and its rule
+    return [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[2])]
+
+
+def test_key_operations_import():
+    names = key_operation_names()
+    assert len(names) > 20
+    assert [n for n in names if n not in circnot.__all__ and not hasattr(statevec, n)] == []
