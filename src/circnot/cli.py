@@ -25,7 +25,7 @@ from .circuits import (
     validate_cut_set,
 )
 from .dot import export_dot
-from .errors import CircnotError, CircuitSyntaxError, WrongCircuitKind, quote, quote_int
+from .errors import CircnotError, FileNotFound, UnreadableFile, WrongCircuitKind, quote
 from .icm import FaultSpec, faulted_transformations, gadget, translate_to_icm
 from .model import (
     ModelKind,
@@ -41,7 +41,14 @@ GADGET_NAMES = ("teleport", "t", "p", "v", "bell", "measurez", "remotecnot", "sd
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as err:
+        raise FileNotFound(str(err)) from None
+    except OSError as err:
+        raise UnreadableFile(f"{quote(path)}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise UnreadableFile(f"{quote(path)}: not UTF-8 text at byte {err.start}") from None
 
 
 def _load_circuit(path: str):
@@ -162,7 +169,7 @@ def cmd_icm(args, out) -> int:
     else:
         if not args.program:
             raise CircnotError("provide a program file or --gadget")
-        gates, qubits = _parse_program(_read(args.program))
+        gates, qubits = textio.parse_program(_read(args.program))
         icm = translate_to_icm(gates, qubits)
     _emit(out, textio.format_icm(icm))
     return 0
@@ -220,37 +227,6 @@ def cmd_check(args, out) -> int:
             _emit(out, f"trial {done}: round trip failed")
     _emit(out, f"round-trip trials {args.count} failures {failures}")
     return 0 if failures == 0 else 1
-
-
-# program gates by their number of qubit operands
-_OPERANDS = {"cnot": 2, "t": 1, "tdg": 1, "p": 1, "pdg": 1, "v": 1, "h": 1}
-
-
-def _parse_program(text: str) -> tuple[list[tuple], int]:
-    qubits = None
-    gates: list[tuple] = []
-    operand_lines: list[tuple[int, int]] = []  # (qubit, line) per gate operand
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "qubits" and len(tokens) == 2:
-            qubits = textio.parse_index(tokens[1], "qubit count", ln)
-            if qubits > textio.MAX_WIRES:
-                raise CircuitSyntaxError(f"more than {textio.MAX_WIRES} qubits", ln)
-        elif len(tokens) - 1 == _OPERANDS.get(tokens[0]):
-            operands = [textio.parse_index(tok, "qubit", ln) for tok in tokens[1:]]
-            operand_lines += [(q, ln) for q in operands]
-            gates.append((tokens[0], *operands))
-        else:
-            raise CircuitSyntaxError(f"bad program line {quote(line)}", ln)
-    if qubits is None:
-        raise CircuitSyntaxError("missing 'qubits N' line", 1)
-    for q, ln in operand_lines:
-        if q >= qubits:
-            raise CircuitSyntaxError(f"qubit {quote_int(q)} out of range for {qubits} qubits", ln)
-    return gates, qubits
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,9 +315,6 @@ def main(argv=None, out=None) -> int:
         return args.func(args, out)
     except CircnotError as err:
         print(f"error {err.code}: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
-        print(f"error file-not-found: {err}", file=sys.stderr)
         return 1
 
 

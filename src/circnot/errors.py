@@ -51,6 +51,16 @@ class CircuitSyntaxError(CircnotError):
         self.line = line
 
 
+class FileNotFound(CircnotError):
+    code = "file-not-found"
+
+
+class UnreadableFile(CircnotError):
+    """An input path that is not a readable file of UTF-8 text."""
+
+    code = "unreadable-file"
+
+
 class WrongCircuitKind(CircnotError):
     """A command got a linear circuit where it needs a circular one, or back."""
 

@@ -3,13 +3,14 @@
 ``solve_tagged`` takes sparse rows, each a tuple of distinct variable
 indices plus an int right-hand side, and solves them by unit propagation,
 which finishes the sparse, triangular systems of cut circuits in time
-linear in their size. Derivations hand it systems over join classes
-(``model.solve_map_rows``), about one variable per gate and cut. Only a
-system propagation cannot finish goes through ``pack`` into bitmask rows
-(bit ``i`` is column ``i``) for Gauss-Jordan. ``invert`` takes bitmask
-rows; ``StabiliserMap`` calls it once to read Z off X and once per half
-of an inverse. Both eliminations run one kernel, which scans pivot
-columns in ascending order so results are reproducible.
+linear in their size. Every model solve hands it a system over join
+classes (``model.solve_map_rows`` and ``model.propagate``), about one
+variable per gate and cut. Only a system propagation cannot finish, such
+as an underdetermined or inconsistent one, goes through ``pack`` into
+bitmask rows (bit ``i`` is column ``i``) for Gauss-Jordan. ``invert``
+takes bitmask rows; ``StabiliserMap`` calls it once to read Z off X and
+once per half of an inverse. Both eliminations run one kernel, which
+scans pivot columns in ascending order so results are reproducible.
 """
 
 from __future__ import annotations

@@ -26,12 +26,12 @@ the model as integers, its only representation:
 * a cut model records only its cut gaps, a pinned one only its selectors;
   ``BooleanModel.joins`` lists the joins the cuts leave.
 
-``solve_map_rows`` writes its system from these integers over join
-classes, substituting away the joins the cuts leave, so no join row is
-built. It returns the solution as int masks, one GF(2) column per
-output, and ``StabiliserMap`` alone reads masks into map rows.
-``parity_rows`` lists every clause, joins included, as sparse
-``(variables, rhs)`` rows for ``propagate`` and ``circnot model --parity``.
+One writer, ``_solve_classes``, solves over join classes, so no solve
+builds a join row; a pinned combined clause is read as its X or Z clause.
+``solve_map_rows`` reads the solution as int masks, one GF(2) column per
+output (``StabiliserMap`` alone reads masks into map rows), ``propagate``
+as one bool per variable. ``parity_rows`` lists every clause, joins
+included, as sparse ``(variables, rhs)`` rows for ``circnot model --parity``.
 
 ``derive_transformations`` builds and solves the X model only. A CNOT
 circuit acts symplectically, so its Z map is the inverse transpose of its
@@ -124,10 +124,24 @@ class BooleanModel:
         return f"w{w}s{v - self.offsets[w]}"
 
     @cached_property
+    def _triples(self) -> tuple[tuple[int, ...], ...]:
+        """Per gate (split-before, split-after, crossing): ``gate_vars`` in X and Z; a
+        combined ``(a, b, tc, td)`` by its selector, X ``(tc, td, a)`` or Z ``(a, b, tc)``."""
+        if self.kind is not ModelKind.COMBINED:
+            return self.gate_vars
+        triples = []
+        for gate_id, (a, b, tc, td) in zip(self.gate_ids, self.gate_vars):
+            selector = self.selectors.get(gate_id)
+            if selector is None:
+                raise UnpinnedSelector(f"combined clause for gate {gate_id} has no selector")
+            triples.append((tc, td, a) if selector else (a, b, tc))
+        return tuple(triples)
+
+    @cached_property
     def _split_breaks(self) -> bytes:
-        """1 at each variable starting after a split symbol: ``gate_vars[k][1]`` in X and Z."""
+        """1 at each variable starting after a split symbol: each ``_triples`` entry's second."""
         breaks = bytearray(self.n_vars)
-        for vs in self.gate_vars:
+        for vs in self._triples:
             breaks[vs[1]] = 1
         return bytes(breaks)
 
@@ -242,18 +256,14 @@ def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
 def parity_rows(m: BooleanModel) -> list[tuple[tuple[int, ...], int]]:
     """Every clause as sparse ``(variables, rhs)`` parity rows (requiring it true).
 
-    A row is ``(variables, 0)``: one per X or Z gate, two per combined gate,
-    in gate order, then one per entry of ``m.joins``.
+    A row is ``(variables, 0)``: one per X or Z gate, two per combined gate
+    (equal sides, then ``_triples``), in gate order, then one per ``m.joins``.
     """
     if m.kind is ModelKind.COMBINED:
         rows = []
-        for gate_id, clause_vars in zip(m.gate_ids, m.gate_vars):
-            selector = m.selectors.get(gate_id)
-            if selector is None:
-                raise UnpinnedSelector(f"combined clause for gate {gate_id} has no selector")
-            a, b, tc, td = clause_vars
-            # X reading: control passes through (a = b), target flips by control
-            rows += ((a, b), (a, tc, td)) if selector else ((tc, td), (tc, a, b))
+        for vs, triple in zip(m.gate_vars, m._triples):
+            # the other symbol's two sides are equal
+            rows += (vs[:2] if triple[:2] == vs[2:] else vs[2:]), triple
     else:
         rows = list(m.gate_vars)
     rows += [pair for _, pair in m.joins]
@@ -261,26 +271,18 @@ def parity_rows(m: BooleanModel) -> list[tuple[tuple[int, ...], int]]:
 
 
 def propagate(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
-    """Pin the given variables and complete the assignment uniquely.
+    """Pin the given variables and complete the assignment uniquely, over join classes.
 
-    Solves ``parity_rows(m)`` plus one row per pin, over every segment
-    variable. Raises UnknownSegment for a pin outside ``0..n_vars-1``,
-    Underdetermined (free segments by name) when a free variable remains
-    (a missing radial cut) and Inconsistent when the pins contradict the
-    system.
+    Raises UnknownSegment for a pin outside ``0..n_vars-1``, Underdetermined
+    (free segments by name) when a free variable remains (a missing radial
+    cut) and Inconsistent when the pins contradict the system.
     """
-    n = m.n_vars
-    rows = parity_rows(m)
-    for v, value in pins.items():
-        if not 0 <= v < n:
-            raise UnknownSegment(f"variable {quote_int(v)} not in a model of {n} variables")
-        rows.append(((v,), int(bool(value))))
     try:
-        sol = gf2.solve_tagged(rows, n, 1)
+        sol, cls = _solve_classes(m, frozenset(), [], pins)
     except Underdetermined as err:
-        free = [m.segment_name(i) for i in (err.free or [])]
+        free = [m.segment_name(v) for v in err.free]
         raise Underdetermined(f"free segments remain: {free}", free=free) from None
-    return [bool(bit) for bit in sol]
+    return [bool(sol[k]) for k in cls]
 
 
 def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:
@@ -318,6 +320,36 @@ def _join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
     return cls, breaks.count(1)
 
 
+def _solve_classes(m: BooleanModel, cut_gaps, ins, pins, bridges=()) -> tuple[list[int], list[int]]:
+    """Per join class its solved rhs, and per variable its class.
+
+    The joins the cuts (``cut_gaps`` and the model's own) leave are
+    equalities, so clauses (``_triples``), ``bridges`` (equal pairs), inputs
+    (rhs bit ``1 + i``; ``None`` skips one) and pins (bit 0) are written over
+    classes. ``Underdetermined.free`` names the greatest variable of each free
+    class; class ids ascend with it, so these are the join-row system's
+    pivot-free columns.
+    """
+    cls, n = _join_classes(m, m.cut_gaps | cut_gaps)
+    rows = []
+    for before, after, crossing in m._triples:
+        a, b = cls[before], cls[after]
+        # a wire whose only break is this split joins its two sides
+        rows.append(((a, b, cls[crossing]) if a != b else (cls[crossing],), 0))
+    rows += [((cls[a], cls[b]), 0) for a, b in bridges if cls[a] != cls[b]]
+    rows += [((cls[v],), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
+    for v, value in pins.items():
+        if not 0 <= v < m.n_vars:
+            raise UnknownSegment(f"variable {quote_int(v)} not in a model of {m.n_vars} variables")
+        rows.append(((cls[v],), int(bool(value))))
+    try:
+        sol = gf2.solve_tagged(rows, n, 1 + len(ins))
+    except Underdetermined as err:
+        greatest = {k: v for v, k in enumerate(cls)}
+        raise Underdetermined(free=[greatest[k] for k in err.free]) from None
+    return sol, cls
+
+
 def solve_map_rows(
     m: BooleanModel,
     cut_gaps: frozenset[Gap],
@@ -328,35 +360,13 @@ def solve_map_rows(
 ) -> list[int]:
     """Map columns of the cut system: per output, the inputs that reach it.
 
-    Segments are given by variable index of an X or Z model. The joins the
-    cuts (``cut_gaps`` and the model's own) leave are equalities, so they
-    are substituted away first: the system is written over join classes
-    (``_join_classes``) and holds no join row. The solve is symbolic:
-    input ``i`` is pinned to right-hand-side bit ``1 + i`` (bit 0 is the
-    constant column used by ``pins``), so a single elimination yields every
-    single-input propagation at once. ``None`` entries in ``ins`` skip a
-    qubit and ``bridges`` equate extra variable pairs. Only the linear part
-    over the symbolic inputs is read; pinned offsets in the constant column
-    are not. Output ``j``'s column is an int mask with bit ``i`` set when
+    Segments are variable indices of an X, Z or pinned combined model. The
+    ``_solve_classes`` solve is symbolic, so one elimination yields every
+    single-input propagation. Only the linear part is read, not pinned
+    offsets: output ``j``'s column is an int mask with bit ``i`` set when
     input ``i`` reaches it; a skipped input sets no bit.
-    ``Underdetermined.free`` names the least variable of each free class.
     """
-    if m.kind is ModelKind.COMBINED:
-        raise ValueError("solve_map_rows takes an X or Z model, not a combined one")
-    cls, n = _join_classes(m, m.cut_gaps | cut_gaps)
-    rows = []
-    for before, after, crossing in m.gate_vars:
-        a, b = cls[before], cls[after]
-        # a wire whose only break is this split joins its two sides
-        rows.append(((a, b, cls[crossing]) if a != b else (cls[crossing],), 0))
-    rows += [((cls[a], cls[b]), 0) for a, b in bridges if cls[a] != cls[b]]
-    rows += [((cls[v],), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
-    rows += [((cls[v],), int(bool(value))) for v, value in (pins or {}).items()]
-    try:
-        sol = gf2.solve_tagged(rows, n, 1 + len(ins))
-    except Underdetermined as err:
-        least = {k: v for v, k in reversed(list(enumerate(cls)))}
-        raise Underdetermined(free=sorted(least[k] for k in err.free)) from None
+    sol, cls = _solve_classes(m, cut_gaps, ins, pins or {}, bridges)
     return [sol[cls[v]] >> 1 for v in outs]
 
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from . import gf2
-from .errors import CircuitSyntaxError, CountMismatch, WireOutOfRange, quote
+from .errors import CircuitSyntaxError, CountMismatch, WireOutOfRange, quote, quote_int
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class StabiliserMap:
                 outs = frozenset(int(tok) for tok in body.replace(",", " ").split())
             except ValueError:  # more digits than int() reads
                 raise CircuitSyntaxError(f"bad map line {quote(line)}", line=ln) from None
+            if q in rows[kind]:
+                raise CircuitSyntaxError(f"repeated map row {kind}{quote_int(q)}", line=ln)
             rows[kind][q] = outs
         if sorted(rows["X"]) != sorted(rows["Z"]) or sorted(rows["X"]) != list(range(len(rows["X"]))):
             raise CountMismatch("map report must cover X and Z rows for qubits 0..n-1")

@@ -3,10 +3,11 @@
 Circuit files: a header line ``linear`` or ``circular``, then ``wires N``,
 then one ``cnot <control> <target>`` per line in temporal (or cyclic)
 order; ``#`` starts a comment. Cut files hold ``cut <wire> <gap>`` lines
-plus an optional ``direction cw|ccw``. ICM files extend circuit files with
+plus at most one ``direction cw|ccw``. ICM files extend circuit files with
 ``init <q> zero|plus|y|a|in:<name>`` and
 ``measure <q> x|y|z|a|cfg:<b1>/<b2>|none`` lines; fault specs are
-``smgf <gateId>``.
+``smgf <gateId>``. Program files hold one ``qubits N`` line and one
+Clifford+T gate per line.
 
 The kv tree format is self-describing: ``key value`` pairs and ``key {``
 ... ``}`` blocks; repeating a key yields a list. See the README for the
@@ -125,6 +126,8 @@ def parse_cut_file(text: str) -> tuple[CutSet, Direction | None]:
             except ValueError:
                 raise CircuitSyntaxError(f"bad cut line {quote(line)}", ln) from None
         elif tokens[0] == "direction" and len(tokens) == 2:
+            if direction is not None:
+                raise CircuitSyntaxError("repeated direction line", ln)
             try:
                 direction = Direction.parse(tokens[1])
             except ValueError:
@@ -218,6 +221,38 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
         meas = meas_map.get(q, MeasBasis.none())
         configs.append(QubitConfig(role_of(init, meas), init, meas))
     return ICMCircuit(circuit=circuit, configs=tuple(configs)), faults
+
+
+# program gates by their number of qubit operands
+_OPERANDS = {"cnot": 2, "t": 1, "tdg": 1, "p": 1, "pdg": 1, "v": 1, "h": 1}
+
+
+def parse_program(text: str) -> tuple[list[tuple], int]:
+    """Parse a program file: one ``qubits N`` line and gate lines, as ``(name, *qubits)`` tuples and N."""
+    qubits = None
+    gates: list[tuple] = []
+    operand_lines: list[tuple[int, int]] = []  # (qubit, line) per gate operand
+    for ln, line in _clean_lines(text):
+        tokens = line.split()
+        if tokens[0] == "qubits" and len(tokens) == 2:
+            count = parse_index(tokens[1], "qubit count", ln)
+            if count > MAX_WIRES:
+                raise CircuitSyntaxError(f"more than {MAX_WIRES} qubits", ln)
+            if qubits is not None:
+                raise CircuitSyntaxError("repeated qubits line", ln)
+            qubits = count
+        elif len(tokens) - 1 == _OPERANDS.get(tokens[0]):
+            operands = [parse_index(tok, "qubit", ln) for tok in tokens[1:]]
+            operand_lines += [(q, ln) for q in operands]
+            gates.append((tokens[0], *operands))
+        else:
+            raise CircuitSyntaxError(f"bad program line {quote(line)}", ln)
+    if qubits is None:
+        raise CircuitSyntaxError("missing 'qubits N' line", 1)
+    for q, ln in operand_lines:
+        if q >= qubits:
+            raise CircuitSyntaxError(f"qubit {quote_int(q)} out of range for {qubits} qubits", ln)
+    return gates, qubits
 
 
 def format_icm(icm: ICMCircuit, faults=()) -> str:

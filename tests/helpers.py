@@ -11,10 +11,11 @@ exceptions are three solver-based references: ``commutation_by_derivation``,
 which ``check_commutation_invariance`` is tested against;
 ``solve_model_map``/``derive_by_both_models``, which solve the Z model
 directly where ``derive_transformations`` reads Z off the X map; and
-``solve_map_rows_with_joins``, which keeps one row per uncut join where
-``solve_map_rows`` solves over join classes. Solver columns (per output,
-the inputs reaching it) are read into map rows by ``rows_of_columns``, by
-set algebra, not through ``StabiliserMap``.
+``solve_map_rows_with_joins``/``propagate_with_joins``, which keep one row
+per uncut join where ``solve_map_rows`` and ``propagate`` solve over join
+classes. Solver columns (per output, the inputs reaching it) are read into
+map rows by ``rows_of_columns``, by set algebra, not through
+``StabiliserMap``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from circnot import (
     spanning_gaps,
 )
 from circnot import gf2
-from circnot.errors import NotAdjacent
+from circnot.errors import NotAdjacent, Underdetermined, UnknownSegment, quote_int
 from circnot.model import (
     BooleanModel,
     ModelKind,
@@ -179,6 +180,27 @@ def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, b
     rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
     sol = gf2.solve_tagged(rows, m.n_vars, 1 + len(ins))
     return [sol[v] >> 1 for v in outs]
+
+
+def propagate_with_joins(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
+    """Reference for ``propagate``: ``parity_rows`` plus one row per pin, over every variable.
+
+    ``propagate`` solves over join classes; this keeps the body it
+    replaced, whose ``Underdetermined.free`` names the pivot-free columns
+    of the full system.
+    """
+    n = m.n_vars
+    rows = parity_rows(m)
+    for v, value in pins.items():
+        if not 0 <= v < n:
+            raise UnknownSegment(f"variable {quote_int(v)} not in a model of {n} variables")
+        rows.append(((v,), int(bool(value))))
+    try:
+        sol = gf2.solve_tagged(rows, n, 1)
+    except Underdetermined as err:
+        free = [m.segment_name(i) for i in (err.free or [])]
+        raise Underdetermined(f"free segments remain: {free}", free=free) from None
+    return [bool(bit) for bit in sol]
 
 
 # --- rotation algebra references --------------------------------------------

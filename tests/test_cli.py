@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circnot.cli import main
-from circnot.errors import EmptyWire
+from circnot.errors import EmptyWire, quote
 from circnot.textio import parse_circuit
 
 SWAP_CIRC = "circular\nwires 2\ncnot 0 1\ncnot 1 0\ncnot 0 1\n"
@@ -211,6 +211,54 @@ def test_icm_program_tokens_exit_code(tmp_path, capsys, line, message):
     code, out = run(["icm", str(prog)])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == f"error syntax-error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("icm", "qubits 2\nqubits 3\ncnot 0 2\n", "line 2: repeated qubits line"),
+        ("derive", "cut 0 2\ncut 1 2\ndirection cw\ndirection ccw\n", "line 4: repeated direction line"),
+        ("search", "X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{1}\nZ1 -> Z{0}\nX0 -> X{0}\n", "line 5: repeated map row X0"),
+    ],
+)
+def test_repeated_single_valued_line_exit_code(tmp_path, swap_file, capsys, command, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = {
+        "icm": ["icm", str(path)],
+        "derive": ["derive", swap_file, "--cuts", str(path)],
+        "search": ["search", swap_file, "--target", str(path), "--max-cuts", "2"],
+    }[command]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == f"error syntax-error: {message}\n"
+
+
+def _file_argvs(swap_file: str, path: str) -> list[list[str]]:
+    """Every command reading ``path``: as a circuit, cut, map and program file."""
+    return [
+        ["derive", path, "--cuts", path],
+        ["derive", swap_file, "--cuts", path],
+        ["search", swap_file, "--target", path, "--max-cuts", "2"],
+        ["icm", path],
+    ]
+
+
+def test_unreadable_input_exit_code(tmp_path, swap_file, capsys):
+    # a directory, or bytes that are not UTF-8, end in one error line
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"qubits 1\n\xff\xfe\n")
+    for path, reason in ((tmp_path, "Is a directory"), (binary, "not UTF-8 text at byte 9")):
+        for argv in _file_argvs(swap_file, str(path)):
+            assert run(argv) == (1, "")
+            assert capsys.readouterr().err == f"error unreadable-file: {quote(str(path))}: {reason}\n"
+
+
+def test_missing_file_line(tmp_path, swap_file, capsys):
+    missing = str(tmp_path / "missing")
+    for argv in _file_argvs(swap_file, missing):
+        assert run(argv) == (1, "")
+        expected = f"error file-not-found: [Errno 2] No such file or directory: {missing!r}\n"
+        assert capsys.readouterr().err == expected
 
 
 def test_search_out_of_range_target_exit_code(tmp_path, swap_file, capsys):
@@ -598,6 +646,60 @@ def test_model_fuzz_exits_cleanly(texts, kind):
             cuts = Path(tmp, "junk.cuts")
             cuts.write_text(cut_text, encoding="utf-8")
             argv += ["--cuts", str(cuts)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert re.fullmatch(r"error [a-z-]+: [^\n]*\n", err.getvalue())
+
+
+# per command, lines its input file is made of; the file may also carry
+# junk lines (``_bad_line``) and arbitrary bytes, often not UTF-8
+_FILE_LINES = {
+    "icm": [
+        "qubits 2", "qubits 3", "qubits 65537", "qubits x", "cnot 0 1", "cnot 1 0", "cnot 0 0",
+        "t 0", "tdg 1", "p 0", "pdg 1", "v 0", "h 1", "h 2", "t",
+    ],
+    "search": [
+        "X0 -> X{1}", "X1 -> X{0}", "Z0 -> Z{1}", "Z1 -> Z{0}", "X0 -> X{0}", "X1 -> X{0,1}",
+        "Z0 -> Z{0,1}", "Z1 -> Z{1}", "X2 -> X{2}", "Z0 -> X{0}", "X0 -> X{9}",
+    ],
+    "derive": [
+        "cut 0 2", "cut 1 2", "cut 0 0", "cut 0 1", "cut 1 0", "cut 1 1", "cut 2 0", "cut 0 9",
+        "direction cw", "direction ccw", "direction up",
+    ],
+}
+
+
+@st.composite
+def _file_input(draw):
+    command = draw(st.sampled_from(sorted(_FILE_LINES)))
+    lines = draw(st.lists(st.sampled_from(_FILE_LINES[command]) | _bad_line, max_size=8))
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return command, data
+
+
+@given(_file_input())
+def test_file_input_fuzz_exits_cleanly(case):
+    # program, map and cut files of junk bytes end in exit 0, or in exit 1
+    # with one ``error <code>:`` line, never in an uncaught exception
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        circ = Path(tmp, "swap.circ")
+        circ.write_text(SWAP_CIRC)
+        path = Path(tmp, "input")
+        path.write_bytes(data)
+        argv = {
+            "icm": ["icm", str(path)],
+            "search": ["search", str(circ), "--target", str(path), "--max-cuts", "3"],
+            "derive": ["derive", str(circ), "--cuts", str(path)],
+        }[command]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, _ = run(argv)

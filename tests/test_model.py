@@ -67,6 +67,7 @@ from helpers import (
     mkcirc,
     mklin,
     parity_solutions,
+    propagate_with_joins,
     restrict_map,
     rows_of_columns,
     small_sweep_cut_sets,
@@ -473,10 +474,11 @@ class TestSparseRows:
 
 
 def solve_or_error(solve, *args, **kwargs):
+    """The solution, or the error class with ``Underdetermined.free`` (None for Inconsistent)."""
     try:
         return solve(*args, **kwargs)
     except (Underdetermined, Inconsistent) as err:
-        return type(err)
+        return type(err), getattr(err, "free", None)
 
 
 class TestJoinClasses:
@@ -484,9 +486,10 @@ class TestJoinClasses:
 
     @staticmethod
     def assert_same(m, cut_gaps, ins, outs, pins=None, bridges=()):
+        # values, or the error class and the free variables it names
         got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins, bridges)
         assert got == solve_or_error(solve_map_rows_with_joins, m, cut_gaps, ins, outs, pins, bridges)
-        return got
+        return got[0] if isinstance(got, tuple) else got
 
     def test_small_radial_families(self):
         # each radial family alone and with one extra gap, both kinds, both ways
@@ -558,22 +561,97 @@ class TestJoinClasses:
                         raised[got if isinstance(got, type) else None] += 1
         assert raised[Underdetermined] > 900 and raised[Inconsistent] > 1300
 
-    def test_free_names_least_variable_of_each_free_class(self, single_cnot):
+    def test_free_names_greatest_variable_of_each_free_class(self, single_cnot):
         # X model: wire 0 is variable 0; the target splits wire 1 into 1 and 2,
-        # which its uncut gap joins into one free class; the join-row solve
-        # names 2, its last pivot-free column
+        # which its uncut gap joins into one free class; both solves name 2,
+        # the class's greatest variable and the join-row solve's pivot-free column
         m = build_model(single_cnot, ModelKind.X)
-        with pytest.raises(Underdetermined) as err:
-            solve_map_rows(m, frozenset(), [], [])
-        assert err.value.free == [1]
-        with pytest.raises(Underdetermined) as err:
-            solve_map_rows_with_joins(m, frozenset(), [], [])
-        assert err.value.free == [2]
+        for solve in (solve_map_rows, solve_map_rows_with_joins):
+            with pytest.raises(Underdetermined) as err:
+                solve(m, frozenset(), [], [])
+            assert err.value.free == [2]
 
-    def test_combined_model_refused(self, single_cnot):
-        m = pin_selectors(build_model(single_cnot, ModelKind.COMBINED), {0: True})
-        with pytest.raises(ValueError, match="X or Z model"):
+    def test_pinned_combined_matches_x_and_z_models(self, single_cnot):
+        # a combined model with every selector X (or Z) gives the X (or Z)
+        # model's columns: each radial family alone and with one extra gap
+        checked = 0
+        for c in all_small_circuits(3, 3):
+            gaps = [p.gap for p in enumerate_cut_points(c)]
+            combined = build_model(c, ModelKind.COMBINED)
+            pairs = [
+                (build_model(c, kind), pin_selectors(combined, dict.fromkeys(combined.gate_ids, value)))
+                for kind, value in ((ModelKind.X, True), (ModelKind.Z, False))
+            ]
+            for slot in range(len(c.gates)):
+                family = {c.gap_spanning(w, slot) for w in range(c.wires)}
+                for extra in [()] + [(gap,) for gap in gaps if gap not in family]:
+                    cuts = CutSet.of(family.union(extra))
+                    for d in Direction:
+                        _, origins = resolve_arcs(c, cuts, d)
+                        for split, pinned in pairs:
+                            want = solve_map_rows(split, cuts.gaps(), *input_output_segments(split, origins, d))
+                            got = solve_map_rows(pinned, cuts.gaps(), *input_output_segments(pinned, origins, d))
+                            assert got == want
+                            checked += 1
+        assert checked > 1800
+        # a selector left unpinned is refused, naming its gate
+        m = pin_selectors(build_model(single_cnot, ModelKind.COMBINED), {})
+        with pytest.raises(UnpinnedSelector, match="^combined clause for gate 0 has no selector$"):
             solve_map_rows(m, frozenset({Gap(0, 0), Gap(1, 0)}), [None, None], [])
+
+
+class TestPropagateOverClasses:
+    """``propagate`` solves over join classes; the full-variable solve is the reference."""
+
+    @staticmethod
+    def assert_same(m, pins):
+        # values, or the error class, message and ``free``
+        def run(solve):
+            try:
+                return solve(m, pins)
+            except (Underdetermined, Inconsistent, UnknownSegment, UnpinnedSelector) as err:
+                return type(err), str(err), getattr(err, "free", None)
+
+        got = run(propagate)
+        assert got == run(propagate_with_joins)
+        return got
+
+    def test_small_circuits_random_cuts_and_pins(self):
+        # X, Z and every selector pinning of the combined model (and none),
+        # random cut sets of up to 4 cuts and up to 4 pins, some out of range
+        rng = random.Random(17)
+        outcomes = collections.Counter()
+        for c in all_small_circuits(3, 3):
+            gaps = [p.gap for p in enumerate_cut_points(c)]
+            combined = build_model(c, ModelKind.COMBINED)
+            models = [build_model(c, ModelKind.X), build_model(c, ModelKind.Z), combined]
+            models += [
+                pin_selectors(combined, dict(zip(combined.gate_ids, bits)))
+                for bits in itertools.product([False, True], repeat=len(c.gates))
+            ]
+            for m in models:
+                for _ in range(16):
+                    cuts = rng.sample(gaps, rng.randint(0, min(4, len(gaps))))
+                    cut = apply_cuts(m, CutSet.of(cuts)) if cuts else m
+                    pins = {
+                        rng.randrange(-1, cut.n_vars + 1): rng.random() < 0.5
+                        for _ in range(rng.randint(0, 4))
+                    }
+                    got = self.assert_same(cut, pins)
+                    outcomes[got[0] if isinstance(got, tuple) else list] += 1
+        assert sum(outcomes.values()) > 7000
+        assert min(outcomes[kind] for kind in (list, Underdetermined, Inconsistent, UnknownSegment)) > 100
+
+    def test_large_uncut_and_seam_cut(self):
+        # the uncut model leaves a free class, which the full-variable
+        # solve reaches only through dense elimination over every segment
+        c, record = random_circularized(48 * 512, 48, 512)
+        m = build_model(c, ModelKind.X)
+        got = self.assert_same(m, {})
+        assert got[0] is Underdetermined and got[2]
+        cut = apply_cuts(m, record.seam)
+        ins, _ = input_output_segments(cut, resolve_arcs(c, record.seam, Direction.CW)[1], Direction.CW)
+        assert isinstance(self.assert_same(cut, {v: q % 3 == 0 for q, v in enumerate(ins)}), list)
 
 
 class TestCommutation:

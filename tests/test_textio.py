@@ -32,6 +32,7 @@ from circnot.textio import (
     parse_circuit,
     parse_cut_file,
     parse_icm_file,
+    parse_program,
 )
 from helpers import mklin
 
@@ -119,6 +120,26 @@ class TestCutFormat:
     def test_bad_line(self):
         with pytest.raises(CircuitSyntaxError):
             parse_cut_file("cut 0\n")
+
+    def test_repeated_direction_rejected_on_its_line(self):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_cut_file("direction cw\ncut 0 1\n# ccw\ndirection cw\n")
+        assert str(err.value) == "line 4: repeated direction line"
+
+
+class TestProgramFormat:
+    def test_gates_and_qubit_count(self):
+        text = "# a program\nqubits 3\n\ncnot 0 2  # entangle\nt 1\ntdg 02\n"
+        assert parse_program(text) == ([("cnot", 0, 2), ("t", 1), ("tdg", 2)], 3)
+
+    def test_qubits_may_follow_gates(self):
+        assert parse_program("h 1\nqubits 2\n") == ([("h", 1)], 2)
+
+    def test_repeated_qubits_rejected_on_its_line(self):
+        # the second count is not read, so it cannot widen the first
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_program("qubits 2\nqubits 3\ncnot 0 2\n")
+        assert str(err.value) == "line 2: repeated qubits line"
 
 
 class TestIcmFormat:
@@ -236,6 +257,13 @@ class TestMapReport:
         with pytest.raises(WireOutOfRange) as err:
             StabiliserMap.from_report("\n".join(rows.values()))
         assert str(err.value) == f"map row {row[:2]} names an output outside 2 qubits"
+
+    @pytest.mark.parametrize("row,name", [("X0 -> X{0}", "X0"), ("Z01 -> Z{}", "Z1")])
+    def test_repeated_row_rejected_on_its_line(self, row, name):
+        text = f"X0 -> X{{1}}\nX1 -> X{{0}}\nZ0 -> Z{{1}}\nZ1 -> Z{{0}}\n{row}\n"
+        with pytest.raises(CircuitSyntaxError) as err:
+            StabiliserMap.from_report(text)
+        assert str(err.value) == f"line 5: repeated map row {name}"
 
     def test_number_too_long_for_int(self):
         with pytest.raises(CircuitSyntaxError) as err:
