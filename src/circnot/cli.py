@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import gf2, textio
@@ -229,7 +230,9 @@ def cmd_check(args, out) -> int:
     return 0 if failures == 0 else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="circnot",
         description="Circular CNOT circuit modelling, cutting, and ICM tools",
@@ -308,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = out or sys.stdout
     try:
         return args.func(args, out)

@@ -39,6 +39,13 @@ X map: Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns
 (``StabiliserMap.from_x``). The Z model is solved where pins make the two
 flows independent (fault derivations in ``icm``) and serves ``propagate``
 and ``circnot model``.
+
+``search_cuts`` derives no map per candidate. One X solve with every gap
+cut gives the value arriving at each gap over the gaps' starting values.
+Per radial slot, one pass in traversal order rewrites these over the
+slot family's inputs and one tag bit per other gap (``_slot_systems``),
+and a candidate's X columns are a substitution over its extra cuts
+(``_columns``).
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, combinations, pairwise
 from math import comb
+from typing import NamedTuple
 
 from . import gf2
 from .circuits import (
@@ -64,7 +72,6 @@ from .circuits import (
 from .errors import (
     BudgetTooSmall,
     DuplicateCut,
-    Inconsistent,
     NotAdjacent,
     SearchTooLarge,
     Underdetermined,
@@ -419,47 +426,150 @@ def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
 MAX_SEARCH_CANDIDATES = 100_000
 """Most candidates ``search_cuts`` may build; a larger search is refused.
 
-Measured on the Toffoli circular form (5 wires, 20 gates, 40 gaps) with
-Python 3.11 on a 2-vCPU Xeon: a candidate takes about 140 bytes in the set
-and 0.35-0.45 ms to derive, so a search at the limit holds about 14 MB of
-candidates and runs for under a minute. The next Toffoli size up, 8 cuts
-(130,900 by the bound), is past it, and 10 cuts (6.5 M) would need about
-0.9 GB and 45 minutes. Searches in the test suite and the benchmark stay in
-the hundreds.
+The search holds no candidate set, only its hits and one slot's reduced
+system, so the limit bounds time alone. Measured with Python 3.11 on a
+shared 2-vCPU Xeon: a random 3-wire, 37-gate circuit searched for 5 cuts
+(91,945 candidates by the bound) takes 0.74 s, about 8 µs a candidate,
+with peak RSS unchanged at 17 MB; the Toffoli circular form (5 wires, 20
+gates, 40 gaps) takes 0.13 s for its 11,900 at 7 cuts. The next Toffoli
+size up, 8 cuts (130,900 by the bound), is past the limit.
 """
+
+
+class _SlotSystem(NamedTuple):
+    """The X system of one radial slot, reduced for ``search_cuts``.
+
+    Gaps are numbered by (wire, gap). ``family[w]`` is the slot's spanning
+    gap on wire ``w`` and ``others`` lists every other gap in traversal
+    order from the slot, ``wires[p]`` being the wire of ``others[p]``. A
+    value is a mask over the slot's symbols: bit ``w`` is the value
+    entering after ``family[w]`` and bit ``len(family) + p`` the tag of
+    ``others[p]``, its starting value XOR its arriving value (zero when
+    the gap is not cut). ``rows[p]`` is the value arriving at ``others[p]``
+    and ``family_rows[w]`` the one arriving at ``family[w]``.
+    """
+
+    family: tuple[int, ...]
+    others: tuple[int, ...]
+    wires: tuple[int, ...]
+    rows: tuple[int, ...]
+    family_rows: tuple[int, ...]
+
+
+def _slot_systems(c: CircularCircuit, gaps: list[Gap]):
+    """Every slot's ``_SlotSystem``, the wrap slot first and then clockwise from slot 0.
+
+    ``gaps`` lists the circuit's gaps by (wire, gap). One X solve with
+    every gap cut and each gap's starting segment a symbolic input gives
+    the value arriving at each gap as a mask over gap starts. Each slot
+    then rewrites those masks in traversal order: a family gap's start is
+    its wire's input and any other gap's start is its arriving value XOR
+    its tag.
+    """
+    first = list(accumulate((c.symbol_count(w) for w in range(c.wires)), initial=0))
+    xm = build_model(c, ModelKind.X)
+    pairs = [pair for wire_pairs in xm.gap_vars for pair in wire_pairs]
+    arriving = solve_map_rows(xm, frozenset(gaps), [start for _, start in pairs], [end for end, _ in pairs])
+    spans = [tuple(span) for span in spanning_gaps(c)]
+    n_gates, n_wires = len(spans), c.wires
+    for s in (n_gates - 1, *range(n_gates - 1)):
+        family = tuple(first[w] + i for w, i in enumerate(spans[s]))
+        start: list = [None] * first[-1]  # per gap, its starting value
+        for w, k in enumerate(family):
+            start[k] = 1 << w
+        others, wires, rows = [], [], []
+        family_rows = [0] * n_wires
+        for x in range(s + 1, s + 1 + n_gates):
+            gate, span = c.gates[x % n_gates], spans[x % n_gates]
+            for w in (gate.control, gate.target):
+                k = first[w] + span[w]
+                # the gaps a gap's arriving value reads come before it
+                value, mask = 0, arriving[k]
+                while mask:
+                    low = mask & -mask
+                    value ^= start[low.bit_length() - 1]
+                    mask ^= low
+                if k == family[w]:
+                    family_rows[w] = value
+                else:
+                    start[k] = value ^ 1 << (n_wires + len(others))
+                    others.append(k)
+                    wires.append(w)
+                    rows.append(value)
+        yield _SlotSystem(family, tuple(others), tuple(wires), tuple(rows), tuple(family_rows))
+
+
+def _columns(system: _SlotSystem, extras: tuple[int, ...]) -> list[int]:
+    """X columns of the slot's family plus ``others[p]`` for each ``p`` in ``extras``, ascending.
+
+    Qubits are numbered as ``resolve_arcs`` numbers them from this slot:
+    by wire, then by arc clockwise from the family gap. Going through the
+    extra cuts in traversal order, each one closes the arc before it, whose
+    output reads the arriving value, and fixes its tag to the new input XOR
+    that value; every family gap then closes its wire's last arc.
+    """
+    wires = system.wires
+    n_wires = len(system.family)
+    counts = [1] * n_wires
+    for p in extras:
+        counts[wires[p]] += 1
+    qubit = list(accumulate(counts, initial=0))  # per wire, its open arc
+    known = [(1 << w, 1 << qubit[w]) for w in range(n_wires)]
+    cols = [0] * qubit[-1]
+    rows = system.rows
+    for p in extras:
+        row, value = rows[p], 0
+        for bit, known_value in known:
+            if row & bit:
+                value ^= known_value
+        w = wires[p]
+        cols[qubit[w]] = value
+        qubit[w] += 1
+        known.append((1 << (n_wires + p), 1 << qubit[w] ^ value))
+    for w, row in enumerate(system.family_rows):
+        value = 0
+        for bit, known_value in known:
+            if row & bit:
+                value ^= known_value
+        cols[qubit[w]] = value
+    return cols
 
 
 def search_cuts(
     c: CircularCircuit, target: StabiliserMap, max_cuts: int
 ) -> list[tuple[CutSet, Direction]]:
-    """All (cut set, direction) pairs deriving the target map.
+    """All (cut set, direction) pairs deriving the target map, sorted by gaps, clockwise first.
 
     Only sizes equal to the target's qubit count can match because every
     cut contributes exactly one qubit, and a cut set linearizes only if it
     holds a radial family. So the candidates are built, not filtered: per
     slot, the slot's radial family plus every choice of the remaining cuts
-    among the other gaps, without repeats. They are tried in the order of
-    ``combinations`` over all gaps by (wire, gap), clockwise first.
+    among the other gaps. Slots are visited in ``resolve_arcs``' start
+    order (the wrap slot, then clockwise from slot 0), and a choice that
+    completes an earlier slot's family is skipped, so each candidate comes
+    once, at the slot whose family numbers its qubits.
 
-    Each candidate is derived once, clockwise. The counter-clockwise reading
+    A candidate is read off its slot's reduced X system (``_slot_systems``,
+    one X solve per search) by substitution over its extra cuts
+    (``_columns``), without deriving a map. The counter-clockwise reading
     is the same gate list reversed on the same qubits, and CNOTs are
-    self-inverse, so its map is the inverse of the clockwise one: it
-    matches exactly when the clockwise map equals ``target.inverse()``.
+    self-inverse, so it matches exactly when the clockwise X columns equal
+    ``target.inverse()``'s. X columns suffice because the target is checked
+    to have Z the inverse transpose of X, as every derived map has.
 
     Raises ``SearchTooLarge``, before building any candidate, when the
     candidate count could exceed ``MAX_SEARCH_CANDIDATES``. Below that
     bound, and still before building anything, a target that is not of
-    the form every derived map has (X·Zᵀ = I, ``is_symplectic``) returns
-    no match: that covers singular targets and rows naming outputs beyond
-    the target's qubits.
+    that form (X·Zᵀ = I, ``is_symplectic``) returns no match: that covers
+    singular targets and rows naming outputs beyond the target's qubits.
     """
     if max_cuts < c.wires:
         raise BudgetTooSmall(f"need at least one cut per wire ({c.wires})")
     need = target.n_qubits
     if need < c.wires or need > max_cuts:
         return []
-    all_gaps = [(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
-    bound = len(c.gates) * comb(len(all_gaps) - c.wires, need - c.wires)
+    n_gaps = sum(c.symbol_count(w) for w in range(c.wires))
+    bound = len(c.gates) * comb(n_gaps - c.wires, need - c.wires)
     if bound > MAX_SEARCH_CANDIDATES:
         raise SearchTooLarge(
             f"search could build {quote_int(bound)} candidates, more than {MAX_SEARCH_CANDIDATES}",
@@ -467,26 +577,42 @@ def search_cuts(
             limit=MAX_SEARCH_CANDIDATES,
         )
     # every derived map has Z the inverse transpose of X, so a target
-    # without that form matches no candidate in either direction
+    # without that form matches no candidate in either direction, and for
+    # one with it equal X columns mean equal maps
     if not target.is_symplectic():
         return []
-    candidates = set()
-    for span in spanning_gaps(c):
-        family = set(enumerate(span))
-        others = [gap for gap in all_gaps if gap not in family]
-        for extra in combinations(others, need - c.wires):
-            candidates.add(tuple(sorted(family.union(extra))))
-    inverse = target.inverse()
-    models = (build_model(c, ModelKind.X), None)
+    cw_cols, ccw_cols = target.x_columns(), target.inverse().x_columns()
+    gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+    n_extra = need - c.wires
+    visited: list[tuple[int, ...]] = []
     found: list[tuple[CutSet, Direction]] = []
-    for combo in sorted(candidates):
-        cuts = CutSet.of(combo)
-        try:
-            derived = derive_transformations(c, cuts, Direction.CW, models=models)
-        except (Underdetermined, Inconsistent):
-            continue
-        if derived == target:
-            found.append((cuts, Direction.CW))
-        if derived == inverse:
-            found.append((cuts, Direction.CCW))
+    for system in _slot_systems(c, gaps):
+        # an extra set holding the rest of an earlier slot's family was a
+        # candidate of that slot; slots' families differ, so with no extra
+        # cuts none is
+        blockers = []
+        if n_extra:
+            position = {k: p for p, k in enumerate(system.others)}
+            for family in visited:
+                rest = [position[k] for k in family if k in position]
+                if len(rest) <= n_extra:
+                    blockers.append(sum(1 << p for p in rest))
+            visited.append(system.family)
+        for extras in combinations(range(len(system.others)), n_extra):
+            if blockers:
+                chosen = 0
+                for p in extras:
+                    chosen |= 1 << p
+                if any(blocker & chosen == blocker for blocker in blockers):
+                    continue
+            cols = _columns(system, extras)
+            cw, ccw = cols == cw_cols, cols == ccw_cols
+            if cw or ccw:
+                cuts = CutSet.of([gaps[k] for k in system.family] + [gaps[system.others[p]] for p in extras])
+                if cw:
+                    found.append((cuts, Direction.CW))
+                if ccw:
+                    found.append((cuts, Direction.CCW))
+    # stable: a cut set's clockwise hit stays before its counter-clockwise one
+    found.sort(key=lambda hit: hit[0].sorted_gaps())
     return found

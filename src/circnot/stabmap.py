@@ -41,7 +41,7 @@ class StabiliserMap:
     @classmethod
     def from_report(cls, text: str) -> "StabiliserMap":
         rows: dict[str, dict[int, frozenset[int]]] = {"X": {}, "Z": {}}
-        pattern = re.compile(r"^([XZ])(\d+)\s*->\s*\1\{([\d,\s]*)\}$")
+        pattern = re.compile(r"^([XZ])([0-9]+)\s*->\s*\1\{([0-9,\s]*)\}$")
         for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -89,6 +89,14 @@ class StabiliserMap:
         """The map with these X and Z columns (per output, the inputs reaching it)."""
         n = len(x_cols)
         return cls(n, _transposed(x_cols, n), _transposed(z_cols, n))
+
+    def x_columns(self) -> list[int]:
+        """The X part as ``from_x`` reads it: per output, the inputs reaching it."""
+        cols = [0] * self.n_qubits
+        for i, outs in enumerate(self.x_out):
+            for j in outs:
+                cols[j] |= 1 << i
+        return cols
 
     def inverse(self) -> "StabiliserMap":
         """Map of the reversed circuit (CNOT lists are gate-wise self-inverse).

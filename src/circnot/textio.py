@@ -68,7 +68,7 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
             header = tokens[0]
             continue
         if tokens[0] == "wires":
-            if wires is not None or len(tokens) != 2 or not tokens[1].isdecimal():
+            if wires is not None or len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdecimal()):
                 raise CircuitSyntaxError(f"bad wires line {quote(line)}", ln)
             digits = tokens[1].lstrip("0") or "0"
             if len(digits) > len(str(MAX_WIRES)):  # also too long for int() to read
@@ -78,7 +78,7 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
         if tokens[0] == "cnot":
             if wires is None:
                 raise CircuitSyntaxError("'wires N' must precede gates", ln)
-            if len(tokens) != 3:
+            if len(tokens) != 3 or not (tokens[1].isascii() and tokens[2].isascii()):
                 raise CircuitSyntaxError(f"bad cnot line {quote(line)}", ln)
             try:
                 pairs.append((int(tokens[1]), int(tokens[2])))
@@ -121,6 +121,9 @@ def parse_cut_file(text: str) -> tuple[CutSet, Direction | None]:
     for ln, line in _clean_lines(text):
         tokens = line.split()
         if tokens[0] == "cut" and len(tokens) == 3:
+            # int() also reads other scripts' digits
+            if not (tokens[1].isascii() and tokens[2].isascii()):
+                raise CircuitSyntaxError(f"bad cut line {quote(line)}", ln)
             try:
                 gaps.append(Gap(int(tokens[1]), int(tokens[2])))
             except ValueError:

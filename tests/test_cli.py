@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circnot.cli import main
+from circnot.cli import build_parser, main
 from circnot.errors import EmptyWire, quote
 from circnot.textio import parse_circuit
 
@@ -231,6 +231,64 @@ def test_repeated_single_valued_line_exit_code(tmp_path, swap_file, capsys, comm
     }[command]
     assert run(argv) == (1, "")
     assert capsys.readouterr().err == f"error syntax-error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        (
+            "search",
+            "X\u0660 -> X{\u0661}\nX1 -> X{0}\nZ0 -> Z{1}\nZ1 -> Z{0}\n",
+            "line 1: bad map line 'X\u0660 -> X{\u0661}'",
+        ),
+        (
+            "search",
+            "X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{\uff11}\nZ1 -> Z{0}\n",
+            "line 3: bad map line 'Z0 -> Z{\uff11}'",
+        ),
+        ("parse", "circular\nwires \u0662\ncnot 0 1\ncnot 1 0\n", "line 2: bad wires line 'wires \u0662'"),
+        ("parse", "circular\nwires 2\ncnot \u0660 1\ncnot 1 0\n", "line 3: bad cnot line 'cnot \u0660 1'"),
+        ("derive", "cut 0 2\ncut 1 \uff12\n", "line 2: bad cut line 'cut 1 \uff12'"),
+    ],
+    ids=["map-qubit", "map-output", "wires", "cnot", "cut"],
+)
+def test_non_ascii_number_exit_code(tmp_path, swap_file, capsys, command, text, message):
+    # int() and the regex \d read other scripts' digits; every number token is ASCII
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = {
+        "search": ["search", swap_file, "--target", str(path), "--max-cuts", "2"],
+        "parse": ["parse", str(path)],
+        "derive": ["derive", swap_file, "--cuts", str(path)],
+    }[command]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == f"error syntax-error: {message}\n"
+
+
+def test_signed_ascii_numbers_still_read(tmp_path, swap_file, capsys):
+    # int() reads signs and digit separators in ASCII tokens, as before
+    cuts = tmp_path / "signed.cuts"
+    cuts.write_text("cut +0 2\ncut 1 0_2\n")
+    assert run(["derive", swap_file, "--cuts", str(cuts)]) == (0, "X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{1}\nZ1 -> Z{0}\n")
+    circ = tmp_path / "negative.circ"
+    circ.write_text("circular\nwires 2\ncnot 0 -1\n")
+    assert run(["parse", str(circ)]) == (1, "")
+    assert capsys.readouterr().err == "error wire-out-of-range: gate 0 references wire -1 of 2\n"
+
+
+def test_parser_built_once(swap_file, capsys):
+    # a usage error after a successful call prints what a fresh parser prints
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as fresh:
+        main(["derive", swap_file])
+    fresh_err = capsys.readouterr().err
+    assert run(["cuts", swap_file])[0] == 0
+    with pytest.raises(SystemExit) as again:
+        main(["derive", swap_file])
+    assert (fresh.value.code, again.value.code) == (2, 2)
+    assert capsys.readouterr().err == fresh_err
+    assert "the following arguments are required: --cuts" in fresh_err
+    assert build_parser.cache_info().misses == 1
 
 
 def _file_argvs(swap_file: str, path: str) -> list[list[str]]:

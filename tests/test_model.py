@@ -25,6 +25,9 @@ from circnot import (
     parity_rows,
     propagate,
     search_cuts,
+    strip_and_circularize,
+    toffoli_decomposition,
+    translate_to_icm,
 )
 from circnot.errors import (
     BudgetTooSmall,
@@ -818,6 +821,34 @@ class TestDirectionInverse:
         assert checked > 13000
 
 
+class TestSlotSystems:
+    """The reduced per-slot X system that ``search_cuts`` reads candidates on.
+
+    A cut set is read on the system of its first radial slot in the order
+    the search visits (the wrap slot, then clockwise from slot 0): its
+    columns must be the clockwise derivation's X columns, and the
+    counter-clockwise derivation must be their map's inverse.
+    """
+
+    def test_small_sweep_matches_derivation(self):
+        checked = 0
+        for c, cut_sets in small_sweep_cut_sets():
+            gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+            systems = list(model_module._slot_systems(c, gaps))
+            index = {gap: k for k, gap in enumerate(gaps)}
+            models = (build_model(c, ModelKind.X), None)
+            for cuts in cut_sets:
+                cut = {index[gap] for gap in cuts.gaps()}
+                system = next(s for s in systems if cut.issuperset(s.family))
+                extras = tuple(p for p, k in enumerate(system.others) if k in cut)
+                cols = model_module._columns(system, extras)
+                cw, ccw = (derive_transformations(c, cuts, d, models=models) for d in Direction)
+                assert cols == cw.x_columns()
+                assert ccw == StabiliserMap.from_x(cols).inverse()
+                checked += 1
+        assert checked > 13000
+
+
 def derive_or_error(derive, c, cuts, d, models):
     try:
         return derive(c, cuts, d, models=models)
@@ -872,34 +903,40 @@ def identity_map(n):
 
 
 class TestSearchOneDerivation:
-    def test_one_linearize_per_candidate(self, swap, monkeypatch):
+    def test_each_candidate_evaluated_once(self, swap, monkeypatch):
         # every cut set of ``need`` gaps holding a radial family is one
-        # candidate, whose arcs are resolved once (clockwise) and never twice
+        # candidate, evaluated once on its slot's reduced system; no
+        # candidate resolves arcs or runs a derivation
         pairs = [(g.control, g.target) for g in swap.gates]
         families = [
             {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(swap.wires)}
             for j in range(len(pairs))
         ]
         gaps = [p.gap for p in enumerate_cut_points(swap)]
-        calls = []
-        real_resolve_arcs = model_module.resolve_arcs
+        by_index = [Gap(w, i) for w in range(swap.wires) for i in range(swap.symbol_count(w))]
+        evaluated = []
+        real_columns = model_module._columns
 
-        def counted(c, cuts, d):
-            calls.append((cuts, d))
-            return real_resolve_arcs(c, cuts, d)
+        def counted(system, extras):
+            ks = [*system.family, *(system.others[p] for p in extras)]
+            evaluated.append(CutSet.of(by_index[k] for k in ks))
+            return real_columns(system, extras)
 
-        monkeypatch.setattr(model_module, "resolve_arcs", counted)
+        def refuse(*args, **kwargs):
+            raise AssertionError("search resolved arcs or derived a map")
+
+        monkeypatch.setattr(model_module, "_columns", counted)
+        monkeypatch.setattr(model_module, "resolve_arcs", refuse)
+        monkeypatch.setattr(model_module, "derive_transformations", refuse)
         for need in (2, 3, 4):
-            calls.clear()
+            evaluated.clear()
             search_cuts(swap, identity_map(need), need)
             expected = [
                 CutSet.of(combo)
                 for combo in itertools.combinations(gaps, need)
                 if any(family.issubset(combo) for family in families)
             ]
-            assert sorted(calls, key=lambda call: call[0].sorted_gaps()) == [
-                (cuts, Direction.CW) for cuts in sorted(expected, key=CutSet.sorted_gaps)
-            ]
+            assert sorted(evaluated, key=CutSet.sorted_gaps) == sorted(expected, key=CutSet.sorted_gaps)
 
     @pytest.mark.parametrize(
         "x_out,error",
@@ -914,6 +951,44 @@ class TestSearchOneDerivation:
         with pytest.raises(error):
             target.inverse()
         assert search_cuts(c, target, 2) == []
+
+
+# Toffoli circular form (5 wires, 20 gates, 40 gaps), need 7: per target
+# (the oracle map of a radial family plus two gaps, in one direction) the
+# search's hits, recorded with a search that derived every candidate
+TOFFOLI_NEED_7 = [
+    (
+        [(0, 4), (1, 2), (2, 3), (2, 11), (3, 7), (4, 5), (4, 11)],
+        [
+            [(0, 4), (1, 2), (2, 3), (2, 11), (3, 7), (4, 5), (4, 11)],
+            [(0, 4), (1, 2), (2, 3), (2, 11), (3, 7), (4, 7), (4, 11)],
+        ],
+    ),
+    (
+        [(0, 0), (0, 1), (1, 0), (2, 3), (3, 2), (3, 4), (4, 2)],
+        [
+            [(0, 0), (0, 1), (1, 0), (2, 3), (3, 2), (3, 4), (4, 2)],
+            [(0, 0), (0, 1), (1, 0), (2, 3), (3, 4), (3, 7), (4, 2)],
+        ],
+    ),
+    (
+        [(0, 2), (1, 2), (2, 0), (2, 7), (3, 6), (4, 6), (4, 9)],
+        [
+            [(0, 2), (1, 2), (2, 0), (2, 7), (3, 6), (4, 6), (4, 9)],
+            [(0, 2), (1, 2), (2, 0), (2, 9), (3, 6), (4, 8), (4, 9)],
+        ],
+    ),
+]
+
+
+class TestSearchToffoli:
+    @pytest.mark.parametrize("d", list(Direction), ids=lambda d: d.value)
+    @pytest.mark.parametrize("known,hits", TOFFOLI_NEED_7, ids=["wrap-slot", "slot-6", "slot-13"])
+    def test_need_seven_matches_recorded(self, known, hits, d):
+        # each hit reads the target in the known set's direction only
+        c, _ = strip_and_circularize(translate_to_icm(*toffoli_decomposition()))
+        target = oracle_map(linearize(c, CutSet.of(known), d))
+        assert search_cuts(c, target, 7) == [(CutSet.of(gaps), d) for gaps in hits]
 
 
 class TestSearchBound:
