@@ -515,23 +515,24 @@ def _columns(system: _SlotSystem, extras: tuple[int, ...]) -> list[int]:
         counts[wires[p]] += 1
     qubit = list(accumulate(counts, initial=0))  # per wire, its open arc
     known = [(1 << w, 1 << qubit[w]) for w in range(n_wires)]
-    cols = [0] * qubit[-1]
-    rows = system.rows
-    for p in extras:
-        row, value = rows[p], 0
+
+    def evaluate(row: int) -> int:
+        value = 0
         for bit, known_value in known:
             if row & bit:
                 value ^= known_value
+        return value
+
+    cols = [0] * qubit[-1]
+    rows = system.rows
+    for p in extras:
+        value = evaluate(rows[p])
         w = wires[p]
         cols[qubit[w]] = value
         qubit[w] += 1
         known.append((1 << (n_wires + p), 1 << qubit[w] ^ value))
     for w, row in enumerate(system.family_rows):
-        value = 0
-        for bit, known_value in known:
-            if row & bit:
-                value ^= known_value
-        cols[qubit[w]] = value
+        cols[qubit[w]] = evaluate(row)
     return cols
 
 
@@ -545,9 +546,10 @@ def search_cuts(
     holds a radial family. So the candidates are built, not filtered: per
     slot, the slot's radial family plus every choice of the remaining cuts
     among the other gaps. Slots are visited in ``resolve_arcs``' start
-    order (the wrap slot, then clockwise from slot 0), and a choice that
-    completes an earlier slot's family is skipped, so each candidate comes
-    once, at the slot whose family numbers its qubits.
+    order (the wrap slot, then clockwise from slot 0); a slot whose family
+    an earlier slot had is skipped, and so is a choice that completes an
+    earlier slot's family, so each candidate comes once, at the slot whose
+    family numbers its qubits.
 
     A candidate is read off its slot's reduced X system (``_slot_systems``,
     one X solve per search) by substitution over its extra cuts
@@ -584,12 +586,15 @@ def search_cuts(
     cw_cols, ccw_cols = target.x_columns(), target.inverse().x_columns()
     gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
     n_extra = need - c.wires
-    visited: list[tuple[int, ...]] = []
+    visited: set[tuple[int, ...]] = set()
     found: list[tuple[CutSet, Direction]] = []
     for system in _slot_systems(c, gaps):
+        # slots whose gates between them touch only single-symbol wires
+        # share a family, and so every candidate
+        if system.family in visited:
+            continue
         # an extra set holding the rest of an earlier slot's family was a
-        # candidate of that slot; slots' families differ, so with no extra
-        # cuts none is
+        # candidate of that slot; with no extra cuts no other family is held
         blockers = []
         if n_extra:
             position = {k: p for p, k in enumerate(system.others)}
@@ -597,7 +602,7 @@ def search_cuts(
                 rest = [position[k] for k in family if k in position]
                 if len(rest) <= n_extra:
                     blockers.append(sum(1 << p for p in rest))
-            visited.append(system.family)
+        visited.add(system.family)
         for extras in combinations(range(len(system.others)), n_extra):
             if blockers:
                 chosen = 0

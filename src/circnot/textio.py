@@ -55,6 +55,13 @@ def _clean_lines(text: str):
             yield ln, line
 
 
+def _ascii_int(token: str) -> int:
+    """``int(token)`` for an all-ASCII token, else ``ValueError``; int() alone reads any script's digits."""
+    if not token.isascii():
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
     """Parse the circuit file format; times/positions follow listing order."""
     header = None
@@ -78,10 +85,10 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
         if tokens[0] == "cnot":
             if wires is None:
                 raise CircuitSyntaxError("'wires N' must precede gates", ln)
-            if len(tokens) != 3 or not (tokens[1].isascii() and tokens[2].isascii()):
+            if len(tokens) != 3:
                 raise CircuitSyntaxError(f"bad cnot line {quote(line)}", ln)
             try:
-                pairs.append((int(tokens[1]), int(tokens[2])))
+                pairs.append((_ascii_int(tokens[1]), _ascii_int(tokens[2])))
             except ValueError:
                 raise CircuitSyntaxError(f"bad cnot line {quote(line)}", ln) from None
             continue
@@ -121,11 +128,8 @@ def parse_cut_file(text: str) -> tuple[CutSet, Direction | None]:
     for ln, line in _clean_lines(text):
         tokens = line.split()
         if tokens[0] == "cut" and len(tokens) == 3:
-            # int() also reads other scripts' digits
-            if not (tokens[1].isascii() and tokens[2].isascii()):
-                raise CircuitSyntaxError(f"bad cut line {quote(line)}", ln)
             try:
-                gaps.append(Gap(int(tokens[1]), int(tokens[2])))
+                gaps.append(Gap(_ascii_int(tokens[1]), _ascii_int(tokens[2])))
             except ValueError:
                 raise CircuitSyntaxError(f"bad cut line {quote(line)}", ln) from None
         elif tokens[0] == "direction" and len(tokens) == 2:

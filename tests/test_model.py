@@ -902,18 +902,24 @@ def identity_map(n):
     return StabiliserMap(n, rows, rows)
 
 
+# 4-wire circuits where a gate touches only single-symbol wires, so the
+# slots on either side of it share a radial family
+REPEATED_FAMILIES = [[(0, 1), (2, 3)], [(0, 1), (1, 0), (2, 3)], [(0, 1), (2, 3), (1, 2)]]
+
+
 class TestSearchOneDerivation:
-    def test_each_candidate_evaluated_once(self, swap, monkeypatch):
+    @staticmethod
+    def assert_each_candidate_evaluated_once(c, needs, monkeypatch):
         # every cut set of ``need`` gaps holding a radial family is one
         # candidate, evaluated once on its slot's reduced system; no
         # candidate resolves arcs or runs a derivation
-        pairs = [(g.control, g.target) for g in swap.gates]
+        pairs = [(g.control, g.target) for g in c.gates]
         families = [
-            {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(swap.wires)}
+            {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(c.wires)}
             for j in range(len(pairs))
         ]
-        gaps = [p.gap for p in enumerate_cut_points(swap)]
-        by_index = [Gap(w, i) for w in range(swap.wires) for i in range(swap.symbol_count(w))]
+        gaps = [p.gap for p in enumerate_cut_points(c)]
+        by_index = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
         evaluated = []
         real_columns = model_module._columns
 
@@ -928,15 +934,23 @@ class TestSearchOneDerivation:
         monkeypatch.setattr(model_module, "_columns", counted)
         monkeypatch.setattr(model_module, "resolve_arcs", refuse)
         monkeypatch.setattr(model_module, "derive_transformations", refuse)
-        for need in (2, 3, 4):
+        for need in needs:
             evaluated.clear()
-            search_cuts(swap, identity_map(need), need)
+            search_cuts(c, identity_map(need), need)
             expected = [
                 CutSet.of(combo)
                 for combo in itertools.combinations(gaps, need)
                 if any(family.issubset(combo) for family in families)
             ]
             assert sorted(evaluated, key=CutSet.sorted_gaps) == sorted(expected, key=CutSet.sorted_gaps)
+
+    def test_each_candidate_evaluated_once(self, swap, monkeypatch):
+        self.assert_each_candidate_evaluated_once(swap, (2, 3, 4), monkeypatch)
+
+    @pytest.mark.parametrize("pairs", REPEATED_FAMILIES, ids=["two-gates", "three-gates", "linked"])
+    def test_shared_family_evaluated_once(self, monkeypatch, pairs):
+        # slots sharing a family hand each candidate to the first of them only
+        self.assert_each_candidate_evaluated_once(mkcirc(4, pairs), (4, 5, 6), monkeypatch)
 
     @pytest.mark.parametrize(
         "x_out,error",
@@ -1123,6 +1137,27 @@ class TestSearchReference:
                 assert search_cuts(c, target, c.wires) == []
                 searches += 1
         assert searches > 50
+
+
+class TestSearchRepeatedFamilies:
+    """Slots sharing a radial family yield each hit once, as the brute force does."""
+
+    @pytest.mark.parametrize("pairs", REPEATED_FAMILIES, ids=["two-gates", "three-gates", "linked"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["family", "family-plus-one"])
+    def test_matches_brute_force(self, pairs, extra):
+        c = mkcirc(4, pairs)
+        families, gaps, table = TestSearchReference.brute_force_table(c, c.wires + extra)
+        targets = {
+            oracle_map(linearize(c, CutSet.of(family | set(more)), d))
+            for family in families
+            for more in itertools.combinations(sorted(set(gaps) - family), extra)
+            for d in Direction
+        }
+        for target in sorted(targets, key=StabiliserMap.report):
+            expected = [(cuts, d) for cuts, d, derived in table if derived == target]
+            found = search_cuts(c, target, c.wires + 2)
+            assert len(set(found)) == len(found)
+            assert found == expected
 
 
 class TestModelViewsGolden:
