@@ -27,7 +27,6 @@ from .icm import (
     MeasBasis,
     QubitConfig,
     Role,
-    configure,
     faulted_transformations,
     gadget,
     inject_smgf,

@@ -11,7 +11,7 @@ the gap that follows wire ``w``'s ``i``-th symbol in clockwise order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
 
@@ -169,9 +169,6 @@ class CircularCircuit:
         span = next(islice(spanning_gaps(self), range(len(self.gates))[slot], None))
         return Gap(wire, span[wire])
 
-    def gap_valid(self, gap: Gap) -> bool:
-        return 0 <= gap.wire < self.wires and 0 <= gap.index < len(self._symbols[gap.wire])
-
 
 @dataclass(frozen=True)
 class ArcOrigin:
@@ -202,7 +199,6 @@ class LinearGate:
 class LinearCircuit:
     n_qubits: int
     gates: tuple[LinearGate, ...]
-    origins: tuple[ArcOrigin, ...] | None = None
 
     def __post_init__(self):
         times = [g.time for g in self.gates]
@@ -212,8 +208,6 @@ class LinearCircuit:
             for q in (g.control, g.target):
                 if not 0 <= q < self.n_qubits:
                     raise WireOutOfRange(f"gate at t={g.time} references qubit {quote_int(q)} of {self.n_qubits}")
-        if self.origins is not None and len(self.origins) != self.n_qubits:
-            raise ValueError("one origin per qubit required")
 
     def gate_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((g.control, g.target) for g in self.gates)
@@ -265,13 +259,27 @@ def spanning_gaps(c: CircularCircuit):
 
 
 def _radial_families(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, ...]]:
-    """Radial slots, clockwise, each with its spanning gap index on every wire."""
+    """Radial slots, clockwise, each with its spanning gap index on every wire.
+
+    Raises ``NoRadialCut`` when there is none; the cuts are known to exist.
+    """
     cut = {(g.wire, g.index) for g in cuts.cuts}
-    return {
+    families = {
         slot: tuple(span)
         for slot, span in enumerate(spanning_gaps(c))
         if all(pair in cut for pair in enumerate(span))
     }
+    if families:
+        return families
+    missing = {
+        slot: tuple(w for w, i in enumerate(span) if (w, i) not in cut)
+        for slot, span in enumerate(spanning_gaps(c))
+    }
+    uncut_everywhere = sorted(set(range(c.wires)).intersection(*missing.values()))
+    raise NoRadialCut(
+        f"no slot is cut across all wires (wires never cut at any slot: {uncut_everywhere})",
+        missing_by_slot=missing,
+    )
 
 
 def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, ...]]:
@@ -288,20 +296,9 @@ def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
     if not cuts.cuts:
         raise EmptyCutSet("cut set is empty")
     for gap in cuts.sorted_gaps():
-        if not c.gap_valid(gap):
+        if not (0 <= gap.wire < c.wires and 0 <= gap.index < c.symbol_count(gap.wire)):
             raise UnknownGap(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} does not exist")
-    families = _radial_families(c, cuts)
-    if families:
-        return families
-    missing = {
-        slot: tuple(w for w, i in enumerate(span) if Gap(w, i) not in cuts)
-        for slot, span in enumerate(spanning_gaps(c))
-    }
-    uncut_everywhere = sorted(set(range(c.wires)).intersection(*missing.values()))
-    raise NoRadialCut(
-        f"no slot is cut across all wires (wires never cut at any slot: {uncut_everywhere})",
-        missing_by_slot=missing,
-    )
+    return _radial_families(c, cuts)
 
 
 def resolve_arcs(
@@ -318,7 +315,7 @@ def resolve_arcs(
 
     Every wire's sweep returns to its start, so the wrap slot spans each
     wire's last gap and testing it takes one look per wire. Only a cut set
-    without that family runs the full sweep of ``validate_cut_set``.
+    without that family sweeps every slot for its radial families.
     """
     if not cuts.cuts:
         raise EmptyCutSet("cut set is empty")
@@ -341,7 +338,7 @@ def resolve_arcs(
         start = n_gates - 1
         anchors = [len(syms) - 1 for syms in symbols]
     else:
-        families = validate_cut_set(c, cuts)
+        families = _radial_families(c, cuts)
         start = next(iter(families))
         anchors = families[start]
     origins = []
@@ -387,7 +384,7 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     lin_gates = [
         LinearGate(*qubit_pairs[gi], time=t, source=c.gates[gi].id) for t, gi in enumerate(order)
     ]
-    return LinearCircuit(n_qubits=len(origins), gates=tuple(lin_gates), origins=origins)
+    return LinearCircuit(n_qubits=len(origins), gates=tuple(lin_gates))
 
 
 def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
@@ -439,9 +436,4 @@ def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
     except EmptyWire as err:
         raise EmptyWire(err.wires, join_record=record_without_seam) from None
     seam = CutSet.of(Gap(w, circ.symbol_count(w) - 1) for w in range(circ.wires))
-    return circ, JoinRecord(
-        joins=record_without_seam.joins,
-        loops=record_without_seam.loops,
-        wire_of=record_without_seam.wire_of,
-        seam=seam,
-    )
+    return circ, replace(record_without_seam, seam=seam)

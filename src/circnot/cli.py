@@ -44,8 +44,8 @@ GADGET_NAMES = ("teleport", "t", "p", "v", "bell", "measurez", "remotecnot", "sd
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as err:
-        raise FileNotFound(str(err)) from None
+    except FileNotFoundError as err:  # err.filename is the path as opened: no "./"
+        raise FileNotFound(f"[Errno {err.errno}] {err.strerror}: {quote(err.filename)}") from None
     except OSError as err:
         raise UnreadableFile(f"{quote(path)}: {err.strerror}") from None
     except UnicodeDecodeError as err:

@@ -173,11 +173,6 @@ class ICMCircuit:
         return tuple(q for q, cfg in enumerate(self.configs) if cfg.meas.kind == "none")
 
 
-def configure(l: LinearCircuit, configs) -> ICMCircuit:
-    """Attach per-qubit initialisation/measurement choices to a CNOT list."""
-    return ICMCircuit(circuit=l, configs=tuple(configs))
-
-
 def _chain(pairs) -> tuple[LinearGate, ...]:
     return tuple(LinearGate(control=c, target=t, time=i) for i, (c, t) in enumerate(pairs))
 
@@ -336,12 +331,9 @@ def strip_and_circularize(icm: ICMCircuit) -> tuple[CircularCircuit, JoinRecord]
 
 @dataclass(frozen=True)
 class FaultSpec:
-    gate: int
-    kind: str = "smgf"
+    """A single missing gate fault (smgf) on the gate with id ``gate``."""
 
-    def __post_init__(self):
-        if self.kind != "smgf":
-            raise UnknownGate(f"unsupported fault kind {self.kind!r}")
+    gate: int
 
 
 @dataclass(frozen=True)

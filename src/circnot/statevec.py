@@ -119,7 +119,7 @@ def statevector_run(icm, outcomes, bindings=None, choices=None) -> np.ndarray:
     state = kron_all(factors)
     for g in icm.circuit.gates:
         state = apply_cnot(state, g.control, g.target, n)
-    measured = [q for q, cfg in enumerate(icm.configs) if cfg.meas.kind != "none"]
+    measured = icm.measured_qubits()
     if len(outcomes) != len(measured):
         raise CountMismatch(
             f"{len(measured)} measured qubits but {len(outcomes)} outcome bits"

@@ -1,4 +1,4 @@
-"""Line-oriented circuit formats and the key/value tree export.
+"""Line-oriented circuit formats and the key/value tree output.
 
 Circuit files: a header line ``linear`` or ``circular``, then ``wires N``,
 then one ``cnot <control> <target>`` per line in temporal (or cyclic)
@@ -9,9 +9,9 @@ plus at most one ``direction cw|ccw``. ICM files extend circuit files with
 ``smgf <gateId>``. Program files hold one ``qubits N`` line and one
 Clifford+T gate per line.
 
-The kv tree format is self-describing: ``key value`` pairs and ``key {``
-... ``}`` blocks; repeating a key yields a list. See the README for the
-schemas of the objects exported here.
+The kv tree is an output format only (``--format kv``): ``key value``
+pairs and ``key {`` ... ``}`` blocks, where a list repeats its key. Nothing
+reads it back. See the README for the schemas of the objects written here.
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ from .icm import (
 # Largest wire (or qubit) count a circuit source may declare. Circuits keep
 # per-wire tables, so the count is checked before anything is built for it.
 MAX_WIRES = 1 << 16
-
-
-def _wire_count(count: int, ln: int) -> int:
-    if count > MAX_WIRES:
-        raise CircuitSyntaxError(f"more than {MAX_WIRES} wires", ln)
-    return count
 
 
 def _clean_lines(text: str):
@@ -78,9 +72,10 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
             if wires is not None or len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdecimal()):
                 raise CircuitSyntaxError(f"bad wires line {quote(line)}", ln)
             digits = tokens[1].lstrip("0") or "0"
-            if len(digits) > len(str(MAX_WIRES)):  # also too long for int() to read
+            # the length test first: int() refuses the longest digit strings
+            if len(digits) > len(str(MAX_WIRES)) or int(digits) > MAX_WIRES:
                 raise CircuitSyntaxError(f"more than {MAX_WIRES} wires", ln)
-            wires = _wire_count(int(digits), ln)
+            wires = int(digits)
             continue
         if tokens[0] == "cnot":
             if wires is None:
@@ -299,56 +294,6 @@ def kv_dumps(tree: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def kv_loads(text: str) -> dict:
-    """Parse the kv tree format back into nested dicts (repeats -> lists)."""
-    root: dict = {}
-    stack = [root]
-    for ln, line in _clean_lines(text):
-        if line == "}":
-            if len(stack) == 1:
-                raise CircuitSyntaxError("unbalanced '}'", ln)
-            stack.pop()
-            continue
-        if line.endswith("{"):
-            key = line[:-1].strip()
-            node: dict = {}
-            _kv_insert(stack[-1], key, node)
-            stack.append(node)
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise CircuitSyntaxError(f"bad kv line {quote(line)}", ln)
-        _kv_insert(stack[-1], parts[0], _kv_scalar(parts[1]))
-    if len(stack) != 1:
-        raise CircuitSyntaxError("unclosed block", 1)
-    return root
-
-
-def _kv_insert(node: dict, key: str, value) -> None:
-    if key in node:
-        existing = node[key]
-        if isinstance(existing, list):
-            existing.append(value)
-        else:
-            node[key] = [existing, value]
-    else:
-        node[key] = value
-
-
-def _kv_scalar(token: str):
-    token = token.strip()
-    try:
-        return int(token)
-    except ValueError:
-        return token
-
-
-def _as_list(value) -> list:
-    if value is None:
-        return []
-    return value if isinstance(value, list) else [value]
-
-
 def circuit_to_kv(c: LinearCircuit | CircularCircuit) -> dict:
     if isinstance(c, CircularCircuit):
         return {
@@ -373,47 +318,6 @@ def circuit_to_kv(c: LinearCircuit | CircularCircuit) -> dict:
     }
 
 
-def circuit_from_kv(tree: dict) -> LinearCircuit | CircularCircuit:
-    node = tree["circuit"]
-    gates = _as_list(node.get("gate"))
-    if node["kind"] == "circular":
-        return CircularCircuit(
-            wires=_wire_count(node["wires"], 1),
-            gates=tuple(
-                CNOTGate(
-                    id=g.get("id", i),
-                    control=g["control"],
-                    target=g["target"],
-                    position=g.get("position", i),
-                )
-                for i, g in enumerate(gates)
-            ),
-        )
-    return LinearCircuit(
-        n_qubits=_wire_count(node["qubits"], 1),
-        gates=tuple(
-            LinearGate(control=g["control"], target=g["target"], time=g.get("time", i))
-            for i, g in enumerate(gates)
-        ),
-    )
-
-
-def cut_set_to_kv(cuts: CutSet, direction: Direction | None = None) -> dict:
-    node: dict = {
-        "cut": [{"wire": g.wire, "gap": g.index} for g in cuts.sorted_gaps()],
-    }
-    if direction is not None:
-        node["direction"] = direction.value
-    return {"cuts": node}
-
-
-def cut_set_from_kv(tree: dict) -> tuple[CutSet, Direction | None]:
-    node = tree["cuts"]
-    gaps = [Gap(item["wire"], item["gap"]) for item in _as_list(node.get("cut"))]
-    direction = Direction.parse(node["direction"]) if "direction" in node else None
-    return CutSet.of(gaps), direction
-
-
 def join_record_to_kv(record: JoinRecord) -> dict:
     return {
         "joins": {
@@ -427,17 +331,3 @@ def join_record_to_kv(record: JoinRecord) -> dict:
             ],
         }
     }
-
-
-def join_record_from_kv(tree: dict) -> JoinRecord:
-    node = tree["joins"]
-    joins = tuple((j["consumer"], j["producer"]) for j in _as_list(node.get("join")))
-    loops = tuple((j["consumer"], j["producer"]) for j in _as_list(node.get("loop")))
-    wire_items = sorted(_as_list(node.get("wire")), key=lambda w: w["qubit"])
-    seam = CutSet.of(Gap(g["wire"], g["gap"]) for g in _as_list(node.get("seam")))
-    return JoinRecord(
-        joins=joins,
-        loops=loops,
-        wire_of=tuple(w["wire"] for w in wire_items),
-        seam=seam,
-    )

@@ -37,7 +37,7 @@ from circnot import (
     build_model,
     derive_transformations,
     enumerate_cut_points,
-    linearize,
+    resolve_arcs,
     spanning_gaps,
 )
 from circnot import gf2
@@ -136,7 +136,7 @@ def rows_of_columns(cols) -> tuple[frozenset[int], ...]:
 
 def solve_model_map(c: CircularCircuit, cuts: CutSet, d: Direction, model: BooleanModel):
     """Map rows of one parity model (X or Z), solved directly from that model."""
-    origins = linearize(c, cuts, d).origins
+    origins = resolve_arcs(c, cuts, d)[1]
     return rows_of_columns(solve_map_rows(model, cuts.gaps(), *input_output_segments(model, origins, d)))
 
 
@@ -149,12 +149,12 @@ def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models
     """
     if models is None:
         models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-    lin = linearize(c, cuts, d)
+    origins = resolve_arcs(c, cuts, d)[1]
     x_out, z_out = (
-        rows_of_columns(solve_map_rows(m, cuts.gaps(), *input_output_segments(m, lin.origins, d)))
+        rows_of_columns(solve_map_rows(m, cuts.gaps(), *input_output_segments(m, origins, d)))
         for m in models
     )
-    return StabiliserMap(lin.n_qubits, x_out, z_out)
+    return StabiliserMap(len(origins), x_out, z_out)
 
 
 def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, bridges=()):

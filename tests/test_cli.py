@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from circnot.cli import build_parser, main
 from circnot.errors import EmptyWire, quote
-from circnot.textio import parse_circuit
+from circnot.textio import format_cut_set, parse_circuit
 
 SWAP_CIRC = "circular\nwires 2\ncnot 0 1\ncnot 1 0\ncnot 0 1\n"
 RADIAL_A = "cut 0 2\ncut 1 2\n"
@@ -84,6 +84,38 @@ def test_parse_kv_format(swap_file):
     code, out = run(["parse", swap_file, "--format", "kv"])
     assert code == 0
     assert "kind circular" in out
+
+
+LINEAR_CHAIN = "linear\nwires 4\ncnot 0 1\ncnot 1 2\ncnot 3 2\n"
+# ``--format kv`` stdout, captured before the kv readers were deleted: one
+# file per case under tests/golden, by (command, circuit, cut set, direction)
+KV_GOLDEN = Path(__file__).resolve().parent / "golden"
+KV_CASES = {
+    "parse-swap": ("parse", SWAP_CIRC, None, None),
+    "parse-chain": ("parse", LINEAR_CHAIN, None, None),
+    "circularize-swap": ("circularize", LINEAR_SWAP, None, None),
+    "circularize-chain": ("circularize", LINEAR_CHAIN, None, None),
+    **{
+        f"linearize-{name}-{d}": ("linearize", SWAP_CIRC, name, d)
+        for name in ("swap", "single-cnot", "teleported-cnot", "sdt")
+        for d in ("cw", "ccw")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(KV_CASES))
+def test_kv_format_golden(tmp_path, swap_cut_sets, capsys, case):
+    command, circuit, cut_name, direction = KV_CASES[case]
+    path = tmp_path / "in.circ"
+    path.write_text(circuit)
+    argv = [command, str(path), "--format", "kv"]
+    if cut_name is not None:
+        cuts = tmp_path / "in.cuts"
+        cuts.write_text(format_cut_set(swap_cut_sets[cut_name]))
+        argv += ["--cuts", str(cuts), "--dir", direction]
+    code, out = run(argv)
+    assert (code, out.encode()) == (0, (KV_GOLDEN / f"{case}.kv").read_bytes())
+    assert capsys.readouterr().err == ""
 
 
 def test_model_dump(swap_file):
@@ -312,11 +344,15 @@ def test_unreadable_input_exit_code(tmp_path, swap_file, capsys):
 
 
 def test_missing_file_line(tmp_path, swap_file, capsys):
-    missing = str(tmp_path / "missing")
-    for argv in _file_argvs(swap_file, missing):
-        assert run(argv) == (1, "")
-        expected = f"error file-not-found: [Errno 2] No such file or directory: {missing!r}\n"
-        assert capsys.readouterr().err == expected
+    # a path past 64 characters (here 15 components of 200) is quoted as its
+    # first characters and its length, so the line stays short
+    for missing in (str(tmp_path / "missing"), str(tmp_path.joinpath(*["d" * 200] * 15))):
+        for argv in _file_argvs(swap_file, missing):
+            assert run(argv) == (1, "")
+            err = capsys.readouterr().err
+            assert err == f"error file-not-found: [Errno 2] No such file or directory: {quote(missing)}\n"
+            assert err.count("\n") == 1 and len(err) < 200
+    assert quote(str(tmp_path / "missing")) == repr(str(tmp_path / "missing"))
 
 
 def test_search_out_of_range_target_exit_code(tmp_path, swap_file, capsys):

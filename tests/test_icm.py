@@ -10,6 +10,7 @@ from circnot import (
     Direction,
     FaultSpec,
     Gap,
+    ICMCircuit,
     InitBasis,
     LinearCircuit,
     LinearGate,
@@ -17,7 +18,6 @@ from circnot import (
     QubitConfig,
     Role,
     circularize,
-    configure,
     faulted_transformations,
     gadget,
     inject_smgf,
@@ -42,26 +42,26 @@ GATE_MATS = {"t": T_MAT, "p": P_MAT, "pdg": P_MAT.conj().T, "v": V_PLUS}
 class TestConfigure:
     def test_teleport_structure(self):
         lin = mklin(2, [(1, 0)])
-        icm = configure(
-            lin,
-            [
+        icm = ICMCircuit(
+            circuit=lin,
+            configs=(
                 QubitConfig(Role.INPUT, InitBasis.symbolic("phi"), MeasBasis.z()),
                 QubitConfig(Role.OUTPUT, InitBasis.plus(), MeasBasis.none()),
-            ],
+            ),
         )
         assert icm.measured_qubits() == (0,)
         assert icm.output_qubits() == (1,)
 
     def test_sdt_configurable_bases(self):
         lin = mklin(4, [(3, 1), (0, 1), (2, 0)])
-        icm = configure(
-            lin,
-            [
+        icm = ICMCircuit(
+            circuit=lin,
+            configs=(
                 QubitConfig(Role.INPUT, InitBasis.symbolic("phi"), MeasBasis.cfg("z", "x")),
                 QubitConfig(Role.ANCILLA, InitBasis.zero(), MeasBasis.cfg("x", "z")),
                 QubitConfig(Role.OUTPUT, InitBasis.plus(), MeasBasis.none()),
                 QubitConfig(Role.OUTPUT, InitBasis.plus(), MeasBasis.none()),
-            ],
+            ),
         )
         assert icm.configs[0].meas.options == ("z", "x")
         assert icm.configs[1].meas.options == ("x", "z")
@@ -69,7 +69,7 @@ class TestConfigure:
     def test_count_mismatch(self):
         lin = mklin(4, [(0, 1), (2, 3)])
         with pytest.raises(CountMismatch):
-            configure(lin, [QubitConfig(Role.OUTPUT, InitBasis.zero(), MeasBasis.none())] * 3)
+            ICMCircuit(circuit=lin, configs=(QubitConfig(Role.OUTPUT, InitBasis.zero(), MeasBasis.none()),) * 3)
 
     def test_invalid_ancilla(self):
         with pytest.raises(InvalidAncillaConfig):
@@ -252,12 +252,12 @@ class TestStrip:
 
     def test_configuration_never_changes_skeleton(self):
         lin = mklin(3, [(0, 1), (1, 2), (2, 0)])
-        configs = [
+        configs = (
             QubitConfig(Role.INPUT, InitBasis.symbolic("a"), MeasBasis.z()),
             QubitConfig(Role.ANCILLA, InitBasis.plus(), MeasBasis.x()),
             QubitConfig(Role.OUTPUT, InitBasis.zero(), MeasBasis.none()),
-        ]
-        icm = configure(lin, configs)
+        )
+        icm = ICMCircuit(circuit=lin, configs=configs)
         assert strip_and_circularize(icm) == circularize(lin)
 
     def test_translated_toffoli_wire_count(self):

@@ -289,17 +289,17 @@ class TestParitySystem:
 class TestPropagate:
     def test_swap_exchanges(self, swap, swap_cut_sets):
         m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
-        lin = linearize(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_pair(o.input_cut)[1] for o in lin.origins]
-        outs = [m.gap_pair(o.output_cut)[0] for o in lin.origins]
+        _, origins = resolve_arcs(swap, swap_cut_sets["swap"], Direction.CW)
+        ins = [m.gap_pair(o.input_cut)[1] for o in origins]
+        outs = [m.gap_pair(o.output_cut)[0] for o in origins]
         sol = propagate(m, {ins[0]: True, ins[1]: False})
         assert sol[outs[0]] is False
         assert sol[outs[1]] is True
 
     def test_all_false_inputs(self, swap, swap_cut_sets):
         m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
-        lin = linearize(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_pair(o.input_cut)[1] for o in lin.origins]
+        _, origins = resolve_arcs(swap, swap_cut_sets["swap"], Direction.CW)
+        ins = [m.gap_pair(o.input_cut)[1] for o in origins]
         sol = propagate(m, {seg: False for seg in ins})
         assert sol == [False] * m.n_vars
 
@@ -316,8 +316,8 @@ class TestPropagate:
 
         m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
         _, (r, t) = m.joins[0]
-        lin = linearize(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_pair(o.input_cut)[1] for o in lin.origins]
+        _, origins = resolve_arcs(swap, swap_cut_sets["swap"], Direction.CW)
+        ins = [m.gap_pair(o.input_cut)[1] for o in origins]
         pins = {seg: False for seg in ins}
         pins[r], pins[t] = True, False  # contradict the surviving join
         with pytest.raises(Inconsistent):
@@ -374,16 +374,16 @@ class TestDeriveTransformations:
                 cuts = CutSet.of(c.gap_spanning(w, slot) for w in range(c.wires))
                 cases += [(c, cuts, d) for d in (Direction.CW, Direction.CCW)]
         for c, cuts, d in cases:
-            lin = linearize(c, cuts, d)
+            _, origins = resolve_arcs(c, cuts, d)
             derived = derive_transformations(c, cuts, d)
             # the first segment under the traversal starts after the input
             # cut (cw) or ends before it (ccw); the last one mirrors that
             first, last = (1, 0) if d is Direction.CW else (0, 1)
             for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
                 m = apply_cuts(build_model(c, kind), cuts)
-                ins = [m.gap_pair(o.input_cut)[first] for o in lin.origins]
-                outs = [m.gap_pair(o.output_cut)[last] for o in lin.origins]
-                for q in range(lin.n_qubits):
+                ins = [m.gap_pair(o.input_cut)[first] for o in origins]
+                outs = [m.gap_pair(o.output_cut)[last] for o in origins]
+                for q in range(len(origins)):
                     sol = propagate(m, {seg: seg == ins[q] for seg in ins})
                     assert frozenset(j for j, seg in enumerate(outs) if sol[seg]) == rows[q]
 
@@ -461,12 +461,12 @@ class TestSparseRows:
         extra = rng.sample(sorted(every_gap - record.seam.gaps()), 2)
         cuts = CutSet.of(sorted(record.seam.gaps() | set(extra)))
         d = rng.choice([Direction.CW, Direction.CCW])
-        lin = linearize(c, cuts, d)
+        _, origins = resolve_arcs(c, cuts, d)
         gaps = sorted(cuts.gaps())
         derived = derive_transformations(c, cuts, d)
         for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
             m = build_model(c, kind)
-            ins, outs = input_output_segments(m, lin.origins, d)
+            ins, outs = input_output_segments(m, origins, d)
             whole = solve_map_rows(m, cuts.gaps(), ins, outs)
             assert rows_of_columns(whole) == rows
             for _ in range(6):

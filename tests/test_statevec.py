@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from circnot import (
+    ICMCircuit,
     InitBasis,
     LinearCircuit,
     LinearGate,
     MeasBasis,
     QubitConfig,
     Role,
-    configure,
     gadget,
 )
 from circnot import statevec
@@ -130,12 +130,12 @@ def test_zero_probability_outcome():
     lin = LinearCircuit(
         n_qubits=2, gates=(LinearGate(control=1, target=0, time=0),)
     )
-    icm = configure(
-        lin,
-        [
+    icm = ICMCircuit(
+        circuit=lin,
+        configs=(
             QubitConfig(Role.ANCILLA, InitBasis.zero(), MeasBasis.z()),
             QubitConfig(Role.ANCILLA, InitBasis.plus(), MeasBasis.z()),
-        ],
+        ),
     )
     with pytest.raises(ZeroProbabilityOutcome):
         statevector_run(icm, [0, 1])
@@ -146,9 +146,9 @@ def test_too_many_qubits():
     lin = LinearCircuit(
         n_qubits=n, gates=tuple(LinearGate(control=0, target=q, time=q) for q in range(1, n))
     )
-    icm = configure(
-        lin,
-        [QubitConfig(Role.OUTPUT, InitBasis.zero(), MeasBasis.none()) for _ in range(n)],
+    icm = ICMCircuit(
+        circuit=lin,
+        configs=tuple(QubitConfig(Role.OUTPUT, InitBasis.zero(), MeasBasis.none()) for _ in range(n)),
     )
     with pytest.raises(TooManyQubits):
         statevector_run(icm, [])
