@@ -134,14 +134,6 @@ class CircularCircuit:
             symbols[g.control].append((g.position, gi, CONTROL))
             symbols[g.target].append((g.position, gi, TARGET))
         object.__setattr__(self, "_symbols", tuple(tuple(row) for row in symbols))
-        object.__setattr__(
-            self,
-            "_slots",
-            tuple(
-                (positions[j], positions[(j + 1) % len(positions)])
-                for j in range(len(positions))
-            ),
-        )
 
     def symbols(self, wire: int) -> tuple[tuple[int, int, str], ...]:
         """Clockwise (position, gate index, kind) symbols on a wire."""
@@ -162,7 +154,8 @@ class CircularCircuit:
         Slot ``j`` lies strictly between global gate positions ``q_j`` and
         ``q_{j+1}``; the last slot wraps back to the first position.
         """
-        return self._slots
+        positions = [g.position for g in self.gates]
+        return tuple(zip(positions, positions[1:] + positions[:1]))
 
     def gap_spanning(self, wire: int, slot: int) -> Gap:
         """The unique gap on ``wire`` whose arc covers the given slot."""
@@ -262,18 +255,32 @@ def _radial_families(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
     """Radial slots, clockwise, each with its spanning gap index on every wire.
 
     Raises ``NoRadialCut`` when there is none; the cuts are known to exist.
+    Gap ``(w, i)`` spans the slots from its symbol's gate index up to the
+    next symbol's, cyclically. Each wire ORs the slot masks of its cut gaps,
+    and a slot is radial when it is in every wire's mask.
     """
-    cut = {(g.wire, g.index) for g in cuts.cuts}
-    families = {
-        slot: tuple(span)
-        for slot, span in enumerate(spanning_gaps(c))
-        if all(pair in cut for pair in enumerate(span))
-    }
+    n_gates = len(c.gates)
+    radial = full = (1 << n_gates) - 1
+    spans: list[list[tuple[int, int]]] = [[] for _ in range(c.wires)]  # per wire, (mask, gap index)
+    masks = [0] * c.wires
+    for gap in cuts.cuts:
+        syms = c._symbols[gap.wire]
+        lo, hi = syms[gap.index][1], syms[(gap.index + 1) % len(syms)][1]
+        span = (1 << hi) - (1 << lo) if lo < hi else full ^ ((1 << lo) - (1 << hi))
+        spans[gap.wire].append((span, gap.index))
+        masks[gap.wire] |= span
+    for mask in masks:
+        radial &= mask
+    families = {}
+    while radial:
+        low = radial & -radial
+        radial ^= low
+        families[low.bit_length() - 1] = tuple(next(i for span, i in on if span & low) for on in spans)
     if families:
         return families
     missing = {
-        slot: tuple(w for w, i in enumerate(span) if (w, i) not in cut)
-        for slot, span in enumerate(spanning_gaps(c))
+        slot: tuple(w for w, mask in enumerate(masks) if not mask >> slot & 1)
+        for slot in range(n_gates)
     }
     uncut_everywhere = sorted(set(range(c.wires)).intersection(*missing.values()))
     raise NoRadialCut(
@@ -350,6 +357,14 @@ def resolve_arcs(
     return start, tuple(origins)
 
 
+def traversal_order(c: CircularCircuit, start: int, d: Direction) -> list[int]:
+    """Gate indices in the order a traversal from slot ``start`` meets them."""
+    n_gates = len(c.gates)
+    if d is Direction.CW:
+        return [*range(start + 1, n_gates), *range(start + 1)]
+    return [*range(start, -1, -1), *range(n_gates - 1, start, -1)]
+
+
 def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     """Cut the circle open and read the gates off in the given direction.
 
@@ -359,12 +374,6 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     endpoints but keeps qubit indices.
     """
     start, origins = resolve_arcs(c, cuts, d)
-    n_gates = len(c.gates)
-    if d is Direction.CW:
-        order = [(start + 1 + k) % n_gates for k in range(n_gates)]
-    else:
-        order = [(start - k) % n_gates for k in range(n_gates)]
-
     # an arc holds the symbols after its clockwise start gap, through the
     # one its clockwise end gap follows
     sym_to_qubit = [[0] * c.symbol_count(w) for w in range(c.wires)]
@@ -382,7 +391,8 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
         for g, after in zip(c.gates, spanning_gaps(c))
     ]
     lin_gates = [
-        LinearGate(*qubit_pairs[gi], time=t, source=c.gates[gi].id) for t, gi in enumerate(order)
+        LinearGate(*qubit_pairs[gi], time=t, source=c.gates[gi].id)
+        for t, gi in enumerate(traversal_order(c, start, d))
     ]
     return LinearCircuit(n_qubits=len(origins), gates=tuple(lin_gates))
 

@@ -1,16 +1,17 @@
 """GF(2) linear algebra: sparse parity rows and bit-packed elimination.
 
 ``solve_tagged`` takes sparse rows, each a tuple of distinct variable
-indices plus an int right-hand side, and solves them by unit propagation,
-which finishes the sparse, triangular systems of cut circuits in time
-linear in their size. Every model solve hands it a system over join
-classes (``model.solve_map_rows`` and ``model.propagate``), about one
-variable per gate and cut. Only a system propagation cannot finish, such
-as an underdetermined or inconsistent one, goes through ``pack`` into
-bitmask rows (bit ``i`` is column ``i``) for Gauss-Jordan. ``invert``
-takes bitmask rows; ``StabiliserMap`` calls it once to read Z off X and
-once per half of an inverse. Both eliminations run one kernel, which
-scans pivot columns in ascending order so results are reproducible.
+indices plus an int right-hand side, and solves them by unit propagation
+in one pass in row order: a row is read again at most once per variable.
+Every model solve hands it a system over join classes, about one variable
+per gate and cut; derive and fault solves write theirs in traversal order,
+where only a fault's bridge row is read twice. Only a system propagation
+cannot finish, such as an underdetermined or inconsistent one, goes
+through ``pack`` into bitmask rows (bit ``i`` is column ``i``) for
+Gauss-Jordan. ``invert`` takes bitmask rows; ``StabiliserMap`` calls it
+once to read Z off X and once per half of an inverse. Both eliminations
+run one kernel, which scans pivot columns in ascending order so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -53,44 +54,42 @@ def pack(rows, n_vars: int) -> list[int]:
 
 
 def _propagate_units(rows, n_vars: int) -> list[int] | None:
-    """Solve sparse rows by unit propagation, or return None if it cannot finish.
+    """Solve sparse rows by unit propagation in one pass, or return None if it cannot finish.
 
-    A row with exactly one unknown variable fixes that variable to the
-    row's right-hand side XOR its known variables. ``acc[r]`` holds that
-    XOR for row ``r``; once every variable is fixed it is zero for every
-    row exactly when the assignment satisfies the whole system, which is
-    then the unique solution (the fixing rows are triangular, full rank).
+    Rows are read in order. A row with one unknown variable fixes it to its
+    rhs XOR its known variables, a row with none checks that XOR is zero,
+    and a row with more waits on two unknowns and is read again when either
+    is fixed. With every variable fixed and every row checked, the
+    assignment is the unique solution (the fixing rows are triangular).
     """
-    occurs: list[list[int]] = [[] for _ in range(n_vars)]
-    unknown = []
-    acc = []
-    units = []
-    for r, (vs, rhs) in enumerate(rows):
-        for v in vs:
-            occurs[v].append(r)
-        unknown.append(len(vs))
-        acc.append(rhs)
-        if len(vs) == 1:
-            units.append(r)
     value: list[int | None] = [None] * n_vars
-    forced = 0
-    while units:
-        r = units.pop()
-        if unknown[r] != 1:
-            continue
-        for v in rows[r][0]:
-            if value[v] is None:
+    waiting: dict[int, set[int]] = {}  # variable -> rows waiting on it
+    stack: list[int] = []  # waiting rows to read again
+    for r in range(len(rows)):
+        while True:
+            vs, rhs = rows[r]
+            unknown = -1
+            for v in vs:
+                known = value[v]
+                if known is not None:
+                    rhs ^= known
+                elif unknown < 0:
+                    unknown = v
+                else:
+                    waiting.setdefault(unknown, set()).add(r)
+                    waiting.setdefault(v, set()).add(r)
+                    break
+            else:
+                if unknown >= 0:
+                    value[unknown] = rhs
+                    if waiting and unknown in waiting:
+                        stack += waiting.pop(unknown)
+                elif rhs:
+                    return None
+            if not stack:
                 break
-        val = value[v] = acc[r]
-        forced += 1
-        for s in occurs[v]:
-            unknown[s] -= 1
-            acc[s] ^= val
-            if unknown[s] == 1:
-                units.append(s)
-    if forced < n_vars or any(acc):
-        return None
-    return value
+            r = stack.pop()
+    return None if None in value else value
 
 
 def solve_tagged(rows, n_vars: int, tag_width: int) -> list[int]:

@@ -22,6 +22,7 @@ from .circuits import (
     LinearGate,
     circularize,
     resolve_arcs,
+    traversal_order,
 )
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
 from .model import ModelKind, build_model, input_output_segments, solve_map_rows
@@ -47,6 +48,11 @@ class InitBasis:
 
     state: BasisState | None
     input_name: str | None = None
+
+    def __post_init__(self):
+        name = self.input_name  # an ICM file reads it up to whitespace or a comment
+        if self.state is None and (not name or "#" in name or any(ch.isspace() for ch in name)):
+            raise InvalidAncillaConfig(f"input name {name!r} is empty or holds whitespace or '#'")
 
     @classmethod
     def zero(cls):
@@ -412,7 +418,8 @@ def faulted_transformations(
     pins make X and Z independent, so Z is not the inverse transpose of X
     here as it is in ``derive_transformations``.
     """
-    _, origins = resolve_arcs(c, base, d)
+    start, origins = resolve_arcs(c, base, d)
+    order = traversal_order(c, start, d)
     cuts, patch = inject_smgf(c, base, f)
     base_gaps = base.gaps()
     cut_gaps = cuts.gaps()
@@ -443,7 +450,7 @@ def faulted_transformations(
             if in_side != anc_first:
                 pins[in_side] = pin_value
         # absorbed inputs carry no tag bit, so only absorbed outputs are masked
-        cols = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges)
+        cols = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges, order=order)
         return [col if q in live_out else 0 for q, col in enumerate(cols)]
 
     x_cols = model_cols(build_model(c, ModelKind.X), patch.x_value)

@@ -28,6 +28,9 @@ the model as integers, its only representation:
 
 One writer, ``_solve_classes``, solves over join classes, so no solve
 builds a join row; a pinned combined clause is read as its X or Z clause.
+It writes inputs, pins and bridges, then the gate clauses, which derive and
+fault solves give in traversal order (``traversal_order``): each clause then
+fixes one new class, so ``gf2``'s one pass reads it once.
 ``solve_map_rows`` reads the solution as int masks, one GF(2) column per
 output (``StabiliserMap`` alone reads masks into map rows), ``propagate``
 as one bool per variable. ``parity_rows`` lists every clause, joins
@@ -68,6 +71,7 @@ from .circuits import (
     Gap,
     resolve_arcs,
     spanning_gaps,
+    traversal_order,
 )
 from .errors import (
     BudgetTooSmall,
@@ -327,28 +331,31 @@ def _join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
     return cls, breaks.count(1)
 
 
-def _solve_classes(m: BooleanModel, cut_gaps, ins, pins, bridges=()) -> tuple[list[int], list[int]]:
+def _solve_classes(
+    m: BooleanModel, cut_gaps, ins, pins, bridges=(), order=None
+) -> tuple[list[int], list[int]]:
     """Per join class its solved rhs, and per variable its class.
 
     The joins the cuts (``cut_gaps`` and the model's own) leave are
-    equalities, so clauses (``_triples``), ``bridges`` (equal pairs), inputs
-    (rhs bit ``1 + i``; ``None`` skips one) and pins (bit 0) are written over
-    classes. ``Underdetermined.free`` names the greatest variable of each free
-    class; class ids ascend with it, so these are the join-row system's
-    pivot-free columns.
+    equalities, so inputs (rhs bit ``1 + i``; ``None`` skips one), pins
+    (bit 0), ``bridges`` (equal pairs) and then clauses (``_triples``) in
+    gate ``order`` (by position when None) are written over classes.
+    ``Underdetermined.free`` names the greatest variable of each free class;
+    class ids ascend with it, so these are the join-row system's pivot-free
+    columns.
     """
     cls, n = _join_classes(m, m.cut_gaps | cut_gaps)
-    rows = []
-    for before, after, crossing in m._triples:
-        a, b = cls[before], cls[after]
-        # a wire whose only break is this split joins its two sides
-        rows.append(((a, b, cls[crossing]) if a != b else (cls[crossing],), 0))
-    rows += [((cls[a], cls[b]), 0) for a, b in bridges if cls[a] != cls[b]]
-    rows += [((cls[v],), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
+    triples = m._triples  # raises UnpinnedSelector before a pin is checked
+    rows = [((cls[v],), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
     for v, value in pins.items():
         if not 0 <= v < m.n_vars:
             raise UnknownSegment(f"variable {quote_int(v)} not in a model of {m.n_vars} variables")
         rows.append(((cls[v],), int(bool(value))))
+    rows += [((cls[a], cls[b]), 0) for a, b in bridges if cls[a] != cls[b]]
+    for before, after, crossing in triples if order is None else [triples[g] for g in order]:
+        a, b = cls[before], cls[after]
+        # a wire whose only break is this split joins its two sides
+        rows.append(((a, b, cls[crossing]) if a != b else (cls[crossing],), 0))
     try:
         sol = gf2.solve_tagged(rows, n, 1 + len(ins))
     except Underdetermined as err:
@@ -364,6 +371,7 @@ def solve_map_rows(
     outs: list[int],
     pins: dict[int, bool] | None = None,
     bridges: tuple[tuple[int, int], ...] = (),
+    order: list[int] | None = None,
 ) -> list[int]:
     """Map columns of the cut system: per output, the inputs that reach it.
 
@@ -371,9 +379,10 @@ def solve_map_rows(
     ``_solve_classes`` solve is symbolic, so one elimination yields every
     single-input propagation. Only the linear part is read, not pinned
     offsets: output ``j``'s column is an int mask with bit ``i`` set when
-    input ``i`` reaches it; a skipped input sets no bit.
+    input ``i`` reaches it; a skipped input sets no bit. Any gate ``order``
+    gives the same columns; a traversal's (``traversal_order``) takes one pass.
     """
-    sol, cls = _solve_classes(m, cut_gaps, ins, pins or {}, bridges)
+    sol, cls = _solve_classes(m, cut_gaps, ins, pins or {}, bridges, order)
     return [sol[cls[v]] >> 1 for v in outs]
 
 
@@ -398,9 +407,10 @@ def derive_transformations(
     second equation set for faults, whose pins make X and Z independent,
     and for ``propagate``.
     """
-    _, origins = resolve_arcs(c, cuts, d)
+    start, origins = resolve_arcs(c, cuts, d)
     xm = build_model(c, ModelKind.X) if models is None else models[0]
-    x_cols = solve_map_rows(xm, cuts.gaps(), *input_output_segments(xm, origins, d))
+    ins, outs = input_output_segments(xm, origins, d)
+    x_cols = solve_map_rows(xm, cuts.gaps(), ins, outs, order=traversal_order(c, start, d))
     return StabiliserMap.from_x(x_cols)
 
 

@@ -15,7 +15,8 @@ directly where ``derive_transformations`` reads Z off the X map; and
 per uncut join where ``solve_map_rows`` and ``propagate`` solve over join
 classes. Solver columns (per output, the inputs reaching it) are read into
 map rows by ``rows_of_columns``, by set algebra, not through
-``StabiliserMap``.
+``StabiliserMap``. ``one_pass_waits`` replays the rows a solve is handed,
+tracking only which variables are fixed.
 """
 
 from __future__ import annotations
@@ -180,6 +181,37 @@ def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, b
     rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
     sol = gf2.solve_tagged(rows, m.n_vars, 1 + len(ins))
     return [sol[v] >> 1 for v in outs]
+
+
+def one_pass_waits(rows) -> tuple[list[int], set[int]]:
+    """Replay sparse ``(variables, rhs)`` rows as a one-pass solve reads them.
+
+    Tracks which variables are fixed, not their values. A row reached with
+    at most one variable that earlier rows have not fixed fixes it. A row
+    reached with more waits until all but one of its variables are fixed,
+    then fixes that one. Returns the indices of the rows that waited and the
+    variables fixed at the end.
+    """
+    fixed: set[int] = set()
+    waits: list[int] = []
+    pending: list[tuple[int, ...]] = []
+    for r, (vs, _) in enumerate(rows):
+        unfixed = [v for v in vs if v not in fixed]
+        if len(unfixed) > 1:
+            waits.append(r)
+            pending.append(vs)
+            continue
+        fixed.update(unfixed)
+        progress = True
+        while progress:
+            progress = False
+            for vs in list(pending):
+                unfixed = [v for v in vs if v not in fixed]
+                if len(unfixed) <= 1:
+                    fixed.update(unfixed)
+                    pending.remove(vs)
+                    progress = True
+    return waits, fixed
 
 
 def propagate_with_joins(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:

@@ -236,6 +236,59 @@ def test_solve_tagged_random_sparse_matches_reference(seed):
     assert solve_outcome(rows, n_vars, tag_width) == reference_solve(rows, n_vars)
 
 
+def systems_of_each_kind(rng):
+    """(rows, n_vars, tag_width) systems of the kinds above: triangular with a
+    redundant row, underdetermined, inconsistent, triangular with long rows,
+    random sparse and no unit."""
+    n_vars, tag_width = rng.randint(3, 20), rng.randint(1, 4)
+    triangular = triangular_system(rng, n_vars, tag_width)
+    pair = triangular[rng.randrange(n_vars)] ^ triangular[rng.randrange(n_vars)]
+    yield triangular + [pair], n_vars, tag_width
+    yield rng.sample(triangular, rng.randint(1, n_vars - 1)), n_vars, tag_width
+    yield triangular + [pair ^ 1 << (n_vars + rng.randrange(tag_width))], n_vars, tag_width
+    # triangular with rows of up to nine variables, so rows wait longer
+    order = rng.sample(range(n_vars), n_vars)
+    yield [
+        bits(v, *rng.sample(order[:k], min(k, rng.randint(0, 8)))) | rng.getrandbits(tag_width) << n_vars
+        for k, v in enumerate(order)
+    ], n_vars, tag_width
+    random_sparse = [
+        bits(*rng.sample(range(n_vars), rng.randint(0, 3))) | rng.getrandbits(tag_width) << n_vars
+        for _ in range(rng.randint(0, 2 * n_vars))
+    ]
+    yield random_sparse, n_vars, tag_width
+    n_vars = min(n_vars, 12)
+    yield no_unit_full_rank_system(rng, n_vars, tag_width), n_vars, tag_width
+
+
+def outcome_and_stall(rows, n_vars, tag_width):
+    """``solve_tagged``'s solution or error, and whether propagation gives up, on sparse rows."""
+    try:
+        outcome = gf2.solve_tagged(rows, n_vars, tag_width)
+    except Underdetermined as err:
+        outcome = Underdetermined, err.free
+    except Inconsistent:
+        outcome = Inconsistent, None
+    return outcome, gf2._propagate_units(rows, n_vars) is None
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_row_order_keeps_outcome_and_propagation(seed):
+    # the kernel reads rows in order, but every order of the rows, and of the
+    # variables in each row, reaches the same closure: the same solution or
+    # error, and the same fallback to elimination
+    rng = random.Random(seed)
+    stalls = set()
+    for rows, n_vars, tag_width in systems_of_each_kind(rng):
+        rows = sparse(rows, n_vars)
+        expected = outcome_and_stall(rows, n_vars, tag_width)
+        stalls.add(expected[1])
+        for _ in range(4):
+            shuffled = [(tuple(rng.sample(vs, len(vs))), rhs) for vs, rhs in rng.sample(rows, len(rows))]
+            assert outcome_and_stall(shuffled, n_vars, tag_width) == expected
+    assert stalls == {False, True}
+
+
 def test_solve_tagged_checks_reduction_without_assert(monkeypatch):
     # the read-out check is a raise, so it survives ``python -O``
     monkeypatch.setattr(gf2, "_propagate_units", lambda rows, n_vars: None)

@@ -69,6 +69,7 @@ from helpers import (
     isomorphic_to_reference,
     mkcirc,
     mklin,
+    one_pass_waits,
     parity_solutions,
     propagate_with_joins,
     restrict_map,
@@ -488,9 +489,9 @@ class TestJoinClasses:
     """``solve_map_rows`` solves over join classes; the join-row solve is the reference."""
 
     @staticmethod
-    def assert_same(m, cut_gaps, ins, outs, pins=None, bridges=()):
+    def assert_same(m, cut_gaps, ins, outs, pins=None, bridges=(), order=None):
         # values, or the error class and the free variables it names
-        got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins, bridges)
+        got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins, bridges, order)
         assert got == solve_or_error(solve_map_rows_with_joins, m, cut_gaps, ins, outs, pins, bridges)
         return got[0] if isinstance(got, tuple) else got
 
@@ -528,9 +529,9 @@ class TestJoinClasses:
         # every solve of a fault derivation, checked against the reference
         shapes = set()
 
-        def both(m, cut_gaps, ins, outs, pins=None, bridges=()):
+        def both(m, cut_gaps, ins, outs, pins=None, bridges=(), order=None):
             shapes.add((len(pins), len(bridges)))
-            return self.assert_same(m, cut_gaps, ins, outs, pins, bridges)
+            return self.assert_same(m, cut_gaps, ins, outs, pins, bridges, order)
 
         monkeypatch.setattr(icm_module, "solve_map_rows", both)
         for seed in range(3):
@@ -601,6 +602,75 @@ class TestJoinClasses:
         m = pin_selectors(build_model(single_cnot, ModelKind.COMBINED), {})
         with pytest.raises(UnpinnedSelector, match="^combined clause for gate 0 has no selector$"):
             solve_map_rows(m, frozenset({Gap(0, 0), Gap(1, 0)}), [None, None], [])
+
+
+class TestOnePassOrder:
+    """Derive and fault solves write their rows so one pass in order solves them."""
+
+    @staticmethod
+    def capture(monkeypatch):
+        # every (rows, n_vars) system the model hands the kernel
+        systems = []
+        solve = gf2.solve_tagged
+
+        def spy(rows, n_vars, tag_width):
+            systems.append((list(rows), n_vars))
+            return solve(rows, n_vars, tag_width)
+
+        monkeypatch.setattr(gf2, "solve_tagged", spy)
+        return systems
+
+    def test_derive_rows_need_no_wait(self, monkeypatch):
+        systems = self.capture(monkeypatch)
+        starts = set()
+        for seed in range(4):
+            rng = random.Random(seed)
+            c, record = random_circularized(seed, 6, 48)
+            n_gates = len(c.gates)
+            every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
+            extra = set(rng.sample(sorted(every_gap - record.seam.gaps()), 4))
+            # a family away from the wrap slot, with the wrap family left uncut
+            middle = {c.gap_spanning(w, n_gates // 2) for w in range(c.wires)}
+            cut_sets = [record.seam, CutSet.of(sorted(record.seam.gaps() | extra))]
+            if not record.seam.gaps() <= middle | extra:
+                cut_sets.append(CutSet.of(sorted(middle | extra)))
+            for cuts in cut_sets:
+                for d in Direction:
+                    starts.add(resolve_arcs(c, cuts, d)[0] == n_gates - 1)
+                    systems.clear()
+                    derive_transformations(c, cuts, d)
+                    ((rows, n_vars),) = systems
+                    assert one_pass_waits(rows) == ([], set(range(n_vars)))
+        assert starts == {True, False}
+
+    def test_fault_rows_wait_only_on_a_bridge(self, monkeypatch):
+        systems = self.capture(monkeypatch)
+        shapes = set()
+        solve = icm_module.solve_map_rows
+
+        def shape(m, cut_gaps, ins, outs, **kwargs):
+            shapes.add((len(kwargs["pins"]), len(kwargs["bridges"])))
+            return solve(m, cut_gaps, ins, outs, **kwargs)
+
+        monkeypatch.setattr(icm_module, "solve_map_rows", shape)
+        for seed in range(3):
+            rng = random.Random(seed)
+            c, record = random_circularized(seed, 5, 32)
+            every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
+            extra = rng.sample(sorted(every_gap - record.seam.gaps()), 6)
+            for base in (record.seam, CutSet.of(sorted(record.seam.gaps() | set(extra)))):
+                for gate in c.gates[seed::3]:
+                    for d in Direction:
+                        systems.clear()
+                        faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
+                        for rows, n_vars in systems:
+                            waits, fixed = one_pass_waits(rows)
+                            assert fixed == set(range(n_vars))
+                            # a bridge, written before the gates, waits for
+                            # the gate fixing its first side
+                            assert [len(rows[r][0]) for r in waits] in ([], [2])
+        # both fault gaps fresh (a bridge), one fresh (a second pin)
+        assert {(1, 1), (2, 0)} <= shapes
 
 
 class TestPropagateOverClasses:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -15,8 +16,8 @@ from circnot import (
     linearize,
 )
 from circnot import textio
-from circnot.errors import CircuitSyntaxError, WireOutOfRange, quote_int
-from circnot.icm import Role
+from circnot.errors import CircnotError, CircuitSyntaxError, InvalidAncillaConfig, WireOutOfRange, quote_int
+from circnot.icm import InitBasis, Role
 from circnot.textio import (
     MAX_WIRES,
     circuit_to_kv,
@@ -151,6 +152,57 @@ class TestIcmFormat:
     def test_rejects_circular(self):
         with pytest.raises(CircuitSyntaxError):
             parse_icm_file("circular\nwires 2\ncnot 0 1\ncnot 1 0\n")
+
+    @pytest.mark.parametrize("name", ["", "a#b", "#", "a b", "a\tb", " a", "a\u2028b", "a\x1cb"])
+    def test_input_names_that_cannot_round_trip_refused(self, name):
+        # a file reads a name up to whitespace or a comment
+        with pytest.raises(InvalidAncillaConfig):
+            InitBasis.symbolic(name)
+
+    @given(st.text(max_size=6))
+    def test_accepted_input_names_round_trip(self, name):
+        try:
+            init = InitBasis.symbolic(name)
+        except InvalidAncillaConfig:
+            assert not name or "#" in name or any(ch.isspace() for ch in name)
+            return
+        icm = gadget("t")
+        q = next(q for q, cfg in enumerate(icm.configs) if cfg.init.is_symbolic)
+        configs = list(icm.configs)
+        configs[q] = replace(configs[q], init=init)
+        icm = replace(icm, configs=tuple(configs))
+        assert parse_icm_file(format_icm(icm))[0].configs == icm.configs
+
+
+# ICM file lines: well-formed and malformed directives, and pieces of them
+# that a line may be assembled from, besides arbitrary text
+_ICM_LINES = [
+    "linear", "circular", "wires 2", "wires 3", "wires 0", "cnot 0 1", "cnot 1 2", "cnot 0 0",
+    "cnot 0 9", "init 0 zero", "init 1 plus", "init 2 y", "init 0 a", "init 1 in:b", "init 0 in:",
+    "init 0 bogus", "measure 0 x", "measure 1 none", "measure 2 cfg:x/z", "measure 0 cfg:x",
+    "measure 0 cfg:x/q", "measure 1 cfg:/", "smgf 0", "smgf 7", "smgf -1", "# note",
+]
+_ICM_TOKENS = [
+    "linear", "wires", "cnot", "init", "measure", "smgf", "zero", "plus", "a", "y", "x", "z",
+    "none", "in:", "in:q", "cfg:x/z", "cfg:", "0", "1", "2", "-1", "+1", "\u0663", "9" * 30, "#",
+]
+_icm_line = (
+    st.sampled_from(_ICM_LINES)
+    | st.lists(st.sampled_from(_ICM_TOKENS), min_size=1, max_size=4).map(" ".join)
+    | st.text(max_size=10)
+)
+
+
+@given(st.booleans(), st.lists(_icm_line, max_size=10))
+def test_icm_junk_raises_only_domain_errors(header, lines):
+    # junk parses, or raises an error with a stable code, never another
+    # exception; a valid header lets the junk reach the per-qubit checks
+    if header:
+        lines = ["linear", "wires 3", *lines]
+    try:
+        parse_icm_file("\n".join(lines))
+    except CircnotError:
+        pass
 
 
 class TestIcmTokens:
