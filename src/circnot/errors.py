@@ -1,4 +1,4 @@
-"""Exception hierarchy with stable machine-readable error codes."""
+"""Exception hierarchy with stable error codes, and the line and quoting helpers of its messages."""
 
 from __future__ import annotations
 
@@ -31,6 +31,14 @@ def quote_int(n: int) -> str:
         digits -= 1
     shown = QUOTE_CAP - len(sign)
     return f"{sign}{n // 10 ** (digits - shown)}... ({digits} digits)"
+
+
+def clean_lines(text: str):
+    """``(line number, line)`` of every line with text left once ``#`` comments are stripped."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
 
 
 class CircnotError(Exception):

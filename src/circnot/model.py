@@ -32,8 +32,8 @@ It writes inputs, pins and bridges, then the gate clauses, which derive and
 fault solves give in traversal order (``traversal_order``): each clause then
 fixes one new class, so ``gf2``'s one pass reads it once.
 ``solve_map_rows`` reads the solution as int masks, one GF(2) column per
-output (``StabiliserMap`` alone reads masks into map rows), ``propagate``
-as one bool per variable. ``parity_rows`` lists every clause, joins
+output, which ``StabiliserMap`` keeps as they are, ``propagate`` as one
+bool per variable. ``parity_rows`` lists every clause, joins
 included, as sparse ``(variables, rhs)`` rows for ``circnot model --parity``.
 
 ``derive_transformations`` builds and solves the X model only. A CNOT
@@ -573,7 +573,7 @@ def search_cuts(
     candidate count could exceed ``MAX_SEARCH_CANDIDATES``. Below that
     bound, and still before building anything, a target that is not of
     that form (X·Zᵀ = I, ``is_symplectic``) returns no match: that covers
-    singular targets and rows naming outputs beyond the target's qubits.
+    singular targets.
     """
     if max_cuts < c.wires:
         raise BudgetTooSmall(f"need at least one cut per wire ({c.wires})")

@@ -89,7 +89,8 @@ def oracle_map(l: LinearCircuit) -> StabiliserMap:
     ``xcol[q]`` (``zcol[q]``) is set when the X (Z) entering on qubit ``i``
     reaches qubit ``q``. A CNOT copies the control's X onto the target and
     the target's Z onto the control, as in ``conjugate_cnot``, for every
-    input in one XOR each.
+    input in one XOR each. The columns are the map's own masks
+    (``StabiliserMap.from_columns``).
     """
     n = l.n_qubits
     xcol = [1 << q for q in range(n)]
@@ -98,15 +99,4 @@ def oracle_map(l: LinearCircuit) -> StabiliserMap:
         c, t = g.control, g.target
         xcol[t] ^= xcol[c]
         zcol[c] ^= zcol[t]
-    return StabiliserMap(n_qubits=n, x_out=_rows_of(xcol), z_out=_rows_of(zcol))
-
-
-def _rows_of(cols: list[int]) -> tuple[frozenset[int], ...]:
-    """Per input qubit, the output qubits whose column has its bit set."""
-    rows: list[list[int]] = [[] for _ in cols]
-    for q, col in enumerate(cols):
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1].append(q)
-            col ^= low
-    return tuple([frozenset(r) for r in rows])
+    return StabiliserMap.from_columns(xcol, zcol)

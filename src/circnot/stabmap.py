@@ -1,13 +1,14 @@
 """Input-to-output stabiliser mapping of a CNOT circuit, sign-free.
 
 X flow and Z flow never mix in a CNOT-only circuit, so the map is two
-independent GF(2) relations: for each input qubit, the set of output qubits
+independent GF(2) matrices: for each input qubit, the output qubits
 carrying an X (resp. Z) when that single Pauli enters.
 
-Derivations solve for int masks, GF(2) matrices given by columns: per
-output, the inputs that reach it (bit ``i`` for input ``i``). This module
-is the one place that reads masks into the map's frozenset rows, walking
-set bits: ``from_x`` (one ``gf2.invert`` for Z) and ``from_columns``.
+The map holds both as int masks. X is kept by columns, as derivations
+solve for it (bit ``i`` of column ``j``: the X entering on input ``i``
+reaches output ``j``), Z by rows, as ``gf2.invert`` returns it. ``from_x``
+is one ``gf2.invert``; the frozenset rows ``x_out``/``z_out`` and
+``report()`` are read off the masks when asked for.
 """
 
 from __future__ import annotations
@@ -16,36 +17,50 @@ import re
 from dataclasses import dataclass
 
 from . import gf2
-from .errors import CircuitSyntaxError, CountMismatch, WireOutOfRange, quote, quote_int
+from .errors import CircuitSyntaxError, CountMismatch, WireOutOfRange, clean_lines, quote, quote_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StabiliserMap:
     n_qubits: int
-    x_out: tuple[frozenset[int], ...]
-    z_out: tuple[frozenset[int], ...]
+    _x_cols: tuple[int, ...]
+    _z_rows: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.x_out) != self.n_qubits or len(self.z_out) != self.n_qubits:
+    def __init__(self, n_qubits: int, x_out, z_out):
+        """The map with these X and Z rows, per input the set of outputs it reaches; raises
+        ``WireOutOfRange`` for a row naming an output outside ``0..n_qubits-1``."""
+        if len(x_out) != n_qubits or len(z_out) != n_qubits:
             raise CountMismatch("one X row and one Z row per qubit required")
+        for kind, rows in (("X", x_out), ("Z", z_out)):
+            for q, outs in enumerate(rows):
+                if any(not 0 <= o < n_qubits for o in outs):
+                    raise WireOutOfRange(f"map row {kind}{q} names an output outside {n_qubits} qubits")
+        x_rows = [sum(1 << o for o in outs) for outs in x_out]
+        _fill(self, n_qubits, _transposed(x_rows, n_qubits), [sum(1 << o for o in outs) for outs in z_out])
+
+    @property
+    def x_out(self) -> tuple[frozenset[int], ...]:
+        """Per input, the outputs its X reaches; built from the masks on each read."""
+        return _row_sets(_transposed(self._x_cols, self.n_qubits))
+
+    @property
+    def z_out(self) -> tuple[frozenset[int], ...]:
+        """Per input, the outputs its Z reaches; built from the masks on each read."""
+        return _row_sets(self._z_rows)
 
     def report(self) -> str:
         """Render as lines ``X<q> -> X{...}`` / ``Z<q> -> Z{...}``."""
         lines = []
-        for kind, rows in (("X", self.x_out), ("Z", self.z_out)):
-            for q, outs in enumerate(rows):
-                inner = ",".join(str(o) for o in sorted(outs))
-                lines.append(f"{kind}{q} -> {kind}{{{inner}}}")
+        for kind, rows in (("X", _transposed(self._x_cols, self.n_qubits)), ("Z", self._z_rows)):
+            for q, row in enumerate(rows):
+                lines.append(f"{kind}{q} -> {kind}{{{','.join(map(str, _bits(row)))}}}")
         return "\n".join(lines)
 
     @classmethod
     def from_report(cls, text: str) -> "StabiliserMap":
         rows: dict[str, dict[int, frozenset[int]]] = {"X": {}, "Z": {}}
         pattern = re.compile(r"^([XZ])([0-9]+)\s*->\s*\1\{([0-9,\s]*)\}$")
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for ln, line in clean_lines(text):
             m = pattern.match(line)
             if not m:
                 raise CircuitSyntaxError(f"bad map line {quote(line)}", line=ln)
@@ -61,15 +76,12 @@ class StabiliserMap:
         if sorted(rows["X"]) != sorted(rows["Z"]) or sorted(rows["X"]) != list(range(len(rows["X"]))):
             raise CountMismatch("map report must cover X and Z rows for qubits 0..n-1")
         n = len(rows["X"])
+        # the constructor refuses the same rows, but by qubit; this names the first in the file
         for kind, by_qubit in rows.items():
             for q, outs in by_qubit.items():
                 if any(o >= n for o in outs):
                     raise WireOutOfRange(f"map row {kind}{q} names an output outside {n} qubits")
-        return cls(
-            n_qubits=n,
-            x_out=tuple(rows["X"][q] for q in range(n)),
-            z_out=tuple(rows["Z"][q] for q in range(n)),
-        )
+        return cls(n, tuple(rows["X"][q] for q in range(n)), tuple(rows["Z"][q] for q in range(n)))
 
     @classmethod
     def from_x(cls, x_cols: list[int]) -> "StabiliserMap":
@@ -78,59 +90,55 @@ class StabiliserMap:
         ``x_cols[j]`` has bit ``i`` set when the X entering on qubit ``i``
         reaches output ``j``: the rows of Xᵀ. Every CNOT circuit's map has
         this form: it acts symplectically, so Z = (Xᵀ)⁻¹, one ``gf2.invert``
-        of the columns, read as rows. Raises ``Inconsistent`` for singular
-        columns.
+        of the columns, which returns Z's rows. Raises ``Inconsistent`` for
+        singular columns.
         """
         n = len(x_cols)
-        return cls(n, _transposed(x_cols, n), _row_sets(gf2.invert(x_cols, n)))
+        return _fill(object.__new__(cls), n, x_cols, gf2.invert(x_cols, n))
 
     @classmethod
     def from_columns(cls, x_cols: list[int], z_cols: list[int]) -> "StabiliserMap":
         """The map with these X and Z columns (per output, the inputs reaching it)."""
         n = len(x_cols)
-        return cls(n, _transposed(x_cols, n), _transposed(z_cols, n))
+        return _fill(object.__new__(cls), n, x_cols, _transposed(z_cols, n))
 
     def x_columns(self) -> list[int]:
         """The X part as ``from_x`` reads it: per output, the inputs reaching it."""
-        cols = [0] * self.n_qubits
-        for i, outs in enumerate(self.x_out):
-            for j in outs:
-                cols[j] |= 1 << i
-        return cols
+        return list(self._x_cols)
 
     def inverse(self) -> "StabiliserMap":
         """Map of the reversed circuit (CNOT lists are gate-wise self-inverse).
 
-        Raises ``Inconsistent`` for a singular map and ``WireOutOfRange``
-        for a row naming an output outside ``0..n_qubits-1``.
+        The columns of X⁻¹ are the rows of (Xᵀ)⁻¹, so each half is one
+        ``gf2.invert`` of its own masks. Raises ``Inconsistent`` for a
+        singular map.
         """
         n = self.n_qubits
-        return StabiliserMap(
-            n,
-            _row_sets(gf2.invert(_masks(self.x_out, n), n)),
-            _row_sets(gf2.invert(_masks(self.z_out, n), n)),
-        )
+        return _fill(object.__new__(StabiliserMap), n, gf2.invert(self._x_cols, n), gf2.invert(self._z_rows, n))
 
     def is_symplectic(self) -> bool:
         """Whether X·Zᵀ = I, the form every CNOT circuit's map has.
 
-        False for a singular map, a Z part other than the inverse transpose
-        of X, and a row naming an output outside ``0..n_qubits-1``.
+        For square matrices that is Xᵀ·Z = I: row ``j`` of Xᵀ (X column
+        ``j``) picks the Z rows whose XOR must be output ``j`` alone. False
+        for a singular map and for a Z part other than the inverse
+        transpose of X.
         """
-        try:
-            xs, zs = _masks(self.x_out, self.n_qubits), _masks(self.z_out, self.n_qubits)
-        except WireOutOfRange:
-            return False
-        return all(
-            (x & z).bit_count() & 1 == (i == k) for i, x in enumerate(xs) for k, z in enumerate(zs)
-        )
+        for j, col in enumerate(self._x_cols):
+            acc = 0
+            for i in _bits(col):
+                acc ^= self._z_rows[i]
+            if acc != 1 << j:
+                return False
+        return True
 
 
-def _masks(rows: tuple[frozenset[int], ...], n_qubits: int) -> list[int]:
-    """Rows as GF(2) matrix rows, bit ``o`` for output ``o``."""
-    if any(not 0 <= o < n_qubits for outs in rows for o in outs):
-        raise WireOutOfRange(f"map row names an output outside {n_qubits} qubits")
-    return [sum(1 << o for o in outs) for outs in rows]
+def _fill(m: StabiliserMap, n: int, x_cols, z_rows) -> StabiliserMap:
+    """Set the fields of a frozen map; the one place its masks are stored."""
+    object.__setattr__(m, "n_qubits", n)
+    object.__setattr__(m, "_x_cols", tuple(x_cols))
+    object.__setattr__(m, "_z_rows", tuple(z_rows))
+    return m
 
 
 def _bits(mask: int) -> list[int]:
@@ -143,7 +151,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _row_sets(rows: list[int]) -> tuple[frozenset[int], ...]:
+def _row_sets(rows) -> tuple[frozenset[int], ...]:
     """Per row mask, the set of its bits."""
     # tuple() of a list, not of a generator: CPython over-allocates a
     # generator's tuple and resizes it, and keeps the resized blocks in its
@@ -151,10 +159,10 @@ def _row_sets(rows: list[int]) -> tuple[frozenset[int], ...]:
     return tuple([frozenset(_bits(row)) for row in rows])
 
 
-def _transposed(cols: list[int], n: int) -> tuple[frozenset[int], ...]:
-    """Per row ``i``, the columns ``j`` whose mask has bit ``i``."""
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i in _bits(col):
-            rows[i].append(j)
-    return tuple([frozenset(r) for r in rows])
+def _transposed(masks, n: int) -> list[int]:
+    """The transpose of ``n`` bit-masks over ``n`` bits: bit ``j`` of row ``i`` is bit ``i`` of mask ``j``."""
+    rows = [0] * n
+    for j, mask in enumerate(masks):
+        for i in _bits(mask):
+            rows[i] |= 1 << j
+    return rows

@@ -26,7 +26,7 @@ from .circuits import (
     LinearCircuit,
     LinearGate,
 )
-from .errors import CircuitSyntaxError, quote, quote_int
+from .errors import CircuitSyntaxError, clean_lines, quote, quote_int
 from .icm import (
     BasisState,
     FaultSpec,
@@ -42,13 +42,6 @@ from .icm import (
 MAX_WIRES = 1 << 16
 
 
-def _clean_lines(text: str):
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield ln, line
-
-
 def _ascii_int(token: str) -> int:
     """``int(token)`` for an all-ASCII token, else ``ValueError``; int() alone reads any script's digits."""
     if not token.isascii():
@@ -61,7 +54,7 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
     header = None
     wires = None
     pairs: list[tuple[int, int]] = []
-    for ln, line in _clean_lines(text):
+    for ln, line in clean_lines(text):
         tokens = line.split()
         if header is None:
             if tokens[0] not in ("linear", "circular") or len(tokens) != 1:
@@ -120,7 +113,7 @@ def format_circuit(c: LinearCircuit | CircularCircuit) -> str:
 def parse_cut_file(text: str) -> tuple[CutSet, Direction | None]:
     gaps: list[Gap] = []
     direction = None
-    for ln, line in _clean_lines(text):
+    for ln, line in clean_lines(text):
         tokens = line.split()
         if tokens[0] == "cut" and len(tokens) == 3:
             try:
@@ -194,7 +187,7 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
     meas_map: dict[int, MeasBasis] = {}
     qubit_lines: list[tuple[int, int]] = []  # (qubit, line) per init/measure
     faults: list[FaultSpec] = []
-    for ln, line in _clean_lines(text):
+    for ln, line in clean_lines(text):
         tokens = line.split()
         if tokens[0] in ("init", "measure") and len(tokens) == 3:
             q = parse_index(tokens[1], "qubit", ln)
@@ -234,7 +227,7 @@ def parse_program(text: str) -> tuple[list[tuple], int]:
     qubits = None
     gates: list[tuple] = []
     operand_lines: list[tuple[int, int]] = []  # (qubit, line) per gate operand
-    for ln, line in _clean_lines(text):
+    for ln, line in clean_lines(text):
         tokens = line.split()
         if tokens[0] == "qubits" and len(tokens) == 2:
             count = parse_index(tokens[1], "qubit count", ln)

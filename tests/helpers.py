@@ -438,12 +438,13 @@ def isomorphic_to_reference(model, ref) -> bool:
 
 def restrict_map(m: StabiliserMap, live_in, live_out) -> StabiliserMap:
     """Blank absorbed rows and intersect output sets, for fault comparisons."""
+    x_out, z_out = m.x_out, m.z_out  # each read builds its rows
     x = tuple(
-        m.x_out[q] & frozenset(live_out) if q in live_in else frozenset()
+        x_out[q] & frozenset(live_out) if q in live_in else frozenset()
         for q in range(m.n_qubits)
     )
     z = tuple(
-        m.z_out[q] & frozenset(live_out) if q in live_in else frozenset()
+        z_out[q] & frozenset(live_out) if q in live_in else frozenset()
         for q in range(m.n_qubits)
     )
     return StabiliserMap(m.n_qubits, x, z)

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,38 @@ from circnot import (
 )
 from circnot.errors import CountMismatch, WireOutOfRange
 from helpers import all_small_circuits, circuit_unitary, mklin, pauli_matrix
+
+PAULI_SOURCE = Path(__file__).resolve().parent.parent / "src" / "circnot" / "pauli.py"
+
+
+def imported_modules(source: str) -> set[str]:
+    """Dotted names of every module an ``import`` in ``source`` reaches, relative ones as ``.name``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            # ``from . import gf2`` and ``from circnot import gf2`` name modules too
+            names.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_oracle_imports_no_derivation_code():
+    # the oracle checks the parity-model derivation, so it must not share its code
+    derivation = {"model", "gf2"}
+    imported = imported_modules(PAULI_SOURCE.read_text(encoding="utf-8"))
+    assert imported, "pauli.py imports something; an empty set means the scan is broken"
+    assert [name for name in imported if derivation & set(name.split("."))] == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["from .model import build_model", "from . import gf2", "import circnot.model", "from circnot import gf2"],
+)
+def test_import_scan_sees_derivation_imports(line):
+    assert {"model", "gf2"} & {part for name in imported_modules(line) for part in name.split(".")}
 
 
 class TestConjugateCnot:
