@@ -1,19 +1,21 @@
 """Circular and linear CNOT circuits, cut enumeration, and rewiring.
 
-A circular circuit places its gates at pairwise distinct integer positions
-around a circle; every wire is a closed loop crossing all positions. A wire
-carries a control symbol at each gate that controls from it and a target
-symbol at each gate that targets it. Gaps sit between cyclically adjacent
-symbols of one wire and are the only legal cut locations. Gap ``(w, i)`` is
-the gap that follows wire ``w``'s ``i``-th symbol in clockwise order
-(clockwise means increasing position).
+A circular circuit is its gate list read around a circle: a gate's index
+in the list is its place, clockwise is increasing index, and the cyclic
+rotations of the list are the linear circuits the one circle stands for.
+Every wire is a closed loop passing all gates. A wire carries a control
+symbol at each gate that controls from it and a target symbol at each gate
+that targets it. Gaps sit between cyclically adjacent symbols of one wire
+and are the only legal cut locations. Gap ``(w, i)`` is the gap that
+follows wire ``w``'s ``i``-th symbol in clockwise order. A linear circuit's
+gate list is its time order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import islice
 
 from .errors import (
     ControlEqualsTarget,
@@ -93,7 +95,6 @@ class CNOTGate:
     id: int
     control: int
     target: int
-    position: int
 
     def __post_init__(self):
         if self.control == self.target:
@@ -104,19 +105,16 @@ class CNOTGate:
 class CircularCircuit:
     """Closed-loop CNOT circuit: no inputs, no outputs.
 
-    ``gates`` are kept sorted by position; every wire must carry at least
-    one symbol (segmentation is undefined for bare loops).
+    ``gates`` is the clockwise order; every wire must carry at least one
+    symbol (segmentation is undefined for bare loops).
     """
 
     wires: int
     gates: tuple[CNOTGate, ...]
 
     def __post_init__(self):
-        gates = tuple(sorted(self.gates, key=lambda g: g.position))
+        gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
-        positions = [g.position for g in gates]
-        if len(set(positions)) != len(positions):
-            raise ValueError("gate positions must be pairwise distinct")
         touched: set[int] = set()
         for g in gates:
             for w in (g.control, g.target):
@@ -127,40 +125,48 @@ class CircularCircuit:
         empty = set(range(self.wires)) - touched
         if empty:
             raise EmptyWire(empty)
-        # symbol tables: per wire, (position, gate index, kind), clockwise
-        # because the gates are sorted by position
-        symbols: list[list[tuple[int, int, str]]] = [[] for _ in range(self.wires)]
+        # symbol tables: per wire, (gate index, kind), clockwise
+        symbols: list[list[tuple[int, str]]] = [[] for _ in range(self.wires)]
         for gi, g in enumerate(gates):
-            symbols[g.control].append((g.position, gi, CONTROL))
-            symbols[g.target].append((g.position, gi, TARGET))
+            symbols[g.control].append((gi, CONTROL))
+            symbols[g.target].append((gi, TARGET))
         object.__setattr__(self, "_symbols", tuple(tuple(row) for row in symbols))
 
-    def symbols(self, wire: int) -> tuple[tuple[int, int, str], ...]:
-        """Clockwise (position, gate index, kind) symbols on a wire."""
+    def symbols(self, wire: int) -> tuple[tuple[int, str], ...]:
+        """Clockwise (gate index, kind) symbols on a wire."""
         return self._symbols[wire]
 
     def symbol_count(self, wire: int) -> int:
         return len(self._symbols[wire])
 
-    def gate_by_id(self, gate_id: int) -> CNOTGate:
-        for g in self.gates:
+    def gate_index(self, gate_id: int) -> int:
+        """Index of the first gate with the given id."""
+        for gi, g in enumerate(self.gates):
             if g.id == gate_id:
-                return g
+                return gi
         raise UnknownGate(f"no gate with id {quote_int(gate_id)}")
 
     def slots(self) -> tuple[tuple[int, int], ...]:
-        """Inter-position angular slots as (position_before, position_after).
+        """Angular slots as (gate index before, gate index after).
 
-        Slot ``j`` lies strictly between global gate positions ``q_j`` and
-        ``q_{j+1}``; the last slot wraps back to the first position.
+        Slot ``j`` lies strictly between gates ``j`` and ``j + 1``; the last
+        slot wraps back to gate 0.
         """
-        positions = [g.position for g in self.gates]
-        return tuple(zip(positions, positions[1:] + positions[:1]))
+        n = len(self.gates)
+        return tuple((j, (j + 1) % n) for j in range(n))
 
     def gap_spanning(self, wire: int, slot: int) -> Gap:
-        """The unique gap on ``wire`` whose arc covers the given slot."""
-        span = next(islice(spanning_gaps(self), range(len(self.gates))[slot], None))
-        return Gap(wire, span[wire])
+        """The unique gap on ``wire`` whose arc covers the given slot.
+
+        It follows the wire's last symbol at or before gate ``slot``, or its
+        last symbol when it has none there.
+        """
+        if not 0 <= wire < self.wires:
+            raise WireOutOfRange(f"no wire {quote_int(wire)} in {self.wires} wires")
+        if not 0 <= slot < len(self.gates):
+            raise ValueError(f"slot {slot} outside 0..{len(self.gates) - 1}")
+        syms = self._symbols[wire]
+        return Gap(wire, (bisect_right(syms, slot, key=lambda s: s[0]) - 1) % len(syms))
 
 
 @dataclass(frozen=True)
@@ -180,33 +186,30 @@ class ArcOrigin:
 class LinearGate:
     control: int
     target: int
-    time: int
     source: int | None = None
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ControlEqualsTarget(f"gate at t={self.time}: control == target")
 
 
 @dataclass(frozen=True)
 class LinearCircuit:
+    """Open CNOT circuit; ``gates`` is the time order, so a gate's time is its index."""
+
     n_qubits: int
     gates: tuple[LinearGate, ...]
 
     def __post_init__(self):
-        times = [g.time for g in self.gates]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("gate times must be strictly increasing")
-        for g in self.gates:
+        for t, g in enumerate(self.gates):
+            if g.control == g.target:
+                raise ControlEqualsTarget(f"gate at t={t}: control == target")
+        for t, g in enumerate(self.gates):
             for q in (g.control, g.target):
                 if not 0 <= q < self.n_qubits:
-                    raise WireOutOfRange(f"gate at t={g.time} references qubit {quote_int(q)} of {self.n_qubits}")
+                    raise WireOutOfRange(f"gate at t={t} references qubit {quote_int(q)} of {self.n_qubits}")
 
     def gate_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((g.control, g.target) for g in self.gates)
 
     def times_on(self, qubit: int) -> tuple[int, ...]:
-        return tuple(g.time for g in self.gates if qubit in (g.control, g.target))
+        return tuple(t for t, g in enumerate(self.gates) if qubit in (g.control, g.target))
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ def _radial_families(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
     masks = [0] * c.wires
     for gap in cuts.cuts:
         syms = c._symbols[gap.wire]
-        lo, hi = syms[gap.index][1], syms[(gap.index + 1) % len(syms)][1]
+        lo, hi = syms[gap.index][0], syms[(gap.index + 1) % len(syms)][0]
         span = (1 << hi) - (1 << lo) if lo < hi else full ^ ((1 << lo) - (1 << hi))
         spans[gap.wire].append((span, gap.index))
         masks[gap.wire] |= span
@@ -295,7 +298,7 @@ def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
     Validity needs at least one radial family: a slot whose spanning gap is
     cut on every wire. Given one, every arc between consecutive cuts maps to
     a contiguous stretch of the unrolled timeline, so each gate's control and
-    target arcs automatically coexist at the gate's position. Returns the
+    target arcs automatically coexist at the gate. Returns the
     radial slots in clockwise order, each mapped to the index of its family's
     gap on every wire. ``NoRadialCut.missing_by_slot`` maps every slot to the
     wires whose spanning gap is uncut.
@@ -314,7 +317,7 @@ def resolve_arcs(
     """Validate the cut set, pick the start slot and resolve every qubit's arc.
 
     Raises what ``validate_cut_set`` raises. The start slot is the wrap slot
-    (before the first position) when it is radial, else the first radial
+    (before gate 0) when it is radial, else the first radial
     slot clockwise. Each arc between consecutive cuts on a wire is one
     qubit, ordered by (wire, traversal order of the arc's clockwise start)
     from the start slot's family gap; its ``ArcOrigin`` names the cuts in
@@ -369,7 +372,7 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     """Cut the circle open and read the gates off in the given direction.
 
     ``resolve_arcs`` validates the cuts and gives the qubits and the start
-    slot; this emits the gates. Gate times count from the start slot.
+    slot; this emits the gates, the first one met from the start slot first.
     Counter-clockwise reverses the gate order and swaps input/output
     endpoints but keeps qubit indices.
     """
@@ -391,8 +394,8 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
         for g, after in zip(c.gates, spanning_gaps(c))
     ]
     lin_gates = [
-        LinearGate(*qubit_pairs[gi], time=t, source=c.gates[gi].id)
-        for t, gi in enumerate(traversal_order(c, start, d))
+        LinearGate(*qubit_pairs[gi], source=c.gates[gi].id)
+        for gi in traversal_order(c, start, d)
     ]
     return LinearCircuit(n_qubits=len(origins), gates=tuple(lin_gates))
 
@@ -403,7 +406,7 @@ def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
     Scans qubits bottom-up; each joins its input to the output of the closest
     not-yet-consumed qubit above whose every gate symbol acts strictly before
     the current qubit's first symbol. Remaining open endpoints are looped
-    chain-by-chain. Gate order survives as the cyclic position order.
+    chain-by-chain. Gate order survives as the clockwise order.
     """
     n = l.n_qubits
     times = [l.times_on(q) for q in range(n)]
@@ -438,7 +441,7 @@ def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
         seam=CutSet(frozenset()),
     )
     gates = tuple(
-        CNOTGate(id=i, control=wire_of[g.control], target=wire_of[g.target], position=g.time)
+        CNOTGate(id=i, control=wire_of[g.control], target=wire_of[g.target])
         for i, g in enumerate(l.gates)
     )
     try:

@@ -213,9 +213,7 @@ def cmd_check(args, out) -> int:
         pairs = [tuple(rng.sample(range(n), 2)) for _ in range(m)]
         lin = LinearCircuit(
             n_qubits=n,
-            gates=tuple(
-                LinearGate(control=c, target=t, time=i) for i, (c, t) in enumerate(pairs)
-            ),
+            gates=tuple(LinearGate(control=c, target=t) for c, t in pairs),
         )
         if any(not lin.times_on(q) for q in range(n)):
             continue

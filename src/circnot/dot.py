@@ -23,11 +23,11 @@ def _circular_dot(c: CircularCircuit, cuts: CutSet | None) -> str:
     lines = ["digraph circuit {", "  rankdir=LR;"]
     sym_nodes: dict[tuple[int, int], str] = {}
     for w in range(c.wires):
-        for si, (pos, gi, kind) in enumerate(c.symbols(w)):
+        for si, (gi, kind) in enumerate(c.symbols(w)):
             name = f"w{w}s{si}"
             sym_nodes[(w, gi)] = name
             lines.append(
-                f'  {name} [label="{_SYMBOL_LABEL[kind]}g{c.gates[gi].id}@{pos}" shape=circle];'
+                f'  {name} [label="{_SYMBOL_LABEL[kind]}g{c.gates[gi].id}@{gi}" shape=circle];'
             )
     for w in range(c.wires):
         k = c.symbol_count(w)
@@ -58,21 +58,21 @@ def _linear_dot(c: LinearCircuit) -> str:
         lines.append(f'  q{q}_in [label="q{q} in" shape=plaintext];')
         chains.append([f"q{q}_in"])
     node_of: dict[tuple[int, int], str] = {}
-    for g in c.gates:
+    for t, g in enumerate(c.gates):
         for q, kind in ((g.control, "control"), (g.target, "target")):
-            name = f"q{q}t{g.time}"
-            node_of[(q, g.time)] = name
-            lines.append(f'  {name} [label="{_SYMBOL_LABEL[kind]}t{g.time}" shape=circle];')
+            name = f"q{q}t{t}"
+            node_of[(q, t)] = name
+            lines.append(f'  {name} [label="{_SYMBOL_LABEL[kind]}t{t}" shape=circle];')
             chains[q].append(name)
     for q in range(c.n_qubits):
         lines.append(f'  q{q}_out [label="q{q} out" shape=plaintext];')
         chains[q].append(f"q{q}_out")
         for src, dst in zip(chains[q], chains[q][1:]):
             lines.append(f"  {src} -> {dst} [style=bold];")
-    for g in c.gates:
+    for t, g in enumerate(c.gates):
         lines.append(
-            f"  {node_of[(g.control, g.time)]} -> {node_of[(g.target, g.time)]}"
-            f' [style=dashed label="t{g.time}"];'
+            f"  {node_of[(g.control, t)]} -> {node_of[(g.target, t)]}"
+            f' [style=dashed label="t{t}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -53,6 +53,8 @@ class InitBasis:
         name = self.input_name  # an ICM file reads it up to whitespace or a comment
         if self.state is None and (not name or "#" in name or any(ch.isspace() for ch in name)):
             raise InvalidAncillaConfig(f"input name {name!r} is empty or holds whitespace or '#'")
+        if self.state is not None and name is not None:
+            raise InvalidAncillaConfig(f"a concrete state takes no input name, got {name!r}")
 
     @classmethod
     def zero(cls):
@@ -129,36 +131,23 @@ class MeasBasis:
 
 @dataclass(frozen=True)
 class QubitConfig:
-    role: Role
     init: InitBasis
     meas: MeasBasis
 
-    def __post_init__(self):
-        if self.role is Role.INPUT and not self.init.is_symbolic:
-            raise InvalidAncillaConfig("input qubits take a symbolic state")
-        if self.role is Role.ANCILLA and (self.init.is_symbolic or self.meas.kind == "none"):
-            raise InvalidAncillaConfig("ancillae need a concrete state and a measurement")
-        if self.role is Role.OUTPUT and (self.init.is_symbolic or self.meas.kind != "none"):
-            raise InvalidAncillaConfig("output carriers have a concrete state and no measurement")
-
-
-def role_of(init: InitBasis, meas: MeasBasis) -> Role:
-    """Input when prepared symbolically, else ancilla when measured, else output."""
-    if init.is_symbolic:
-        return Role.INPUT
-    return Role.OUTPUT if meas.kind == "none" else Role.ANCILLA
+    @property
+    def role(self) -> Role:
+        """Input when prepared symbolically, else ancilla when measured, else output."""
+        if self.init.is_symbolic:
+            return Role.INPUT
+        return Role.OUTPUT if self.meas.kind == "none" else Role.ANCILLA
 
 
 def _input(name: str, meas: MeasBasis) -> QubitConfig:
-    return QubitConfig(Role.INPUT, InitBasis.symbolic(name), meas)
-
-
-def _ancilla(state: InitBasis, meas: MeasBasis) -> QubitConfig:
-    return QubitConfig(Role.ANCILLA, state, meas)
+    return QubitConfig(InitBasis.symbolic(name), meas)
 
 
 def _carrier(state: InitBasis) -> QubitConfig:
-    return QubitConfig(Role.OUTPUT, state, MeasBasis.none())
+    return QubitConfig(state, MeasBasis.none())
 
 
 @dataclass(frozen=True)
@@ -180,7 +169,7 @@ class ICMCircuit:
 
 
 def _chain(pairs) -> tuple[LinearGate, ...]:
-    return tuple(LinearGate(control=c, target=t, time=i) for i, (c, t) in enumerate(pairs))
+    return tuple(LinearGate(control=c, target=t) for c, t in pairs)
 
 
 def gadget(kind: str) -> ICMCircuit:
@@ -212,7 +201,7 @@ def gadget(kind: str) -> ICMCircuit:
         return ICMCircuit(
             circuit=LinearCircuit(n_qubits=2, gates=_chain([(1, 0)])),
             configs=(
-                _ancilla(InitBasis.zero(), MeasBasis.z()),
+                QubitConfig(InitBasis.zero(), MeasBasis.z()),
                 _input("phi", MeasBasis.none()),
             ),
         )
@@ -221,7 +210,7 @@ def gadget(kind: str) -> ICMCircuit:
             circuit=LinearCircuit(n_qubits=4, gates=_chain([(1, 0), (2, 1), (1, 3)])),
             configs=(
                 _input("c", MeasBasis.z()),
-                _ancilla(InitBasis.plus(), MeasBasis.x()),
+                QubitConfig(InitBasis.plus(), MeasBasis.x()),
                 _input("t", MeasBasis.none()),
                 _carrier(InitBasis.zero()),
             ),
@@ -231,7 +220,7 @@ def gadget(kind: str) -> ICMCircuit:
             circuit=LinearCircuit(n_qubits=4, gates=_chain([(3, 1), (0, 1), (2, 0)])),
             configs=(
                 _input("phi", MeasBasis.cfg("z", "x")),
-                _ancilla(InitBasis.zero(), MeasBasis.cfg("x", "z")),
+                QubitConfig(InitBasis.zero(), MeasBasis.cfg("x", "z")),
                 _carrier(InitBasis.plus()),
                 _carrier(InitBasis.plus()),
             ),
@@ -297,12 +286,8 @@ def translate_to_icm(gates, n_qubits: int) -> ICMCircuit:
         else:
             raise UnknownGate(f"cannot translate gate {op[0]!r}")
 
-    configs = [QubitConfig(role_of(ini, mb), ini, mb) for ini, mb in zip(inits, meas)]
-    circuit = LinearCircuit(
-        n_qubits=len(inits),
-        gates=tuple(LinearGate(control=c, target=t, time=i) for i, (c, t) in enumerate(emitted)),
-    )
-    return ICMCircuit(circuit=circuit, configs=tuple(configs))
+    circuit = LinearCircuit(n_qubits=len(inits), gates=_chain(emitted))
+    return ICMCircuit(circuit=circuit, configs=tuple(map(QubitConfig, inits, meas)))
 
 
 def toffoli_decomposition() -> tuple[list[tuple], int]:
@@ -370,9 +355,8 @@ def inject_smgf(c: CircularCircuit, base: CutSet, f: FaultSpec) -> tuple[CutSet,
     Adds the two gaps around the control symbol unless already cut; with
     both already present the returned cut set equals the base.
     """
-    gate = c.gate_by_id(f.gate)
-    gi = next(i for i, g in enumerate(c.gates) if g.id == gate.id)
-    w = gate.control
+    gi = c.gate_index(f.gate)
+    w = c.gates[gi].control
     si = c.gap_spanning(w, gi).index  # the gap after the gate's control symbol
     k = c.symbol_count(w)
     before = Gap(w, (si - 1) % k)

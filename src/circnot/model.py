@@ -101,7 +101,7 @@ class BooleanModel:
     Variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, named
     ``w<w>s<j>`` (``segment_name``); ``offsets`` has one entry per wire
     plus a last one, ``n_vars``. ``gate_vars[k]`` holds the clause
-    variables of the circuit's ``k``-th gate by position and ``gate_ids[k]``
+    variables of the circuit's ``k``-th gate and ``gate_ids[k]``
     that gate's id: (split-before, split-after, crossing) in X and Z,
     (control-before, control-after, target-before, target-after) combined.
     ``gap_vars[w][i]`` is the (ending, starting) variable pair of gap
@@ -212,13 +212,13 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     for w in range(c.wires):
         syms = c.symbols(w)
         first = offsets[-1]
-        n_segs = len(syms) + sum(1 for _, _, sk in syms if sk in splitting)
+        n_segs = len(syms) + sum(1 for _, sk in syms if sk in splitting)
         # segment j starts at the j-th boundary clockwise and each symbol's
         # gap follows it: ``seg`` is the segment starting at the current
         # boundary and ``prev`` the one ending there, wrapping at j = 0
         prev, seg = first + n_segs - 1, first
         pairs = []
-        for _, gi, sk in syms:
+        for gi, sk in syms:
             at = control_at if sk == CONTROL else target_at
             if sk in splitting:
                 at[gi] = (prev, seg)
@@ -339,7 +339,7 @@ def _solve_classes(
     The joins the cuts (``cut_gaps`` and the model's own) leave are
     equalities, so inputs (rhs bit ``1 + i``; ``None`` skips one), pins
     (bit 0), ``bridges`` (equal pairs) and then clauses (``_triples``) in
-    gate ``order`` (by position when None) are written over classes.
+    gate ``order`` (list order when None) are written over classes.
     ``Underdetermined.free`` names the greatest variable of each free class;
     class ids ascend with it, so these are the join-row system's pivot-free
     columns.
@@ -426,10 +426,10 @@ def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
     commute over GF(2), and two CNOTs fail to commute only when one gate's
     target is the other's control.
     """
-    ga = c.gate_by_id(g1)
-    gb = c.gate_by_id(g2)
-    if ga.id == gb.id or {ga.position, gb.position} not in ({a, b} for a, b in c.slots()):
+    ia, ib = c.gate_index(g1), c.gate_index(g2)
+    if ia == ib or {ia, ib} not in ({a, b} for a, b in c.slots()):
         raise NotAdjacent(f"gates {quote_int(g1)} and {quote_int(g2)} are not cyclically adjacent")
+    ga, gb = c.gates[ia], c.gates[ib]
     return not (ga.target == gb.control or gb.target == ga.control)
 
 

@@ -34,7 +34,6 @@ from .icm import (
     InitBasis,
     MeasBasis,
     QubitConfig,
-    role_of,
 )
 
 # Largest wire (or qubit) count a circuit source may declare. Circuits keep
@@ -50,7 +49,7 @@ def _ascii_int(token: str) -> int:
 
 
 def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
-    """Parse the circuit file format; times/positions follow listing order."""
+    """Parse the circuit file format; the gate list is the listing order."""
     header = None
     wires = None
     pairs: list[tuple[int, int]] = []
@@ -86,17 +85,10 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
     if wires is None:
         raise CircuitSyntaxError("missing 'wires N' line", 1)
     if header == "linear":
-        return LinearCircuit(
-            n_qubits=wires,
-            gates=tuple(
-                LinearGate(control=c, target=t, time=i) for i, (c, t) in enumerate(pairs)
-            ),
-        )
+        return LinearCircuit(n_qubits=wires, gates=tuple(LinearGate(control=c, target=t) for c, t in pairs))
     return CircularCircuit(
         wires=wires,
-        gates=tuple(
-            CNOTGate(id=i, control=c, target=t, position=i) for i, (c, t) in enumerate(pairs)
-        ),
+        gates=tuple(CNOTGate(id=i, control=c, target=t) for i, (c, t) in enumerate(pairs)),
     )
 
 
@@ -214,7 +206,7 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
     for q in range(circuit.n_qubits):
         init = init_map.get(q, InitBasis.symbolic(f"q{q}"))
         meas = meas_map.get(q, MeasBasis.none())
-        configs.append(QubitConfig(role_of(init, meas), init, meas))
+        configs.append(QubitConfig(init, meas))
     return ICMCircuit(circuit=circuit, configs=tuple(configs)), faults
 
 
@@ -294,8 +286,8 @@ def circuit_to_kv(c: LinearCircuit | CircularCircuit) -> dict:
                 "kind": "circular",
                 "wires": c.wires,
                 "gate": [
-                    {"id": g.id, "control": g.control, "target": g.target, "position": g.position}
-                    for g in c.gates
+                    {"id": g.id, "control": g.control, "target": g.target, "position": i}
+                    for i, g in enumerate(c.gates)
                 ],
             }
         }
@@ -304,8 +296,8 @@ def circuit_to_kv(c: LinearCircuit | CircularCircuit) -> dict:
             "kind": "linear",
             "qubits": c.n_qubits,
             "gate": [
-                {"control": g.control, "target": g.target, "time": g.time}
-                for g in c.gates
+                {"control": g.control, "target": g.target, "time": t}
+                for t, g in enumerate(c.gates)
             ],
         }
     }

@@ -22,7 +22,6 @@ tracking only which variables are fixed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 
@@ -55,14 +54,14 @@ from circnot.model import (
 def mkcirc(wires: int, pairs) -> CircularCircuit:
     return CircularCircuit(
         wires=wires,
-        gates=tuple(CNOTGate(id=i, control=c, target=t, position=i) for i, (c, t) in enumerate(pairs)),
+        gates=tuple(CNOTGate(id=i, control=c, target=t) for i, (c, t) in enumerate(pairs)),
     )
 
 
 def mklin(n: int, pairs) -> LinearCircuit:
     return LinearCircuit(
         n_qubits=n,
-        gates=tuple(LinearGate(control=c, target=t, time=i) for i, (c, t) in enumerate(pairs)),
+        gates=tuple(LinearGate(control=c, target=t) for c, t in pairs),
     )
 
 
@@ -242,7 +241,7 @@ def cyclic_equal(a, b, renaming: dict[int, int] | None = None) -> bool:
     """True when gate list ``b`` is a rotation of ``a`` under the renaming.
 
     Lists may be (control, target) pairs or gate objects carrying those
-    attributes; times and positions are ignored.
+    attributes; other attributes are ignored.
     """
 
     def pairs(seq):
@@ -259,25 +258,20 @@ def cyclic_equal(a, b, renaming: dict[int, int] | None = None) -> bool:
 def commutation_by_derivation(c: CircularCircuit, g1: int, g2: int) -> bool:
     """Reference for ``check_commutation_invariance``: derive every radial map.
 
-    Swapping the gates' positions relabels their crossing segments; the swap
+    Swapping the two gates in the list relabels their crossing segments; the swap
     is invariant exactly when every radial linearization that keeps the pair
     contiguous derives the same stabiliser map before and after. The slot
     between the pair is skipped for longer circuits because cutting there
     separates the gates instead of commuting them.
     """
-    ga = c.gate_by_id(g1)
-    gb = c.gate_by_id(g2)
-    pair = {ga.position, gb.position}
+    ia, ib = c.gate_index(g1), c.gate_index(g2)
+    pair = {ia, ib}
     slot_pairs = [{a, b} for a, b in c.slots()]
-    if ga.id == gb.id or pair not in slot_pairs:
+    if ia == ib or pair not in slot_pairs:
         raise NotAdjacent(f"gates {g1} and {g2} are not cyclically adjacent")
-    swapped = tuple(
-        replace(g, position=gb.position if g.id == ga.id else ga.position)
-        if g.id in (ga.id, gb.id)
-        else g
-        for g in c.gates
-    )
-    c2 = CircularCircuit(wires=c.wires, gates=swapped)
+    swapped = list(c.gates)
+    swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
+    c2 = CircularCircuit(wires=c.wires, gates=tuple(swapped))
     models1 = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
     models2 = (build_model(c2, ModelKind.X), build_model(c2, ModelKind.Z))
     for span1, span2, slot_pair in zip(spanning_gaps(c), spanning_gaps(c2), slot_pairs):

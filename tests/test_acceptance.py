@@ -66,8 +66,8 @@ def criterion(number: int, label: str):
 
 
 def slot_angles(c):
-    """Representative angle strictly inside each inter-position slot."""
-    positions = sorted(g.position for g in c.gates)
+    """Representative angle strictly inside each slot; gate ``j`` sits at angle ``j``."""
+    positions = range(len(c.gates))
     out = []
     for j in range(len(positions)):
         a = positions[j]
@@ -78,7 +78,7 @@ def slot_angles(c):
 
 def wire_gap_containing(c, wire, theta):
     """Independent arc walk: which gap's cyclic interval holds the angle."""
-    positions = [p for p, _, _ in c.symbols(wire)]
+    positions = [gi for gi, _ in c.symbols(wire)]
     k = len(positions)
     if k == 1:
         return 0
@@ -325,8 +325,9 @@ def test_criterion_11_toffoli_scale_report():
         icm = translate_to_icm(gates, n)
         circ, rec = strip_and_circularize(icm)
         assert circ.wires == icm.circuit.n_qubits - len(rec.joins)
-        # cyclic order preservation: same times, same wire-mapped pairs
-        assert [g.position for g in circ.gates] == [g.time for g in icm.circuit.gates]
+        # cyclic order preservation: gate i of the circle is gate i of the
+        # linear circuit, with its wire-mapped pair
+        assert [g.id for g in circ.gates] == list(range(len(icm.circuit.gates)))
         for cg, lg in zip(circ.gates, icm.circuit.gates):
             assert cg.control == rec.wire_of[lg.control]
             assert cg.target == rec.wire_of[lg.target]

@@ -5,12 +5,10 @@ import pytest
 
 from circnot import (
     CircularCircuit,
-    CNOTGate,
     CutSet,
     Direction,
     Gap,
     LinearCircuit,
-    LinearGate,
     circularize,
     enumerate_cut_points,
     linearize,
@@ -47,7 +45,7 @@ class TestParsing:
         assert isinstance(lin, LinearCircuit)
         assert lin.n_qubits == 2
         assert lin.gate_pairs() == ((0, 1), (1, 0), (0, 1))
-        assert [g.time for g in lin.gates] == [0, 1, 2]
+        assert [lin.times_on(q) for q in range(2)] == [(0, 1, 2), (0, 1, 2)]
 
     def test_parse_empty_linear(self):
         lin = parse_circuit("linear\nwires 1\n")
@@ -69,19 +67,33 @@ class TestCircularConstruction:
             mkcirc(3, [(0, 1)])
         assert err.value.wires == (2,)
 
-    def test_rejects_duplicate_positions(self):
-        with pytest.raises(ValueError):
-            CircularCircuit(
-                wires=2,
-                gates=(CNOTGate(0, 0, 1, 0), CNOTGate(1, 1, 0, 0)),
-            )
+    def test_keeps_given_order(self):
+        c = mkcirc(3, [(0, 1), (2, 0), (1, 2), (1, 0)])
+        backwards = CircularCircuit(wires=3, gates=[*reversed(c.gates)])
+        assert backwards.gates == tuple(reversed(c.gates))
+        last = len(c.gates) - 1
+        for w in range(3):
+            assert backwards.symbols(w) == tuple((last - gi, k) for gi, k in reversed(c.symbols(w)))
 
     def test_symbol_tables(self):
         swap = swap_circular()
-        kinds0 = [k for _, _, k in swap.symbols(0)]
-        kinds1 = [k for _, _, k in swap.symbols(1)]
-        assert kinds0 == ["control", "target", "control"]
-        assert kinds1 == ["target", "control", "target"]
+        assert swap.symbols(0) == ((0, "control"), (1, "target"), (2, "control"))
+        assert swap.symbols(1) == ((0, "target"), (1, "control"), (2, "target"))
+
+    @pytest.mark.parametrize(
+        "wire, slot, error, message",
+        [
+            (-1, 0, WireOutOfRange, "no wire -1 in 2 wires"),
+            (2, 0, WireOutOfRange, "no wire 2 in 2 wires"),
+            (0, -1, ValueError, r"slot -1 outside 0\.\.2"),
+            (0, 3, ValueError, r"slot 3 outside 0\.\.2"),
+        ],
+    )
+    def test_gap_spanning_refuses_out_of_range(self, wire, slot, error, message):
+        # in-range wires and slots are checked against the gate list in
+        # TestSpanningReference::test_matches_definition_exhaustive
+        with pytest.raises(error, match=message):
+            swap_circular().gap_spanning(wire, slot)
 
 
 class TestEnumerateCutPoints:

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from circnot.circuits import circularize
 from circnot.cli import build_parser, main
 from circnot.errors import EmptyWire, quote
-from circnot.textio import format_cut_set, parse_circuit
+from circnot.textio import format_circuit, format_cut_set, parse_circuit
 
 SWAP_CIRC = "circular\nwires 2\ncnot 0 1\ncnot 1 0\ncnot 0 1\n"
 RADIAL_A = "cut 0 2\ncut 1 2\n"
@@ -115,6 +116,35 @@ def test_kv_format_golden(tmp_path, swap_cut_sets, capsys, case):
         argv += ["--cuts", str(cuts), "--dir", direction]
     code, out = run(argv)
     assert (code, out.encode()) == (0, (KV_GOLDEN / f"{case}.kv").read_bytes())
+    assert capsys.readouterr().err == ""
+
+
+def _circularized_chain() -> tuple[str, str]:
+    """The circular text of ``LINEAR_CHAIN`` closed into loops, and its seam cut file."""
+    circ, record = circularize(parse_circuit(LINEAR_CHAIN))
+    return format_circuit(circ), format_cut_set(record.seam)
+
+
+# ``export`` stdout, one file per case under tests/golden, by (circuit, cut file)
+DOT_CASES = {
+    "export-linear-swap": lambda: (LINEAR_SWAP, None),
+    "export-swap-swap": lambda: (SWAP_CIRC, RADIAL_A),  # the swap cut fixture
+    "export-circularized-chain": _circularized_chain,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOT_CASES))
+def test_dot_export_golden(tmp_path, capsys, case):
+    circuit, cuts = DOT_CASES[case]()
+    path = tmp_path / "in.circ"
+    path.write_text(circuit)
+    argv = ["export", str(path)]
+    if cuts is not None:
+        cut_path = tmp_path / "in.cuts"
+        cut_path.write_text(cuts)
+        argv += ["--cuts", str(cut_path)]
+    code, out = run(argv)
+    assert (code, out.encode()) == (0, (KV_GOLDEN / f"{case}.dot").read_bytes())
     assert capsys.readouterr().err == ""
 
 

@@ -28,7 +28,7 @@ from circnot import (
     translate_to_icm,
 )
 from circnot.errors import CountMismatch, InvalidAncillaConfig, UnknownGate
-from circnot.icm import SINGLE_QUBIT_GATES
+from circnot.icm import SINGLE_QUBIT_GATES, BasisState
 from circnot.statevec import fidelity, kron_all, reduced_density, statevector_run
 from helpers import cyclic_equal, mklin, restrict_map
 
@@ -45,8 +45,8 @@ class TestConfigure:
         icm = ICMCircuit(
             circuit=lin,
             configs=(
-                QubitConfig(Role.INPUT, InitBasis.symbolic("phi"), MeasBasis.z()),
-                QubitConfig(Role.OUTPUT, InitBasis.plus(), MeasBasis.none()),
+                QubitConfig(InitBasis.symbolic("phi"), MeasBasis.z()),
+                QubitConfig(InitBasis.plus(), MeasBasis.none()),
             ),
         )
         assert icm.measured_qubits() == (0,)
@@ -57,10 +57,10 @@ class TestConfigure:
         icm = ICMCircuit(
             circuit=lin,
             configs=(
-                QubitConfig(Role.INPUT, InitBasis.symbolic("phi"), MeasBasis.cfg("z", "x")),
-                QubitConfig(Role.ANCILLA, InitBasis.zero(), MeasBasis.cfg("x", "z")),
-                QubitConfig(Role.OUTPUT, InitBasis.plus(), MeasBasis.none()),
-                QubitConfig(Role.OUTPUT, InitBasis.plus(), MeasBasis.none()),
+                QubitConfig(InitBasis.symbolic("phi"), MeasBasis.cfg("z", "x")),
+                QubitConfig(InitBasis.zero(), MeasBasis.cfg("x", "z")),
+                QubitConfig(InitBasis.plus(), MeasBasis.none()),
+                QubitConfig(InitBasis.plus(), MeasBasis.none()),
             ),
         )
         assert icm.configs[0].meas.options == ("z", "x")
@@ -69,15 +69,41 @@ class TestConfigure:
     def test_count_mismatch(self):
         lin = mklin(4, [(0, 1), (2, 3)])
         with pytest.raises(CountMismatch):
-            ICMCircuit(circuit=lin, configs=(QubitConfig(Role.OUTPUT, InitBasis.zero(), MeasBasis.none()),) * 3)
+            ICMCircuit(circuit=lin, configs=(QubitConfig(InitBasis.zero(), MeasBasis.none()),) * 3)
 
-    def test_invalid_ancilla(self):
-        with pytest.raises(InvalidAncillaConfig):
-            QubitConfig(Role.ANCILLA, InitBasis.zero(), MeasBasis.none())
-        with pytest.raises(InvalidAncillaConfig):
-            QubitConfig(Role.INPUT, InitBasis.zero(), MeasBasis.z())
-        with pytest.raises(InvalidAncillaConfig):
-            QubitConfig(Role.OUTPUT, InitBasis.plus(), MeasBasis.x())
+    def test_role_of_every_init_and_measurement(self):
+        inits = {
+            "in:phi": InitBasis.symbolic("phi"),
+            "zero": InitBasis.zero(),
+            "plus": InitBasis.plus(),
+            "y": InitBasis.y(),
+            "a": InitBasis.a(),
+        }
+        meas = {
+            "x": MeasBasis.x(),
+            "y": MeasBasis.y(),
+            "z": MeasBasis.z(),
+            "a": MeasBasis.a(),
+            "cfg": MeasBasis.cfg("z", "x"),
+            "none": MeasBasis.none(),
+        }
+        I, O, A = Role.INPUT, Role.OUTPUT, Role.ANCILLA
+        # rows: init; columns: x, y, z, a, cfg, none
+        table = {
+            "in:phi": [I, I, I, I, I, I],
+            "zero": [A, A, A, A, A, O],
+            "plus": [A, A, A, A, A, O],
+            "y": [A, A, A, A, A, O],
+            "a": [A, A, A, A, A, O],
+        }
+        for init_name, roles in table.items():
+            for meas_name, role in zip(meas, roles, strict=True):
+                assert QubitConfig(inits[init_name], meas[meas_name]).role is role, (init_name, meas_name)
+
+    @pytest.mark.parametrize("state", list(BasisState))
+    def test_concrete_state_refuses_input_name(self, state):
+        with pytest.raises(InvalidAncillaConfig, match="takes no input name"):
+            InitBasis(state, "x")
 
 
 class TestGadgets:
@@ -253,9 +279,9 @@ class TestStrip:
     def test_configuration_never_changes_skeleton(self):
         lin = mklin(3, [(0, 1), (1, 2), (2, 0)])
         configs = (
-            QubitConfig(Role.INPUT, InitBasis.symbolic("a"), MeasBasis.z()),
-            QubitConfig(Role.ANCILLA, InitBasis.plus(), MeasBasis.x()),
-            QubitConfig(Role.OUTPUT, InitBasis.zero(), MeasBasis.none()),
+            QubitConfig(InitBasis.symbolic("a"), MeasBasis.z()),
+            QubitConfig(InitBasis.plus(), MeasBasis.x()),
+            QubitConfig(InitBasis.zero(), MeasBasis.none()),
         )
         icm = ICMCircuit(circuit=lin, configs=configs)
         assert strip_and_circularize(icm) == circularize(lin)
@@ -265,8 +291,10 @@ class TestStrip:
         icm = translate_to_icm(gates, n)
         circ, rec = strip_and_circularize(icm)
         assert circ.wires == icm.circuit.n_qubits - len(rec.joins)
-        # cyclic order preserved: positions are the original times
-        assert [g.position for g in circ.gates] == [g.time for g in icm.circuit.gates]
+        # cyclic order preserved: gate i of the circle is gate i of the ICM circuit
+        assert [(g.control, g.target) for g in circ.gates] == [
+            (rec.wire_of[g.control], rec.wire_of[g.target]) for g in icm.circuit.gates
+        ]
 
     def test_radial_cut_of_stripped_gives_equal_qubits(self):
         gates, n = toffoli_decomposition()

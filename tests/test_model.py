@@ -769,8 +769,7 @@ class TestCommutation:
 
 def adjacent_id_pairs(c):
     """Every cyclically adjacent gate pair of ``c`` by id, in both orders."""
-    by_position = {g.position: g.id for g in c.gates}
-    pairs = {(by_position[a], by_position[b]) for a, b in c.slots() if a != b}
+    pairs = {(c.gates[a].id, c.gates[b].id) for a, b in c.slots() if a != b}
     return sorted(pairs | {(b, a) for a, b in pairs})
 
 
@@ -801,7 +800,7 @@ class TestCommutationRule:
 class TestSlotRotation:
     """Moving a radial-only cut one slot clockwise conjugates its map.
 
-    Reading from slot ``s + 1`` moves gate ``g`` at position ``s + 1`` from
+    Reading from slot ``s + 1`` moves gate ``g`` at index ``s + 1`` from
     the front of the gate list to its back, so the map becomes g·M·g. The
     expected map comes from set algebra, not from the Pauli oracle.
     """

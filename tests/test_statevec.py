@@ -10,7 +10,6 @@ from circnot import (
     LinearGate,
     MeasBasis,
     QubitConfig,
-    Role,
     gadget,
 )
 from circnot import statevec
@@ -127,14 +126,12 @@ def test_sdt_routes_by_basis_choice():
 def test_zero_probability_outcome():
     # Bell-style correlation: projecting |00>+|11> onto q0=0 then q1=1 is
     # impossible
-    lin = LinearCircuit(
-        n_qubits=2, gates=(LinearGate(control=1, target=0, time=0),)
-    )
+    lin = LinearCircuit(n_qubits=2, gates=(LinearGate(control=1, target=0),))
     icm = ICMCircuit(
         circuit=lin,
         configs=(
-            QubitConfig(Role.ANCILLA, InitBasis.zero(), MeasBasis.z()),
-            QubitConfig(Role.ANCILLA, InitBasis.plus(), MeasBasis.z()),
+            QubitConfig(InitBasis.zero(), MeasBasis.z()),
+            QubitConfig(InitBasis.plus(), MeasBasis.z()),
         ),
     )
     with pytest.raises(ZeroProbabilityOutcome):
@@ -144,11 +141,11 @@ def test_zero_probability_outcome():
 def test_too_many_qubits():
     n = 15
     lin = LinearCircuit(
-        n_qubits=n, gates=tuple(LinearGate(control=0, target=q, time=q) for q in range(1, n))
+        n_qubits=n, gates=tuple(LinearGate(control=0, target=q) for q in range(1, n))
     )
     icm = ICMCircuit(
         circuit=lin,
-        configs=tuple(QubitConfig(Role.OUTPUT, InitBasis.zero(), MeasBasis.none()) for _ in range(n)),
+        configs=tuple(QubitConfig(InitBasis.zero(), MeasBasis.none()) for _ in range(n)),
     )
     with pytest.raises(TooManyQubits):
         statevector_run(icm, [])
