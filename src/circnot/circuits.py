@@ -20,6 +20,7 @@ from enum import Enum
 from .errors import (
     ControlEqualsTarget,
     DuplicateCut,
+    DuplicateGate,
     EmptyCutSet,
     EmptyWire,
     NoRadialCut,
@@ -115,8 +116,13 @@ class CircularCircuit:
     def __post_init__(self):
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
+        ids: set[int] = set()
         touched: set[int] = set()
         for g in gates:
+            # faults and the commutation check find a gate by its id
+            if g.id in ids:
+                raise DuplicateGate(f"gate id {quote_int(g.id)} repeated")
+            ids.add(g.id)
             for w in (g.control, g.target):
                 if not 0 <= w < self.wires:
                     raise WireOutOfRange(f"gate {g.id} references wire {quote_int(w)} of {self.wires}")
@@ -136,11 +142,16 @@ class CircularCircuit:
         """Clockwise (gate index, kind) symbols on a wire."""
         return self._symbols[wire]
 
+    @property
+    def symbol_tables(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        """Every wire's ``symbols``, by wire."""
+        return self._symbols
+
     def symbol_count(self, wire: int) -> int:
         return len(self._symbols[wire])
 
     def gate_index(self, gate_id: int) -> int:
-        """Index of the first gate with the given id."""
+        """Index of the gate with the given id (ids are distinct)."""
         for gi, g in enumerate(self.gates):
             if g.id == gate_id:
                 return gi
@@ -197,6 +208,7 @@ class LinearCircuit:
     gates: tuple[LinearGate, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
         for t, g in enumerate(self.gates):
             if g.control == g.target:
                 raise ControlEqualsTarget(f"gate at t={t}: control == target")

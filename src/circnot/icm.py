@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuits import (
+    CONTROL,
+    TARGET,
     CircularCircuit,
     CutSet,
     Direction,
@@ -25,7 +27,7 @@ from .circuits import (
     traversal_order,
 )
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
-from .model import ModelKind, build_model, input_output_segments, solve_map_rows
+from .model import cut_ends, solve_walk, walk_classes
 from .stabmap import StabiliserMap
 
 
@@ -50,6 +52,8 @@ class InitBasis:
     input_name: str | None = None
 
     def __post_init__(self):
+        if self.state is not None and not isinstance(self.state, BasisState):
+            raise InvalidAncillaConfig(f"state {self.state!r} is not a BasisState")
         name = self.input_name  # an ICM file reads it up to whitespace or a comment
         if self.state is None and (not name or "#" in name or any(ch.isspace() for ch in name)):
             raise InvalidAncillaConfig(f"input name {name!r} is empty or holds whitespace or '#'")
@@ -393,14 +397,16 @@ def faulted_transformations(
     """Derive the stabiliser map of the circuit with one gate missing.
 
     The fault ancilla's input is pinned to its |0> values,
-    ``FaultPatch.x_value`` (false) in the X model and ``z_value`` (true) in
-    the Z model. Cuts the fault adds are transparent to the logical flow:
-    when both are fresh the severed neighbour segments are re-joined
+    ``FaultPatch.x_value`` (false) in the X system and ``z_value`` (true)
+    in the Z system. Cuts the fault adds are transparent to the logical
+    flow: when both are fresh the severed neighbour classes are re-joined
     (teleported continuation); when one side was a real base endpoint the
     fresh continuation starts in |0>. Base qubits whose endpoint falls
-    inside the ancilla drop out of the map. Both models are solved: the
-    pins make X and Z independent, so Z is not the inverse transpose of X
-    here as it is in ``derive_transformations``.
+    inside the ancilla drop out of the map. Inputs, outputs, pins and
+    bridges all sit at cut gaps, so each system is written straight from
+    ``model.walk_classes`` and no model is built. Both systems are solved:
+    the pins make X and Z independent, so Z is not the inverse transpose
+    of X here as it is in ``derive_transformations``.
     """
     start, origins = resolve_arcs(c, base, d)
     order = traversal_order(c, start, d)
@@ -417,28 +423,34 @@ def faulted_transformations(
         q for q, o in enumerate(origins) if o.output_cut != anc_out_gap
     )
 
-    # the side of a gap a traversal leaves it by: its starting segment (cw)
+    # the side of a gap a traversal leaves it by: its starting class (cw)
     # or its ending one (ccw)
     out_side = 1 if d is Direction.CW else 0
 
-    def model_cols(m, pin_value: bool):
-        anc_first = m.gap_pair(anc_in_gap)[out_side]
-        ins, outs = input_output_segments(m, origins, d)
-        ins = [seg if q in live_in else None for q, seg in enumerate(ins)]
-        pins = {anc_first: pin_value}
+    def flow_cols(split: str, pin_value: bool):
+        # X flow splits segments at targets, Z flow at controls
+        classes = walk_classes(c, [split] * len(c.gates), cut_gaps)
+
+        def side(gap: Gap, k: int) -> int:
+            return classes.gaps[gap.wire, gap.index][k]
+
+        anc_first = side(anc_in_gap, out_side)
+        ins, outs = cut_ends(classes, origins, d)
+        ins = [k if q in live_in else None for q, k in enumerate(ins)]
+        pins = {anc_first: int(pin_value)}
         bridges: tuple = ()
         if len(added) == 2:
-            bridges = ((m.gap_pair(patch.before_gap)[0], m.gap_pair(patch.after_gap)[1]),)
+            bridges = ((side(patch.before_gap, 0), side(patch.after_gap, 1)),)
         elif len(added) == 1:
-            in_side = m.gap_pair(next(iter(added)))[out_side]
+            in_side = side(next(iter(added)), out_side)
             if in_side != anc_first:
-                pins[in_side] = pin_value
+                pins[in_side] = int(pin_value)
         # absorbed inputs carry no tag bit, so only absorbed outputs are masked
-        cols = solve_map_rows(m, cut_gaps, ins, outs, pins=pins, bridges=bridges, order=order)
-        return [col if q in live_out else 0 for q, col in enumerate(cols)]
+        sol = solve_walk(classes, ins, pins.items(), bridges, order)
+        return [sol[k] >> 1 if q in live_out else 0 for q, k in enumerate(outs)]
 
-    x_cols = model_cols(build_model(c, ModelKind.X), patch.x_value)
-    z_cols = model_cols(build_model(c, ModelKind.Z), patch.z_value)
+    x_cols = flow_cols(TARGET, patch.x_value)
+    z_cols = flow_cols(CONTROL, patch.z_value)
     return FaultedDerivation(
         cuts=cuts,
         patch=patch,

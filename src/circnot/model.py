@@ -15,8 +15,24 @@ Segment boundaries per model kind:
 * combined model: gaps and both symbol kinds split; each gate's clause
   carries a selector that picks the X reading (true) or Z reading (false).
 
-``build_model`` builds all three kinds with one segmentation and stores
-the model as integers, its only representation:
+The joins a cut set leaves are equalities, so every solve runs over join
+classes. One walk over each wire's symbol table (``walk_classes``) numbers
+them: given each gate's splitting symbol and the cut gaps, a class starts
+at each splitting symbol and each cut gap (a break). Classes are numbered
+by break, wire by wire and clockwise from each wire's first symbol, and a
+wire's head (its symbols before its first break) continues its last class.
+The walk gives each gate's (before, after, crossing) classes and each cut
+gap's (ending, starting) classes.
+``solve_walk`` writes inputs, pins and bridges, then the gate clauses in
+the order given, over those classes and hands them to ``gf2``; a
+derivation or fault gives its traversal order (``traversal_order``), so
+each clause fixes one new class and ``gf2``'s one pass reads it once.
+
+``derive_transformations``, ``icm.faulted_transformations`` and the search
+(``_slot_systems``) put their inputs, outputs, pins and bridges at cut gaps,
+so they write their rows straight from the walk and build no model.
+``build_model`` is the same walk with every gap cut: the classes are then
+the segments, and the model stores them as integers:
 
 * variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, named
   ``w<w>s<j>``, so the variables run wire by wire, each wire's segments
@@ -26,27 +42,24 @@ the model as integers, its only representation:
 * a cut model records only its cut gaps, a pinned one only its selectors;
   ``BooleanModel.joins`` lists the joins the cuts leave.
 
-One writer, ``_solve_classes``, solves over join classes, so no solve
-builds a join row; a pinned combined clause is read as its X or Z clause.
-It writes inputs, pins and bridges, then the gate clauses, which derive and
-fault solves give in traversal order (``traversal_order``): each clause then
-fixes one new class, so ``gf2``'s one pass reads it once.
-``solve_map_rows`` reads the solution as int masks, one GF(2) column per
-output, which ``StabiliserMap`` keeps as they are, ``propagate`` as one
-bool per variable. ``parity_rows`` lists every clause, joins
+A model solve (``solve_map_rows``, ``propagate``) walks the model's circuit
+with its cuts and maps each variable to the class on its side of a gap; a
+pinned combined clause is read as its X or Z clause. ``solve_map_rows``
+reads the solution as int masks, one GF(2) column per output, ``propagate``
+as one bool per variable. ``parity_rows`` lists every clause, joins
 included, as sparse ``(variables, rhs)`` rows for ``circnot model --parity``.
 
-``derive_transformations`` builds and solves the X model only. A CNOT
-circuit acts symplectically, so its Z map is the inverse transpose of its
-X map: Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns
-(``StabiliserMap.from_x``). The Z model is solved where pins make the two
-flows independent (fault derivations in ``icm``) and serves ``propagate``
-and ``circnot model``.
+``derive_transformations`` solves the X system only. A CNOT circuit acts
+symplectically, so its Z map is the inverse transpose of its X map:
+Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns (``StabiliserMap.from_x``).
+The Z system is solved where pins make the two flows independent (fault
+derivations in ``icm``); the Z model serves ``propagate`` and
+``circnot model``.
 
 ``search_cuts`` derives no map per candidate. One X solve with every gap
 cut gives the value arriving at each gap over the gaps' starting values.
-Per radial slot, one pass in traversal order rewrites these over the
-slot family's inputs and one tag bit per other gap (``_slot_systems``),
+Per radial slot, one pass in traversal order rewrites these over the slot
+family's inputs and one tag bit per other gap (``_slot_systems``),
 and a candidate's X columns are a substitution over its extra cuts
 (``_columns``).
 """
@@ -57,7 +70,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, combinations, islice
 from math import comb
 from typing import NamedTuple
 
@@ -94,9 +107,146 @@ class ModelKind(Enum):
     COMBINED = "combined"
 
 
+class ClassWalk(NamedTuple):
+    """Join classes of one cut system, from ``walk_classes``.
+
+    Per gate index: ``before`` and ``after`` are the classes on either side
+    of its splitting symbol, ``crossing`` the class at its other symbol
+    (the class before it when every symbol splits, ``crossing_after`` then
+    holding the one after it, else None). ``gaps`` maps each cut gap's
+    ``(wire, index)`` to its (ending, starting) classes; ``starts`` is each
+    wire's first class, then the class count.
+    """
+
+    before: list[int]
+    after: list[int]
+    crossing: list[int]
+    crossing_after: list[int] | None
+    gaps: dict[tuple[int, int], tuple[int, int]]
+    starts: list[int]
+
+    @property
+    def n(self) -> int:
+        return self.starts[-1]
+
+
+def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWalk:
+    """Number the join classes of a cut system in one walk over each wire's symbols.
+
+    ``split[g]`` is the kind (``CONTROL`` or ``TARGET``) of gate ``g``'s
+    splitting symbol; with ``both`` the other symbol splits too. ``cut``
+    holds the cut gaps, which must exist, or is None for every gap. A class
+    starts at each splitting symbol and each cut gap; classes are numbered
+    wire by wire, each wire's clockwise from its first symbol, and a wire's
+    head (its symbols before its first break) continues its last class. A
+    wire without a break is one class.
+    """
+    symbols = c.symbol_tables
+    if cut is None:
+        at = [range(len(syms) + 1) for syms in symbols]
+    else:
+        at = [[] for _ in symbols]
+        for gap in cut:
+            at[gap.wire].append(gap.index)
+    n_gates = len(split)
+    before = [0] * n_gates
+    after = [0] * n_gates
+    crossing = [0] * n_gates
+    crossing_after = [0] * n_gates if both else None
+    gaps: dict[tuple[int, int], tuple[int, int]] = {}
+    starts = []
+    n = 0
+    for w, syms in enumerate(symbols):
+        starts.append(n)
+        # the wire's cut gap indices ascending, then one no symbol reaches
+        wire_cuts = at[w]
+        if cut is not None:
+            wire_cuts.sort()
+            wire_cuts.append(-1)
+        cuts = iter(wire_cuts)
+        next_cut = next(cuts)
+        cur = -1  # the head's class, known once the wire is walked
+        j = 0
+        for gi, sk in syms:
+            if sk is split[gi]:
+                before[gi] = cur
+                after[gi] = cur = n
+                n += 1
+            elif both:
+                crossing[gi] = cur
+                crossing_after[gi] = cur = n
+                n += 1
+            else:
+                crossing[gi] = cur
+            if j == next_cut:
+                gaps[w, j] = (cur, n)
+                cur = n
+                n += 1
+                next_cut = next(cuts)
+            j += 1
+        if cur < 0:  # no break: the wire is one class
+            cur = n
+            n += 1
+        # the head continues the last class, up to the ending side of the
+        # first break
+        gi, sk = syms[0]
+        if sk is split[gi]:
+            before[gi] = cur
+            continue
+        first_cut = wire_cuts[0]
+        for j, (gi, sk) in enumerate(syms):
+            if sk is split[gi]:
+                before[gi] = cur
+                break
+            crossing[gi] = cur
+            if both:
+                break
+            if j == first_cut:
+                gaps[w, j] = (cur, gaps[w, j][1])
+                break
+    starts.append(n)
+    return ClassWalk(before, after, crossing, crossing_after, gaps, starts)
+
+
+def solve_walk(classes: ClassWalk, ins, pins=(), bridges=(), order=None) -> list[int]:
+    """Per class, its solved rhs over the inputs.
+
+    Rows go to ``gf2.solve_tagged`` over classes in this order: one per
+    input class (rhs bit ``1 + i``; None skips one), one per ``(class,
+    bit)`` pin (rhs bit 0), one per bridge of two distinct classes, then
+    each gate's clause in ``order`` (list order when None). A gate whose
+    split is its wire's only break has one class on both sides, so its
+    clause reads only the crossing class.
+    """
+    rows = [((k,), 2 << i) for i, k in enumerate(ins) if k is not None]
+    if pins:
+        rows += [((k,), bit) for k, bit in pins]
+    if bridges:
+        rows += [((a, b), 0) for a, b in bridges if a != b]
+    before, after, crossing = classes.before, classes.after, classes.crossing
+    for g in range(len(before)) if order is None else order:
+        a, b, x = before[g], after[g], crossing[g]
+        rows.append(((a, b, x) if a != b else (x,), 0))
+    return gf2.solve_tagged(rows, classes.n, 1 + len(ins))
+
+
+def cut_ends(classes: ClassWalk, origins, d: Direction) -> tuple[list[int], list[int]]:
+    """Per linear qubit (``ArcOrigin``), the classes of its first and last segment under the traversal."""
+    # the first segment starts after the input cut (cw) or ends before it
+    # (ccw); the last one mirrors that
+    first, last = (1, 0) if d is Direction.CW else (0, 1)
+    pair = classes.gaps
+    ins, outs = [], []
+    for o in origins:
+        a, b = o.input_cut, o.output_cut
+        ins.append(pair[a.wire, a.index][first])
+        outs.append(pair[b.wire, b.index][last])
+    return ins, outs
+
+
 @dataclass(frozen=True, eq=False)
 class BooleanModel:
-    """A parity model stored as integer variable indices.
+    """A parity model of ``circuit`` stored as integer variable indices.
 
     Variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, named
     ``w<w>s<j>`` (``segment_name``); ``offsets`` has one entry per wire
@@ -110,6 +260,7 @@ class BooleanModel:
     the cuts leave are listed by ``joins``.
     """
 
+    circuit: CircularCircuit
     kind: ModelKind
     offsets: tuple[int, ...]
     gate_vars: tuple[tuple[int, ...], ...]
@@ -135,26 +286,22 @@ class BooleanModel:
         return f"w{w}s{v - self.offsets[w]}"
 
     @cached_property
-    def _triples(self) -> tuple[tuple[int, ...], ...]:
-        """Per gate (split-before, split-after, crossing): ``gate_vars`` in X and Z; a
-        combined ``(a, b, tc, td)`` by its selector, X ``(tc, td, a)`` or Z ``(a, b, tc)``."""
+    def split_kinds(self) -> list[str]:
+        """Per gate, the kind of the symbol its clause splits at.
+
+        ``TARGET`` in X and ``CONTROL`` in Z; a combined clause splits at
+        its target when its selector picks the X reading, else at its
+        control. Raises UnpinnedSelector for an unpinned combined clause.
+        """
         if self.kind is not ModelKind.COMBINED:
-            return self.gate_vars
-        triples = []
-        for gate_id, (a, b, tc, td) in zip(self.gate_ids, self.gate_vars):
+            return [TARGET if self.kind is ModelKind.X else CONTROL] * len(self.gate_ids)
+        kinds = []
+        for gate_id in self.gate_ids:
             selector = self.selectors.get(gate_id)
             if selector is None:
                 raise UnpinnedSelector(f"combined clause for gate {gate_id} has no selector")
-            triples.append((tc, td, a) if selector else (a, b, tc))
-        return tuple(triples)
-
-    @cached_property
-    def _split_breaks(self) -> bytes:
-        """1 at each variable starting after a split symbol: each ``_triples`` entry's second."""
-        breaks = bytearray(self.n_vars)
-        for vs in self._triples:
-            breaks[vs[1]] = 1
-        return bytes(breaks)
+            kinds.append(TARGET if selector else CONTROL)
+        return kinds
 
     @cached_property
     def joins(self) -> tuple[tuple[Gap, tuple[int, int]], ...]:
@@ -185,60 +332,32 @@ class BooleanModel:
         return "\n".join(lines)
 
 
-_SPLITTING = {
-    ModelKind.X: (TARGET,),
-    ModelKind.Z: (CONTROL,),
-    ModelKind.COMBINED: (CONTROL, TARGET),
-}
-
-
 def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     """Model of the uncut circuit: one clause per gate, one join per gap.
 
     Gaps and the symbols of the kind's splitting roles cut each wire into
-    segments. The X clause ties the target's split to the control's
-    crossing segment, the Z clause the control's split to the target's
-    crossing segment, and the combined clause both splits. A join whose two
-    variables coincide (a wire with a single boundary) is a tautology and is
-    dropped; its gap is already cut-equivalent.
+    segments, so the segments are the classes of ``walk_classes`` with
+    every gap cut, numbered alike. The X clause ties the target's split to
+    the control's crossing segment, the Z clause the control's split to the
+    target's crossing segment, and the combined clause both splits. A join
+    whose two variables coincide (a wire with a single boundary) is a
+    tautology and is dropped; its gap is already cut-equivalent.
     """
-    splitting = _SPLITTING[kind]
-    # per gate index: (before, after) variables at a splitting symbol, or
-    # (containing,) at a crossing one
-    control_at: list = [None] * len(c.gates)
-    target_at: list = [None] * len(c.gates)
-    offsets = [0]
-    gap_vars = []
-    for w in range(c.wires):
-        syms = c.symbols(w)
-        first = offsets[-1]
-        n_segs = len(syms) + sum(1 for _, sk in syms if sk in splitting)
-        # segment j starts at the j-th boundary clockwise and each symbol's
-        # gap follows it: ``seg`` is the segment starting at the current
-        # boundary and ``prev`` the one ending there, wrapping at j = 0
-        prev, seg = first + n_segs - 1, first
-        pairs = []
-        for gi, sk in syms:
-            at = control_at if sk == CONTROL else target_at
-            if sk in splitting:
-                at[gi] = (prev, seg)
-                prev, seg = seg, seg + 1
-            else:
-                at[gi] = (prev,)
-            pairs.append((prev, seg))
-            prev, seg = seg, seg + 1
-        offsets.append(first + n_segs)
-        gap_vars.append(tuple(pairs))
-    if kind is ModelKind.X:
-        gate_vars = tuple(t + ctl for ctl, t in zip(control_at, target_at))
+    split = [CONTROL if kind is ModelKind.Z else TARGET] * len(c.gates)
+    combined = kind is ModelKind.COMBINED
+    segs = walk_classes(c, split, None, both=combined)
+    if combined:
+        gate_vars = zip(segs.crossing, segs.crossing_after, segs.before, segs.after)
     else:
-        gate_vars = tuple(ctl + t for ctl, t in zip(control_at, target_at))
+        gate_vars = zip(segs.before, segs.after, segs.crossing)
+    pairs = iter(segs.gaps.values())  # every gap, by (wire, gap)
     return BooleanModel(
+        circuit=c,
         kind=kind,
-        offsets=tuple(offsets),
-        gate_vars=gate_vars,
+        offsets=tuple(segs.starts),
+        gate_vars=tuple(gate_vars),
         gate_ids=tuple(g.id for g in c.gates),
-        gap_vars=tuple(gap_vars),
+        gap_vars=tuple(tuple(islice(pairs, c.symbol_count(w))) for w in range(c.wires)),
     )
 
 
@@ -268,13 +387,13 @@ def parity_rows(m: BooleanModel) -> list[tuple[tuple[int, ...], int]]:
     """Every clause as sparse ``(variables, rhs)`` parity rows (requiring it true).
 
     A row is ``(variables, 0)``: one per X or Z gate, two per combined gate
-    (equal sides, then ``_triples``), in gate order, then one per ``m.joins``.
+    (its other symbol's equal sides, then its selected clause), in gate
+    order, then one per ``m.joins``.
     """
     if m.kind is ModelKind.COMBINED:
         rows = []
-        for vs, triple in zip(m.gate_vars, m._triples):
-            # the other symbol's two sides are equal
-            rows += (vs[:2] if triple[:2] == vs[2:] else vs[2:]), triple
+        for (a, b, tc, td), kind in zip(m.gate_vars, m.split_kinds):
+            rows += ((a, b), (tc, td, a)) if kind is TARGET else ((tc, td), (a, b, tc))
     else:
         rows = list(m.gate_vars)
     rows += [pair for _, pair in m.joins]
@@ -289,7 +408,7 @@ def propagate(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
     cut) and Inconsistent when the pins contradict the system.
     """
     try:
-        sol, cls = _solve_classes(m, frozenset(), [], pins)
+        sol, cls = _solve_model(m, frozenset(), [], pins)
     except Underdetermined as err:
         free = [m.segment_name(v) for v in err.free]
         raise Underdetermined(f"free segments remain: {free}", free=free) from None
@@ -298,66 +417,52 @@ def propagate(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
 
 def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:
     """Per linear qubit (``ArcOrigin``), the variables of its first and last segment under the traversal."""
-    # the first segment starts after the input cut (cw) or ends before it
-    # (ccw); the last one mirrors that
     first, last = (1, 0) if d is Direction.CW else (0, 1)
     ins = [m.gap_pair(origin.input_cut)[first] for origin in origins]
     outs = [m.gap_pair(origin.output_cut)[last] for origin in origins]
     return ins, outs
 
 
-def _join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
-    """Class of each variable under the joins the cuts leave, and the class count.
-
-    Within a wire, variable ``v`` continues the class of ``v - 1``
-    (cyclically) unless a split symbol or a cut gap comes before it; a wire
-    with neither is one class.
-    """
-    breaks = bytearray(m._split_breaks)
-    for gap in cut_gaps:
-        breaks[m.gap_pair(gap)[1]] = 1  # raises UnknownGap
-    heads = []
-    for lo, hi in pairwise(m.offsets):
-        first = breaks.find(1, lo, hi)
-        if first < 0:
-            breaks[lo] = 1  # a wire without a break is one class
-        elif first > lo:
-            heads.append((lo, first, hi))
-    # class of v: the breaks up to v, less one
-    cls = list(accumulate(breaks, initial=-1))[1:]
-    for lo, first, hi in heads:
-        # the wire's head continues its last class
-        cls[lo:first] = [cls[hi - 1]] * (first - lo)
-    return cls, breaks.count(1)
-
-
-def _solve_classes(
+def _solve_model(
     m: BooleanModel, cut_gaps, ins, pins, bridges=(), order=None
 ) -> tuple[list[int], list[int]]:
     """Per join class its solved rhs, and per variable its class.
 
-    The joins the cuts (``cut_gaps`` and the model's own) leave are
-    equalities, so inputs (rhs bit ``1 + i``; ``None`` skips one), pins
-    (bit 0), ``bridges`` (equal pairs) and then clauses (``_triples``) in
-    gate ``order`` (list order when None) are written over classes.
-    ``Underdetermined.free`` names the greatest variable of each free class;
-    class ids ascend with it, so these are the join-row system's pivot-free
-    columns.
+    The model's circuit is walked with the cuts (``cut_gaps`` and the
+    model's own) and each clause's splitting symbol. Every segment ends or
+    starts at a gap, so each variable takes the class on its side of a gap.
+    Inputs, pins and bridges are then written over classes by
+    ``solve_walk``. ``Underdetermined.free`` names the greatest variable of
+    each free class; class ids ascend with it, so these are the join-row
+    system's pivot-free columns.
     """
-    cls, n = _join_classes(m, m.cut_gaps | cut_gaps)
-    triples = m._triples  # raises UnpinnedSelector before a pin is checked
-    rows = [((cls[v],), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
+    cut = m.cut_gaps | cut_gaps
+    for gap in cut:
+        m.gap_pair(gap)  # raises UnknownGap
+    split = m.split_kinds  # raises UnpinnedSelector before a pin is checked
+    c = m.circuit
+    classes = walk_classes(c, split, cut)
+    cls = [0] * m.n_vars
+    after, crossing = classes.after, classes.crossing
+    for syms, pairs in zip(c.symbol_tables, m.gap_vars):
+        for (gi, sk), (end, start) in zip(syms, pairs):
+            # a gap ends the class after its symbol and, uncut, continues it
+            cls[end] = cls[start] = after[gi] if sk is split[gi] else crossing[gi]
+    for (w, i), (_, start) in classes.gaps.items():
+        cls[m.gap_vars[w][i][1]] = start
+    class_pins = []
     for v, value in pins.items():
         if not 0 <= v < m.n_vars:
             raise UnknownSegment(f"variable {quote_int(v)} not in a model of {m.n_vars} variables")
-        rows.append(((cls[v],), int(bool(value))))
-    rows += [((cls[a], cls[b]), 0) for a, b in bridges if cls[a] != cls[b]]
-    for before, after, crossing in triples if order is None else [triples[g] for g in order]:
-        a, b = cls[before], cls[after]
-        # a wire whose only break is this split joins its two sides
-        rows.append(((a, b, cls[crossing]) if a != b else (cls[crossing],), 0))
+        class_pins.append((cls[v], int(bool(value))))
     try:
-        sol = gf2.solve_tagged(rows, n, 1 + len(ins))
+        sol = solve_walk(
+            classes,
+            [None if v is None else cls[v] for v in ins],
+            class_pins,
+            [(cls[a], cls[b]) for a, b in bridges],
+            order,
+        )
     except Underdetermined as err:
         greatest = {k: v for v, k in enumerate(cls)}
         raise Underdetermined(free=[greatest[k] for k in err.free]) from None
@@ -373,16 +478,16 @@ def solve_map_rows(
     bridges: tuple[tuple[int, int], ...] = (),
     order: list[int] | None = None,
 ) -> list[int]:
-    """Map columns of the cut system: per output, the inputs that reach it.
+    """Map columns of a model's cut system: per output, the inputs that reach it.
 
     Segments are variable indices of an X, Z or pinned combined model. The
-    ``_solve_classes`` solve is symbolic, so one elimination yields every
+    ``_solve_model`` solve is symbolic, so one elimination yields every
     single-input propagation. Only the linear part is read, not pinned
     offsets: output ``j``'s column is an int mask with bit ``i`` set when
     input ``i`` reaches it; a skipped input sets no bit. Any gate ``order``
     gives the same columns; a traversal's (``traversal_order``) takes one pass.
     """
-    sol, cls = _solve_classes(m, cut_gaps, ins, pins or {}, bridges, order)
+    sol, cls = _solve_model(m, cut_gaps, ins, pins or {}, bridges, order)
     return [sol[cls[v]] >> 1 for v in outs]
 
 
@@ -392,26 +497,25 @@ def derive_transformations(
     d: Direction,
     models: tuple[BooleanModel, BooleanModel | None] | None = None,
 ) -> StabiliserMap:
-    """Stabiliser map of the cut-induced circuit, from the X parity model.
+    """Stabiliser map of the cut-induced circuit, from the X parity system.
 
-    Resolves the qubits' arcs (no gates are emitted), builds (or reuses)
-    the X model, drops the cut joins, pins each qubit's first segment to a
-    distinct symbolic input, and reads the X map off the unique solution.
-    Truth of an output segment means the output qubit carries that Pauli
+    Resolves the qubits' arcs (no gates are emitted), walks the X join
+    classes of the cut set (``walk_classes``; no model is built), pins each
+    qubit's first class to a distinct symbolic input, and reads the X map
+    off the unique solution, writing the gate clauses in traversal order.
+    Truth of an output class means the output qubit carries that Pauli
     kind; signs are out of model.
 
     A CNOT circuit acts symplectically, so its Z map is the inverse
     transpose of its X map: Z is read off one ``gf2.invert`` of the X
-    columns instead of a second solve. ``models`` is an (X, Z) pair for
-    callers that keep both; the Z entry is not read. The Z model stays the paper's
-    second equation set for faults, whose pins make X and Z independent,
-    and for ``propagate``.
+    columns instead of a second solve. ``models`` is accepted for callers
+    that still pass an (X, Z) pair and is not read.
     """
     start, origins = resolve_arcs(c, cuts, d)
-    xm = build_model(c, ModelKind.X) if models is None else models[0]
-    ins, outs = input_output_segments(xm, origins, d)
-    x_cols = solve_map_rows(xm, cuts.gaps(), ins, outs, order=traversal_order(c, start, d))
-    return StabiliserMap.from_x(x_cols)
+    classes = walk_classes(c, [TARGET] * len(c.gates), cuts.cuts)
+    ins, outs = cut_ends(classes, origins, d)
+    sol = solve_walk(classes, ins, order=traversal_order(c, start, d))
+    return StabiliserMap.from_x([sol[k] >> 1 for k in outs])
 
 
 def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
@@ -470,16 +574,17 @@ def _slot_systems(c: CircularCircuit, gaps: list[Gap]):
     """Every slot's ``_SlotSystem``, the wrap slot first and then clockwise from slot 0.
 
     ``gaps`` lists the circuit's gaps by (wire, gap). One X solve with
-    every gap cut and each gap's starting segment a symbolic input gives
+    every gap cut and each gap's starting class a symbolic input gives
     the value arriving at each gap as a mask over gap starts. Each slot
     then rewrites those masks in traversal order: a family gap's start is
     its wire's input and any other gap's start is its arriving value XOR
     its tag.
     """
     first = list(accumulate((c.symbol_count(w) for w in range(c.wires)), initial=0))
-    xm = build_model(c, ModelKind.X)
-    pairs = [pair for wire_pairs in xm.gap_vars for pair in wire_pairs]
-    arriving = solve_map_rows(xm, frozenset(gaps), [start for _, start in pairs], [end for end, _ in pairs])
+    classes = walk_classes(c, [TARGET] * len(c.gates), gaps)
+    pairs = [classes.gaps[gap.wire, gap.index] for gap in gaps]
+    sol = solve_walk(classes, [start for _, start in pairs])
+    arriving = [sol[end] >> 1 for end, _ in pairs]
     spans = [tuple(span) for span in spanning_gaps(c)]
     n_gates, n_wires = len(spans), c.wires
     for s in (n_gates - 1, *range(n_gates - 1)):

@@ -7,15 +7,19 @@ map conjugation is set algebra, and circuit generators build objects
 through the public constructors only. GF(2) references share no code
 with ``gf2``'s elimination kernel: ``gf2_rank`` keeps an XOR basis by
 leading bit and ``brute_force_solutions`` tries every assignment. The
-exceptions are three solver-based references: ``commutation_by_derivation``,
+exceptions are four solver-based references: ``commutation_by_derivation``,
 which ``check_commutation_invariance`` is tested against;
 ``solve_model_map``/``derive_by_both_models``, which solve the Z model
-directly where ``derive_transformations`` reads Z off the X map; and
+directly where ``derive_transformations`` reads Z off the X map;
 ``solve_map_rows_with_joins``/``propagate_with_joins``, which keep one row
 per uncut join where ``solve_map_rows`` and ``propagate`` solve over join
-classes. Solver columns (per output, the inputs reaching it) are read into
-map rows by ``rows_of_columns``, by set algebra, not through
-``StabiliserMap``. ``one_pass_waits`` replays the rows a solve is handed,
+classes; and ``fault_map_by_model``, the fault body that built both models,
+where ``faulted_transformations`` writes its systems from the class walk.
+``reference_build_model`` and ``reference_join_classes`` keep the segment
+loop and the class fold that ``model.walk_classes`` replaced; the walk and
+``build_model`` are compared with them. Solver columns (per output, the
+inputs reaching it) are read into map rows by ``rows_of_columns``, by set
+algebra, not through ``StabiliserMap``. ``one_pass_waits`` replays the rows a solve is handed,
 tracking only which variables are fixed.
 """
 
@@ -41,7 +45,9 @@ from circnot import (
     spanning_gaps,
 )
 from circnot import gf2
+from circnot.circuits import CONTROL, TARGET, traversal_order
 from circnot.errors import NotAdjacent, Underdetermined, UnknownSegment, quote_int
+from circnot.icm import inject_smgf
 from circnot.model import (
     BooleanModel,
     ModelKind,
@@ -232,6 +238,133 @@ def propagate_with_joins(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
         free = [m.segment_name(i) for i in (err.free or [])]
         raise Underdetermined(f"free segments remain: {free}", free=free) from None
     return [bool(bit) for bit in sol]
+
+
+def fault_map_by_model(c: CircularCircuit, base: CutSet, d: Direction, f, solve) -> StabiliserMap:
+    """Reference for ``faulted_transformations``: the body that built both models.
+
+    ``faulted_transformations`` writes its X and Z systems straight from
+    ``model.walk_classes``; this keeps the body that built each model and
+    solved it over variables, with pins and bridges on the segments at the
+    fault's gaps. ``solve`` takes ``solve_map_rows``' arguments, so the
+    join-row solve (``solve_map_rows_with_joins``) can stand in.
+    """
+    start, origins = resolve_arcs(c, base, d)
+    order = traversal_order(c, start, d)
+    cuts, patch = inject_smgf(c, base, f)
+    added = {g for g in (patch.before_gap, patch.after_gap) if g not in base.gaps()}
+    anc_in_gap = patch.before_gap if d is Direction.CW else patch.after_gap
+    anc_out_gap = patch.after_gap if d is Direction.CW else patch.before_gap
+    live_in = {q for q, o in enumerate(origins) if o.input_cut != anc_in_gap}
+    live_out = {q for q, o in enumerate(origins) if o.output_cut != anc_out_gap}
+    out_side = 1 if d is Direction.CW else 0
+
+    def model_cols(m, pin_value):
+        anc_first = m.gap_pair(anc_in_gap)[out_side]
+        ins, outs = input_output_segments(m, origins, d)
+        ins = [seg if q in live_in else None for q, seg in enumerate(ins)]
+        pins = {anc_first: pin_value}
+        bridges: tuple = ()
+        if len(added) == 2:
+            bridges = ((m.gap_pair(patch.before_gap)[0], m.gap_pair(patch.after_gap)[1]),)
+        elif len(added) == 1:
+            in_side = m.gap_pair(next(iter(added)))[out_side]
+            if in_side != anc_first:
+                pins[in_side] = pin_value
+        cols = solve(m, cuts.gaps(), ins, outs, pins=pins, bridges=bridges, order=order)
+        return [col if q in live_out else 0 for q, col in enumerate(cols)]
+
+    x_cols = model_cols(build_model(c, ModelKind.X), patch.x_value)
+    z_cols = model_cols(build_model(c, ModelKind.Z), patch.z_value)
+    return StabiliserMap.from_columns(x_cols, z_cols)
+
+
+# --- reference model builder and join classes ---------------------------------
+
+
+def reference_build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
+    """Reference for ``build_model``: the per-symbol segment loop it replaced.
+
+    Gaps and the symbols of the kind's splitting roles cut each wire into
+    segments. Segment ``j`` starts at the ``j``-th boundary clockwise, and
+    each symbol's gap follows it: ``seg`` is the segment starting at the
+    current boundary and ``prev`` the one ending there, wrapping at ``j = 0``.
+    """
+    splitting = {ModelKind.X: (TARGET,), ModelKind.Z: (CONTROL,), ModelKind.COMBINED: (CONTROL, TARGET)}[kind]
+    # per gate index: (before, after) variables at a splitting symbol, or
+    # (containing,) at a crossing one
+    control_at: list = [None] * len(c.gates)
+    target_at: list = [None] * len(c.gates)
+    offsets = [0]
+    gap_vars = []
+    for w in range(c.wires):
+        syms = c.symbols(w)
+        first = offsets[-1]
+        n_segs = len(syms) + sum(1 for _, sk in syms if sk in splitting)
+        prev, seg = first + n_segs - 1, first
+        pairs = []
+        for gi, sk in syms:
+            at = control_at if sk == CONTROL else target_at
+            if sk in splitting:
+                at[gi] = (prev, seg)
+                prev, seg = seg, seg + 1
+            else:
+                at[gi] = (prev,)
+            pairs.append((prev, seg))
+            prev, seg = seg, seg + 1
+        offsets.append(first + n_segs)
+        gap_vars.append(tuple(pairs))
+    if kind is ModelKind.X:
+        gate_vars = tuple(t + ctl for ctl, t in zip(control_at, target_at))
+    else:
+        gate_vars = tuple(ctl + t for ctl, t in zip(control_at, target_at))
+    return BooleanModel(
+        circuit=c,
+        kind=kind,
+        offsets=tuple(offsets),
+        gate_vars=gate_vars,
+        gate_ids=tuple(g.id for g in c.gates),
+        gap_vars=tuple(gap_vars),
+    )
+
+
+def reference_triples(m: BooleanModel) -> list[tuple[int, int, int]]:
+    """Per gate (split-before, split-after, crossing): ``gate_vars`` in X and Z; a pinned
+    combined ``(a, b, tc, td)`` by its selector, X ``(tc, td, a)`` or Z ``(a, b, tc)``."""
+    if m.kind is not ModelKind.COMBINED:
+        return list(m.gate_vars)
+    return [
+        (tc, td, a) if m.selectors[gate_id] else (a, b, tc)
+        for gate_id, (a, b, tc, td) in zip(m.gate_ids, m.gate_vars)
+    ]
+
+
+def reference_join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
+    """Reference for ``walk_classes``: the class of each model variable, and the class count.
+
+    The join-class fold ``walk_classes`` replaced. Within a wire, variable
+    ``v`` continues the class of ``v - 1`` (cyclically) unless a split
+    symbol (each ``reference_triples`` entry's second variable) or a cut
+    gap comes before it; a wire with neither is one class.
+    """
+    breaks = bytearray(m.n_vars)
+    for _, after, _ in reference_triples(m):
+        breaks[after] = 1
+    for gap in cut_gaps:
+        breaks[m.gap_pair(gap)[1]] = 1
+    heads = []
+    for lo, hi in itertools.pairwise(m.offsets):
+        first = breaks.find(1, lo, hi)
+        if first < 0:
+            breaks[lo] = 1  # a wire without a break is one class
+        elif first > lo:
+            heads.append((lo, first, hi))
+    # class of v: the breaks up to v, less one
+    cls = list(itertools.accumulate(breaks, initial=-1))[1:]
+    for lo, first, hi in heads:
+        # the wire's head continues its last class
+        cls[lo:first] = [cls[hi - 1]] * (first - lo)
+    return cls, breaks.count(1)
 
 
 # --- rotation algebra references --------------------------------------------

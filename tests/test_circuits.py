@@ -5,10 +5,12 @@ import pytest
 
 from circnot import (
     CircularCircuit,
+    CNOTGate,
     CutSet,
     Direction,
     Gap,
     LinearCircuit,
+    LinearGate,
     circularize,
     enumerate_cut_points,
     linearize,
@@ -21,6 +23,7 @@ from circnot.circuits import ArcOrigin
 from circnot.errors import (
     ControlEqualsTarget,
     DuplicateCut,
+    DuplicateGate,
     EmptyCutSet,
     EmptyWire,
     NoRadialCut,
@@ -79,6 +82,28 @@ class TestCircularConstruction:
         swap = swap_circular()
         assert swap.symbols(0) == ((0, "control"), (1, "target"), (2, "control"))
         assert swap.symbols(1) == ((0, "target"), (1, "control"), (2, "target"))
+        assert swap.symbol_tables == (swap.symbols(0), swap.symbols(1))
+
+    @pytest.mark.parametrize("ids, dup", [((0, 0), 0), ((3, 1, 2, 1), 1), ((5, 6, 5, 6), 5)])
+    def test_rejects_repeated_gate_ids(self, ids, dup):
+        # ``gate_index`` looks gates up by id, so a repeated id is refused,
+        # naming the first id seen twice
+        pairs = [(0, 1), (1, 0), (0, 1), (1, 0)]
+        gates = [CNOTGate(id=i, control=c, target=t) for i, (c, t) in zip(ids, pairs)]
+        with pytest.raises(DuplicateGate, match=f"^gate id {dup} repeated$"):
+            CircularCircuit(wires=2, gates=gates)
+
+
+class TestLinearConstruction:
+    def test_gates_are_a_tuple(self):
+        # a list is normalised, so equal circuits compare and hash alike
+        from_list = LinearCircuit(2, [LinearGate(0, 1), LinearGate(1, 0)])
+        from_tuple = LinearCircuit(2, (LinearGate(0, 1), LinearGate(1, 0)))
+        assert from_list.gates == from_tuple.gates
+        assert isinstance(from_list.gates, tuple)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+        assert len({from_list, from_tuple}) == 1
 
     @pytest.mark.parametrize(
         "wire, slot, error, message",

@@ -105,6 +105,12 @@ class TestConfigure:
         with pytest.raises(InvalidAncillaConfig, match="takes no input name"):
             InitBasis(state, "x")
 
+    @pytest.mark.parametrize("state", ["zero", 0, True, Role.INPUT])
+    def test_state_must_be_a_basis_state(self, state):
+        # a bare value would build and only fail when its text is read
+        with pytest.raises(InvalidAncillaConfig, match="is not a BasisState"):
+            InitBasis(state)
+
 
 class TestGadgets:
     def test_t_gadget_structure(self):

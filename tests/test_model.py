@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -47,7 +48,7 @@ from circnot import circuits as circuits_module
 from circnot import gf2
 from circnot import icm as icm_module
 from circnot import model as model_module
-from circnot.circuits import LinearCircuit, resolve_arcs
+from circnot.circuits import CONTROL, TARGET, LinearCircuit, resolve_arcs
 from circnot.cli import parity_text
 from circnot.icm import FaultSpec, faulted_transformations
 from circnot.model import (
@@ -65,6 +66,7 @@ from helpers import (
     conjugate_by_cnot,
     count_model_solutions,
     derive_by_both_models,
+    fault_map_by_model,
     gf2_rank,
     isomorphic_to_reference,
     mkcirc,
@@ -72,6 +74,9 @@ from helpers import (
     one_pass_waits,
     parity_solutions,
     propagate_with_joins,
+    reference_build_model,
+    reference_join_classes,
+    reference_triples,
     restrict_map,
     rows_of_columns,
     small_sweep_cut_sets,
@@ -525,15 +530,16 @@ class TestJoinClasses:
             ins, outs = input_output_segments(m, resolve_arcs(c, cuts, d)[1], d)
             assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
 
-    def test_fault_pins_and_bridges(self, monkeypatch):
-        # every solve of a fault derivation, checked against the reference
+    def test_fault_pins_and_bridges(self):
+        # every model system of a fault derivation (pins and bridges on the
+        # segments at the fault's gaps), checked against the reference; the
+        # fault map, written from the walk, equals the reference's
         shapes = set()
 
         def both(m, cut_gaps, ins, outs, pins=None, bridges=(), order=None):
             shapes.add((len(pins), len(bridges)))
             return self.assert_same(m, cut_gaps, ins, outs, pins, bridges, order)
 
-        monkeypatch.setattr(icm_module, "solve_map_rows", both)
         for seed in range(3):
             rng = random.Random(seed)
             c, record = random_circularized(seed, 5, 32)
@@ -542,7 +548,9 @@ class TestJoinClasses:
             for base in (record.seam, CutSet.of(sorted(record.seam.gaps() | set(extra)))):
                 for gate in c.gates[seed::3]:
                     for d in Direction:
-                        faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
+                        fault = FaultSpec(gate=gate.id)
+                        fd = faulted_transformations(c, base, d, fault)
+                        assert fd.map == fault_map_by_model(c, base, d, fault, both)
         # both fault gaps fresh (a bridge), one fresh (a second pin), none fresh
         assert {(1, 1), (2, 0), (1, 0)} <= shapes
 
@@ -646,13 +654,13 @@ class TestOnePassOrder:
     def test_fault_rows_wait_only_on_a_bridge(self, monkeypatch):
         systems = self.capture(monkeypatch)
         shapes = set()
-        solve = icm_module.solve_map_rows
+        solve = icm_module.solve_walk
 
-        def shape(m, cut_gaps, ins, outs, **kwargs):
-            shapes.add((len(kwargs["pins"]), len(kwargs["bridges"])))
-            return solve(m, cut_gaps, ins, outs, **kwargs)
+        def shape(classes, ins, pins=(), bridges=(), order=None):
+            shapes.add((len(pins), len(bridges)))
+            return solve(classes, ins, pins, bridges, order)
 
-        monkeypatch.setattr(icm_module, "solve_map_rows", shape)
+        monkeypatch.setattr(icm_module, "solve_walk", shape)
         for seed in range(3):
             rng = random.Random(seed)
             c, record = random_circularized(seed, 5, 32)
@@ -940,27 +948,25 @@ class TestDeriveFromXModel:
                     checked += 1
         assert checked > 26000
 
-    def test_builds_and_solves_x_model_only(self, monkeypatch):
+    def test_solves_x_system_only_and_builds_no_model(self, monkeypatch):
+        # one solve per derivation, written from the walk: no model is built
+        # and no gate is emitted
         c, record = random_circularized(3, 8, 64)
-        built, solved = [], []
-        real_build, real_solve = model_module.build_model, gf2.solve_tagged
-
-        def build(c, kind):
-            built.append(kind)
-            return real_build(c, kind)
+        solved = []
+        real_solve = gf2.solve_tagged
 
         def solve(rows, n_vars, tag_width):
             solved.append(n_vars)
             return real_solve(rows, n_vars, tag_width)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("derive emitted gates")
+            raise AssertionError("derive built a model or emitted gates")
 
-        monkeypatch.setattr(model_module, "build_model", build)
+        monkeypatch.setattr(model_module, "build_model", refuse)
+        monkeypatch.setattr(model_module, "BooleanModel", refuse)
         monkeypatch.setattr(gf2, "solve_tagged", solve)
         monkeypatch.setattr(circuits_module, "LinearGate", refuse)
         derived = [derive_transformations(c, record.seam, d) for d in Direction]
-        assert built == [ModelKind.X, ModelKind.X]
         assert len(solved) == 2
         monkeypatch.undo()
         assert derived == [oracle_map(linearize(c, record.seam, d)) for d in Direction]
@@ -1334,9 +1340,9 @@ class TestModelViewsGolden:
 
 
 @st.composite
-def circular_circuits(draw):
-    """2-8 wires and 1-40 gates, every wire touched."""
-    wires = draw(st.integers(2, 8))
+def circular_circuits(draw, max_wires=8):
+    """2 to ``max_wires`` wires and 1-40 gates, every wire touched."""
+    wires = draw(st.integers(2, max_wires))
     # a wire and another one, drawn without rejection
     pair = st.tuples(st.integers(0, wires - 1), st.integers(1, wires - 1)).map(
         lambda p: (p[0], (p[0] + p[1]) % wires)
@@ -1395,6 +1401,103 @@ class TestDeriveProperties:
         for d in Direction:
             with pytest.raises(NoRadialCut):
                 derive_transformations(c, CutSet.of(chosen), d)
+
+
+CUT_MODES = ("seam", "no-seam", "every", "none")
+
+
+def cut_for(c, mode, chosen):
+    """``chosen`` with the seam (every wire's last gap) added or removed, every gap, or none."""
+    seam = {Gap(w, c.symbol_count(w) - 1) for w in range(c.wires)}
+    every = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
+    return {"seam": chosen | seam, "no-seam": chosen - seam, "every": every, "none": set()}[mode]
+
+
+def assert_walk_matches_reference(c, kind, selectors, cut):
+    # the walk's classes are the reference fold's, read through the
+    # reference model's variables
+    ref = reference_build_model(c, kind)
+    if kind is ModelKind.COMBINED:
+        ref = pin_selectors(ref, selectors)
+        split = [TARGET if selectors[g.id] else CONTROL for g in c.gates]
+    else:
+        split = [TARGET if kind is ModelKind.X else CONTROL] * len(c.gates)
+    cls, count = reference_join_classes(ref, cut)
+    walk = model_module.walk_classes(c, split, cut)
+    assert walk.n == count
+    for g, (before, after, crossing) in enumerate(reference_triples(ref)):
+        assert (walk.before[g], walk.after[g], walk.crossing[g]) == (cls[before], cls[after], cls[crossing])
+    assert walk.gaps == {(gap.wire, gap.index): tuple(cls[v] for v in ref.gap_pair(gap)) for gap in cut}
+
+
+def assert_build_matches_reference(c):
+    for kind in ModelKind:
+        got, want = build_model(c, kind), reference_build_model(c, kind)
+        for f in dataclasses.fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+class TestClassWalk:
+    """``walk_classes`` numbers join classes as the segment model folded into classes did."""
+
+    @given(data=st.data())
+    def test_matches_reference_classes(self, data):
+        # X, Z and a pinned combined walk under one cut set, and every model kind built
+        _, c = data.draw(circular_circuits(max_wires=12))
+        gaps = [p.gap for p in enumerate_cut_points(c)]
+        chosen = set(data.draw(st.lists(st.sampled_from(gaps), unique=True)))
+        cut = cut_for(c, data.draw(st.sampled_from(CUT_MODES)), chosen)
+        selectors = {g.id: data.draw(st.booleans()) for g in c.gates}
+        for kind in ModelKind:
+            assert_walk_matches_reference(c, kind, selectors, cut)
+        assert_build_matches_reference(c)
+
+    def test_small_circuits_every_cut_set(self):
+        # single-symbol wires and wires touched only as control or only as
+        # target, under every cut set
+        rng = random.Random(5)
+        shapes = collections.Counter()
+        for c in all_small_circuits(3, 3):
+            for w in range(c.wires):
+                kinds = {kind for _, kind in c.symbols(w)}
+                shapes["single"] += c.symbol_count(w) == 1
+                shapes["control-only"] += kinds == {CONTROL}
+                shapes["target-only"] += kinds == {TARGET}
+            gaps = [p.gap for p in enumerate_cut_points(c)]
+            selectors = {g.id: rng.random() < 0.5 for g in c.gates}
+            for k in range(len(gaps) + 1):
+                for cut in itertools.combinations(gaps, k):
+                    for kind in ModelKind:
+                        assert_walk_matches_reference(c, kind, selectors, set(cut))
+            assert_build_matches_reference(c)
+        assert min(shapes.values()) > 20
+
+
+class TestBuildsNoModel:
+    """Faults and searches write their systems from the walk and build no model."""
+
+    def test_fault_and_search_build_no_model(self, monkeypatch):
+        c, record = random_circularized(5, 6, 40)
+        target = derive_transformations(c, record.seam, Direction.CW)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(model_module, "build_model", refuse)
+        monkeypatch.setattr(model_module, "BooleanModel", refuse)
+        faults = [
+            (gate.id, d, faulted_transformations(c, record.seam, d, FaultSpec(gate=gate.id)))
+            for gate in c.gates[::5]
+            for d in Direction
+        ]
+        hits = search_cuts(c, target, c.wires)
+        monkeypatch.undo()
+        assert (record.seam, Direction.CW) in hits
+        for gate_id, d, fd in faults:
+            lin = linearize(c, record.seam, d)
+            kept = tuple(g for g in lin.gates if g.source != gate_id)
+            expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
+            assert fd.map == restrict_map(expected, fd.live_inputs, fd.live_outputs)
 
 
 @st.composite
