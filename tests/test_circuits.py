@@ -93,18 +93,6 @@ class TestCircularConstruction:
         with pytest.raises(DuplicateGate, match=f"^gate id {dup} repeated$"):
             CircularCircuit(wires=2, gates=gates)
 
-
-class TestLinearConstruction:
-    def test_gates_are_a_tuple(self):
-        # a list is normalised, so equal circuits compare and hash alike
-        from_list = LinearCircuit(2, [LinearGate(0, 1), LinearGate(1, 0)])
-        from_tuple = LinearCircuit(2, (LinearGate(0, 1), LinearGate(1, 0)))
-        assert from_list.gates == from_tuple.gates
-        assert isinstance(from_list.gates, tuple)
-        assert from_list == from_tuple
-        assert hash(from_list) == hash(from_tuple)
-        assert len({from_list, from_tuple}) == 1
-
     @pytest.mark.parametrize(
         "wire, slot, error, message",
         [
@@ -119,6 +107,18 @@ class TestLinearConstruction:
         # TestSpanningReference::test_matches_definition_exhaustive
         with pytest.raises(error, match=message):
             swap_circular().gap_spanning(wire, slot)
+
+
+class TestLinearConstruction:
+    def test_gates_are_a_tuple(self):
+        # a list is normalised, so equal circuits compare and hash alike
+        from_list = LinearCircuit(2, [LinearGate(0, 1), LinearGate(1, 0)])
+        from_tuple = LinearCircuit(2, (LinearGate(0, 1), LinearGate(1, 0)))
+        assert from_list.gates == from_tuple.gates
+        assert isinstance(from_list.gates, tuple)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+        assert len({from_list, from_tuple}) == 1
 
 
 class TestEnumerateCutPoints:
