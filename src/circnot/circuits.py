@@ -9,6 +9,10 @@ that targets it. Gaps sit between cyclically adjacent symbols of one wire
 and are the only legal cut locations. Gap ``(w, i)`` is the gap that
 follows wire ``w``'s ``i``-th symbol in clockwise order. A linear circuit's
 gate list is its time order.
+
+``cut_table`` checks a cut set, lists its gap indices by wire and picks the
+slot a linearization starts from; each arc between consecutive cuts is one
+qubit, numbered by wire, then clockwise from that slot's family gap.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import index
+from typing import NamedTuple
 
 from .errors import (
     ControlEqualsTarget,
@@ -27,6 +33,7 @@ from .errors import (
     UnknownGap,
     UnknownGate,
     WireOutOfRange,
+    quote,
     quote_int,
 )
 
@@ -48,10 +55,19 @@ class Direction(Enum):
 
 @dataclass(frozen=True, order=True)
 class Gap:
-    """Potential cut point: the gap following symbol ``index`` on ``wire``."""
+    """Potential cut point: the gap following symbol ``index`` on ``wire``, both read as ints."""
 
     wire: int
     index: int
+
+    def __post_init__(self):
+        if type(self.wire) is not int or type(self.index) is not int:
+            for field, name in (("wire", "wire"), ("index", "gap")):
+                value = getattr(self, field)
+                try:
+                    object.__setattr__(self, field, index(value))
+                except TypeError:
+                    raise UnknownGap(f"cut {name} {quote(repr(value))} is not an integer") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -70,7 +86,7 @@ class CutSet:
         for item in items:
             if not isinstance(item, Gap):
                 w, i = item
-                item = Gap(int(w), int(i))
+                item = Gap(w, i)
             gaps.append(item)
         cuts = frozenset(gaps)
         if len(cuts) != len(gaps):
@@ -114,6 +130,8 @@ class CircularCircuit:
     gates: tuple[CNOTGate, ...]
 
     def __post_init__(self):
+        if self.wires < 1:
+            raise WireOutOfRange(f"a circular circuit needs at least one wire, got {quote_int(self.wires)}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         ids: set[int] = set()
@@ -182,11 +200,7 @@ class CircularCircuit:
 
 @dataclass(frozen=True)
 class ArcOrigin:
-    """Where a linear qubit came from: a wire arc between two cuts.
-
-    ``input_cut``/``output_cut`` are resolved for the traversal direction
-    used during linearization.
-    """
+    """Where a linear qubit came from: a wire arc between two cuts, named in the traversal direction."""
 
     wire: int
     input_cut: Gap
@@ -266,24 +280,24 @@ def spanning_gaps(c: CircularCircuit):
         yield span
 
 
-def _radial_families(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, ...]]:
+def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> dict[int, tuple[int, ...]]:
     """Radial slots, clockwise, each with its spanning gap index on every wire.
 
-    Raises ``NoRadialCut`` when there is none; the cuts are known to exist.
-    Gap ``(w, i)`` spans the slots from its symbol's gate index up to the
-    next symbol's, cyclically. Each wire ORs the slot masks of its cut gaps,
-    and a slot is radial when it is in every wire's mask.
+    ``on_wire`` lists each wire's cut gap indices, which exist; raises
+    ``NoRadialCut`` when no slot is radial. Gap ``(w, i)`` spans the slots
+    from its symbol's gate index up to the next symbol's, cyclically. Each
+    wire ORs its cut gaps' slot masks; the radial slots are in every mask.
     """
     n_gates = len(c.gates)
     radial = full = (1 << n_gates) - 1
-    spans: list[list[tuple[int, int]]] = [[] for _ in range(c.wires)]  # per wire, (mask, gap index)
+    spans: list[list[tuple[int, int]]] = [[] for _ in on_wire]  # per wire, (mask, gap index)
     masks = [0] * c.wires
-    for gap in cuts.cuts:
-        syms = c._symbols[gap.wire]
-        lo, hi = syms[gap.index][0], syms[(gap.index + 1) % len(syms)][0]
-        span = (1 << hi) - (1 << lo) if lo < hi else full ^ ((1 << lo) - (1 << hi))
-        spans[gap.wire].append((span, gap.index))
-        masks[gap.wire] |= span
+    for w, (wire_cuts, syms) in enumerate(zip(on_wire, c._symbols)):
+        for i in wire_cuts:
+            lo, hi = syms[i][0], syms[(i + 1) % len(syms)][0]
+            span = (1 << hi) - (1 << lo) if lo < hi else full ^ ((1 << lo) - (1 << hi))
+            spans[w].append((span, i))
+            masks[w] |= span
     for mask in masks:
         radial &= mask
     families = {}
@@ -305,7 +319,7 @@ def _radial_families(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
 
 
 def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, ...]]:
-    """Raise unless the cut set admits a valid linearization.
+    """Raise unless the cut set (checked by ``cut_table``) admits a valid linearization.
 
     Validity needs at least one radial family: a slot whose spanning gap is
     cut on every wire. Given one, every arc between consecutive cuts maps to
@@ -315,39 +329,55 @@ def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, .
     gap on every wire. ``NoRadialCut.missing_by_slot`` maps every slot to the
     wires whose spanning gap is uncut.
     """
-    if not cuts.cuts:
-        raise EmptyCutSet("cut set is empty")
-    for gap in cuts.sorted_gaps():
-        if not (0 <= gap.wire < c.wires and 0 <= gap.index < c.symbol_count(gap.wire)):
-            raise UnknownGap(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} does not exist")
-    return _radial_families(c, cuts)
+    return _radial_families(c, cut_table(c, cuts).cuts)
 
 
-def resolve_arcs(
-    c: CircularCircuit, cuts: CutSet, d: Direction
-) -> tuple[int, tuple[ArcOrigin, ...]]:
-    """Validate the cut set, pick the start slot and resolve every qubit's arc.
+class CutTable(NamedTuple):
+    """A checked cut set, by wire, and the slot a linearization starts from.
 
-    Raises what ``validate_cut_set`` raises. The start slot is the wrap slot
-    (before gate 0) when it is radial, else the first radial
-    slot clockwise. Each arc between consecutive cuts on a wire is one
-    qubit, ordered by (wire, traversal order of the arc's clockwise start)
-    from the start slot's family gap; its ``ArcOrigin`` names the cuts in
-    the traversal direction.
+    ``cuts[w]`` lists wire ``w``'s cut gap indices ascending, ``anchors[w]``
+    the position in it of the ``start`` slot's family gap. Each arc between
+    consecutive cuts on a wire is one qubit; ``by_qubit`` puts lists aligned
+    with ``cuts`` in qubit order: by wire, then clockwise from the family gap.
+    """
 
-    Every wire's sweep returns to its start, so the wrap slot spans each
-    wire's last gap and testing it takes one look per wire. Only a cut set
-    without that family sweeps every slot for its radial families.
+    start: int
+    cuts: list[list[int]]
+    anchors: list[int]
+
+    def by_qubit(self, per_wire, shift: int = 0) -> list:
+        """Per qubit, its wire's entry at its arc's clockwise start cut (end cut with ``shift`` 1)."""
+        out = []
+        for values, at in zip(per_wire, self.anchors):
+            at += shift
+            out += values[at:]
+            out += values[:at]
+        return out
+
+    def arcs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Per qubit, the ``(wire, gap index)`` of its arc's clockwise start cut, then of its end cut."""
+        keys = [[(w, i) for i in wire_cuts] for w, wire_cuts in enumerate(self.cuts)]
+        return self.by_qubit(keys), self.by_qubit(keys, 1)
+
+
+def cut_table(c: CircularCircuit, cuts: CutSet) -> CutTable:
+    """Check the cut set, list it by wire and pick the start slot.
+
+    Raises ``EmptyCutSet``, ``UnknownGap`` naming the least bad gap, or
+    ``NoRadialCut``. The start slot is the wrap slot (before gate 0) when it
+    is radial, else the first radial slot clockwise. The wrap slot spans
+    every wire's last gap, so testing it takes one look per wire; only a cut
+    set without that family sweeps the slots.
     """
     if not cuts.cuts:
         raise EmptyCutSet("cut set is empty")
     symbols = c._symbols
-    on_wire: list[list[tuple[int, Gap]]] = [[] for _ in symbols]
+    on_wire: list[list[int]] = [[] for _ in symbols]
     bad = []
     for gap in cuts.cuts:
         w, i = gap.wire, gap.index
         if 0 <= w < c.wires and 0 <= i < len(symbols[w]):
-            on_wire[w].append((i, gap))
+            on_wire[w].append(i)
         else:
             bad.append(gap)
     if bad:
@@ -355,21 +385,17 @@ def resolve_arcs(
         raise UnknownGap(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} does not exist")
     for wire_cuts in on_wire:
         wire_cuts.sort()  # indices are distinct on a wire
-    n_gates = len(c.gates)
-    if all(wire_cuts and wire_cuts[-1][0] == len(syms) - 1 for wire_cuts, syms in zip(on_wire, symbols)):
-        start = n_gates - 1
-        anchors = [len(syms) - 1 for syms in symbols]
-    else:
-        families = _radial_families(c, cuts)
-        start = next(iter(families))
-        anchors = families[start]
-    origins = []
-    for w, (wire_cuts, anchor) in enumerate(zip(on_wire, anchors)):
-        at = next(k for k, (i, _) in enumerate(wire_cuts) if i == anchor)
-        rotated = [gap for _, gap in wire_cuts[at:] + wire_cuts[:at]]
-        for a, b in zip(rotated, rotated[1:] + rotated[:1]):
-            origins.append(ArcOrigin(w, a, b) if d is Direction.CW else ArcOrigin(w, b, a))
-    return start, tuple(origins)
+    if all(wire_cuts and wire_cuts[-1] == len(syms) - 1 for wire_cuts, syms in zip(on_wire, symbols)):
+        return CutTable(len(c.gates) - 1, on_wire, [len(wire_cuts) - 1 for wire_cuts in on_wire])
+    start, family = next(iter(_radial_families(c, on_wire).items()))
+    return CutTable(start, on_wire, [wire_cuts.index(i) for wire_cuts, i in zip(on_wire, family)])
+
+
+def resolve_arcs(c: CircularCircuit, cuts: CutSet, d: Direction) -> tuple[int, tuple[ArcOrigin, ...]]:
+    """The start slot and each qubit's ``ArcOrigin`` (``CutTable.arcs``); raises what ``cut_table`` raises."""
+    table = cut_table(c, cuts)
+    starts, ends = table.arcs() if d is Direction.CW else table.arcs()[::-1]
+    return table.start, tuple(ArcOrigin(w, Gap(w, a), Gap(w, b)) for (w, a), (_, b) in zip(starts, ends))
 
 
 def traversal_order(c: CircularCircuit, start: int, d: Direction) -> list[int]:
@@ -383,22 +409,20 @@ def traversal_order(c: CircularCircuit, start: int, d: Direction) -> list[int]:
 def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     """Cut the circle open and read the gates off in the given direction.
 
-    ``resolve_arcs`` validates the cuts and gives the qubits and the start
-    slot; this emits the gates, the first one met from the start slot first.
-    Counter-clockwise reverses the gate order and swaps input/output
-    endpoints but keeps qubit indices.
+    ``cut_table`` checks the cuts and gives the start slot, and its
+    ``arcs`` the qubits; this emits the gates, the first one met from the
+    start slot first. Counter-clockwise reverses the gate order and swaps
+    input/output endpoints but keeps qubit indices.
     """
-    start, origins = resolve_arcs(c, cuts, d)
-    # an arc holds the symbols after its clockwise start gap, through the
-    # one its clockwise end gap follows
-    sym_to_qubit = [[0] * c.symbol_count(w) for w in range(c.wires)]
-    for q, o in enumerate(origins):
-        a, b = (o.input_cut, o.output_cut) if d is Direction.CW else (o.output_cut, o.input_cut)
-        row = sym_to_qubit[o.wire]
+    table = cut_table(c, cuts)
+    # clockwise, an arc holds the symbols after its start cut up to its end cut's
+    sym_to_qubit = [[0] * len(syms) for syms in c._symbols]
+    for q, ((w, a), (_, b)) in enumerate(zip(*table.arcs())):
+        row = sym_to_qubit[w]
         k = len(row)
-        span = (b.index - a.index) % k or k
+        span = (b - a) % k or k
         for step in range(1, span + 1):
-            row[(a.index + step) % k] = q
+            row[(a + step) % k] = q
 
     # a gate's symbol on each of its wires is the gap spanning the slot after it
     qubit_pairs = [
@@ -407,9 +431,9 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     ]
     lin_gates = [
         LinearGate(*qubit_pairs[gi], source=c.gates[gi].id)
-        for gi in traversal_order(c, start, d)
+        for gi in traversal_order(c, table.start, d)
     ]
-    return LinearCircuit(n_qubits=len(origins), gates=tuple(lin_gates))
+    return LinearCircuit(n_qubits=sum(map(len, table.cuts)), gates=tuple(lin_gates))
 
 
 def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:

@@ -23,11 +23,11 @@ from .circuits import (
     LinearCircuit,
     LinearGate,
     circularize,
-    resolve_arcs,
+    cut_table,
     traversal_order,
 )
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
-from .model import cut_ends, solve_walk, walk_classes
+from .model import qubit_ends, solve_walk, walk_classes
 from .stabmap import StabiliserMap
 
 
@@ -404,45 +404,51 @@ def faulted_transformations(
     fresh continuation starts in |0>. Base qubits whose endpoint falls
     inside the ancilla drop out of the map. Inputs, outputs, pins and
     bridges all sit at cut gaps, so each system is written straight from
-    ``model.walk_classes`` and no model is built. Both systems are solved:
+    ``model.walk_classes`` over the base's ``circuits.cut_table`` lists
+    plus the fault's gaps, and no model is built. Both systems are solved:
     the pins make X and Z independent, so Z is not the inverse transpose
     of X here as it is in ``derive_transformations``.
     """
-    start, origins = resolve_arcs(c, base, d)
-    order = traversal_order(c, start, d)
+    table = cut_table(c, base)
+    order = traversal_order(c, table.start, d)
     cuts, patch = inject_smgf(c, base, f)
-    base_gaps = base.gaps()
-    cut_gaps = cuts.gaps()
-    added = {g for g in (patch.before_gap, patch.after_gap) if g not in base_gaps}
-    anc_in_gap = patch.before_gap if d is Direction.CW else patch.after_gap
-    anc_out_gap = patch.after_gap if d is Direction.CW else patch.before_gap
-    live_in = frozenset(
-        q for q, o in enumerate(origins) if o.input_cut != anc_in_gap
-    )
-    live_out = frozenset(
-        q for q, o in enumerate(origins) if o.output_cut != anc_out_gap
-    )
+    before, after, w = patch.before_gap, patch.after_gap, patch.wire
+    base_cuts = table.cuts[w]
+    added = [g for g in (before, after) if g.index not in base_cuts]
+    cut_lists = table.cuts.copy()
+    cut_lists[w] = wire_cuts = sorted({*base_cuts, before.index, after.index})
+    kept = [wire_cuts.index(i) for i in base_cuts]  # the base's cuts among the patch wire's
+    # a traversal enters a qubit (the ancilla) at its arc's clockwise start
+    # cut (before gap) clockwise, and at its end cut (after gap) counter-clockwise
+    cw = d is Direction.CW
+    in_cuts, out_cuts = table.arcs() if cw else table.arcs()[::-1]
+    anc_in, anc_out = (before, after) if cw else (after, before)
+    live_in = frozenset(q for q, k in enumerate(in_cuts) if k != (w, anc_in.index))
+    live_out = frozenset(q for q, k in enumerate(out_cuts) if k != (w, anc_out.index))
 
-    # the side of a gap a traversal leaves it by: its starting class (cw)
-    # or its ending one (ccw)
-    out_side = 1 if d is Direction.CW else 0
+    out_side = 1 if cw else 0  # a traversal leaves a gap by its starting class (cw) or ending one
 
     def flow_cols(split: str, pin_value: bool):
         # X flow splits segments at targets, Z flow at controls
-        classes = walk_classes(c, [split] * len(c.gates), cut_gaps)
+        classes = walk_classes(c, [split] * len(c.gates), cut_lists)
+        sides = (classes.ending, classes.starting)
 
         def side(gap: Gap, k: int) -> int:
-            return classes.gaps[gap.wire, gap.index][k]
+            return sides[k][w][wire_cuts.index(gap.index)]
 
-        anc_first = side(anc_in_gap, out_side)
-        ins, outs = cut_ends(classes, origins, d)
+        # the base's qubits read the patch wire's classes at its own cuts only
+        starting, ending = classes.starting.copy(), classes.ending.copy()
+        starting[w] = [starting[w][k] for k in kept]
+        ending[w] = [ending[w][k] for k in kept]
+        ins, outs = qubit_ends(table, starting, ending, d)
+        anc_first = side(anc_in, out_side)
         ins = [k if q in live_in else None for q, k in enumerate(ins)]
         pins = {anc_first: int(pin_value)}
         bridges: tuple = ()
         if len(added) == 2:
-            bridges = ((side(patch.before_gap, 0), side(patch.after_gap, 1)),)
+            bridges = ((side(before, 0), side(after, 1)),)
         elif len(added) == 1:
-            in_side = side(next(iter(added)), out_side)
+            in_side = side(added[0], out_side)
             if in_side != anc_first:
                 pins[in_side] = int(pin_value)
         # absorbed inputs carry no tag bit, so only absorbed outputs are masked

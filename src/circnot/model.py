@@ -30,7 +30,9 @@ each clause fixes one new class and ``gf2``'s one pass reads it once.
 
 ``derive_transformations``, ``icm.faulted_transformations`` and the search
 (``_slot_systems``) put their inputs, outputs, pins and bridges at cut gaps,
-so they write their rows straight from the walk and build no model.
+so they write their rows straight from the walk and build no model; a
+derivation or fault walks ``circuits.cut_table``'s per-wire cut lists and
+reads its qubits' first and last classes off them (``qubit_ends``).
 ``build_model`` is the same walk with every gap cut: the classes are then
 the segments, and the model stores them as integers:
 
@@ -42,11 +44,10 @@ the segments, and the model stores them as integers:
 * a cut model records only its cut gaps, a pinned one only its selectors;
   ``BooleanModel.joins`` lists the joins the cuts leave.
 
-A model solve (``solve_map_rows``, ``propagate``) walks the model's circuit
-with its cuts and maps each variable to the class on its side of a gap; a
-pinned combined clause is read as its X or Z clause. ``solve_map_rows``
-reads the solution as int masks, one GF(2) column per output, ``propagate``
-as one bool per variable. ``parity_rows`` lists every clause, joins
+A model solve (``propagate``) walks the model's circuit with its cuts and
+maps each variable to the class on its side of a gap; a pinned combined
+clause is read as its X or Z clause. ``propagate`` reads the solution as
+one bool per variable. ``parity_rows`` lists every clause, joins
 included, as sparse ``(variables, rhs)`` rows for ``circnot model --parity``.
 
 ``derive_transformations`` solves the X system only. A CNOT circuit acts
@@ -70,7 +71,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations
 from math import comb
 from typing import NamedTuple
 
@@ -80,9 +81,10 @@ from .circuits import (
     TARGET,
     CircularCircuit,
     CutSet,
+    CutTable,
     Direction,
     Gap,
-    resolve_arcs,
+    cut_table,
     spanning_gaps,
     traversal_order,
 )
@@ -113,16 +115,18 @@ class ClassWalk(NamedTuple):
     Per gate index: ``before`` and ``after`` are the classes on either side
     of its splitting symbol, ``crossing`` the class at its other symbol
     (the class before it when every symbol splits, ``crossing_after`` then
-    holding the one after it, else None). ``gaps`` maps each cut gap's
-    ``(wire, index)`` to its (ending, starting) classes; ``starts`` is each
-    wire's first class, then the class count.
+    holding the one after it, else None). ``ending[w][k]`` and
+    ``starting[w][k]`` are the classes ending and starting at wire ``w``'s
+    ``k``-th cut gap in ascending order (its gap ``k`` when every gap is
+    cut); ``starts`` is each wire's first class, then the class count.
     """
 
     before: list[int]
     after: list[int]
     crossing: list[int]
     crossing_after: list[int] | None
-    gaps: dict[tuple[int, int], tuple[int, int]]
+    ending: list[list[int]]
+    starting: list[list[int]]
     starts: list[int]
 
     @property
@@ -135,36 +139,30 @@ def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWal
 
     ``split[g]`` is the kind (``CONTROL`` or ``TARGET``) of gate ``g``'s
     splitting symbol; with ``both`` the other symbol splits too. ``cut``
-    holds the cut gaps, which must exist, or is None for every gap. A class
-    starts at each splitting symbol and each cut gap; classes are numbered
-    wire by wire, each wire's clockwise from its first symbol, and a wire's
-    head (its symbols before its first break) continues its last class. A
-    wire without a break is one class.
+    lists each wire's cut gap indices ascending (``CutTable.cuts``), which
+    must exist, or is None for every gap. A class starts at each splitting
+    symbol and each cut gap; classes are numbered wire by wire, each wire's
+    clockwise from its first symbol, and a wire's head (its symbols before
+    its first break) continues its last class. A wire without a break is
+    one class.
     """
     symbols = c.symbol_tables
-    if cut is None:
-        at = [range(len(syms) + 1) for syms in symbols]
-    else:
-        at = [[] for _ in symbols]
-        for gap in cut:
-            at[gap.wire].append(gap.index)
     n_gates = len(split)
     before = [0] * n_gates
     after = [0] * n_gates
     crossing = [0] * n_gates
     crossing_after = [0] * n_gates if both else None
-    gaps: dict[tuple[int, int], tuple[int, int]] = {}
+    ending: list[list[int]] = [[] for _ in symbols]
+    starting: list[list[int]] = [[] for _ in symbols]
     starts = []
     n = 0
     for w, syms in enumerate(symbols):
         starts.append(n)
-        # the wire's cut gap indices ascending, then one no symbol reaches
-        wire_cuts = at[w]
-        if cut is not None:
-            wire_cuts.sort()
-            wire_cuts.append(-1)
+        ends, begins = ending[w], starting[w]
+        # the wire's cut gap indices ascending, then -1, which no symbol reaches
+        wire_cuts = range(len(syms)) if cut is None else cut[w]
         cuts = iter(wire_cuts)
-        next_cut = next(cuts)
+        next_cut = next(cuts, -1)
         cur = -1  # the head's class, known once the wire is walked
         j = 0
         for gi, sk in syms:
@@ -179,10 +177,11 @@ def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWal
             else:
                 crossing[gi] = cur
             if j == next_cut:
-                gaps[w, j] = (cur, n)
+                ends.append(cur)
+                begins.append(n)
                 cur = n
                 n += 1
-                next_cut = next(cuts)
+                next_cut = next(cuts, -1)
             j += 1
         if cur < 0:  # no break: the wire is one class
             cur = n
@@ -193,7 +192,7 @@ def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWal
         if sk is split[gi]:
             before[gi] = cur
             continue
-        first_cut = wire_cuts[0]
+        first_cut = wire_cuts[0] if wire_cuts else -1
         for j, (gi, sk) in enumerate(syms):
             if sk is split[gi]:
                 before[gi] = cur
@@ -202,10 +201,10 @@ def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWal
             if both:
                 break
             if j == first_cut:
-                gaps[w, j] = (cur, gaps[w, j][1])
+                ends[0] = cur
                 break
     starts.append(n)
-    return ClassWalk(before, after, crossing, crossing_after, gaps, starts)
+    return ClassWalk(before, after, crossing, crossing_after, ending, starting, starts)
 
 
 def solve_walk(classes: ClassWalk, ins, pins=(), bridges=(), order=None) -> list[int]:
@@ -230,18 +229,16 @@ def solve_walk(classes: ClassWalk, ins, pins=(), bridges=(), order=None) -> list
     return gf2.solve_tagged(rows, classes.n, 1 + len(ins))
 
 
-def cut_ends(classes: ClassWalk, origins, d: Direction) -> tuple[list[int], list[int]]:
-    """Per linear qubit (``ArcOrigin``), the classes of its first and last segment under the traversal."""
-    # the first segment starts after the input cut (cw) or ends before it
-    # (ccw); the last one mirrors that
-    first, last = (1, 0) if d is Direction.CW else (0, 1)
-    pair = classes.gaps
-    ins, outs = [], []
-    for o in origins:
-        a, b = o.input_cut, o.output_cut
-        ins.append(pair[a.wire, a.index][first])
-        outs.append(pair[b.wire, b.index][last])
-    return ins, outs
+def qubit_ends(table: CutTable, starting, ending, d: Direction) -> tuple[list[int], list[int]]:
+    """Per qubit, the classes of its first and last segment under the traversal.
+
+    ``starting``/``ending`` are a walk's classes at the table's cuts, by
+    wire. Clockwise, a wire's inputs are the classes starting at its cuts,
+    rotated to the family gap (``CutTable.by_qubit``), and its outputs
+    those ending at each next cut; counter-clockwise swaps the two lists.
+    """
+    ins, outs = table.by_qubit(starting), table.by_qubit(ending, 1)
+    return (ins, outs) if d is Direction.CW else (outs, ins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,14 +347,13 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
         gate_vars = zip(segs.crossing, segs.crossing_after, segs.before, segs.after)
     else:
         gate_vars = zip(segs.before, segs.after, segs.crossing)
-    pairs = iter(segs.gaps.values())  # every gap, by (wire, gap)
     return BooleanModel(
         circuit=c,
         kind=kind,
         offsets=tuple(segs.starts),
         gate_vars=tuple(gate_vars),
         gate_ids=tuple(g.id for g in c.gates),
-        gap_vars=tuple(tuple(islice(pairs, c.symbol_count(w))) for w in range(c.wires)),
+        gap_vars=tuple(tuple(zip(ends, begins)) for ends, begins in zip(segs.ending, segs.starting)),
     )
 
 
@@ -415,14 +411,6 @@ def propagate(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
     return [bool(sol[k]) for k in cls]
 
 
-def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:
-    """Per linear qubit (``ArcOrigin``), the variables of its first and last segment under the traversal."""
-    first, last = (1, 0) if d is Direction.CW else (0, 1)
-    ins = [m.gap_pair(origin.input_cut)[first] for origin in origins]
-    outs = [m.gap_pair(origin.output_cut)[last] for origin in origins]
-    return ins, outs
-
-
 def _solve_model(
     m: BooleanModel, cut_gaps, ins, pins, bridges=(), order=None
 ) -> tuple[list[int], list[int]]:
@@ -436,20 +424,24 @@ def _solve_model(
     each free class; class ids ascend with it, so these are the join-row
     system's pivot-free columns.
     """
-    cut = m.cut_gaps | cut_gaps
-    for gap in cut:
-        m.gap_pair(gap)  # raises UnknownGap
-    split = m.split_kinds  # raises UnpinnedSelector before a pin is checked
     c = m.circuit
-    classes = walk_classes(c, split, cut)
+    on_wire: list[list[int]] = [[] for _ in range(c.wires)]
+    for gap in m.cut_gaps | cut_gaps:
+        m.gap_pair(gap)  # raises UnknownGap
+        on_wire[gap.wire].append(gap.index)
+    for wire_cuts in on_wire:
+        wire_cuts.sort()
+    split = m.split_kinds  # raises UnpinnedSelector before a pin is checked
+    classes = walk_classes(c, split, on_wire)
     cls = [0] * m.n_vars
     after, crossing = classes.after, classes.crossing
     for syms, pairs in zip(c.symbol_tables, m.gap_vars):
         for (gi, sk), (end, start) in zip(syms, pairs):
             # a gap ends the class after its symbol and, uncut, continues it
             cls[end] = cls[start] = after[gi] if sk is split[gi] else crossing[gi]
-    for (w, i), (_, start) in classes.gaps.items():
-        cls[m.gap_vars[w][i][1]] = start
+    for wire_cuts, begins, pairs in zip(on_wire, classes.starting, m.gap_vars):
+        for i, start in zip(wire_cuts, begins):
+            cls[pairs[i][1]] = start
     class_pins = []
     for v, value in pins.items():
         if not 0 <= v < m.n_vars:
@@ -469,28 +461,6 @@ def _solve_model(
     return sol, cls
 
 
-def solve_map_rows(
-    m: BooleanModel,
-    cut_gaps: frozenset[Gap],
-    ins: list[int | None],
-    outs: list[int],
-    pins: dict[int, bool] | None = None,
-    bridges: tuple[tuple[int, int], ...] = (),
-    order: list[int] | None = None,
-) -> list[int]:
-    """Map columns of a model's cut system: per output, the inputs that reach it.
-
-    Segments are variable indices of an X, Z or pinned combined model. The
-    ``_solve_model`` solve is symbolic, so one elimination yields every
-    single-input propagation. Only the linear part is read, not pinned
-    offsets: output ``j``'s column is an int mask with bit ``i`` set when
-    input ``i`` reaches it; a skipped input sets no bit. Any gate ``order``
-    gives the same columns; a traversal's (``traversal_order``) takes one pass.
-    """
-    sol, cls = _solve_model(m, cut_gaps, ins, pins or {}, bridges, order)
-    return [sol[cls[v]] >> 1 for v in outs]
-
-
 def derive_transformations(
     c: CircularCircuit,
     cuts: CutSet,
@@ -499,10 +469,11 @@ def derive_transformations(
 ) -> StabiliserMap:
     """Stabiliser map of the cut-induced circuit, from the X parity system.
 
-    Resolves the qubits' arcs (no gates are emitted), walks the X join
-    classes of the cut set (``walk_classes``; no model is built), pins each
-    qubit's first class to a distinct symbolic input, and reads the X map
-    off the unique solution, writing the gate clauses in traversal order.
+    Checks the cut set once (``cut_table``; no gates are emitted), walks
+    the X join classes of its cuts (``walk_classes``; no model is built),
+    pins each qubit's first class (``qubit_ends``) to a distinct symbolic
+    input, and reads the X map off the unique solution, writing the gate
+    clauses in traversal order.
     Truth of an output class means the output qubit carries that Pauli
     kind; signs are out of model.
 
@@ -511,10 +482,10 @@ def derive_transformations(
     columns instead of a second solve. ``models`` is accepted for callers
     that still pass an (X, Z) pair and is not read.
     """
-    start, origins = resolve_arcs(c, cuts, d)
-    classes = walk_classes(c, [TARGET] * len(c.gates), cuts.cuts)
-    ins, outs = cut_ends(classes, origins, d)
-    sol = solve_walk(classes, ins, order=traversal_order(c, start, d))
+    table = cut_table(c, cuts)
+    classes = walk_classes(c, [TARGET] * len(c.gates), table.cuts)
+    ins, outs = qubit_ends(table, classes.starting, classes.ending, d)
+    sol = solve_walk(classes, ins, order=traversal_order(c, table.start, d))
     return StabiliserMap.from_x([sol[k] >> 1 for k in outs])
 
 
@@ -581,10 +552,9 @@ def _slot_systems(c: CircularCircuit, gaps: list[Gap]):
     its tag.
     """
     first = list(accumulate((c.symbol_count(w) for w in range(c.wires)), initial=0))
-    classes = walk_classes(c, [TARGET] * len(c.gates), gaps)
-    pairs = [classes.gaps[gap.wire, gap.index] for gap in gaps]
-    sol = solve_walk(classes, [start for _, start in pairs])
-    arriving = [sol[end] >> 1 for end, _ in pairs]
+    classes = walk_classes(c, [TARGET] * len(c.gates), None)
+    sol = solve_walk(classes, [classes.starting[gap.wire][gap.index] for gap in gaps])
+    arriving = [sol[classes.ending[gap.wire][gap.index]] >> 1 for gap in gaps]
     spans = [tuple(span) for span in spanning_gaps(c)]
     n_gates, n_wires = len(spans), c.wires
     for s in (n_gates - 1, *range(n_gates - 1)):
@@ -617,7 +587,7 @@ def _slot_systems(c: CircularCircuit, gaps: list[Gap]):
 def _columns(system: _SlotSystem, extras: tuple[int, ...]) -> list[int]:
     """X columns of the slot's family plus ``others[p]`` for each ``p`` in ``extras``, ascending.
 
-    Qubits are numbered as ``resolve_arcs`` numbers them from this slot:
+    Qubits are numbered as ``CutTable.arcs`` numbers them from this slot:
     by wire, then by arc clockwise from the family gap. Going through the
     extra cuts in traversal order, each one closes the arc before it, whose
     output reads the arriving value, and fixes its tag to the new input XOR
@@ -660,7 +630,7 @@ def search_cuts(
     cut contributes exactly one qubit, and a cut set linearizes only if it
     holds a radial family. So the candidates are built, not filtered: per
     slot, the slot's radial family plus every choice of the remaining cuts
-    among the other gaps. Slots are visited in ``resolve_arcs``' start
+    among the other gaps. Slots are visited in ``cut_table``'s start
     order (the wrap slot, then clockwise from slot 0); a slot whose family
     an earlier slot had is skipped, and so is a choice that completes an
     earlier slot's family, so each candidate comes once, at the slot whose

@@ -15,6 +15,11 @@ directly where ``derive_transformations`` reads Z off the X map;
 per uncut join where ``solve_map_rows`` and ``propagate`` solve over join
 classes; and ``fault_map_by_model``, the fault body that built both models,
 where ``faulted_transformations`` writes its systems from the class walk.
+``solve_map_rows`` and ``input_output_segments`` read map columns off the
+library's model solve (``propagate``'s) for these references; the library
+itself derives from the class walk. ``origin_ends`` reads each qubit's
+first and last class through ``resolve_arcs``' ``ArcOrigin``s, the
+reference for ``model.qubit_ends``, which reads them off ``cut_table``.
 ``reference_build_model`` and ``reference_join_classes`` keep the segment
 loop and the class fold that ``model.walk_classes`` replaced; the walk and
 ``build_model`` are compared with them. Solver columns (per output, the
@@ -48,13 +53,7 @@ from circnot import gf2
 from circnot.circuits import CONTROL, TARGET, traversal_order
 from circnot.errors import NotAdjacent, Underdetermined, UnknownSegment, quote_int
 from circnot.icm import inject_smgf
-from circnot.model import (
-    BooleanModel,
-    ModelKind,
-    input_output_segments,
-    parity_rows,
-    solve_map_rows,
-)
+from circnot.model import BooleanModel, ModelKind, _solve_model, parity_rows
 
 
 def mkcirc(wires: int, pairs) -> CircularCircuit:
@@ -138,6 +137,45 @@ def small_sweep_cut_sets():
 def rows_of_columns(cols) -> tuple[frozenset[int], ...]:
     """Per input ``i``, the outputs ``j`` whose column mask has bit ``i``."""
     return tuple(frozenset(j for j, col in enumerate(cols) if col >> i & 1) for i in range(len(cols)))
+
+
+def solve_map_rows(m: BooleanModel, cut_gaps, ins, outs, pins=None, bridges=(), order=None) -> list[int]:
+    """Map columns of a model's cut system: per output, the inputs that reach it.
+
+    Segments are variable indices of an X, Z or pinned combined model, solved
+    over join classes by the library's model solve (``propagate``'s). The
+    solve is symbolic, so one elimination yields every single-input
+    propagation. Only the linear part is read, not pinned offsets: output
+    ``j``'s column is an int mask with bit ``i`` set when input ``i``
+    reaches it; a skipped input sets no bit. Any gate ``order`` gives the
+    same columns.
+    """
+    sol, cls = _solve_model(m, cut_gaps, ins, pins or {}, bridges, order)
+    return [sol[cls[v]] >> 1 for v in outs]
+
+
+def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:
+    """Per linear qubit (``ArcOrigin``), the variables of its first and last segment under the traversal."""
+    first, last = (1, 0) if d is Direction.CW else (0, 1)
+    ins = [m.gap_pair(origin.input_cut)[first] for origin in origins]
+    outs = [m.gap_pair(origin.output_cut)[last] for origin in origins]
+    return ins, outs
+
+
+def origin_ends(classes, cut_lists, origins, d: Direction) -> tuple[list[int], list[int]]:
+    """Reference for ``model.qubit_ends``: per ``ArcOrigin``, the classes of its first and last segment.
+
+    ``classes`` is a walk over ``cut_lists``. A traversal's first segment
+    starts after the input cut (cw) or ends before it (ccw); the last one
+    mirrors that. This is the read-out that went through ``resolve_arcs``'
+    origins.
+    """
+
+    def side(gap: Gap, starting: bool) -> int:
+        return (classes.starting if starting else classes.ending)[gap.wire][cut_lists[gap.wire].index(gap.index)]
+
+    cw = d is Direction.CW
+    return [side(o.input_cut, cw) for o in origins], [side(o.output_cut, not cw) for o in origins]
 
 
 def solve_model_map(c: CircularCircuit, cuts: CutSet, d: Direction, model: BooleanModel):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from circnot import (
     validate_cut_set,
 )
 from circnot import circuits as circuits_module
-from circnot.circuits import ArcOrigin
+from circnot.circuits import ArcOrigin, CutTable, cut_table
 from circnot.errors import (
     ControlEqualsTarget,
     DuplicateCut,
@@ -29,6 +30,7 @@ from circnot.errors import (
     NoRadialCut,
     UnknownGap,
     WireOutOfRange,
+    quote_int,
 )
 from circnot.textio import parse_circuit
 from helpers import (
@@ -65,6 +67,22 @@ class TestParsing:
 
 
 class TestCircularConstruction:
+    @pytest.mark.parametrize("wires", [0, -1, -(10**70)])
+    def test_rejects_fewer_than_one_wire(self, wires):
+        message = f"^a circular circuit needs at least one wire, got {re.escape(quote_int(wires))}$"
+        with pytest.raises(WireOutOfRange, match=message):
+            CircularCircuit(wires=wires, gates=())
+
+    def test_zero_wire_sources_refused(self):
+        # a zero-wire file parsed, and the search then crashed on its empty
+        # sweep; a zero-qubit linear circuit stays valid but has no circular form
+        with pytest.raises(WireOutOfRange):
+            parse_circuit("circular\nwires 0\n")
+        lin = parse_circuit("linear\nwires 0\n")
+        assert lin.n_qubits == 0
+        with pytest.raises(WireOutOfRange):
+            circularize(lin)
+
     def test_rejects_untouched_wire(self):
         with pytest.raises(EmptyWire) as err:
             mkcirc(3, [(0, 1)])
@@ -119,6 +137,37 @@ class TestLinearConstruction:
         assert from_list == from_tuple
         assert hash(from_list) == hash(from_tuple)
         assert len({from_list, from_tuple}) == 1
+
+
+class TestCutSetOf:
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ([(0, 1.7), (1, 0)], "cut gap '1.7' is not an integer"),
+            ([(1, 0), (0.0, 1)], "cut wire '0.0' is not an integer"),
+            ([("0", 1)], "cut wire \"'0'\" is not an integer"),
+            ([(0, None)], "cut gap 'None' is not an integer"),
+        ],
+    )
+    def test_refuses_non_integers(self, items, message):
+        # int() truncated 1.7 to gap 1
+        with pytest.raises(UnknownGap) as err:
+            CutSet.of(items)
+        assert str(err.value) == message
+
+    def test_reads_integer_likes_as_ints(self):
+        import numpy as np
+
+        cuts = CutSet.of([(np.int64(1), np.uint8(2)), (True, 0), Gap(np.int32(0), 1)])
+        assert cuts == CutSet.of([(1, 2), (1, 0), (0, 1)])
+        assert all(type(g.wire) is int and type(g.index) is int for g in cuts.gaps())
+
+    @pytest.mark.parametrize("wire, index", [(0, 1.5), (0, 2.0), ("1", 2)])
+    def test_gap_refuses_non_integers(self, wire, index):
+        # a hand-built Gap(0, 1.5) passed the range check, matched no symbol
+        # in the class walk and gave a one-qubit map of the SWAP
+        with pytest.raises(UnknownGap, match="is not an integer"):
+            Gap(wire, index)
 
 
 class TestEnumerateCutPoints:
@@ -358,6 +407,37 @@ class TestResolveArcs:
         assert [(o.wire, o.input_cut, o.output_cut) for o in origins] == [
             (g.wire, g, g) for g in record.seam.sorted_gaps()
         ]
+
+
+class TestCutTable:
+    def test_wrap_slot_table(self, swap):
+        table = cut_table(swap, CutSet.of([(1, 2), (0, 2), (0, 0)]))
+        assert table == CutTable(2, [[0, 2], [2]], [1, 0])
+        # from the family gap (0, 2): wire 0's arcs 2 -> 0 and 0 -> 2, then wire 1's
+        assert table.arcs() == ([(0, 2), (0, 0), (1, 2)], [(0, 0), (0, 2), (1, 2)])
+        assert table.by_qubit([["a", "b"], ["c"]]) == ["b", "a", "c"]
+        assert table.by_qubit([["a", "b"], ["c"]], 1) == ["a", "b", "c"]
+
+    def test_first_radial_slot_table(self, swap):
+        # the wrap slot is not radial; slot 0's family is (0, 0) and (1, 0)
+        table = cut_table(swap, CutSet.of([(0, 0), (0, 1), (1, 0)]))
+        assert table == CutTable(0, [[0, 1], [0]], [0, 0])
+        assert table.arcs() == ([(0, 0), (0, 1), (1, 0)], [(0, 1), (0, 0), (1, 0)])
+
+    def test_small_sweep_numbers_as_reference(self):
+        # per qubit, the table's arc ends are the reference origins' cuts,
+        # read in the clockwise direction
+        checked = 0
+        for c, cut_sets in small_sweep_cut_sets():
+            for cuts in cut_sets[::7]:
+                table = cut_table(c, cuts)
+                start, origins = arcs_reference(c, cuts, Direction.CW)
+                assert table.start == start
+                starts, ends = table.arcs()
+                assert [Gap(*k) for k in starts] == [o.input_cut for o in origins]
+                assert [Gap(*k) for k in ends] == [o.output_cut for o in origins]
+                checked += 1
+        assert checked > 1500
 
 
 class TestCircularize:

@@ -205,6 +205,35 @@ def test_domain_error_exit_code(tmp_path, swap_file, capsys):
     assert "error no-radial-cut:" in capsys.readouterr().err
 
 
+ZERO_WIRES = "error wire-out-of-range: a circular circuit needs at least one wire, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("search", ""), ("search", "# nothing here\n"), ("cuts", None), ("model", None), ("export", None), ("parse", None)],
+)
+def test_zero_wire_circuit_exit_code(tmp_path, capsys, command, target):
+    # the search ended in an IndexError traceback; cuts, model, export and
+    # parse printed an empty circuit and exited 0
+    circ = tmp_path / "zero.circ"
+    circ.write_text("circular\nwires 0\n")
+    argv = [command, str(circ)]
+    if target is not None:
+        path = tmp_path / "target.map"
+        path.write_text(target)
+        argv += ["--target", str(path), "--max-cuts", "2"]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == ZERO_WIRES
+
+
+def test_circularize_zero_qubits_exit_code(tmp_path, capsys):
+    # printed a circuit of zero wires and a bare "wires " line
+    path = tmp_path / "zero.circ"
+    path.write_text("linear\nwires 0\n")
+    assert run(["circularize", str(path)]) == (1, "")
+    assert capsys.readouterr().err == ZERO_WIRES
+
+
 def test_wire_limit_exit_code(tmp_path, capsys, monkeypatch):
     from circnot import textio
 

@@ -48,15 +48,10 @@ from circnot import circuits as circuits_module
 from circnot import gf2
 from circnot import icm as icm_module
 from circnot import model as model_module
-from circnot.circuits import CONTROL, TARGET, LinearCircuit, resolve_arcs
+from circnot.circuits import CONTROL, TARGET, LinearCircuit, cut_table, resolve_arcs
 from circnot.cli import parity_text
-from circnot.icm import FaultSpec, faulted_transformations
-from circnot.model import (
-    MAX_SEARCH_CANDIDATES,
-    ModelKind,
-    input_output_segments,
-    solve_map_rows,
-)
+from circnot.icm import FaultSpec, faulted_transformations, inject_smgf
+from circnot.model import MAX_SEARCH_CANDIDATES, ModelKind, qubit_ends
 from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
     SWAP_X_REF,
@@ -68,10 +63,12 @@ from helpers import (
     derive_by_both_models,
     fault_map_by_model,
     gf2_rank,
+    input_output_segments,
     isomorphic_to_reference,
     mkcirc,
     mklin,
     one_pass_waits,
+    origin_ends,
     parity_solutions,
     propagate_with_joins,
     reference_build_model,
@@ -80,6 +77,7 @@ from helpers import (
     restrict_map,
     rows_of_columns,
     small_sweep_cut_sets,
+    solve_map_rows,
     solve_map_rows_with_joins,
     solve_model_map,
     spanning_gap_index,
@@ -1007,7 +1005,8 @@ class TestSearchOneDerivation:
             raise AssertionError("search resolved arcs or derived a map")
 
         monkeypatch.setattr(model_module, "_columns", counted)
-        monkeypatch.setattr(model_module, "resolve_arcs", refuse)
+        monkeypatch.setattr(model_module, "cut_table", refuse)
+        monkeypatch.setattr(circuits_module, "resolve_arcs", refuse)
         monkeypatch.setattr(model_module, "derive_transformations", refuse)
         for need in needs:
             evaluated.clear()
@@ -1423,11 +1422,17 @@ def assert_walk_matches_reference(c, kind, selectors, cut):
     else:
         split = [TARGET if kind is ModelKind.X else CONTROL] * len(c.gates)
     cls, count = reference_join_classes(ref, cut)
-    walk = model_module.walk_classes(c, split, cut)
+    on_wire = [sorted(gap.index for gap in cut if gap.wire == w) for w in range(c.wires)]
+    walk = model_module.walk_classes(c, split, on_wire)
     assert walk.n == count
     for g, (before, after, crossing) in enumerate(reference_triples(ref)):
         assert (walk.before[g], walk.after[g], walk.crossing[g]) == (cls[before], cls[after], cls[crossing])
-    assert walk.gaps == {(gap.wire, gap.index): tuple(cls[v] for v in ref.gap_pair(gap)) for gap in cut}
+    walk_gaps = {
+        (w, i): (walk.ending[w][k], walk.starting[w][k])
+        for w, wire_cuts in enumerate(on_wire)
+        for k, i in enumerate(wire_cuts)
+    }
+    assert walk_gaps == {(gap.wire, gap.index): tuple(cls[v] for v in ref.gap_pair(gap)) for gap in cut}
 
 
 def assert_build_matches_reference(c):
@@ -1471,6 +1476,89 @@ class TestClassWalk:
                         assert_walk_matches_reference(c, kind, selectors, set(cut))
             assert_build_matches_reference(c)
         assert min(shapes.values()) > 20
+
+
+def fault_expected(c, cuts, d, gate_id):
+    """The oracle of the linearization with the gate deleted, its qubits numbered as ``resolve_arcs`` numbers them.
+
+    Returns the map and the live inputs and outputs: a base qubit whose
+    input (output) cut is the fault ancilla's is absorbed.
+    """
+    lin = linearize(c, cuts, d)
+    kept = tuple(g for g in lin.gates if g.source != gate_id)
+    patch = inject_smgf(c, cuts, FaultSpec(gate=gate_id))[1]
+    anc_in, anc_out = (patch.before_gap, patch.after_gap)[:: 1 if d is Direction.CW else -1]
+    origins = resolve_arcs(c, cuts, d)[1]
+    live_in = frozenset(q for q, o in enumerate(origins) if o.input_cut != anc_in)
+    live_out = frozenset(q for q, o in enumerate(origins) if o.output_cut != anc_out)
+    expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
+    return restrict_map(expected, live_in, live_out), live_in, live_out
+
+
+class TestCutTableReadOut:
+    """Derivations and faults number their qubits off ``cut_table``; ``resolve_arcs``' origins are the reference."""
+
+    @given(data=st.data())
+    def test_matches_origins_and_oracle(self, data):
+        # start slots off the wrap slot, several cuts on a wire, both directions
+        pairs, c = data.draw(circular_circuits(max_wires=12))
+        wrap = len(pairs) - 1
+        last_gaps = {Gap(w, c.symbol_count(w) - 1) for w in range(c.wires)}
+        slot = data.draw(st.integers(0, wrap))
+        family = [Gap(w, spanning_gap_index(pairs, w, slot)) for w in range(c.wires)]
+        off_wrap = data.draw(st.booleans())
+        if off_wrap:
+            assume(set(family) != last_gaps)
+        others = [
+            p.gap for p in enumerate_cut_points(c)
+            if p.gap not in family and not (off_wrap and p.gap in last_gaps)
+        ]
+        extra = data.draw(st.lists(st.sampled_from(others), max_size=8, unique=True)) if others else []
+        cuts = CutSet.of(family + extra)
+        table = cut_table(c, cuts)
+        if off_wrap:
+            assert table.start != wrap
+        faulted = data.draw(st.lists(st.sampled_from([g.id for g in c.gates]), min_size=1, max_size=3, unique=True))
+        for d in Direction:
+            start, origins = resolve_arcs(c, cuts, d)
+            assert table.start == start
+            for split in (TARGET, CONTROL):
+                walk = model_module.walk_classes(c, [split] * len(c.gates), table.cuts)
+                assert qubit_ends(table, walk.starting, walk.ending, d) == origin_ends(walk, table.cuts, origins, d)
+            assert derive_transformations(c, cuts, d) == oracle_map(linearize(c, cuts, d))
+            for gate_id in faulted:
+                fd = faulted_transformations(c, cuts, d, FaultSpec(gate=gate_id))
+                assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, gate_id)
+
+    def test_builds_no_arc_origin(self, monkeypatch):
+        # derive and fault read the table; neither resolves arcs into ArcOrigins
+        c, record = random_circularized(11, 5, 40)
+        pairs = [(g.control, g.target) for g in c.gates]
+        slot = 7
+        family = {Gap(w, spanning_gap_index(pairs, w, slot)) for w in range(c.wires)}
+        bases = [record.seam, CutSet.of(family | {Gap(0, 0), Gap(0, 1), Gap(2, 1)})]
+        assert cut_table(c, bases[1]).start != len(c.gates) - 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("arcs were resolved into ArcOrigins")
+
+        for module in (circuits_module, model_module, icm_module):
+            monkeypatch.setattr(module, "resolve_arcs", refuse, raising=False)
+            monkeypatch.setattr(module, "ArcOrigin", refuse, raising=False)
+        derived = [(cuts, d, derive_transformations(c, cuts, d)) for cuts in bases for d in Direction]
+        faults = [
+            (cuts, d, gate.id, faulted_transformations(c, cuts, d, FaultSpec(gate=gate.id)))
+            for cuts in bases
+            for d in Direction
+            for gate in c.gates[::6]
+        ]
+        with pytest.raises(AssertionError, match="ArcOrigins"):
+            circuits_module.resolve_arcs(c, record.seam, Direction.CW)
+        monkeypatch.undo()
+        for cuts, d, m in derived:
+            assert m == oracle_map(linearize(c, cuts, d))
+        for cuts, d, gate_id, fd in faults:
+            assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, gate_id)
 
 
 class TestBuildsNoModel:
