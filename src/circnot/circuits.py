@@ -53,7 +53,7 @@ class Direction(Enum):
             raise ValueError(f"unknown direction {text!r}; expected cw or ccw") from None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Gap:
     """Potential cut point: the gap following symbol ``index`` on ``wire``, both read as ints."""
 
@@ -107,7 +107,7 @@ class CutSet:
         return gap in self.cuts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CNOTGate:
     id: int
     control: int
@@ -116,6 +116,26 @@ class CNOTGate:
     def __post_init__(self):
         if self.control == self.target:
             raise ControlEqualsTarget(f"gate {self.id}: control == target == {quote_int(self.control)}")
+
+
+# Per gate index, its control and target symbol, shared by every circuit:
+# a program holding many circuits holds each (gate index, kind) pair once.
+# It grows by rebinding to a longer tuple, so a reader never sees a partial
+# one, and only up to ``_SHARED_SYMBOL_GATES`` gates, so one huge circuit
+# leaves nothing large behind.
+_SYMBOL_PAIRS: tuple[tuple[tuple[int, str], tuple[int, str]], ...] = ()
+_SHARED_SYMBOL_GATES = 4096
+
+
+def _symbol_pairs(n: int) -> tuple[tuple[tuple[int, str], tuple[int, str]], ...]:
+    """Per gate index below ``n`` at least, ``((gi, CONTROL), (gi, TARGET))``."""
+    global _SYMBOL_PAIRS
+    pairs = _SYMBOL_PAIRS
+    if len(pairs) < n:
+        pairs += tuple([((gi, CONTROL), (gi, TARGET)) for gi in range(len(pairs), n)])
+        if n <= _SHARED_SYMBOL_GATES:
+            _SYMBOL_PAIRS = pairs
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -151,9 +171,9 @@ class CircularCircuit:
             raise EmptyWire(empty)
         # symbol tables: per wire, (gate index, kind), clockwise
         symbols: list[list[tuple[int, str]]] = [[] for _ in range(self.wires)]
-        for gi, g in enumerate(gates):
-            symbols[g.control].append((gi, CONTROL))
-            symbols[g.target].append((gi, TARGET))
+        for g, (control, target) in zip(gates, _symbol_pairs(len(gates))):
+            symbols[g.control].append(control)
+            symbols[g.target].append(target)
         object.__setattr__(self, "_symbols", tuple(tuple(row) for row in symbols))
 
     def symbols(self, wire: int) -> tuple[tuple[int, str], ...]:
@@ -207,7 +227,7 @@ class ArcOrigin:
     output_cut: Gap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearGate:
     control: int
     target: int
@@ -353,6 +373,10 @@ class CutTable(NamedTuple):
             out += values[at:]
             out += values[:at]
         return out
+
+    def qubit(self, w: int, k: int, shift: int = 0) -> int:
+        """The qubit ``by_qubit`` puts wire ``w``'s entry ``k`` at, with the same ``shift``."""
+        return sum(map(len, self.cuts[:w])) + (k - self.anchors[w] - shift) % len(self.cuts[w])
 
     def arcs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Per qubit, the ``(wire, gap index)`` of its arc's clockwise start cut, then of its end cut."""

@@ -5,11 +5,11 @@ indices plus an int right-hand side, and solves them by unit propagation
 in one pass in row order: a row is read again at most once per variable.
 Every model solve hands it a system over join classes, about one variable
 per gate and cut; derive and fault solves write theirs in traversal order,
-where only a fault's bridge row is read twice. Only a system propagation
-cannot finish, such as an underdetermined or inconsistent one, goes
-through ``pack`` into bitmask rows (bit ``i`` is column ``i``) for
-Gauss-Jordan. ``invert`` takes bitmask rows; ``StabiliserMap`` calls it
-once to read Z off X and once per half of an inverse. Both eliminations
+so no row is read twice. Only a system propagation cannot finish, such as
+an underdetermined or inconsistent one, goes through ``pack`` into
+bitmask rows (bit ``i`` is column ``i``) for Gauss-Jordan. ``invert``
+takes bitmask rows; ``StabiliserMap`` calls it once to read Z off X
+(derivations and faults alike) and once per half of an inverse. Both eliminations
 run one kernel, which scans pivot columns in ascending order so results
 are reproducible.
 """

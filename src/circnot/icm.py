@@ -4,7 +4,9 @@ translation, stripping back to circular form, and missing-gate faults.
 An ICM circuit is a CNOT-only linear circuit plus one initialisation and
 one measurement choice per qubit. Rotations live entirely in the choice of
 ancilla states (|Y>, |A>) and measurement bases, so every construction here
-emits CNOTs only.
+emits CNOTs only. A single missing gate leaves a CNOT circuit, so its
+fault map is one X solve over the base cuts with that gate's clause left
+out, and Z is read as the inverse transpose.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuits import (
-    CONTROL,
     TARGET,
     CircularCircuit,
     CutSet,
@@ -344,14 +345,6 @@ class FaultPatch:
     after_gap: Gap
     init: InitBasis
 
-    @property
-    def x_value(self) -> bool:
-        return False
-
-    @property
-    def z_value(self) -> bool:
-        return True
-
 
 def inject_smgf(c: CircularCircuit, base: CutSet, f: FaultSpec) -> tuple[CutSet, FaultPatch]:
     """Cut out the faulty gate's control span as a stuck-at-|0> ancilla.
@@ -366,10 +359,7 @@ def inject_smgf(c: CircularCircuit, base: CutSet, f: FaultSpec) -> tuple[CutSet,
     before = Gap(w, (si - 1) % k)
     after = Gap(w, si)
     patch = FaultPatch(wire=w, before_gap=before, after_gap=after, init=InitBasis.zero())
-    new_gaps = base.gaps() | {before, after}
-    if new_gaps == base.gaps():
-        return base, patch
-    return CutSet.of(sorted(new_gaps)), patch
+    return CutSet(base.gaps() | {before, after}), patch
 
 
 @dataclass(frozen=True)
@@ -396,71 +386,44 @@ def faulted_transformations(
 ) -> FaultedDerivation:
     """Derive the stabiliser map of the circuit with one gate missing.
 
-    The fault ancilla's input is pinned to its |0> values,
-    ``FaultPatch.x_value`` (false) in the X system and ``z_value`` (true)
-    in the Z system. Cuts the fault adds are transparent to the logical
-    flow: when both are fresh the severed neighbour classes are re-joined
-    (teleported continuation); when one side was a real base endpoint the
-    fresh continuation starts in |0>. Base qubits whose endpoint falls
-    inside the ancilla drop out of the map. Inputs, outputs, pins and
-    bridges all sit at cut gaps, so each system is written straight from
-    ``model.walk_classes`` over the base's ``circuits.cut_table`` lists
-    plus the fault's gaps, and no model is built. Both systems are solved:
-    the pins make X and Z independent, so Z is not the inverse transpose
-    of X here as it is in ``derive_transformations``.
+    A missing gate is a CNOT circuit with one gate fewer, so this is a
+    derivation over the base cuts (``model.derive_transformations``) whose
+    walk lets the faulty gate split nothing and whose traversal writes no
+    clause for it: one X solve, and Z read as the inverse transpose. The
+    |0> ancilla on the gate's control span then absorbs the base qubit a
+    traversal enters at its input gap and the one it leaves at its output
+    gap, when those gaps are base cuts (``CutTable.qubit``). An absorbed
+    input's X reaches no live output and its Z row is empty; an absorbed
+    output's X column is empty and no Z reaches it.
     """
     table = cut_table(c, base)
-    order = traversal_order(c, table.start, d)
     cuts, patch = inject_smgf(c, base, f)
-    before, after, w = patch.before_gap, patch.after_gap, patch.wire
-    base_cuts = table.cuts[w]
-    added = [g for g in (before, after) if g.index not in base_cuts]
-    cut_lists = table.cuts.copy()
-    cut_lists[w] = wire_cuts = sorted({*base_cuts, before.index, after.index})
-    kept = [wire_cuts.index(i) for i in base_cuts]  # the base's cuts among the patch wire's
-    # a traversal enters a qubit (the ancilla) at its arc's clockwise start
-    # cut (before gap) clockwise, and at its end cut (after gap) counter-clockwise
-    cw = d is Direction.CW
-    in_cuts, out_cuts = table.arcs() if cw else table.arcs()[::-1]
-    anc_in, anc_out = (before, after) if cw else (after, before)
-    live_in = frozenset(q for q, k in enumerate(in_cuts) if k != (w, anc_in.index))
-    live_out = frozenset(q for q, k in enumerate(out_cuts) if k != (w, anc_out.index))
-
-    out_side = 1 if cw else 0  # a traversal leaves a gap by its starting class (cw) or ending one
-
-    def flow_cols(split: str, pin_value: bool):
-        # X flow splits segments at targets, Z flow at controls
-        classes = walk_classes(c, [split] * len(c.gates), cut_lists)
-        sides = (classes.ending, classes.starting)
-
-        def side(gap: Gap, k: int) -> int:
-            return sides[k][w][wire_cuts.index(gap.index)]
-
-        # the base's qubits read the patch wire's classes at its own cuts only
-        starting, ending = classes.starting.copy(), classes.ending.copy()
-        starting[w] = [starting[w][k] for k in kept]
-        ending[w] = [ending[w][k] for k in kept]
-        ins, outs = qubit_ends(table, starting, ending, d)
-        anc_first = side(anc_in, out_side)
-        ins = [k if q in live_in else None for q, k in enumerate(ins)]
-        pins = {anc_first: int(pin_value)}
-        bridges: tuple = ()
-        if len(added) == 2:
-            bridges = ((side(before, 0), side(after, 1)),)
-        elif len(added) == 1:
-            in_side = side(added[0], out_side)
-            if in_side != anc_first:
-                pins[in_side] = int(pin_value)
-        # absorbed inputs carry no tag bit, so only absorbed outputs are masked
-        sol = solve_walk(classes, ins, pins.items(), bridges, order)
-        return [sol[k] >> 1 if q in live_out else 0 for q, k in enumerate(outs)]
-
-    x_cols = flow_cols(TARGET, patch.x_value)
-    z_cols = flow_cols(CONTROL, patch.z_value)
+    w = patch.wire
+    gi = c.symbols(w)[patch.after_gap.index][0]  # the after gap follows the gate's control symbol
+    split = [TARGET] * len(c.gates)
+    split[gi] = None
+    order = traversal_order(c, table.start, d)
+    order.remove(gi)
+    classes = walk_classes(c, split, table.cuts)
+    ins, outs = qubit_ends(table, classes.starting, classes.ending, d)
+    sol = solve_walk(classes, ins, order=order)
+    # the base qubits starting at the before gap and ending at the after gap,
+    # entered and left there clockwise, the other way round counter-clockwise
+    wire_cuts = table.cuts[w]
+    absorbed = [
+        table.qubit(w, wire_cuts.index(gap.index), shift) if gap.index in wire_cuts else None
+        for gap, shift in ((patch.before_gap, 0), (patch.after_gap, 1))
+    ]
+    absorbed_in, absorbed_out = absorbed if d is Direction.CW else absorbed[::-1]
+    n = len(ins)
+    every = frozenset(range(n))
+    full = (1 << n) - 1
+    in_mask = full if absorbed_in is None else full ^ 1 << absorbed_in
+    out_mask = full if absorbed_out is None else full ^ 1 << absorbed_out
     return FaultedDerivation(
         cuts=cuts,
         patch=patch,
-        map=StabiliserMap.from_columns(x_cols, z_cols),
-        live_inputs=live_in,
-        live_outputs=live_out,
+        map=StabiliserMap.from_x([sol[k] >> 1 for k in outs]).restricted(in_mask, out_mask),
+        live_inputs=every - {absorbed_in},
+        live_outputs=every - {absorbed_out},
     )

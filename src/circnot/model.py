@@ -23,16 +23,17 @@ by break, wire by wire and clockwise from each wire's first symbol, and a
 wire's head (its symbols before its first break) continues its last class.
 The walk gives each gate's (before, after, crossing) classes and each cut
 gap's (ending, starting) classes.
-``solve_walk`` writes inputs, pins and bridges, then the gate clauses in
-the order given, over those classes and hands them to ``gf2``; a
-derivation or fault gives its traversal order (``traversal_order``), so
-each clause fixes one new class and ``gf2``'s one pass reads it once.
+``solve_walk`` writes inputs and pins, then the gate clauses in the order
+given, over those classes and hands them to ``gf2``; a derivation or fault
+gives its traversal order (``traversal_order``), so each clause fixes one
+new class and ``gf2``'s one pass reads it once.
 
 ``derive_transformations``, ``icm.faulted_transformations`` and the search
-(``_slot_systems``) put their inputs, outputs, pins and bridges at cut gaps,
-so they write their rows straight from the walk and build no model; a
-derivation or fault walks ``circuits.cut_table``'s per-wire cut lists and
-reads its qubits' first and last classes off them (``qubit_ends``).
+(``_slot_systems``) put their inputs and outputs at cut gaps, so they write
+their rows straight from the walk and build no model; a derivation or
+fault walks ``circuits.cut_table``'s per-wire cut lists and reads its
+qubits' first and last classes off them (``qubit_ends``). A fault is a
+derivation whose missing gate splits nothing and writes no clause.
 ``build_model`` is the same walk with every gap cut: the classes are then
 the segments, and the model stores them as integers:
 
@@ -53,9 +54,8 @@ included, as sparse ``(variables, rhs)`` rows for ``circnot model --parity``.
 ``derive_transformations`` solves the X system only. A CNOT circuit acts
 symplectically, so its Z map is the inverse transpose of its X map:
 Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns (``StabiliserMap.from_x``).
-The Z system is solved where pins make the two flows independent (fault
-derivations in ``icm``); the Z model serves ``propagate`` and
-``circnot model``.
+A fault derivation (``icm``) is read the same way. The Z model serves
+``propagate`` and ``circnot model``.
 
 ``search_cuts`` derives no map per candidate. One X solve with every gap
 cut gives the value arriving at each gap over the gaps' starting values.
@@ -138,13 +138,15 @@ def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWal
     """Number the join classes of a cut system in one walk over each wire's symbols.
 
     ``split[g]`` is the kind (``CONTROL`` or ``TARGET``) of gate ``g``'s
-    splitting symbol; with ``both`` the other symbol splits too. ``cut``
-    lists each wire's cut gap indices ascending (``CutTable.cuts``), which
-    must exist, or is None for every gap. A class starts at each splitting
-    symbol and each cut gap; classes are numbered wire by wire, each wire's
-    clockwise from its first symbol, and a wire's head (its symbols before
-    its first break) continues its last class. A wire without a break is
-    one class.
+    splitting symbol; with ``both`` the other symbol splits too. Without
+    ``both`` it may be None for a gate that splits nothing (a missing
+    gate, whose clause is not written): its own entries are then not
+    meaningful. ``cut`` lists each wire's cut gap indices ascending
+    (``CutTable.cuts``), which must exist, or is None for every gap. A
+    class starts at each splitting symbol and each cut gap; classes are
+    numbered wire by wire, each wire's clockwise from its first symbol,
+    and a wire's head (its symbols before its first break) continues its
+    last class. A wire without a break is one class.
     """
     symbols = c.symbol_tables
     n_gates = len(split)
@@ -207,21 +209,18 @@ def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWal
     return ClassWalk(before, after, crossing, crossing_after, ending, starting, starts)
 
 
-def solve_walk(classes: ClassWalk, ins, pins=(), bridges=(), order=None) -> list[int]:
+def solve_walk(classes: ClassWalk, ins, pins=(), order=None) -> list[int]:
     """Per class, its solved rhs over the inputs.
 
     Rows go to ``gf2.solve_tagged`` over classes in this order: one per
     input class (rhs bit ``1 + i``; None skips one), one per ``(class,
-    bit)`` pin (rhs bit 0), one per bridge of two distinct classes, then
-    each gate's clause in ``order`` (list order when None). A gate whose
-    split is its wire's only break has one class on both sides, so its
-    clause reads only the crossing class.
+    bit)`` pin (rhs bit 0), then each gate's clause in ``order`` (list
+    order when None). A gate whose split is its wire's only break has one
+    class on both sides, so its clause reads only the crossing class.
     """
     rows = [((k,), 2 << i) for i, k in enumerate(ins) if k is not None]
     if pins:
         rows += [((k,), bit) for k, bit in pins]
-    if bridges:
-        rows += [((a, b), 0) for a, b in bridges if a != b]
     before, after, crossing = classes.before, classes.after, classes.crossing
     for g in range(len(before)) if order is None else order:
         a, b, x = before[g], after[g], crossing[g]
@@ -411,15 +410,13 @@ def propagate(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
     return [bool(sol[k]) for k in cls]
 
 
-def _solve_model(
-    m: BooleanModel, cut_gaps, ins, pins, bridges=(), order=None
-) -> tuple[list[int], list[int]]:
+def _solve_model(m: BooleanModel, cut_gaps, ins, pins, order=None) -> tuple[list[int], list[int]]:
     """Per join class its solved rhs, and per variable its class.
 
     The model's circuit is walked with the cuts (``cut_gaps`` and the
     model's own) and each clause's splitting symbol. Every segment ends or
     starts at a gap, so each variable takes the class on its side of a gap.
-    Inputs, pins and bridges are then written over classes by
+    Inputs and pins are then written over classes by
     ``solve_walk``. ``Underdetermined.free`` names the greatest variable of
     each free class; class ids ascend with it, so these are the join-row
     system's pivot-free columns.
@@ -448,13 +445,7 @@ def _solve_model(
             raise UnknownSegment(f"variable {quote_int(v)} not in a model of {m.n_vars} variables")
         class_pins.append((cls[v], int(bool(value))))
     try:
-        sol = solve_walk(
-            classes,
-            [None if v is None else cls[v] for v in ins],
-            class_pins,
-            [(cls[a], cls[b]) for a, b in bridges],
-            order,
-        )
+        sol = solve_walk(classes, [None if v is None else cls[v] for v in ins], class_pins, order)
     except Underdetermined as err:
         greatest = {k: v for v, k in enumerate(cls)}
         raise Underdetermined(free=[greatest[k] for k in err.free]) from None

@@ -102,6 +102,16 @@ class StabiliserMap:
         n = len(x_cols)
         return _fill(object.__new__(cls), n, x_cols, _transposed(z_cols, n))
 
+    def restricted(self, live_in: int, live_out: int) -> "StabiliserMap":
+        """The map blanked outside the live inputs and outputs, given as masks.
+
+        X columns of dead outputs and Z rows of dead inputs are empty; the
+        other X columns keep only live inputs and Z rows only live outputs.
+        """
+        x_cols = [col & live_in if live_out >> j & 1 else 0 for j, col in enumerate(self._x_cols)]
+        z_rows = [row & live_out if live_in >> i & 1 else 0 for i, row in enumerate(self._z_rows)]
+        return _fill(object.__new__(StabiliserMap), self.n_qubits, x_cols, z_rows)
+
     def x_columns(self) -> list[int]:
         """The X part as ``from_x`` reads it: per output, the inputs reaching it."""
         return list(self._x_cols)

@@ -13,8 +13,10 @@ which ``check_commutation_invariance`` is tested against;
 directly where ``derive_transformations`` reads Z off the X map;
 ``solve_map_rows_with_joins``/``propagate_with_joins``, which keep one row
 per uncut join where ``solve_map_rows`` and ``propagate`` solve over join
-classes; and ``fault_map_by_model``, the fault body that built both models,
-where ``faulted_transformations`` writes its systems from the class walk.
+classes; and ``fault_map_by_model``, the pinned-ancilla fault body that
+built both models, where ``faulted_transformations`` solves X once with the
+missing gate's clause left out. ``fault_expected`` reads the gate-deleted
+oracle with ``resolve_arcs``' qubit numbering.
 ``solve_map_rows`` and ``input_output_segments`` read map columns off the
 library's model solve (``propagate``'s) for these references; the library
 itself derives from the class walk. ``origin_ends`` reads each qubit's
@@ -46,13 +48,15 @@ from circnot import (
     build_model,
     derive_transformations,
     enumerate_cut_points,
+    linearize,
+    oracle_map,
     resolve_arcs,
     spanning_gaps,
 )
 from circnot import gf2
-from circnot.circuits import CONTROL, TARGET, traversal_order
+from circnot.circuits import CONTROL, TARGET
 from circnot.errors import NotAdjacent, Underdetermined, UnknownSegment, quote_int
-from circnot.icm import inject_smgf
+from circnot.icm import FaultSpec, inject_smgf
 from circnot.model import BooleanModel, ModelKind, _solve_model, parity_rows
 
 
@@ -139,7 +143,7 @@ def rows_of_columns(cols) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(j for j, col in enumerate(cols) if col >> i & 1) for i in range(len(cols)))
 
 
-def solve_map_rows(m: BooleanModel, cut_gaps, ins, outs, pins=None, bridges=(), order=None) -> list[int]:
+def solve_map_rows(m: BooleanModel, cut_gaps, ins, outs, pins=None, order=None) -> list[int]:
     """Map columns of a model's cut system: per output, the inputs that reach it.
 
     Segments are variable indices of an X, Z or pinned combined model, solved
@@ -150,7 +154,7 @@ def solve_map_rows(m: BooleanModel, cut_gaps, ins, outs, pins=None, bridges=(), 
     reaches it; a skipped input sets no bit. Any gate ``order`` gives the
     same columns.
     """
-    sol, cls = _solve_model(m, cut_gaps, ins, pins or {}, bridges, order)
+    sol, cls = _solve_model(m, cut_gaps, ins, pins or {}, order)
     return [sol[cls[v]] >> 1 for v in outs]
 
 
@@ -206,7 +210,8 @@ def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, b
 
     ``solve_map_rows`` substitutes the joins away and solves over join
     classes; this keeps the system it replaced, over every model variable:
-    the gate rows, then the uncut joins by (wire, gap), bridges, inputs
+    the gate rows, then the uncut joins by (wire, gap), bridges (pairs of
+    variables made equal, which only ``fault_map_by_model`` writes), inputs
     and pins.
     """
     cut = m.cut_gaps | cut_gaps
@@ -278,17 +283,20 @@ def propagate_with_joins(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
     return [bool(bit) for bit in sol]
 
 
-def fault_map_by_model(c: CircularCircuit, base: CutSet, d: Direction, f, solve) -> StabiliserMap:
-    """Reference for ``faulted_transformations``: the body that built both models.
+def fault_map_by_model(c: CircularCircuit, base: CutSet, d: Direction, f, solve=None) -> StabiliserMap:
+    """Reference for ``faulted_transformations``: the pinned-ancilla construction.
 
-    ``faulted_transformations`` writes its X and Z systems straight from
-    ``model.walk_classes``; this keeps the body that built each model and
-    solved it over variables, with pins and bridges on the segments at the
-    fault's gaps. ``solve`` takes ``solve_map_rows``' arguments, so the
-    join-row solve (``solve_map_rows_with_joins``) can stand in.
+    ``faulted_transformations`` solves X once over the base cuts with the
+    missing gate's clause left out, and reads Z as the inverse transpose.
+    This keeps the construction it replaced: cut the fault's two gaps,
+    build both models and solve each over variables, the ancilla's first
+    segment pinned to |0>'s value (X false, Z true). When both gaps are
+    fresh a bridge re-joins the severed neighbours; when one is fresh its
+    continuation is pinned too. ``solve`` takes
+    ``solve_map_rows_with_joins``' arguments, and is that by default.
     """
-    start, origins = resolve_arcs(c, base, d)
-    order = traversal_order(c, start, d)
+    solve = solve or solve_map_rows_with_joins
+    origins = resolve_arcs(c, base, d)[1]
     cuts, patch = inject_smgf(c, base, f)
     added = {g for g in (patch.before_gap, patch.after_gap) if g not in base.gaps()}
     anc_in_gap = patch.before_gap if d is Direction.CW else patch.after_gap
@@ -309,12 +317,29 @@ def fault_map_by_model(c: CircularCircuit, base: CutSet, d: Direction, f, solve)
             in_side = m.gap_pair(next(iter(added)))[out_side]
             if in_side != anc_first:
                 pins[in_side] = pin_value
-        cols = solve(m, cuts.gaps(), ins, outs, pins=pins, bridges=bridges, order=order)
+        cols = solve(m, cuts.gaps(), ins, outs, pins=pins, bridges=bridges)
         return [col if q in live_out else 0 for q, col in enumerate(cols)]
 
-    x_cols = model_cols(build_model(c, ModelKind.X), patch.x_value)
-    z_cols = model_cols(build_model(c, ModelKind.Z), patch.z_value)
+    x_cols = model_cols(build_model(c, ModelKind.X), False)
+    z_cols = model_cols(build_model(c, ModelKind.Z), True)
     return StabiliserMap.from_columns(x_cols, z_cols)
+
+
+def fault_expected(c: CircularCircuit, cuts: CutSet, d: Direction, gate_id: int):
+    """The oracle of the linearization with the gate deleted, its qubits numbered as ``resolve_arcs`` numbers them.
+
+    Returns the map and the live inputs and outputs: a base qubit whose
+    input (output) cut is the fault ancilla's is absorbed.
+    """
+    lin = linearize(c, cuts, d)
+    kept = tuple(g for g in lin.gates if g.source != gate_id)
+    patch = inject_smgf(c, cuts, FaultSpec(gate=gate_id))[1]
+    anc_in, anc_out = (patch.before_gap, patch.after_gap)[:: 1 if d is Direction.CW else -1]
+    origins = resolve_arcs(c, cuts, d)[1]
+    live_in = frozenset(q for q, o in enumerate(origins) if o.input_cut != anc_in)
+    live_out = frozenset(q for q, o in enumerate(origins) if o.output_cut != anc_out)
+    expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
+    return restrict_map(expected, live_in, live_out), live_in, live_out
 
 
 # --- reference model builder and join classes ---------------------------------

@@ -102,6 +102,18 @@ class TestCircularConstruction:
         assert swap.symbols(1) == ((0, "target"), (1, "control"), (2, "target"))
         assert swap.symbol_tables == (swap.symbols(0), swap.symbols(1))
 
+    def test_symbols_shared_up_to_a_size(self):
+        # circuits share their (gate index, kind) pairs; a circuit past the
+        # shared size still gets every pair, and the shared table stays put
+        limit = circuits_module._SHARED_SYMBOL_GATES
+        small, swap = mkcirc(2, [(0, 1)] * 5), swap_circular()
+        assert swap.symbols(0)[0] is small.symbols(0)[0]
+        assert swap.symbols(1)[2] is small.symbols(1)[2]
+        shared = len(circuits_module._SYMBOL_PAIRS)
+        huge = mkcirc(2, [(0, 1), (1, 0)] * (limit // 2 + 1))
+        assert len(circuits_module._SYMBOL_PAIRS) == shared <= limit
+        assert huge.symbols(0) == tuple((gi, "control" if gi % 2 == 0 else "target") for gi in range(limit + 2))
+
     @pytest.mark.parametrize("ids, dup", [((0, 0), 0), ((3, 1, 2, 1), 1), ((5, 6, 5, 6), 5)])
     def test_rejects_repeated_gate_ids(self, ids, dup):
         # ``gate_index`` looks gates up by id, so a repeated id is refused,

@@ -163,6 +163,39 @@ def test_fault_report(swap_file, cuts_file):
     assert "X0 -> X{0}" in out
 
 
+# ``fault`` stdout, captured before a fault was read off one X solve: one
+# file per case under tests/golden, by (circuit, cut set, gate, direction);
+# each SWAP cut set with each gate both ways, and the translated Toffoli
+# over its seam with gate 0 missing
+FAULT_CASES = {
+    **{
+        f"fault-{name}-g{gate}-{d}": (SWAP_CIRC, name, gate, d)
+        for name in ("swap", "single-cnot", "teleported-cnot", "sdt")
+        for gate in range(3)
+        for d in ("cw", "ccw")
+    },
+    "fault-toffoli-g0-cw": (None, None, 0, "cw"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_fault_golden(tmp_path, swap_cut_sets, capsys, case):
+    from circnot import strip_and_circularize, toffoli_decomposition, translate_to_icm
+
+    circuit, cut_name, gate, direction = FAULT_CASES[case]
+    if circuit is None:
+        c, record = strip_and_circularize(translate_to_icm(*toffoli_decomposition()))
+        circuit, cuts = format_circuit(c), record.seam
+    else:
+        cuts = swap_cut_sets[cut_name]
+    path, cut_path = tmp_path / "in.circ", tmp_path / "in.cuts"
+    path.write_text(circuit)
+    cut_path.write_text(format_cut_set(cuts))
+    code, out = run(["fault", str(path), "--cuts", str(cut_path), "--smgf", str(gate), "--dir", direction])
+    assert (code, out.encode()) == (0, (KV_GOLDEN / f"{case}.out").read_bytes())
+    assert capsys.readouterr().err == ""
+
+
 def test_icm_gadget(tmp_path):
     code, out = run(["icm", "--gadget", "t"])
     assert code == 0

@@ -61,6 +61,7 @@ from helpers import (
     conjugate_by_cnot,
     count_model_solutions,
     derive_by_both_models,
+    fault_expected,
     fault_map_by_model,
     gf2_rank,
     input_output_segments,
@@ -492,10 +493,10 @@ class TestJoinClasses:
     """``solve_map_rows`` solves over join classes; the join-row solve is the reference."""
 
     @staticmethod
-    def assert_same(m, cut_gaps, ins, outs, pins=None, bridges=(), order=None):
+    def assert_same(m, cut_gaps, ins, outs, pins=None, order=None):
         # values, or the error class and the free variables it names
-        got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins, bridges, order)
-        assert got == solve_or_error(solve_map_rows_with_joins, m, cut_gaps, ins, outs, pins, bridges)
+        got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins, order)
+        assert got == solve_or_error(solve_map_rows_with_joins, m, cut_gaps, ins, outs, pins)
         return got[0] if isinstance(got, tuple) else got
 
     def test_small_radial_families(self):
@@ -529,14 +530,17 @@ class TestJoinClasses:
             assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
 
     def test_fault_pins_and_bridges(self):
-        # every model system of a fault derivation (pins and bridges on the
-        # segments at the fault's gaps), checked against the reference; the
-        # fault map, written from the walk, equals the reference's
+        # the pinned-ancilla fault construction (pins and bridges on the
+        # segments at the fault's gaps) gives the fault map; its pinned
+        # systems solve alike over join classes and with join rows, and
+        # only the join-row solve writes a bridge
         shapes = set()
 
-        def both(m, cut_gaps, ins, outs, pins=None, bridges=(), order=None):
+        def both(m, cut_gaps, ins, outs, pins, bridges):
             shapes.add((len(pins), len(bridges)))
-            return self.assert_same(m, cut_gaps, ins, outs, pins, bridges, order)
+            if bridges:
+                return solve_map_rows_with_joins(m, cut_gaps, ins, outs, pins, bridges)
+            return self.assert_same(m, cut_gaps, ins, outs, pins)
 
         for seed in range(3):
             rng = random.Random(seed)
@@ -649,34 +653,51 @@ class TestOnePassOrder:
                     assert one_pass_waits(rows) == ([], set(range(n_vars)))
         assert starts == {True, False}
 
-    def test_fault_rows_wait_only_on_a_bridge(self, monkeypatch):
+    def test_fault_is_one_x_solve_with_no_wait(self, monkeypatch):
+        # a fault solves once: one input row per qubit, then one clause per
+        # gate but the missing one, over the X classes (targets and cuts
+        # break a wire), with no pin or bridge row and no row waiting
         systems = self.capture(monkeypatch)
-        shapes = set()
-        solve = icm_module.solve_walk
+        added = set()
 
-        def shape(classes, ins, pins=(), bridges=(), order=None):
-            shapes.add((len(pins), len(bridges)))
-            return solve(classes, ins, pins, bridges, order)
+        def check(c, base, d, gate):
+            systems.clear()
+            fd = faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
+            ((rows, n_vars),) = systems
+            table = cut_table(c, base)
+            n = sum(map(len, table.cuts))
+            breaks = [len(wire_cuts) for wire_cuts in table.cuts]
+            for other in c.gates:
+                if other is not gate:
+                    breaks[other.target] += 1
+            assert n_vars == sum(max(k, 1) for k in breaks)
+            assert [rhs for _, rhs in rows[:n]] == [2 << i for i in range(n)]
+            assert all(len(vs) == 1 for vs, _ in rows[:n])
+            assert len(rows) == n + len(c.gates) - 1
+            assert all(len(vs) in (1, 3) and rhs == 0 for vs, rhs in rows[n:])
+            assert one_pass_waits(rows) == ([], set(range(n_vars)))
+            assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, base, d, gate.id)
+            added.add(len(fd.cuts) - len(base))
 
-        monkeypatch.setattr(icm_module, "solve_walk", shape)
         for seed in range(3):
             rng = random.Random(seed)
             c, record = random_circularized(seed, 5, 32)
             every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
             extra = rng.sample(sorted(every_gap - record.seam.gaps()), 6)
-            for base in (record.seam, CutSet.of(sorted(record.seam.gaps() | set(extra)))):
-                for gate in c.gates[seed::3]:
-                    for d in Direction:
-                        systems.clear()
-                        faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
-                        for rows, n_vars in systems:
-                            waits, fixed = one_pass_waits(rows)
-                            assert fixed == set(range(n_vars))
-                            # a bridge, written before the gates, waits for
-                            # the gate fixing its first side
-                            assert [len(rows[r][0]) for r in waits] in ([], [2])
-        # both fault gaps fresh (a bridge), one fresh (a second pin)
-        assert {(1, 1), (2, 0)} <= shapes
+            bases = [record.seam, CutSet.of(sorted(record.seam.gaps() | set(extra)))]
+            # a base already holding a gate's two fault gaps
+            gate = c.gates[seed]
+            cuts, _ = inject_smgf(c, record.seam, FaultSpec(gate=gate.id))
+            bases.append(cuts)
+            for base in bases:
+                for d in Direction:
+                    for gate in {c.gates[seed], *c.gates[seed::3]}:
+                        check(c, base, d, gate)
+        # wire 2's one symbol is gate 1's control: the fault's two gaps are one
+        single = mkcirc(3, [(0, 1), (2, 1), (1, 0)])
+        for d in Direction:
+            check(single, CutSet.of([(0, 1), (1, 2), (2, 0)]), d, single.gates[1])
+        assert added == {0, 1, 2}
 
 
 class TestPropagateOverClasses:
@@ -1476,23 +1497,6 @@ class TestClassWalk:
                         assert_walk_matches_reference(c, kind, selectors, set(cut))
             assert_build_matches_reference(c)
         assert min(shapes.values()) > 20
-
-
-def fault_expected(c, cuts, d, gate_id):
-    """The oracle of the linearization with the gate deleted, its qubits numbered as ``resolve_arcs`` numbers them.
-
-    Returns the map and the live inputs and outputs: a base qubit whose
-    input (output) cut is the fault ancilla's is absorbed.
-    """
-    lin = linearize(c, cuts, d)
-    kept = tuple(g for g in lin.gates if g.source != gate_id)
-    patch = inject_smgf(c, cuts, FaultSpec(gate=gate_id))[1]
-    anc_in, anc_out = (patch.before_gap, patch.after_gap)[:: 1 if d is Direction.CW else -1]
-    origins = resolve_arcs(c, cuts, d)[1]
-    live_in = frozenset(q for q, o in enumerate(origins) if o.input_cut != anc_in)
-    live_out = frozenset(q for q, o in enumerate(origins) if o.output_cut != anc_out)
-    expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
-    return restrict_map(expected, live_in, live_out), live_in, live_out
 
 
 class TestCutTableReadOut:
