@@ -1,7 +1,6 @@
 """Circular CNOT circuits: parity models, cuts, ICM construction, oracles."""
 
 from .circuits import (
-    ArcOrigin,
     CircularCircuit,
     CNOTGate,
     CutPoint,
@@ -14,7 +13,6 @@ from .circuits import (
     circularize,
     enumerate_cut_points,
     linearize,
-    resolve_arcs,
     spanning_gaps,
     validate_cut_set,
 )
@@ -42,8 +40,6 @@ from .model import (
     check_commutation_invariance,
     derive_transformations,
     parity_rows,
-    pin_selectors,
-    propagate,
     search_cuts,
 )
 from .dot import export_dot

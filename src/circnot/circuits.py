@@ -218,15 +218,6 @@ class CircularCircuit:
         return Gap(wire, (bisect_right(syms, slot, key=lambda s: s[0]) - 1) % len(syms))
 
 
-@dataclass(frozen=True)
-class ArcOrigin:
-    """Where a linear qubit came from: a wire arc between two cuts, named in the traversal direction."""
-
-    wire: int
-    input_cut: Gap
-    output_cut: Gap
-
-
 @dataclass(frozen=True, slots=True)
 class LinearGate:
     control: int
@@ -413,13 +404,6 @@ def cut_table(c: CircularCircuit, cuts: CutSet) -> CutTable:
         return CutTable(len(c.gates) - 1, on_wire, [len(wire_cuts) - 1 for wire_cuts in on_wire])
     start, family = next(iter(_radial_families(c, on_wire).items()))
     return CutTable(start, on_wire, [wire_cuts.index(i) for wire_cuts, i in zip(on_wire, family)])
-
-
-def resolve_arcs(c: CircularCircuit, cuts: CutSet, d: Direction) -> tuple[int, tuple[ArcOrigin, ...]]:
-    """The start slot and each qubit's ``ArcOrigin`` (``CutTable.arcs``); raises what ``cut_table`` raises."""
-    table = cut_table(c, cuts)
-    starts, ends = table.arcs() if d is Direction.CW else table.arcs()[::-1]
-    return table.start, tuple(ArcOrigin(w, Gap(w, a), Gap(w, b)) for (w, a), (_, b) in zip(starts, ends))
 
 
 def traversal_order(c: CircularCircuit, start: int, d: Direction) -> list[int]:

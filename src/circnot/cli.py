@@ -266,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--parity",
         action="store_true",
-        help="also dump the 0/1 rows; combined rows need selectors pinned through the library "
-        "(pin_selectors), so --kind combined --parity exits 1 with unpinned-selector",
+        help="also dump the 0/1 rows; combined clauses carry no selector, "
+        "so --kind combined --parity exits 1 with unpinned-selector",
     )
     p.set_defaults(func=cmd_model)
 

@@ -117,10 +117,6 @@ class UnknownGap(CircnotError):
     code = "unknown-gap"
 
 
-class UnknownSegment(CircnotError):
-    code = "unknown-segment"
-
-
 class NoRadialCut(CircnotError):
     """No angular slot is cut on every wire, so no valid circuit results."""
 
@@ -142,16 +138,6 @@ class NotAdjacent(CircnotError):
 
 class UnpinnedSelector(CircnotError):
     code = "unpinned-selector"
-
-
-class Underdetermined(CircnotError):
-    """The parity system leaves a free variable; a radial cut is missing."""
-
-    code = "underdetermined"
-
-    def __init__(self, message: str = "free variable remains", free=None):
-        super().__init__(message)
-        self.free = free
 
 
 class Inconsistent(CircnotError):

@@ -3,20 +3,22 @@
 ``solve_tagged`` takes sparse rows, each a tuple of distinct variable
 indices plus an int right-hand side, and solves them by unit propagation
 in one pass in row order: a row is read again at most once per variable.
-Every model solve hands it a system over join classes, about one variable
-per gate and cut; derive and fault solves write theirs in traversal order,
-so no row is read twice. Only a system propagation cannot finish, such as
-an underdetermined or inconsistent one, goes through ``pack`` into
-bitmask rows (bit ``i`` is column ``i``) for Gauss-Jordan. ``invert``
-takes bitmask rows; ``StabiliserMap`` calls it once to read Z off X
-(derivations and faults alike) and once per half of an inverse. Both eliminations
-run one kernel, which scans pivot columns in ascending order so results
-are reproducible.
+Every solve hands it a system over join classes, about one variable per
+gate and cut, in which each gate clause fixes one class from classes
+already fixed (``circuits.cut_table`` checks for the radial family that
+makes this so); derive and fault solves write theirs in traversal order,
+so no row is read twice. A system the pass cannot finish is a broken
+invariant, not bad input, and raises RuntimeError. ``pack`` writes sparse
+rows as bitmask rows (bit ``i`` is column ``i``) for ``circnot model
+--parity``. ``invert`` takes bitmask rows; ``StabiliserMap`` calls it once
+to read Z off X (derivations and faults alike) and once per half of an
+inverse. It runs the one elimination kernel, which scans pivot columns in
+ascending order so results are reproducible.
 """
 
 from __future__ import annotations
 
-from .errors import Inconsistent, Underdetermined
+from .errors import Inconsistent
 
 
 def _eliminate(work: list[int], n_cols: int) -> dict[int, int]:
@@ -53,14 +55,21 @@ def pack(rows, n_vars: int) -> list[int]:
     return [sum(1 << v for v in vs) | rhs << n_vars for vs, rhs in rows]
 
 
-def _propagate_units(rows, n_vars: int) -> list[int] | None:
-    """Solve sparse rows by unit propagation in one pass, or return None if it cannot finish.
+def solve_tagged(rows, n_vars: int, tag_width: int) -> list[int]:
+    """Solve sparse rows whose right-hand sides are GF(2) vectors, by unit propagation in one pass.
+
+    Each row is ``(variables, rhs)``: a tuple of distinct variable indices
+    below ``n_vars`` and an int of width ``tag_width`` (symbolic right-hand
+    side: bit j stands for input j; width 1 gives a plain constant).
+    Returns, per variable, its rhs expression.
 
     Rows are read in order. A row with one unknown variable fixes it to its
     rhs XOR its known variables, a row with none checks that XOR is zero,
     and a row with more waits on two unknowns and is read again when either
     is fixed. With every variable fixed and every row checked, the
     assignment is the unique solution (the fixing rows are triangular).
+    Raises RuntimeError when a row contradicts the rows before it or a
+    variable is left unfixed.
     """
     value: list[int | None] = [None] * n_vars
     waiting: dict[int, set[int]] = {}  # variable -> rows waiting on it
@@ -85,46 +94,13 @@ def _propagate_units(rows, n_vars: int) -> list[int] | None:
                     if waiting and unknown in waiting:
                         stack += waiting.pop(unknown)
                 elif rhs:
-                    return None
+                    raise RuntimeError(f"parity row {r} contradicts the rows before it")
             if not stack:
                 break
             r = stack.pop()
-    return None if None in value else value
-
-
-def solve_tagged(rows, n_vars: int, tag_width: int) -> list[int]:
-    """Solve sparse rows whose right-hand sides are GF(2) vectors.
-
-    Each row is ``(variables, rhs)``: a tuple of distinct variable indices
-    below ``n_vars`` and an int of width ``tag_width`` (symbolic right-hand
-    side: bit j stands for input j; width 1 gives a plain constant).
-    Returns, per variable, its rhs expression.
-
-    Unit propagation solves the system when repeatedly fixing the one
-    unknown of some row fixes every variable consistently with every row.
-    Otherwise Gauss-Jordan runs on the packed rows; it raises Inconsistent
-    when a zero coefficient row carries a nonzero rhs and Underdetermined
-    (naming the pivot-free variables) when a variable is left free.
-    """
-    out = _propagate_units(rows, n_vars)
-    if out is not None:
-        return out
-    work = pack(rows, n_vars)
-    pivots = _eliminate(work, n_vars)
-    for i in range(len(pivots), len(work)):
-        if work[i] >> n_vars:
-            raise Inconsistent("contradictory parity constraints")
-    free = [c for c in range(n_vars) if c not in pivots]
-    if free:
-        raise Underdetermined(free=free)
-    coeff_mask = (1 << n_vars) - 1
-    out = [0] * n_vars
-    for col, r in pivots.items():
-        row = work[r]
-        if row & coeff_mask != 1 << col:
-            raise RuntimeError(f"elimination left pivot row {col} unreduced")
-        out[col] = row >> n_vars
-    return out
+    if None in value:
+        raise RuntimeError(f"propagation left variable {value.index(None)} of {n_vars} unfixed")
+    return value
 
 
 def invert(rows: list[int], n: int) -> list[int]:

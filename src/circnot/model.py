@@ -6,14 +6,15 @@ tying the two segments split by one of its symbols to the segment crossing
 its other symbol; a gap contributes an equivalence (join) clause that a cut
 removes. X and Z flow are tracked by separate models and never mix. Each
 clause being satisfied is one homogeneous linear equation, so the whole
-model is a parity system solvable by Gaussian elimination.
+model is a parity system over GF(2).
 
 Segment boundaries per model kind:
 
 * X model: gaps and target symbols split segments; control symbols do not.
 * Z model: gaps and control symbols split; target symbols do not.
 * combined model: gaps and both symbol kinds split; each gate's clause
-  carries a selector that picks the X reading (true) or Z reading (false).
+  would need a selector to pick its X or its Z reading, and none is
+  pinned, so the model is dumped but gives no parity rows.
 
 The joins a cut set leaves are equalities, so every solve runs over join
 classes. One walk over each wire's symbol table (``walk_classes``) numbers
@@ -23,10 +24,10 @@ by break, wire by wire and clockwise from each wire's first symbol, and a
 wire's head (its symbols before its first break) continues its last class.
 The walk gives each gate's (before, after, crossing) classes and each cut
 gap's (ending, starting) classes.
-``solve_walk`` writes inputs and pins, then the gate clauses in the order
-given, over those classes and hands them to ``gf2``; a derivation or fault
-gives its traversal order (``traversal_order``), so each clause fixes one
-new class and ``gf2``'s one pass reads it once.
+``solve_walk`` writes inputs, then the gate clauses in the order given,
+over those classes and hands them to ``gf2``'s one-pass solve; a
+derivation or fault gives its traversal order (``traversal_order``), so
+each clause fixes one new class and is read once.
 
 ``derive_transformations``, ``icm.faulted_transformations`` and the search
 (``_slot_systems``) put their inputs and outputs at cut gaps, so they write
@@ -42,20 +43,18 @@ the segments, and the model stores them as integers:
   clockwise;
 * each gate's clause is the tuple of its variable indices;
 * each wire stores, per gap, the (ending, starting) variable pair;
-* a cut model records only its cut gaps, a pinned one only its selectors;
-  ``BooleanModel.joins`` lists the joins the cuts leave.
+* a cut model records only its cut gaps; ``BooleanModel.joins`` lists
+  the joins the cuts leave.
 
-A model solve (``propagate``) walks the model's circuit with its cuts and
-maps each variable to the class on its side of a gap; a pinned combined
-clause is read as its X or Z clause. ``propagate`` reads the solution as
-one bool per variable. ``parity_rows`` lists every clause, joins
-included, as sparse ``(variables, rhs)`` rows for ``circnot model --parity``.
+A model is not solved. ``parity_rows`` lists every X or Z clause, joins
+included, as sparse ``(variables, rhs)`` rows for ``circnot model
+--parity``.
 
 ``derive_transformations`` solves the X system only. A CNOT circuit acts
 symplectically, so its Z map is the inverse transpose of its X map:
 Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns (``StabiliserMap.from_x``).
 A fault derivation (``icm``) is read the same way. The Z model serves
-``propagate`` and ``circnot model``.
+``circnot model``.
 
 ``search_cuts`` derives no map per candidate. One X solve with every gap
 cut gives the value arriving at each gap over the gaps' starting values.
@@ -68,7 +67,7 @@ and a candidate's X columns are a substitution over its extra cuts
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -93,10 +92,7 @@ from .errors import (
     DuplicateCut,
     NotAdjacent,
     SearchTooLarge,
-    Underdetermined,
     UnknownGap,
-    UnknownGate,
-    UnknownSegment,
     UnpinnedSelector,
     quote_int,
 )
@@ -209,18 +205,16 @@ def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWal
     return ClassWalk(before, after, crossing, crossing_after, ending, starting, starts)
 
 
-def solve_walk(classes: ClassWalk, ins, pins=(), order=None) -> list[int]:
+def solve_walk(classes: ClassWalk, ins, order=None) -> list[int]:
     """Per class, its solved rhs over the inputs.
 
     Rows go to ``gf2.solve_tagged`` over classes in this order: one per
-    input class (rhs bit ``1 + i``; None skips one), one per ``(class,
-    bit)`` pin (rhs bit 0), then each gate's clause in ``order`` (list
-    order when None). A gate whose split is its wire's only break has one
-    class on both sides, so its clause reads only the crossing class.
+    input class (rhs bit ``1 + i``), then each gate's clause in ``order``
+    (list order when None). A gate whose split is its wire's only break
+    has one class on both sides, so its clause reads only the crossing
+    class.
     """
-    rows = [((k,), 2 << i) for i, k in enumerate(ins) if k is not None]
-    if pins:
-        rows += [((k,), bit) for k, bit in pins]
+    rows = [((k,), 2 << i) for i, k in enumerate(ins)]
     before, after, crossing = classes.before, classes.after, classes.crossing
     for g in range(len(before)) if order is None else order:
         a, b, x = before[g], after[g], crossing[g]
@@ -242,7 +236,7 @@ def qubit_ends(table: CutTable, starting, ending, d: Direction) -> tuple[list[in
 
 @dataclass(frozen=True, eq=False)
 class BooleanModel:
-    """A parity model of ``circuit`` stored as integer variable indices.
+    """A parity model of a circular circuit stored as integer variable indices.
 
     Variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, named
     ``w<w>s<j>`` (``segment_name``); ``offsets`` has one entry per wire
@@ -251,19 +245,16 @@ class BooleanModel:
     that gate's id: (split-before, split-after, crossing) in X and Z,
     (control-before, control-after, target-before, target-after) combined.
     ``gap_vars[w][i]`` is the (ending, starting) variable pair of gap
-    ``(w, i)``. ``apply_cuts`` records only ``cut_gaps`` and
-    ``pin_selectors`` only ``selectors`` (gate id -> selector); the joins
-    the cuts leave are listed by ``joins``.
+    ``(w, i)``. ``apply_cuts`` records only ``cut_gaps``; the joins the
+    cuts leave are listed by ``joins``.
     """
 
-    circuit: CircularCircuit
     kind: ModelKind
     offsets: tuple[int, ...]
     gate_vars: tuple[tuple[int, ...], ...]
     gate_ids: tuple[int, ...]
     gap_vars: tuple[tuple[tuple[int, int], ...], ...]
     cut_gaps: frozenset[Gap] = frozenset()
-    selectors: dict[int, bool] = field(default_factory=dict)
 
     @property
     def n_vars(self) -> int:
@@ -282,24 +273,6 @@ class BooleanModel:
         return f"w{w}s{v - self.offsets[w]}"
 
     @cached_property
-    def split_kinds(self) -> list[str]:
-        """Per gate, the kind of the symbol its clause splits at.
-
-        ``TARGET`` in X and ``CONTROL`` in Z; a combined clause splits at
-        its target when its selector picks the X reading, else at its
-        control. Raises UnpinnedSelector for an unpinned combined clause.
-        """
-        if self.kind is not ModelKind.COMBINED:
-            return [TARGET if self.kind is ModelKind.X else CONTROL] * len(self.gate_ids)
-        kinds = []
-        for gate_id in self.gate_ids:
-            selector = self.selectors.get(gate_id)
-            if selector is None:
-                raise UnpinnedSelector(f"combined clause for gate {gate_id} has no selector")
-            kinds.append(TARGET if selector else CONTROL)
-        return kinds
-
-    @cached_property
     def joins(self) -> tuple[tuple[Gap, tuple[int, int]], ...]:
         """The joins the cuts leave, by (wire, gap): each gap with its (ending, starting) pair.
 
@@ -314,14 +287,13 @@ class BooleanModel:
         )
 
     def dump(self) -> str:
-        """Gate clauses by position, then ``joins``; one per line, segments by name."""
+        """Gate clauses by position, then ``joins``; one per line, segments by name.
+
+        A combined clause ends in ``x=-``: its selector is not pinned.
+        """
         name = self.segment_name
         if self.kind is ModelKind.COMBINED:
-            lines = []
-            for gid, vs in zip(self.gate_ids, self.gate_vars):
-                sel = self.selectors.get(gid)
-                sel = "-" if sel is None else ("1" if sel else "0")
-                lines.append(f"F {' '.join(map(name, vs))} x={sel}")
+            lines = [f"F {' '.join(map(name, vs))} x=-" for vs in self.gate_vars]
         else:
             lines = [f"C {' '.join(map(name, vs))}" for vs in self.gate_vars]
         lines += [f"J {name(a)} {name(b)}" for _, (a, b) in self.joins]
@@ -347,22 +319,12 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     else:
         gate_vars = zip(segs.before, segs.after, segs.crossing)
     return BooleanModel(
-        circuit=c,
         kind=kind,
         offsets=tuple(segs.starts),
         gate_vars=tuple(gate_vars),
         gate_ids=tuple(g.id for g in c.gates),
         gap_vars=tuple(tuple(zip(ends, begins)) for ends, begins in zip(segs.ending, segs.starting)),
     )
-
-
-def pin_selectors(m: BooleanModel, selectors: dict[int, bool]) -> BooleanModel:
-    """Pin the X/Z selector of combined clauses, by source gate id."""
-    known = set(m.gate_ids) if m.kind is ModelKind.COMBINED else set()
-    for gate_id in selectors:
-        if gate_id not in known:
-            raise UnknownGate(f"no combined clause for gate {quote_int(gate_id)}")
-    return replace(m, selectors={**m.selectors, **selectors})
 
 
 def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
@@ -381,75 +343,15 @@ def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
 def parity_rows(m: BooleanModel) -> list[tuple[tuple[int, ...], int]]:
     """Every clause as sparse ``(variables, rhs)`` parity rows (requiring it true).
 
-    A row is ``(variables, 0)``: one per X or Z gate, two per combined gate
-    (its other symbol's equal sides, then its selected clause), in gate
-    order, then one per ``m.joins``.
+    A row is ``(variables, 0)``: one per gate, in gate order, then one per
+    ``m.joins``. A combined clause is an X or a Z clause by a selector that
+    no model pins, so a combined model with a gate raises UnpinnedSelector.
     """
-    if m.kind is ModelKind.COMBINED:
-        rows = []
-        for (a, b, tc, td), kind in zip(m.gate_vars, m.split_kinds):
-            rows += ((a, b), (tc, td, a)) if kind is TARGET else ((tc, td), (a, b, tc))
-    else:
-        rows = list(m.gate_vars)
+    if m.kind is ModelKind.COMBINED and m.gate_ids:
+        raise UnpinnedSelector(f"combined clause for gate {m.gate_ids[0]} has no selector")
+    rows = list(m.gate_vars)
     rows += [pair for _, pair in m.joins]
     return [(vs, 0) for vs in rows]
-
-
-def propagate(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
-    """Pin the given variables and complete the assignment uniquely, over join classes.
-
-    Raises UnknownSegment for a pin outside ``0..n_vars-1``, Underdetermined
-    (free segments by name) when a free variable remains (a missing radial
-    cut) and Inconsistent when the pins contradict the system.
-    """
-    try:
-        sol, cls = _solve_model(m, frozenset(), [], pins)
-    except Underdetermined as err:
-        free = [m.segment_name(v) for v in err.free]
-        raise Underdetermined(f"free segments remain: {free}", free=free) from None
-    return [bool(sol[k]) for k in cls]
-
-
-def _solve_model(m: BooleanModel, cut_gaps, ins, pins, order=None) -> tuple[list[int], list[int]]:
-    """Per join class its solved rhs, and per variable its class.
-
-    The model's circuit is walked with the cuts (``cut_gaps`` and the
-    model's own) and each clause's splitting symbol. Every segment ends or
-    starts at a gap, so each variable takes the class on its side of a gap.
-    Inputs and pins are then written over classes by
-    ``solve_walk``. ``Underdetermined.free`` names the greatest variable of
-    each free class; class ids ascend with it, so these are the join-row
-    system's pivot-free columns.
-    """
-    c = m.circuit
-    on_wire: list[list[int]] = [[] for _ in range(c.wires)]
-    for gap in m.cut_gaps | cut_gaps:
-        m.gap_pair(gap)  # raises UnknownGap
-        on_wire[gap.wire].append(gap.index)
-    for wire_cuts in on_wire:
-        wire_cuts.sort()
-    split = m.split_kinds  # raises UnpinnedSelector before a pin is checked
-    classes = walk_classes(c, split, on_wire)
-    cls = [0] * m.n_vars
-    after, crossing = classes.after, classes.crossing
-    for syms, pairs in zip(c.symbol_tables, m.gap_vars):
-        for (gi, sk), (end, start) in zip(syms, pairs):
-            # a gap ends the class after its symbol and, uncut, continues it
-            cls[end] = cls[start] = after[gi] if sk is split[gi] else crossing[gi]
-    for wire_cuts, begins, pairs in zip(on_wire, classes.starting, m.gap_vars):
-        for i, start in zip(wire_cuts, begins):
-            cls[pairs[i][1]] = start
-    class_pins = []
-    for v, value in pins.items():
-        if not 0 <= v < m.n_vars:
-            raise UnknownSegment(f"variable {quote_int(v)} not in a model of {m.n_vars} variables")
-        class_pins.append((cls[v], int(bool(value))))
-    try:
-        sol = solve_walk(classes, [None if v is None else cls[v] for v in ins], class_pins, order)
-    except Underdetermined as err:
-        greatest = {k: v for v, k in enumerate(cls)}
-        raise Underdetermined(free=[greatest[k] for k in err.free]) from None
-    return sol, cls
 
 
 def derive_transformations(
@@ -633,13 +535,17 @@ def search_cuts(
     is the same gate list reversed on the same qubits, and CNOTs are
     self-inverse, so it matches exactly when the clockwise X columns equal
     ``target.inverse()``'s. X columns suffice because the target is checked
-    to have Z the inverse transpose of X, as every derived map has.
+    to have Z the inverse transpose of X, as every derived map has; the
+    inverse's X columns are then the target's own Z rows, so nothing is
+    inverted.
 
-    Raises ``SearchTooLarge``, before building any candidate, when the
-    candidate count could exceed ``MAX_SEARCH_CANDIDATES``. Below that
-    bound, and still before building anything, a target that is not of
-    that form (X·Zᵀ = I, ``is_symplectic``) returns no match: that covers
-    singular targets.
+    A target with more qubits than the circuit has gaps returns no match
+    before the candidate bound or the target is looked at. Raises
+    ``SearchTooLarge``, before building any candidate, when the candidate
+    count could exceed ``MAX_SEARCH_CANDIDATES``. Below that bound, and
+    still before building anything, a target that is not of that form
+    (X·Zᵀ = I, ``is_symplectic``) returns no match: that covers singular
+    targets.
     """
     if max_cuts < c.wires:
         raise BudgetTooSmall(f"need at least one cut per wire ({c.wires})")
@@ -647,6 +553,8 @@ def search_cuts(
     if need < c.wires or need > max_cuts:
         return []
     n_gaps = sum(c.symbol_count(w) for w in range(c.wires))
+    if need > n_gaps:
+        return []
     bound = len(c.gates) * comb(n_gaps - c.wires, need - c.wires)
     if bound > MAX_SEARCH_CANDIDATES:
         raise SearchTooLarge(
@@ -656,10 +564,11 @@ def search_cuts(
         )
     # every derived map has Z the inverse transpose of X, so a target
     # without that form matches no candidate in either direction, and for
-    # one with it equal X columns mean equal maps
+    # one with it equal X columns mean equal maps; its inverse's X columns,
+    # (Xᵀ)⁻¹ by rows, are then its Z rows
     if not target.is_symplectic():
         return []
-    cw_cols, ccw_cols = target.x_columns(), target.inverse().x_columns()
+    cw_cols, ccw_cols = target.x_columns(), list(target._z_rows)
     gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
     n_extra = need - c.wires
     visited: set[tuple[int, ...]] = set()

@@ -2,26 +2,29 @@
 
 Everything here deliberately avoids the library's solver internals: unitary
 brute force uses numpy, truth-table counting evaluates the model's integer
-clauses (``gate_vars``, selectors and ``joins``) as plain Boolean formulas,
+clauses (``gate_vars`` and ``joins``) as plain Boolean formulas,
 map conjugation is set algebra, and circuit generators build objects
 through the public constructors only. GF(2) references share no code
-with ``gf2``'s elimination kernel: ``gf2_rank`` keeps an XOR basis by
-leading bit and ``brute_force_solutions`` tries every assignment. The
-exceptions are four solver-based references: ``commutation_by_derivation``,
+with ``gf2``: ``gf2_rank`` keeps an XOR basis by leading bit,
+``reference_solve`` eliminates on the same basis and substitutes, and
+``brute_force_solutions`` tries every assignment. The exceptions are
+four solver-based references: ``commutation_by_derivation``,
 which ``check_commutation_invariance`` is tested against;
 ``solve_model_map``/``derive_by_both_models``, which solve the Z model
 directly where ``derive_transformations`` reads Z off the X map;
 ``solve_map_rows_with_joins``/``propagate_with_joins``, which keep one row
-per uncut join where ``solve_map_rows`` and ``propagate`` solve over join
-classes; and ``fault_map_by_model``, the pinned-ancilla fault body that
-built both models, where ``faulted_transformations`` solves X once with the
-missing gate's clause left out. ``fault_expected`` reads the gate-deleted
-oracle with ``resolve_arcs``' qubit numbering.
-``solve_map_rows`` and ``input_output_segments`` read map columns off the
-library's model solve (``propagate``'s) for these references; the library
-itself derives from the class walk. ``origin_ends`` reads each qubit's
-first and last class through ``resolve_arcs``' ``ArcOrigin``s, the
-reference for ``model.qubit_ends``, which reads them off ``cut_table``.
+per uncut join where ``solve_map_rows`` solves over join classes; and
+``fault_map_by_model``, the pinned-ancilla fault body that built both
+models, where ``faulted_transformations`` solves X once with the missing
+gate's clause left out. ``fault_expected`` reads the gate-deleted oracle
+with ``arc_ends``' qubit numbering.
+``solve_map_rows`` and ``input_output_segments`` read map columns off
+``solve_classes``, a model solve over join classes that no command needs
+(the library derives from the class walk and solves in one pass); every
+reference solve here runs ``reference_solve``. ``arc_ends`` names each qubit's
+input and output gaps off ``cut_table(...).arcs()``, and ``origin_ends``
+reads each qubit's first and last class through them, the reference for
+``model.qubit_ends``, which reads them off the table's cut lists.
 ``reference_build_model`` and ``reference_join_classes`` keep the segment
 loop and the class fold that ``model.walk_classes`` replaced; the walk and
 ``build_model`` are compared with them. Solver columns (per output, the
@@ -33,6 +36,7 @@ tracking only which variables are fixed.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,14 +54,12 @@ from circnot import (
     enumerate_cut_points,
     linearize,
     oracle_map,
-    resolve_arcs,
     spanning_gaps,
 )
-from circnot import gf2
-from circnot.circuits import CONTROL, TARGET
-from circnot.errors import NotAdjacent, Underdetermined, UnknownSegment, quote_int
+from circnot.circuits import CONTROL, TARGET, cut_table
+from circnot.errors import Inconsistent, NotAdjacent, UnpinnedSelector
 from circnot.icm import FaultSpec, inject_smgf
-from circnot.model import BooleanModel, ModelKind, _solve_model, parity_rows
+from circnot.model import BooleanModel, ModelKind, parity_rows, walk_classes
 
 
 def mkcirc(wires: int, pairs) -> CircularCircuit:
@@ -143,23 +145,74 @@ def rows_of_columns(cols) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(j for j, col in enumerate(cols) if col >> i & 1) for i in range(len(cols)))
 
 
-def solve_map_rows(m: BooleanModel, cut_gaps, ins, outs, pins=None, order=None) -> list[int]:
+def solve_classes(c: CircularCircuit, m: BooleanModel, cut_gaps, ins, pins) -> tuple[list[int], list[int]]:
+    """Per join class its solved rhs, and per variable its class, for a model's cut system.
+
+    ``m`` is an X or Z model of ``c`` (a combined clause has no selector and
+    raises UnpinnedSelector). The circuit is walked with the cuts
+    (``cut_gaps`` and the model's own) and each clause's splitting symbol.
+    Every segment ends or starts at a gap, so each variable takes the class
+    on its side of a gap. Rows over classes, one per input (rhs bit
+    ``1 + i``; None skips one), one per pin (variable -> bool, rhs bit 0) and
+    one per gate clause, go to ``reference_solve``.
+    """
+    if m.kind is ModelKind.COMBINED:
+        raise UnpinnedSelector(f"combined clause for gate {m.gate_ids[0]} has no selector")
+    on_wire: list[list[int]] = [[] for _ in range(c.wires)]
+    for gap in m.cut_gaps | cut_gaps:
+        m.gap_pair(gap)  # raises UnknownGap
+        on_wire[gap.wire].append(gap.index)
+    for wire_cuts in on_wire:
+        wire_cuts.sort()
+    split = [TARGET if m.kind is ModelKind.X else CONTROL] * len(c.gates)
+    classes = walk_classes(c, split, on_wire)
+    cls = [0] * m.n_vars
+    after, crossing = classes.after, classes.crossing
+    for syms, pairs in zip(c.symbol_tables, m.gap_vars):
+        for (gi, sk), (end, start) in zip(syms, pairs):
+            # a gap ends the class after its symbol and, uncut, continues it
+            cls[end] = cls[start] = after[gi] if sk is split[gi] else crossing[gi]
+    for wire_cuts, begins, pairs in zip(on_wire, classes.starting, m.gap_vars):
+        for i, start in zip(wire_cuts, begins):
+            cls[pairs[i][1]] = start
+    rows = [((cls[v],), 2 << i) for i, v in enumerate(ins) if v is not None]
+    rows += [((cls[v],), int(bool(value))) for v, value in pins.items()]
+    for a, b, x in zip(classes.before, classes.after, classes.crossing):
+        rows.append(((a, b, x) if a != b else (x,), 0))
+    return solve_rows(rows, classes.n), cls
+
+
+def solve_map_rows(c: CircularCircuit, m: BooleanModel, cut_gaps, ins, outs, pins=None) -> list[int]:
     """Map columns of a model's cut system: per output, the inputs that reach it.
 
-    Segments are variable indices of an X, Z or pinned combined model, solved
-    over join classes by the library's model solve (``propagate``'s). The
-    solve is symbolic, so one elimination yields every single-input
-    propagation. Only the linear part is read, not pinned offsets: output
-    ``j``'s column is an int mask with bit ``i`` set when input ``i``
-    reaches it; a skipped input sets no bit. Any gate ``order`` gives the
-    same columns.
+    Segments are variable indices of an X or Z model of ``c``, solved over
+    join classes (``solve_classes``). The solve is symbolic, so one
+    elimination yields every single-input propagation. Only the linear
+    part is read, not pinned offsets: output ``j``'s column is an int mask
+    with bit ``i`` set when input ``i`` reaches it; a skipped input sets no
+    bit.
     """
-    sol, cls = _solve_model(m, cut_gaps, ins, pins or {}, order)
+    sol, cls = solve_classes(c, m, cut_gaps, ins, pins or {})
     return [sol[cls[v]] >> 1 for v in outs]
 
 
+class ArcEnds(NamedTuple):
+    """A linear qubit's wire and the gaps its arc is entered and left at, in the traversal direction."""
+
+    wire: int
+    input_cut: Gap
+    output_cut: Gap
+
+
+def arc_ends(c: CircularCircuit, cuts: CutSet, d: Direction) -> tuple[int, tuple[ArcEnds, ...]]:
+    """The start slot and each qubit's ``ArcEnds``, off ``cut_table(c, cuts).arcs()``, reversed counter-clockwise."""
+    table = cut_table(c, cuts)
+    starts, ends = table.arcs() if d is Direction.CW else table.arcs()[::-1]
+    return table.start, tuple(ArcEnds(w, Gap(w, a), Gap(w, b)) for (w, a), (_, b) in zip(starts, ends))
+
+
 def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:
-    """Per linear qubit (``ArcOrigin``), the variables of its first and last segment under the traversal."""
+    """Per linear qubit (``ArcEnds``), the variables of its first and last segment under the traversal."""
     first, last = (1, 0) if d is Direction.CW else (0, 1)
     ins = [m.gap_pair(origin.input_cut)[first] for origin in origins]
     outs = [m.gap_pair(origin.output_cut)[last] for origin in origins]
@@ -167,12 +220,11 @@ def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[
 
 
 def origin_ends(classes, cut_lists, origins, d: Direction) -> tuple[list[int], list[int]]:
-    """Reference for ``model.qubit_ends``: per ``ArcOrigin``, the classes of its first and last segment.
+    """Reference for ``model.qubit_ends``: per ``ArcEnds``, the classes of its first and last segment.
 
     ``classes`` is a walk over ``cut_lists``. A traversal's first segment
     starts after the input cut (cw) or ends before it (ccw); the last one
-    mirrors that. This is the read-out that went through ``resolve_arcs``'
-    origins.
+    mirrors that.
     """
 
     def side(gap: Gap, starting: bool) -> int:
@@ -184,8 +236,8 @@ def origin_ends(classes, cut_lists, origins, d: Direction) -> tuple[list[int], l
 
 def solve_model_map(c: CircularCircuit, cuts: CutSet, d: Direction, model: BooleanModel):
     """Map rows of one parity model (X or Z), solved directly from that model."""
-    origins = resolve_arcs(c, cuts, d)[1]
-    return rows_of_columns(solve_map_rows(model, cuts.gaps(), *input_output_segments(model, origins, d)))
+    origins = arc_ends(c, cuts, d)[1]
+    return rows_of_columns(solve_map_rows(c, model, cuts.gaps(), *input_output_segments(model, origins, d)))
 
 
 def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models=None) -> StabiliserMap:
@@ -197,9 +249,9 @@ def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models
     """
     if models is None:
         models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-    origins = resolve_arcs(c, cuts, d)[1]
+    origins = arc_ends(c, cuts, d)[1]
     x_out, z_out = (
-        rows_of_columns(solve_map_rows(m, cuts.gaps(), *input_output_segments(m, origins, d)))
+        rows_of_columns(solve_map_rows(c, m, cuts.gaps(), *input_output_segments(m, origins, d)))
         for m in models
     )
     return StabiliserMap(len(origins), x_out, z_out)
@@ -227,7 +279,7 @@ def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, b
     rows += [((a, b), 0) for a, b in bridges if a != b]
     rows += [((v,), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
     rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
-    sol = gf2.solve_tagged(rows, m.n_vars, 1 + len(ins))
+    sol = solve_rows(rows, m.n_vars)
     return [sol[v] >> 1 for v in outs]
 
 
@@ -263,24 +315,13 @@ def one_pass_waits(rows) -> tuple[list[int], set[int]]:
 
 
 def propagate_with_joins(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
-    """Reference for ``propagate``: ``parity_rows`` plus one row per pin, over every variable.
+    """The pinned model's unique assignment: ``parity_rows`` plus one row per pin, over every variable.
 
-    ``propagate`` solves over join classes; this keeps the body it
-    replaced, whose ``Underdetermined.free`` names the pivot-free columns
-    of the full system.
+    Pins are variable indices of the model. Raises what ``solve_rows``
+    raises when the pins leave a variable free or contradict the system.
     """
-    n = m.n_vars
-    rows = parity_rows(m)
-    for v, value in pins.items():
-        if not 0 <= v < n:
-            raise UnknownSegment(f"variable {quote_int(v)} not in a model of {n} variables")
-        rows.append(((v,), int(bool(value))))
-    try:
-        sol = gf2.solve_tagged(rows, n, 1)
-    except Underdetermined as err:
-        free = [m.segment_name(i) for i in (err.free or [])]
-        raise Underdetermined(f"free segments remain: {free}", free=free) from None
-    return [bool(bit) for bit in sol]
+    rows = parity_rows(m) + [((v,), int(bool(value))) for v, value in pins.items()]
+    return [bool(bit) for bit in solve_rows(rows, m.n_vars)]
 
 
 def fault_map_by_model(c: CircularCircuit, base: CutSet, d: Direction, f, solve=None) -> StabiliserMap:
@@ -296,7 +337,7 @@ def fault_map_by_model(c: CircularCircuit, base: CutSet, d: Direction, f, solve=
     ``solve_map_rows_with_joins``' arguments, and is that by default.
     """
     solve = solve or solve_map_rows_with_joins
-    origins = resolve_arcs(c, base, d)[1]
+    origins = arc_ends(c, base, d)[1]
     cuts, patch = inject_smgf(c, base, f)
     added = {g for g in (patch.before_gap, patch.after_gap) if g not in base.gaps()}
     anc_in_gap = patch.before_gap if d is Direction.CW else patch.after_gap
@@ -326,7 +367,7 @@ def fault_map_by_model(c: CircularCircuit, base: CutSet, d: Direction, f, solve=
 
 
 def fault_expected(c: CircularCircuit, cuts: CutSet, d: Direction, gate_id: int):
-    """The oracle of the linearization with the gate deleted, its qubits numbered as ``resolve_arcs`` numbers them.
+    """The oracle of the linearization with the gate deleted, its qubits numbered as ``arc_ends`` numbers them.
 
     Returns the map and the live inputs and outputs: a base qubit whose
     input (output) cut is the fault ancilla's is absorbed.
@@ -335,7 +376,7 @@ def fault_expected(c: CircularCircuit, cuts: CutSet, d: Direction, gate_id: int)
     kept = tuple(g for g in lin.gates if g.source != gate_id)
     patch = inject_smgf(c, cuts, FaultSpec(gate=gate_id))[1]
     anc_in, anc_out = (patch.before_gap, patch.after_gap)[:: 1 if d is Direction.CW else -1]
-    origins = resolve_arcs(c, cuts, d)[1]
+    origins = arc_ends(c, cuts, d)[1]
     live_in = frozenset(q for q, o in enumerate(origins) if o.input_cut != anc_in)
     live_out = frozenset(q for q, o in enumerate(origins) if o.output_cut != anc_out)
     expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
@@ -382,7 +423,6 @@ def reference_build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     else:
         gate_vars = tuple(ctl + t for ctl, t in zip(control_at, target_at))
     return BooleanModel(
-        circuit=c,
         kind=kind,
         offsets=tuple(offsets),
         gate_vars=gate_vars,
@@ -391,18 +431,19 @@ def reference_build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     )
 
 
-def reference_triples(m: BooleanModel) -> list[tuple[int, int, int]]:
-    """Per gate (split-before, split-after, crossing): ``gate_vars`` in X and Z; a pinned
-    combined ``(a, b, tc, td)`` by its selector, X ``(tc, td, a)`` or Z ``(a, b, tc)``."""
+def reference_triples(m: BooleanModel, selectors=None) -> list[tuple[int, int, int]]:
+    """Per gate (split-before, split-after, crossing): ``gate_vars`` in X and Z; a
+    combined ``(a, b, tc, td)`` by its selector in ``selectors`` (gate id -> bool),
+    X ``(tc, td, a)`` or Z ``(a, b, tc)``."""
     if m.kind is not ModelKind.COMBINED:
         return list(m.gate_vars)
     return [
-        (tc, td, a) if m.selectors[gate_id] else (a, b, tc)
+        (tc, td, a) if selectors[gate_id] else (a, b, tc)
         for gate_id, (a, b, tc, td) in zip(m.gate_ids, m.gate_vars)
     ]
 
 
-def reference_join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
+def reference_join_classes(m: BooleanModel, cut_gaps, selectors=None) -> tuple[list[int], int]:
     """Reference for ``walk_classes``: the class of each model variable, and the class count.
 
     The join-class fold ``walk_classes`` replaced. Within a wire, variable
@@ -411,7 +452,7 @@ def reference_join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
     gap comes before it; a wire with neither is one class.
     """
     breaks = bytearray(m.n_vars)
-    for _, after, _ in reference_triples(m):
+    for _, after, _ in reference_triples(m, selectors):
         breaks[after] = 1
     for gap in cut_gaps:
         breaks[m.gap_pair(gap)[1]] = 1
@@ -546,22 +587,14 @@ def circuit_unitary(n: int, pairs) -> np.ndarray:
 
 
 def clause_truth(model: BooleanModel, assignment) -> bool:
-    """Evaluate the model as a plain Boolean formula (no linear algebra).
+    """Evaluate an X or Z model as a plain Boolean formula (no linear algebra).
 
     ``assignment[v]`` is the value of variable ``v``.
     """
-    for gate_id, clause_vars in zip(model.gate_ids, model.gate_vars):
-        if model.kind is ModelKind.COMBINED:
-            a, b, c, d = (assignment[v] for v in clause_vars)
-            x = model.selectors.get(gate_id)
-            lhs = x and (a ^ c ^ (not d)) and (a ^ (not b))
-            rhs = (not x) and (c ^ a ^ (not b)) and (c ^ (not d))
-            if not (lhs ^ rhs):
-                return False
-        else:
-            a, b, crossing = (assignment[v] for v in clause_vars)
-            if not (a ^ b ^ (not crossing)):
-                return False
+    for clause_vars in model.gate_vars:
+        a, b, crossing = (assignment[v] for v in clause_vars)
+        if not (a ^ b ^ (not crossing)):
+            return False
     for _, (r, t) in model.joins:
         if not ((not assignment[r]) ^ assignment[t]):
             return False
@@ -640,7 +673,7 @@ def restrict_map(m: StabiliserMap, live_in, live_out) -> StabiliserMap:
     return StabiliserMap(m.n_qubits, x, z)
 
 
-# --- GF(2) references, apart from gf2's elimination kernel --------------------
+# --- GF(2) references, apart from gf2 -----------------------------------------
 
 
 def gf2_rank(rows, n_cols: int) -> int:
@@ -655,6 +688,64 @@ def gf2_rank(rows, n_cols: int) -> int:
                 break
             row ^= basis[top]
     return len(basis)
+
+
+class Underdetermined(Exception):
+    """A reference solve leaves variables free; ``free`` lists them."""
+
+    def __init__(self, free):
+        super().__init__(f"free variables remain: {free}")
+        self.free = free
+
+
+def reference_solve(rows, n_vars: int):
+    """Solve bitmask rows ``coeffs | rhs << n_vars`` by elimination over every variable.
+
+    Each row is reduced by the rows kept so far, keyed by leading
+    coefficient as ``gf2_rank`` keys them, and kept under its leading
+    coefficient if one is left. A kept row holds only lower columns besides
+    its own, so the values follow by substitution in ascending column order.
+    Returns the per-variable rhs list, or ``(Inconsistent, None)`` when a
+    row reduces to a nonzero rhs alone, else ``(Underdetermined, free)``
+    with the columns no row leads.
+    """
+    coeff_mask = (1 << n_vars) - 1
+    kept: dict[int, int] = {}
+    inconsistent = False
+    for row in rows:
+        top = (row & coeff_mask).bit_length() - 1
+        while top in kept:
+            row ^= kept[top]
+            top = (row & coeff_mask).bit_length() - 1
+        if top >= 0:
+            kept[top] = row
+        elif row:
+            inconsistent = True
+    if inconsistent:
+        return Inconsistent, None
+    free = [col for col in range(n_vars) if col not in kept]
+    if free:
+        return Underdetermined, free
+    values = [0] * n_vars
+    for col in range(n_vars):
+        row = kept[col]
+        rhs, lower = row >> n_vars, row & ((1 << col) - 1)
+        while lower:
+            low = lower & -lower
+            rhs ^= values[low.bit_length() - 1]
+            lower ^= low
+        values[col] = rhs
+    return values
+
+
+def solve_rows(rows, n_vars: int) -> list[int]:
+    """``reference_solve`` of sparse ``(variables, rhs)`` rows; raises Inconsistent or Underdetermined."""
+    out = reference_solve([sum(1 << v for v in vs) | rhs << n_vars for vs, rhs in rows], n_vars)
+    if isinstance(out, list):
+        return out
+    if out[0] is Inconsistent:
+        raise Inconsistent("contradictory parity constraints")
+    raise Underdetermined(out[1])
 
 
 def brute_force_solutions(rows, n_vars: int) -> list[int]:

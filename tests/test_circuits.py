@@ -15,12 +15,11 @@ from circnot import (
     circularize,
     enumerate_cut_points,
     linearize,
-    resolve_arcs,
     spanning_gaps,
     validate_cut_set,
 )
 from circnot import circuits as circuits_module
-from circnot.circuits import ArcOrigin, CutTable, cut_table
+from circnot.circuits import CutTable, cut_table
 from circnot.errors import (
     ControlEqualsTarget,
     DuplicateCut,
@@ -34,7 +33,9 @@ from circnot.errors import (
 )
 from circnot.textio import parse_circuit
 from helpers import (
+    ArcEnds,
     all_small_circuits,
+    arc_ends,
     cyclic_equal,
     mkcirc,
     mklin,
@@ -330,15 +331,15 @@ class TestLinearize:
         cw = linearize(swap, swap_cut_sets["swap"], Direction.CW)
         ccw = linearize(swap, swap_cut_sets["swap"], Direction.CCW)
         assert ccw.gate_pairs() == tuple(reversed(cw.gate_pairs()))
-        _, cw_origins = resolve_arcs(swap, swap_cut_sets["swap"], Direction.CW)
-        _, ccw_origins = resolve_arcs(swap, swap_cut_sets["swap"], Direction.CCW)
+        _, cw_origins = arc_ends(swap, swap_cut_sets["swap"], Direction.CW)
+        _, ccw_origins = arc_ends(swap, swap_cut_sets["swap"], Direction.CCW)
         for o_cw, o_ccw in zip(cw_origins, ccw_origins):
             assert o_cw.input_cut == o_ccw.output_cut
             assert o_cw.output_cut == o_ccw.input_cut
 
 
 def arcs_reference(c, cuts, d):
-    """Start slot and arc origins by the rule ``linearize`` always used.
+    """Start slot and each qubit's ``ArcEnds`` by the rule ``linearize`` always used.
 
     Start at the wrap slot when it is radial, else at the first radial slot;
     on each wire, the arcs run between consecutive sorted cuts, from the
@@ -354,7 +355,7 @@ def arcs_reference(c, cuts, d):
         rotated = indices[at:] + indices[:at]
         for a, b in zip(rotated, rotated[1:] + rotated[:1]):
             ends = (Gap(w, a), Gap(w, b)) if d is Direction.CW else (Gap(w, b), Gap(w, a))
-            origins.append(ArcOrigin(w, *ends))
+            origins.append(ArcEnds(w, *ends))
     return start, tuple(origins)
 
 
@@ -367,13 +368,15 @@ def error_of(fn, *args):
 
 
 class TestResolveArcs:
+    """``cut_table``'s start slot and ``CutTable.arcs``, read as ``arc_ends``, against ``arcs_reference``."""
+
     def test_small_sweep_matches_reference(self):
         checked = 0
         for c, cut_sets in small_sweep_cut_sets():
             for cuts in cut_sets:
                 for d in Direction:
                     expected = arcs_reference(c, cuts, d)
-                    assert resolve_arcs(c, cuts, d) == expected
+                    assert arc_ends(c, cuts, d) == expected
                     checked += 1
         assert checked > 26000
 
@@ -388,7 +391,7 @@ class TestResolveArcs:
             for cuts in cut_sets:
                 expected = error_of(validate_cut_set, c, cuts)
                 for d in Direction:
-                    assert error_of(resolve_arcs, c, cuts, d) == expected
+                    assert error_of(arc_ends, c, cuts, d) == expected
                 checked += expected is not None
         assert checked > 1000
 
@@ -397,10 +400,10 @@ class TestResolveArcs:
         cuts = CutSet.of([(0, 0), (0, 1), (1, 0)])
         assert list(validate_cut_set(swap, cuts)) == [0]
         g = lambda w, i: Gap(w, i)  # noqa: E731
-        cw = (ArcOrigin(0, g(0, 0), g(0, 1)), ArcOrigin(0, g(0, 1), g(0, 0)), ArcOrigin(1, g(1, 0), g(1, 0)))
-        assert resolve_arcs(swap, cuts, Direction.CW) == (0, cw)
-        ccw = tuple(ArcOrigin(o.wire, o.output_cut, o.input_cut) for o in cw)
-        assert resolve_arcs(swap, cuts, Direction.CCW) == (0, ccw)
+        cw = (ArcEnds(0, g(0, 0), g(0, 1)), ArcEnds(0, g(0, 1), g(0, 0)), ArcEnds(1, g(1, 0), g(1, 0)))
+        assert arc_ends(swap, cuts, Direction.CW) == (0, cw)
+        ccw = tuple(ArcEnds(o.wire, o.output_cut, o.input_cut) for o in cw)
+        assert arc_ends(swap, cuts, Direction.CCW) == (0, ccw)
         # read from slot 0: gates 1, 2, 0; qubit 0 holds wire 0's symbol 1
         lin = linearize(swap, cuts, Direction.CW)
         assert [gate.source for gate in lin.gates] == [1, 2, 0]
@@ -414,7 +417,7 @@ class TestResolveArcs:
 
         monkeypatch.setattr(circuits_module, "spanning_gaps", refuse)
         monkeypatch.setattr(circuits_module, "validate_cut_set", refuse)
-        start, origins = resolve_arcs(c, record.seam, Direction.CW)
+        start, origins = arc_ends(c, record.seam, Direction.CW)
         assert start == len(c.gates) - 1
         assert [(o.wire, o.input_cut, o.output_cut) for o in origins] == [
             (g.wire, g, g) for g in record.seam.sorted_gaps()

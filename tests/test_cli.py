@@ -927,14 +927,43 @@ SEARCH_SWAP_GOLDEN = {
 }
 
 
+@pytest.fixture
+def no_inverse(monkeypatch):
+    # the search reads the counter-clockwise columns off the target's Z rows
+    from circnot import StabiliserMap
+
+    def refuse(self):
+        raise AssertionError("the target was inverted")
+
+    monkeypatch.setattr(StabiliserMap, "inverse", refuse)
+
+
 @pytest.mark.parametrize("name", sorted(SEARCH_SWAP_GOLDEN))
-def test_search_swap_golden(tmp_path, swap, swap_file, swap_cut_sets, name):
+def test_search_swap_golden(tmp_path, swap, swap_file, swap_cut_sets, no_inverse, name):
     from circnot import Direction, linearize, oracle_map
 
     target = tmp_path / "target.map"
     target.write_text(oracle_map(linearize(swap, swap_cut_sets[name], Direction.CW)).report())
     code, out = run(["search", swap_file, "--target", str(target), "--max-cuts", "4"])
     assert (code, out) == (0, SEARCH_SWAP_GOLDEN[name])
+
+
+def test_search_target_past_gap_count_inverts_nothing(tmp_path, swap_file, monkeypatch):
+    # a 2,000-qubit target against the SWAP's six gaps: no candidate can
+    # have that many cuts, so the target's form is not checked and no map
+    # is inverted (two 2,000 x 2,000 inversions)
+    from circnot import StabiliserMap, gf2
+
+    def refuse(*args):
+        raise AssertionError("the target was checked or a matrix inverted")
+
+    monkeypatch.setattr(gf2, "invert", refuse)
+    monkeypatch.setattr(StabiliserMap, "is_symplectic", refuse)
+    n = 2000
+    target = tmp_path / "identity.map"
+    target.write_text("".join(f"{kind}{q} -> {kind}{{{q}}}\n" for kind in "XZ" for q in range(n)))
+    code, out = run(["search", swap_file, "--target", str(target), "--max-cuts", str(n)])
+    assert (code, out) == (0, "found 0\n")
 
 
 # A 3-wire search whose twelve results span several radial slots; the
@@ -958,13 +987,39 @@ THREE_WIRE_SEARCH_GOLDEN = "".join(
 ) + "found 12\n"
 
 
-def test_search_three_wire_golden(tmp_path):
+def test_search_three_wire_golden(tmp_path, no_inverse):
     circ = tmp_path / "three.circ"
     circ.write_text(THREE_WIRE_CIRC)
     target = tmp_path / "three.map"
     target.write_text(THREE_WIRE_TARGET)
     code, out = run(["search", str(circ), "--target", str(target), "--max-cuts", "5"])
     assert (code, out) == (0, THREE_WIRE_SEARCH_GOLDEN)
+
+
+# ``derive`` stdout, captured before the model solve and the elimination
+# fallback were deleted: one file per case under tests/golden, by (circuit,
+# cut set, direction); each SWAP cut set both ways, and the 3-wire search
+# circuit over the cuts of its target
+THREE_WIRE_CUTS = "cut 0 0\ncut 0 2\ncut 1 3\ncut 2 0\n"
+DERIVE_CASES = {
+    **{
+        f"derive-{name}-{d}": (SWAP_CIRC, name, d)
+        for name in ("swap", "single-cnot", "teleported-cnot", "sdt")
+        for d in ("cw", "ccw")
+    },
+    **{f"derive-three-wire-{d}": (THREE_WIRE_CIRC, None, d) for d in ("cw", "ccw")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVE_CASES))
+def test_derive_golden(tmp_path, swap_cut_sets, capsys, case):
+    circuit, cut_name, direction = DERIVE_CASES[case]
+    path, cut_path = tmp_path / "in.circ", tmp_path / "in.cuts"
+    path.write_text(circuit)
+    cut_path.write_text(THREE_WIRE_CUTS if cut_name is None else format_cut_set(swap_cut_sets[cut_name]))
+    code, out = run(["derive", str(path), "--cuts", str(cut_path), "--dir", direction])
+    assert (code, out.encode()) == (0, (KV_GOLDEN / f"{case}.out").read_bytes())
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from circnot import gf2
-from circnot.errors import Inconsistent, Underdetermined
-from helpers import brute_force_solutions, gf2_rank
+from circnot.errors import CircnotError, Inconsistent
+from helpers import Underdetermined, brute_force_solutions, gf2_rank, reference_solve
 
 
 def bits(*cols):
@@ -57,16 +57,24 @@ def test_solve_tagged_unique():
     assert sol[2] == 0b100
 
 
+def assert_internal_error(rows, n_vars, tag_width):
+    # a system the one pass cannot finish breaks an invariant of the
+    # library, so it is not reported as an input error
+    with pytest.raises(RuntimeError) as err:
+        gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width)
+    assert not isinstance(err.value, CircnotError)
+
+
 def test_solve_tagged_underdetermined():
-    with pytest.raises(Underdetermined):
-        gf2.solve_tagged(sparse([bits(0, 1)], 2), 2, 1)
+    assert reference_solve([bits(0, 1)], 2) == (Underdetermined, [0])
+    assert_internal_error([bits(0, 1)], 2, 1)
 
 
 def test_solve_tagged_inconsistent():
     n = 1
     rows = [bits(0) | (1 << n), bits(0)]
-    with pytest.raises(Inconsistent):
-        gf2.solve_tagged(sparse(rows, n), n, 1)
+    assert reference_solve(rows, n) == (Inconsistent, None)
+    assert_internal_error(rows, n, 1)
 
 
 def test_solution_space_enumeration():
@@ -112,43 +120,38 @@ def test_invert_singular():
         gf2.invert([bits(0), bits(0)], 2)
 
 
-# --- solve_tagged against a plain Gauss-Jordan reference -----------------------
+# --- solve_tagged against the elimination reference -----------------------------
 
 
-def reference_solve(rows, n_vars):
-    """Dense Gauss-Jordan over every variable, written independently of gf2.
-
-    Returns the per-variable rhs list, or the error class and the free list
-    that the solver must raise for the same input.
-    """
-    work = list(rows)
-    pivot_of = {}
-    done = 0
-    for col in range(n_vars):
-        hit = next((i for i in range(done, len(work)) if work[i] >> col & 1), None)
-        if hit is None:
-            continue
-        work[done], work[hit] = work[hit], work[done]
-        for i in range(len(work)):
-            if i != done and work[i] >> col & 1:
-                work[i] ^= work[done]
-        pivot_of[col] = done
-        done += 1
-    if any(work[i] >> n_vars for i in range(done, len(work))):
-        return Inconsistent, None
-    free = [c for c in range(n_vars) if c not in pivot_of]
-    if free:
-        return Underdetermined, free
-    return [work[pivot_of[c]] >> n_vars for c in range(n_vars)]
+def sparse_outcome(rows, n_vars, tag_width):
+    """``solve_tagged``'s solution on sparse rows, or RuntimeError."""
+    try:
+        return gf2.solve_tagged(rows, n_vars, tag_width)
+    except RuntimeError:
+        return RuntimeError
 
 
 def solve_outcome(rows, n_vars, tag_width):
-    try:
-        return gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width)
-    except Underdetermined as err:
-        return Underdetermined, err.free
-    except Inconsistent:
-        return Inconsistent, None
+    """``solve_tagged``'s solution on bitmask rows, or RuntimeError."""
+    return sparse_outcome(sparse(rows, n_vars), n_vars, tag_width)
+
+
+def test_reference_solve_matches_brute_force():
+    # the reference every solve is checked against, pinned down by trying
+    # every assignment: one solution, none, or several
+    rng = random.Random(3)
+    kinds = set()
+    for _ in range(300):
+        n_vars = rng.randint(1, 6)
+        rows = [rng.getrandbits(n_vars + 1) for _ in range(rng.randint(0, 2 * n_vars))]
+        solutions = brute_force_solutions(rows, n_vars)
+        got = reference_solve(rows, n_vars)
+        if len(solutions) == 1:
+            assert got == [solutions[0] >> v & 1 for v in range(n_vars)]
+        else:
+            assert got[0] is (Inconsistent if not solutions else Underdetermined)
+        kinds.add(min(len(solutions), 2))
+    assert kinds == {0, 1, 2}
 
 
 def triangular_system(rng, n_vars, tag_width):
@@ -183,30 +186,32 @@ def test_solve_tagged_triangular_propagates(seed):
     # consistent redundant rows ride along
     for _ in range(rng.randint(0, 5)):
         rows.append(rows[rng.randrange(n_vars)] ^ rows[rng.randrange(n_vars)])
-    assert gf2._propagate_units(sparse(rows, n_vars), n_vars) is not None
     assert gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width) == reference_solve(rows, n_vars)
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_solve_tagged_no_unit_falls_back(seed):
+def test_solve_tagged_no_unit_raises(seed):
+    # a full-rank system with no unit row has a unique solution, but one
+    # pass cannot take a first step; every system the library writes has
+    # one, so this is an internal error, not an elimination
     rng = random.Random(seed)
     n_vars, tag_width = rng.randint(3, 16), rng.randint(1, 6)
     rows = no_unit_full_rank_system(rng, n_vars, tag_width)
-    assert gf2._propagate_units(sparse(rows, n_vars), n_vars) is None
-    assert gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width) == reference_solve(rows, n_vars)
+    assert isinstance(reference_solve(rows, n_vars), list)
+    assert_internal_error(rows, n_vars, tag_width)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_solve_tagged_underdetermined_matches_reference(seed):
+    # where the reference leaves variables free, the pass refuses the system
     rng = random.Random(seed)
     n_vars, tag_width = rng.randint(2, 30), rng.randint(1, 4)
     rows = triangular_system(rng, n_vars, tag_width)
     # dropping rows leaves variables free; propagation stalls or leaves them unforced
     for _ in range(rng.randint(1, n_vars - 1)):
         rows.pop(rng.randrange(len(rows)))
-    expected = reference_solve(rows, n_vars)
-    assert expected[0] is Underdetermined
-    assert solve_outcome(rows, n_vars, tag_width) == expected
+    assert reference_solve(rows, n_vars)[0] is Underdetermined
+    assert_internal_error(rows, n_vars, tag_width)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -221,7 +226,7 @@ def test_solve_tagged_inconsistent_matches_reference(seed):
     a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
     rows.append(rows[a] ^ rows[b] ^ 1 << (n_vars + rng.randrange(tag_width)))
     assert reference_solve(rows, n_vars) == (Inconsistent, None)
-    assert solve_outcome(rows, n_vars, tag_width) == (Inconsistent, None)
+    assert_internal_error(rows, n_vars, tag_width)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -233,7 +238,13 @@ def test_solve_tagged_random_sparse_matches_reference(seed):
         | rng.getrandbits(tag_width) << n_vars
         for _ in range(rng.randint(0, 2 * n_vars))
     ]
-    assert solve_outcome(rows, n_vars, tag_width) == reference_solve(rows, n_vars)
+    # the pass finds the unique solution or refuses the system, never a wrong one
+    expected = reference_solve(rows, n_vars)
+    got = solve_outcome(rows, n_vars, tag_width)
+    if isinstance(expected, list):
+        assert got in (expected, RuntimeError)
+    else:
+        assert got is RuntimeError
 
 
 def systems_of_each_kind(rng):
@@ -261,40 +272,21 @@ def systems_of_each_kind(rng):
     yield no_unit_full_rank_system(rng, n_vars, tag_width), n_vars, tag_width
 
 
-def outcome_and_stall(rows, n_vars, tag_width):
-    """``solve_tagged``'s solution or error, and whether propagation gives up, on sparse rows."""
-    try:
-        outcome = gf2.solve_tagged(rows, n_vars, tag_width)
-    except Underdetermined as err:
-        outcome = Underdetermined, err.free
-    except Inconsistent:
-        outcome = Inconsistent, None
-    return outcome, gf2._propagate_units(rows, n_vars) is None
-
-
 @pytest.mark.parametrize("seed", range(30))
 def test_row_order_keeps_outcome_and_propagation(seed):
     # the kernel reads rows in order, but every order of the rows, and of the
-    # variables in each row, reaches the same closure: the same solution or
-    # error, and the same fallback to elimination
+    # variables in each row, reaches the same closure: the same solution, or
+    # the same refusal
     rng = random.Random(seed)
     stalls = set()
     for rows, n_vars, tag_width in systems_of_each_kind(rng):
         rows = sparse(rows, n_vars)
-        expected = outcome_and_stall(rows, n_vars, tag_width)
-        stalls.add(expected[1])
+        expected = sparse_outcome(rows, n_vars, tag_width)
+        stalls.add(expected is RuntimeError)
         for _ in range(4):
             shuffled = [(tuple(rng.sample(vs, len(vs))), rhs) for vs, rhs in rng.sample(rows, len(rows))]
-            assert outcome_and_stall(shuffled, n_vars, tag_width) == expected
+            assert sparse_outcome(shuffled, n_vars, tag_width) == expected
     assert stalls == {False, True}
-
-
-def test_solve_tagged_checks_reduction_without_assert(monkeypatch):
-    # the read-out check is a raise, so it survives ``python -O``
-    monkeypatch.setattr(gf2, "_propagate_units", lambda rows, n_vars: None)
-    monkeypatch.setattr(gf2, "_eliminate", lambda work, n_cols: {0: 0, 1: 1})
-    with pytest.raises(RuntimeError):
-        gf2.solve_tagged(sparse([bits(0, 1), bits(1)], 2), 2, 1)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -22,9 +22,7 @@ from circnot import (
     enumerate_cut_points,
     linearize,
     oracle_map,
-    pin_selectors,
     parity_rows,
-    propagate,
     search_cuts,
     strip_and_circularize,
     toffoli_decomposition,
@@ -37,18 +35,14 @@ from circnot.errors import (
     NoRadialCut,
     NotAdjacent,
     SearchTooLarge,
-    Underdetermined,
     UnknownGap,
-    UnknownGate,
-    UnknownSegment,
     UnpinnedSelector,
     WireOutOfRange,
 )
 from circnot import circuits as circuits_module
 from circnot import gf2
-from circnot import icm as icm_module
 from circnot import model as model_module
-from circnot.circuits import CONTROL, TARGET, LinearCircuit, cut_table, resolve_arcs
+from circnot.circuits import CONTROL, TARGET, LinearCircuit, cut_table
 from circnot.cli import parity_text
 from circnot.icm import FaultSpec, faulted_transformations, inject_smgf
 from circnot.model import MAX_SEARCH_CANDIDATES, ModelKind, qubit_ends
@@ -56,7 +50,9 @@ from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
     SWAP_X_REF,
     SWAP_Z_REF,
+    Underdetermined,
     all_small_circuits,
+    arc_ends,
     commutation_by_derivation,
     conjugate_by_cnot,
     count_model_solutions,
@@ -78,6 +74,7 @@ from helpers import (
     restrict_map,
     rows_of_columns,
     small_sweep_cut_sets,
+    solve_classes,
     solve_map_rows,
     solve_map_rows_with_joins,
     solve_model_map,
@@ -144,42 +141,16 @@ class TestBuildModel:
 
 
 class TestCombinedModel:
-    def _cut_pinned(self, value):
-        single = mkcirc(2, [(0, 1)])
-        m = pin_selectors(build_model(single, ModelKind.COMBINED), {0: value})
-        m = apply_cuts(m, CutSet.of([(0, 0), (1, 0)]))
-        return m, m.gate_vars[0]
-
-    def test_x_spreads_control_to_target(self):
-        m, cl = self._cut_pinned(True)
-        a, b, c, d = cl
-        sol = propagate(m, {a: True, c: False})
-        assert sol[d] is True
-        assert sol[b] is True  # control unchanged: a equivalent to b
-
-    def test_z_spreads_target_to_control(self):
-        m, cl = self._cut_pinned(False)
-        a, b, c, d = cl
-        sol = propagate(m, {c: True, a: False})
-        assert sol[b] is True
-        assert sol[d] is True  # target unchanged: c equivalent to d
-
-    def test_zero_input_zero_output(self):
-        m, cl = self._cut_pinned(True)
-        a, b, c, d = cl
-        sol = propagate(m, {a: False, c: False})
-        assert sol[b] is False and sol[d] is False
-
     def test_unpinned_selector_rejected(self, single_cnot):
         m = build_model(single_cnot, ModelKind.COMBINED)
-        with pytest.raises(UnpinnedSelector):
+        with pytest.raises(UnpinnedSelector, match="^combined clause for gate 0 has no selector$"):
             parity_rows(m)
 
     def test_selector_reduction_matches_split_models(self, single_cnot):
-        # pinned-true solutions over (a, c, d) with a == b equal the X-model
-        # clause's; pinned-false likewise for the Z model
+        # the combined clause read as X (true) over (a, c, d) with a == b
+        # has the X-model clause's solutions; read as Z (false) the Z model's
         for value, kind in ((True, ModelKind.X), (False, ModelKind.Z)):
-            cm = pin_selectors(build_model(single_cnot, ModelKind.COMBINED), {0: value})
+            cm = build_model(single_cnot, ModelKind.COMBINED)
             a, b, c, d = cm.gate_vars[0]
             combined = set()
             for bits in itertools.product([False, True], repeat=4):
@@ -291,54 +262,6 @@ class TestParitySystem:
         assert all(line.split()[-1] == "0" for line in lines)
 
 
-class TestPropagate:
-    def test_swap_exchanges(self, swap, swap_cut_sets):
-        m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
-        _, origins = resolve_arcs(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_pair(o.input_cut)[1] for o in origins]
-        outs = [m.gap_pair(o.output_cut)[0] for o in origins]
-        sol = propagate(m, {ins[0]: True, ins[1]: False})
-        assert sol[outs[0]] is False
-        assert sol[outs[1]] is True
-
-    def test_all_false_inputs(self, swap, swap_cut_sets):
-        m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
-        _, origins = resolve_arcs(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_pair(o.input_cut)[1] for o in origins]
-        sol = propagate(m, {seg: False for seg in ins})
-        assert sol == [False] * m.n_vars
-
-    def test_uncut_underdetermined(self, swap):
-        # free segments are named as in ``circnot model``
-        for kind, free in ((ModelKind.X, "w1s4"), (ModelKind.Z, "w1s3")):
-            with pytest.raises(Underdetermined) as err:
-                propagate(build_model(swap, kind), {})
-            assert err.value.free == [free]
-            assert str(err.value) == f"free segments remain: ['{free}']"
-
-    def test_conflicting_pins_inconsistent(self, swap, swap_cut_sets):
-        from circnot.errors import Inconsistent
-
-        m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
-        _, (r, t) = m.joins[0]
-        _, origins = resolve_arcs(swap, swap_cut_sets["swap"], Direction.CW)
-        ins = [m.gap_pair(o.input_cut)[1] for o in origins]
-        pins = {seg: False for seg in ins}
-        pins[r], pins[t] = True, False  # contradict the surviving join
-        with pytest.raises(Inconsistent):
-            propagate(m, pins)
-
-    def test_unknown_segment(self, swap, swap_cut_sets):
-        # pins outside 0..n_vars-1 are refused; -1 must not pin the last
-        # variable through list indexing
-        m = apply_cuts(build_model(swap, ModelKind.X), swap_cut_sets["swap"])
-        assert m.n_vars == 9
-        for v in (-1, 9):
-            with pytest.raises(UnknownSegment) as err:
-                propagate(m, {v: True})
-            assert err.value.code == "unknown-segment"
-
-
 SWAP_MAP = StabiliserMap(
     2,
     x_out=(frozenset({1}), frozenset({0})),
@@ -372,14 +295,15 @@ class TestDeriveTransformations:
             assert ccw == cw.inverse()
 
     def test_matches_per_input_propagation(self, swap, swap_cut_sets):
-        # the one-shot symbolic solve must agree with per-input propagate
+        # the one-shot symbolic solve must agree with pinning one input at a
+        # time in the cut model's parity rows
         cases = [(swap, swap_cut_sets["teleported-cnot"], Direction.CW)]
         for c in all_small_circuits(max_wires=3, max_gates=3):
             for slot in range(len(c.slots())):
                 cuts = CutSet.of(c.gap_spanning(w, slot) for w in range(c.wires))
                 cases += [(c, cuts, d) for d in (Direction.CW, Direction.CCW)]
         for c, cuts, d in cases:
-            _, origins = resolve_arcs(c, cuts, d)
+            _, origins = arc_ends(c, cuts, d)
             derived = derive_transformations(c, cuts, d)
             # the first segment under the traversal starts after the input
             # cut (cw) or ends before it (ccw); the last one mirrors that
@@ -389,7 +313,7 @@ class TestDeriveTransformations:
                 ins = [m.gap_pair(o.input_cut)[first] for o in origins]
                 outs = [m.gap_pair(o.output_cut)[last] for o in origins]
                 for q in range(len(origins)):
-                    sol = propagate(m, {seg: seg == ins[q] for seg in ins})
+                    sol = propagate_with_joins(m, {seg: seg == ins[q] for seg in ins})
                     assert frozenset(j for j, seg in enumerate(outs) if sol[seg]) == rows[q]
 
 
@@ -437,7 +361,7 @@ class TestSparseRows:
 
     @pytest.fixture
     def no_packing(self, monkeypatch):
-        # bitmask rows exist only for Gauss-Jordan, which these never reach
+        # bitmask rows exist only for ``circnot model --parity``
         def refuse(rows, n_vars):
             raise AssertionError("rows were packed into bitmasks")
 
@@ -466,38 +390,38 @@ class TestSparseRows:
         extra = rng.sample(sorted(every_gap - record.seam.gaps()), 2)
         cuts = CutSet.of(sorted(record.seam.gaps() | set(extra)))
         d = rng.choice([Direction.CW, Direction.CCW])
-        _, origins = resolve_arcs(c, cuts, d)
+        _, origins = arc_ends(c, cuts, d)
         gaps = sorted(cuts.gaps())
         derived = derive_transformations(c, cuts, d)
         for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
             m = build_model(c, kind)
             ins, outs = input_output_segments(m, origins, d)
-            whole = solve_map_rows(m, cuts.gaps(), ins, outs)
+            whole = solve_map_rows(c, m, cuts.gaps(), ins, outs)
             assert rows_of_columns(whole) == rows
             for _ in range(6):
                 on_model = frozenset(rng.sample(gaps, rng.randint(0, len(gaps))))
                 # the call may repeat gaps already cut on the model
                 in_call = (cuts.gaps() - on_model) | frozenset(rng.sample(gaps, rng.randint(0, 2)))
-                assert solve_map_rows(apply_cuts(m, CutSet(on_model)), in_call, ins, outs) == whole
+                assert solve_map_rows(c, apply_cuts(m, CutSet(on_model)), in_call, ins, outs) == whole
 
 
 def solve_or_error(solve, *args, **kwargs):
-    """The solution, or the error class with ``Underdetermined.free`` (None for Inconsistent)."""
+    """The solution, or the class of the error the reference solve raised."""
     try:
         return solve(*args, **kwargs)
     except (Underdetermined, Inconsistent) as err:
-        return type(err), getattr(err, "free", None)
+        return type(err)
 
 
 class TestJoinClasses:
-    """``solve_map_rows`` solves over join classes; the join-row solve is the reference."""
+    """``solve_map_rows`` solves over the walk's join classes; the join-row solve is the reference."""
 
     @staticmethod
-    def assert_same(m, cut_gaps, ins, outs, pins=None, order=None):
-        # values, or the error class and the free variables it names
-        got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins, order)
+    def assert_same(c, m, cut_gaps, ins, outs, pins=None):
+        # values, or the error class
+        got = solve_or_error(solve_map_rows, c, m, cut_gaps, ins, outs, pins)
         assert got == solve_or_error(solve_map_rows_with_joins, m, cut_gaps, ins, outs, pins)
-        return got[0] if isinstance(got, tuple) else got
+        return got
 
     def test_small_radial_families(self):
         # each radial family alone and with one extra gap, both kinds, both ways
@@ -510,10 +434,10 @@ class TestJoinClasses:
                 for extra in [()] + [(gap,) for gap in gaps if gap not in family]:
                     cuts = CutSet.of(family.union(extra))
                     for d in Direction:
-                        _, origins = resolve_arcs(c, cuts, d)
+                        _, origins = arc_ends(c, cuts, d)
                         for m in models:
                             ins, outs = input_output_segments(m, origins, d)
-                            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
+                            assert isinstance(self.assert_same(c, m, cuts.gaps(), ins, outs), list)
                             checked += 1
         assert checked > 1800
 
@@ -526,8 +450,8 @@ class TestJoinClasses:
         cuts = CutSet.of(sorted(record.seam.gaps() | set(extra)))
         for kind, d in ((ModelKind.X, Direction.CW), (ModelKind.Z, Direction.CCW)):
             m = build_model(c, kind)
-            ins, outs = input_output_segments(m, resolve_arcs(c, cuts, d)[1], d)
-            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
+            ins, outs = input_output_segments(m, arc_ends(c, cuts, d)[1], d)
+            assert isinstance(self.assert_same(c, m, cuts.gaps(), ins, outs), list)
 
     def test_fault_pins_and_bridges(self):
         # the pinned-ancilla fault construction (pins and bridges on the
@@ -535,16 +459,16 @@ class TestJoinClasses:
         # systems solve alike over join classes and with join rows, and
         # only the join-row solve writes a bridge
         shapes = set()
-
-        def both(m, cut_gaps, ins, outs, pins, bridges):
-            shapes.add((len(pins), len(bridges)))
-            if bridges:
-                return solve_map_rows_with_joins(m, cut_gaps, ins, outs, pins, bridges)
-            return self.assert_same(m, cut_gaps, ins, outs, pins)
-
         for seed in range(3):
             rng = random.Random(seed)
             c, record = random_circularized(seed, 5, 32)
+
+            def both(m, cut_gaps, ins, outs, pins, bridges):
+                shapes.add((len(pins), len(bridges)))
+                if bridges:
+                    return solve_map_rows_with_joins(m, cut_gaps, ins, outs, pins, bridges)
+                return self.assert_same(c, m, cut_gaps, ins, outs, pins)
+
             every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
             extra = rng.sample(sorted(every_gap - record.seam.gaps()), 6)
             for base in (record.seam, CutSet.of(sorted(record.seam.gaps() | set(extra)))):
@@ -571,47 +495,9 @@ class TestJoinClasses:
                     for m in models:
                         ins = [m.gap_pair(gap)[1] for gap in chosen]
                         outs = [m.gap_pair(gap)[0] for gap in chosen]
-                        got = self.assert_same(m, frozenset(chosen), ins, outs)
+                        got = self.assert_same(c, m, frozenset(chosen), ins, outs)
                         raised[got if isinstance(got, type) else None] += 1
         assert raised[Underdetermined] > 900 and raised[Inconsistent] > 1300
-
-    def test_free_names_greatest_variable_of_each_free_class(self, single_cnot):
-        # X model: wire 0 is variable 0; the target splits wire 1 into 1 and 2,
-        # which its uncut gap joins into one free class; both solves name 2,
-        # the class's greatest variable and the join-row solve's pivot-free column
-        m = build_model(single_cnot, ModelKind.X)
-        for solve in (solve_map_rows, solve_map_rows_with_joins):
-            with pytest.raises(Underdetermined) as err:
-                solve(m, frozenset(), [], [])
-            assert err.value.free == [2]
-
-    def test_pinned_combined_matches_x_and_z_models(self, single_cnot):
-        # a combined model with every selector X (or Z) gives the X (or Z)
-        # model's columns: each radial family alone and with one extra gap
-        checked = 0
-        for c in all_small_circuits(3, 3):
-            gaps = [p.gap for p in enumerate_cut_points(c)]
-            combined = build_model(c, ModelKind.COMBINED)
-            pairs = [
-                (build_model(c, kind), pin_selectors(combined, dict.fromkeys(combined.gate_ids, value)))
-                for kind, value in ((ModelKind.X, True), (ModelKind.Z, False))
-            ]
-            for slot in range(len(c.gates)):
-                family = {c.gap_spanning(w, slot) for w in range(c.wires)}
-                for extra in [()] + [(gap,) for gap in gaps if gap not in family]:
-                    cuts = CutSet.of(family.union(extra))
-                    for d in Direction:
-                        _, origins = resolve_arcs(c, cuts, d)
-                        for split, pinned in pairs:
-                            want = solve_map_rows(split, cuts.gaps(), *input_output_segments(split, origins, d))
-                            got = solve_map_rows(pinned, cuts.gaps(), *input_output_segments(pinned, origins, d))
-                            assert got == want
-                            checked += 1
-        assert checked > 1800
-        # a selector left unpinned is refused, naming its gate
-        m = pin_selectors(build_model(single_cnot, ModelKind.COMBINED), {})
-        with pytest.raises(UnpinnedSelector, match="^combined clause for gate 0 has no selector$"):
-            solve_map_rows(m, frozenset({Gap(0, 0), Gap(1, 0)}), [None, None], [])
 
 
 class TestOnePassOrder:
@@ -646,7 +532,7 @@ class TestOnePassOrder:
                 cut_sets.append(CutSet.of(sorted(middle | extra)))
             for cuts in cut_sets:
                 for d in Direction:
-                    starts.add(resolve_arcs(c, cuts, d)[0] == n_gates - 1)
+                    starts.add(cut_table(c, cuts).start == n_gates - 1)
                     systems.clear()
                     derive_transformations(c, cuts, d)
                     ((rows, n_vars),) = systems
@@ -701,57 +587,52 @@ class TestOnePassOrder:
 
 
 class TestPropagateOverClasses:
-    """``propagate`` solves over join classes; the full-variable solve is the reference."""
+    """A pinned solve over the walk's join classes (``solve_classes``) against
+    ``propagate_with_joins``, which solves ``parity_rows`` over every variable."""
 
     @staticmethod
-    def assert_same(m, pins):
-        # values, or the error class, message and ``free``
+    def assert_same(c, m, pins):
+        # values per variable, or the error class
+        def over_classes(m, pins):
+            sol, cls = solve_classes(c, m, frozenset(), [], pins)
+            return [bool(sol[k]) for k in cls]
+
         def run(solve):
             try:
                 return solve(m, pins)
-            except (Underdetermined, Inconsistent, UnknownSegment, UnpinnedSelector) as err:
-                return type(err), str(err), getattr(err, "free", None)
+            except (Underdetermined, Inconsistent, UnpinnedSelector) as err:
+                return type(err)
 
-        got = run(propagate)
+        got = run(over_classes)
         assert got == run(propagate_with_joins)
         return got
 
     def test_small_circuits_random_cuts_and_pins(self):
-        # X, Z and every selector pinning of the combined model (and none),
-        # random cut sets of up to 4 cuts and up to 4 pins, some out of range
+        # X and Z models under random cut sets of up to 4 cuts and up to 4
+        # pins; a combined model has no selector, so both refuse it
         rng = random.Random(17)
         outcomes = collections.Counter()
         for c in all_small_circuits(3, 3):
             gaps = [p.gap for p in enumerate_cut_points(c)]
-            combined = build_model(c, ModelKind.COMBINED)
-            models = [build_model(c, ModelKind.X), build_model(c, ModelKind.Z), combined]
-            models += [
-                pin_selectors(combined, dict(zip(combined.gate_ids, bits)))
-                for bits in itertools.product([False, True], repeat=len(c.gates))
-            ]
-            for m in models:
-                for _ in range(16):
+            for m in (build_model(c, ModelKind.X), build_model(c, ModelKind.Z)):
+                for _ in range(84):
                     cuts = rng.sample(gaps, rng.randint(0, min(4, len(gaps))))
                     cut = apply_cuts(m, CutSet.of(cuts)) if cuts else m
-                    pins = {
-                        rng.randrange(-1, cut.n_vars + 1): rng.random() < 0.5
-                        for _ in range(rng.randint(0, 4))
-                    }
-                    got = self.assert_same(cut, pins)
-                    outcomes[got[0] if isinstance(got, tuple) else list] += 1
+                    pins = {rng.randrange(cut.n_vars): rng.random() < 0.5 for _ in range(rng.randint(0, 4))}
+                    got = self.assert_same(c, cut, pins)
+                    outcomes[got if isinstance(got, type) else list] += 1
+            assert self.assert_same(c, build_model(c, ModelKind.COMBINED), {}) is UnpinnedSelector
         assert sum(outcomes.values()) > 7000
-        assert min(outcomes[kind] for kind in (list, Underdetermined, Inconsistent, UnknownSegment)) > 100
+        assert min(outcomes[kind] for kind in (list, Underdetermined, Inconsistent)) > 100
 
     def test_large_uncut_and_seam_cut(self):
-        # the uncut model leaves a free class, which the full-variable
-        # solve reaches only through dense elimination over every segment
+        # the uncut model leaves a free class, found over every segment too
         c, record = random_circularized(48 * 512, 48, 512)
         m = build_model(c, ModelKind.X)
-        got = self.assert_same(m, {})
-        assert got[0] is Underdetermined and got[2]
+        assert self.assert_same(c, m, {}) is Underdetermined
         cut = apply_cuts(m, record.seam)
-        ins, _ = input_output_segments(cut, resolve_arcs(c, record.seam, Direction.CW)[1], Direction.CW)
-        assert isinstance(self.assert_same(cut, {v: q % 3 == 0 for q, v in enumerate(ins)}), list)
+        ins, _ = input_output_segments(cut, arc_ends(c, record.seam, Direction.CW)[1], Direction.CW)
+        assert isinstance(self.assert_same(c, cut, {v: q % 3 == 0 for q, v in enumerate(ins)}), list)
 
 
 class TestCommutation:
@@ -888,7 +769,7 @@ def derive_both_ways(c, cuts, models=None):
     for d in (Direction.CW, Direction.CCW):
         try:
             out.append(derive_transformations(c, cuts, d, models=models))
-        except (Underdetermined, Inconsistent) as err:
+        except Inconsistent as err:
             out.append(type(err))
     return out
 
@@ -1006,7 +887,7 @@ class TestSearchOneDerivation:
     def assert_each_candidate_evaluated_once(c, needs, monkeypatch):
         # every cut set of ``need`` gaps holding a radial family is one
         # candidate, evaluated once on its slot's reduced system; no
-        # candidate resolves arcs or runs a derivation
+        # candidate reads a cut table or runs a derivation
         pairs = [(g.control, g.target) for g in c.gates]
         families = [
             {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(c.wires)}
@@ -1023,11 +904,10 @@ class TestSearchOneDerivation:
             return real_columns(system, extras)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("search resolved arcs or derived a map")
+            raise AssertionError("search read a cut table or derived a map")
 
         monkeypatch.setattr(model_module, "_columns", counted)
         monkeypatch.setattr(model_module, "cut_table", refuse)
-        monkeypatch.setattr(circuits_module, "resolve_arcs", refuse)
         monkeypatch.setattr(model_module, "derive_transformations", refuse)
         for need in needs:
             evaluated.clear()
@@ -1203,7 +1083,7 @@ class TestSearchReference:
             for d in (Direction.CW, Direction.CCW):
                 try:
                     table.append((cuts, d, derive_transformations(c, cuts, d, models=models)))
-                except (Underdetermined, Inconsistent):
+                except Inconsistent:
                     pass
         return families, gaps, table
 
@@ -1266,74 +1146,8 @@ class TestSearchRepeatedFamilies:
 
 
 class TestModelViewsGolden:
-    """The SWAP models' dump, parity text and segment names, text captured
-    before the models were stored as integer variable indices."""
-
-    SELECTORS = {0: True, 1: False, 2: True}
-    PINNED_DUMP = (
-        "F w0s5 w0s0 w1s5 w1s0 x=1\n"
-        "F w1s1 w1s2 w0s1 w0s2 x=0\n"
-        "F w0s3 w0s4 w1s3 w1s4 x=1\n"
-        "J w0s0 w0s1\n"
-        "J w0s2 w0s3\n"
-        "J w0s4 w0s5\n"
-        "J w1s0 w1s1\n"
-        "J w1s2 w1s3\n"
-        "J w1s4 w1s5"
-    )
-    PINNED_PARITY = (
-        "1 0 0 0 0 1 0 0 0 0 0 0 0\n"
-        "0 0 0 0 0 1 1 0 0 0 0 1 0\n"
-        "0 1 1 0 0 0 0 0 0 0 0 0 0\n"
-        "0 1 0 0 0 0 0 1 1 0 0 0 0\n"
-        "0 0 0 1 1 0 0 0 0 0 0 0 0\n"
-        "0 0 0 1 0 0 0 0 0 1 1 0 0\n"
-        "1 1 0 0 0 0 0 0 0 0 0 0 0\n"
-        "0 0 1 1 0 0 0 0 0 0 0 0 0\n"
-        "0 0 0 0 1 1 0 0 0 0 0 0 0\n"
-        "0 0 0 0 0 0 1 1 0 0 0 0 0\n"
-        "0 0 0 0 0 0 0 0 1 1 0 0 0\n"
-        "0 0 0 0 0 0 0 0 0 0 1 1 0"
-    )
-    # teleported-CNOT cuts: every gap of wire 0 and gap 2 of wire 1
-    CUT_DUMP = (
-        "F w0s5 w0s0 w1s5 w1s0 x=1\n"
-        "F w1s1 w1s2 w0s1 w0s2 x=0\n"
-        "F w0s3 w0s4 w1s3 w1s4 x=1\n"
-        "J w1s0 w1s1\n"
-        "J w1s2 w1s3"
-    )
-    CUT_PARITY = (
-        "1 0 0 0 0 1 0 0 0 0 0 0 0\n"
-        "0 0 0 0 0 1 1 0 0 0 0 1 0\n"
-        "0 1 1 0 0 0 0 0 0 0 0 0 0\n"
-        "0 1 0 0 0 0 0 1 1 0 0 0 0\n"
-        "0 0 0 1 1 0 0 0 0 0 0 0 0\n"
-        "0 0 0 1 0 0 0 0 0 1 1 0 0\n"
-        "0 0 0 0 0 0 1 1 0 0 0 0 0\n"
-        "0 0 0 0 0 0 0 0 1 1 0 0 0"
-    )
-
-    def test_pinned_dump_and_parity(self, swap):
-        m = pin_selectors(build_model(swap, ModelKind.COMBINED), self.SELECTORS)
-        assert m.dump() == self.PINNED_DUMP
-        assert parity_text(parity_rows(m), m.n_vars) == self.PINNED_PARITY
-
-    def test_cuts_before_and_after_pinning(self, swap, swap_cut_sets):
-        cuts = swap_cut_sets["teleported-cnot"]
-        m = build_model(swap, ModelKind.COMBINED)
-        for cut in (
-            apply_cuts(pin_selectors(m, self.SELECTORS), cuts),
-            pin_selectors(apply_cuts(m, cuts), self.SELECTORS),
-        ):
-            assert cut.dump() == self.CUT_DUMP
-            assert parity_text(parity_rows(cut), cut.n_vars) == self.CUT_PARITY
-            assert cut.cut_gaps == cuts.gaps()
-            boundary = {v for gap in cut.cut_gaps for v in cut.gap_pair(gap)}
-            assert sorted(map(cut.segment_name, boundary)) == [
-                "w0s0", "w0s1", "w0s2", "w0s3", "w0s4", "w0s5", "w1s4", "w1s5",
-            ]
-            assert [gap for gap, _ in cut.joins] == [Gap(1, 0), Gap(1, 1)]
+    """The SWAP model's segment names, text captured before the models were
+    stored as integer variable indices."""
 
     def test_segment_views(self, swap):
         m = build_model(swap, ModelKind.X)
@@ -1350,13 +1164,6 @@ class TestModelViewsGolden:
             Gap(1, 1): ("w1s1", "w1s2"),
             Gap(1, 2): ("w1s3", "w1s4"),
         }
-
-    def test_pin_unknown_gate(self, swap):
-        with pytest.raises(UnknownGate):
-            pin_selectors(build_model(swap, ModelKind.COMBINED), {3: True})
-        with pytest.raises(UnknownGate):
-            pin_selectors(build_model(swap, ModelKind.X), {0: True})
-
 
 
 @st.composite
@@ -1438,15 +1245,14 @@ def assert_walk_matches_reference(c, kind, selectors, cut):
     # reference model's variables
     ref = reference_build_model(c, kind)
     if kind is ModelKind.COMBINED:
-        ref = pin_selectors(ref, selectors)
         split = [TARGET if selectors[g.id] else CONTROL for g in c.gates]
     else:
         split = [TARGET if kind is ModelKind.X else CONTROL] * len(c.gates)
-    cls, count = reference_join_classes(ref, cut)
+    cls, count = reference_join_classes(ref, cut, selectors)
     on_wire = [sorted(gap.index for gap in cut if gap.wire == w) for w in range(c.wires)]
     walk = model_module.walk_classes(c, split, on_wire)
     assert walk.n == count
-    for g, (before, after, crossing) in enumerate(reference_triples(ref)):
+    for g, (before, after, crossing) in enumerate(reference_triples(ref, selectors)):
         assert (walk.before[g], walk.after[g], walk.crossing[g]) == (cls[before], cls[after], cls[crossing])
     walk_gaps = {
         (w, i): (walk.ending[w][k], walk.starting[w][k])
@@ -1468,7 +1274,8 @@ class TestClassWalk:
 
     @given(data=st.data())
     def test_matches_reference_classes(self, data):
-        # X, Z and a pinned combined walk under one cut set, and every model kind built
+        # X, Z and a combined walk with drawn split kinds under one cut set,
+        # and every model kind built
         _, c = data.draw(circular_circuits(max_wires=12))
         gaps = [p.gap for p in enumerate_cut_points(c)]
         chosen = set(data.draw(st.lists(st.sampled_from(gaps), unique=True)))
@@ -1500,7 +1307,7 @@ class TestClassWalk:
 
 
 class TestCutTableReadOut:
-    """Derivations and faults number their qubits off ``cut_table``; ``resolve_arcs``' origins are the reference."""
+    """Derivations and faults number their qubits off ``cut_table``'s cut lists; ``arc_ends`` is the reference."""
 
     @given(data=st.data())
     def test_matches_origins_and_oracle(self, data):
@@ -1524,7 +1331,7 @@ class TestCutTableReadOut:
             assert table.start != wrap
         faulted = data.draw(st.lists(st.sampled_from([g.id for g in c.gates]), min_size=1, max_size=3, unique=True))
         for d in Direction:
-            start, origins = resolve_arcs(c, cuts, d)
+            start, origins = arc_ends(c, cuts, d)
             assert table.start == start
             for split in (TARGET, CONTROL):
                 walk = model_module.walk_classes(c, [split] * len(c.gates), table.cuts)
@@ -1533,36 +1340,6 @@ class TestCutTableReadOut:
             for gate_id in faulted:
                 fd = faulted_transformations(c, cuts, d, FaultSpec(gate=gate_id))
                 assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, gate_id)
-
-    def test_builds_no_arc_origin(self, monkeypatch):
-        # derive and fault read the table; neither resolves arcs into ArcOrigins
-        c, record = random_circularized(11, 5, 40)
-        pairs = [(g.control, g.target) for g in c.gates]
-        slot = 7
-        family = {Gap(w, spanning_gap_index(pairs, w, slot)) for w in range(c.wires)}
-        bases = [record.seam, CutSet.of(family | {Gap(0, 0), Gap(0, 1), Gap(2, 1)})]
-        assert cut_table(c, bases[1]).start != len(c.gates) - 1
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("arcs were resolved into ArcOrigins")
-
-        for module in (circuits_module, model_module, icm_module):
-            monkeypatch.setattr(module, "resolve_arcs", refuse, raising=False)
-            monkeypatch.setattr(module, "ArcOrigin", refuse, raising=False)
-        derived = [(cuts, d, derive_transformations(c, cuts, d)) for cuts in bases for d in Direction]
-        faults = [
-            (cuts, d, gate.id, faulted_transformations(c, cuts, d, FaultSpec(gate=gate.id)))
-            for cuts in bases
-            for d in Direction
-            for gate in c.gates[::6]
-        ]
-        with pytest.raises(AssertionError, match="ArcOrigins"):
-            circuits_module.resolve_arcs(c, record.seam, Direction.CW)
-        monkeypatch.undo()
-        for cuts, d, m in derived:
-            assert m == oracle_map(linearize(c, cuts, d))
-        for cuts, d, gate_id, fd in faults:
-            assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, gate_id)
 
 
 class TestBuildsNoModel:
@@ -1620,6 +1397,15 @@ class TestMapReadOut:
     def test_singular_columns_raise(self):
         with pytest.raises(Inconsistent):
             StabiliserMap.from_x([0b11, 0b11])
+
+    def test_inverse_x_columns_are_z_rows(self):
+        # a CNOT circuit's map is symplectic, so its inverse's X columns,
+        # (Xᵀ)⁻¹ by rows, are its own Z rows: ``search_cuts`` reads them there
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            m = oracle_map(mklin(n, random_pairs(rng, n, rng.randint(n, 40))))
+            assert m.inverse().x_columns() == [sum(1 << o for o in outs) for outs in m.z_out]
 
     def test_one_invert_per_read_out(self, monkeypatch):
         calls = []
