@@ -228,6 +228,17 @@ def cmd_check(args, out) -> int:
     return 0 if failures == 0 else 1
 
 
+def _count(text: str) -> int:
+    """A non-negative int, else a usage error worded as argparse words a bad int."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return count
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later one."""
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="randomized round-trip property driver")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.set_defaults(func=cmd_check)
 
     return parser

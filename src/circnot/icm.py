@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuits import (
-    TARGET,
     CircularCircuit,
     CutSet,
     Direction,
@@ -25,10 +24,9 @@ from .circuits import (
     LinearGate,
     circularize,
     cut_table,
-    traversal_order,
 )
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
-from .model import qubit_ends, solve_walk, walk_classes
+from .model import _x_columns
 from .stabmap import StabiliserMap
 
 
@@ -387,12 +385,13 @@ def faulted_transformations(
     """Derive the stabiliser map of the circuit with one gate missing.
 
     A missing gate is a CNOT circuit with one gate fewer, so this is a
-    derivation over the base cuts (``model.derive_transformations``) whose
-    walk lets the faulty gate split nothing and whose traversal writes no
-    clause for it: one X solve, and Z read as the inverse transpose. The
-    |0> ancilla on the gate's control span then absorbs the base qubit a
-    traversal enters at its input gap and the one it leaves at its output
-    gap, when those gaps are base cuts (``CutTable.qubit``). An absorbed
+    derivation over the base cuts (``model._x_columns``, as
+    ``derive_transformations`` reads it) whose walk lets the faulty gate
+    split nothing and whose traversal writes no clause for it: one X
+    solve, and Z read as the inverse transpose. The |0> ancilla on the
+    gate's control span then absorbs the base qubit a traversal enters at
+    its input gap and the one it leaves at its output gap, when those gaps
+    are base cuts (``CutTable.qubit``). An absorbed
     input's X reaches no live output and its Z row is empty; an absorbed
     output's X column is empty and no Z reaches it.
     """
@@ -400,13 +399,7 @@ def faulted_transformations(
     cuts, patch = inject_smgf(c, base, f)
     w = patch.wire
     gi = c.symbols(w)[patch.after_gap.index][0]  # the after gap follows the gate's control symbol
-    split = [TARGET] * len(c.gates)
-    split[gi] = None
-    order = traversal_order(c, table.start, d)
-    order.remove(gi)
-    classes = walk_classes(c, split, table.cuts)
-    ins, outs = qubit_ends(table, classes.starting, classes.ending, d)
-    sol = solve_walk(classes, ins, order=order)
+    cols = _x_columns(c, table, d, missing=gi)
     # the base qubits starting at the before gap and ending at the after gap,
     # entered and left there clockwise, the other way round counter-clockwise
     wire_cuts = table.cuts[w]
@@ -415,7 +408,7 @@ def faulted_transformations(
         for gap, shift in ((patch.before_gap, 0), (patch.after_gap, 1))
     ]
     absorbed_in, absorbed_out = absorbed if d is Direction.CW else absorbed[::-1]
-    n = len(ins)
+    n = len(cols)
     every = frozenset(range(n))
     full = (1 << n) - 1
     in_mask = full if absorbed_in is None else full ^ 1 << absorbed_in
@@ -423,7 +416,7 @@ def faulted_transformations(
     return FaultedDerivation(
         cuts=cuts,
         patch=patch,
-        map=StabiliserMap.from_x([sol[k] >> 1 for k in outs]).restricted(in_mask, out_mask),
+        map=StabiliserMap.from_x(cols).restricted(in_mask, out_mask),
         live_inputs=every - {absorbed_in},
         live_outputs=every - {absorbed_out},
     )

@@ -24,27 +24,22 @@ by break, wire by wire and clockwise from each wire's first symbol, and a
 wire's head (its symbols before its first break) continues its last class.
 The walk gives each gate's (before, after, crossing) classes and each cut
 gap's (ending, starting) classes.
-``solve_walk`` writes inputs, then the gate clauses in the order given,
-over those classes and hands them to ``gf2``'s one-pass solve; a
-derivation or fault gives its traversal order (``traversal_order``), so
-each clause fixes one new class and is read once.
+``solve_walk`` writes one row per class: the inputs, then the gate
+clauses in the order given, and solves them by forward substitution
+(``gf2.solve_tagged``). A derivation or fault gives its traversal order
+(``traversal_order``) and the search cuts every gap, so each clause fixes
+one new class, its ``after``, from classes already fixed.
 
 ``derive_transformations``, ``icm.faulted_transformations`` and the search
 (``_slot_systems``) put their inputs and outputs at cut gaps, so they write
 their rows straight from the walk and build no model; a derivation or
-fault walks ``circuits.cut_table``'s per-wire cut lists and reads its
-qubits' first and last classes off them (``qubit_ends``). A fault is a
-derivation whose missing gate splits nothing and writes no clause.
+fault (``_x_columns``) walks ``circuits.cut_table``'s per-wire cut lists
+and reads its qubits' first and last classes off them (``qubit_ends``). A
+fault is a derivation whose missing gate splits nothing and writes no
+clause.
 ``build_model`` is the same walk with every gap cut: the classes are then
-the segments, and the model stores them as integers:
-
-* variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, named
-  ``w<w>s<j>``, so the variables run wire by wire, each wire's segments
-  clockwise;
-* each gate's clause is the tuple of its variable indices;
-* each wire stores, per gap, the (ending, starting) variable pair;
-* a cut model records only its cut gaps; ``BooleanModel.joins`` lists
-  the joins the cuts leave.
+the segments, which ``BooleanModel`` stores as integer variables, wire by
+wire and each wire's clockwise; a cut model records only its cut gaps.
 
 A model is not solved. ``parity_rows`` lists every X or Z clause, joins
 included, as sparse ``(variables, rhs)`` rows for ``circnot model
@@ -206,19 +201,16 @@ def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWal
 
 
 def solve_walk(classes: ClassWalk, ins, order=None) -> list[int]:
-    """Per class, its solved rhs over the inputs.
+    """Per class, its solved rhs over the inputs, by forward substitution.
 
-    Rows go to ``gf2.solve_tagged`` over classes in this order: one per
-    input class (rhs bit ``1 + i``), then each gate's clause in ``order``
-    (list order when None). A gate whose split is its wire's only break
-    has one class on both sides, so its clause reads only the crossing
-    class.
+    Rows go to ``gf2.solve_tagged`` in this order: one per input class (rhs
+    bit ``1 + i``), then each gate's clause in ``order`` (list order when
+    None), which must reach its ``before`` and ``crossing`` classes fixed.
     """
     rows = [((k,), 2 << i) for i, k in enumerate(ins)]
     before, after, crossing = classes.before, classes.after, classes.crossing
     for g in range(len(before)) if order is None else order:
-        a, b, x = before[g], after[g], crossing[g]
-        rows.append(((a, b, x) if a != b else (x,), 0))
+        rows.append(((before[g], after[g], crossing[g]), 0))
     return gf2.solve_tagged(rows, classes.n, 1 + len(ins))
 
 
@@ -362,24 +354,35 @@ def derive_transformations(
 ) -> StabiliserMap:
     """Stabiliser map of the cut-induced circuit, from the X parity system.
 
-    Checks the cut set once (``cut_table``; no gates are emitted), walks
-    the X join classes of its cuts (``walk_classes``; no model is built),
-    pins each qubit's first class (``qubit_ends``) to a distinct symbolic
-    input, and reads the X map off the unique solution, writing the gate
-    clauses in traversal order.
+    Checks the cut set once (``cut_table``; no gates are emitted) and solves
+    the X join classes of its cuts (``_x_columns``; no model is built).
     Truth of an output class means the output qubit carries that Pauli
-    kind; signs are out of model.
-
-    A CNOT circuit acts symplectically, so its Z map is the inverse
-    transpose of its X map: Z is read off one ``gf2.invert`` of the X
+    kind; signs are out of model. A CNOT circuit acts symplectically, so Z
+    is the inverse transpose of X, read off one ``gf2.invert`` of the X
     columns instead of a second solve. ``models`` is accepted for callers
     that still pass an (X, Z) pair and is not read.
     """
-    table = cut_table(c, cuts)
-    classes = walk_classes(c, [TARGET] * len(c.gates), table.cuts)
+    return StabiliserMap.from_x(_x_columns(c, cut_table(c, cuts), d))
+
+
+def _x_columns(c: CircularCircuit, table: CutTable, d: Direction, missing: int | None = None) -> list[int]:
+    """X columns of the table's derivation: per output qubit, its mask over the inputs.
+
+    Walks the X join classes of the table's cuts, pins each qubit's first
+    class (``qubit_ends``) to a distinct symbolic input and solves the gate
+    clauses in traversal order from the table's start slot. A ``missing``
+    gate index (``icm.faulted_transformations``) splits nothing and is left
+    out of the order, so it writes no clause.
+    """
+    split = [TARGET] * len(c.gates)
+    order = traversal_order(c, table.start, d)
+    if missing is not None:
+        split[missing] = None
+        order.remove(missing)
+    classes = walk_classes(c, split, table.cuts)
     ins, outs = qubit_ends(table, classes.starting, classes.ending, d)
-    sol = solve_walk(classes, ins, order=traversal_order(c, table.start, d))
-    return StabiliserMap.from_x([sol[k] >> 1 for k in outs])
+    sol = solve_walk(classes, ins, order)
+    return [sol[k] >> 1 for k in outs]
 
 
 def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:

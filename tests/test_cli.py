@@ -224,6 +224,17 @@ def test_check_round_trip():
     assert "failures 0" in out
 
 
+def test_check_negative_count_is_usage_error(capsys):
+    # a negative count runs no trial, so it is refused, not reported as a pass
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--count", "-3"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("circnot check: error: argument --count: must not be negative: '-3'\n")
+    assert run(["check", "--count", "0"]) == (0, "round-trip trials 0 failures 0\n")
+
+
 def test_determinism(swap_file, cuts_file):
     _, first = run(["derive", swap_file, "--cuts", cuts_file])
     _, second = run(["derive", swap_file, "--cuts", cuts_file])

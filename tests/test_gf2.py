@@ -58,8 +58,8 @@ def test_solve_tagged_unique():
 
 
 def assert_internal_error(rows, n_vars, tag_width):
-    # a system the one pass cannot finish breaks an invariant of the
-    # library, so it is not reported as an input error
+    # a system forward substitution cannot solve breaks an invariant of
+    # the library, so it is not reported as an input error
     with pytest.raises(RuntimeError) as err:
         gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width)
     assert not isinstance(err.value, CircnotError)
@@ -156,20 +156,24 @@ def test_reference_solve_matches_brute_force():
 
 def triangular_system(rng, n_vars, tag_width):
     """Each row fixes one new variable from at most two earlier ones,
-    in a random variable order, rows shuffled."""
+    in a random variable order, rows in fix order."""
     order = rng.sample(range(n_vars), n_vars)
     rows = []
     for k, v in enumerate(order):
         earlier = rng.sample(order[:k], min(k, rng.randint(0, 2)))
         rows.append(bits(v, *earlier) | rng.getrandbits(tag_width) << n_vars)
-    rng.shuffle(rows)
     return rows
+
+
+def shuffle_variables(rng, rows):
+    """Sparse rows with the variables of each row in a random order."""
+    return [(tuple(rng.sample(vs, len(vs))), rhs) for vs, rhs in rows]
 
 
 def no_unit_full_rank_system(rng, n_vars, tag_width):
     """Random full-rank rows of two or more variables each (three or more
-    variables needed): no row starts with a single unknown, so propagation
-    cannot take a first step."""
+    variables needed): no row starts with a single unknown, so forward
+    substitution cannot take a first step."""
     rows = []
     while gf2_rank(rows, n_vars) < n_vars:
         row = bits(*rng.sample(range(n_vars), rng.randint(2, n_vars)))
@@ -180,20 +184,41 @@ def no_unit_full_rank_system(rng, n_vars, tag_width):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_solve_tagged_triangular_propagates(seed):
+    # rows in fix order solve by forward substitution, whatever the order of
+    # the variables within each row
     rng = random.Random(seed)
     n_vars, tag_width = rng.randint(1, 40), rng.randint(1, 6)
     rows = triangular_system(rng, n_vars, tag_width)
-    # consistent redundant rows ride along
-    for _ in range(rng.randint(0, 5)):
-        rows.append(rows[rng.randrange(n_vars)] ^ rows[rng.randrange(n_vars)])
-    assert gf2.solve_tagged(sparse(rows, n_vars), n_vars, tag_width) == reference_solve(rows, n_vars)
+    got = gf2.solve_tagged(shuffle_variables(rng, sparse(rows, n_vars)), n_vars, tag_width)
+    assert got == reference_solve(rows, n_vars)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_solve_tagged_refuses_rows_out_of_fix_order(seed):
+    # each row is read once, so a triangular system that the reference
+    # solves is refused once a row comes before a row fixing a variable it
+    # reads, or once a consistent redundant row rides along
+    rng = random.Random(seed)
+    n_vars, tag_width = rng.randint(2, 30), rng.randint(1, 4)
+    rows = triangular_system(rng, n_vars, tag_width)
+    expected = reference_solve(rows, n_vars)
+    assert isinstance(expected, list)
+    readers = [k for k in range(1, n_vars) if bin(rows[k] % (1 << n_vars)).count("1") > 1]
+    assert readers
+    early = list(rows)
+    early.insert(0, early.pop(rng.choice(readers)))
+    redundant = list(rows)
+    redundant.insert(rng.randint(0, n_vars), rows[rng.randrange(n_vars)] ^ rows[rng.randrange(n_vars)])
+    for system in (early, redundant):
+        assert reference_solve(system, n_vars) == expected
+        assert_internal_error(system, n_vars, tag_width)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_solve_tagged_no_unit_raises(seed):
-    # a full-rank system with no unit row has a unique solution, but one
-    # pass cannot take a first step; every system the library writes has
-    # one, so this is an internal error, not an elimination
+    # a full-rank system with no unit row has a unique solution, but its
+    # first row fixes two variables; every system the library writes starts
+    # with unit rows, so this is an internal error, not an elimination
     rng = random.Random(seed)
     n_vars, tag_width = rng.randint(3, 16), rng.randint(1, 6)
     rows = no_unit_full_rank_system(rng, n_vars, tag_width)
@@ -207,7 +232,7 @@ def test_solve_tagged_underdetermined_matches_reference(seed):
     rng = random.Random(seed)
     n_vars, tag_width = rng.randint(2, 30), rng.randint(1, 4)
     rows = triangular_system(rng, n_vars, tag_width)
-    # dropping rows leaves variables free; propagation stalls or leaves them unforced
+    # dropping rows leaves variables free: fewer rows than variables
     for _ in range(rng.randint(1, n_vars - 1)):
         rows.pop(rng.randrange(len(rows)))
     assert reference_solve(rows, n_vars)[0] is Underdetermined
@@ -221,8 +246,8 @@ def test_solve_tagged_inconsistent_matches_reference(seed):
     rows = triangular_system(rng, n_vars, tag_width)
     if seed % 2:
         rows.pop(rng.randrange(n_vars))  # also underdetermined: Inconsistent wins
-    # a redundant row with a flipped rhs: propagation fixes every variable it
-    # can, then the re-check fails
+    # a redundant row with a flipped rhs: one row more than variables, or,
+    # after the pop, a row that fixes nothing new or two variables at once
     a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
     rows.append(rows[a] ^ rows[b] ^ 1 << (n_vars + rng.randrange(tag_width)))
     assert reference_solve(rows, n_vars) == (Inconsistent, None)
@@ -238,7 +263,7 @@ def test_solve_tagged_random_sparse_matches_reference(seed):
         | rng.getrandbits(tag_width) << n_vars
         for _ in range(rng.randint(0, 2 * n_vars))
     ]
-    # the pass finds the unique solution or refuses the system, never a wrong one
+    # the solve finds the unique solution or refuses the system, never a wrong one
     expected = reference_solve(rows, n_vars)
     got = solve_outcome(rows, n_vars, tag_width)
     if isinstance(expected, list):
@@ -249,15 +274,15 @@ def test_solve_tagged_random_sparse_matches_reference(seed):
 
 def systems_of_each_kind(rng):
     """(rows, n_vars, tag_width) systems of the kinds above: triangular with a
-    redundant row, underdetermined, inconsistent, triangular with long rows,
-    random sparse and no unit."""
+    redundant row, underdetermined, inconsistent, triangular with long rows
+    in fix order, random sparse and no unit."""
     n_vars, tag_width = rng.randint(3, 20), rng.randint(1, 4)
     triangular = triangular_system(rng, n_vars, tag_width)
     pair = triangular[rng.randrange(n_vars)] ^ triangular[rng.randrange(n_vars)]
     yield triangular + [pair], n_vars, tag_width
     yield rng.sample(triangular, rng.randint(1, n_vars - 1)), n_vars, tag_width
     yield triangular + [pair ^ 1 << (n_vars + rng.randrange(tag_width))], n_vars, tag_width
-    # triangular with rows of up to nine variables, so rows wait longer
+    # triangular with rows of up to nine variables
     order = rng.sample(range(n_vars), n_vars)
     yield [
         bits(v, *rng.sample(order[:k], min(k, rng.randint(0, 8)))) | rng.getrandbits(tag_width) << n_vars
@@ -274,18 +299,21 @@ def systems_of_each_kind(rng):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_row_order_keeps_outcome_and_propagation(seed):
-    # the kernel reads rows in order, but every order of the rows, and of the
-    # variables in each row, reaches the same closure: the same solution, or
-    # the same refusal
+    # the order of the variables within each row keeps the outcome: the same
+    # solution, or the same refusal; an order of the rows may turn a solution
+    # into a refusal (``test_solve_tagged_refuses_rows_out_of_fix_order``),
+    # but never into another solution
     rng = random.Random(seed)
     stalls = set()
-    for rows, n_vars, tag_width in systems_of_each_kind(rng):
-        rows = sparse(rows, n_vars)
+    for masks, n_vars, tag_width in systems_of_each_kind(rng):
+        rows = sparse(masks, n_vars)
         expected = sparse_outcome(rows, n_vars, tag_width)
         stalls.add(expected is RuntimeError)
+        solution = reference_solve(masks, n_vars)
         for _ in range(4):
-            shuffled = [(tuple(rng.sample(vs, len(vs))), rhs) for vs, rhs in rng.sample(rows, len(rows))]
-            assert sparse_outcome(shuffled, n_vars, tag_width) == expected
+            assert sparse_outcome(shuffle_variables(rng, rows), n_vars, tag_width) == expected
+            reordered = sparse_outcome(shuffle_variables(rng, rng.sample(rows, len(rows))), n_vars, tag_width)
+            assert reordered is RuntimeError or reordered == solution
     assert stalls == {False, True}
 
 

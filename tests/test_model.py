@@ -318,7 +318,13 @@ class TestDeriveTransformations:
 
 
 def random_pairs(rng, wires, gates):
-    """Seeded CNOT (control, target) pairs touching every wire."""
+    """Seeded CNOT (control, target) pairs touching every wire.
+
+    Each gate touches two wires, so fewer than ``wires / 2`` gates cannot
+    touch them all and raise ValueError before any draw.
+    """
+    if 2 * gates < wires:
+        raise ValueError(f"{gates} gates cannot touch {wires} wires")
     while True:
         pairs = [tuple(rng.sample(range(wires), 2)) for _ in range(gates)]
         if len({q for pair in pairs for q in pair}) == wires:
@@ -327,6 +333,15 @@ def random_pairs(rng, wires, gates):
 
 def random_circularized(seed, wires, gates):
     return circularize(mklin(wires, random_pairs(random.Random(seed), wires, gates)))
+
+
+def test_random_pairs_refuses_too_few_gates():
+    # the draw would never touch every wire; the refusal comes first
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="1 gates cannot touch 12 wires"):
+        random_pairs(rng, 12, 1)
+    assert rng.getstate() == state
 
 
 def transpose(rows, n):
