@@ -90,7 +90,11 @@ class CutSet:
             gaps.append(item)
         cuts = frozenset(gaps)
         if len(cuts) != len(gaps):
-            dup = next(g for k, g in enumerate(gaps) if g in gaps[:k])
+            seen: set[Gap] = set()
+            for dup in gaps:  # the first repeat in the given order
+                if dup in seen:
+                    break
+                seen.add(dup)
             raise DuplicateCut(f"cut repeated at wire {quote_int(dup.wire)} gap {quote_int(dup.index)}")
         return cls(cuts)
 
@@ -453,7 +457,10 @@ def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
     chain-by-chain. Gate order survives as the clockwise order.
     """
     n = l.n_qubits
-    times = [l.times_on(q) for q in range(n)]
+    times: list[list[int]] = [[] for _ in range(n)]  # per qubit, its gate times ascending
+    for t, g in enumerate(l.gates):
+        times[g.control].append(t)
+        times[g.target].append(t)
     first = [t[0] if t else None for t in times]
     consumed = [False] * n
     joins: list[tuple[int, int]] = []

@@ -1,14 +1,16 @@
 """GF(2) linear algebra: forward substitution on sparse rows, and inversion.
 
+``invert`` takes bitmask rows; ``StabiliserMap`` calls it once to read Z
+off X and once per half of an inverse. ``pack`` writes sparse rows as
+bitmask rows (bit ``i`` is column ``i``) for ``circnot model --parity``.
+
 ``solve_tagged`` solves sparse rows, one per variable, each a tuple of
 distinct variable indices plus an int right-hand side, by forward
 substitution: each row, read once in order, fixes one variable that no
-earlier row fixed. Every system the library writes has that form (see
-``model.solve_walk``); one that does not is a broken invariant, not bad
-input, and raises RuntimeError. ``pack`` writes sparse rows as bitmask
-rows (bit ``i`` is column ``i``) for ``circnot model --parity``.
-``invert`` takes bitmask rows; ``StabiliserMap`` calls it once to read Z
-off X and once per half of an inverse.
+earlier row fixed; a system of any other form raises RuntimeError. No
+library path calls it: derivations, faults and the search substitute
+along the traversal themselves (``model._x_columns``). It stays because
+the benchmark's traced run wraps it by name.
 """
 
 from __future__ import annotations

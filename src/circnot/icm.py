@@ -5,8 +5,8 @@ An ICM circuit is a CNOT-only linear circuit plus one initialisation and
 one measurement choice per qubit. Rotations live entirely in the choice of
 ancilla states (|Y>, |A>) and measurement bases, so every construction here
 emits CNOTs only. A single missing gate leaves a CNOT circuit, so its
-fault map is one X solve over the base cuts with that gate's clause left
-out, and Z is read as the inverse transpose.
+fault map is one X substitution over the base cuts with that gate's XOR
+left out, and Z is read as the inverse transpose.
 """
 
 from __future__ import annotations
@@ -386,12 +386,12 @@ def faulted_transformations(
 
     A missing gate is a CNOT circuit with one gate fewer, so this is a
     derivation over the base cuts (``model._x_columns``, as
-    ``derive_transformations`` reads it) whose walk lets the faulty gate
-    split nothing and whose traversal writes no clause for it: one X
-    solve, and Z read as the inverse transpose. The |0> ancilla on the
-    gate's control span then absorbs the base qubit a traversal enters at
-    its input gap and the one it leaves at its output gap, when those gaps
-    are base cuts (``CutTable.qubit``). An absorbed
+    ``derive_transformations`` reads it) whose substitution along the
+    traversal skips the faulty gate's XOR but still meets the gaps next
+    to its symbols: one X walk, and Z read as the inverse transpose. The
+    |0> ancilla on the gate's control span then absorbs the base qubit a
+    traversal enters at its input gap and the one it leaves at its output
+    gap, when those gaps are base cuts (``CutTable.qubit``). An absorbed
     input's X reaches no live output and its Z row is empty; an absorbed
     output's X column is empty and no Z reaches it.
     """

@@ -16,47 +16,33 @@ Segment boundaries per model kind:
   would need a selector to pick its X or its Z reading, and none is
   pinned, so the model is dumped but gives no parity rows.
 
-The joins a cut set leaves are equalities, so every solve runs over join
-classes. One walk over each wire's symbol table (``walk_classes``) numbers
-them: given each gate's splitting symbol and the cut gaps, a class starts
-at each splitting symbol and each cut gap (a break). Classes are numbered
-by break, wire by wire and clockwise from each wire's first symbol, and a
-wire's head (its symbols before its first break) continues its last class.
-The walk gives each gate's (before, after, crossing) classes and each cut
-gap's (ending, starting) classes.
-``solve_walk`` writes one row per class: the inputs, then the gate
-clauses in the order given, and solves them by forward substitution
-(``gf2.solve_tagged``). A derivation or fault gives its traversal order
-(``traversal_order``) and the search cuts every gap, so each clause fixes
-one new class, its ``after``, from classes already fixed.
-
-``derive_transformations``, ``icm.faulted_transformations`` and the search
-(``_slot_systems``) put their inputs and outputs at cut gaps, so they write
-their rows straight from the walk and build no model; a derivation or
-fault (``_x_columns``) walks ``circuits.cut_table``'s per-wire cut lists
-and reads its qubits' first and last classes off them (``qubit_ends``). A
-fault is a derivation whose missing gate splits nothing and writes no
-clause.
-``build_model`` is the same walk with every gap cut: the classes are then
-the segments, which ``BooleanModel`` stores as integer variables, wire by
-wire and each wire's clockwise; a cut model records only its cut gaps.
+``build_model`` numbers the segments wire by wire, each wire's clockwise
+from its first symbol; a wire's head (its symbols before its first
+boundary) continues its last segment. ``BooleanModel`` stores them as
+integer variables, and a cut model records only its cut gaps.
 
 A model is not solved. ``parity_rows`` lists every X or Z clause, joins
 included, as sparse ``(variables, rhs)`` rows for ``circnot model
 --parity``.
 
-``derive_transformations`` solves the X system only. A CNOT circuit acts
-symplectically, so its Z map is the inverse transpose of its X map:
-Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns (``StabiliserMap.from_x``).
-A fault derivation (``icm``) is read the same way. The Z model serves
-``circnot model``.
+Derivations, faults and the search build no model and call no solver.
+Read in traversal order (``traversal_order``) from a radial slot, each X
+clause fixes the segment after its target from segments already met, so
+the X equations are solved by substituting along the traversal: each
+wire holds the value of the segment it last entered, a gate XORs its
+control's value into its target's, an uncut gap is a join, and a cut gap
+ends one qubit's arc and starts the next (``_x_columns``). A fault is a
+derivation whose missing gate writes nothing.
 
-``search_cuts`` derives no map per candidate. One X solve with every gap
-cut gives the value arriving at each gap over the gaps' starting values.
-Per radial slot, one pass in traversal order rewrites these over the slot
-family's inputs and one tag bit per other gap (``_slot_systems``),
-and a candidate's X columns are a substitution over its extra cuts
-(``_columns``).
+A CNOT circuit acts symplectically, so its Z map is the inverse transpose
+of its X map: Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns
+(``StabiliserMap.from_x``), for a derivation and a fault (``icm``) alike.
+The Z model serves ``circnot model``.
+
+``search_cuts`` derives no map per candidate. Per radial slot, the same
+walk gives the value arriving at each gap over the slot family's inputs
+and one tag bit per other gap (``_slot_systems``), and a candidate's X
+columns are a substitution over its extra cuts (``_columns``).
 """
 
 from __future__ import annotations
@@ -69,7 +55,6 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import NamedTuple
 
-from . import gf2
 from .circuits import (
     CONTROL,
     TARGET,
@@ -98,132 +83,6 @@ class ModelKind(Enum):
     X = "x"
     Z = "z"
     COMBINED = "combined"
-
-
-class ClassWalk(NamedTuple):
-    """Join classes of one cut system, from ``walk_classes``.
-
-    Per gate index: ``before`` and ``after`` are the classes on either side
-    of its splitting symbol, ``crossing`` the class at its other symbol
-    (the class before it when every symbol splits, ``crossing_after`` then
-    holding the one after it, else None). ``ending[w][k]`` and
-    ``starting[w][k]`` are the classes ending and starting at wire ``w``'s
-    ``k``-th cut gap in ascending order (its gap ``k`` when every gap is
-    cut); ``starts`` is each wire's first class, then the class count.
-    """
-
-    before: list[int]
-    after: list[int]
-    crossing: list[int]
-    crossing_after: list[int] | None
-    ending: list[list[int]]
-    starting: list[list[int]]
-    starts: list[int]
-
-    @property
-    def n(self) -> int:
-        return self.starts[-1]
-
-
-def walk_classes(c: CircularCircuit, split, cut, both: bool = False) -> ClassWalk:
-    """Number the join classes of a cut system in one walk over each wire's symbols.
-
-    ``split[g]`` is the kind (``CONTROL`` or ``TARGET``) of gate ``g``'s
-    splitting symbol; with ``both`` the other symbol splits too. Without
-    ``both`` it may be None for a gate that splits nothing (a missing
-    gate, whose clause is not written): its own entries are then not
-    meaningful. ``cut`` lists each wire's cut gap indices ascending
-    (``CutTable.cuts``), which must exist, or is None for every gap. A
-    class starts at each splitting symbol and each cut gap; classes are
-    numbered wire by wire, each wire's clockwise from its first symbol,
-    and a wire's head (its symbols before its first break) continues its
-    last class. A wire without a break is one class.
-    """
-    symbols = c.symbol_tables
-    n_gates = len(split)
-    before = [0] * n_gates
-    after = [0] * n_gates
-    crossing = [0] * n_gates
-    crossing_after = [0] * n_gates if both else None
-    ending: list[list[int]] = [[] for _ in symbols]
-    starting: list[list[int]] = [[] for _ in symbols]
-    starts = []
-    n = 0
-    for w, syms in enumerate(symbols):
-        starts.append(n)
-        ends, begins = ending[w], starting[w]
-        # the wire's cut gap indices ascending, then -1, which no symbol reaches
-        wire_cuts = range(len(syms)) if cut is None else cut[w]
-        cuts = iter(wire_cuts)
-        next_cut = next(cuts, -1)
-        cur = -1  # the head's class, known once the wire is walked
-        j = 0
-        for gi, sk in syms:
-            if sk is split[gi]:
-                before[gi] = cur
-                after[gi] = cur = n
-                n += 1
-            elif both:
-                crossing[gi] = cur
-                crossing_after[gi] = cur = n
-                n += 1
-            else:
-                crossing[gi] = cur
-            if j == next_cut:
-                ends.append(cur)
-                begins.append(n)
-                cur = n
-                n += 1
-                next_cut = next(cuts, -1)
-            j += 1
-        if cur < 0:  # no break: the wire is one class
-            cur = n
-            n += 1
-        # the head continues the last class, up to the ending side of the
-        # first break
-        gi, sk = syms[0]
-        if sk is split[gi]:
-            before[gi] = cur
-            continue
-        first_cut = wire_cuts[0] if wire_cuts else -1
-        for j, (gi, sk) in enumerate(syms):
-            if sk is split[gi]:
-                before[gi] = cur
-                break
-            crossing[gi] = cur
-            if both:
-                break
-            if j == first_cut:
-                ends[0] = cur
-                break
-    starts.append(n)
-    return ClassWalk(before, after, crossing, crossing_after, ending, starting, starts)
-
-
-def solve_walk(classes: ClassWalk, ins, order=None) -> list[int]:
-    """Per class, its solved rhs over the inputs, by forward substitution.
-
-    Rows go to ``gf2.solve_tagged`` in this order: one per input class (rhs
-    bit ``1 + i``), then each gate's clause in ``order`` (list order when
-    None), which must reach its ``before`` and ``crossing`` classes fixed.
-    """
-    rows = [((k,), 2 << i) for i, k in enumerate(ins)]
-    before, after, crossing = classes.before, classes.after, classes.crossing
-    for g in range(len(before)) if order is None else order:
-        rows.append(((before[g], after[g], crossing[g]), 0))
-    return gf2.solve_tagged(rows, classes.n, 1 + len(ins))
-
-
-def qubit_ends(table: CutTable, starting, ending, d: Direction) -> tuple[list[int], list[int]]:
-    """Per qubit, the classes of its first and last segment under the traversal.
-
-    ``starting``/``ending`` are a walk's classes at the table's cuts, by
-    wire. Clockwise, a wire's inputs are the classes starting at its cuts,
-    rotated to the family gap (``CutTable.by_qubit``), and its outputs
-    those ending at each next cut; counter-clockwise swaps the two lists.
-    """
-    ins, outs = table.by_qubit(starting), table.by_qubit(ending, 1)
-    return (ins, outs) if d is Direction.CW else (outs, ins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,26 +155,46 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     """Model of the uncut circuit: one clause per gate, one join per gap.
 
     Gaps and the symbols of the kind's splitting roles cut each wire into
-    segments, so the segments are the classes of ``walk_classes`` with
-    every gap cut, numbered alike. The X clause ties the target's split to
-    the control's crossing segment, the Z clause the control's split to the
-    target's crossing segment, and the combined clause both splits. A join
-    whose two variables coincide (a wire with a single boundary) is a
-    tautology and is dropped; its gap is already cut-equivalent.
+    segments. The X clause ties the target's split to the control's
+    crossing segment, the Z clause the control's split to the target's
+    crossing segment, and the combined clause both splits. A join whose two
+    variables coincide (a wire with a single boundary) is a tautology and
+    is dropped; its gap is already cut-equivalent.
     """
-    split = [CONTROL if kind is ModelKind.Z else TARGET] * len(c.gates)
-    combined = kind is ModelKind.COMBINED
-    segs = walk_classes(c, split, None, both=combined)
-    if combined:
-        gate_vars = zip(segs.crossing, segs.crossing_after, segs.before, segs.after)
+    split = CONTROL if kind is ModelKind.Z else TARGET
+    both = kind is ModelKind.COMBINED
+    # per gate index: (before, after) at its splitting symbol, and at its
+    # other symbol (crossing,), or (before, after) when that splits too
+    split_at: list[tuple[int, ...]] = [()] * len(c.gates)
+    other_at: list[tuple[int, ...]] = [()] * len(c.gates)
+    offsets = [0]
+    gap_vars = []
+    for syms in c.symbol_tables:
+        seg = offsets[-1]
+        # the head continues the wire's last segment
+        prev = seg + len(syms) + sum(1 for _, sk in syms if both or sk is split) - 1
+        pairs = []
+        for gi, sk in syms:
+            at = split_at if sk is split else other_at
+            if both or sk is split:
+                at[gi] = (prev, seg)
+                prev, seg = seg, seg + 1
+            else:
+                at[gi] = (prev,)
+            pairs.append((prev, seg))
+            prev, seg = seg, seg + 1
+        offsets.append(seg)
+        gap_vars.append(tuple(pairs))
+    if both:  # control (the other symbol) first
+        gate_vars = map(tuple.__add__, other_at, split_at)
     else:
-        gate_vars = zip(segs.before, segs.after, segs.crossing)
+        gate_vars = map(tuple.__add__, split_at, other_at)
     return BooleanModel(
         kind=kind,
-        offsets=tuple(segs.starts),
+        offsets=tuple(offsets),
         gate_vars=tuple(gate_vars),
         gate_ids=tuple(g.id for g in c.gates),
-        gap_vars=tuple(tuple(zip(ends, begins)) for ends, begins in zip(segs.ending, segs.starting)),
+        gap_vars=tuple(gap_vars),
     )
 
 
@@ -354,13 +233,14 @@ def derive_transformations(
 ) -> StabiliserMap:
     """Stabiliser map of the cut-induced circuit, from the X parity system.
 
-    Checks the cut set once (``cut_table``; no gates are emitted) and solves
-    the X join classes of its cuts (``_x_columns``; no model is built).
-    Truth of an output class means the output qubit carries that Pauli
-    kind; signs are out of model. A CNOT circuit acts symplectically, so Z
-    is the inverse transpose of X, read off one ``gf2.invert`` of the X
-    columns instead of a second solve. ``models`` is accepted for callers
-    that still pass an (X, Z) pair and is not read.
+    Checks the cut set once (``cut_table``; no gates are emitted) and
+    substitutes the X equations along the traversal (``_x_columns``; no
+    model is built and no solver is called). A set bit in an output column
+    means the output qubit carries that Pauli kind; signs are out of model.
+    A CNOT circuit acts symplectically, so Z is the inverse transpose of X,
+    read off one ``gf2.invert`` of the X columns instead of a second solve.
+    ``models`` is accepted for callers that still pass an (X, Z) pair and
+    is not read.
     """
     return StabiliserMap.from_x(_x_columns(c, cut_table(c, cuts), d))
 
@@ -368,21 +248,48 @@ def derive_transformations(
 def _x_columns(c: CircularCircuit, table: CutTable, d: Direction, missing: int | None = None) -> list[int]:
     """X columns of the table's derivation: per output qubit, its mask over the inputs.
 
-    Walks the X join classes of the table's cuts, pins each qubit's first
-    class (``qubit_ends``) to a distinct symbolic input and solves the gate
-    clauses in traversal order from the table's start slot. A ``missing``
-    gate index (``icm.faulted_transformations``) splits nothing and is left
-    out of the order, so it writes no clause.
+    Substitutes the X equations along the traversal from the table's start
+    slot. Each wire holds the value of the segment it last entered, at
+    first its family gap's input. A gate XORs its control's value into its
+    target's, and the traversal then meets the gap next to each of its
+    symbols: after it clockwise, before it counter-clockwise. An uncut gap
+    is a join. A cut gap ends one qubit's arc, whose output column takes
+    the value, and starts the next, whose input bit the wire then holds.
+    Qubits are numbered by ``CutTable.arcs``, as ``linearize`` numbers
+    them; counter-clockwise an arc starts at its clockwise end cut. A
+    ``missing`` gate index (``icm.faulted_transformations``) writes nothing.
     """
-    split = [TARGET] * len(c.gates)
-    order = traversal_order(c, table.start, d)
-    if missing is not None:
-        split[missing] = None
-        order.remove(missing)
-    classes = walk_classes(c, split, table.cuts)
-    ins, outs = qubit_ends(table, classes.starting, classes.ending, d)
-    sol = solve_walk(classes, ins, order)
-    return [sol[k] >> 1 for k in outs]
+    starts, ends = table.arcs()
+    if d is Direction.CCW:
+        starts, ends = ends, starts
+    ending = {cut: q for q, cut in enumerate(ends)}
+    symbols = c.symbol_tables
+    # per wire and gap: None when uncut, else the qubit whose arc ends there
+    # and the input bit of the one starting there
+    at: list[list[tuple[int, int] | None]] = [[None] * len(syms) for syms in symbols]
+    for q, (w, i) in enumerate(starts):
+        at[w][i] = (ending[w, i], 1 << q)
+    # per gate index, the gap met next to its control symbol and its target symbol
+    at_control: list = [None] * len(c.gates)
+    at_target: list = [None] * len(c.gates)
+    for syms, gaps in zip(symbols, at):
+        for i, (gi, sk) in enumerate(syms, 0 if d is Direction.CW else -1):
+            (at_target if sk is TARGET else at_control)[gi] = gaps[i]
+    value = [gaps[wire_cuts[k]][1] for gaps, wire_cuts, k in zip(at, table.cuts, table.anchors)]
+    cols = [0] * len(starts)
+    gates = c.gates
+    for gi in traversal_order(c, table.start, d):
+        g = gates[gi]
+        control, target = g.control, g.target
+        if gi != missing:
+            value[target] ^= value[control]
+        cut = at_control[gi]
+        if cut:
+            cols[cut[0]], value[control] = value[control], cut[1]
+        cut = at_target[gi]
+        if cut:
+            cols[cut[0]], value[target] = value[target], cut[1]
+    return cols
 
 
 def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
@@ -437,46 +344,36 @@ class _SlotSystem(NamedTuple):
     family_rows: tuple[int, ...]
 
 
-def _slot_systems(c: CircularCircuit, gaps: list[Gap]):
+def _slot_systems(c: CircularCircuit):
     """Every slot's ``_SlotSystem``, the wrap slot first and then clockwise from slot 0.
 
-    ``gaps`` lists the circuit's gaps by (wire, gap). One X solve with
-    every gap cut and each gap's starting class a symbolic input gives
-    the value arriving at each gap as a mask over gap starts. Each slot
-    then rewrites those masks in traversal order: a family gap's start is
-    its wire's input and any other gap's start is its arriving value XOR
-    its tag.
+    Per slot, one walk in traversal order substitutes the X equations as
+    ``_x_columns`` does, with symbols for inputs: each wire starts with its
+    family input bit, and a gate XORs its control's value into its
+    target's. At the gap after each symbol, a family gap records the
+    arriving value in ``family_rows``; any other gap appends it to
+    ``rows``, and the wire's value then XORs in that gap's tag.
     """
     first = list(accumulate((c.symbol_count(w) for w in range(c.wires)), initial=0))
-    classes = walk_classes(c, [TARGET] * len(c.gates), None)
-    sol = solve_walk(classes, [classes.starting[gap.wire][gap.index] for gap in gaps])
-    arriving = [sol[classes.ending[gap.wire][gap.index]] >> 1 for gap in gaps]
     spans = [tuple(span) for span in spanning_gaps(c)]
     n_gates, n_wires = len(spans), c.wires
     for s in (n_gates - 1, *range(n_gates - 1)):
         family = tuple(first[w] + i for w, i in enumerate(spans[s]))
-        start: list = [None] * first[-1]  # per gap, its starting value
-        for w, k in enumerate(family):
-            start[k] = 1 << w
+        value = [1 << w for w in range(n_wires)]
         others, wires, rows = [], [], []
         family_rows = [0] * n_wires
         for x in range(s + 1, s + 1 + n_gates):
             gate, span = c.gates[x % n_gates], spans[x % n_gates]
+            value[gate.target] ^= value[gate.control]
             for w in (gate.control, gate.target):
                 k = first[w] + span[w]
-                # the gaps a gap's arriving value reads come before it
-                value, mask = 0, arriving[k]
-                while mask:
-                    low = mask & -mask
-                    value ^= start[low.bit_length() - 1]
-                    mask ^= low
                 if k == family[w]:
-                    family_rows[w] = value
+                    family_rows[w] = value[w]
                 else:
-                    start[k] = value ^ 1 << (n_wires + len(others))
+                    rows.append(value[w])
+                    value[w] ^= 1 << (n_wires + len(others))
                     others.append(k)
                     wires.append(w)
-                    rows.append(value)
         yield _SlotSystem(family, tuple(others), tuple(wires), tuple(rows), tuple(family_rows))
 
 
@@ -533,7 +430,7 @@ def search_cuts(
     family numbers its qubits.
 
     A candidate is read off its slot's reduced X system (``_slot_systems``,
-    one X solve per search) by substitution over its extra cuts
+    one walk per slot) by substitution over its extra cuts
     (``_columns``), without deriving a map. The counter-clockwise reading
     is the same gate list reversed on the same qubits, and CNOTs are
     self-inverse, so it matches exactly when the clockwise X columns equal
@@ -576,7 +473,7 @@ def search_cuts(
     n_extra = need - c.wires
     visited: set[tuple[int, ...]] = set()
     found: list[tuple[CutSet, Direction]] = []
-    for system in _slot_systems(c, gaps):
+    for system in _slot_systems(c):
         # slots whose gates between them touch only single-symbol wires
         # share a family, and so every candidate
         if system.family in visited:

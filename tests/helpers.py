@@ -1,36 +1,37 @@
 """Shared fixtures and independent oracles for the test suite.
 
-Everything here deliberately avoids the library's solver internals: unitary
-brute force uses numpy, truth-table counting evaluates the model's integer
-clauses (``gate_vars`` and ``joins``) as plain Boolean formulas,
+Everything here deliberately avoids the library's derivation internals:
+unitary brute force uses numpy, truth-table counting evaluates the model's
+integer clauses (``gate_vars`` and ``joins``) as plain Boolean formulas,
 map conjugation is set algebra, and circuit generators build objects
 through the public constructors only. GF(2) references share no code
 with ``gf2``: ``gf2_rank`` keeps an XOR basis by leading bit,
 ``reference_solve`` eliminates on the same basis and substitutes, and
-``brute_force_solutions`` tries every assignment. The exceptions are
-four solver-based references: ``commutation_by_derivation``,
-which ``check_commutation_invariance`` is tested against;
-``solve_model_map``/``derive_by_both_models``, which solve the Z model
-directly where ``derive_transformations`` reads Z off the X map;
-``solve_map_rows_with_joins``/``propagate_with_joins``, which keep one row
-per uncut join where ``solve_map_rows`` solves over join classes; and
-``fault_map_by_model``, the pinned-ancilla fault body that built both
-models, where ``faulted_transformations`` solves X once with the missing
-gate's clause left out. ``fault_expected`` reads the gate-deleted oracle
-with ``arc_ends``' qubit numbering.
-``solve_map_rows`` and ``input_output_segments`` read map columns off
-``solve_classes``, a model solve over join classes that no command needs
-(the library derives from the class walk and solves in one pass); every
-reference solve here runs ``reference_solve``. ``arc_ends`` names each qubit's
-input and output gaps off ``cut_table(...).arcs()``, and ``origin_ends``
-reads each qubit's first and last class through them, the reference for
-``model.qubit_ends``, which reads them off the table's cut lists.
-``reference_build_model`` and ``reference_join_classes`` keep the segment
-loop and the class fold that ``model.walk_classes`` replaced; the walk and
-``build_model`` are compared with them. Solver columns (per output, the
-inputs reaching it) are read into map rows by ``rows_of_columns``, by set
-algebra, not through ``StabiliserMap``. ``one_pass_waits`` replays the rows a solve is handed,
-tracking only which variables are fixed.
+``brute_force_solutions`` tries every assignment; every reference solve
+here runs ``reference_solve``.
+
+The library substitutes along the traversal and builds no model to
+derive. The references solve a model's cut system instead:
+``solve_classes`` writes its rows over the classes of
+``reference_join_classes``, a per-variable fold of the joins the cuts
+leave, and ``solve_map_rows`` reads map columns off it at the segments
+``input_output_segments`` picks for each qubit of ``arc_ends``, which
+names each qubit's input and output gaps off ``cut_table(...).arcs()``.
+``solve_model_map``/``derive_by_both_models`` solve the Z model directly
+where ``derive_transformations`` reads Z off the X map;
+``solve_map_rows_with_joins``/``propagate_with_joins`` keep one row per
+uncut join where ``solve_map_rows`` solves over join classes; and
+``fault_map_by_model`` keeps the pinned-ancilla fault body that built
+both models, where ``faulted_transformations`` leaves the missing gate
+out of one X substitution. ``fault_expected`` reads the gate-deleted
+oracle with ``arc_ends``' qubit numbering. ``reference_slot_systems``
+keeps the search's every-gap solve and per-slot rewrite, which the
+per-slot walk replaced. ``commutation_by_derivation``,
+which ``check_commutation_invariance`` is tested against, derives with
+the library. ``reference_build_model`` keeps the segment loop that
+``build_model`` is compared with. Solver columns (per output, the
+inputs reaching it) are read into map rows by ``rows_of_columns``, by
+set algebra, not through ``StabiliserMap``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from circnot import (
 from circnot.circuits import CONTROL, TARGET, cut_table
 from circnot.errors import Inconsistent, NotAdjacent, UnpinnedSelector
 from circnot.icm import FaultSpec, inject_smgf
-from circnot.model import BooleanModel, ModelKind, parity_rows, walk_classes
+from circnot.model import BooleanModel, ModelKind, parity_rows
 
 
 def mkcirc(wires: int, pairs) -> CircularCircuit:
@@ -145,44 +146,28 @@ def rows_of_columns(cols) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(j for j, col in enumerate(cols) if col >> i & 1) for i in range(len(cols)))
 
 
-def solve_classes(c: CircularCircuit, m: BooleanModel, cut_gaps, ins, pins) -> tuple[list[int], list[int]]:
+def solve_classes(m: BooleanModel, cut_gaps, ins, pins) -> tuple[list[int], list[int]]:
     """Per join class its solved rhs, and per variable its class, for a model's cut system.
 
-    ``m`` is an X or Z model of ``c`` (a combined clause has no selector and
-    raises UnpinnedSelector). The circuit is walked with the cuts
-    (``cut_gaps`` and the model's own) and each clause's splitting symbol.
-    Every segment ends or starts at a gap, so each variable takes the class
-    on its side of a gap. Rows over classes, one per input (rhs bit
-    ``1 + i``; None skips one), one per pin (variable -> bool, rhs bit 0) and
-    one per gate clause, go to ``reference_solve``.
+    ``m`` is an X or Z model (a combined clause has no selector and raises
+    UnpinnedSelector). The classes are ``reference_join_classes``
+    under the cuts (``cut_gaps`` and the model's own). Rows over classes,
+    one per input (rhs bit ``1 + i``; None skips one), one per pin
+    (variable -> bool, rhs bit 0) and one per gate clause, go to
+    ``reference_solve``.
     """
     if m.kind is ModelKind.COMBINED:
         raise UnpinnedSelector(f"combined clause for gate {m.gate_ids[0]} has no selector")
-    on_wire: list[list[int]] = [[] for _ in range(c.wires)]
-    for gap in m.cut_gaps | cut_gaps:
-        m.gap_pair(gap)  # raises UnknownGap
-        on_wire[gap.wire].append(gap.index)
-    for wire_cuts in on_wire:
-        wire_cuts.sort()
-    split = [TARGET if m.kind is ModelKind.X else CONTROL] * len(c.gates)
-    classes = walk_classes(c, split, on_wire)
-    cls = [0] * m.n_vars
-    after, crossing = classes.after, classes.crossing
-    for syms, pairs in zip(c.symbol_tables, m.gap_vars):
-        for (gi, sk), (end, start) in zip(syms, pairs):
-            # a gap ends the class after its symbol and, uncut, continues it
-            cls[end] = cls[start] = after[gi] if sk is split[gi] else crossing[gi]
-    for wire_cuts, begins, pairs in zip(on_wire, classes.starting, m.gap_vars):
-        for i, start in zip(wire_cuts, begins):
-            cls[pairs[i][1]] = start
+    cls, n = reference_join_classes(m, m.cut_gaps | cut_gaps)  # raises UnknownGap
     rows = [((cls[v],), 2 << i) for i, v in enumerate(ins) if v is not None]
     rows += [((cls[v],), int(bool(value))) for v, value in pins.items()]
-    for a, b, x in zip(classes.before, classes.after, classes.crossing):
+    for vs in m.gate_vars:
+        a, b, x = (cls[v] for v in vs)
         rows.append(((a, b, x) if a != b else (x,), 0))
-    return solve_rows(rows, classes.n), cls
+    return solve_rows(rows, n), cls
 
 
-def solve_map_rows(c: CircularCircuit, m: BooleanModel, cut_gaps, ins, outs, pins=None) -> list[int]:
+def solve_map_rows(m: BooleanModel, cut_gaps, ins, outs, pins=None) -> list[int]:
     """Map columns of a model's cut system: per output, the inputs that reach it.
 
     Segments are variable indices of an X or Z model of ``c``, solved over
@@ -192,7 +177,7 @@ def solve_map_rows(c: CircularCircuit, m: BooleanModel, cut_gaps, ins, outs, pin
     with bit ``i`` set when input ``i`` reaches it; a skipped input sets no
     bit.
     """
-    sol, cls = solve_classes(c, m, cut_gaps, ins, pins or {})
+    sol, cls = solve_classes(m, cut_gaps, ins, pins or {})
     return [sol[cls[v]] >> 1 for v in outs]
 
 
@@ -219,25 +204,10 @@ def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[
     return ins, outs
 
 
-def origin_ends(classes, cut_lists, origins, d: Direction) -> tuple[list[int], list[int]]:
-    """Reference for ``model.qubit_ends``: per ``ArcEnds``, the classes of its first and last segment.
-
-    ``classes`` is a walk over ``cut_lists``. A traversal's first segment
-    starts after the input cut (cw) or ends before it (ccw); the last one
-    mirrors that.
-    """
-
-    def side(gap: Gap, starting: bool) -> int:
-        return (classes.starting if starting else classes.ending)[gap.wire][cut_lists[gap.wire].index(gap.index)]
-
-    cw = d is Direction.CW
-    return [side(o.input_cut, cw) for o in origins], [side(o.output_cut, not cw) for o in origins]
-
-
 def solve_model_map(c: CircularCircuit, cuts: CutSet, d: Direction, model: BooleanModel):
     """Map rows of one parity model (X or Z), solved directly from that model."""
     origins = arc_ends(c, cuts, d)[1]
-    return rows_of_columns(solve_map_rows(c, model, cuts.gaps(), *input_output_segments(model, origins, d)))
+    return rows_of_columns(solve_map_rows(model, cuts.gaps(), *input_output_segments(model, origins, d)))
 
 
 def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models=None) -> StabiliserMap:
@@ -251,7 +221,7 @@ def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models
         models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
     origins = arc_ends(c, cuts, d)[1]
     x_out, z_out = (
-        rows_of_columns(solve_map_rows(c, m, cuts.gaps(), *input_output_segments(m, origins, d)))
+        rows_of_columns(solve_map_rows(m, cuts.gaps(), *input_output_segments(m, origins, d)))
         for m in models
     )
     return StabiliserMap(len(origins), x_out, z_out)
@@ -281,37 +251,6 @@ def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, b
     rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
     sol = solve_rows(rows, m.n_vars)
     return [sol[v] >> 1 for v in outs]
-
-
-def one_pass_waits(rows) -> tuple[list[int], set[int]]:
-    """Replay sparse ``(variables, rhs)`` rows as a one-pass solve reads them.
-
-    Tracks which variables are fixed, not their values. A row reached with
-    at most one variable that earlier rows have not fixed fixes it. A row
-    reached with more waits until all but one of its variables are fixed,
-    then fixes that one. Returns the indices of the rows that waited and the
-    variables fixed at the end.
-    """
-    fixed: set[int] = set()
-    waits: list[int] = []
-    pending: list[tuple[int, ...]] = []
-    for r, (vs, _) in enumerate(rows):
-        unfixed = [v for v in vs if v not in fixed]
-        if len(unfixed) > 1:
-            waits.append(r)
-            pending.append(vs)
-            continue
-        fixed.update(unfixed)
-        progress = True
-        while progress:
-            progress = False
-            for vs in list(pending):
-                unfixed = [v for v in vs if v not in fixed]
-                if len(unfixed) <= 1:
-                    fixed.update(unfixed)
-                    pending.remove(vs)
-                    progress = True
-    return waits, fixed
 
 
 def propagate_with_joins(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
@@ -431,28 +370,15 @@ def reference_build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     )
 
 
-def reference_triples(m: BooleanModel, selectors=None) -> list[tuple[int, int, int]]:
-    """Per gate (split-before, split-after, crossing): ``gate_vars`` in X and Z; a
-    combined ``(a, b, tc, td)`` by its selector in ``selectors`` (gate id -> bool),
-    X ``(tc, td, a)`` or Z ``(a, b, tc)``."""
-    if m.kind is not ModelKind.COMBINED:
-        return list(m.gate_vars)
-    return [
-        (tc, td, a) if selectors[gate_id] else (a, b, tc)
-        for gate_id, (a, b, tc, td) in zip(m.gate_ids, m.gate_vars)
-    ]
+def reference_join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
+    """The class of each variable of an X or Z model under the cuts, and the class count.
 
-
-def reference_join_classes(m: BooleanModel, cut_gaps, selectors=None) -> tuple[list[int], int]:
-    """Reference for ``walk_classes``: the class of each model variable, and the class count.
-
-    The join-class fold ``walk_classes`` replaced. Within a wire, variable
-    ``v`` continues the class of ``v - 1`` (cyclically) unless a split
-    symbol (each ``reference_triples`` entry's second variable) or a cut
-    gap comes before it; a wire with neither is one class.
+    Within a wire, variable ``v`` continues the class of ``v - 1``
+    (cyclically) unless a split symbol (each clause's second variable) or
+    a cut gap comes before it; a wire with neither is one class.
     """
     breaks = bytearray(m.n_vars)
-    for _, after, _ in reference_triples(m, selectors):
+    for _, after, _ in m.gate_vars:
         breaks[after] = 1
     for gap in cut_gaps:
         breaks[m.gap_pair(gap)[1]] = 1
@@ -469,6 +395,51 @@ def reference_join_classes(m: BooleanModel, cut_gaps, selectors=None) -> tuple[l
         # the wire's head continues its last class
         cls[lo:first] = [cls[hi - 1]] * (first - lo)
     return cls, breaks.count(1)
+
+
+def reference_slot_systems(c: CircularCircuit) -> list[tuple]:
+    """Reference for ``model._slot_systems``: one solve with every gap cut, rewritten per slot.
+
+    The reference X model is solved over join classes with every gap cut
+    and each gap's starting segment a symbolic input, which gives the value
+    arriving at each gap over the gaps' starts. Each slot, the wrap slot
+    first and then clockwise from slot 0, rewrites those values in
+    traversal order: a family gap's start is its wire's input bit and any
+    other gap's start is its arriving value XOR its own tag bit. Gaps are
+    numbered by (wire, gap) and found from the gate list alone
+    (``spanning_gap_index``). Returns per slot ``(family, others, wires,
+    rows, family_rows)``.
+    """
+    pairs = [(g.control, g.target) for g in c.gates]
+    m = reference_build_model(c, ModelKind.X)
+    gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+    index = {gap: k for k, gap in enumerate(gaps)}
+    ins = [m.gap_pair(gap)[1] for gap in gaps]
+    outs = [m.gap_pair(gap)[0] for gap in gaps]
+    arriving = solve_map_rows(m, frozenset(gaps), ins, outs)
+    n_gates = len(pairs)
+    systems = []
+    for s in (n_gates - 1, *range(n_gates - 1)):
+        family = tuple(index[Gap(w, spanning_gap_index(pairs, w, s))] for w in range(c.wires))
+        start = {k: 1 << w for w, k in enumerate(family)}  # per gap met, its starting value
+        others, wires, rows = [], [], []
+        family_rows = [0] * c.wires
+        for x in range(s + 1, s + 1 + n_gates):
+            for w in pairs[x % n_gates]:
+                k = index[Gap(w, spanning_gap_index(pairs, w, x % n_gates))]
+                value = 0
+                for j in range(len(gaps)):
+                    if arriving[k] >> j & 1:
+                        value ^= start[j]  # a gap's arriving value reads only gaps met before it
+                if k == family[w]:
+                    family_rows[w] = value
+                else:
+                    start[k] = value ^ 1 << (c.wires + len(others))
+                    others.append(k)
+                    wires.append(w)
+                    rows.append(value)
+        systems.append((family, tuple(others), tuple(wires), tuple(rows), tuple(family_rows)))
+    return systems
 
 
 # --- rotation algebra references --------------------------------------------

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,32 @@ def test_circularize_zero_qubits_exit_code(tmp_path, capsys):
     path.write_text("linear\nwires 0\n")
     assert run(["circularize", str(path)]) == (1, "")
     assert capsys.readouterr().err == ZERO_WIRES
+
+
+def test_circularize_long_chain_finishes(tmp_path):
+    # each qubit's gate times were found by a scan over every gate, which
+    # took seconds at a few thousand qubits
+    n = 20_000
+    path = tmp_path / "chain.circ"
+    path.write_text(f"linear\nwires {n}\n" + "".join(f"cnot {q} {q + 1}\n" for q in range(n - 1)))
+    start = time.perf_counter()
+    code, out = run(["circularize", str(path)])
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    # a chain closes onto two wires, alternating qubit by qubit
+    assert out.startswith("circular\nwires 2\ncnot 0 1\ncnot 1 0\n")
+    assert out.endswith(" q19998:w0 q19999:w1\n")
+
+
+def test_repeated_cut_among_many_exit_code(tmp_path, swap_file, capsys):
+    # the first repeat was found by comparing each cut with every earlier
+    # one, which took seconds at a few thousand cuts
+    path = tmp_path / "many.cuts"
+    path.write_text("".join(f"cut {w} 0\n" for w in range(20_000)) + "cut 7 0\ncut 9 0\n")
+    start = time.perf_counter()
+    assert run(["derive", swap_file, "--cuts", str(path)]) == (1, "")
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == "error duplicate-cut: cut repeated at wire 7 gap 0\n"
 
 
 def test_wire_limit_exit_code(tmp_path, capsys, monkeypatch):

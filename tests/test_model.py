@@ -31,6 +31,7 @@ from circnot import (
 from circnot.errors import (
     BudgetTooSmall,
     DuplicateCut,
+    EmptyCutSet,
     Inconsistent,
     NoRadialCut,
     NotAdjacent,
@@ -45,7 +46,7 @@ from circnot import model as model_module
 from circnot.circuits import CONTROL, TARGET, LinearCircuit, cut_table
 from circnot.cli import parity_text
 from circnot.icm import FaultSpec, faulted_transformations, inject_smgf
-from circnot.model import MAX_SEARCH_CANDIDATES, ModelKind, qubit_ends
+from circnot.model import MAX_SEARCH_CANDIDATES, ModelKind
 from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
     SWAP_X_REF,
@@ -64,13 +65,10 @@ from helpers import (
     isomorphic_to_reference,
     mkcirc,
     mklin,
-    one_pass_waits,
-    origin_ends,
     parity_solutions,
     propagate_with_joins,
     reference_build_model,
-    reference_join_classes,
-    reference_triples,
+    reference_slot_systems,
     restrict_map,
     rows_of_columns,
     small_sweep_cut_sets,
@@ -411,13 +409,13 @@ class TestSparseRows:
         for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
             m = build_model(c, kind)
             ins, outs = input_output_segments(m, origins, d)
-            whole = solve_map_rows(c, m, cuts.gaps(), ins, outs)
+            whole = solve_map_rows(m, cuts.gaps(), ins, outs)
             assert rows_of_columns(whole) == rows
             for _ in range(6):
                 on_model = frozenset(rng.sample(gaps, rng.randint(0, len(gaps))))
                 # the call may repeat gaps already cut on the model
                 in_call = (cuts.gaps() - on_model) | frozenset(rng.sample(gaps, rng.randint(0, 2)))
-                assert solve_map_rows(c, apply_cuts(m, CutSet(on_model)), in_call, ins, outs) == whole
+                assert solve_map_rows(apply_cuts(m, CutSet(on_model)), in_call, ins, outs) == whole
 
 
 def solve_or_error(solve, *args, **kwargs):
@@ -429,12 +427,12 @@ def solve_or_error(solve, *args, **kwargs):
 
 
 class TestJoinClasses:
-    """``solve_map_rows`` solves over the walk's join classes; the join-row solve is the reference."""
+    """``solve_map_rows`` solves over the reference join classes; the join-row solve is the reference."""
 
     @staticmethod
-    def assert_same(c, m, cut_gaps, ins, outs, pins=None):
+    def assert_same(m, cut_gaps, ins, outs, pins=None):
         # values, or the error class
-        got = solve_or_error(solve_map_rows, c, m, cut_gaps, ins, outs, pins)
+        got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins)
         assert got == solve_or_error(solve_map_rows_with_joins, m, cut_gaps, ins, outs, pins)
         return got
 
@@ -452,7 +450,7 @@ class TestJoinClasses:
                         _, origins = arc_ends(c, cuts, d)
                         for m in models:
                             ins, outs = input_output_segments(m, origins, d)
-                            assert isinstance(self.assert_same(c, m, cuts.gaps(), ins, outs), list)
+                            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
                             checked += 1
         assert checked > 1800
 
@@ -466,7 +464,7 @@ class TestJoinClasses:
         for kind, d in ((ModelKind.X, Direction.CW), (ModelKind.Z, Direction.CCW)):
             m = build_model(c, kind)
             ins, outs = input_output_segments(m, arc_ends(c, cuts, d)[1], d)
-            assert isinstance(self.assert_same(c, m, cuts.gaps(), ins, outs), list)
+            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
 
     def test_fault_pins_and_bridges(self):
         # the pinned-ancilla fault construction (pins and bridges on the
@@ -482,7 +480,7 @@ class TestJoinClasses:
                 shapes.add((len(pins), len(bridges)))
                 if bridges:
                     return solve_map_rows_with_joins(m, cut_gaps, ins, outs, pins, bridges)
-                return self.assert_same(c, m, cut_gaps, ins, outs, pins)
+                return self.assert_same(m, cut_gaps, ins, outs, pins)
 
             every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
             extra = rng.sample(sorted(every_gap - record.seam.gaps()), 6)
@@ -510,29 +508,17 @@ class TestJoinClasses:
                     for m in models:
                         ins = [m.gap_pair(gap)[1] for gap in chosen]
                         outs = [m.gap_pair(gap)[0] for gap in chosen]
-                        got = self.assert_same(c, m, frozenset(chosen), ins, outs)
+                        got = self.assert_same(m, frozenset(chosen), ins, outs)
                         raised[got if isinstance(got, type) else None] += 1
         assert raised[Underdetermined] > 900 and raised[Inconsistent] > 1300
 
 
-class TestOnePassOrder:
-    """Derive and fault solves write their rows so one pass in order solves them."""
+class TestTraversalSubstitution:
+    """Derive and fault substitute the X equations along the traversal (``_x_columns``)."""
 
-    @staticmethod
-    def capture(monkeypatch):
-        # every (rows, n_vars) system the model hands the kernel
-        systems = []
-        solve = gf2.solve_tagged
-
-        def spy(rows, n_vars, tag_width):
-            systems.append((list(rows), n_vars))
-            return solve(rows, n_vars, tag_width)
-
-        monkeypatch.setattr(gf2, "solve_tagged", spy)
-        return systems
-
-    def test_derive_rows_need_no_wait(self, monkeypatch):
-        systems = self.capture(monkeypatch)
+    def test_starts_on_and_off_wrap_slot_match_reference(self):
+        # start slots on and off the wrap slot, extra cuts, both directions:
+        # the columns equal the reference solve over join classes
         starts = set()
         for seed in range(4):
             rng = random.Random(seed)
@@ -546,37 +532,25 @@ class TestOnePassOrder:
             if not record.seam.gaps() <= middle | extra:
                 cut_sets.append(CutSet.of(sorted(middle | extra)))
             for cuts in cut_sets:
+                starts.add(cut_table(c, cuts).start == n_gates - 1)
+                assert_substitution_matches_reference(c, cuts)
                 for d in Direction:
-                    starts.add(cut_table(c, cuts).start == n_gates - 1)
-                    systems.clear()
-                    derive_transformations(c, cuts, d)
-                    ((rows, n_vars),) = systems
-                    assert one_pass_waits(rows) == ([], set(range(n_vars)))
+                    assert derive_transformations(c, cuts, d) == oracle_map(linearize(c, cuts, d))
         assert starts == {True, False}
 
-    def test_fault_is_one_x_solve_with_no_wait(self, monkeypatch):
-        # a fault solves once: one input row per qubit, then one clause per
-        # gate but the missing one, over the X classes (targets and cuts
-        # break a wire), with no pin or bridge row and no row waiting
-        systems = self.capture(monkeypatch)
+    def test_fault_bases_match_deleted_gate_oracle(self):
+        # the missing gate writes nothing: the columns are the X columns of
+        # the linearization with that gate deleted, absorbed qubits included,
+        # and the fault map is that map restricted to the live qubits
         added = set()
 
         def check(c, base, d, gate):
-            systems.clear()
+            lin = linearize(c, base, d)
+            kept = tuple(g for g in lin.gates if g.source != gate.id)
+            deleted = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
+            cols = model_module._x_columns(c, cut_table(c, base), d, missing=c.gate_index(gate.id))
+            assert cols == deleted.x_columns()
             fd = faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
-            ((rows, n_vars),) = systems
-            table = cut_table(c, base)
-            n = sum(map(len, table.cuts))
-            breaks = [len(wire_cuts) for wire_cuts in table.cuts]
-            for other in c.gates:
-                if other is not gate:
-                    breaks[other.target] += 1
-            assert n_vars == sum(max(k, 1) for k in breaks)
-            assert [rhs for _, rhs in rows[:n]] == [2 << i for i in range(n)]
-            assert all(len(vs) == 1 for vs, _ in rows[:n])
-            assert len(rows) == n + len(c.gates) - 1
-            assert all(len(vs) in (1, 3) and rhs == 0 for vs, rhs in rows[n:])
-            assert one_pass_waits(rows) == ([], set(range(n_vars)))
             assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, base, d, gate.id)
             added.add(len(fd.cuts) - len(base))
 
@@ -602,14 +576,14 @@ class TestOnePassOrder:
 
 
 class TestPropagateOverClasses:
-    """A pinned solve over the walk's join classes (``solve_classes``) against
+    """A pinned solve over the reference join classes (``solve_classes``) against
     ``propagate_with_joins``, which solves ``parity_rows`` over every variable."""
 
     @staticmethod
-    def assert_same(c, m, pins):
+    def assert_same(m, pins):
         # values per variable, or the error class
         def over_classes(m, pins):
-            sol, cls = solve_classes(c, m, frozenset(), [], pins)
+            sol, cls = solve_classes(m, frozenset(), [], pins)
             return [bool(sol[k]) for k in cls]
 
         def run(solve):
@@ -634,9 +608,9 @@ class TestPropagateOverClasses:
                     cuts = rng.sample(gaps, rng.randint(0, min(4, len(gaps))))
                     cut = apply_cuts(m, CutSet.of(cuts)) if cuts else m
                     pins = {rng.randrange(cut.n_vars): rng.random() < 0.5 for _ in range(rng.randint(0, 4))}
-                    got = self.assert_same(c, cut, pins)
+                    got = self.assert_same(cut, pins)
                     outcomes[got if isinstance(got, type) else list] += 1
-            assert self.assert_same(c, build_model(c, ModelKind.COMBINED), {}) is UnpinnedSelector
+            assert self.assert_same(build_model(c, ModelKind.COMBINED), {}) is UnpinnedSelector
         assert sum(outcomes.values()) > 7000
         assert min(outcomes[kind] for kind in (list, Underdetermined, Inconsistent)) > 100
 
@@ -644,10 +618,10 @@ class TestPropagateOverClasses:
         # the uncut model leaves a free class, found over every segment too
         c, record = random_circularized(48 * 512, 48, 512)
         m = build_model(c, ModelKind.X)
-        assert self.assert_same(c, m, {}) is Underdetermined
+        assert self.assert_same(m, {}) is Underdetermined
         cut = apply_cuts(m, record.seam)
         ins, _ = input_output_segments(cut, arc_ends(c, record.seam, Direction.CW)[1], Direction.CW)
-        assert isinstance(self.assert_same(c, cut, {v: q % 3 == 0 for q, v in enumerate(ins)}), list)
+        assert isinstance(self.assert_same(cut, {v: q % 3 == 0 for q, v in enumerate(ins)}), list)
 
 
 class TestCommutation:
@@ -826,7 +800,7 @@ class TestSlotSystems:
         checked = 0
         for c, cut_sets in small_sweep_cut_sets():
             gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
-            systems = list(model_module._slot_systems(c, gaps))
+            systems = list(model_module._slot_systems(c))
             index = {gap: k for k, gap in enumerate(gaps)}
             models = (build_model(c, ModelKind.X), None)
             for cuts in cut_sets:
@@ -839,6 +813,13 @@ class TestSlotSystems:
                 assert ccw == StabiliserMap.from_x(cols).inverse()
                 checked += 1
         assert checked > 13000
+
+    def test_matches_every_gap_solve_reference(self):
+        # each slot's walk gives the rows the every-gap solve rewritten per
+        # slot gave: a gap's row is its arriving value, before its own tag
+        circuits = all_small_circuits(3, 3) + [random_circularized(seed, 5, 24)[0] for seed in range(3)]
+        for c in circuits:
+            assert [tuple(system) for system in model_module._slot_systems(c)] == reference_slot_systems(c)
 
 
 def derive_or_error(derive, c, cuts, d, models):
@@ -862,29 +843,6 @@ class TestDeriveFromXModel:
                     assert derived == derive_or_error(derive_by_both_models, c, cuts, d, models)
                     checked += 1
         assert checked > 26000
-
-    def test_solves_x_system_only_and_builds_no_model(self, monkeypatch):
-        # one solve per derivation, written from the walk: no model is built
-        # and no gate is emitted
-        c, record = random_circularized(3, 8, 64)
-        solved = []
-        real_solve = gf2.solve_tagged
-
-        def solve(rows, n_vars, tag_width):
-            solved.append(n_vars)
-            return real_solve(rows, n_vars, tag_width)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("derive built a model or emitted gates")
-
-        monkeypatch.setattr(model_module, "build_model", refuse)
-        monkeypatch.setattr(model_module, "BooleanModel", refuse)
-        monkeypatch.setattr(gf2, "solve_tagged", solve)
-        monkeypatch.setattr(circuits_module, "LinearGate", refuse)
-        derived = [derive_transformations(c, record.seam, d) for d in Direction]
-        assert len(solved) == 2
-        monkeypatch.undo()
-        assert derived == [oracle_map(linearize(c, record.seam, d)) for d in Direction]
 
 
 def identity_map(n):
@@ -1255,26 +1213,19 @@ def cut_for(c, mode, chosen):
     return {"seam": chosen | seam, "no-seam": chosen - seam, "every": every, "none": set()}[mode]
 
 
-def assert_walk_matches_reference(c, kind, selectors, cut):
-    # the walk's classes are the reference fold's, read through the
-    # reference model's variables
-    ref = reference_build_model(c, kind)
-    if kind is ModelKind.COMBINED:
-        split = [TARGET if selectors[g.id] else CONTROL for g in c.gates]
-    else:
-        split = [TARGET if kind is ModelKind.X else CONTROL] * len(c.gates)
-    cls, count = reference_join_classes(ref, cut, selectors)
-    on_wire = [sorted(gap.index for gap in cut if gap.wire == w) for w in range(c.wires)]
-    walk = model_module.walk_classes(c, split, on_wire)
-    assert walk.n == count
-    for g, (before, after, crossing) in enumerate(reference_triples(ref, selectors)):
-        assert (walk.before[g], walk.after[g], walk.crossing[g]) == (cls[before], cls[after], cls[crossing])
-    walk_gaps = {
-        (w, i): (walk.ending[w][k], walk.starting[w][k])
-        for w, wire_cuts in enumerate(on_wire)
-        for k, i in enumerate(wire_cuts)
-    }
-    assert walk_gaps == {(gap.wire, gap.index): tuple(cls[v] for v in ref.gap_pair(gap)) for gap in cut}
+def assert_substitution_matches_reference(c, cuts) -> bool:
+    """Whether the cut set holds a radial family; if so, its X columns
+    substituted along the traversal equal, both ways, the reference solve
+    over join classes of the reference X model, read at ``arc_ends``."""
+    try:
+        table = cut_table(c, cuts)
+    except (EmptyCutSet, NoRadialCut):
+        return False
+    m = reference_build_model(c, ModelKind.X)
+    for d in Direction:
+        ins, outs = input_output_segments(m, arc_ends(c, cuts, d)[1], d)
+        assert model_module._x_columns(c, table, d) == solve_map_rows(m, cuts.gaps(), ins, outs)
+    return True
 
 
 def assert_build_matches_reference(c):
@@ -1285,25 +1236,24 @@ def assert_build_matches_reference(c):
 
 
 class TestClassWalk:
-    """``walk_classes`` numbers join classes as the segment model folded into classes did."""
+    """``build_model`` numbers segments as the reference segment loop does, and
+    the traversal's X columns under any cut set equal the reference solve over
+    join classes."""
 
     @given(data=st.data())
     def test_matches_reference_classes(self, data):
-        # X, Z and a combined walk with drawn split kinds under one cut set,
+        # a drawn cut set with the seam added or removed, every gap or none,
         # and every model kind built
         _, c = data.draw(circular_circuits(max_wires=12))
         gaps = [p.gap for p in enumerate_cut_points(c)]
         chosen = set(data.draw(st.lists(st.sampled_from(gaps), unique=True)))
         cut = cut_for(c, data.draw(st.sampled_from(CUT_MODES)), chosen)
-        selectors = {g.id: data.draw(st.booleans()) for g in c.gates}
-        for kind in ModelKind:
-            assert_walk_matches_reference(c, kind, selectors, cut)
+        assert_substitution_matches_reference(c, CutSet.of(sorted(cut)))
         assert_build_matches_reference(c)
 
     def test_small_circuits_every_cut_set(self):
         # single-symbol wires and wires touched only as control or only as
         # target, under every cut set
-        rng = random.Random(5)
         shapes = collections.Counter()
         for c in all_small_circuits(3, 3):
             for w in range(c.wires):
@@ -1312,11 +1262,9 @@ class TestClassWalk:
                 shapes["control-only"] += kinds == {CONTROL}
                 shapes["target-only"] += kinds == {TARGET}
             gaps = [p.gap for p in enumerate_cut_points(c)]
-            selectors = {g.id: rng.random() < 0.5 for g in c.gates}
             for k in range(len(gaps) + 1):
                 for cut in itertools.combinations(gaps, k):
-                    for kind in ModelKind:
-                        assert_walk_matches_reference(c, kind, selectors, set(cut))
+                    shapes["radial"] += assert_substitution_matches_reference(c, CutSet.of(cut))
             assert_build_matches_reference(c)
         assert min(shapes.values()) > 20
 
@@ -1346,19 +1294,17 @@ class TestCutTableReadOut:
             assert table.start != wrap
         faulted = data.draw(st.lists(st.sampled_from([g.id for g in c.gates]), min_size=1, max_size=3, unique=True))
         for d in Direction:
-            start, origins = arc_ends(c, cuts, d)
-            assert table.start == start
-            for split in (TARGET, CONTROL):
-                walk = model_module.walk_classes(c, [split] * len(c.gates), table.cuts)
-                assert qubit_ends(table, walk.starting, walk.ending, d) == origin_ends(walk, table.cuts, origins, d)
+            assert table.start == arc_ends(c, cuts, d)[0]
             assert derive_transformations(c, cuts, d) == oracle_map(linearize(c, cuts, d))
             for gate_id in faulted:
                 fd = faulted_transformations(c, cuts, d, FaultSpec(gate=gate_id))
                 assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, gate_id)
+        # each qubit's input and output segments, read at its ``arc_ends`` gaps
+        assert assert_substitution_matches_reference(c, cuts)
 
 
 class TestBuildsNoModel:
-    """Faults and searches write their systems from the walk and build no model."""
+    """Derivations, faults and searches substitute along the traversal: no model, no solver."""
 
     def test_fault_and_search_build_no_model(self, monkeypatch):
         c, record = random_circularized(5, 6, 40)
@@ -1382,6 +1328,38 @@ class TestBuildsNoModel:
             kept = tuple(g for g in lin.gates if g.source != gate_id)
             expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
             assert fd.map == restrict_map(expected, fd.live_inputs, fd.live_outputs)
+
+    def test_derive_fault_and_search_call_no_solver(self, monkeypatch):
+        # no model is built, no gate is emitted and no solver is called;
+        # each derived or faulted map is one inversion of its X columns
+        c, record = random_circularized(3, 8, 64)
+        target = derive_transformations(c, record.seam, Direction.CW)
+        inverted = []
+        real_invert = gf2.invert
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a model, emitted a gate or called the solver")
+
+        monkeypatch.setattr(model_module, "build_model", refuse)
+        monkeypatch.setattr(model_module, "BooleanModel", refuse)
+        monkeypatch.setattr(circuits_module, "LinearGate", refuse)
+        monkeypatch.setattr(gf2, "solve_tagged", refuse)
+        monkeypatch.setattr(gf2, "invert", lambda rows, n: inverted.append(n) or real_invert(rows, n))
+        derived = [derive_transformations(c, record.seam, d) for d in Direction]
+        assert inverted == [c.wires] * 2
+        faults = [
+            (gate.id, d, faulted_transformations(c, record.seam, d, FaultSpec(gate=gate.id)))
+            for gate in c.gates[::8]
+            for d in Direction
+        ]
+        assert inverted == [c.wires] * (2 + len(faults))
+        hits = search_cuts(c, target, c.wires)
+        assert len(inverted) == 2 + len(faults)
+        monkeypatch.undo()
+        assert derived == [oracle_map(linearize(c, record.seam, d)) for d in Direction]
+        assert (record.seam, Direction.CW) in hits
+        for gate_id, d, fd in faults:
+            assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, record.seam, d, gate_id)
 
 
 @st.composite
