@@ -352,31 +352,26 @@ class CutTable(NamedTuple):
 
     ``cuts[w]`` lists wire ``w``'s cut gap indices ascending, ``anchors[w]``
     the position in it of the ``start`` slot's family gap. Each arc between
-    consecutive cuts on a wire is one qubit; ``by_qubit`` puts lists aligned
-    with ``cuts`` in qubit order: by wire, then clockwise from the family gap.
+    consecutive cuts on a wire is one qubit, numbered by wire, then
+    clockwise from the family gap (``arcs``).
     """
 
     start: int
     cuts: list[list[int]]
     anchors: list[int]
 
-    def by_qubit(self, per_wire, shift: int = 0) -> list:
-        """Per qubit, its wire's entry at its arc's clockwise start cut (end cut with ``shift`` 1)."""
-        out = []
-        for values, at in zip(per_wire, self.anchors):
-            at += shift
-            out += values[at:]
-            out += values[:at]
-        return out
-
     def qubit(self, w: int, k: int, shift: int = 0) -> int:
-        """The qubit ``by_qubit`` puts wire ``w``'s entry ``k`` at, with the same ``shift``."""
+        """The qubit whose arc starts clockwise at wire ``w``'s cut ``cuts[w][k]`` (ends there with ``shift`` 1)."""
         return sum(map(len, self.cuts[:w])) + (k - self.anchors[w] - shift) % len(self.cuts[w])
 
     def arcs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Per qubit, the ``(wire, gap index)`` of its arc's clockwise start cut, then of its end cut."""
-        keys = [[(w, i) for i in wire_cuts] for w, wire_cuts in enumerate(self.cuts)]
-        return self.by_qubit(keys), self.by_qubit(keys, 1)
+        starts, ends = [], []
+        for w, (wire_cuts, at) in enumerate(zip(self.cuts, self.anchors)):
+            keys = [(w, i) for i in wire_cuts]
+            starts += keys[at:] + keys[:at]
+            ends += keys[at + 1 :] + keys[: at + 1]
+        return starts, ends
 
 
 def cut_table(c: CircularCircuit, cuts: CutSet) -> CutTable:

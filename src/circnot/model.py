@@ -41,8 +41,9 @@ The Z model serves ``circnot model``.
 
 ``search_cuts`` derives no map per candidate. Per radial slot, the same
 walk gives the value arriving at each gap over the slot family's inputs
-and one tag bit per other gap (``_slot_systems``), and a candidate's X
-columns are a substitution over its extra cuts (``_columns``).
+and one tag bit per other gap (``_slot_system``). A depth-first walk over
+the other gaps then chooses the extra cuts (``_walk_slot``), checking
+each arc's X column against the target as its cut closes it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, chain
 from math import comb
 from typing import NamedTuple
 
@@ -312,15 +313,20 @@ def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
 
 
 MAX_SEARCH_CANDIDATES = 100_000
-"""Most candidates ``search_cuts`` may build; a larger search is refused.
+"""Most candidates a search may stand for; a larger search is refused.
 
-The search holds no candidate set, only its hits and one slot's reduced
-system, so the limit bounds time alone. Measured with Python 3.11 on a
-shared 2-vCPU Xeon: a random 3-wire, 37-gate circuit searched for 5 cuts
-(91,945 candidates by the bound) takes 0.74 s, about 8 µs a candidate,
-with peak RSS unchanged at 17 MB; the Toffoli circular form (5 wires, 20
-gates, 40 gaps) takes 0.13 s for its 11,900 at 7 cuts. The next Toffoli
-size up, 8 cuts (130,900 by the bound), is past the limit.
+The bound is slots × C(gaps − wires, need − wires), every candidate that
+an unpruned search would read. The walk holds only its hits, one slot's
+reduced system and the branch it is on, and it prunes least where many
+placements of the extra cuts stay alive. Measured with Python 3.11 on a
+shared 2-vCPU Xeon, the worst cases found under the limit take about
+half a second: a ring of 307 wires (``cnot w w+1``) for one extra cut
+(94,249 by the bound, no hit) in 0.33-0.53 s, and the identity on
+``cnot 0 1`` × 36 for 4 cuts (86,940 by the bound) in 0.25-0.40 s, its
+39,780 hits raising peak RSS from 28 to 40 MB. Past the limit, a random
+3-wire, 37-gate circuit searched for one of its 6-cut readings
+(2,114,735 by the bound) takes 0.013 s once the limit is lifted: the
+bound no longer measures the walk's cost.
 """
 
 
@@ -344,74 +350,200 @@ class _SlotSystem(NamedTuple):
     family_rows: tuple[int, ...]
 
 
-def _slot_systems(c: CircularCircuit):
-    """Every slot's ``_SlotSystem``, the wrap slot first and then clockwise from slot 0.
+def _slot_families(c: CircularCircuit) -> list[tuple[int, ...]]:
+    """Per slot, its radial family: the gap spanning it on each wire, numbered by (wire, gap)."""
+    first = list(accumulate((c.symbol_count(w) for w in range(c.wires)), initial=0))
+    return [tuple(first[w] + i for w, i in enumerate(span)) for span in spanning_gaps(c)]
 
-    Per slot, one walk in traversal order substitutes the X equations as
+
+def _slot_system(c: CircularCircuit, families: list[tuple[int, ...]], s: int) -> _SlotSystem:
+    """Slot ``s``'s ``_SlotSystem``, ``families`` being ``_slot_families(c)``.
+
+    One walk in traversal order substitutes the X equations as
     ``_x_columns`` does, with symbols for inputs: each wire starts with its
     family input bit, and a gate XORs its control's value into its
-    target's. At the gap after each symbol, a family gap records the
-    arriving value in ``family_rows``; any other gap appends it to
-    ``rows``, and the wire's value then XORs in that gap's tag.
+    target's. At the gap after each symbol (the gate's own slot's family
+    gap on that wire), a family gap records the arriving value in
+    ``family_rows``; any other gap appends it to ``rows``, and the wire's
+    value then XORs in that gap's tag.
     """
-    first = list(accumulate((c.symbol_count(w) for w in range(c.wires)), initial=0))
-    spans = [tuple(span) for span in spanning_gaps(c)]
-    n_gates, n_wires = len(spans), c.wires
-    for s in (n_gates - 1, *range(n_gates - 1)):
-        family = tuple(first[w] + i for w, i in enumerate(spans[s]))
-        value = [1 << w for w in range(n_wires)]
-        others, wires, rows = [], [], []
-        family_rows = [0] * n_wires
-        for x in range(s + 1, s + 1 + n_gates):
-            gate, span = c.gates[x % n_gates], spans[x % n_gates]
-            value[gate.target] ^= value[gate.control]
-            for w in (gate.control, gate.target):
-                k = first[w] + span[w]
-                if k == family[w]:
-                    family_rows[w] = value[w]
-                else:
-                    rows.append(value[w])
-                    value[w] ^= 1 << (n_wires + len(others))
-                    others.append(k)
-                    wires.append(w)
-        yield _SlotSystem(family, tuple(others), tuple(wires), tuple(rows), tuple(family_rows))
+    family = families[s]
+    n_wires = c.wires
+    value = [1 << w for w in range(n_wires)]
+    others, wires, rows = [], [], []
+    family_rows = [0] * n_wires
+    tag = 1 << n_wires
+    gates = c.gates
+    for x in traversal_order(c, s, Direction.CW):
+        gate, after = gates[x], families[x]
+        value[gate.target] ^= value[gate.control]
+        for w in (gate.control, gate.target):
+            k = after[w]
+            if k == family[w]:
+                family_rows[w] = value[w]
+            else:
+                rows.append(value[w])
+                value[w] ^= tag
+                tag <<= 1
+                others.append(k)
+                wires.append(w)
+    return _SlotSystem(family, tuple(others), tuple(wires), tuple(rows), tuple(family_rows))
 
 
-def _columns(system: _SlotSystem, extras: tuple[int, ...]) -> list[int]:
-    """X columns of the slot's family plus ``others[p]`` for each ``p`` in ``extras``, ascending.
+def _compositions(caps: list[int], total: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every way to share ``total`` extra cuts among the wires, at most ``caps[w]`` on wire ``w``.
 
-    Qubits are numbered as ``CutTable.arcs`` numbers them from this slot:
-    by wire, then by arc clockwise from the family gap. Going through the
-    extra cuts in traversal order, each one closes the arc before it, whose
-    output reads the arriving value, and fixes its tag to the new input XOR
-    that value; every family gap then closes its wire's last arc.
+    A way is its ``(wire, count)`` pairs with a count above zero, by wire.
     """
-    wires = system.wires
+    room = list(accumulate(reversed(caps), initial=0))[::-1]  # room[w]: the most wires w on take
+    if total > room[0]:
+        return []
+    n = len(caps)
+    counts = [0] * n
+    out = []
+
+    def fill(start: int, left: int) -> None:
+        # each wire from ``start`` on takes the least that leaves room for the rest
+        for w in range(start, n):
+            counts[w] = max(0, left - room[w + 1])
+            left -= counts[w]
+        out.append(tuple((w, k) for w, k in enumerate(counts) if k))
+
+    fill(0, total)
+    while True:
+        # the last wire that can take one more cut from the wires after it
+        left = 0
+        for w in range(n - 1, -1, -1):
+            left += counts[w]
+            if counts[w] < caps[w] and counts[w] < left:
+                counts[w] += 1
+                fill(w + 1, left - counts[w])
+                break
+        else:
+            return out
+
+
+def _evaluate(row: int, segments: list[tuple[int, int]], tags: list[tuple[int, int]]) -> int:
+    """A slot-system value given the inputs' qubits and the tags chosen so far.
+
+    ``segments`` moves each run of input bits up to its qubits, and
+    ``tags`` pairs each cut's tag bit with the tag's value.
+    """
+    value = 0
+    for mask, shift in segments:
+        value ^= (row & mask) << shift
+    for bit, tag in tags:
+        if row & bit:
+            value ^= tag
+    return value
+
+
+def _walk_slot(
+    system: _SlotSystem,
+    compositions: list[tuple[tuple[int, int], ...]],
+    cw_cols: list[int],
+    ccw_cols: list[int],
+    blockers: list[int],
+):
+    """Yield every choice of extra cuts on the slot whose X columns are ``cw_cols`` or ``ccw_cols``.
+
+    Yields ``(extras, cw, ccw)``: the extra gaps, in traversal order, and
+    which of the two the columns equal. Qubits are numbered as
+    ``CutTable.arcs`` numbers them from the slot: by wire, then by arc
+    clockwise from the family gap, so a composition (``_compositions``)
+    fixes every qubit number; wire ``w``'s first arc is qubit ``w`` plus
+    the extra cuts on the wires before it. Per composition, the walk goes
+    through ``others`` in traversal order and decides for each gap on a
+    wire that takes extra cuts whether to cut it. A cut closes its wire's
+    open arc, whose column is the arriving value over the inputs and the
+    tags chosen so far, and sets its tag to the next arc's input XOR that
+    value; an uncut gap's tag is zero. A branch whose columns so far match
+    neither direction is dropped, and so is one that leaves a wire fewer
+    gaps than it still needs. At a leaf every family gap closes its wire's
+    last arc, and a choice holding a ``blockers`` mask over gaps (the rest
+    of an earlier slot's family) is skipped.
+    """
+    others, wires, rows, family_rows = system.others, system.wires, system.rows, system.family_rows
     n_wires = len(system.family)
-    counts = [1] * n_wires
-    for p in extras:
-        counts[wires[p]] += 1
-    qubit = list(accumulate(counts, initial=0))  # per wire, its open arc
-    known = [(1 << w, 1 << qubit[w]) for w in range(n_wires)]
-
-    def evaluate(row: int) -> int:
-        value = 0
-        for bit, known_value in known:
-            if row & bit:
-                value ^= known_value
-        return value
-
-    cols = [0] * qubit[-1]
-    rows = system.rows
-    for p in extras:
-        value = evaluate(rows[p])
-        w = wires[p]
-        cols[qubit[w]] = value
-        qubit[w] += 1
-        known.append((1 << (n_wires + p), 1 << qubit[w] ^ value))
-    for w, row in enumerate(system.family_rows):
-        cols[qubit[w]] = evaluate(row)
-    return cols
+    on_wire: list[list[int]] = [[] for _ in range(n_wires)]
+    for p, w in enumerate(wires):
+        on_wire[w].append(p)
+    rest = [0] * len(wires)  # per position, the later positions on its wire
+    for positions in on_wire:
+        for k, p in enumerate(reversed(positions)):
+            rest[p] = k
+    for composition in compositions:
+        # an input bit moves up by the extra cuts on the wires before its
+        # wire: one (input mask, shift) segment per run of wires
+        segments = []
+        qubit = {}  # per wire taking extra cuts, its open arc
+        left = {}  # and the extra cuts it still needs
+        shift = low = 0
+        for w, k in composition:
+            segments.append(((1 << (w + 1)) - (1 << low), shift))
+            qubit[w] = w + shift
+            left[w] = k
+            shift += k
+            low = w + 1
+        segments.append(((1 << n_wires) - (1 << low), shift))
+        live = sorted(chain.from_iterable(on_wire[w] for w in left))
+        n_live = len(live)
+        remaining = shift
+        tags: list[tuple[int, int]] = []  # per cut, its tag bit and the tag's value
+        trail: list[tuple[int, bool, bool]] = []  # per cut, its index in ``live`` and the flags before it
+        cw_ok = ccw_ok = True
+        i = 0
+        while True:
+            while remaining and i < n_live:
+                p = live[i]
+                w = wires[p]
+                need = left[w]
+                if need:
+                    value = _evaluate(rows[p], segments, tags)
+                    q = qubit[w]
+                    cw = cw_ok and value == cw_cols[q]
+                    ccw = ccw_ok and value == ccw_cols[q]
+                    if cw or ccw:
+                        trail.append((i, cw_ok, ccw_ok))
+                        tags.append((1 << (n_wires + p), 1 << (q + 1) ^ value))
+                        qubit[w] = q + 1
+                        left[w] = need - 1
+                        remaining -= 1
+                        cw_ok, ccw_ok = cw, ccw
+                    elif rest[p] < need:
+                        break
+                i += 1
+            if not remaining:
+                # wire w's last arc is qubit w plus the extra cuts up to its own
+                cw, ccw = cw_ok, ccw_ok
+                up = 0
+                for w, row in enumerate(family_rows):
+                    if w in qubit:
+                        up = qubit[w] - w
+                    value = _evaluate(row, segments, tags)
+                    cw = cw and value == cw_cols[w + up]
+                    ccw = ccw and value == ccw_cols[w + up]
+                    if not (cw or ccw):
+                        break
+                else:
+                    extras = [others[live[cut[0]]] for cut in trail]
+                    chosen = sum(1 << k for k in extras)
+                    if not any(blocker & chosen == blocker for blocker in blockers):
+                        yield extras, cw, ccw
+            # undo the latest cut and leave its gap uncut instead, if its wire can spare it
+            while trail:
+                i, cw_ok, ccw_ok = trail.pop()
+                tags.pop()
+                p = live[i]
+                w = wires[p]
+                qubit[w] -= 1
+                left[w] += 1
+                remaining += 1
+                if rest[p] >= left[w]:
+                    i += 1
+                    break
+            else:
+                break
 
 
 def search_cuts(
@@ -421,31 +553,32 @@ def search_cuts(
 
     Only sizes equal to the target's qubit count can match because every
     cut contributes exactly one qubit, and a cut set linearizes only if it
-    holds a radial family. So the candidates are built, not filtered: per
-    slot, the slot's radial family plus every choice of the remaining cuts
-    among the other gaps. Slots are visited in ``cut_table``'s start
-    order (the wrap slot, then clockwise from slot 0); a slot whose family
-    an earlier slot had is skipped, and so is a choice that completes an
-    earlier slot's family, so each candidate comes once, at the slot whose
-    family numbers its qubits.
+    holds a radial family. So the candidates are each slot's radial family
+    plus a choice of the remaining cuts among the other gaps. Slots are
+    visited in ``cut_table``'s start order (the wrap slot, then clockwise
+    from slot 0); a slot whose family an earlier slot had is skipped before
+    its system is built, and so is a choice that completes an earlier
+    slot's family, so each candidate comes once, at the slot whose family
+    numbers its qubits.
 
-    A candidate is read off its slot's reduced X system (``_slot_systems``,
-    one walk per slot) by substitution over its extra cuts
-    (``_columns``), without deriving a map. The counter-clockwise reading
-    is the same gate list reversed on the same qubits, and CNOTs are
-    self-inverse, so it matches exactly when the clockwise X columns equal
-    ``target.inverse()``'s. X columns suffice because the target is checked
-    to have Z the inverse transpose of X, as every derived map has; the
-    inverse's X columns are then the target's own Z rows, so nothing is
-    inverted.
+    Each slot's X system is reduced once (``_slot_system``), and the extra
+    cuts are chosen by a depth-first walk over it (``_walk_slot``), once
+    per way of sharing them among the wires (``_compositions``, computed
+    once per search). The walk checks each arc's X column as its cut
+    closes it and drops a branch as soon as a column matches the target in
+    neither direction. The counter-clockwise reading is the same gate list
+    reversed on the same qubits, and CNOTs are self-inverse, so it matches
+    exactly when the clockwise X columns equal ``target.inverse()``'s. X
+    columns suffice because the target is checked to have Z the inverse
+    transpose of X, as every derived map has; the inverse's X columns are
+    then the target's own Z rows, so nothing is inverted.
 
     A target with more qubits than the circuit has gaps returns no match
     before the candidate bound or the target is looked at. Raises
-    ``SearchTooLarge``, before building any candidate, when the candidate
-    count could exceed ``MAX_SEARCH_CANDIDATES``. Below that bound, and
-    still before building anything, a target that is not of that form
-    (X·Zᵀ = I, ``is_symplectic``) returns no match: that covers singular
-    targets.
+    ``SearchTooLarge``, before walking anything, when the candidate count
+    could exceed ``MAX_SEARCH_CANDIDATES``. Below that bound, and still
+    before walking anything, a target that is not of that form (X·Zᵀ = I,
+    ``is_symplectic``) returns no match: that covers singular targets.
     """
     if max_cuts < c.wires:
         raise BudgetTooSmall(f"need at least one cut per wire ({c.wires})")
@@ -469,40 +602,39 @@ def search_cuts(
     if not target.is_symplectic():
         return []
     cw_cols, ccw_cols = target.x_columns(), list(target._z_rows)
-    gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
     n_extra = need - c.wires
-    visited: set[tuple[int, ...]] = set()
-    found: list[tuple[CutSet, Direction]] = []
-    for system in _slot_systems(c):
+    compositions = _compositions([c.symbol_count(w) - 1 for w in range(c.wires)], n_extra)
+    families = _slot_families(c)
+    visited: dict[tuple[int, ...], int] = {}  # per family walked, its mask over gaps
+    hits: list[tuple[list[int], bool, bool]] = []
+    n_slots = len(families)
+    for s in (n_slots - 1, *range(n_slots - 1)):
+        family = families[s]
         # slots whose gates between them touch only single-symbol wires
         # share a family, and so every candidate
-        if system.family in visited:
+        if family in visited:
             continue
+        mask = sum(1 << k for k in family)
         # an extra set holding the rest of an earlier slot's family was a
         # candidate of that slot; with no extra cuts no other family is held
         blockers = []
         if n_extra:
-            position = {k: p for p, k in enumerate(system.others)}
-            for family in visited:
-                rest = [position[k] for k in family if k in position]
-                if len(rest) <= n_extra:
-                    blockers.append(sum(1 << p for p in rest))
-        visited.add(system.family)
-        for extras in combinations(range(len(system.others)), n_extra):
-            if blockers:
-                chosen = 0
-                for p in extras:
-                    chosen |= 1 << p
-                if any(blocker & chosen == blocker for blocker in blockers):
-                    continue
-            cols = _columns(system, extras)
-            cw, ccw = cols == cw_cols, cols == ccw_cols
-            if cw or ccw:
-                cuts = CutSet.of([gaps[k] for k in system.family] + [gaps[system.others[p]] for p in extras])
-                if cw:
-                    found.append((cuts, Direction.CW))
-                if ccw:
-                    found.append((cuts, Direction.CCW))
-    # stable: a cut set's clockwise hit stays before its counter-clockwise one
-    found.sort(key=lambda hit: hit[0].sorted_gaps())
+            for earlier in visited.values():
+                rest = earlier & ~mask
+                if rest.bit_count() <= n_extra:
+                    blockers.append(rest)
+        visited[family] = mask
+        system = _slot_system(c, families, s)
+        for extras, cw, ccw in _walk_slot(system, compositions, cw_cols, ccw_cols, blockers):
+            hits.append((sorted((*family, *extras)), cw, ccw))
+    # gaps numbered by (wire, gap) sort as the gaps do; each cut set is one hit
+    hits.sort()
+    gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+    found: list[tuple[CutSet, Direction]] = []
+    for numbers, cw, ccw in hits:
+        cuts = CutSet(frozenset([gaps[k] for k in numbers]))
+        if cw:
+            found.append((cuts, Direction.CW))
+        if ccw:
+            found.append((cuts, Direction.CCW))
     return found

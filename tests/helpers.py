@@ -26,7 +26,9 @@ both models, where ``faulted_transformations`` leaves the missing gate
 out of one X substitution. ``fault_expected`` reads the gate-deleted
 oracle with ``arc_ends``' qubit numbering. ``reference_slot_systems``
 keeps the search's every-gap solve and per-slot rewrite, which the
-per-slot walk replaced. ``commutation_by_derivation``,
+per-slot walk replaced, and ``reference_search`` the search that read
+every candidate's columns in full (``reference_columns``) on those
+systems, which the pruned walk replaced. ``commutation_by_derivation``,
 which ``check_commutation_invariance`` is tested against, derives with
 the library. ``reference_build_model`` keeps the segment loop that
 ``build_model`` is compared with. Solver columns (per output, the
@@ -440,6 +442,83 @@ def reference_slot_systems(c: CircularCircuit) -> list[tuple]:
                     rows.append(value)
         systems.append((family, tuple(others), tuple(wires), tuple(rows), tuple(family_rows)))
     return systems
+
+
+def reference_columns(system: tuple, extras: tuple[int, ...]) -> list[int]:
+    """X columns of a slot system's family plus ``others[p]`` for each ``p`` in ``extras``, ascending.
+
+    ``system`` is ``(family, others, wires, rows, family_rows)`` as
+    ``reference_slot_systems`` gives it. Qubits are numbered by wire, then
+    by arc clockwise from the family gap. Going through the extra cuts in
+    traversal order, each one closes the arc before it, whose output reads
+    the arriving value, and fixes its tag to the new input XOR that value;
+    every family gap then closes its wire's last arc.
+    """
+    family, _, wires, rows, family_rows = system
+    n_wires = len(family)
+    counts = [1] * n_wires
+    for p in extras:
+        counts[wires[p]] += 1
+    qubit = list(itertools.accumulate(counts, initial=0))  # per wire, its open arc
+    known = [(1 << w, 1 << qubit[w]) for w in range(n_wires)]
+
+    def evaluate(row: int) -> int:
+        value = 0
+        for bit, known_value in known:
+            if row & bit:
+                value ^= known_value
+        return value
+
+    cols = [0] * qubit[-1]
+    for p in extras:
+        value = evaluate(rows[p])
+        w = wires[p]
+        cols[qubit[w]] = value
+        qubit[w] += 1
+        known.append((1 << (n_wires + p), 1 << qubit[w] ^ value))
+    for w, row in enumerate(family_rows):
+        cols[qubit[w]] = evaluate(row)
+    return cols
+
+
+def reference_search(c: CircularCircuit, target: StabiliserMap, need: int) -> list[tuple[CutSet, Direction]]:
+    """Reference for ``search_cuts`` with ``max_cuts`` at least ``need``: every candidate read in full.
+
+    Per slot of ``reference_slot_systems``, skipping a family an earlier
+    slot had, every choice of the remaining cuts among the other gaps
+    (``itertools.combinations``), less those holding the rest of an
+    earlier family, is read by ``reference_columns`` and compared with the
+    target's X columns (clockwise) and its inverse's (counter-clockwise).
+    No candidate bound applies. A target that is not symplectic, or has
+    fewer qubits than wires or more than gaps, has no hit.
+    """
+    gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+    if not c.wires <= target.n_qubits == need <= len(gaps) or not target.is_symplectic():
+        return []
+    cw_cols, ccw_cols = target.x_columns(), target.inverse().x_columns()
+    n_extra = need - c.wires
+    visited: list[tuple[int, ...]] = []
+    found = []
+    for system in reference_slot_systems(c):
+        family, others = system[0], system[1]
+        if family in visited:
+            continue
+        position = {k: p for p, k in enumerate(others)}
+        blockers = [{position[k] for k in earlier if k in position} for earlier in visited]
+        visited.append(family)
+        for extras in itertools.combinations(range(len(others)), n_extra):
+            if blockers and any(blocker.issubset(extras) for blocker in blockers):
+                continue
+            cols = reference_columns(system, extras)
+            if cols != cw_cols and cols != ccw_cols:
+                continue
+            cuts = CutSet.of([gaps[k] for k in family] + [gaps[others[p]] for p in extras])
+            if cols == cw_cols:
+                found.append((cuts, Direction.CW))
+            if cols == ccw_cols:
+                found.append((cuts, Direction.CCW))
+    found.sort(key=lambda hit: hit[0].sorted_gaps())
+    return found
 
 
 # --- rotation algebra references --------------------------------------------

@@ -430,8 +430,10 @@ class TestCutTable:
         assert table == CutTable(2, [[0, 2], [2]], [1, 0])
         # from the family gap (0, 2): wire 0's arcs 2 -> 0 and 0 -> 2, then wire 1's
         assert table.arcs() == ([(0, 2), (0, 0), (1, 2)], [(0, 0), (0, 2), (1, 2)])
-        assert table.by_qubit([["a", "b"], ["c"]]) == ["b", "a", "c"]
-        assert table.by_qubit([["a", "b"], ["c"]], 1) == ["a", "b", "c"]
+        # wire 0's cut at gap 2 starts qubit 0 and ends qubit 1, its cut at gap 0 the other way round
+        assert [table.qubit(0, k) for k in (0, 1)] == [1, 0]
+        assert [table.qubit(0, k, 1) for k in (0, 1)] == [0, 1]
+        assert table.qubit(1, 0) == table.qubit(1, 0, 1) == 2
 
     def test_first_radial_slot_table(self, swap):
         # the wrap slot is not radial; slot 0's family is (0, 0) and (1, 0)
@@ -451,6 +453,10 @@ class TestCutTable:
                 starts, ends = table.arcs()
                 assert [Gap(*k) for k in starts] == [o.input_cut for o in origins]
                 assert [Gap(*k) for k in ends] == [o.output_cut for o in origins]
+                # ``qubit`` finds each arc's qubit from either end cut
+                for q, ((w, a), (_, b)) in enumerate(zip(starts, ends)):
+                    assert table.qubit(w, table.cuts[w].index(a)) == q
+                    assert table.qubit(w, table.cuts[w].index(b), 1) == q
                 checked += 1
         assert checked > 1500
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import assume, given
@@ -68,6 +69,8 @@ from helpers import (
     parity_solutions,
     propagate_with_joins,
     reference_build_model,
+    reference_columns,
+    reference_search,
     reference_slot_systems,
     restrict_map,
     rows_of_columns,
@@ -800,14 +803,14 @@ class TestSlotSystems:
         checked = 0
         for c, cut_sets in small_sweep_cut_sets():
             gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
-            systems = list(model_module._slot_systems(c))
+            systems = slot_systems(c)
             index = {gap: k for k, gap in enumerate(gaps)}
             models = (build_model(c, ModelKind.X), None)
             for cuts in cut_sets:
                 cut = {index[gap] for gap in cuts.gaps()}
                 system = next(s for s in systems if cut.issuperset(s.family))
                 extras = tuple(p for p, k in enumerate(system.others) if k in cut)
-                cols = model_module._columns(system, extras)
+                cols = reference_columns(system, extras)
                 cw, ccw = (derive_transformations(c, cuts, d, models=models) for d in Direction)
                 assert cols == cw.x_columns()
                 assert ccw == StabiliserMap.from_x(cols).inverse()
@@ -819,7 +822,14 @@ class TestSlotSystems:
         # slot gave: a gap's row is its arriving value, before its own tag
         circuits = all_small_circuits(3, 3) + [random_circularized(seed, 5, 24)[0] for seed in range(3)]
         for c in circuits:
-            assert [tuple(system) for system in model_module._slot_systems(c)] == reference_slot_systems(c)
+            assert [tuple(system) for system in slot_systems(c)] == reference_slot_systems(c)
+
+
+def slot_systems(c):
+    """Every slot's ``_SlotSystem``, in ``search_cuts``' order: the wrap slot, then clockwise from slot 0."""
+    families = model_module._slot_families(c)
+    n = len(families)
+    return [model_module._slot_system(c, families, s) for s in (n - 1, *range(n - 1))]
 
 
 def derive_or_error(derive, c, cuts, d, models):
@@ -855,50 +865,80 @@ def identity_map(n):
 REPEATED_FAMILIES = [[(0, 1), (2, 3)], [(0, 1), (1, 0), (2, 3)], [(0, 1), (2, 3), (1, 2)]]
 
 
+class MatchAnything:
+    """Equal to every value, so that a search keeps every candidate it reaches."""
+
+    def __eq__(self, other):
+        return True
+
+
+class AnyTarget:
+    """A stand-in target of ``n_qubits`` qubits whose X columns and Z rows equal anything."""
+
+    def __init__(self, n_qubits):
+        self.n_qubits = n_qubits
+        self._z_rows = (MatchAnything(),) * n_qubits
+
+    def is_symplectic(self):
+        return True
+
+    def x_columns(self):
+        return [MatchAnything()] * self.n_qubits
+
+
 class TestSearchOneDerivation:
     @staticmethod
-    def assert_each_candidate_evaluated_once(c, needs, monkeypatch):
-        # every cut set of ``need`` gaps holding a radial family is one
-        # candidate, evaluated once on its slot's reduced system; no
-        # candidate reads a cut table or runs a derivation
+    def assert_each_candidate_reached_once(c, needs, monkeypatch):
+        # with a target every column matches, nothing is pruned: every cut
+        # set of ``need`` gaps holding a radial family is one candidate,
+        # reached once and kept in both directions; no candidate reads a cut
+        # table or runs a derivation, and each family's slot system is
+        # built once
         pairs = [(g.control, g.target) for g in c.gates]
         families = [
             {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(c.wires)}
             for j in range(len(pairs))
         ]
         gaps = [p.gap for p in enumerate_cut_points(c)]
-        by_index = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
-        evaluated = []
-        real_columns = model_module._columns
+        # the slot systems number a gap by (wire, gap)
+        first = list(itertools.accumulate((c.symbol_count(w) for w in range(c.wires)), initial=0))
+        numbered = {tuple(sorted(first[g.wire] + g.index for g in family)) for family in families}
+        walked = []
+        real_slot_system = model_module._slot_system
 
-        def counted(system, extras):
-            ks = [*system.family, *(system.others[p] for p in extras)]
-            evaluated.append(CutSet.of(by_index[k] for k in ks))
-            return real_columns(system, extras)
+        def counted(c, slot_families, s):
+            walked.append(slot_families[s])
+            return real_slot_system(c, slot_families, s)
 
         def refuse(*args, **kwargs):
             raise AssertionError("search read a cut table or derived a map")
 
-        monkeypatch.setattr(model_module, "_columns", counted)
+        monkeypatch.setattr(model_module, "_slot_system", counted)
         monkeypatch.setattr(model_module, "cut_table", refuse)
         monkeypatch.setattr(model_module, "derive_transformations", refuse)
         for need in needs:
-            evaluated.clear()
-            search_cuts(c, identity_map(need), need)
-            expected = [
-                CutSet.of(combo)
-                for combo in itertools.combinations(gaps, need)
-                if any(family.issubset(combo) for family in families)
-            ]
-            assert sorted(evaluated, key=CutSet.sorted_gaps) == sorted(expected, key=CutSet.sorted_gaps)
+            walked.clear()
+            found = search_cuts(c, AnyTarget(need), need)
+            expected = sorted(
+                (
+                    CutSet.of(combo)
+                    for combo in itertools.combinations(gaps, need)
+                    if any(family.issubset(combo) for family in families)
+                ),
+                key=CutSet.sorted_gaps,
+            )
+            assert found == [(cuts, d) for cuts in expected for d in Direction]
+            if need <= len(gaps):
+                assert sorted(walked) == sorted(numbered)
 
     def test_each_candidate_evaluated_once(self, swap, monkeypatch):
-        self.assert_each_candidate_evaluated_once(swap, (2, 3, 4), monkeypatch)
+        self.assert_each_candidate_reached_once(swap, (2, 3, 4), monkeypatch)
 
     @pytest.mark.parametrize("pairs", REPEATED_FAMILIES, ids=["two-gates", "three-gates", "linked"])
     def test_shared_family_evaluated_once(self, monkeypatch, pairs):
-        # slots sharing a family hand each candidate to the first of them only
-        self.assert_each_candidate_evaluated_once(mkcirc(4, pairs), (4, 5, 6), monkeypatch)
+        # slots sharing a family walk it once and hand each candidate to
+        # the first of them only
+        self.assert_each_candidate_reached_once(mkcirc(4, pairs), (4, 5, 6), monkeypatch)
 
     @pytest.mark.parametrize(
         "x_out,error",
@@ -958,12 +998,24 @@ class TestSearchToffoli:
         assert search_cuts(c, target, 7) == [(CutSet.of(gaps), d) for gaps in hits]
 
 
+# what a search calls to walk its slots, and the builders it must not call
+SEARCH_WALK_NAMES = (
+    "spanning_gaps",
+    "_slot_families",
+    "_slot_system",
+    "_compositions",
+    "_walk_slot",
+    "build_model",
+    "derive_transformations",
+)
+
+
 class TestSearchBound:
     def test_refused_before_building(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a candidate was built")
+            raise AssertionError("a slot was walked")
 
-        for name in ("spanning_gaps", "combinations", "build_model", "derive_transformations"):
+        for name in SEARCH_WALK_NAMES:
             monkeypatch.setattr(model_module, name, refuse)
         c = mkcirc(2, [(0, 1)] * 20)  # 20 slots, 40 gaps
         with pytest.raises(SearchTooLarge) as err:
@@ -1012,9 +1064,9 @@ class TestSearchImpossibleTarget:
     )
     def test_refused_before_building(self, monkeypatch, x_out, z_out):
         def refuse(*args, **kwargs):
-            raise AssertionError("a candidate or model was built")
+            raise AssertionError("a slot was walked or a model built")
 
-        for name in ("spanning_gaps", "combinations", "build_model", "derive_transformations"):
+        for name in SEARCH_WALK_NAMES:
             monkeypatch.setattr(model_module, name, refuse)
         c = mkcirc(2, [(0, 1), (1, 0), (0, 1)])
         if any(not 0 <= o < 2 for outs in x_out for o in outs):
@@ -1116,6 +1168,119 @@ class TestSearchRepeatedFamilies:
             found = search_cuts(c, target, c.wires + 2)
             assert len(set(found)) == len(found)
             assert found == expected
+
+
+@st.composite
+def search_cases(draw):
+    """A random circuit of 2-5 wires and up to 12 gates, a need of ``wires`` to ``wires + 3`` and a known hit.
+
+    Half the circuits of 4 or 5 wires put their last two wires on one gate
+    only, so the slots on either side of it share a radial family. The
+    known hit is a random slot's family plus random other gaps, read in a
+    random direction.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    wires = draw(st.integers(2, 5))
+    gates = draw(st.integers(wires - wires // 2, 12))
+    if wires >= 4 and draw(st.booleans()):
+        pairs = random_pairs(rng, wires - 2, max(gates - 1, 1))
+        pairs.insert(rng.randrange(len(pairs) + 1), (wires - 2, wires - 1))
+    else:
+        pairs = random_pairs(rng, wires, gates)
+    c = mkcirc(wires, pairs)
+    gaps = [Gap(w, i) for w in range(wires) for i in range(c.symbol_count(w))]
+    need = min(wires + rng.randint(0, 3), len(gaps))
+    family = {Gap(w, i) for w, i in enumerate(list(model_module.spanning_gaps(c))[rng.randrange(len(pairs))])}
+    extras = rng.sample(sorted(set(gaps) - family), need - wires)
+    return c, CutSet.of([*family, *extras]), rng.choice(list(Direction))
+
+
+class TestSearchWalk:
+    """The pruned walk finds what the stream that read every candidate in full found."""
+
+    @staticmethod
+    def assert_matches_reference(c, target, need):
+        found = search_cuts(c, target, need)
+        assert found == reference_search(c, target, need)
+        for cuts, d in found:
+            assert oracle_map(linearize(c, cuts, d)) == target
+        return found
+
+    @given(case=search_cases())
+    def test_matches_stream_reference(self, case):
+        c, known, d = case
+        need = len(known.gaps())
+        target = oracle_map(linearize(c, known, d))
+        assert (known, d) in self.assert_matches_reference(c, target, need)
+        # the same X with the identity's Z is not symplectic unless X is the identity
+        bent = StabiliserMap.from_columns(target.x_columns(), identity_map(need).x_columns())
+        if not bent.is_symplectic():
+            assert self.assert_matches_reference(c, bent, need) == []
+
+    def test_ccw_only_hits(self):
+        # targets read counter-clockwise off a seeded sample: some cut sets
+        # read the target counter-clockwise only, and the walk keeps them
+        ccw_only = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            wires = rng.randint(2, 4)
+            c = mkcirc(wires, random_pairs(rng, wires, rng.randint(wires, 8)))
+            gaps = [Gap(w, i) for w in range(wires) for i in range(c.symbol_count(w))]
+            family = {Gap(w, i) for w, i in enumerate(next(model_module.spanning_gaps(c)))}
+            extras = rng.sample(sorted(set(gaps) - family), min(rng.randint(0, 2), len(gaps) - wires))
+            known = CutSet.of([*family, *extras])
+            target = oracle_map(linearize(c, known, Direction.CCW))
+            found = self.assert_matches_reference(c, target, len(known.gaps()))
+            ccw_only += sum(d is Direction.CCW and (cuts, Direction.CW) not in found for cuts, d in found)
+        assert ccw_only > 10
+
+    def test_reach_past_the_bound(self, monkeypatch):
+        # 3 wires x 37 gates for 6 cuts: 37 x C(71, 3) = 2,114,735 candidates
+        # by the bound, which an unpruned search reads in tens of seconds
+        monkeypatch.setattr(model_module, "MAX_SEARCH_CANDIDATES", 10**7)
+        rng = random.Random(37)
+        c = mkcirc(3, random_pairs(rng, 3, 37))
+        gaps = [Gap(w, i) for w in range(3) for i in range(c.symbol_count(w))]
+        family = {Gap(w, i) for w, i in enumerate(list(model_module.spanning_gaps(c))[rng.randrange(37)])}
+        known = CutSet.of([*family, *rng.sample(sorted(set(gaps) - family), 3)])
+        d = rng.choice(list(Direction))
+        target = oracle_map(linearize(c, known, d))
+        start = time.perf_counter()
+        found = search_cuts(c, target, 6)
+        elapsed = time.perf_counter() - start
+        assert (known, d) in found
+        for cuts, direction in found:
+            assert oracle_map(linearize(c, cuts, direction)) == target
+        assert elapsed < 2.0
+
+    def test_many_wires(self):
+        # a ring of 200 wires for one extra cut: 200 slots x 200 ways to
+        # place the cut, each walked without touching every wire
+        n = 200
+        c = mkcirc(n, [(w, (w + 1) % n) for w in range(n)])
+        family = {Gap(w, i) for w, i in enumerate(list(model_module.spanning_gaps(c))[n // 2])}
+        known = CutSet.of([*family, next(Gap(w, i) for w in range(n) for i in (0, 1) if Gap(w, i) not in family)])
+        target = oracle_map(linearize(c, known, Direction.CW))
+        start = time.perf_counter()
+        found = search_cuts(c, target, n + 1)
+        elapsed = time.perf_counter() - start
+        assert (known, Direction.CW) in found
+        for cuts, d in found:
+            assert oracle_map(linearize(c, cuts, d)) == target
+        assert elapsed < 2.0
+
+    def test_worst_case_under_the_bound(self):
+        # twelve equal CNOTs for 6 cuts and the identity, 87,780 candidates
+        # by the bound: the column prefixes match widely, so the walk prunes
+        # least; the unpruned search took 0.68 s
+        c = mkcirc(2, [(0, 1)] * 12)
+        start = time.perf_counter()
+        found = search_cuts(c, identity_map(6), 6)
+        elapsed = time.perf_counter() - start
+        assert len(found) == 3440
+        for cuts, d in found:
+            assert oracle_map(linearize(c, cuts, d)) == identity_map(6)
+        assert elapsed < 0.68
 
 
 class TestModelViewsGolden:
