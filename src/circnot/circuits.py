@@ -395,8 +395,7 @@ def cut_table(c: CircularCircuit, cuts: CutSet) -> CutTable:
         else:
             bad.append(gap)
     if bad:
-        gap = min(bad)
-        raise UnknownGap(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} does not exist")
+        raise UnknownGap.least(bad)
     for wire_cuts in on_wire:
         wire_cuts.sort()  # indices are distinct on a wire
     if all(wire_cuts and wire_cuts[-1] == len(syms) - 1 for wire_cuts, syms in zip(on_wire, symbols)):

@@ -13,7 +13,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from . import gf2, textio
+from . import textio
 from .circuits import (
     CircularCircuit,
     CutSet,
@@ -127,10 +127,17 @@ def cmd_circularize(args, out) -> int:
 
 
 def parity_text(rows, n_vars: int) -> str:
-    """Sparse parity rows as 0/1 text: per row, each variable's bit, then the constant."""
-    return "\n".join(
-        " ".join(str(row >> i & 1) for i in range(n_vars + 1)) for row in gf2.pack(rows, n_vars)
-    )
+    """Sparse parity rows as 0/1 text: per row, each variable's bit, then the constant.
+
+    A row is ``(variables, rhs)``, its variables distinct and below ``n_vars``.
+    """
+    lines = []
+    for vs, rhs in rows:
+        bits = ["0"] * n_vars + [str(rhs & 1)]
+        for v in vs:
+            bits[v] = "1"
+        lines.append(" ".join(bits))
+    return "\n".join(lines)
 
 
 def cmd_model(args, out) -> int:

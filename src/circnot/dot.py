@@ -8,18 +8,29 @@ wire. Output is deterministic for identical inputs.
 from __future__ import annotations
 
 from .circuits import CircularCircuit, CutSet, Gap, LinearCircuit
+from .errors import UnknownGap, WrongCircuitKind
 
 _SYMBOL_LABEL = {"control": "*", "target": "+"}
 
 
 def export_dot(c: CircularCircuit | LinearCircuit, cuts: CutSet | None = None) -> str:
+    """The circuit's DOT graph, with the cuts drawn on a circular circuit.
+
+    Raises ``WrongCircuitKind`` for cuts on a linear circuit, and
+    ``UnknownGap`` naming the least gap the circuit does not have.
+    """
     if isinstance(c, CircularCircuit):
         return _circular_dot(c, cuts)
+    if cuts is not None:
+        raise WrongCircuitKind("cuts need a circular circuit")
     return _linear_dot(c)
 
 
 def _circular_dot(c: CircularCircuit, cuts: CutSet | None) -> str:
     cut_gaps = cuts.gaps() if cuts is not None else frozenset()
+    bad = [g for g in cut_gaps if not (0 <= g.wire < c.wires and 0 <= g.index < c.symbol_count(g.wire))]
+    if bad:
+        raise UnknownGap.least(bad)
     lines = ["digraph circuit {", "  rankdir=LR;"]
     sym_nodes: dict[tuple[int, int], str] = {}
     for w in range(c.wires):

@@ -116,6 +116,12 @@ class DuplicateGate(CircnotError):
 class UnknownGap(CircnotError):
     code = "unknown-gap"
 
+    @classmethod
+    def least(cls, gaps) -> "UnknownGap":
+        """The error naming the least of ``gaps``, none of which the circuit has."""
+        gap = min(gaps)
+        return cls(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} does not exist")
+
 
 class NoRadialCut(CircnotError):
     """No angular slot is cut on every wire, so no valid circuit results."""

@@ -1,8 +1,7 @@
 """GF(2) linear algebra: forward substitution on sparse rows, and inversion.
 
-``invert`` takes bitmask rows; ``StabiliserMap`` calls it once to read Z
-off X and once per half of an inverse. ``pack`` writes sparse rows as
-bitmask rows (bit ``i`` is column ``i``) for ``circnot model --parity``.
+``invert`` takes bitmask rows (bit ``i`` is column ``i``); ``StabiliserMap``
+calls it once to read Z off X and once per half of an inverse.
 
 ``solve_tagged`` solves sparse rows, one per variable, each a tuple of
 distinct variable indices plus an int right-hand side, by forward
@@ -16,11 +15,6 @@ the benchmark's traced run wraps it by name.
 from __future__ import annotations
 
 from .errors import Inconsistent
-
-
-def pack(rows, n_vars: int) -> list[int]:
-    """Bitmask rows ``coeffs | rhs << n_vars`` of sparse ``(variables, rhs)`` rows."""
-    return [sum(1 << v for v in vs) | rhs << n_vars for vs, rhs in rows]
 
 
 def solve_tagged(rows, n_vars: int, tag_width: int) -> list[int]:

@@ -1,8 +1,11 @@
+import time
+from typing import NamedTuple
+
 import pytest
 from hypothesis import settings
 
 from circnot import CutSet
-from helpers import mkcirc, swap_circular
+from helpers import SweepEntry, all_small_circuits, mkcirc, swap_circular, sweep_table
 
 # Property tests run a fixed, derandomized set of examples by default, sized
 # to a few seconds of the suite; ``pytest --hypothesis-profile=large`` runs
@@ -36,3 +39,22 @@ SWAP_CUT_FIXTURES = {
 @pytest.fixture
 def swap_cut_sets():
     return {name: CutSet.of(gaps) for name, gaps in SWAP_CUT_FIXTURES.items()}
+
+
+class SmallSweep(NamedTuple):
+    """Per circuit, its ``SweepEntry`` list (``sweep_table``), and the seconds the table took."""
+
+    table: list[tuple[object, list[SweepEntry]]]
+    seconds: float
+
+
+@pytest.fixture(scope="session")
+def small_sweep() -> SmallSweep:
+    """Every ``all_small_circuits(3, 4)`` circuit with each subset of 1-6 of its gaps.
+
+    Built once per session; each small-sweep test reads it and checks its
+    own relation against its own reference.
+    """
+    start = time.perf_counter()
+    table = sweep_table(all_small_circuits(3, 4), 6)
+    return SmallSweep(table, time.perf_counter() - start)

@@ -1,39 +1,33 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Shared fixtures and independent references for the test suite.
 
-Everything here deliberately avoids the library's derivation internals:
-unitary brute force uses numpy, truth-table counting evaluates the model's
-integer clauses (``gate_vars`` and ``joins``) as plain Boolean formulas,
-map conjugation is set algebra, and circuit generators build objects
-through the public constructors only. GF(2) references share no code
-with ``gf2``: ``gf2_rank`` keeps an XOR basis by leading bit,
-``reference_solve`` eliminates on the same basis and substitutes, and
-``brute_force_solutions`` tries every assignment; every reference solve
-here runs ``reference_solve``.
+Each library path is checked against one reference that shares none of
+its code:
 
-The library substitutes along the traversal and builds no model to
-derive. The references solve a model's cut system instead:
-``solve_classes`` writes its rows over the classes of
-``reference_join_classes``, a per-variable fold of the joins the cuts
-leave, and ``solve_map_rows`` reads map columns off it at the segments
-``input_output_segments`` picks for each qubit of ``arc_ends``, which
-names each qubit's input and output gaps off ``cut_table(...).arcs()``.
-``solve_model_map``/``derive_by_both_models`` solve the Z model directly
-where ``derive_transformations`` reads Z off the X map;
-``solve_map_rows_with_joins``/``propagate_with_joins`` keep one row per
-uncut join where ``solve_map_rows`` solves over join classes; and
-``fault_map_by_model`` keeps the pinned-ancilla fault body that built
-both models, where ``faulted_transformations`` leaves the missing gate
-out of one X substitution. ``fault_expected`` reads the gate-deleted
-oracle with ``arc_ends``' qubit numbering. ``reference_slot_systems``
-keeps the search's every-gap solve and per-slot rewrite, which the
-per-slot walk replaced, and ``reference_search`` the search that read
-every candidate's columns in full (``reference_columns``) on those
-systems, which the pruned walk replaced. ``commutation_by_derivation``,
-which ``check_commutation_invariance`` is tested against, derives with
-the library. ``reference_build_model`` keeps the segment loop that
-``build_model`` is compared with. Solver columns (per output, the
-inputs reaching it) are read into map rows by ``rows_of_columns``, by
-set algebra, not through ``StabiliserMap``.
+* ``model_columns`` solves a model's cut system, the rows ``circnot model
+  --parity`` prints (``parity_rows`` of ``apply_cuts``), plus one row per
+  input segment, with ``reference_solve``. It shares nothing with the
+  traversal substitution that derivations, faults and the search use.
+  ``solve_model_map`` reads one model's map rows off it, at the segments
+  ``input_output_segments`` picks for each qubit of ``arc_ends``.
+* ``fault_expected`` is the Pauli oracle of the linearization with the
+  faulty gate deleted, numbered as ``arc_ends`` numbers the qubits.
+* ``reference_slot_systems`` solves the X model once with every gap cut
+  (``model_columns``) and rewrites the result per slot, apart from the
+  search's per-slot walk; ``reference_columns`` and ``reference_search``
+  read every candidate on those systems in full, apart from its pruning.
+* ``commutation_by_derivation`` derives every radial map before and after
+  a swap, apart from the CNOT rule it checks.
+* ``conjugate_by_cnot`` and ``restrict_map`` are set algebra; the unitary
+  brute force is numpy; ``clause_truth`` reads a model's clauses as plain
+  Boolean formulas; ``isomorphic_to_reference`` matches hand-written SWAP
+  clause shapes.
+* GF(2) references share no code with ``gf2``: ``gf2_rank`` keeps an XOR
+  basis by leading bit, ``reference_solve`` eliminates on the same basis
+  and substitutes, and ``brute_force_solutions`` tries every assignment.
+
+``sweep_table`` holds what the library says about every small cut set,
+for the small-sweep tests to compare with their references. Circuit
+generators build objects through the public constructors only.
 """
 
 from __future__ import annotations
@@ -52,15 +46,16 @@ from circnot import (
     LinearCircuit,
     LinearGate,
     StabiliserMap,
+    apply_cuts,
     build_model,
     derive_transformations,
-    enumerate_cut_points,
     linearize,
     oracle_map,
     spanning_gaps,
+    validate_cut_set,
 )
-from circnot.circuits import CONTROL, TARGET, cut_table
-from circnot.errors import Inconsistent, NotAdjacent, UnpinnedSelector
+from circnot.circuits import cut_table
+from circnot.errors import Inconsistent, NoRadialCut, NotAdjacent
 from circnot.icm import FaultSpec, inject_smgf
 from circnot.model import BooleanModel, ModelKind, parity_rows
 
@@ -122,25 +117,56 @@ def spanning_gap_index(pairs, wire: int, slot: int) -> int:
     return (sum(1 for k in touches if k <= slot) - 1) % len(touches)
 
 
-def small_sweep_cut_sets():
-    """Every ``all_small_circuits(3, 4)`` circuit with each radial family plus 0-2 extra gaps.
+class SweepEntry(NamedTuple):
+    """What the library says about one cut set: ``validate_cut_set``'s radial
+    families or ``NoRadialCut.missing_by_slot``, and for a valid set, per
+    direction (clockwise first), its derivation (``Inconsistent`` when that
+    raised) and the Pauli oracle of its linearization."""
 
-    Yields ``(circuit, cut sets)``; the cut sets of one circuit are distinct.
+    cuts: CutSet
+    families: dict | None
+    missing: dict | None
+    derived: tuple = ()
+    oracle: tuple = ()
+
+
+def sweep_table(circuits, max_cuts: int) -> list[tuple[CircularCircuit, list[SweepEntry]]]:
+    """Per circuit, a ``SweepEntry`` for every subset of 1 to ``max_cuts`` of its gaps.
+
+    Gaps are numbered by (wire, gap) from the symbol counts; subsets come
+    by size, then in ``itertools.combinations`` order, so each size lists
+    its cut sets sorted by gaps.
     """
-    for c in all_small_circuits(3, 4):
-        gaps = [p.gap for p in enumerate_cut_points(c)]
-        cut_sets = set()
-        for slot in range(len(c.gates)):
-            family = {c.gap_spanning(w, slot) for w in range(c.wires)}
-            others = [gap for gap in gaps if gap not in family]
-            for k in range(3):
-                cut_sets.update(
-                    CutSet.of(family.union(extra)) for extra in itertools.combinations(others, k)
-                )
-        yield c, sorted(cut_sets, key=CutSet.sorted_gaps)
+    table = []
+    for c in circuits:
+        gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+        entries = []
+        for k in range(1, min(max_cuts, len(gaps)) + 1):
+            for combo in itertools.combinations(gaps, k):
+                cuts = CutSet.of(combo)
+                try:
+                    families = validate_cut_set(c, cuts)
+                except NoRadialCut as err:
+                    entries.append(SweepEntry(cuts, None, err.missing_by_slot))
+                    continue
+                derived = []
+                for d in Direction:
+                    try:
+                        derived.append(derive_transformations(c, cuts, d))
+                    except Inconsistent:
+                        derived.append(Inconsistent)
+                oracle = tuple(oracle_map(linearize(c, cuts, d)) for d in Direction)
+                entries.append(SweepEntry(cuts, families, None, tuple(derived), oracle))
+        table.append((c, entries))
+    return table
 
 
-# --- two-model derivation references -----------------------------------------
+def family_plus_two(c: CircularCircuit, entries) -> list[SweepEntry]:
+    """The valid entries of at most ``c.wires + 2`` cuts: each radial family plus 0-2 other gaps."""
+    return [e for e in entries if e.families and len(e.cuts) <= c.wires + 2]
+
+
+# --- model reference ------------------------------------------------------------
 
 
 def rows_of_columns(cols) -> tuple[frozenset[int], ...]:
@@ -148,39 +174,19 @@ def rows_of_columns(cols) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(j for j, col in enumerate(cols) if col >> i & 1) for i in range(len(cols)))
 
 
-def solve_classes(m: BooleanModel, cut_gaps, ins, pins) -> tuple[list[int], list[int]]:
-    """Per join class its solved rhs, and per variable its class, for a model's cut system.
+def model_columns(m: BooleanModel, cuts: CutSet, ins, outs) -> list[int]:
+    """Map columns of a model's cut system: per output segment, the inputs that reach it.
 
-    ``m`` is an X or Z model (a combined clause has no selector and raises
-    UnpinnedSelector). The classes are ``reference_join_classes``
-    under the cuts (``cut_gaps`` and the model's own). Rows over classes,
-    one per input (rhs bit ``1 + i``; None skips one), one per pin
-    (variable -> bool, rhs bit 0) and one per gate clause, go to
-    ``reference_solve``.
+    The system is ``parity_rows(apply_cuts(m, cuts))``, the rows ``circnot
+    model --parity`` prints, plus one row per input segment ``ins[i]``
+    giving it the symbolic value of input ``i`` (rhs bit ``1 + i``),
+    solved by ``reference_solve``. Output ``j``'s column is an int mask
+    with bit ``i`` set when input ``i`` reaches ``outs[j]``. Raises what
+    ``solve_rows`` raises when the system is not uniquely solvable.
     """
-    if m.kind is ModelKind.COMBINED:
-        raise UnpinnedSelector(f"combined clause for gate {m.gate_ids[0]} has no selector")
-    cls, n = reference_join_classes(m, m.cut_gaps | cut_gaps)  # raises UnknownGap
-    rows = [((cls[v],), 2 << i) for i, v in enumerate(ins) if v is not None]
-    rows += [((cls[v],), int(bool(value))) for v, value in pins.items()]
-    for vs in m.gate_vars:
-        a, b, x = (cls[v] for v in vs)
-        rows.append(((a, b, x) if a != b else (x,), 0))
-    return solve_rows(rows, n), cls
-
-
-def solve_map_rows(m: BooleanModel, cut_gaps, ins, outs, pins=None) -> list[int]:
-    """Map columns of a model's cut system: per output, the inputs that reach it.
-
-    Segments are variable indices of an X or Z model of ``c``, solved over
-    join classes (``solve_classes``). The solve is symbolic, so one
-    elimination yields every single-input propagation. Only the linear
-    part is read, not pinned offsets: output ``j``'s column is an int mask
-    with bit ``i`` set when input ``i`` reaches it; a skipped input sets no
-    bit.
-    """
-    sol, cls = solve_classes(m, cut_gaps, ins, pins or {})
-    return [sol[cls[v]] >> 1 for v in outs]
+    rows = parity_rows(apply_cuts(m, cuts)) + [((v,), 2 << i) for i, v in enumerate(ins)]
+    sol = solve_rows(rows, m.n_vars)
+    return [sol[v] >> 1 for v in outs]
 
 
 class ArcEnds(NamedTuple):
@@ -207,104 +213,9 @@ def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[
 
 
 def solve_model_map(c: CircularCircuit, cuts: CutSet, d: Direction, model: BooleanModel):
-    """Map rows of one parity model (X or Z), solved directly from that model."""
+    """Map rows of one uncut parity model (X or Z) under the cuts, by ``model_columns``."""
     origins = arc_ends(c, cuts, d)[1]
-    return rows_of_columns(solve_map_rows(model, cuts.gaps(), *input_output_segments(model, origins, d)))
-
-
-def derive_by_both_models(c: CircularCircuit, cuts: CutSet, d: Direction, models=None) -> StabiliserMap:
-    """Reference for ``derive_transformations``: solve the X and the Z model.
-
-    ``derive_transformations`` solves X only and reads Z as the inverse
-    transpose; this keeps the body that solved both, so the symplectic
-    tests compare derive with an independent Z solve, not with itself.
-    """
-    if models is None:
-        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-    origins = arc_ends(c, cuts, d)[1]
-    x_out, z_out = (
-        rows_of_columns(solve_map_rows(m, cuts.gaps(), *input_output_segments(m, origins, d)))
-        for m in models
-    )
-    return StabiliserMap(len(origins), x_out, z_out)
-
-
-def solve_map_rows_with_joins(m: BooleanModel, cut_gaps, ins, outs, pins=None, bridges=()):
-    """Reference for ``solve_map_rows``: one join row per gap the cuts leave.
-
-    ``solve_map_rows`` substitutes the joins away and solves over join
-    classes; this keeps the system it replaced, over every model variable:
-    the gate rows, then the uncut joins by (wire, gap), bridges (pairs of
-    variables made equal, which only ``fault_map_by_model`` writes), inputs
-    and pins.
-    """
-    cut = m.cut_gaps | cut_gaps
-    for gap in cut:
-        m.gap_pair(gap)  # raises UnknownGap
-    rows = [(vs, 0) for vs in m.gate_vars]
-    rows += [
-        ((end, start), 0)
-        for w, pairs in enumerate(m.gap_vars)
-        for i, (end, start) in enumerate(pairs)
-        if end != start and Gap(w, i) not in cut
-    ]
-    rows += [((a, b), 0) for a, b in bridges if a != b]
-    rows += [((v,), 1 << (1 + i)) for i, v in enumerate(ins) if v is not None]
-    rows += [((v,), int(bool(value))) for v, value in (pins or {}).items()]
-    sol = solve_rows(rows, m.n_vars)
-    return [sol[v] >> 1 for v in outs]
-
-
-def propagate_with_joins(m: BooleanModel, pins: dict[int, bool]) -> list[bool]:
-    """The pinned model's unique assignment: ``parity_rows`` plus one row per pin, over every variable.
-
-    Pins are variable indices of the model. Raises what ``solve_rows``
-    raises when the pins leave a variable free or contradict the system.
-    """
-    rows = parity_rows(m) + [((v,), int(bool(value))) for v, value in pins.items()]
-    return [bool(bit) for bit in solve_rows(rows, m.n_vars)]
-
-
-def fault_map_by_model(c: CircularCircuit, base: CutSet, d: Direction, f, solve=None) -> StabiliserMap:
-    """Reference for ``faulted_transformations``: the pinned-ancilla construction.
-
-    ``faulted_transformations`` solves X once over the base cuts with the
-    missing gate's clause left out, and reads Z as the inverse transpose.
-    This keeps the construction it replaced: cut the fault's two gaps,
-    build both models and solve each over variables, the ancilla's first
-    segment pinned to |0>'s value (X false, Z true). When both gaps are
-    fresh a bridge re-joins the severed neighbours; when one is fresh its
-    continuation is pinned too. ``solve`` takes
-    ``solve_map_rows_with_joins``' arguments, and is that by default.
-    """
-    solve = solve or solve_map_rows_with_joins
-    origins = arc_ends(c, base, d)[1]
-    cuts, patch = inject_smgf(c, base, f)
-    added = {g for g in (patch.before_gap, patch.after_gap) if g not in base.gaps()}
-    anc_in_gap = patch.before_gap if d is Direction.CW else patch.after_gap
-    anc_out_gap = patch.after_gap if d is Direction.CW else patch.before_gap
-    live_in = {q for q, o in enumerate(origins) if o.input_cut != anc_in_gap}
-    live_out = {q for q, o in enumerate(origins) if o.output_cut != anc_out_gap}
-    out_side = 1 if d is Direction.CW else 0
-
-    def model_cols(m, pin_value):
-        anc_first = m.gap_pair(anc_in_gap)[out_side]
-        ins, outs = input_output_segments(m, origins, d)
-        ins = [seg if q in live_in else None for q, seg in enumerate(ins)]
-        pins = {anc_first: pin_value}
-        bridges: tuple = ()
-        if len(added) == 2:
-            bridges = ((m.gap_pair(patch.before_gap)[0], m.gap_pair(patch.after_gap)[1]),)
-        elif len(added) == 1:
-            in_side = m.gap_pair(next(iter(added)))[out_side]
-            if in_side != anc_first:
-                pins[in_side] = pin_value
-        cols = solve(m, cuts.gaps(), ins, outs, pins=pins, bridges=bridges)
-        return [col if q in live_out else 0 for q, col in enumerate(cols)]
-
-    x_cols = model_cols(build_model(c, ModelKind.X), False)
-    z_cols = model_cols(build_model(c, ModelKind.Z), True)
-    return StabiliserMap.from_columns(x_cols, z_cols)
+    return rows_of_columns(model_columns(model, cuts, *input_output_segments(model, origins, d)))
 
 
 def fault_expected(c: CircularCircuit, cuts: CutSet, d: Direction, gate_id: int):
@@ -324,101 +235,28 @@ def fault_expected(c: CircularCircuit, cuts: CutSet, d: Direction, gate_id: int)
     return restrict_map(expected, live_in, live_out), live_in, live_out
 
 
-# --- reference model builder and join classes ---------------------------------
-
-
-def reference_build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
-    """Reference for ``build_model``: the per-symbol segment loop it replaced.
-
-    Gaps and the symbols of the kind's splitting roles cut each wire into
-    segments. Segment ``j`` starts at the ``j``-th boundary clockwise, and
-    each symbol's gap follows it: ``seg`` is the segment starting at the
-    current boundary and ``prev`` the one ending there, wrapping at ``j = 0``.
-    """
-    splitting = {ModelKind.X: (TARGET,), ModelKind.Z: (CONTROL,), ModelKind.COMBINED: (CONTROL, TARGET)}[kind]
-    # per gate index: (before, after) variables at a splitting symbol, or
-    # (containing,) at a crossing one
-    control_at: list = [None] * len(c.gates)
-    target_at: list = [None] * len(c.gates)
-    offsets = [0]
-    gap_vars = []
-    for w in range(c.wires):
-        syms = c.symbols(w)
-        first = offsets[-1]
-        n_segs = len(syms) + sum(1 for _, sk in syms if sk in splitting)
-        prev, seg = first + n_segs - 1, first
-        pairs = []
-        for gi, sk in syms:
-            at = control_at if sk == CONTROL else target_at
-            if sk in splitting:
-                at[gi] = (prev, seg)
-                prev, seg = seg, seg + 1
-            else:
-                at[gi] = (prev,)
-            pairs.append((prev, seg))
-            prev, seg = seg, seg + 1
-        offsets.append(first + n_segs)
-        gap_vars.append(tuple(pairs))
-    if kind is ModelKind.X:
-        gate_vars = tuple(t + ctl for ctl, t in zip(control_at, target_at))
-    else:
-        gate_vars = tuple(ctl + t for ctl, t in zip(control_at, target_at))
-    return BooleanModel(
-        kind=kind,
-        offsets=tuple(offsets),
-        gate_vars=gate_vars,
-        gate_ids=tuple(g.id for g in c.gates),
-        gap_vars=tuple(gap_vars),
-    )
-
-
-def reference_join_classes(m: BooleanModel, cut_gaps) -> tuple[list[int], int]:
-    """The class of each variable of an X or Z model under the cuts, and the class count.
-
-    Within a wire, variable ``v`` continues the class of ``v - 1``
-    (cyclically) unless a split symbol (each clause's second variable) or
-    a cut gap comes before it; a wire with neither is one class.
-    """
-    breaks = bytearray(m.n_vars)
-    for _, after, _ in m.gate_vars:
-        breaks[after] = 1
-    for gap in cut_gaps:
-        breaks[m.gap_pair(gap)[1]] = 1
-    heads = []
-    for lo, hi in itertools.pairwise(m.offsets):
-        first = breaks.find(1, lo, hi)
-        if first < 0:
-            breaks[lo] = 1  # a wire without a break is one class
-        elif first > lo:
-            heads.append((lo, first, hi))
-    # class of v: the breaks up to v, less one
-    cls = list(itertools.accumulate(breaks, initial=-1))[1:]
-    for lo, first, hi in heads:
-        # the wire's head continues its last class
-        cls[lo:first] = [cls[hi - 1]] * (first - lo)
-    return cls, breaks.count(1)
+# --- search references ----------------------------------------------------------
 
 
 def reference_slot_systems(c: CircularCircuit) -> list[tuple]:
-    """Reference for ``model._slot_systems``: one solve with every gap cut, rewritten per slot.
+    """Reference for ``model._slot_system``: one model solve with every gap cut, rewritten per slot.
 
-    The reference X model is solved over join classes with every gap cut
-    and each gap's starting segment a symbolic input, which gives the value
-    arriving at each gap over the gaps' starts. Each slot, the wrap slot
-    first and then clockwise from slot 0, rewrites those values in
-    traversal order: a family gap's start is its wire's input bit and any
-    other gap's start is its arriving value XOR its own tag bit. Gaps are
-    numbered by (wire, gap) and found from the gate list alone
-    (``spanning_gap_index``). Returns per slot ``(family, others, wires,
-    rows, family_rows)``.
+    ``model_columns`` solves the X model with every gap cut and each gap's
+    starting segment a symbolic input, which gives the value arriving at
+    each gap over the gaps' starts. Each slot, the wrap slot first and then
+    clockwise from slot 0, rewrites those values in traversal order: a
+    family gap's start is its wire's input bit and any other gap's start is
+    its arriving value XOR its own tag bit. Gaps are numbered by (wire,
+    gap) and found from the gate list alone (``spanning_gap_index``).
+    Returns per slot ``(family, others, wires, rows, family_rows)``.
     """
     pairs = [(g.control, g.target) for g in c.gates]
-    m = reference_build_model(c, ModelKind.X)
+    m = build_model(c, ModelKind.X)
     gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
     index = {gap: k for k, gap in enumerate(gaps)}
     ins = [m.gap_pair(gap)[1] for gap in gaps]
     outs = [m.gap_pair(gap)[0] for gap in gaps]
-    arriving = solve_map_rows(m, frozenset(gaps), ins, outs)
+    arriving = model_columns(m, CutSet.of(gaps), ins, outs)
     n_gates = len(pairs)
     systems = []
     for s in (n_gates - 1, *range(n_gates - 1)):
@@ -559,13 +397,11 @@ def commutation_by_derivation(c: CircularCircuit, g1: int, g2: int) -> bool:
     swapped = list(c.gates)
     swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
     c2 = CircularCircuit(wires=c.wires, gates=tuple(swapped))
-    models1 = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-    models2 = (build_model(c2, ModelKind.X), build_model(c2, ModelKind.Z))
     for span1, span2, slot_pair in zip(spanning_gaps(c), spanning_gaps(c2), slot_pairs):
         if slot_pair == pair and len(slot_pairs) > 2:
             continue
-        m1 = derive_transformations(c, CutSet.of(enumerate(span1)), Direction.CW, models=models1)
-        m2 = derive_transformations(c2, CutSet.of(enumerate(span2)), Direction.CW, models=models2)
+        m1 = derive_transformations(c, CutSet.of(enumerate(span1)), Direction.CW)
+        m2 = derive_transformations(c2, CutSet.of(enumerate(span2)), Direction.CW)
         if m1 != m2:
             return False
     return True

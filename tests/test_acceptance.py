@@ -19,12 +19,10 @@ from circnot import (
     Direction,
     FaultSpec,
     LinearCircuit,
-    LinearGate,
     StabiliserMap,
     check_commutation_invariance,
     circularize,
     derive_transformations,
-    enumerate_cut_points,
     faulted_transformations,
     gadget,
     linearize,
@@ -35,7 +33,7 @@ from circnot import (
     translate_to_icm,
     validate_cut_set,
 )
-from circnot.errors import NoRadialCut
+from circnot.errors import Inconsistent
 from circnot.model import ModelKind, apply_cuts, build_model
 from circnot.pauli import PauliString, propagate_pauli
 from circnot.statevec import INIT_STATES, fidelity, kron_all, statevector_run
@@ -43,13 +41,11 @@ from conftest import SWAP_CUT_FIXTURES
 from helpers import (
     SWAP_X_REF,
     SWAP_Z_REF,
-    all_small_circuits,
     isomorphic_to_reference,
     mkcirc,
     mklin,
     parity_solutions,
     restrict_map,
-    swap_circular,
 )
 
 
@@ -90,23 +86,21 @@ def wire_gap_containing(c, wire, theta):
     raise AssertionError("angle hit a symbol position")
 
 
-def admits_clean_unroll(c, gaps) -> bool:
-    """True when some start angle leaves no wire arc wrapped across it."""
-    chosen = {(g.wire, g.index) for g in gaps}
-    for theta in slot_angles(c):
-        if all((w, wire_gap_containing(c, w, theta)) in chosen for w in range(c.wires)):
-            return True
-    return False
+def unroll_families(c) -> list[set[tuple[int, int]]]:
+    """Per start angle, the (wire, gap) arcs it crosses: a cut set holding one
+    of them leaves no wire arc wrapped across that angle."""
+    return [{(w, wire_gap_containing(c, w, theta)) for w in range(c.wires)} for theta in slot_angles(c)]
 
 
 @pytest.fixture(scope="module")
-def sweep():
+def sweep(small_sweep):
     """Fused exhaustive sweep backing criteria 4 and 8.
 
     For every circuit (<=3 wires, <=4 gates, up to relabeling) and every
-    cut subset of <=6 cuts: record whether validation accepted it, whether
-    the independent unroll walker accepts it, and for accepted sets whether
-    both directions' derivations match the Pauli oracle exactly.
+    cut subset of <=6 cuts (the session's ``small_sweep`` table): compare
+    whether validation accepted it with whether the independent unroll
+    walker accepts it, and for accepted sets whether both directions'
+    derivations match the Pauli oracle exactly.
     """
     stats = {
         "circuits": 0,
@@ -115,38 +109,29 @@ def sweep():
         "derivations": 0,
         "oracle_mismatches": 0,
         "walker_disagreements": 0,
-        "underdetermined_failures": 0,
+        "solver_failures": 0,
     }
     t0 = time.perf_counter()
-    for c in all_small_circuits(max_wires=3, max_gates=4):
+    for c, entries in small_sweep.table:
         stats["circuits"] += 1
-        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-        gaps = [p.gap for p in enumerate_cut_points(c)]
-        for k in range(1, min(6, len(gaps)) + 1):
-            for combo in itertools.combinations(gaps, k):
-                stats["subsets"] += 1
-                cuts = CutSet.of(combo)
-                try:
-                    validate_cut_set(c, cuts)
-                    accepted = True
-                except NoRadialCut:
-                    accepted = False
-                if accepted != admits_clean_unroll(c, combo):
-                    stats["walker_disagreements"] += 1
-                if not accepted:
+        unrolls = unroll_families(c)
+        for entry in entries:
+            stats["subsets"] += 1
+            accepted = entry.families is not None
+            chosen = {(g.wire, g.index) for g in entry.cuts.gaps()}
+            if accepted != any(family <= chosen for family in unrolls):
+                stats["walker_disagreements"] += 1
+            if not accepted:
+                continue
+            stats["accepted"] += 1
+            for derived, oracle in zip(entry.derived, entry.oracle):
+                if derived is Inconsistent:
+                    stats["solver_failures"] += 1
                     continue
-                stats["accepted"] += 1
-                for d in (Direction.CW, Direction.CCW):
-                    try:
-                        derived = derive_transformations(c, cuts, d, models=models)
-                    except Exception:
-                        stats["underdetermined_failures"] += 1
-                        continue
-                    stats["derivations"] += 1
-                    lin = linearize(c, cuts, d)
-                    if derived != oracle_map(lin):
-                        stats["oracle_mismatches"] += 1
-    stats["elapsed"] = time.perf_counter() - t0
+                stats["derivations"] += 1
+                if derived != oracle:
+                    stats["oracle_mismatches"] += 1
+    stats["elapsed"] = small_sweep.seconds + time.perf_counter() - t0
     return stats
 
 
@@ -210,7 +195,7 @@ def test_criterion_4_exhaustive_oracle_equivalence(sweep):
         assert sweep["circuits"] > 200
         assert sweep["derivations"] > 10000
         assert sweep["oracle_mismatches"] == 0
-        assert sweep["underdetermined_failures"] == 0
+        assert sweep["solver_failures"] == 0
         assert sweep["elapsed"] < 60.0
 
 
@@ -270,7 +255,7 @@ def test_criterion_7_round_trip_500():
 def test_criterion_8_radial_cut_necessity(sweep):
     with criterion(8, "rejection coincides with unrollability; accepted sets solve uniquely"):
         assert sweep["walker_disagreements"] == 0
-        assert sweep["underdetermined_failures"] == 0
+        assert sweep["solver_failures"] == 0
         assert sweep["accepted"] > 0
         assert sweep["subsets"] > sweep["accepted"]
 

@@ -37,9 +37,9 @@ from helpers import (
     all_small_circuits,
     arc_ends,
     cyclic_equal,
+    family_plus_two,
     mkcirc,
     mklin,
-    small_sweep_cut_sets,
     spanning_gap_index,
     swap_circular,
 )
@@ -242,9 +242,10 @@ class TestSpanningReference:
     """Spanning gaps, radial slots and ``missing_by_slot`` against the
     definition read off the gate list (``helpers.spanning_gap_index``)."""
 
-    def test_matches_definition_exhaustive(self):
+    def test_matches_definition_exhaustive(self, small_sweep):
+        # every cut set of up to four cuts in the small-sweep table
         subsets = 0
-        for c in all_small_circuits(3, 4):
+        for c, entries in small_sweep.table:
             pairs = [(g.control, g.target) for g in c.gates]
             span = [
                 [spanning_gap_index(pairs, w, j) for w in range(c.wires)]
@@ -255,22 +256,20 @@ class TestSpanningReference:
                 assert [c.gap_spanning(w, j) for w in range(c.wires)] == [
                     Gap(w, i) for w, i in enumerate(row)
                 ]
-            gaps = [(w, i) for w in range(c.wires) for i in range(sum(w in p for p in pairs))]
-            for k in range(1, 5):
-                for combo in itertools.combinations(gaps, k):
-                    missing = {
-                        j: tuple(w for w, i in enumerate(row) if (w, i) not in combo)
-                        for j, row in enumerate(span)
-                    }
-                    radial = [j for j, wires in missing.items() if not wires]
-                    cuts = CutSet.of(combo)
-                    if radial:
-                        assert list(validate_cut_set(c, cuts)) == radial
-                    else:
-                        with pytest.raises(NoRadialCut) as err:
-                            validate_cut_set(c, cuts)
-                        assert err.value.missing_by_slot == missing
-                    subsets += 1
+            for entry in entries:
+                if len(entry.cuts) > 4:
+                    continue
+                chosen = {(g.wire, g.index) for g in entry.cuts.gaps()}
+                missing = {
+                    j: tuple(w for w, i in enumerate(row) if (w, i) not in chosen)
+                    for j, row in enumerate(span)
+                }
+                radial = [j for j, wires in missing.items() if not wires]
+                if radial:
+                    assert list(entry.families) == radial
+                else:
+                    assert entry.missing == missing
+                subsets += 1
         assert subsets > 30000
 
 
@@ -338,14 +337,14 @@ class TestLinearize:
             assert o_cw.output_cut == o_ccw.input_cut
 
 
-def arcs_reference(c, cuts, d):
+def arcs_reference(c, cuts, families, d):
     """Start slot and each qubit's ``ArcEnds`` by the rule ``linearize`` always used.
 
-    Start at the wrap slot when it is radial, else at the first radial slot;
-    on each wire, the arcs run between consecutive sorted cuts, from the
-    start slot's family gap on.
+    ``families`` is ``validate_cut_set(c, cuts)``. Start at the wrap slot
+    when it is radial, else at the first radial slot; on each wire, the
+    arcs run between consecutive sorted cuts, from the start slot's family
+    gap on.
     """
-    families = validate_cut_set(c, cuts)
     wrap = len(c.gates) - 1
     start = wrap if wrap in families else min(families)
     origins = []
@@ -367,17 +366,40 @@ def error_of(fn, *args):
     return None
 
 
-class TestResolveArcs:
-    """``cut_table``'s start slot and ``CutTable.arcs``, read as ``arc_ends``, against ``arcs_reference``."""
+class TestCutTable:
+    """``cut_table``'s start slot, ``CutTable.arcs`` (read as ``arc_ends``) and
+    ``CutTable.qubit`` against ``arcs_reference``, and its errors."""
 
-    def test_small_sweep_matches_reference(self):
+    def test_wrap_slot_table(self, swap):
+        table = cut_table(swap, CutSet.of([(1, 2), (0, 2), (0, 0)]))
+        assert table == CutTable(2, [[0, 2], [2]], [1, 0])
+        # from the family gap (0, 2): wire 0's arcs 2 -> 0 and 0 -> 2, then wire 1's
+        assert table.arcs() == ([(0, 2), (0, 0), (1, 2)], [(0, 0), (0, 2), (1, 2)])
+        # wire 0's cut at gap 2 starts qubit 0 and ends qubit 1, its cut at gap 0 the other way round
+        assert [table.qubit(0, k) for k in (0, 1)] == [1, 0]
+        assert [table.qubit(0, k, 1) for k in (0, 1)] == [0, 1]
+        assert table.qubit(1, 0) == table.qubit(1, 0, 1) == 2
+
+    def test_first_radial_slot_table(self, swap):
+        # the wrap slot is not radial; slot 0's family is (0, 0) and (1, 0)
+        table = cut_table(swap, CutSet.of([(0, 0), (0, 1), (1, 0)]))
+        assert table == CutTable(0, [[0, 1], [0]], [0, 0])
+        assert table.arcs() == ([(0, 0), (0, 1), (1, 0)], [(0, 1), (0, 0), (1, 0)])
+
+    def test_small_sweep_matches_reference(self, small_sweep):
+        # each radial family plus 0-2 other gaps, both directions; ``qubit``
+        # finds each arc's qubit from either end cut
         checked = 0
-        for c, cut_sets in small_sweep_cut_sets():
-            for cuts in cut_sets:
+        for c, entries in small_sweep.table:
+            for entry in family_plus_two(c, entries):
+                cuts = entry.cuts
                 for d in Direction:
-                    expected = arcs_reference(c, cuts, d)
-                    assert arc_ends(c, cuts, d) == expected
+                    assert arc_ends(c, cuts, d) == arcs_reference(c, cuts, entry.families, d)
                     checked += 1
+                table = cut_table(c, cuts)
+                for q, ((w, a), (_, b)) in enumerate(zip(*table.arcs())):
+                    assert table.qubit(w, table.cuts[w].index(a)) == q
+                    assert table.qubit(w, table.cuts[w].index(b), 1) == q
         assert checked > 26000
 
     def test_errors_match_validate_cut_set(self):
@@ -422,43 +444,6 @@ class TestResolveArcs:
         assert [(o.wire, o.input_cut, o.output_cut) for o in origins] == [
             (g.wire, g, g) for g in record.seam.sorted_gaps()
         ]
-
-
-class TestCutTable:
-    def test_wrap_slot_table(self, swap):
-        table = cut_table(swap, CutSet.of([(1, 2), (0, 2), (0, 0)]))
-        assert table == CutTable(2, [[0, 2], [2]], [1, 0])
-        # from the family gap (0, 2): wire 0's arcs 2 -> 0 and 0 -> 2, then wire 1's
-        assert table.arcs() == ([(0, 2), (0, 0), (1, 2)], [(0, 0), (0, 2), (1, 2)])
-        # wire 0's cut at gap 2 starts qubit 0 and ends qubit 1, its cut at gap 0 the other way round
-        assert [table.qubit(0, k) for k in (0, 1)] == [1, 0]
-        assert [table.qubit(0, k, 1) for k in (0, 1)] == [0, 1]
-        assert table.qubit(1, 0) == table.qubit(1, 0, 1) == 2
-
-    def test_first_radial_slot_table(self, swap):
-        # the wrap slot is not radial; slot 0's family is (0, 0) and (1, 0)
-        table = cut_table(swap, CutSet.of([(0, 0), (0, 1), (1, 0)]))
-        assert table == CutTable(0, [[0, 1], [0]], [0, 0])
-        assert table.arcs() == ([(0, 0), (0, 1), (1, 0)], [(0, 1), (0, 0), (1, 0)])
-
-    def test_small_sweep_numbers_as_reference(self):
-        # per qubit, the table's arc ends are the reference origins' cuts,
-        # read in the clockwise direction
-        checked = 0
-        for c, cut_sets in small_sweep_cut_sets():
-            for cuts in cut_sets[::7]:
-                table = cut_table(c, cuts)
-                start, origins = arcs_reference(c, cuts, Direction.CW)
-                assert table.start == start
-                starts, ends = table.arcs()
-                assert [Gap(*k) for k in starts] == [o.input_cut for o in origins]
-                assert [Gap(*k) for k in ends] == [o.output_cut for o in origins]
-                # ``qubit`` finds each arc's qubit from either end cut
-                for q, ((w, a), (_, b)) in enumerate(zip(starts, ends)):
-                    assert table.qubit(w, table.cuts[w].index(a)) == q
-                    assert table.qubit(w, table.cuts[w].index(b), 1) == q
-                checked += 1
-        assert checked > 1500
 
 
 class TestCircularize:

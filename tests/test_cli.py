@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circnot.circuits import circularize
-from circnot.cli import build_parser, main
+from circnot.cli import build_parser, main, parity_text
 from circnot.errors import EmptyWire, quote
 from circnot.textio import format_circuit, format_cut_set, parse_circuit
 
@@ -217,6 +218,34 @@ def test_export_dot(swap_file, cuts_file):
     assert code == 0
     assert out.startswith("digraph")
     assert out.count('[label="cut" shape=box]') == 2
+
+
+@pytest.mark.parametrize(
+    "cut_text, message",
+    [
+        ("cut 9 9\ncut 0 7\n", "wire 0 gap 7 does not exist"),
+        ("cut 0 2\ncut 1 3\n", "wire 1 gap 3 does not exist"),
+        ("cut 0 0\ncut -1 0\n", "wire -1 gap 0 does not exist"),
+    ],
+    ids=["least-of-two", "past-last-gap", "negative-wire"],
+)
+def test_export_refuses_unknown_gap(tmp_path, swap_file, capsys, cut_text, message):
+    # export names the least bad gap, as derive does
+    path = tmp_path / "bad.cuts"
+    path.write_text(cut_text)
+    for command in ("export", "derive"):
+        assert run([command, swap_file, "--cuts", str(path)]) == (1, "")
+        assert capsys.readouterr().err == f"error unknown-gap: {message}\n"
+
+
+def test_export_refuses_cuts_on_linear_circuit(tmp_path, cuts_file, capsys):
+    path = tmp_path / "lin.circ"
+    path.write_text(LINEAR_SWAP)
+    assert run(["export", str(path), "--cuts", cuts_file]) == (1, "")
+    assert capsys.readouterr().err == "error wrong-circuit-kind: cuts need a circular circuit\n"
+    # without cuts the linear circuit is drawn
+    code, out = run(["export", str(path)])
+    assert code == 0 and out.startswith("digraph")
 
 
 def test_check_round_trip():
@@ -819,6 +848,20 @@ def test_model_parity_golden_self_joins(tmp_path, capsys, kind, cut):
         argv += ["--cuts", str(path)]
     code, out = run(argv)
     assert (code, out, capsys.readouterr().err) == FOUR_WIRE_MODEL_GOLDEN[kind, cut]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_parity_text_writes_each_row_bit(seed):
+    # a row's line is bit i of its mask ``coeffs | rhs << n_vars``, for i up to n_vars
+    rng = random.Random(seed)
+    n_vars = rng.randint(1, 40)
+    rows = [
+        (tuple(rng.sample(range(n_vars), rng.randint(0, min(4, n_vars)))), rng.randint(0, 1))
+        for _ in range(rng.randint(1, 30))
+    ]
+    masks = [sum(1 << v for v in vs) | rhs << n_vars for vs, rhs in rows]
+    lines = [" ".join(str(mask >> i & 1) for i in range(n_vars + 1)) for mask in masks]
+    assert parity_text(rows, n_vars) == "\n".join(lines)
 
 
 # Junk for ``circnot model``: a well-formed circuit and cut file, each with

@@ -315,11 +315,3 @@ def test_row_order_keeps_outcome_and_propagation(seed):
             reordered = sparse_outcome(shuffle_variables(rng, rng.sample(rows, len(rows))), n_vars, tag_width)
             assert reordered is RuntimeError or reordered == solution
     assert stalls == {False, True}
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_pack_inverts_sparse(seed):
-    rng = random.Random(seed)
-    n_vars, tag_width = rng.randint(1, 40), rng.randint(1, 6)
-    rows = triangular_system(rng, n_vars, tag_width)
-    assert gf2.pack(sparse(rows, n_vars), n_vars) == rows

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -52,35 +51,28 @@ from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
     SWAP_X_REF,
     SWAP_Z_REF,
-    Underdetermined,
     all_small_circuits,
     arc_ends,
     commutation_by_derivation,
     conjugate_by_cnot,
     count_model_solutions,
-    derive_by_both_models,
+    family_plus_two,
     fault_expected,
-    fault_map_by_model,
     gf2_rank,
     input_output_segments,
     isomorphic_to_reference,
     mkcirc,
     mklin,
+    model_columns,
     parity_solutions,
-    propagate_with_joins,
-    reference_build_model,
     reference_columns,
     reference_search,
     reference_slot_systems,
     restrict_map,
     rows_of_columns,
-    small_sweep_cut_sets,
-    solve_classes,
-    solve_map_rows,
-    solve_map_rows_with_joins,
     solve_model_map,
     spanning_gap_index,
-    swap_circular,
+    sweep_table,
 )
 
 
@@ -242,7 +234,7 @@ class TestParitySystem:
         # independent oracle: truth-table count gives 2^(n-rank)
         count = count_model_solutions(cut)
         assert count == 2 ** (9 - 7)
-        assert gf2_rank(gf2.pack(parity_rows(cut), 9), 10) == 7
+        assert gf2_rank([sum(1 << v for v in vs) for vs, _ in parity_rows(cut)], 9) == 7
 
     def test_eq6_unit_property(self, single_cnot):
         # pinning the control-side split true leaves exactly one of the
@@ -296,26 +288,17 @@ class TestDeriveTransformations:
             assert ccw == cw.inverse()
 
     def test_matches_per_input_propagation(self, swap, swap_cut_sets):
-        # the one-shot symbolic solve must agree with pinning one input at a
-        # time in the cut model's parity rows
+        # each input's propagation through the cut model's parity rows, X and
+        # Z, both directions: the rows of the model reference's columns
         cases = [(swap, swap_cut_sets["teleported-cnot"], Direction.CW)]
         for c in all_small_circuits(max_wires=3, max_gates=3):
             for slot in range(len(c.slots())):
                 cuts = CutSet.of(c.gap_spanning(w, slot) for w in range(c.wires))
                 cases += [(c, cuts, d) for d in (Direction.CW, Direction.CCW)]
         for c, cuts, d in cases:
-            _, origins = arc_ends(c, cuts, d)
             derived = derive_transformations(c, cuts, d)
-            # the first segment under the traversal starts after the input
-            # cut (cw) or ends before it (ccw); the last one mirrors that
-            first, last = (1, 0) if d is Direction.CW else (0, 1)
             for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
-                m = apply_cuts(build_model(c, kind), cuts)
-                ins = [m.gap_pair(o.input_cut)[first] for o in origins]
-                outs = [m.gap_pair(o.output_cut)[last] for o in origins]
-                for q in range(len(origins)):
-                    sol = propagate_with_joins(m, {seg: seg == ins[q] for seg in ins})
-                    assert frozenset(j for j, seg in enumerate(outs) if sol[seg]) == rows[q]
+                assert solve_model_map(c, cuts, d, build_model(c, kind)) == rows
 
 
 def random_pairs(rng, wires, gates):
@@ -372,156 +355,12 @@ class TestLargeDerivations:
             assert derived == oracle_map(linearize(c, record.seam, d))
 
 
-class TestSparseRows:
-    """Rows stay ``(variables, rhs)`` pairs from the model to the solver."""
-
-    @pytest.fixture
-    def no_packing(self, monkeypatch):
-        # bitmask rows exist only for ``circnot model --parity``
-        def refuse(rows, n_vars):
-            raise AssertionError("rows were packed into bitmasks")
-
-        monkeypatch.setattr(gf2, "pack", refuse)
-
-    def test_large_derivation_packs_nothing(self, no_packing):
-        c, record = random_circularized(48 * 512, 48, 512)
-        for d in (Direction.CW, Direction.CCW):
-            assert derive_transformations(c, record.seam, d) == oracle_map(linearize(c, record.seam, d))
-
-    def test_fault_packs_nothing(self, no_packing):
-        c, record = random_circularized(8 * 64, 8, 64)
-        lin = linearize(c, record.seam, Direction.CW)
-        for gate in c.gates[::16]:
-            fd = faulted_transformations(c, record.seam, Direction.CW, FaultSpec(gate=gate.id))
-            kept = tuple(g for g in lin.gates if g.source != gate.id)
-            expected = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
-            assert fd.map == restrict_map(expected, fd.live_inputs, fd.live_outputs)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cuts_on_model_and_call_merge(self, seed):
-        # joins cut on the model and joins cut by the call drop alike
-        rng = random.Random(seed)
-        c, record = random_circularized(seed, 4, 16)
-        every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
-        extra = rng.sample(sorted(every_gap - record.seam.gaps()), 2)
-        cuts = CutSet.of(sorted(record.seam.gaps() | set(extra)))
-        d = rng.choice([Direction.CW, Direction.CCW])
-        _, origins = arc_ends(c, cuts, d)
-        gaps = sorted(cuts.gaps())
-        derived = derive_transformations(c, cuts, d)
-        for kind, rows in ((ModelKind.X, derived.x_out), (ModelKind.Z, derived.z_out)):
-            m = build_model(c, kind)
-            ins, outs = input_output_segments(m, origins, d)
-            whole = solve_map_rows(m, cuts.gaps(), ins, outs)
-            assert rows_of_columns(whole) == rows
-            for _ in range(6):
-                on_model = frozenset(rng.sample(gaps, rng.randint(0, len(gaps))))
-                # the call may repeat gaps already cut on the model
-                in_call = (cuts.gaps() - on_model) | frozenset(rng.sample(gaps, rng.randint(0, 2)))
-                assert solve_map_rows(apply_cuts(m, CutSet(on_model)), in_call, ins, outs) == whole
-
-
-def solve_or_error(solve, *args, **kwargs):
-    """The solution, or the class of the error the reference solve raised."""
-    try:
-        return solve(*args, **kwargs)
-    except (Underdetermined, Inconsistent) as err:
-        return type(err)
-
-
-class TestJoinClasses:
-    """``solve_map_rows`` solves over the reference join classes; the join-row solve is the reference."""
-
-    @staticmethod
-    def assert_same(m, cut_gaps, ins, outs, pins=None):
-        # values, or the error class
-        got = solve_or_error(solve_map_rows, m, cut_gaps, ins, outs, pins)
-        assert got == solve_or_error(solve_map_rows_with_joins, m, cut_gaps, ins, outs, pins)
-        return got
-
-    def test_small_radial_families(self):
-        # each radial family alone and with one extra gap, both kinds, both ways
-        checked = 0
-        for c in all_small_circuits(3, 3):
-            gaps = [p.gap for p in enumerate_cut_points(c)]
-            models = [build_model(c, kind) for kind in (ModelKind.X, ModelKind.Z)]
-            for slot in range(len(c.gates)):
-                family = {c.gap_spanning(w, slot) for w in range(c.wires)}
-                for extra in [()] + [(gap,) for gap in gaps if gap not in family]:
-                    cuts = CutSet.of(family.union(extra))
-                    for d in Direction:
-                        _, origins = arc_ends(c, cuts, d)
-                        for m in models:
-                            ins, outs = input_output_segments(m, origins, d)
-                            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
-                            checked += 1
-        assert checked > 1800
-
-    @pytest.mark.parametrize("wires,gates", [(16, 128), (32, 256), (64, 1024)])
-    def test_large_seeded(self, wires, gates):
-        rng = random.Random(wires)
-        c, record = random_circularized(wires * gates + 1, wires, gates)
-        every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
-        extra = rng.sample(sorted(every_gap - record.seam.gaps()), 3)
-        cuts = CutSet.of(sorted(record.seam.gaps() | set(extra)))
-        for kind, d in ((ModelKind.X, Direction.CW), (ModelKind.Z, Direction.CCW)):
-            m = build_model(c, kind)
-            ins, outs = input_output_segments(m, arc_ends(c, cuts, d)[1], d)
-            assert isinstance(self.assert_same(m, cuts.gaps(), ins, outs), list)
-
-    def test_fault_pins_and_bridges(self):
-        # the pinned-ancilla fault construction (pins and bridges on the
-        # segments at the fault's gaps) gives the fault map; its pinned
-        # systems solve alike over join classes and with join rows, and
-        # only the join-row solve writes a bridge
-        shapes = set()
-        for seed in range(3):
-            rng = random.Random(seed)
-            c, record = random_circularized(seed, 5, 32)
-
-            def both(m, cut_gaps, ins, outs, pins, bridges):
-                shapes.add((len(pins), len(bridges)))
-                if bridges:
-                    return solve_map_rows_with_joins(m, cut_gaps, ins, outs, pins, bridges)
-                return self.assert_same(m, cut_gaps, ins, outs, pins)
-
-            every_gap = {Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))}
-            extra = rng.sample(sorted(every_gap - record.seam.gaps()), 6)
-            for base in (record.seam, CutSet.of(sorted(record.seam.gaps() | set(extra)))):
-                for gate in c.gates[seed::3]:
-                    for d in Direction:
-                        fault = FaultSpec(gate=gate.id)
-                        fd = faulted_transformations(c, base, d, fault)
-                        assert fd.map == fault_map_by_model(c, base, d, fault, both)
-        # both fault gaps fresh (a bridge), one fresh (a second pin), none fresh
-        assert {(1, 1), (2, 0), (1, 0)} <= shapes
-
-    def test_non_radial_cut_sets_raise_alike(self):
-        # with no radial family, inputs after and outputs before each cut:
-        # most systems raise, and both solves raise the same class
-        raised = collections.Counter()
-        for c in all_small_circuits(3, 3):
-            gaps = [p.gap for p in enumerate_cut_points(c)]
-            families = [{c.gap_spanning(w, slot) for w in range(c.wires)} for slot in range(len(c.gates))]
-            models = [build_model(c, kind) for kind in (ModelKind.X, ModelKind.Z)]
-            for k in (1, 2, 3):
-                for chosen in itertools.combinations(gaps, k):
-                    if any(family <= set(chosen) for family in families):
-                        continue
-                    for m in models:
-                        ins = [m.gap_pair(gap)[1] for gap in chosen]
-                        outs = [m.gap_pair(gap)[0] for gap in chosen]
-                        got = self.assert_same(m, frozenset(chosen), ins, outs)
-                        raised[got if isinstance(got, type) else None] += 1
-        assert raised[Underdetermined] > 900 and raised[Inconsistent] > 1300
-
-
 class TestTraversalSubstitution:
     """Derive and fault substitute the X equations along the traversal (``_x_columns``)."""
 
     def test_starts_on_and_off_wrap_slot_match_reference(self):
         # start slots on and off the wrap slot, extra cuts, both directions:
-        # the columns equal the reference solve over join classes
+        # the columns equal the model reference's
         starts = set()
         for seed in range(4):
             rng = random.Random(seed)
@@ -576,55 +415,6 @@ class TestTraversalSubstitution:
         for d in Direction:
             check(single, CutSet.of([(0, 1), (1, 2), (2, 0)]), d, single.gates[1])
         assert added == {0, 1, 2}
-
-
-class TestPropagateOverClasses:
-    """A pinned solve over the reference join classes (``solve_classes``) against
-    ``propagate_with_joins``, which solves ``parity_rows`` over every variable."""
-
-    @staticmethod
-    def assert_same(m, pins):
-        # values per variable, or the error class
-        def over_classes(m, pins):
-            sol, cls = solve_classes(m, frozenset(), [], pins)
-            return [bool(sol[k]) for k in cls]
-
-        def run(solve):
-            try:
-                return solve(m, pins)
-            except (Underdetermined, Inconsistent, UnpinnedSelector) as err:
-                return type(err)
-
-        got = run(over_classes)
-        assert got == run(propagate_with_joins)
-        return got
-
-    def test_small_circuits_random_cuts_and_pins(self):
-        # X and Z models under random cut sets of up to 4 cuts and up to 4
-        # pins; a combined model has no selector, so both refuse it
-        rng = random.Random(17)
-        outcomes = collections.Counter()
-        for c in all_small_circuits(3, 3):
-            gaps = [p.gap for p in enumerate_cut_points(c)]
-            for m in (build_model(c, ModelKind.X), build_model(c, ModelKind.Z)):
-                for _ in range(84):
-                    cuts = rng.sample(gaps, rng.randint(0, min(4, len(gaps))))
-                    cut = apply_cuts(m, CutSet.of(cuts)) if cuts else m
-                    pins = {rng.randrange(cut.n_vars): rng.random() < 0.5 for _ in range(rng.randint(0, 4))}
-                    got = self.assert_same(cut, pins)
-                    outcomes[got if isinstance(got, type) else list] += 1
-            assert self.assert_same(build_model(c, ModelKind.COMBINED), {}) is UnpinnedSelector
-        assert sum(outcomes.values()) > 7000
-        assert min(outcomes[kind] for kind in (list, Underdetermined, Inconsistent)) > 100
-
-    def test_large_uncut_and_seam_cut(self):
-        # the uncut model leaves a free class, found over every segment too
-        c, record = random_circularized(48 * 512, 48, 512)
-        m = build_model(c, ModelKind.X)
-        assert self.assert_same(m, {}) is Underdetermined
-        cut = apply_cuts(m, record.seam)
-        ins, _ = input_output_segments(cut, arc_ends(c, record.seam, Direction.CW)[1], Direction.CW)
-        assert isinstance(self.assert_same(cut, {v: q % 3 == 0 for q, v in enumerate(ins)}), list)
 
 
 class TestCommutation:
@@ -710,11 +500,10 @@ class TestSlotRotation:
         rng = random.Random(wires + gates)
         pairs = random_pairs(rng, wires, gates)
         c = mkcirc(wires, pairs)
-        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
 
         def radial_map(slot):
             cuts = CutSet.of((w, spanning_gap_index(pairs, w, slot)) for w in range(wires))
-            return derive_transformations(c, cuts, Direction.CW, models=models)
+            return derive_transformations(c, cuts, Direction.CW)
 
         # the last slot wraps onto the first gate
         for slot in [gates - 1, *rng.sample(range(gates - 1), 2)]:
@@ -755,12 +544,12 @@ class TestSearchCuts:
         assert a == b
 
 
-def derive_both_ways(c, cuts, models=None):
+def derive_both_ways(c, cuts):
     """CW then CCW map, or the class of the solver error either raised."""
     out = []
     for d in (Direction.CW, Direction.CCW):
         try:
-            out.append(derive_transformations(c, cuts, d, models=models))
+            out.append(derive_transformations(c, cuts, d))
         except Inconsistent as err:
             out.append(type(err))
     return out
@@ -780,12 +569,11 @@ class TestDirectionInverse:
     CNOTs are self-inverse; the two directions also fail together.
     """
 
-    def test_small_sweep_with_extra_gaps(self):
+    def test_small_sweep_with_extra_gaps(self, small_sweep):
         checked = 0
-        for c, cut_sets in small_sweep_cut_sets():
-            models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-            for cuts in cut_sets:
-                assert_ccw_inverts_cw(*derive_both_ways(c, cuts, models))
+        for c, entries in small_sweep.table:
+            for entry in family_plus_two(c, entries):
+                assert_ccw_inverts_cw(*entry.derived)
                 checked += 1
         assert checked > 13000
 
@@ -799,19 +587,18 @@ class TestSlotSystems:
     counter-clockwise derivation must be their map's inverse.
     """
 
-    def test_small_sweep_matches_derivation(self):
+    def test_small_sweep_matches_derivation(self, small_sweep):
         checked = 0
-        for c, cut_sets in small_sweep_cut_sets():
+        for c, entries in small_sweep.table:
             gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
             systems = slot_systems(c)
             index = {gap: k for k, gap in enumerate(gaps)}
-            models = (build_model(c, ModelKind.X), None)
-            for cuts in cut_sets:
-                cut = {index[gap] for gap in cuts.gaps()}
+            for entry in family_plus_two(c, entries):
+                cut = {index[gap] for gap in entry.cuts.gaps()}
                 system = next(s for s in systems if cut.issuperset(s.family))
                 extras = tuple(p for p, k in enumerate(system.others) if k in cut)
                 cols = reference_columns(system, extras)
-                cw, ccw = (derive_transformations(c, cuts, d, models=models) for d in Direction)
+                cw, ccw = entry.derived
                 assert cols == cw.x_columns()
                 assert ccw == StabiliserMap.from_x(cols).inverse()
                 checked += 1
@@ -832,26 +619,24 @@ def slot_systems(c):
     return [model_module._slot_system(c, families, s) for s in (n - 1, *range(n - 1))]
 
 
-def derive_or_error(derive, c, cuts, d, models):
-    try:
-        return derive(c, cuts, d, models=models)
-    except (Underdetermined, Inconsistent) as err:
-        return type(err)
+class TestDeriveAgainstModels:
+    """Derive substitutes X along the traversal and reads Z as its inverse
+    transpose; the model reference solves the X and the Z model's systems."""
 
-
-class TestDeriveFromXModel:
-    """Derive solves the X model only and reads Z as its inverse transpose."""
-
-    def test_small_sweep_matches_two_model_body(self):
-        # same maps as solving both models, and the same solver errors
+    def test_small_sweep_matches_both_models(self, small_sweep):
+        # each radial family plus 0-2 other gaps, read clockwise; one check
+        # per model solved (``TestDirectionInverse`` covers counter-clockwise)
         checked = 0
-        for c, cut_sets in small_sweep_cut_sets():
+        for c, entries in small_sweep.table:
             models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-            for cuts in cut_sets:
-                for d in Direction:
-                    derived = derive_or_error(derive_transformations, c, cuts, d, models)
-                    assert derived == derive_or_error(derive_by_both_models, c, cuts, d, models)
-                    checked += 1
+            for entry in family_plus_two(c, entries):
+                origins = arc_ends(c, entry.cuts, Direction.CW)[1]
+                cols = [
+                    model_columns(m, entry.cuts, *input_output_segments(m, origins, Direction.CW))
+                    for m in models
+                ]
+                assert StabiliserMap.from_columns(*cols) == entry.derived[0]
+                checked += len(models)
         assert checked > 26000
 
 
@@ -1086,36 +871,32 @@ class TestSearchImpossibleTarget:
 class TestSearchReference:
     """``search_cuts`` against a brute force written from the file format.
 
-    The brute force filters ``combinations`` over every gap by (wire, gap)
-    through its own radial check, one family per slot from the gate list,
-    and keeps the sets that derive the target, clockwise first.
+    The brute force filters the cut sets of ``sweep_table`` (every subset
+    of ``need`` gaps by (wire, gap), sorted) through its own radial check,
+    one family per slot from the gate list, and keeps the sets whose
+    derivation is the target, clockwise first.
     """
 
     @staticmethod
-    def brute_force_table(c, need):
+    def brute_force_table(c, entries, need):
         pairs = [(g.control, g.target) for g in c.gates]
         gaps = [Gap(w, i) for w in range(c.wires) for i in range(sum(w in p for p in pairs))]
         families = [
             {Gap(w, spanning_gap_index(pairs, w, j)) for w in range(c.wires)}
             for j in range(len(pairs))
         ]
-        models = (build_model(c, ModelKind.X), build_model(c, ModelKind.Z))
-        table = []
-        for combo in itertools.combinations(gaps, need):
-            if not any(family.issubset(combo) for family in families):
-                continue
-            cuts = CutSet.of(combo)
-            for d in (Direction.CW, Direction.CCW):
-                try:
-                    table.append((cuts, d, derive_transformations(c, cuts, d, models=models)))
-                except Inconsistent:
-                    pass
+        table = [
+            (entry.cuts, d, derived)
+            for entry in entries
+            if len(entry.cuts) == need and any(family <= entry.cuts.gaps() for family in families)
+            for d, derived in zip(Direction, entry.derived)
+        ]
         return families, gaps, table
 
-    def test_matches_brute_force_exhaustive(self):
+    def test_matches_brute_force_exhaustive(self, small_sweep):
         searches = 0
-        for c in all_small_circuits(3, 4):
-            families, gaps, table = self.brute_force_table(c, c.wires)
+        for c, entries in small_sweep.table:
+            families, gaps, table = self.brute_force_table(c, entries, c.wires)
             targets = {
                 oracle_map(linearize(c, CutSet.of(family), d))
                 for family in families
@@ -1128,12 +909,15 @@ class TestSearchReference:
                     searches += 1
         assert searches > 1000
 
-    def test_matches_brute_force_beyond_family(self):
+    def test_matches_brute_force_beyond_family(self, small_sweep):
         # targets that need one cut beyond a radial family: the wrap slot's
-        # family plus each other gap, so the built candidates carry extras
+        # family plus each other gap, so the built candidates carry extras;
+        # circuits of up to 3 gates
         searches = 0
-        for c in all_small_circuits(3, 3):
-            families, gaps, table = self.brute_force_table(c, c.wires + 1)
+        for c, entries in small_sweep.table:
+            if len(c.gates) > 3:
+                continue
+            families, gaps, table = self.brute_force_table(c, entries, c.wires + 1)
             wrap = families[-1]
             targets = {
                 oracle_map(linearize(c, CutSet.of(wrap | {gap}), d))
@@ -1156,7 +940,8 @@ class TestSearchRepeatedFamilies:
     @pytest.mark.parametrize("extra", [0, 1], ids=["family", "family-plus-one"])
     def test_matches_brute_force(self, pairs, extra):
         c = mkcirc(4, pairs)
-        families, gaps, table = TestSearchReference.brute_force_table(c, c.wires + extra)
+        [(_, entries)] = sweep_table([c], c.wires + extra)
+        families, gaps, table = TestSearchReference.brute_force_table(c, entries, c.wires + extra)
         targets = {
             oracle_map(linearize(c, CutSet.of(family | set(more)), d))
             for family in families
@@ -1380,41 +1165,31 @@ def cut_for(c, mode, chosen):
 
 def assert_substitution_matches_reference(c, cuts) -> bool:
     """Whether the cut set holds a radial family; if so, its X columns
-    substituted along the traversal equal, both ways, the reference solve
-    over join classes of the reference X model, read at ``arc_ends``."""
+    substituted along the traversal equal, both ways, the model reference's
+    X columns, read at ``arc_ends``."""
     try:
         table = cut_table(c, cuts)
     except (EmptyCutSet, NoRadialCut):
         return False
-    m = reference_build_model(c, ModelKind.X)
+    m = build_model(c, ModelKind.X)
     for d in Direction:
         ins, outs = input_output_segments(m, arc_ends(c, cuts, d)[1], d)
-        assert model_module._x_columns(c, table, d) == solve_map_rows(m, cuts.gaps(), ins, outs)
+        assert model_module._x_columns(c, table, d) == model_columns(m, cuts, ins, outs)
     return True
 
 
-def assert_build_matches_reference(c):
-    for kind in ModelKind:
-        got, want = build_model(c, kind), reference_build_model(c, kind)
-        for f in dataclasses.fields(want):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
-
-
-class TestClassWalk:
-    """``build_model`` numbers segments as the reference segment loop does, and
-    the traversal's X columns under any cut set equal the reference solve over
-    join classes."""
+class TestSubstitutionAnyCutSet:
+    """The traversal's X columns (``_x_columns``) under any cut set equal the
+    model reference's."""
 
     @given(data=st.data())
-    def test_matches_reference_classes(self, data):
-        # a drawn cut set with the seam added or removed, every gap or none,
-        # and every model kind built
+    def test_matches_model_reference(self, data):
+        # a drawn cut set with the seam added or removed, every gap or none
         _, c = data.draw(circular_circuits(max_wires=12))
         gaps = [p.gap for p in enumerate_cut_points(c)]
         chosen = set(data.draw(st.lists(st.sampled_from(gaps), unique=True)))
         cut = cut_for(c, data.draw(st.sampled_from(CUT_MODES)), chosen)
         assert_substitution_matches_reference(c, CutSet.of(sorted(cut)))
-        assert_build_matches_reference(c)
 
     def test_small_circuits_every_cut_set(self):
         # single-symbol wires and wires touched only as control or only as
@@ -1430,7 +1205,6 @@ class TestClassWalk:
             for k in range(len(gaps) + 1):
                 for cut in itertools.combinations(gaps, k):
                     shapes["radial"] += assert_substitution_matches_reference(c, CutSet.of(cut))
-            assert_build_matches_reference(c)
         assert min(shapes.values()) > 20
 
 
