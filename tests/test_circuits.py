@@ -386,20 +386,33 @@ class TestCutTable:
         assert table == CutTable(0, [[0, 1], [0]], [0, 0])
         assert table.arcs() == ([(0, 0), (0, 1), (1, 0)], [(0, 1), (0, 0), (1, 0)])
 
+    def test_small_sweep_numbers_as_reference(self, small_sweep):
+        # per qubit, the table's arc ends are the reference origins' cuts,
+        # read in the clockwise direction
+        checked = 0
+        for c, entries in small_sweep.table:
+            for entry in family_plus_two(c, entries)[::7]:
+                table = cut_table(c, entry.cuts)
+                start, origins = arcs_reference(c, entry.cuts, entry.families, Direction.CW)
+                assert table.start == start
+                starts, ends = table.arcs()
+                assert [Gap(*k) for k in starts] == [o.input_cut for o in origins]
+                assert [Gap(*k) for k in ends] == [o.output_cut for o in origins]
+                # ``qubit`` finds each arc's qubit from either end cut
+                for q, ((w, a), (_, b)) in enumerate(zip(starts, ends)):
+                    assert table.qubit(w, table.cuts[w].index(a)) == q
+                    assert table.qubit(w, table.cuts[w].index(b), 1) == q
+                checked += 1
+        assert checked > 1500
+
     def test_small_sweep_matches_reference(self, small_sweep):
-        # each radial family plus 0-2 other gaps, both directions; ``qubit``
-        # finds each arc's qubit from either end cut
+        # each radial family plus 0-2 other gaps, both directions
         checked = 0
         for c, entries in small_sweep.table:
             for entry in family_plus_two(c, entries):
-                cuts = entry.cuts
                 for d in Direction:
-                    assert arc_ends(c, cuts, d) == arcs_reference(c, cuts, entry.families, d)
+                    assert arc_ends(c, entry.cuts, d) == arcs_reference(c, entry.cuts, entry.families, d)
                     checked += 1
-                table = cut_table(c, cuts)
-                for q, ((w, a), (_, b)) in enumerate(zip(*table.arcs())):
-                    assert table.qubit(w, table.cuts[w].index(a)) == q
-                    assert table.qubit(w, table.cuts[w].index(b), 1) == q
         assert checked > 26000
 
     def test_errors_match_validate_cut_set(self):
