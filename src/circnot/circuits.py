@@ -10,9 +10,12 @@ and are the only legal cut locations. Gap ``(w, i)`` is the gap that
 follows wire ``w``'s ``i``-th symbol in clockwise order. A linear circuit's
 gate list is its time order.
 
-``cut_table`` checks a cut set, lists its gap indices by wire and picks the
-slot a linearization starts from; each arc between consecutive cuts is one
-qubit, numbered by wire, then clockwise from that slot's family gap.
+``cut_table`` is the one place that checks a cut set and numbers its
+qubits: it lists the cut gap indices by wire (``gaps_by_wire``, the gap
+range check that ``dot`` and ``model.apply_cuts`` share) and picks the slot
+a linearization starts from. Each arc between consecutive cuts is one
+qubit, numbered by wire, then clockwise from that slot's family gap
+(``CutTable.arcs``).
 """
 
 from __future__ import annotations
@@ -295,8 +298,8 @@ def spanning_gaps(c: CircularCircuit):
         yield span
 
 
-def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> dict[int, tuple[int, ...]]:
-    """Radial slots, clockwise, each with its spanning gap index on every wire.
+def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """The first radial slot clockwise, with its spanning gap index on every wire.
 
     ``on_wire`` lists each wire's cut gap indices, which exist; raises
     ``NoRadialCut`` when no slot is radial. Gap ``(w, i)`` spans the slots
@@ -315,13 +318,9 @@ def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> dict[int, 
             masks[w] |= span
     for mask in masks:
         radial &= mask
-    families = {}
-    while radial:
+    if radial:
         low = radial & -radial
-        radial ^= low
-        families[low.bit_length() - 1] = tuple(next(i for span, i in on if span & low) for on in spans)
-    if families:
-        return families
+        return low.bit_length() - 1, tuple(next(i for span, i in on if span & low) for on in spans)
     missing = {
         slot: tuple(w for w, mask in enumerate(masks) if not mask >> slot & 1)
         for slot in range(n_gates)
@@ -331,20 +330,6 @@ def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> dict[int, 
         f"no slot is cut across all wires (wires never cut at any slot: {uncut_everywhere})",
         missing_by_slot=missing,
     )
-
-
-def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> dict[int, tuple[int, ...]]:
-    """Raise unless the cut set (checked by ``cut_table``) admits a valid linearization.
-
-    Validity needs at least one radial family: a slot whose spanning gap is
-    cut on every wire. Given one, every arc between consecutive cuts maps to
-    a contiguous stretch of the unrolled timeline, so each gate's control and
-    target arcs automatically coexist at the gate. Returns the
-    radial slots in clockwise order, each mapped to the index of its family's
-    gap on every wire. ``NoRadialCut.missing_by_slot`` maps every slot to the
-    wires whose spanning gap is uncut.
-    """
-    return _radial_families(c, cut_table(c, cuts).cuts)
 
 
 class CutTable(NamedTuple):
@@ -360,18 +345,39 @@ class CutTable(NamedTuple):
     cuts: list[list[int]]
     anchors: list[int]
 
-    def qubit(self, w: int, k: int, shift: int = 0) -> int:
-        """The qubit whose arc starts clockwise at wire ``w``'s cut ``cuts[w][k]`` (ends there with ``shift`` 1)."""
-        return sum(map(len, self.cuts[:w])) + (k - self.anchors[w] - shift) % len(self.cuts[w])
-
     def arcs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Per qubit, the ``(wire, gap index)`` of its arc's clockwise start cut, then of its end cut."""
         starts, ends = [], []
         for w, (wire_cuts, at) in enumerate(zip(self.cuts, self.anchors)):
-            keys = [(w, i) for i in wire_cuts]
-            starts += keys[at:] + keys[:at]
-            ends += keys[at + 1 :] + keys[: at + 1]
+            first = len(starts)
+            for i in wire_cuts[at:]:
+                starts.append((w, i))
+            for i in wire_cuts[:at]:
+                starts.append((w, i))
+            # each arc ends where the wire's next one starts
+            ends += starts[first + 1 :]
+            ends.append(starts[first])
         return starts, ends
+
+
+def gaps_by_wire(counts, cuts: CutSet) -> list[list[int]]:
+    """Per wire, its cut gap indices ascending, for wires carrying ``counts[w]`` symbols each.
+
+    Raises ``UnknownGap`` naming the least cut gap outside those counts.
+    """
+    on_wire: list[list[int]] = [[] for _ in counts]
+    bad = []
+    for gap in cuts.cuts:
+        w, i = gap.wire, gap.index
+        if 0 <= w < len(counts) and 0 <= i < counts[w]:
+            on_wire[w].append(i)
+        else:
+            bad.append(gap)
+    if bad:
+        raise UnknownGap.least(bad)
+    for wire_cuts in on_wire:
+        wire_cuts.sort()  # indices are distinct on a wire
+    return on_wire
 
 
 def cut_table(c: CircularCircuit, cuts: CutSet) -> CutTable:
@@ -385,23 +391,25 @@ def cut_table(c: CircularCircuit, cuts: CutSet) -> CutTable:
     """
     if not cuts.cuts:
         raise EmptyCutSet("cut set is empty")
-    symbols = c._symbols
-    on_wire: list[list[int]] = [[] for _ in symbols]
-    bad = []
-    for gap in cuts.cuts:
-        w, i = gap.wire, gap.index
-        if 0 <= w < c.wires and 0 <= i < len(symbols[w]):
-            on_wire[w].append(i)
-        else:
-            bad.append(gap)
-    if bad:
-        raise UnknownGap.least(bad)
-    for wire_cuts in on_wire:
-        wire_cuts.sort()  # indices are distinct on a wire
-    if all(wire_cuts and wire_cuts[-1] == len(syms) - 1 for wire_cuts, syms in zip(on_wire, symbols)):
+    counts = [len(syms) for syms in c._symbols]
+    on_wire = gaps_by_wire(counts, cuts)
+    if all(wire_cuts and wire_cuts[-1] == k - 1 for wire_cuts, k in zip(on_wire, counts)):
         return CutTable(len(c.gates) - 1, on_wire, [len(wire_cuts) - 1 for wire_cuts in on_wire])
-    start, family = next(iter(_radial_families(c, on_wire).items()))
+    start, family = _radial_families(c, on_wire)
     return CutTable(start, on_wire, [wire_cuts.index(i) for wire_cuts, i in zip(on_wire, family)])
+
+
+def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> CutTable:
+    """Raise unless the cut set admits a valid linearization; return its ``cut_table``.
+
+    Validity needs at least one radial family: a slot whose spanning gap is
+    cut on every wire. Given one, every arc between consecutive cuts maps to
+    a contiguous stretch of the unrolled timeline, so each gate's control and
+    target arcs automatically coexist at the gate.
+    ``NoRadialCut.missing_by_slot`` maps every slot to the wires whose
+    spanning gap is uncut.
+    """
+    return cut_table(c, cuts)
 
 
 def traversal_order(c: CircularCircuit, start: int, d: Direction) -> list[int]:

@@ -7,8 +7,8 @@ wire. Output is deterministic for identical inputs.
 
 from __future__ import annotations
 
-from .circuits import CircularCircuit, CutSet, Gap, LinearCircuit
-from .errors import UnknownGap, WrongCircuitKind
+from .circuits import CircularCircuit, CutSet, Gap, LinearCircuit, gaps_by_wire
+from .errors import WrongCircuitKind
 
 _SYMBOL_LABEL = {"control": "*", "target": "+"}
 
@@ -27,10 +27,10 @@ def export_dot(c: CircularCircuit | LinearCircuit, cuts: CutSet | None = None) -
 
 
 def _circular_dot(c: CircularCircuit, cuts: CutSet | None) -> str:
-    cut_gaps = cuts.gaps() if cuts is not None else frozenset()
-    bad = [g for g in cut_gaps if not (0 <= g.wire < c.wires and 0 <= g.index < c.symbol_count(g.wire))]
-    if bad:
-        raise UnknownGap.least(bad)
+    cut_gaps = frozenset()
+    if cuts is not None:
+        gaps_by_wire([c.symbol_count(w) for w in range(c.wires)], cuts)
+        cut_gaps = cuts.gaps()
     lines = ["digraph circuit {", "  rankdir=LR;"]
     sym_nodes: dict[tuple[int, int], str] = {}
     for w in range(c.wires):

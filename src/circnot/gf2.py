@@ -1,7 +1,7 @@
 """GF(2) linear algebra: forward substitution on sparse rows, and inversion.
 
-``invert`` takes bitmask rows (bit ``i`` is column ``i``); ``StabiliserMap``
-calls it once to read Z off X and once per half of an inverse.
+``invert`` takes bitmask rows (bit ``i`` is column ``i``);
+``StabiliserMap.from_x`` calls it once to read Z off X.
 
 ``solve_tagged`` solves sparse rows, one per variable, each a tuple of
 distinct variable indices plus an int right-hand side, by forward

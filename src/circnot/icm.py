@@ -391,7 +391,8 @@ def faulted_transformations(
     to its symbols: one X walk, and Z read as the inverse transpose. The
     |0> ancilla on the gate's control span then absorbs the base qubit a
     traversal enters at its input gap and the one it leaves at its output
-    gap, when those gaps are base cuts (``CutTable.qubit``). An absorbed
+    gap, when those gaps are base cuts: the qubits ``CutTable.arcs`` lists
+    as starting and ending there, as ``_x_columns`` numbers them. An absorbed
     input's X reaches no live output and its Z row is empty; an absorbed
     output's X column is empty and no Z reaches it.
     """
@@ -402,10 +403,10 @@ def faulted_transformations(
     cols = _x_columns(c, table, d, missing=gi)
     # the base qubits starting at the before gap and ending at the after gap,
     # entered and left there clockwise, the other way round counter-clockwise
-    wire_cuts = table.cuts[w]
+    starts, ends = table.arcs()
     absorbed = [
-        table.qubit(w, wire_cuts.index(gap.index), shift) if gap.index in wire_cuts else None
-        for gap, shift in ((patch.before_gap, 0), (patch.after_gap, 1))
+        arcs.index(key) if key in arcs else None
+        for arcs, key in ((starts, (w, patch.before_gap.index)), (ends, (w, patch.after_gap.index)))
     ]
     absorbed_in, absorbed_out = absorbed if d is Direction.CW else absorbed[::-1]
     n = len(cols)

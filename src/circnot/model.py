@@ -49,6 +49,7 @@ each arc's X column against the target as its cut closes it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -65,6 +66,7 @@ from .circuits import (
     Direction,
     Gap,
     cut_table,
+    gaps_by_wire,
     spanning_gaps,
     traversal_order,
 )
@@ -73,7 +75,6 @@ from .errors import (
     DuplicateCut,
     NotAdjacent,
     SearchTooLarge,
-    UnknownGap,
     UnpinnedSelector,
     quote_int,
 )
@@ -111,13 +112,6 @@ class BooleanModel:
     @property
     def n_vars(self) -> int:
         return self.offsets[-1]
-
-    def gap_pair(self, gap: Gap) -> tuple[int, int]:
-        """The variables of the segments ending and starting at a gap."""
-        w, i = gap.wire, gap.index
-        if 0 <= w < len(self.gap_vars) and 0 <= i < len(self.gap_vars[w]):
-            return self.gap_vars[w][i]
-        raise UnknownGap(f"wire {quote_int(w)} gap {quote_int(i)} not in model")
 
     def segment_name(self, v: int) -> str:
         """``w<wire>s<index>`` of variable ``v``."""
@@ -202,11 +196,13 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
 def apply_cuts(m: BooleanModel, cuts: CutSet) -> BooleanModel:
     """Remove the join clauses of the cut gaps; variables stay put.
 
-    Cutting a gap whose self-join was already dropped is a no-op beyond
-    marking the gap as cut (the gap was cut-equivalent from the start).
+    Raises ``UnknownGap`` naming the least gap the model does not have,
+    then ``DuplicateCut`` for the least gap already cut. Cutting a gap
+    whose self-join was already dropped is a no-op beyond marking the gap
+    as cut (the gap was cut-equivalent from the start).
     """
+    gaps_by_wire([len(pairs) for pairs in m.gap_vars], cuts)
     for gap in cuts.sorted_gaps():
-        m.gap_pair(gap)  # raises UnknownGap
         if gap in m.cut_gaps:
             raise DuplicateCut(f"wire {quote_int(gap.wire)} gap {quote_int(gap.index)} already cut")
     return replace(m, cut_gaps=m.cut_gaps | cuts.gaps())
@@ -443,7 +439,8 @@ def _walk_slot(
     compositions: list[tuple[tuple[int, int], ...]],
     cw_cols: list[int],
     ccw_cols: list[int],
-    blockers: list[int],
+    mask: int,
+    earlier: Iterable[int],
 ):
     """Yield every choice of extra cuts on the slot whose X columns are ``cw_cols`` or ``ccw_cols``.
 
@@ -460,8 +457,10 @@ def _walk_slot(
     value; an uncut gap's tag is zero. A branch whose columns so far match
     neither direction is dropped, and so is one that leaves a wire fewer
     gaps than it still needs. At a leaf every family gap closes its wire's
-    last arc, and a choice holding a ``blockers`` mask over gaps (the rest
-    of an earlier slot's family) is skipped.
+    last arc. ``mask`` is the slot's family and ``earlier`` the families of
+    earlier slots, as masks over gaps; a choice whose extra cuts hold the
+    rest of an earlier family, so that the family and the extra cuts cover
+    it, is skipped.
     """
     others, wires, rows, family_rows = system.others, system.wires, system.rows, system.family_rows
     n_wires = len(system.family)
@@ -527,8 +526,9 @@ def _walk_slot(
                         break
                 else:
                     extras = [others[live[cut[0]]] for cut in trail]
-                    chosen = sum(1 << k for k in extras)
-                    if not any(blocker & chosen == blocker for blocker in blockers):
+                    # with no extra cuts no other family is held
+                    uncut = ~(mask | sum(1 << k for k in extras))
+                    if not extras or all(other & uncut for other in earlier):
                         yield extras, cw, ccw
             # undo the latest cut and leave its gap uncut instead, if its wire can spare it
             while trail:
@@ -568,10 +568,10 @@ def search_cuts(
     closes it and drops a branch as soon as a column matches the target in
     neither direction. The counter-clockwise reading is the same gate list
     reversed on the same qubits, and CNOTs are self-inverse, so it matches
-    exactly when the clockwise X columns equal ``target.inverse()``'s. X
-    columns suffice because the target is checked to have Z the inverse
-    transpose of X, as every derived map has; the inverse's X columns are
-    then the target's own Z rows, so nothing is inverted.
+    exactly when the clockwise X columns equal those of the target's
+    inverse. X columns suffice because the target is checked to have Z the
+    inverse transpose of X, as every derived map has; the inverse's X
+    columns are then the target's own Z rows, so nothing is inverted.
 
     A target with more qubits than the circuit has gaps returns no match
     before the candidate bound or the target is looked at. Raises
@@ -615,18 +615,13 @@ def search_cuts(
         if family in visited:
             continue
         mask = sum(1 << k for k in family)
-        # an extra set holding the rest of an earlier slot's family was a
-        # candidate of that slot; with no extra cuts no other family is held
-        blockers = []
-        if n_extra:
-            for earlier in visited.values():
-                rest = earlier & ~mask
-                if rest.bit_count() <= n_extra:
-                    blockers.append(rest)
-        visited[family] = mask
         system = _slot_system(c, families, s)
-        for extras, cw, ccw in _walk_slot(system, compositions, cw_cols, ccw_cols, blockers):
+        # an extra set holding the rest of an earlier slot's family was a
+        # candidate of that slot; the walk reads ``visited`` as it goes, so
+        # this slot's family joins it only after the walk
+        for extras, cw, ccw in _walk_slot(system, compositions, cw_cols, ccw_cols, mask, visited.values()):
             hits.append((sorted((*family, *extras)), cw, ccw))
+        visited[family] = mask
     # gaps numbered by (wire, gap) sort as the gaps do; each cut set is one hit
     hits.sort()
     gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]

@@ -116,16 +116,6 @@ class StabiliserMap:
         """The X part as ``from_x`` reads it: per output, the inputs reaching it."""
         return list(self._x_cols)
 
-    def inverse(self) -> "StabiliserMap":
-        """Map of the reversed circuit (CNOT lists are gate-wise self-inverse).
-
-        The columns of X⁻¹ are the rows of (Xᵀ)⁻¹, so each half is one
-        ``gf2.invert`` of its own masks. Raises ``Inconsistent`` for a
-        singular map.
-        """
-        n = self.n_qubits
-        return _fill(object.__new__(StabiliserMap), n, gf2.invert(self._x_cols, n), gf2.invert(self._z_rows, n))
-
     def is_symplectic(self) -> bool:
         """Whether X·Zᵀ = I, the form every CNOT circuit's map has.
 

@@ -25,8 +25,12 @@ its code:
   basis by leading bit, ``reference_solve`` eliminates on the same basis
   and substitutes, and ``brute_force_solutions`` tries every assignment.
 
+``inverse`` builds the map the counter-clockwise reading must equal, with
+``gf2.invert``; it is the CCW = CW⁻¹ relation, not a reference for ``gf2``.
+
 ``sweep_table`` holds what the library says about every small cut set,
-for the small-sweep tests to compare with their references. Circuit
+beside its radial families read off the gate list, for the small-sweep
+tests to compare with their references. Circuit
 generators build objects through the public constructors only.
 """
 
@@ -54,7 +58,8 @@ from circnot import (
     spanning_gaps,
     validate_cut_set,
 )
-from circnot.circuits import cut_table
+from circnot import gf2
+from circnot.circuits import CutTable, cut_table
 from circnot.errors import Inconsistent, NoRadialCut, NotAdjacent
 from circnot.icm import FaultSpec, inject_smgf
 from circnot.model import BooleanModel, ModelKind, parity_rows
@@ -118,13 +123,20 @@ def spanning_gap_index(pairs, wire: int, slot: int) -> int:
 
 
 class SweepEntry(NamedTuple):
-    """What the library says about one cut set: ``validate_cut_set``'s radial
-    families or ``NoRadialCut.missing_by_slot``, and for a valid set, per
-    direction (clockwise first), its derivation (``Inconsistent`` when that
-    raised) and the Pauli oracle of its linearization."""
+    """One cut set: its radial families by the definition, and what the library says about it.
+
+    ``families`` maps each radial slot, clockwise, to its spanning gap
+    index on every wire, read off the gate list (``spanning_gap_index``);
+    it is empty when no slot is radial. ``table`` is ``validate_cut_set``'s
+    ``CutTable``, or ``missing`` its ``NoRadialCut.missing_by_slot``. For
+    a valid set, per direction (clockwise first), ``derived`` holds its
+    derivation (``Inconsistent`` when that raised) and ``oracle`` the Pauli
+    oracle of its linearization.
+    """
 
     cuts: CutSet
-    families: dict | None
+    families: dict[int, tuple[int, ...]]
+    table: CutTable | None
     missing: dict | None
     derived: tuple = ()
     oracle: tuple = ()
@@ -139,15 +151,19 @@ def sweep_table(circuits, max_cuts: int) -> list[tuple[CircularCircuit, list[Swe
     """
     table = []
     for c in circuits:
+        pairs = [(g.control, g.target) for g in c.gates]
+        span = [tuple(spanning_gap_index(pairs, w, j) for w in range(c.wires)) for j in range(len(pairs))]
         gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
         entries = []
         for k in range(1, min(max_cuts, len(gaps)) + 1):
             for combo in itertools.combinations(gaps, k):
                 cuts = CutSet.of(combo)
+                chosen = {(g.wire, g.index) for g in combo}
+                families = {j: row for j, row in enumerate(span) if all((w, i) in chosen for w, i in enumerate(row))}
                 try:
-                    families = validate_cut_set(c, cuts)
+                    checked = validate_cut_set(c, cuts)
                 except NoRadialCut as err:
-                    entries.append(SweepEntry(cuts, None, err.missing_by_slot))
+                    entries.append(SweepEntry(cuts, families, None, err.missing_by_slot))
                     continue
                 derived = []
                 for d in Direction:
@@ -156,13 +172,13 @@ def sweep_table(circuits, max_cuts: int) -> list[tuple[CircularCircuit, list[Swe
                     except Inconsistent:
                         derived.append(Inconsistent)
                 oracle = tuple(oracle_map(linearize(c, cuts, d)) for d in Direction)
-                entries.append(SweepEntry(cuts, families, None, tuple(derived), oracle))
+                entries.append(SweepEntry(cuts, families, checked, None, tuple(derived), oracle))
         table.append((c, entries))
     return table
 
 
 def family_plus_two(c: CircularCircuit, entries) -> list[SweepEntry]:
-    """The valid entries of at most ``c.wires + 2`` cuts: each radial family plus 0-2 other gaps."""
+    """The entries of at most ``c.wires + 2`` cuts holding a radial family: each family plus 0-2 other gaps."""
     return [e for e in entries if e.families and len(e.cuts) <= c.wires + 2]
 
 
@@ -207,8 +223,8 @@ def arc_ends(c: CircularCircuit, cuts: CutSet, d: Direction) -> tuple[int, tuple
 def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:
     """Per linear qubit (``ArcEnds``), the variables of its first and last segment under the traversal."""
     first, last = (1, 0) if d is Direction.CW else (0, 1)
-    ins = [m.gap_pair(origin.input_cut)[first] for origin in origins]
-    outs = [m.gap_pair(origin.output_cut)[last] for origin in origins]
+    ins = [m.gap_vars[o.wire][o.input_cut.index][first] for o in origins]
+    outs = [m.gap_vars[o.wire][o.output_cut.index][last] for o in origins]
     return ins, outs
 
 
@@ -254,8 +270,8 @@ def reference_slot_systems(c: CircularCircuit) -> list[tuple]:
     m = build_model(c, ModelKind.X)
     gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
     index = {gap: k for k, gap in enumerate(gaps)}
-    ins = [m.gap_pair(gap)[1] for gap in gaps]
-    outs = [m.gap_pair(gap)[0] for gap in gaps]
+    ins = [m.gap_vars[gap.wire][gap.index][1] for gap in gaps]
+    outs = [m.gap_vars[gap.wire][gap.index][0] for gap in gaps]
     arriving = model_columns(m, CutSet.of(gaps), ins, outs)
     n_gates = len(pairs)
     systems = []
@@ -333,7 +349,7 @@ def reference_search(c: CircularCircuit, target: StabiliserMap, need: int) -> li
     gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
     if not c.wires <= target.n_qubits == need <= len(gaps) or not target.is_symplectic():
         return []
-    cw_cols, ccw_cols = target.x_columns(), target.inverse().x_columns()
+    cw_cols, ccw_cols = target.x_columns(), inverse(target).x_columns()
     n_extra = need - c.wires
     visited: list[tuple[int, ...]] = []
     found = []
@@ -405,6 +421,20 @@ def commutation_by_derivation(c: CircularCircuit, g1: int, g2: int) -> bool:
         if m1 != m2:
             return False
     return True
+
+
+def inverse(m: StabiliserMap) -> StabiliserMap:
+    """Map of the reversed circuit (CNOT lists are gate-wise self-inverse), one ``gf2.invert`` per half.
+
+    The columns of X⁻¹ are the rows of (Xᵀ)⁻¹, so the inverse's X columns
+    invert the X columns and its Z rows the Z rows. Raises ``Inconsistent``
+    for a singular map.
+    """
+    n = m.n_qubits
+    x_cols = gf2.invert(m.x_columns(), n)
+    z_rows = gf2.invert([sum(1 << o for o in outs) for outs in m.z_out], n)
+    z_out = tuple(frozenset(o for o in range(n) if row >> o & 1) for row in z_rows)
+    return StabiliserMap(n, rows_of_columns(x_cols), z_out)
 
 
 def conjugate_by_cnot(m: StabiliserMap, control: int, target: int) -> StabiliserMap:

@@ -117,7 +117,7 @@ def sweep(small_sweep):
         unrolls = unroll_families(c)
         for entry in entries:
             stats["subsets"] += 1
-            accepted = entry.families is not None
+            accepted = entry.table is not None
             chosen = {(g.wire, g.index) for g in entry.cuts.gaps()}
             if accepted != any(family <= chosen for family in unrolls):
                 stats["walker_disagreements"] += 1

@@ -239,8 +239,8 @@ class TestValidateCutSet:
 
 
 class TestSpanningReference:
-    """Spanning gaps, radial slots and ``missing_by_slot`` against the
-    definition read off the gate list (``helpers.spanning_gap_index``)."""
+    """Spanning gaps, the start slot with its family, and ``missing_by_slot``
+    against the definition read off the gate list (``helpers.spanning_gap_index``)."""
 
     def test_matches_definition_exhaustive(self, small_sweep):
         # every cut set of up to four cuts in the small-sweep table
@@ -266,9 +266,13 @@ class TestSpanningReference:
                 }
                 radial = [j for j, wires in missing.items() if not wires]
                 if radial:
-                    assert list(entry.families) == radial
+                    # the wrap slot when it is radial, else the first radial slot
+                    start = radial[-1] if radial[-1] == len(pairs) - 1 else radial[0]
+                    table = entry.table
+                    assert table.start == start
+                    assert [cuts[k] for cuts, k in zip(table.cuts, table.anchors)] == span[start]
                 else:
-                    assert entry.missing == missing
+                    assert (entry.table, entry.missing) == (None, missing)
                 subsets += 1
         assert subsets > 30000
 
@@ -340,7 +344,8 @@ class TestLinearize:
 def arcs_reference(c, cuts, families, d):
     """Start slot and each qubit's ``ArcEnds`` by the rule ``linearize`` always used.
 
-    ``families`` is ``validate_cut_set(c, cuts)``. Start at the wrap slot
+    ``families`` maps each radial slot to its family, read off the gate
+    list (``SweepEntry.families``). Start at the wrap slot
     when it is radial, else at the first radial slot; on each wire, the
     arcs run between consecutive sorted cuts, from the start slot's family
     gap on.
@@ -367,8 +372,8 @@ def error_of(fn, *args):
 
 
 class TestCutTable:
-    """``cut_table``'s start slot, ``CutTable.arcs`` (read as ``arc_ends``) and
-    ``CutTable.qubit`` against ``arcs_reference``, and its errors."""
+    """``cut_table``'s start slot, anchored family and ``CutTable.arcs`` (read
+    as ``arc_ends``) against ``arcs_reference``, and its errors."""
 
     def test_wrap_slot_table(self, swap):
         table = cut_table(swap, CutSet.of([(1, 2), (0, 2), (0, 0)]))
@@ -376,9 +381,10 @@ class TestCutTable:
         # from the family gap (0, 2): wire 0's arcs 2 -> 0 and 0 -> 2, then wire 1's
         assert table.arcs() == ([(0, 2), (0, 0), (1, 2)], [(0, 0), (0, 2), (1, 2)])
         # wire 0's cut at gap 2 starts qubit 0 and ends qubit 1, its cut at gap 0 the other way round
-        assert [table.qubit(0, k) for k in (0, 1)] == [1, 0]
-        assert [table.qubit(0, k, 1) for k in (0, 1)] == [0, 1]
-        assert table.qubit(1, 0) == table.qubit(1, 0, 1) == 2
+        starts, ends = table.arcs()
+        assert [starts.index((0, i)) for i in (0, 2)] == [1, 0]
+        assert [ends.index((0, i)) for i in (0, 2)] == [0, 1]
+        assert starts.index((1, 2)) == ends.index((1, 2)) == 2
 
     def test_first_radial_slot_table(self, swap):
         # the wrap slot is not radial; slot 0's family is (0, 0) and (1, 0)
@@ -395,13 +401,15 @@ class TestCutTable:
                 table = cut_table(c, entry.cuts)
                 start, origins = arcs_reference(c, entry.cuts, entry.families, Direction.CW)
                 assert table.start == start
+                assert [cuts[k] for cuts, k in zip(table.cuts, table.anchors)] == list(entry.families[start])
                 starts, ends = table.arcs()
                 assert [Gap(*k) for k in starts] == [o.input_cut for o in origins]
                 assert [Gap(*k) for k in ends] == [o.output_cut for o in origins]
-                # ``qubit`` finds each arc's qubit from either end cut
+                # each cut starts one arc and ends one, so its position in
+                # either list finds that arc's qubit
                 for q, ((w, a), (_, b)) in enumerate(zip(starts, ends)):
-                    assert table.qubit(w, table.cuts[w].index(a)) == q
-                    assert table.qubit(w, table.cuts[w].index(b), 1) == q
+                    assert starts.index((w, a)) == q
+                    assert ends.index((w, b)) == q
                 checked += 1
         assert checked > 1500
 
@@ -433,7 +441,7 @@ class TestCutTable:
     def test_wrap_slot_not_radial(self, swap):
         # slot 0 (after gate 0) is radial, the wrap slot 2 is not
         cuts = CutSet.of([(0, 0), (0, 1), (1, 0)])
-        assert list(validate_cut_set(swap, cuts)) == [0]
+        assert validate_cut_set(swap, cuts).start == 0
         g = lambda w, i: Gap(w, i)  # noqa: E731
         cw = (ArcEnds(0, g(0, 0), g(0, 1)), ArcEnds(0, g(0, 1), g(0, 0)), ArcEnds(1, g(1, 0), g(1, 0)))
         assert arc_ends(swap, cuts, Direction.CW) == (0, cw)
@@ -451,9 +459,10 @@ class TestCutTable:
             raise AssertionError("the radial slots were swept")
 
         monkeypatch.setattr(circuits_module, "spanning_gaps", refuse)
-        monkeypatch.setattr(circuits_module, "validate_cut_set", refuse)
+        monkeypatch.setattr(circuits_module, "_radial_families", refuse)
         start, origins = arc_ends(c, record.seam, Direction.CW)
         assert start == len(c.gates) - 1
+        assert validate_cut_set(c, record.seam) == cut_table(c, record.seam)
         assert [(o.wire, o.input_cut, o.output_cut) for o in origins] == [
             (g.wire, g, g) for g in record.seam.sorted_gaps()
         ]

@@ -238,6 +238,26 @@ def test_export_refuses_unknown_gap(tmp_path, swap_file, capsys, cut_text, messa
         assert capsys.readouterr().err == f"error unknown-gap: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "derive {swap} --cuts {path}",
+        "linearize {swap} --cuts {path}",
+        "fault {swap} --cuts {path} --smgf 0",
+        "cuts {swap} --validate {path}",
+        "export {swap} --cuts {path}",
+        "model {swap} --cuts {path}",
+    ],
+    ids=["derive", "linearize", "fault", "cuts-validate", "export", "model"],
+)
+def test_unknown_gap_message_is_shared(tmp_path, swap_file, capsys, command):
+    # every command range-checks its cuts in one place and names the least bad gap
+    path = tmp_path / "bad.cuts"
+    path.write_text("cut 9 9\ncut 0 7\n")
+    assert run(command.format(swap=swap_file, path=path).split()) == (1, "")
+    assert capsys.readouterr().err == "error unknown-gap: wire 0 gap 7 does not exist\n"
+
+
 def test_export_refuses_cuts_on_linear_circuit(tmp_path, cuts_file, capsys):
     path = tmp_path / "lin.circ"
     path.write_text(LINEAR_SWAP)
@@ -1011,12 +1031,12 @@ SEARCH_SWAP_GOLDEN = {
 @pytest.fixture
 def no_inverse(monkeypatch):
     # the search reads the counter-clockwise columns off the target's Z rows
-    from circnot import StabiliserMap
+    from circnot import gf2
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("the target was inverted")
 
-    monkeypatch.setattr(StabiliserMap, "inverse", refuse)
+    monkeypatch.setattr(gf2, "invert", refuse)
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_SWAP_GOLDEN))
