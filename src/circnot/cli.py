@@ -34,7 +34,7 @@ from .model import (
     build_model,
     derive_transformations,
     parity_rows,
-    search_cuts,
+    search_hits,
 )
 from .stabmap import StabiliserMap
 
@@ -43,7 +43,13 @@ GADGET_NAMES = ("teleport", "t", "p", "v", "bell", "measurez", "remotecnot", "sd
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        try:
+            f = open(path, encoding="utf-8")
+        except OSError:
+            # errors name the path as pathlib reads it: "x/" and "./x" as "x", "" as "."
+            f = open(Path(path), encoding="utf-8")
+        with f:
+            return f.read()
     except FileNotFoundError as err:  # err.filename is the path as opened: no "./"
         raise FileNotFound(f"[Errno {err.errno}] {err.strerror}: {quote(err.filename)}") from None
     except OSError as err:
@@ -163,11 +169,18 @@ def cmd_derive(args, out) -> int:
 def cmd_search(args, out) -> int:
     circuit = _require_circular(_load_circuit(args.circuit))
     target = StabiliserMap.from_report(_read(args.target))
-    results = search_cuts(circuit, target, args.max_cuts)
-    for cuts, direction in results:
-        gaps = " ".join(f"({g.wire},{g.index})" for g in cuts.sorted_gaps())
-        _emit(out, f"cuts {gaps} direction {direction.value}")
-    _emit(out, f"found {len(results)}")
+    hits = search_hits(circuit, target, args.max_cuts)
+    # per gap number, as ``search_hits`` numbers gaps, its "(wire,gap)" name
+    names = [f"({w},{i})" for w in range(circuit.wires) for i in range(circuit.symbol_count(w))]
+    lines = []
+    for numbers, cw, ccw in hits:
+        gaps = " ".join([names[k] for k in numbers])
+        if cw:
+            lines.append(f"cuts {gaps} direction cw\n")
+        if ccw:
+            lines.append(f"cuts {gaps} direction ccw\n")
+    lines.append(f"found {len(lines)}\n")
+    out.write("".join(lines))
     return 0
 
 

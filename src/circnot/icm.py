@@ -26,7 +26,7 @@ from .circuits import (
     cut_table,
 )
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
-from .model import _x_columns
+from .model import _cut_ends, _x_columns
 from .stabmap import StabiliserMap
 
 
@@ -391,24 +391,25 @@ def faulted_transformations(
     to its symbols: one X walk, and Z read as the inverse transpose. The
     |0> ancilla on the gate's control span then absorbs the base qubit a
     traversal enters at its input gap and the one it leaves at its output
-    gap, when those gaps are base cuts: the qubits ``CutTable.arcs`` lists
-    as starting and ending there, as ``_x_columns`` numbers them. An absorbed
-    input's X reaches no live output and its Z row is empty; an absorbed
-    output's X column is empty and no Z reaches it.
+    gap, when those gaps are base cuts. Both are read off the per-gap
+    table of entered and left qubits (``model._cut_ends``) that the walk
+    reads too, so the arcs are listed once per fault. An absorbed input's
+    X reaches no live output and its Z row is empty; an absorbed output's
+    X column is empty and no Z reaches it.
     """
     table = cut_table(c, base)
     cuts, patch = inject_smgf(c, base, f)
     w = patch.wire
     gi = c.symbols(w)[patch.after_gap.index][0]  # the after gap follows the gate's control symbol
-    cols = _x_columns(c, table, d, missing=gi)
-    # the base qubits starting at the before gap and ending at the after gap,
-    # entered and left there clockwise, the other way round counter-clockwise
-    starts, ends = table.arcs()
-    absorbed = [
-        arcs.index(key) if key in arcs else None
-        for arcs, key in ((starts, (w, patch.before_gap.index)), (ends, (w, patch.after_gap.index)))
-    ]
-    absorbed_in, absorbed_out = absorbed if d is Direction.CW else absorbed[::-1]
+    cut_ends = _cut_ends(c, table, d)
+    cols = _x_columns(c, table, d, missing=gi, cut_ends=cut_ends)
+    # the base qubits entered at the before gap and left at the after gap
+    # clockwise, the other way round counter-clockwise
+    at = cut_ends[0][w]
+    before, after = at[patch.before_gap.index], at[patch.after_gap.index]
+    entered, left = (before, after) if d is Direction.CW else (after, before)
+    absorbed_in = None if entered is None else entered[1].bit_length() - 1
+    absorbed_out = None if left is None else left[0]
     n = len(cols)
     every = frozenset(range(n))
     full = (1 << n) - 1

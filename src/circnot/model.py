@@ -39,11 +39,13 @@ of its X map: Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns
 (``StabiliserMap.from_x``), for a derivation and a fault (``icm``) alike.
 The Z model serves ``circnot model``.
 
-``search_cuts`` derives no map per candidate. Per radial slot, the same
+``search_hits`` derives no map per candidate. Per radial slot, the same
 walk gives the value arriving at each gap over the slot family's inputs
 and one tag bit per other gap (``_slot_system``). A depth-first walk over
 the other gaps then chooses the extra cuts (``_walk_slot``), checking
-each arc's X column against the target as its cut closes it.
+each arc's X column against the target as its cut closes it. Its hits
+are gap numbers and direction flags; ``search_cuts`` reads them back as
+cut sets.
 """
 
 from __future__ import annotations
@@ -242,7 +244,33 @@ def derive_transformations(
     return StabiliserMap.from_x(_x_columns(c, cut_table(c, cuts), d))
 
 
-def _x_columns(c: CircularCircuit, table: CutTable, d: Direction, missing: int | None = None) -> list[int]:
+def _cut_ends(c: CircularCircuit, table: CutTable, d: Direction) -> tuple[list[list[tuple[int, int] | None]], int]:
+    """Per wire and gap, None when uncut, else the qubits a traversal in direction ``d`` leaves and enters there; and the qubit count.
+
+    A cut gap holds the qubit whose arc the traversal leaves there and the
+    input bit of the one it enters there. Qubits are numbered by
+    ``CutTable.arcs``, as ``linearize`` numbers them; counter-clockwise an
+    arc is entered at its clockwise end cut and left at its start cut. The
+    arcs are listed once and the leaving qubits found by dict, so a caller
+    reads either qubit of a cut gap in O(1).
+    """
+    starts, ends = table.arcs()
+    if d is Direction.CCW:
+        starts, ends = ends, starts
+    leaving = {cut: q for q, cut in enumerate(ends)}
+    at: list[list[tuple[int, int] | None]] = [[None] * len(syms) for syms in c.symbol_tables]
+    for q, (w, i) in enumerate(starts):
+        at[w][i] = (leaving[w, i], 1 << q)
+    return at, len(starts)
+
+
+def _x_columns(
+    c: CircularCircuit,
+    table: CutTable,
+    d: Direction,
+    missing: int | None = None,
+    cut_ends: tuple[list[list[tuple[int, int] | None]], int] | None = None,
+) -> list[int]:
     """X columns of the table's derivation: per output qubit, its mask over the inputs.
 
     Substitutes the X equations along the traversal from the table's start
@@ -252,20 +280,12 @@ def _x_columns(c: CircularCircuit, table: CutTable, d: Direction, missing: int |
     symbols: after it clockwise, before it counter-clockwise. An uncut gap
     is a join. A cut gap ends one qubit's arc, whose output column takes
     the value, and starts the next, whose input bit the wire then holds.
-    Qubits are numbered by ``CutTable.arcs``, as ``linearize`` numbers
-    them; counter-clockwise an arc starts at its clockwise end cut. A
-    ``missing`` gate index (``icm.faulted_transformations``) writes nothing.
+    The qubits at each cut gap are ``_cut_ends``' table, which a caller
+    holding it passes as ``cut_ends``. A ``missing`` gate index
+    (``icm.faulted_transformations``) writes nothing.
     """
-    starts, ends = table.arcs()
-    if d is Direction.CCW:
-        starts, ends = ends, starts
-    ending = {cut: q for q, cut in enumerate(ends)}
+    at, n = cut_ends or _cut_ends(c, table, d)
     symbols = c.symbol_tables
-    # per wire and gap: None when uncut, else the qubit whose arc ends there
-    # and the input bit of the one starting there
-    at: list[list[tuple[int, int] | None]] = [[None] * len(syms) for syms in symbols]
-    for q, (w, i) in enumerate(starts):
-        at[w][i] = (ending[w, i], 1 << q)
     # per gate index, the gap met next to its control symbol and its target symbol
     at_control: list = [None] * len(c.gates)
     at_target: list = [None] * len(c.gates)
@@ -273,7 +293,7 @@ def _x_columns(c: CircularCircuit, table: CutTable, d: Direction, missing: int |
         for i, (gi, sk) in enumerate(syms, 0 if d is Direction.CW else -1):
             (at_target if sk is TARGET else at_control)[gi] = gaps[i]
     value = [gaps[wire_cuts[k]][1] for gaps, wire_cuts, k in zip(at, table.cuts, table.anchors)]
-    cols = [0] * len(starts)
+    cols = [0] * n
     gates = c.gates
     for gi in traversal_order(c, table.start, d):
         g = gates[gi]
@@ -327,7 +347,7 @@ bound no longer measures the walk's cost.
 
 
 class _SlotSystem(NamedTuple):
-    """The X system of one radial slot, reduced for ``search_cuts``.
+    """The X system of one radial slot, reduced for ``search_hits``.
 
     Gaps are numbered by (wire, gap). ``family[w]`` is the slot's spanning
     gap on wire ``w`` and ``others`` lists every other gap in traversal
@@ -551,6 +571,32 @@ def search_cuts(
 ) -> list[tuple[CutSet, Direction]]:
     """All (cut set, direction) pairs deriving the target map, sorted by gaps, clockwise first.
 
+    The query's ``search_hits``, each hit's gap numbers read back as a
+    cut set and its flags as one pair per direction that derives the
+    target. ``Gap`` and ``CutSet`` objects are built here, for the hits
+    only; ``circnot search`` prints the hits without them. Raises as
+    ``search_hits`` does.
+    """
+    gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+    found: list[tuple[CutSet, Direction]] = []
+    for numbers, cw, ccw in search_hits(c, target, max_cuts):
+        cuts = CutSet(frozenset([gaps[k] for k in numbers]))
+        if cw:
+            found.append((cuts, Direction.CW))
+        if ccw:
+            found.append((cuts, Direction.CCW))
+    return found
+
+
+def search_hits(c: CircularCircuit, target: StabiliserMap, max_cuts: int) -> list[tuple[list[int], bool, bool]]:
+    """Every cut set deriving the target map in some direction, as gap numbers and direction flags.
+
+    A hit is ``(numbers, cw, ccw)``: its gaps ascending, numbered by
+    wire, then gap (gap ``(w, i)`` is ``i`` plus the symbol counts of the
+    wires before ``w``), and whether its clockwise and its
+    counter-clockwise reading derive the target. Hits are sorted by their
+    numbers, which sort as the gaps do, and each cut set is one hit.
+
     Only sizes equal to the target's qubit count can match because every
     cut contributes exactly one qubit, and a cut set linearizes only if it
     holds a radial family. So the candidates are each slot's radial family
@@ -575,6 +621,7 @@ def search_cuts(
 
     A target with more qubits than the circuit has gaps returns no match
     before the candidate bound or the target is looked at. Raises
+    ``BudgetTooSmall`` when ``max_cuts`` is below the wire count, and
     ``SearchTooLarge``, before walking anything, when the candidate count
     could exceed ``MAX_SEARCH_CANDIDATES``. Below that bound, and still
     before walking anything, a target that is not of that form (X·Zᵀ = I,
@@ -622,14 +669,5 @@ def search_cuts(
         for extras, cw, ccw in _walk_slot(system, compositions, cw_cols, ccw_cols, mask, visited.values()):
             hits.append((sorted((*family, *extras)), cw, ccw))
         visited[family] = mask
-    # gaps numbered by (wire, gap) sort as the gaps do; each cut set is one hit
     hits.sort()
-    gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
-    found: list[tuple[CutSet, Direction]] = []
-    for numbers, cw, ccw in hits:
-        cuts = CutSet(frozenset([gaps[k] for k in numbers]))
-        if cw:
-            found.append((cuts, Direction.CW))
-        if ccw:
-            found.append((cuts, Direction.CCW))
-    return found
+    return hits

@@ -7,8 +7,10 @@ carrying an X (resp. Z) when that single Pauli enters.
 The map holds both as int masks. X is kept by columns, as derivations
 solve for it (bit ``i`` of column ``j``: the X entering on input ``i``
 reaches output ``j``), Z by rows, as ``gf2.invert`` returns it. ``from_x``
-is one ``gf2.invert``; the frozenset rows ``x_out``/``z_out`` and
-``report()`` are read off the masks when asked for.
+is one ``gf2.invert``. ``from_report`` reads each row of a map file
+straight into an output mask, with no set in between; the frozenset rows
+``x_out``/``z_out`` and ``report()`` are read off the masks when asked
+for.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from dataclasses import dataclass
 
 from . import gf2
 from .errors import CircuitSyntaxError, CountMismatch, WireOutOfRange, clean_lines, quote, quote_int
+
+
+_MAP_ROW = re.compile(r"^([XZ])([0-9]+)\s*->\s*\1\{([0-9,\s]*)\}$")
 
 
 @dataclass(frozen=True, init=False)
@@ -58,30 +63,49 @@ class StabiliserMap:
 
     @classmethod
     def from_report(cls, text: str) -> "StabiliserMap":
-        rows: dict[str, dict[int, frozenset[int]]] = {"X": {}, "Z": {}}
-        pattern = re.compile(r"^([XZ])([0-9]+)\s*->\s*\1\{([0-9,\s]*)\}$")
-        for ln, line in clean_lines(text):
-            m = pattern.match(line)
+        """The map of ``report()`` lines, each row read straight into an output mask.
+
+        Raises, in this order: ``CircuitSyntaxError`` on the first line
+        that is not a map row (a number too long for ``int`` included) or
+        that repeats a row; ``CountMismatch`` unless the X and the Z rows
+        both cover qubits ``0..n-1``; ``WireOutOfRange`` for the first row
+        naming an output past ``n - 1``, X rows first, each kind in file
+        order. A map has at most as many qubits as its file has lines, so
+        an output at or past that count is out of range whatever ``n`` is,
+        and it is never shifted into a mask.
+        """
+        lines = list(clean_lines(text))
+        limit = len(lines)
+        rows: dict[str, dict[int, int]] = {"X": {}, "Z": {}}
+        for ln, line in lines:
+            m = _MAP_ROW.match(line)
             if not m:
                 raise CircuitSyntaxError(f"bad map line {quote(line)}", line=ln)
             kind, body = m.group(1), m.group(3)
+            mask = 0
             try:
                 q = int(m.group(2))
-                outs = frozenset(int(tok) for tok in body.replace(",", " ").split())
+                for tok in body.replace(",", " ").split():
+                    o = int(tok)
+                    # all bits set (-1) marks an output past ``limit``: no ``n`` holds it
+                    mask |= 1 << o if o < limit else -1
             except ValueError:  # more digits than int() reads
                 raise CircuitSyntaxError(f"bad map line {quote(line)}", line=ln) from None
-            if q in rows[kind]:
+            by_qubit = rows[kind]
+            if q in by_qubit:
                 raise CircuitSyntaxError(f"repeated map row {kind}{quote_int(q)}", line=ln)
-            rows[kind][q] = outs
-        if sorted(rows["X"]) != sorted(rows["Z"]) or sorted(rows["X"]) != list(range(len(rows["X"]))):
+            by_qubit[q] = mask
+        x_rows, z_rows = rows["X"], rows["Z"]
+        n = len(x_rows)
+        # n distinct qubits, each below n, are 0..n-1
+        if x_rows.keys() != z_rows.keys() or any(q >= n for q in x_rows):
             raise CountMismatch("map report must cover X and Z rows for qubits 0..n-1")
-        n = len(rows["X"])
-        # the constructor refuses the same rows, but by qubit; this names the first in the file
         for kind, by_qubit in rows.items():
-            for q, outs in by_qubit.items():
-                if any(o >= n for o in outs):
+            for q, mask in by_qubit.items():
+                if mask >> n:
                     raise WireOutOfRange(f"map row {kind}{q} names an output outside {n} qubits")
-        return cls(n, tuple(rows["X"][q] for q in range(n)), tuple(rows["Z"][q] for q in range(n)))
+        x = [x_rows[q] for q in range(n)]
+        return _fill(object.__new__(cls), n, _transposed(x, n), [z_rows[q] for q in range(n)])
 
     @classmethod
     def from_x(cls, x_cols: list[int]) -> "StabiliserMap":

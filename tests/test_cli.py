@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circnot.circuits import circularize
+from circnot.circuits import CutSet, Gap, circularize
 from circnot.cli import build_parser, main, parity_text
 from circnot.errors import EmptyWire, quote
 from circnot.textio import format_circuit, format_cut_set, parse_circuit
@@ -540,6 +540,44 @@ def test_search_out_of_range_target_exit_code(tmp_path, swap_file, capsys):
     code, out = run(["search", swap_file, "--target", str(target), "--max-cuts", "3"])
     assert (code, out) == (1, "")
     expected = "error wire-out-of-range: map row X0 names an output outside 2 qubits\n"
+    assert capsys.readouterr().err == expected
+
+
+# map files that ``search`` must refuse: name -> (file, stderr). The rows
+# are read straight into masks, so an output past the qubit count must be
+# refused without being shifted into one (``1 << 9999999999999`` alone is
+# over a terabyte); each message is pinned byte for byte.
+HOSTILE_ROWS = "X0 -> X{{1}}\nX1 -> X{{{x1}}}\nZ0 -> Z{{1}}\nZ1 -> Z{{0}}\n"
+OUT_OF_RANGE = "error wire-out-of-range: map row X1 names an output outside 2 qubits\n"
+COUNT_MISMATCH = "error count-mismatch: map report must cover X and Z rows for qubits 0..n-1\n"
+HOSTILE_MAPS = {
+    "huge-output": (HOSTILE_ROWS.format(x1="9999999999999"), OUT_OF_RANGE),
+    "4300-digit-output": (HOSTILE_ROWS.format(x1="7" * 4300), OUT_OF_RANGE),
+    "5000-digit-output": (
+        HOSTILE_ROWS.format(x1="7" * 5000),
+        f"error syntax-error: line 2: bad map line 'X1 -> X{{{'7' * 56}'... (5009 chars)\n",
+    ),
+    "repeated-row": (HOSTILE_ROWS.format(x1="0") + "X0 -> X{0}\n", "error syntax-error: line 5: repeated map row X0\n"),
+    "missing-z-row": ("X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{1}\n", COUNT_MISMATCH),
+    "rows-skip-a-qubit": ("X0 -> X{0}\nX2 -> X{1}\nZ0 -> Z{0}\nZ2 -> Z{1}\n", COUNT_MISMATCH),
+    # X rows are checked first, each kind in file order
+    "z-row-out-of-range-first": ("Z0 -> Z{5}\nX0 -> X{1}\nX1 -> X{9999999999999}\nZ1 -> Z{0}\n", OUT_OF_RANGE),
+    "malformed-line": (
+        "X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{1}\nZ1 -> {0}\n",
+        "error syntax-error: line 4: bad map line 'Z1 -> {0}'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_MAPS))
+def test_search_hostile_map_file(tmp_path, swap_file, capsys, name):
+    text, expected = HOSTILE_MAPS[name]
+    target = tmp_path / "hostile.map"
+    target.write_text(text)
+    start = time.perf_counter()
+    code, out = run(["search", swap_file, "--target", str(target), "--max-cuts", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
     assert capsys.readouterr().err == expected
 
 
@@ -1095,6 +1133,95 @@ def test_search_three_wire_golden(tmp_path, no_inverse):
     target.write_text(THREE_WIRE_TARGET)
     code, out = run(["search", str(circ), "--target", str(target), "--max-cuts", "5"])
     assert (code, out) == (0, THREE_WIRE_SEARCH_GOLDEN)
+
+
+def _cut_set_search_text(c, target, max_cuts: int) -> str:
+    """``search`` stdout as printed from ``search_cuts``' cut sets: sorted gaps, CW line first, then ``found N``."""
+    from circnot import search_cuts
+
+    results = search_cuts(c, target, max_cuts)
+    lines = [
+        f"cuts {' '.join(f'({g.wire},{g.index})' for g in cuts.sorted_gaps())} direction {d.value}\n"
+        for cuts, d in results
+    ]
+    return "".join(lines) + f"found {len(results)}\n"
+
+
+def _search_corpus(tmp_path: Path, seed: int) -> list[tuple[list[str], str, object]]:
+    """Seeded ``search`` queries as ``(argv, expected stdout, circuit)``.
+
+    Each circuit is searched for the map of one of its cut sets (its radial
+    family at a random slot plus 0-2 gaps) read in a random direction, and
+    for the map of another circuit's clockwise reading. Every third circuit
+    has two wires joined by one gate alone, so that the slots on either
+    side of it share a family. The budget is the target's qubit count, or
+    the wire count when that is larger, or one more.
+    """
+    from circnot import Direction, linearize, oracle_map, spanning_gaps
+
+    rng = random.Random(seed)
+    corpus = []
+    other = None
+    for k in range(60):
+        wires = rng.randint(2, 4)
+        pairs = [tuple(rng.sample(range(wires), 2)) for _ in range(rng.randint(wires, 7))]
+        for w in range(wires):
+            if all(w not in p for p in pairs):
+                pairs.append((w, (w + 1) % wires))
+        if k % 3 == 0:  # two more wires with one gate between them
+            pairs.insert(rng.randrange(len(pairs) + 1), (wires, wires + 1))
+            wires += 2
+        text = "circular\nwires %d\n" % wires + "".join("cnot %d %d\n" % p for p in pairs)
+        c = parse_circuit(text)
+        family = [(w, i) for w, i in enumerate(list(spanning_gaps(c))[rng.randrange(len(c.gates))])]
+        rest = [(w, i) for w in range(wires) for i in range(c.symbol_count(w)) if (w, i) not in family]
+        cuts = CutSet.of(family + rng.sample(rest, min(len(rest), rng.randint(0, 2))))
+        circ = tmp_path / f"c{k}.circ"
+        circ.write_text(text)
+        targets = [oracle_map(linearize(c, cuts, rng.choice(list(Direction))))]
+        if other is not None:
+            targets.append(other)
+        other = oracle_map(linearize(c, cuts, Direction.CW))
+        for j, target in enumerate(targets):
+            path = tmp_path / f"c{k}t{j}.map"
+            path.write_text(target.report())
+            max_cuts = max(target.n_qubits, wires) + rng.randint(0, 1)
+            argv = ["search", str(circ), "--target", str(path), "--max-cuts", str(max_cuts)]
+            corpus.append((argv, _cut_set_search_text(c, target, max_cuts), c))
+    return corpus
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_stdout_matches_cut_set_formatting(tmp_path, seed):
+    # ``search`` prints from gap numbers; its bytes must equal the old
+    # printing of ``search_cuts``' cut sets
+    from circnot.model import _slot_families
+
+    corpus = _search_corpus(tmp_path, seed)
+    for argv, expected, _ in corpus:
+        assert run(argv) == (0, expected), argv
+    outputs = [expected for _, expected, _ in corpus]
+    # the corpus holds empty results, counter-clockwise-only hits and
+    # circuits whose slots share a family
+    assert "found 0\n" in outputs
+    assert any(" ccw\n" in out and " cw\n" not in out for out in outputs)
+    assert any(len(set(_slot_families(c))) < len(c.gates) for _, out, c in corpus if out != "found 0\n")
+
+
+def test_search_command_builds_no_gap_or_cut_set(tmp_path, monkeypatch):
+    # the command reads hits as gap numbers and prints them by name, so
+    # neither a ``Gap`` nor a ``CutSet`` is constructed on its path
+    corpus = [(argv, expected) for argv, expected, _ in _search_corpus(tmp_path, 3)]
+    assert sum(expected != "found 0\n" for _, expected in corpus) > 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gap or a CutSet was built")
+
+    monkeypatch.setattr(Gap, "__init__", refuse)
+    monkeypatch.setattr(CutSet, "__init__", refuse)
+    got = [run(argv) for argv, _ in corpus]
+    monkeypatch.undo()
+    assert got == [(0, expected) for _, expected in corpus]
 
 
 # ``derive`` stdout, captured before the model solve and the elimination
