@@ -46,7 +46,8 @@ def _read(path: str) -> str:
         try:
             f = open(path, encoding="utf-8")
         except OSError:
-            # errors name the path as pathlib reads it: "x/" and "./x" as "x", "" as "."
+            # pathlib reads "x/" and "./x" as "x" and "" as ".", and errors
+            # name the path so; a plain open() first saves building a Path
             f = open(Path(path), encoding="utf-8")
         with f:
             return f.read()
@@ -170,16 +171,8 @@ def cmd_search(args, out) -> int:
     circuit = _require_circular(_load_circuit(args.circuit))
     target = StabiliserMap.from_report(_read(args.target))
     hits = search_hits(circuit, target, args.max_cuts)
-    # per gap number, as ``search_hits`` numbers gaps, its "(wire,gap)" name
-    names = [f"({w},{i})" for w in range(circuit.wires) for i in range(circuit.symbol_count(w))]
-    lines = []
-    for numbers, cw, ccw in hits:
-        gaps = " ".join([names[k] for k in numbers])
-        if cw:
-            lines.append(f"cuts {gaps} direction cw\n")
-        if ccw:
-            lines.append(f"cuts {gaps} direction ccw\n")
-    lines.append(f"found {len(lines)}\n")
+    lines = [f"cuts {' '.join([f'({w},{i})' for w, i in gaps])} direction {d.value}\n" for gaps, d in hits]
+    lines.append(f"found {len(hits)}\n")
     out.write("".join(lines))
     return 0
 

@@ -402,7 +402,7 @@ def faulted_transformations(
     w = patch.wire
     gi = c.symbols(w)[patch.after_gap.index][0]  # the after gap follows the gate's control symbol
     cut_ends = _cut_ends(c, table, d)
-    cols = _x_columns(c, table, d, missing=gi, cut_ends=cut_ends)
+    cols = _x_columns(c, table, d, cut_ends, missing=gi)
     # the base qubits entered at the before gap and left at the after gap
     # clockwise, the other way round counter-clockwise
     at = cut_ends[0][w]

@@ -44,8 +44,8 @@ walk gives the value arriving at each gap over the slot family's inputs
 and one tag bit per other gap (``_slot_system``). A depth-first walk over
 the other gaps then chooses the extra cuts (``_walk_slot``), checking
 each arc's X column against the target as its cut closes it. Its hits
-are gap numbers and direction flags; ``search_cuts`` reads them back as
-cut sets.
+are ``(wire, gap)`` pairs and a direction; ``search_cuts`` reads them
+back as cut sets.
 """
 
 from __future__ import annotations
@@ -241,7 +241,8 @@ def derive_transformations(
     ``models`` is accepted for callers that still pass an (X, Z) pair and
     is not read.
     """
-    return StabiliserMap.from_x(_x_columns(c, cut_table(c, cuts), d))
+    table = cut_table(c, cuts)
+    return StabiliserMap.from_x(_x_columns(c, table, d, _cut_ends(c, table, d)))
 
 
 def _cut_ends(c: CircularCircuit, table: CutTable, d: Direction) -> tuple[list[list[tuple[int, int] | None]], int]:
@@ -268,8 +269,8 @@ def _x_columns(
     c: CircularCircuit,
     table: CutTable,
     d: Direction,
+    cut_ends: tuple[list[list[tuple[int, int] | None]], int],
     missing: int | None = None,
-    cut_ends: tuple[list[list[tuple[int, int] | None]], int] | None = None,
 ) -> list[int]:
     """X columns of the table's derivation: per output qubit, its mask over the inputs.
 
@@ -280,11 +281,11 @@ def _x_columns(
     symbols: after it clockwise, before it counter-clockwise. An uncut gap
     is a join. A cut gap ends one qubit's arc, whose output column takes
     the value, and starts the next, whose input bit the wire then holds.
-    The qubits at each cut gap are ``_cut_ends``' table, which a caller
-    holding it passes as ``cut_ends``. A ``missing`` gate index
+    The qubits at each cut gap are read off ``cut_ends``, the table's
+    ``_cut_ends`` in direction ``d``. A ``missing`` gate index
     (``icm.faulted_transformations``) writes nothing.
     """
-    at, n = cut_ends or _cut_ends(c, table, d)
+    at, n = cut_ends
     symbols = c.symbol_tables
     # per gate index, the gap met next to its control symbol and its target symbol
     at_control: list = [None] * len(c.gates)
@@ -571,31 +572,21 @@ def search_cuts(
 ) -> list[tuple[CutSet, Direction]]:
     """All (cut set, direction) pairs deriving the target map, sorted by gaps, clockwise first.
 
-    The query's ``search_hits``, each hit's gap numbers read back as a
-    cut set and its flags as one pair per direction that derives the
-    target. ``Gap`` and ``CutSet`` objects are built here, for the hits
-    only; ``circnot search`` prints the hits without them. Raises as
-    ``search_hits`` does.
+    ``search_hits``, with each hit's gaps read back as a ``CutSet``. Raises
+    as ``search_hits`` does.
     """
-    gaps = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
-    found: list[tuple[CutSet, Direction]] = []
-    for numbers, cw, ccw in search_hits(c, target, max_cuts):
-        cuts = CutSet(frozenset([gaps[k] for k in numbers]))
-        if cw:
-            found.append((cuts, Direction.CW))
-        if ccw:
-            found.append((cuts, Direction.CCW))
-    return found
+    return [(CutSet.of(gaps), d) for gaps, d in search_hits(c, target, max_cuts)]
 
 
-def search_hits(c: CircularCircuit, target: StabiliserMap, max_cuts: int) -> list[tuple[list[int], bool, bool]]:
-    """Every cut set deriving the target map in some direction, as gap numbers and direction flags.
+def search_hits(
+    c: CircularCircuit, target: StabiliserMap, max_cuts: int
+) -> list[tuple[tuple[tuple[int, int], ...], Direction]]:
+    """All (gaps, direction) pairs deriving the target map, sorted by gaps, clockwise first.
 
-    A hit is ``(numbers, cw, ccw)``: its gaps ascending, numbered by
-    wire, then gap (gap ``(w, i)`` is ``i`` plus the symbol counts of the
-    wires before ``w``), and whether its clockwise and its
-    counter-clockwise reading derive the target. Hits are sorted by their
-    numbers, which sort as the gaps do, and each cut set is one hit.
+    A hit's gaps are its cuts as ascending ``(wire, gap)`` pairs, one
+    tuple shared by both directions when both derive the target. No
+    ``Gap`` or ``CutSet`` is built: ``circnot search`` prints the pairs as
+    they are, and ``search_cuts`` builds a ``CutSet`` per hit.
 
     Only sizes equal to the target's qubit count can match because every
     cut contributes exactly one qubit, and a cut set linearizes only if it
@@ -669,5 +660,18 @@ def search_hits(c: CircularCircuit, target: StabiliserMap, max_cuts: int) -> lis
         for extras, cw, ccw in _walk_slot(system, compositions, cw_cols, ccw_cols, mask, visited.values()):
             hits.append((sorted((*family, *extras)), cw, ccw))
         visited[family] = mask
+    # gaps numbered by (wire, gap) sort as the gaps do; each cut set is one hit
     hits.sort()
-    return hits
+    first = list(accumulate((c.symbol_count(w) for w in range(c.wires)), initial=0))
+    found: list[tuple[tuple[tuple[int, int], ...], Direction]] = []
+    for numbers, cw, ccw in hits:
+        pairs = []
+        for k in numbers:
+            w = bisect_right(first, k) - 1
+            pairs.append((w, k - first[w]))
+        gaps = tuple(pairs)
+        if cw:
+            found.append((gaps, Direction.CW))
+        if ccw:
+            found.append((gaps, Direction.CCW))
+    return found

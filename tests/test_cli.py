@@ -534,6 +534,33 @@ def test_missing_file_line(tmp_path, swap_file, capsys):
     assert quote(str(tmp_path / "missing")) == repr(str(tmp_path / "missing"))
 
 
+@pytest.mark.parametrize(
+    "circuit, target, code, err",
+    [
+        ("swap.circ/", "./swap.map", 0, ""),
+        ("./swap.circ", "swap.map/.", 0, ""),
+        ("", "swap.map", 1, "error unreadable-file: '': Is a directory\n"),
+        ("swap.circ", "./missing.map", 1, "error file-not-found: [Errno 2] No such file or directory: 'missing.map'\n"),
+        (
+            "swap.circ",
+            "nodir//missing.map",
+            1,
+            "error file-not-found: [Errno 2] No such file or directory: 'nodir/missing.map'\n",
+        ),
+    ],
+)
+def test_paths_read_as_pathlib_reads_them(tmp_path, monkeypatch, capsys, circuit, target, code, err):
+    # files are opened as given first, and through pathlib when that fails:
+    # a trailing "/" or "/." is dropped, "" is ".", and a missing file is
+    # named without "./" or "//"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "swap.circ").write_text(SWAP_CIRC)
+    (tmp_path / "swap.map").write_text("X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{1}\nZ1 -> Z{0}\n")
+    out = "cuts (0,2) (1,2) direction cw\ncuts (0,2) (1,2) direction ccw\nfound 2\n" if code == 0 else ""
+    assert run(["search", circuit, "--target", target, "--max-cuts", "2"]) == (code, out)
+    assert capsys.readouterr().err == err
+
+
 def test_search_out_of_range_target_exit_code(tmp_path, swap_file, capsys):
     target = tmp_path / "wide.map"
     target.write_text("X0 -> X{0,2}\nX1 -> X{1}\nZ0 -> Z{0}\nZ1 -> Z{1}\n")
@@ -1147,8 +1174,21 @@ def _cut_set_search_text(c, target, max_cuts: int) -> str:
     return "".join(lines) + f"found {len(results)}\n"
 
 
-def _search_corpus(tmp_path: Path, seed: int) -> list[tuple[list[str], str, object]]:
-    """Seeded ``search`` queries as ``(argv, expected stdout, circuit)``.
+def _random_pairs(rng: random.Random, wires: int, max_gates: int) -> list[tuple[int, int]]:
+    """(control, target) of at most ``max_gates`` random CNOTs on ``wires`` wires, each wire touched."""
+    pairs = [tuple(rng.sample(range(wires), 2)) for _ in range(rng.randint(wires, max_gates))]
+    for w in range(wires):
+        if all(w not in p for p in pairs):
+            pairs.append((w, (w + 1) % wires))
+    return pairs
+
+
+def _circular_text(wires: int, pairs: list[tuple[int, int]]) -> str:
+    return "circular\nwires %d\n" % wires + "".join("cnot %d %d\n" % p for p in pairs)
+
+
+def _search_cases(seed: int) -> list[tuple[str, str, int]]:
+    """Seeded ``search`` queries that walk, as ``(circuit text, map text, budget)``.
 
     Each circuit is searched for the map of one of its cut sets (its radial
     family at a random slot plus 0-2 gaps) read in a random direction, and
@@ -1160,68 +1200,152 @@ def _search_corpus(tmp_path: Path, seed: int) -> list[tuple[list[str], str, obje
     from circnot import Direction, linearize, oracle_map, spanning_gaps
 
     rng = random.Random(seed)
-    corpus = []
+    cases = []
     other = None
     for k in range(60):
         wires = rng.randint(2, 4)
-        pairs = [tuple(rng.sample(range(wires), 2)) for _ in range(rng.randint(wires, 7))]
-        for w in range(wires):
-            if all(w not in p for p in pairs):
-                pairs.append((w, (w + 1) % wires))
+        pairs = _random_pairs(rng, wires, 7)
         if k % 3 == 0:  # two more wires with one gate between them
             pairs.insert(rng.randrange(len(pairs) + 1), (wires, wires + 1))
             wires += 2
-        text = "circular\nwires %d\n" % wires + "".join("cnot %d %d\n" % p for p in pairs)
+        text = _circular_text(wires, pairs)
         c = parse_circuit(text)
         family = [(w, i) for w, i in enumerate(list(spanning_gaps(c))[rng.randrange(len(c.gates))])]
         rest = [(w, i) for w in range(wires) for i in range(c.symbol_count(w)) if (w, i) not in family]
         cuts = CutSet.of(family + rng.sample(rest, min(len(rest), rng.randint(0, 2))))
-        circ = tmp_path / f"c{k}.circ"
-        circ.write_text(text)
         targets = [oracle_map(linearize(c, cuts, rng.choice(list(Direction))))]
         if other is not None:
             targets.append(other)
         other = oracle_map(linearize(c, cuts, Direction.CW))
-        for j, target in enumerate(targets):
-            path = tmp_path / f"c{k}t{j}.map"
-            path.write_text(target.report())
-            max_cuts = max(target.n_qubits, wires) + rng.randint(0, 1)
-            argv = ["search", str(circ), "--target", str(path), "--max-cuts", str(max_cuts)]
-            corpus.append((argv, _cut_set_search_text(c, target, max_cuts), c))
-    return corpus
+        for target in targets:
+            cases.append((text, target.report(), max(target.n_qubits, wires) + rng.randint(0, 1)))
+    return cases
+
+
+def _identity_map_text(n: int) -> str:
+    return "".join(f"{kind}{q} -> {kind}{{{q}}}\n" for kind in "XZ" for q in range(n))
+
+
+def _search_refusals(seed: int) -> list[tuple[str, str, int]]:
+    """Seeded ``search`` queries answered before any walk, as ``_search_cases`` gives them.
+
+    Per random circuit: a budget below the wire count (``budget-too-small``),
+    identity targets with fewer qubits than wires, with more qubits than
+    the budget, and with more qubits than the circuit has gaps (``found
+    0``), the smallest identity target whose candidate bound passes
+    ``MAX_SEARCH_CANDIDATES`` (``search-too-large``), and a 2-qubit target
+    whose Z is not the inverse transpose of its X (``found 0``). Then each
+    of ``HOSTILE_MAPS`` against the SWAP.
+    """
+    from math import comb
+
+    from circnot.model import MAX_SEARCH_CANDIDATES
+
+    rng = random.Random(seed)
+    not_symplectic = "X0 -> X{0}\nX1 -> X{1}\nZ0 -> Z{1}\nZ1 -> Z{0}\n"
+    cases = []
+    for _ in range(16):
+        wires = rng.randint(2, 6)
+        text = _circular_text(wires, _random_pairs(rng, wires, 24))
+        c = parse_circuit(text)
+        n_gaps = 2 * len(c.gates)
+        cases += [
+            (text, _identity_map_text(wires), wires - 1),
+            (text, _identity_map_text(wires - 1), wires),
+            (text, _identity_map_text(wires + 1), wires),
+            (text, _identity_map_text(n_gaps + 1), n_gaps + 1),
+            (text, not_symplectic, max(2, wires)),
+        ]
+        too_large = [
+            need
+            for need in range(wires, n_gaps + 1)
+            if len(c.gates) * comb(n_gaps - wires, need - wires) > MAX_SEARCH_CANDIDATES
+        ]
+        if too_large:
+            cases.append((text, _identity_map_text(too_large[0]), too_large[0] + rng.randint(0, 2)))
+    cases += [(SWAP_CIRC, text, 2) for text, _ in HOSTILE_MAPS.values()]
+    return cases
+
+
+def _search_corpus(tmp_path: Path, cases: list[tuple[str, str, int]]) -> list[list[str]]:
+    """Writes each case's circuit and map file under ``tmp_path``; per case, its ``search`` argv."""
+    argvs = []
+    for k, (circuit, target, max_cuts) in enumerate(cases):
+        circ, path = tmp_path / f"q{k}.circ", tmp_path / f"q{k}.map"
+        circ.write_text(circuit)
+        path.write_text(target)
+        argvs.append(["search", str(circ), "--target", str(path), "--max-cuts", str(max_cuts)])
+    return argvs
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_search_stdout_matches_cut_set_formatting(tmp_path, seed):
-    # ``search`` prints from gap numbers; its bytes must equal the old
-    # printing of ``search_cuts``' cut sets
+    # ``search`` prints hits without building cut sets; its bytes must equal
+    # the printing of ``search_cuts``' cut sets
+    from circnot import StabiliserMap
     from circnot.model import _slot_families
 
-    corpus = _search_corpus(tmp_path, seed)
-    for argv, expected, _ in corpus:
+    cases = _search_cases(seed)
+    circuits = [parse_circuit(text) for text, _, _ in cases]
+    outputs = [
+        _cut_set_search_text(c, StabiliserMap.from_report(target), max_cuts)
+        for c, (_, target, max_cuts) in zip(circuits, cases)
+    ]
+    for argv, expected in zip(_search_corpus(tmp_path, cases), outputs):
         assert run(argv) == (0, expected), argv
-    outputs = [expected for _, expected, _ in corpus]
     # the corpus holds empty results, counter-clockwise-only hits and
     # circuits whose slots share a family
     assert "found 0\n" in outputs
     assert any(" ccw\n" in out and " cw\n" not in out for out in outputs)
-    assert any(len(set(_slot_families(c))) < len(c.gates) for _, out, c in corpus if out != "found 0\n")
+    assert any(len(set(_slot_families(c))) < len(c.gates) for c, out in zip(circuits, outputs) if out != "found 0\n")
 
 
 def test_search_command_builds_no_gap_or_cut_set(tmp_path, monkeypatch):
-    # the command reads hits as gap numbers and prints them by name, so
-    # neither a ``Gap`` nor a ``CutSet`` is constructed on its path
-    corpus = [(argv, expected) for argv, expected, _ in _search_corpus(tmp_path, 3)]
-    assert sum(expected != "found 0\n" for _, expected in corpus) > 20
+    # the command prints hits as (wire, gap) pairs, so neither a ``Gap``
+    # nor a ``CutSet`` is constructed on its path
+    argvs = _search_corpus(tmp_path, _search_cases(3))
+    expected = [run(argv) for argv in argvs]
+    assert sum(out != "found 0\n" for _, out in expected) > 20
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Gap or a CutSet was built")
 
     monkeypatch.setattr(Gap, "__init__", refuse)
     monkeypatch.setattr(CutSet, "__init__", refuse)
-    got = [run(argv) for argv, _ in corpus]
+    got = [run(argv) for argv in argvs]
     monkeypatch.undo()
-    assert got == [(0, expected) for _, expected in corpus]
+    assert got == expected
+
+
+def _search_transcript(tmp_path: Path) -> str:
+    """Per query of seed 4's ``_search_cases`` and seed 5's ``_search_refusals``: its budget, exit code, stdout and stderr."""
+    cases = _search_cases(4) + _search_refusals(5)
+    parts = []
+    for k, argv in enumerate(_search_corpus(tmp_path, cases)):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(argv)
+        stderr = "".join(f"stderr: {line}\n" for line in err.getvalue().splitlines())
+        parts.append(f"== query {k} --max-cuts {argv[-1]}: exit {code}\n{out}{stderr}")
+    return "".join(parts)
+
+
+# ``search`` exit codes, stdout and stderr on a seeded corpus, captured
+# before the command printed hits without building cut sets
+SEARCH_CORPUS_GOLDEN = KV_GOLDEN / "search-corpus.out"
+
+
+def test_search_corpus_golden(tmp_path):
+    golden = SEARCH_CORPUS_GOLDEN.read_text()
+    assert _search_transcript(tmp_path) == golden
+    # the corpus holds hits, empty results, counter-clockwise-only hits,
+    # both refusals of the budget and every kind of map file error
+    queries = golden.split("== query ")[1:]
+    assert any("direction cw\n" in q for q in queries)
+    assert any("direction ccw\n" in q and "direction cw\n" not in q for q in queries)
+    assert any(q.endswith("found 0\n") for q in queries)
+    for code in ("budget-too-small", "search-too-large", "wire-out-of-range", "count-mismatch", "syntax-error"):
+        assert f"stderr: error {code}:" in golden
 
 
 # ``derive`` stdout, captured before the model solve and the elimination

@@ -395,7 +395,9 @@ class TestTraversalSubstitution:
             lin = linearize(c, base, d)
             kept = tuple(g for g in lin.gates if g.source != gate.id)
             deleted = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
-            cols = model_module._x_columns(c, cut_table(c, base), d, missing=c.gate_index(gate.id))
+            table = cut_table(c, base)
+            cut_ends = model_module._cut_ends(c, table, d)
+            cols = model_module._x_columns(c, table, d, cut_ends, missing=c.gate_index(gate.id))
             assert cols == deleted.x_columns()
             fd = faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
             assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, base, d, gate.id)
@@ -1179,7 +1181,8 @@ def assert_substitution_matches_reference(c, cuts) -> bool:
     m = build_model(c, ModelKind.X)
     for d in Direction:
         ins, outs = input_output_segments(m, arc_ends(c, cuts, d)[1], d)
-        assert model_module._x_columns(c, table, d) == model_columns(m, cuts, ins, outs)
+        cut_ends = model_module._cut_ends(c, table, d)
+        assert model_module._x_columns(c, table, d, cut_ends) == model_columns(m, cuts, ins, outs)
     return True
 
 
