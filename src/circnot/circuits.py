@@ -5,10 +5,12 @@ in the list is its place, clockwise is increasing index, and the cyclic
 rotations of the list are the linear circuits the one circle stands for.
 Every wire is a closed loop passing all gates. A wire carries a control
 symbol at each gate that controls from it and a target symbol at each gate
-that targets it. Gaps sit between cyclically adjacent symbols of one wire
-and are the only legal cut locations. Gap ``(w, i)`` is the gap that
-follows wire ``w``'s ``i``-th symbol in clockwise order. A linear circuit's
-gate list is its time order.
+that targets it. A circuit's symbol table for a wire lists only the index
+of each symbol's gate, clockwise (``CircularCircuit.symbols``); a symbol's
+kind is read off its gate where it is needed. Gaps sit between cyclically
+adjacent symbols of one wire and are the only legal cut locations. Gap
+``(w, i)`` is the gap that follows wire ``w``'s ``i``-th symbol in
+clockwise order. A linear circuit's gate list is its time order.
 
 ``cut_table`` is the one place that checks a cut set and numbers its
 qubits: it lists the cut gap indices by wire (``gaps_by_wire``, the gap
@@ -39,10 +41,6 @@ from .errors import (
     quote,
     quote_int,
 )
-
-CONTROL = "control"
-TARGET = "target"
-
 
 class Direction(Enum):
     CW = "cw"
@@ -125,26 +123,6 @@ class CNOTGate:
             raise ControlEqualsTarget(f"gate {self.id}: control == target == {quote_int(self.control)}")
 
 
-# Per gate index, its control and target symbol, shared by every circuit:
-# a program holding many circuits holds each (gate index, kind) pair once.
-# It grows by rebinding to a longer tuple, so a reader never sees a partial
-# one, and only up to ``_SHARED_SYMBOL_GATES`` gates, so one huge circuit
-# leaves nothing large behind.
-_SYMBOL_PAIRS: tuple[tuple[tuple[int, str], tuple[int, str]], ...] = ()
-_SHARED_SYMBOL_GATES = 4096
-
-
-def _symbol_pairs(n: int) -> tuple[tuple[tuple[int, str], tuple[int, str]], ...]:
-    """Per gate index below ``n`` at least, ``((gi, CONTROL), (gi, TARGET))``."""
-    global _SYMBOL_PAIRS
-    pairs = _SYMBOL_PAIRS
-    if len(pairs) < n:
-        pairs += tuple([((gi, CONTROL), (gi, TARGET)) for gi in range(len(pairs), n)])
-        if n <= _SHARED_SYMBOL_GATES:
-            _SYMBOL_PAIRS = pairs
-    return pairs
-
-
 @dataclass(frozen=True)
 class CircularCircuit:
     """Closed-loop CNOT circuit: no inputs, no outputs.
@@ -162,8 +140,9 @@ class CircularCircuit:
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         ids: set[int] = set()
-        touched: set[int] = set()
-        for g in gates:
+        # symbol tables: per wire, the indices of the gates it passes, clockwise
+        symbols: list[list[int]] = [[] for _ in range(self.wires)]
+        for gi, g in enumerate(gates):
             # faults and the commutation check find a gate by its id
             if g.id in ids:
                 raise DuplicateGate(f"gate id {quote_int(g.id)} repeated")
@@ -171,26 +150,20 @@ class CircularCircuit:
             for w in (g.control, g.target):
                 if not 0 <= w < self.wires:
                     raise WireOutOfRange(f"gate {g.id} references wire {quote_int(w)} of {self.wires}")
-            touched.add(g.control)
-            touched.add(g.target)
-        empty = set(range(self.wires)) - touched
+            symbols[g.control].append(gi)
+            symbols[g.target].append(gi)
+        empty = [w for w, row in enumerate(symbols) if not row]
         if empty:
             raise EmptyWire(empty)
-        # symbol tables: per wire, (gate index, kind), clockwise
-        symbols: list[list[tuple[int, str]]] = [[] for _ in range(self.wires)]
-        for g, (control, target) in zip(gates, _symbol_pairs(len(gates))):
-            symbols[g.control].append(control)
-            symbols[g.target].append(target)
-        object.__setattr__(self, "_symbols", tuple(tuple(row) for row in symbols))
+        object.__setattr__(self, "_symbols", tuple(map(tuple, symbols)))
 
-    def symbols(self, wire: int) -> tuple[tuple[int, str], ...]:
-        """Clockwise (gate index, kind) symbols on a wire."""
+    def symbols(self, wire: int) -> tuple[int, ...]:
+        """Clockwise, the index of the gate at each of a wire's symbols.
+
+        A symbol's kind is read off its gate: it is a control symbol when
+        ``gates[gi].control == wire``, else a target symbol.
+        """
         return self._symbols[wire]
-
-    @property
-    def symbol_tables(self) -> tuple[tuple[tuple[int, str], ...], ...]:
-        """Every wire's ``symbols``, by wire."""
-        return self._symbols
 
     def symbol_count(self, wire: int) -> int:
         return len(self._symbols[wire])
@@ -222,7 +195,7 @@ class CircularCircuit:
         if not 0 <= slot < len(self.gates):
             raise ValueError(f"slot {slot} outside 0..{len(self.gates) - 1}")
         syms = self._symbols[wire]
-        return Gap(wire, (bisect_right(syms, slot, key=lambda s: s[0]) - 1) % len(syms))
+        return Gap(wire, (bisect_right(syms, slot) - 1) % len(syms))
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,7 +285,7 @@ def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> tuple[int,
     masks = [0] * c.wires
     for w, (wire_cuts, syms) in enumerate(zip(on_wire, c._symbols)):
         for i in wire_cuts:
-            lo, hi = syms[i][0], syms[(i + 1) % len(syms)][0]
+            lo, hi = syms[i], syms[(i + 1) % len(syms)]
             span = (1 << hi) - (1 << lo) if lo < hi else full ^ ((1 << lo) - (1 << hi))
             spans[w].append((span, i))
             masks[w] |= span

@@ -10,9 +10,6 @@ from __future__ import annotations
 from .circuits import CircularCircuit, CutSet, Gap, LinearCircuit, gaps_by_wire
 from .errors import WrongCircuitKind
 
-_SYMBOL_LABEL = {"control": "*", "target": "+"}
-
-
 def export_dot(c: CircularCircuit | LinearCircuit, cuts: CutSet | None = None) -> str:
     """The circuit's DOT graph, with the cuts drawn on a circular circuit.
 
@@ -34,12 +31,12 @@ def _circular_dot(c: CircularCircuit, cuts: CutSet | None) -> str:
     lines = ["digraph circuit {", "  rankdir=LR;"]
     sym_nodes: dict[tuple[int, int], str] = {}
     for w in range(c.wires):
-        for si, (gi, kind) in enumerate(c.symbols(w)):
+        for si, gi in enumerate(c.symbols(w)):
             name = f"w{w}s{si}"
             sym_nodes[(w, gi)] = name
-            lines.append(
-                f'  {name} [label="{_SYMBOL_LABEL[kind]}g{c.gates[gi].id}@{gi}" shape=circle];'
-            )
+            g = c.gates[gi]
+            label = "*" if g.control == w else "+"
+            lines.append(f'  {name} [label="{label}g{g.id}@{gi}" shape=circle];')
     for w in range(c.wires):
         k = c.symbol_count(w)
         for si in range(k):
@@ -70,10 +67,10 @@ def _linear_dot(c: LinearCircuit) -> str:
         chains.append([f"q{q}_in"])
     node_of: dict[tuple[int, int], str] = {}
     for t, g in enumerate(c.gates):
-        for q, kind in ((g.control, "control"), (g.target, "target")):
+        for q, label in ((g.control, "*"), (g.target, "+")):
             name = f"q{q}t{t}"
             node_of[(q, t)] = name
-            lines.append(f'  {name} [label="{_SYMBOL_LABEL[kind]}t{t}" shape=circle];')
+            lines.append(f'  {name} [label="{label}t{t}" shape=circle];')
             chains[q].append(name)
     for q in range(c.n_qubits):
         lines.append(f'  q{q}_out [label="q{q} out" shape=plaintext];')

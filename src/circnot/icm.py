@@ -400,7 +400,7 @@ def faulted_transformations(
     table = cut_table(c, base)
     cuts, patch = inject_smgf(c, base, f)
     w = patch.wire
-    gi = c.symbols(w)[patch.after_gap.index][0]  # the after gap follows the gate's control symbol
+    gi = c.symbols(w)[patch.after_gap.index]  # the after gap follows the gate's control symbol
     cut_ends = _cut_ends(c, table, d)
     cols = _x_columns(c, table, d, cut_ends, missing=gi)
     # the base qubits entered at the before gap and left at the after gap
@@ -408,7 +408,7 @@ def faulted_transformations(
     at = cut_ends[0][w]
     before, after = at[patch.before_gap.index], at[patch.after_gap.index]
     entered, left = (before, after) if d is Direction.CW else (after, before)
-    absorbed_in = None if entered is None else entered[1].bit_length() - 1
+    absorbed_in = None if entered is None else entered[1]
     absorbed_out = None if left is None else left[0]
     n = len(cols)
     every = frozenset(range(n))

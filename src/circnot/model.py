@@ -60,8 +60,6 @@ from math import comb
 from typing import NamedTuple
 
 from .circuits import (
-    CONTROL,
-    TARGET,
     CircularCircuit,
     CutSet,
     CutTable,
@@ -158,7 +156,7 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     variables coincide (a wire with a single boundary) is a tautology and
     is dropped; its gap is already cut-equivalent.
     """
-    split = CONTROL if kind is ModelKind.Z else TARGET
+    split_control = kind is ModelKind.Z
     both = kind is ModelKind.COMBINED
     # per gate index: (before, after) at its splitting symbol, and at its
     # other symbol (crossing,), or (before, after) when that splits too
@@ -166,14 +164,17 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
     other_at: list[tuple[int, ...]] = [()] * len(c.gates)
     offsets = [0]
     gap_vars = []
-    for syms in c.symbol_tables:
+    for w in range(c.wires):
+        # per symbol, its gate index and whether it has the splitting kind:
+        # the control in the Z model, the target in X and combined
+        syms = [(gi, (c.gates[gi].control == w) == split_control) for gi in c.symbols(w)]
         seg = offsets[-1]
         # the head continues the wire's last segment
-        prev = seg + len(syms) + sum(1 for _, sk in syms if both or sk is split) - 1
+        prev = seg + len(syms) + sum(1 for _, splits in syms if both or splits) - 1
         pairs = []
-        for gi, sk in syms:
-            at = split_at if sk is split else other_at
-            if both or sk is split:
+        for gi, splits in syms:
+            at = split_at if splits else other_at
+            if both or splits:
                 at[gi] = (prev, seg)
                 prev, seg = seg, seg + 1
             else:
@@ -248,8 +249,8 @@ def derive_transformations(
 def _cut_ends(c: CircularCircuit, table: CutTable, d: Direction) -> tuple[list[list[tuple[int, int] | None]], int]:
     """Per wire and gap, None when uncut, else the qubits a traversal in direction ``d`` leaves and enters there; and the qubit count.
 
-    A cut gap holds the qubit whose arc the traversal leaves there and the
-    input bit of the one it enters there. Qubits are numbered by
+    A cut gap holds the number of the qubit whose arc the traversal leaves
+    there and that of the one it enters there. Qubits are numbered by
     ``CutTable.arcs``, as ``linearize`` numbers them; counter-clockwise an
     arc is entered at its clockwise end cut and left at its start cut. The
     arcs are listed once and the leaving qubits found by dict, so a caller
@@ -259,9 +260,9 @@ def _cut_ends(c: CircularCircuit, table: CutTable, d: Direction) -> tuple[list[l
     if d is Direction.CCW:
         starts, ends = ends, starts
     leaving = {cut: q for q, cut in enumerate(ends)}
-    at: list[list[tuple[int, int] | None]] = [[None] * len(syms) for syms in c.symbol_tables]
+    at: list[list[tuple[int, int] | None]] = [[None] * c.symbol_count(w) for w in range(c.wires)]
     for q, (w, i) in enumerate(starts):
-        at[w][i] = (leaving[w, i], 1 << q)
+        at[w][i] = (leaving[w, i], q)
     return at, len(starts)
 
 
@@ -277,23 +278,31 @@ def _x_columns(
     Substitutes the X equations along the traversal from the table's start
     slot. Each wire holds the value of the segment it last entered, at
     first its family gap's input. A gate XORs its control's value into its
-    target's, and the traversal then meets the gap next to each of its
-    symbols: after it clockwise, before it counter-clockwise. An uncut gap
-    is a join. A cut gap ends one qubit's arc, whose output column takes
-    the value, and starts the next, whose input bit the wire then holds.
-    The qubits at each cut gap are read off ``cut_ends``, the table's
-    ``_cut_ends`` in direction ``d``. A ``missing`` gate index
-    (``icm.faulted_transformations``) writes nothing.
+    target's, and the traversal then meets the next gap on each of its
+    two wires: after the gate's symbol clockwise, before it
+    counter-clockwise. An uncut gap is a join. A cut gap ends one qubit's
+    arc, whose output column takes the value, and starts the next, whose
+    input bit the wire then holds. The qubits at each cut gap are read off
+    ``cut_ends``, the table's ``_cut_ends`` in direction ``d``. A
+    ``missing`` gate index (``icm.faulted_transformations``) writes
+    nothing.
+
+    Each wire keeps a cursor on the index of the gap it met last, stepped
+    +1 clockwise and -1 counter-clockwise each time a gate passes the
+    wire; a wire meets each of its gaps once, its family gap last. A
+    counter-clockwise cursor starts on the family gap; a clockwise one
+    starts a lap below it (its index minus the wire's symbol count), so
+    its lap stays inside -count..count-1 and indexes the gap list with no
+    modulo.
     """
     at, n = cut_ends
-    symbols = c.symbol_tables
-    # per gate index, the gap met next to its control symbol and its target symbol
-    at_control: list = [None] * len(c.gates)
-    at_target: list = [None] * len(c.gates)
-    for syms, gaps in zip(symbols, at):
-        for i, (gi, sk) in enumerate(syms, 0 if d is Direction.CW else -1):
-            (at_target if sk is TARGET else at_control)[gi] = gaps[i]
-    value = [gaps[wire_cuts[k]][1] for gaps, wire_cuts, k in zip(at, table.cuts, table.anchors)]
+    if d is Direction.CW:
+        step = 1
+        pos = [wire_cuts[k] - len(gaps) for gaps, wire_cuts, k in zip(at, table.cuts, table.anchors)]
+    else:
+        step = -1
+        pos = [wire_cuts[k] for wire_cuts, k in zip(table.cuts, table.anchors)]
+    value = [1 << gaps[p][1] for gaps, p in zip(at, pos)]
     cols = [0] * n
     gates = c.gates
     for gi in traversal_order(c, table.start, d):
@@ -301,12 +310,14 @@ def _x_columns(
         control, target = g.control, g.target
         if gi != missing:
             value[target] ^= value[control]
-        cut = at_control[gi]
+        p = pos[control] = pos[control] + step
+        cut = at[control][p]
         if cut:
-            cols[cut[0]], value[control] = value[control], cut[1]
-        cut = at_target[gi]
+            cols[cut[0]], value[control] = value[control], 1 << cut[1]
+        p = pos[target] = pos[target] + step
+        cut = at[target][p]
         if cut:
-            cols[cut[0]], value[target] = value[target], cut[1]
+            cols[cut[0]], value[target] = value[target], 1 << cut[1]
     return cols
 
 

@@ -74,7 +74,7 @@ def slot_angles(c):
 
 def wire_gap_containing(c, wire, theta):
     """Independent arc walk: which gap's cyclic interval holds the angle."""
-    positions = [gi for gi, _ in c.symbols(wire)]
+    positions = c.symbols(wire)
     k = len(positions)
     if k == 1:
         return 0

@@ -95,25 +95,21 @@ class TestCircularConstruction:
         assert backwards.gates == tuple(reversed(c.gates))
         last = len(c.gates) - 1
         for w in range(3):
-            assert backwards.symbols(w) == tuple((last - gi, k) for gi, k in reversed(c.symbols(w)))
+            assert backwards.symbols(w) == tuple(last - gi for gi in reversed(c.symbols(w)))
+            # each symbol keeps its kind: the gate it reads is the same gate
+            for gi, back in zip(c.symbols(w), reversed(backwards.symbols(w))):
+                assert backwards.gates[back] is c.gates[gi]
 
     def test_symbol_tables(self):
+        # per wire, the gate index of each symbol clockwise; a gate
+        # controlling from the wire gives a control symbol
         swap = swap_circular()
-        assert swap.symbols(0) == ((0, "control"), (1, "target"), (2, "control"))
-        assert swap.symbols(1) == ((0, "target"), (1, "control"), (2, "target"))
-        assert swap.symbol_tables == (swap.symbols(0), swap.symbols(1))
-
-    def test_symbols_shared_up_to_a_size(self):
-        # circuits share their (gate index, kind) pairs; a circuit past the
-        # shared size still gets every pair, and the shared table stays put
-        limit = circuits_module._SHARED_SYMBOL_GATES
-        small, swap = mkcirc(2, [(0, 1)] * 5), swap_circular()
-        assert swap.symbols(0)[0] is small.symbols(0)[0]
-        assert swap.symbols(1)[2] is small.symbols(1)[2]
-        shared = len(circuits_module._SYMBOL_PAIRS)
-        huge = mkcirc(2, [(0, 1), (1, 0)] * (limit // 2 + 1))
-        assert len(circuits_module._SYMBOL_PAIRS) == shared <= limit
-        assert huge.symbols(0) == tuple((gi, "control" if gi % 2 == 0 else "target") for gi in range(limit + 2))
+        assert swap.symbols(0) == (0, 1, 2)
+        assert swap.symbols(1) == (0, 1, 2)
+        assert [swap.gates[gi].control == 0 for gi in swap.symbols(0)] == [True, False, True]
+        assert [swap.gates[gi].control == 1 for gi in swap.symbols(1)] == [False, True, False]
+        c = mkcirc(3, [(0, 1), (2, 0), (1, 2), (1, 0)])
+        assert [c.symbols(w) for w in range(3)] == [(0, 1, 3), (0, 2, 3), (1, 2)]
 
     @pytest.mark.parametrize("ids, dup", [((0, 0), 0), ((3, 1, 2, 1), 1), ((5, 6, 5, 6), 5)])
     def test_rejects_repeated_gate_ids(self, ids, dup):

@@ -43,7 +43,7 @@ from circnot.errors import (
 from circnot import circuits as circuits_module
 from circnot import gf2
 from circnot import model as model_module
-from circnot.circuits import CONTROL, TARGET, LinearCircuit, cut_table
+from circnot.circuits import LinearCircuit, cut_table
 from circnot.cli import parity_text
 from circnot.icm import FaultSpec, faulted_transformations, inject_smgf
 from circnot.model import MAX_SEARCH_CANDIDATES, ModelKind
@@ -359,6 +359,29 @@ class TestLargeDerivations:
             derived = derive_transformations(c, record.seam, d)
             assert derived == oracle_map(linearize(c, record.seam, d))
 
+    @pytest.mark.parametrize("wires,gates", [(2, 4100), (64, 4200)])
+    def test_derive_and_fault_past_4096_gates(self, wires, gates):
+        # past the size up to which circuits once shared their symbol
+        # tables: the seam plus extra cuts, and a family off the wrap slot
+        # plus extra cuts, both directions, faults at both ends and inside
+        rng = random.Random(wires * gates)
+        c = mkcirc(wires, random_pairs(rng, wires, gates))
+        seam = {Gap(w, c.symbol_count(w) - 1) for w in range(wires)}
+        middle = {c.gap_spanning(w, gates // 2) for w in range(wires)}
+        every = {Gap(w, i) for w in range(wires) for i in range(c.symbol_count(w))}
+        extra = set(rng.sample(sorted(every - seam - middle), 6))
+        starts = set()
+        for gaps in (seam | extra, middle | extra):
+            cuts = CutSet.of(sorted(gaps))
+            starts.add(cut_table(c, cuts).start)
+            for d in Direction:
+                assert derive_transformations(c, cuts, d) == oracle_map(linearize(c, cuts, d))
+                for gi in (0, 1, gates // 2, gates - 1):
+                    gate_id = c.gates[gi].id
+                    fd = faulted_transformations(c, cuts, d, FaultSpec(gate=gate_id))
+                    assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, gate_id)
+        assert len(starts) == 2
+
 
 class TestTraversalSubstitution:
     """Derive and fault substitute the X equations along the traversal (``_x_columns``)."""
@@ -422,6 +445,39 @@ class TestTraversalSubstitution:
         for d in Direction:
             check(single, CutSet.of([(0, 1), (1, 2), (2, 0)]), d, single.gates[1])
         assert added == {0, 1, 2}
+
+
+class TestCursorLapEdges:
+    """``_x_columns`` steps a cursor per wire from its family gap; each edge of a lap, both ways."""
+
+    # wire 0 passes gates 0, 1, 3 and 4, wire 1 gates 1, 2 and 3, wire 2
+    # gates 0 and 2, and wire 3 only gate 4: slot 0's family is wire 0's
+    # first gap and wire 1's last, slot 1's wire 0's gap 1 and wire 1's
+    # first, and wire 3's one gap is both its first and its last
+    PAIRS = [(0, 2), (1, 0), (2, 1), (0, 1), (3, 0)]
+
+    def test_every_family_and_extra_cut_matches_oracle(self):
+        c = mkcirc(4, self.PAIRS)
+        n_gates = len(c.gates)
+        every = [Gap(w, i) for w in range(c.wires) for i in range(c.symbol_count(w))]
+        edges = set()
+        for slot in range(n_gates):
+            family = {c.gap_spanning(w, slot) for w in range(c.wires)}
+            for extra in ([], *([gap] for gap in every)):
+                cuts = CutSet.of(sorted(family.union(extra)))
+                table = cut_table(c, cuts)
+                for w, (wire_cuts, k) in enumerate(zip(table.cuts, table.anchors)):
+                    last = c.symbol_count(w) - 1
+                    edges.add((table.start == n_gates - 1, wire_cuts[k] == 0, wire_cuts[k] == last, last == 0))
+                for d in Direction:
+                    lin = linearize(c, cuts, d)
+                    cut_ends = model_module._cut_ends(c, table, d)
+                    assert model_module._x_columns(c, table, d, cut_ends) == oracle_map(lin).x_columns()
+                    for g in c.gates:
+                        fd = faulted_transformations(c, cuts, d, FaultSpec(gate=g.id))
+                        assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, g.id)
+        # off the wrap slot: a first gap, a last gap and a single-symbol wire
+        assert {(False, True, False, False), (False, False, True, False), (False, True, True, True)} <= edges
 
 
 class TestCommutation:
@@ -1205,10 +1261,10 @@ class TestSubstitutionAnyCutSet:
         shapes = collections.Counter()
         for c in all_small_circuits(3, 3):
             for w in range(c.wires):
-                kinds = {kind for _, kind in c.symbols(w)}
+                kinds = {"control" if c.gates[gi].control == w else "target" for gi in c.symbols(w)}
                 shapes["single"] += c.symbol_count(w) == 1
-                shapes["control-only"] += kinds == {CONTROL}
-                shapes["target-only"] += kinds == {TARGET}
+                shapes["control-only"] += kinds == {"control"}
+                shapes["target-only"] += kinds == {"target"}
             gaps = [p.gap for p in enumerate_cut_points(c)]
             for k in range(len(gaps) + 1):
                 for cut in itertools.combinations(gaps, k):
