@@ -12,12 +12,12 @@ adjacent symbols of one wire and are the only legal cut locations. Gap
 ``(w, i)`` is the gap that follows wire ``w``'s ``i``-th symbol in
 clockwise order. A linear circuit's gate list is its time order.
 
-``cut_table`` is the one place that checks a cut set and numbers its
-qubits: it lists the cut gap indices by wire (``gaps_by_wire``, the gap
-range check that ``dot`` and ``model.apply_cuts`` share) and picks the slot
-a linearization starts from. Each arc between consecutive cuts is one
-qubit, numbered by wire, then clockwise from that slot's family gap
-(``CutTable.arcs``).
+``validate_cut_set`` is the one place that checks a cut set and numbers
+its qubits: it lists the cut gap indices by wire (``gaps_by_wire``, the
+gap range check that ``dot`` and ``model.apply_cuts`` share) and picks the
+slot a linearization starts from. Each arc between consecutive cuts is one
+qubit, numbered by wire, then clockwise from that slot's family gap, the
+order in which ``CutTable`` lists each wire's cuts.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def spanning_gaps(c: CircularCircuit):
 
 
 def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> tuple[int, tuple[int, ...]]:
-    """The first radial slot clockwise, with its spanning gap index on every wire.
+    """The first radial slot clockwise, with the position of its spanning gap in each wire's list.
 
     ``on_wire`` lists each wire's cut gap indices, which exist; raises
     ``NoRadialCut`` when no slot is radial. Gap ``(w, i)`` spans the slots
@@ -281,19 +281,19 @@ def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> tuple[int,
     """
     n_gates = len(c.gates)
     radial = full = (1 << n_gates) - 1
-    spans: list[list[tuple[int, int]]] = [[] for _ in on_wire]  # per wire, (mask, gap index)
+    spans: list[list[int]] = [[] for _ in on_wire]  # per wire, each cut gap's slot mask
     masks = [0] * c.wires
     for w, (wire_cuts, syms) in enumerate(zip(on_wire, c._symbols)):
         for i in wire_cuts:
             lo, hi = syms[i], syms[(i + 1) % len(syms)]
             span = (1 << hi) - (1 << lo) if lo < hi else full ^ ((1 << lo) - (1 << hi))
-            spans[w].append((span, i))
+            spans[w].append(span)
             masks[w] |= span
     for mask in masks:
         radial &= mask
     if radial:
         low = radial & -radial
-        return low.bit_length() - 1, tuple(next(i for span, i in on if span & low) for on in spans)
+        return low.bit_length() - 1, tuple(next(k for k, span in enumerate(on) if span & low) for on in spans)
     missing = {
         slot: tuple(w for w, mask in enumerate(masks) if not mask >> slot & 1)
         for slot in range(n_gates)
@@ -306,31 +306,15 @@ def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> tuple[int,
 
 
 class CutTable(NamedTuple):
-    """A checked cut set, by wire, and the slot a linearization starts from.
+    """A checked cut set, by wire in qubit order, and the slot a linearization starts from.
 
-    ``cuts[w]`` lists wire ``w``'s cut gap indices ascending, ``anchors[w]``
-    the position in it of the ``start`` slot's family gap. Each arc between
-    consecutive cuts on a wire is one qubit, numbered by wire, then
-    clockwise from the family gap (``arcs``).
+    ``cuts[w]`` lists wire ``w``'s cut gap indices clockwise from the
+    ``start`` slot's family gap. The arc after wire ``w``'s ``j``-th cut is
+    qubit ``j`` plus the number of cuts on the wires before ``w``.
     """
 
     start: int
     cuts: list[list[int]]
-    anchors: list[int]
-
-    def arcs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Per qubit, the ``(wire, gap index)`` of its arc's clockwise start cut, then of its end cut."""
-        starts, ends = [], []
-        for w, (wire_cuts, at) in enumerate(zip(self.cuts, self.anchors)):
-            first = len(starts)
-            for i in wire_cuts[at:]:
-                starts.append((w, i))
-            for i in wire_cuts[:at]:
-                starts.append((w, i))
-            # each arc ends where the wire's next one starts
-            ends += starts[first + 1 :]
-            ends.append(starts[first])
-        return starts, ends
 
 
 def gaps_by_wire(counts, cuts: CutSet) -> list[list[int]]:
@@ -353,36 +337,29 @@ def gaps_by_wire(counts, cuts: CutSet) -> list[list[int]]:
     return on_wire
 
 
-def cut_table(c: CircularCircuit, cuts: CutSet) -> CutTable:
-    """Check the cut set, list it by wire and pick the start slot.
+def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> CutTable:
+    """Raise unless the cut set admits a valid linearization; return its ``CutTable``.
+
+    Validity needs at least one radial family: a slot whose spanning gap is
+    cut on every wire. Given one, every arc between consecutive cuts maps to
+    a contiguous stretch of the unrolled timeline, so each gate's control and
+    target arcs automatically coexist at the gate.
 
     Raises ``EmptyCutSet``, ``UnknownGap`` naming the least bad gap, or
-    ``NoRadialCut``. The start slot is the wrap slot (before gate 0) when it
-    is radial, else the first radial slot clockwise. The wrap slot spans
-    every wire's last gap, so testing it takes one look per wire; only a cut
-    set without that family sweeps the slots.
+    ``NoRadialCut``, whose ``missing_by_slot`` maps every slot to the wires
+    whose spanning gap is uncut. The start slot is the wrap slot (before
+    gate 0) when it is radial, else the first radial slot clockwise. The
+    wrap slot spans every wire's last gap, so testing it takes one look per
+    wire; only a cut set without that family sweeps the slots.
     """
     if not cuts.cuts:
         raise EmptyCutSet("cut set is empty")
     counts = [len(syms) for syms in c._symbols]
     on_wire = gaps_by_wire(counts, cuts)
     if all(wire_cuts and wire_cuts[-1] == k - 1 for wire_cuts, k in zip(on_wire, counts)):
-        return CutTable(len(c.gates) - 1, on_wire, [len(wire_cuts) - 1 for wire_cuts in on_wire])
-    start, family = _radial_families(c, on_wire)
-    return CutTable(start, on_wire, [wire_cuts.index(i) for wire_cuts, i in zip(on_wire, family)])
-
-
-def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> CutTable:
-    """Raise unless the cut set admits a valid linearization; return its ``cut_table``.
-
-    Validity needs at least one radial family: a slot whose spanning gap is
-    cut on every wire. Given one, every arc between consecutive cuts maps to
-    a contiguous stretch of the unrolled timeline, so each gate's control and
-    target arcs automatically coexist at the gate.
-    ``NoRadialCut.missing_by_slot`` maps every slot to the wires whose
-    spanning gap is uncut.
-    """
-    return cut_table(c, cuts)
+        return CutTable(len(c.gates) - 1, [[wire_cuts[-1], *wire_cuts[:-1]] for wire_cuts in on_wire])
+    start, at = _radial_families(c, on_wire)
+    return CutTable(start, [wire_cuts[k:] + wire_cuts[:k] for wire_cuts, k in zip(on_wire, at)])
 
 
 def traversal_order(c: CircularCircuit, start: int, d: Direction) -> list[int]:
@@ -396,20 +373,22 @@ def traversal_order(c: CircularCircuit, start: int, d: Direction) -> list[int]:
 def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     """Cut the circle open and read the gates off in the given direction.
 
-    ``cut_table`` checks the cuts and gives the start slot, and its
-    ``arcs`` the qubits; this emits the gates, the first one met from the
-    start slot first. Counter-clockwise reverses the gate order and swaps
-    input/output endpoints but keeps qubit indices.
+    ``validate_cut_set`` checks the cuts and gives the start slot and the
+    qubits; this emits the gates, the first one met from the start slot
+    first. Counter-clockwise reverses the gate order and swaps input/output
+    endpoints but keeps qubit indices.
     """
-    table = cut_table(c, cuts)
-    # clockwise, an arc holds the symbols after its start cut up to its end cut's
+    table = validate_cut_set(c, cuts)
+    # clockwise, an arc holds the symbols after its start cut up to the next cut's
     sym_to_qubit = [[0] * len(syms) for syms in c._symbols]
-    for q, ((w, a), (_, b)) in enumerate(zip(*table.arcs())):
-        row = sym_to_qubit[w]
+    q = 0
+    for row, wire_cuts in zip(sym_to_qubit, table.cuts):
         k = len(row)
-        span = (b - a) % k or k
-        for step in range(1, span + 1):
-            row[(a + step) % k] = q
+        for a, b in zip(wire_cuts, [*wire_cuts[1:], wire_cuts[0]]):
+            span = (b - a) % k or k
+            for step in range(1, span + 1):
+                row[(a + step) % k] = q
+            q += 1
 
     # a gate's symbol on each of its wires is the gap spanning the slot after it
     qubit_pairs = [
@@ -420,7 +399,7 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
         LinearGate(*qubit_pairs[gi], source=c.gates[gi].id)
         for gi in traversal_order(c, table.start, d)
     ]
-    return LinearCircuit(n_qubits=sum(map(len, table.cuts)), gates=tuple(lin_gates))
+    return LinearCircuit(n_qubits=q, gates=tuple(lin_gates))
 
 
 def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:

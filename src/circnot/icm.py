@@ -23,7 +23,7 @@ from .circuits import (
     LinearCircuit,
     LinearGate,
     circularize,
-    cut_table,
+    validate_cut_set,
 )
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
 from .model import _cut_ends, _x_columns
@@ -393,11 +393,11 @@ def faulted_transformations(
     traversal enters at its input gap and the one it leaves at its output
     gap, when those gaps are base cuts. Both are read off the per-gap
     table of entered and left qubits (``model._cut_ends``) that the walk
-    reads too, so the arcs are listed once per fault. An absorbed input's
+    reads too, so it is built once per fault. An absorbed input's
     X reaches no live output and its Z row is empty; an absorbed output's
     X column is empty and no Z reaches it.
     """
-    table = cut_table(c, base)
+    table = validate_cut_set(c, base)
     cuts, patch = inject_smgf(c, base, f)
     w = patch.wire
     gi = c.symbols(w)[patch.after_gap.index]  # the after gap follows the gate's control symbol

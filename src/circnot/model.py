@@ -65,10 +65,10 @@ from .circuits import (
     CutTable,
     Direction,
     Gap,
-    cut_table,
     gaps_by_wire,
     spanning_gaps,
     traversal_order,
+    validate_cut_set,
 )
 from .errors import (
     BudgetTooSmall,
@@ -233,7 +233,7 @@ def derive_transformations(
 ) -> StabiliserMap:
     """Stabiliser map of the cut-induced circuit, from the X parity system.
 
-    Checks the cut set once (``cut_table``; no gates are emitted) and
+    Checks the cut set once (``validate_cut_set``; no gates are emitted) and
     substitutes the X equations along the traversal (``_x_columns``; no
     model is built and no solver is called). A set bit in an output column
     means the output qubit carries that Pauli kind; signs are out of model.
@@ -242,28 +242,27 @@ def derive_transformations(
     ``models`` is accepted for callers that still pass an (X, Z) pair and
     is not read.
     """
-    table = cut_table(c, cuts)
+    table = validate_cut_set(c, cuts)
     return StabiliserMap.from_x(_x_columns(c, table, d, _cut_ends(c, table, d)))
 
 
 def _cut_ends(c: CircularCircuit, table: CutTable, d: Direction) -> tuple[list[list[tuple[int, int] | None]], int]:
     """Per wire and gap, None when uncut, else the qubits a traversal in direction ``d`` leaves and enters there; and the qubit count.
 
-    A cut gap holds the number of the qubit whose arc the traversal leaves
-    there and that of the one it enters there. Qubits are numbered by
-    ``CutTable.arcs``, as ``linearize`` numbers them; counter-clockwise an
-    arc is entered at its clockwise end cut and left at its start cut. The
-    arcs are listed once and the leaving qubits found by dict, so a caller
-    reads either qubit of a cut gap in O(1).
+    Qubits are numbered as ``CutTable`` orders the cuts and ``linearize``
+    numbers them: a wire's ``j``-th cut ends its ``(j - 1)``-th arc,
+    cyclically, and starts its ``j``-th. Clockwise a traversal leaves the
+    ending arc and enters the starting one, counter-clockwise the reverse.
     """
-    starts, ends = table.arcs()
-    if d is Direction.CCW:
-        starts, ends = ends, starts
-    leaving = {cut: q for q, cut in enumerate(ends)}
     at: list[list[tuple[int, int] | None]] = [[None] * c.symbol_count(w) for w in range(c.wires)]
-    for q, (w, i) in enumerate(starts):
-        at[w][i] = (leaving[w, i], q)
-    return at, len(starts)
+    q = 0
+    for row, wire_cuts in zip(at, table.cuts):
+        k = len(wire_cuts)
+        for j, i in enumerate(wire_cuts):
+            ending, starting = q + (j - 1) % k, q + j
+            row[i] = (ending, starting) if d is Direction.CW else (starting, ending)
+        q += k
+    return at, q
 
 
 def _x_columns(
@@ -289,19 +288,19 @@ def _x_columns(
 
     Each wire keeps a cursor on the index of the gap it met last, stepped
     +1 clockwise and -1 counter-clockwise each time a gate passes the
-    wire; a wire meets each of its gaps once, its family gap last. A
-    counter-clockwise cursor starts on the family gap; a clockwise one
-    starts a lap below it (its index minus the wire's symbol count), so
-    its lap stays inside -count..count-1 and indexes the gap list with no
-    modulo.
+    wire; a wire meets each of its gaps once, its family gap (its first
+    cut) last. A counter-clockwise cursor starts on the family gap; a
+    clockwise one starts a lap below it (its index minus the wire's symbol
+    count), so its lap stays inside -count..count-1 and indexes the gap
+    list with no modulo.
     """
     at, n = cut_ends
     if d is Direction.CW:
         step = 1
-        pos = [wire_cuts[k] - len(gaps) for gaps, wire_cuts, k in zip(at, table.cuts, table.anchors)]
+        pos = [wire_cuts[0] - len(gaps) for gaps, wire_cuts in zip(at, table.cuts)]
     else:
         step = -1
-        pos = [wire_cuts[k] for wire_cuts, k in zip(table.cuts, table.anchors)]
+        pos = [wire_cuts[0] for wire_cuts in table.cuts]
     value = [1 << gaps[p][1] for gaps, p in zip(at, pos)]
     cols = [0] * n
     gates = c.gates
@@ -478,7 +477,7 @@ def _walk_slot(
 
     Yields ``(extras, cw, ccw)``: the extra gaps, in traversal order, and
     which of the two the columns equal. Qubits are numbered as
-    ``CutTable.arcs`` numbers them from the slot: by wire, then by arc
+    ``CutTable`` numbers them from the slot: by wire, then by arc
     clockwise from the family gap, so a composition (``_compositions``)
     fixes every qubit number; wire ``w``'s first arc is qubit ``w`` plus
     the extra cuts on the wires before it. Per composition, the walk goes
@@ -603,7 +602,7 @@ def search_hits(
     cut contributes exactly one qubit, and a cut set linearizes only if it
     holds a radial family. So the candidates are each slot's radial family
     plus a choice of the remaining cuts among the other gaps. Slots are
-    visited in ``cut_table``'s start order (the wrap slot, then clockwise
+    visited in ``validate_cut_set``'s start order (the wrap slot, then clockwise
     from slot 0); a slot whose family an earlier slot had is skipped before
     its system is built, and so is a choice that completes an earlier
     slot's family, so each candidate comes once, at the slot whose family

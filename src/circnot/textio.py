@@ -42,8 +42,9 @@ MAX_WIRES = 1 << 16
 
 
 def _ascii_int(token: str) -> int:
-    """``int(token)`` for an all-ASCII token, else ``ValueError``; int() alone reads any script's digits."""
-    if not token.isascii():
+    """The int of ASCII digits after at most a ``-``, else ``ValueError``; int() also reads ``+``, ``_`` and other scripts' digits."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdecimal()):
         raise ValueError(token)
     return int(token)
 

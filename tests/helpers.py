@@ -37,6 +37,7 @@ generators build objects through the public constructors only.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +60,7 @@ from circnot import (
     validate_cut_set,
 )
 from circnot import gf2
-from circnot.circuits import CutTable, cut_table
+from circnot.circuits import CutTable
 from circnot.errors import Inconsistent, NoRadialCut, NotAdjacent
 from circnot.icm import FaultSpec, inject_smgf
 from circnot.model import BooleanModel, ModelKind, parity_rows
@@ -214,10 +215,33 @@ class ArcEnds(NamedTuple):
 
 
 def arc_ends(c: CircularCircuit, cuts: CutSet, d: Direction) -> tuple[int, tuple[ArcEnds, ...]]:
-    """The start slot and each qubit's ``ArcEnds``, off ``cut_table(c, cuts).arcs()``, reversed counter-clockwise."""
-    table = cut_table(c, cuts)
-    starts, ends = table.arcs() if d is Direction.CW else table.arcs()[::-1]
-    return table.start, tuple(ArcEnds(w, Gap(w, a), Gap(w, b)) for (w, a), (_, b) in zip(starts, ends))
+    """The start slot and each qubit's ``ArcEnds``, read off the gate list alone.
+
+    The start slot is the wrap slot when its family is cut, else the first
+    radial slot clockwise; raises StopIteration when none is. A family is
+    read as ``spanning_gap_index`` reads it, each wire's gates at or before
+    the slot found by bisection. Qubits are numbered by wire, then by arc
+    clockwise from the start slot's family gap. Clockwise an arc is
+    entered at its start cut and left at the wire's next cut;
+    counter-clockwise the other way round.
+    """
+    chosen = {(g.wire, g.index) for g in cuts.gaps()}
+    touches = [[k for k, g in enumerate(c.gates) if w in (g.control, g.target)] for w in range(c.wires)]
+    n = len(c.gates)
+    start = next(
+        j
+        for j in (n - 1, *range(n - 1))
+        if all((w, (bisect_right(t, j) - 1) % len(t)) in chosen for w, t in enumerate(touches))
+    )
+    origins = []
+    for w, t in enumerate(touches):
+        k = len(t)
+        family = (bisect_right(t, start) - 1) % k
+        on_wire = sorted((i for v, i in chosen if v == w), key=lambda i: (i - family) % k)
+        for a, b in zip(on_wire, on_wire[1:] + on_wire[:1]):
+            entered, left = (a, b) if d is Direction.CW else (b, a)
+            origins.append(ArcEnds(w, Gap(w, entered), Gap(w, left)))
+    return start, tuple(origins)
 
 
 def input_output_segments(m: BooleanModel, origins, d: Direction) -> tuple[list[int], list[int]]:

@@ -13,13 +13,14 @@ from circnot import (
     LinearCircuit,
     LinearGate,
     circularize,
+    derive_transformations,
     enumerate_cut_points,
     linearize,
     spanning_gaps,
     validate_cut_set,
 )
 from circnot import circuits as circuits_module
-from circnot.circuits import CutTable, cut_table
+from circnot.circuits import CutTable
 from circnot.errors import (
     ControlEqualsTarget,
     DuplicateCut,
@@ -31,6 +32,7 @@ from circnot.errors import (
     WireOutOfRange,
     quote_int,
 )
+from circnot.icm import FaultSpec, faulted_transformations
 from circnot.textio import parse_circuit
 from helpers import (
     ArcEnds,
@@ -266,7 +268,7 @@ class TestSpanningReference:
                     start = radial[-1] if radial[-1] == len(pairs) - 1 else radial[0]
                     table = entry.table
                     assert table.start == start
-                    assert [cuts[k] for cuts, k in zip(table.cuts, table.anchors)] == span[start]
+                    assert [cuts[0] for cuts in table.cuts] == span[start]
                 else:
                     assert (entry.table, entry.missing) == (None, missing)
                 subsets += 1
@@ -359,6 +361,16 @@ def arcs_reference(c, cuts, families, d):
     return start, tuple(origins)
 
 
+def table_arcs(table, d):
+    """Start slot and each qubit's ``ArcEnds`` as a ``CutTable`` numbers them: per wire, each cut to the next."""
+    origins = []
+    for w, wire_cuts in enumerate(table.cuts):
+        for a, b in zip(wire_cuts, wire_cuts[1:] + wire_cuts[:1]):
+            ends = (Gap(w, a), Gap(w, b)) if d is Direction.CW else (Gap(w, b), Gap(w, a))
+            origins.append(ArcEnds(w, *ends))
+    return table.start, tuple(origins)
+
+
 def error_of(fn, *args):
     try:
         fn(*args)
@@ -368,49 +380,41 @@ def error_of(fn, *args):
 
 
 class TestCutTable:
-    """``cut_table``'s start slot, anchored family and ``CutTable.arcs`` (read
-    as ``arc_ends``) against ``arcs_reference``, and its errors."""
+    """``validate_cut_set``'s start slot and cut lists in qubit order (read
+    as arcs by ``table_arcs``) against ``arcs_reference``, and its errors."""
 
     def test_wrap_slot_table(self, swap):
-        table = cut_table(swap, CutSet.of([(1, 2), (0, 2), (0, 0)]))
-        assert table == CutTable(2, [[0, 2], [2]], [1, 0])
+        table = validate_cut_set(swap, CutSet.of([(1, 2), (0, 2), (0, 0)]))
         # from the family gap (0, 2): wire 0's arcs 2 -> 0 and 0 -> 2, then wire 1's
-        assert table.arcs() == ([(0, 2), (0, 0), (1, 2)], [(0, 0), (0, 2), (1, 2)])
-        # wire 0's cut at gap 2 starts qubit 0 and ends qubit 1, its cut at gap 0 the other way round
-        starts, ends = table.arcs()
-        assert [starts.index((0, i)) for i in (0, 2)] == [1, 0]
-        assert [ends.index((0, i)) for i in (0, 2)] == [0, 1]
-        assert starts.index((1, 2)) == ends.index((1, 2)) == 2
+        assert table == CutTable(2, [[2, 0], [2]])
+        g = lambda w, i: Gap(w, i)  # noqa: E731
+        cw = (ArcEnds(0, g(0, 2), g(0, 0)), ArcEnds(0, g(0, 0), g(0, 2)), ArcEnds(1, g(1, 2), g(1, 2)))
+        assert table_arcs(table, Direction.CW) == (2, cw)
 
     def test_first_radial_slot_table(self, swap):
         # the wrap slot is not radial; slot 0's family is (0, 0) and (1, 0)
-        table = cut_table(swap, CutSet.of([(0, 0), (0, 1), (1, 0)]))
-        assert table == CutTable(0, [[0, 1], [0]], [0, 0])
-        assert table.arcs() == ([(0, 0), (0, 1), (1, 0)], [(0, 1), (0, 0), (1, 0)])
+        table = validate_cut_set(swap, CutSet.of([(0, 1), (1, 0), (0, 0)]))
+        assert table == CutTable(0, [[0, 1], [0]])
+        # a family gap that is not a wire's least cut comes first all the same
+        table = validate_cut_set(swap, CutSet.of([(0, 0), (0, 1), (1, 1), (1, 2)]))
+        assert table == CutTable(1, [[1, 0], [1, 2]])
 
     def test_small_sweep_numbers_as_reference(self, small_sweep):
-        # per qubit, the table's arc ends are the reference origins' cuts,
-        # read in the clockwise direction
+        # each radial family plus 0-2 other gaps, both directions: the
+        # table's start slot and arcs are the reference's
         checked = 0
         for c, entries in small_sweep.table:
-            for entry in family_plus_two(c, entries)[::7]:
-                table = cut_table(c, entry.cuts)
-                start, origins = arcs_reference(c, entry.cuts, entry.families, Direction.CW)
-                assert table.start == start
-                assert [cuts[k] for cuts, k in zip(table.cuts, table.anchors)] == list(entry.families[start])
-                starts, ends = table.arcs()
-                assert [Gap(*k) for k in starts] == [o.input_cut for o in origins]
-                assert [Gap(*k) for k in ends] == [o.output_cut for o in origins]
-                # each cut starts one arc and ends one, so its position in
-                # either list finds that arc's qubit
-                for q, ((w, a), (_, b)) in enumerate(zip(starts, ends)):
-                    assert starts.index((w, a)) == q
-                    assert ends.index((w, b)) == q
-                checked += 1
-        assert checked > 1500
+            for entry in family_plus_two(c, entries):
+                start = table_arcs(entry.table, Direction.CW)[0]
+                assert [cuts[0] for cuts in entry.table.cuts] == list(entry.families[start])
+                for d in Direction:
+                    assert table_arcs(entry.table, d) == arcs_reference(c, entry.cuts, entry.families, d)
+                    checked += 1
+        assert checked > 26000
 
     def test_small_sweep_matches_reference(self, small_sweep):
-        # each radial family plus 0-2 other gaps, both directions
+        # ``arc_ends``, the numbering that the model tests read off the gate
+        # list, is the reference's, both directions
         checked = 0
         for c, entries in small_sweep.table:
             for entry in family_plus_two(c, entries):
@@ -420,18 +424,24 @@ class TestCutTable:
         assert checked > 26000
 
     def test_errors_match_validate_cut_set(self):
-        # every subset of up to three gaps, plus empty and unknown gaps
+        # every subset of up to three gaps, plus empty and unknown gaps: the
+        # commands that read a cut set refuse it as ``validate_cut_set`` does
         checked = 0
         for c in all_small_circuits(3, 3):
             gaps = [p.gap for p in enumerate_cut_points(c)]
             unknown = [Gap(c.wires, 0), Gap(0, c.symbol_count(0)), Gap(-1, 0)]
             cut_sets = [CutSet(frozenset()), CutSet.of(unknown), CutSet.of(gaps[:1] + unknown[1:])]
             cut_sets += [CutSet.of(combo) for k in (1, 2, 3) for combo in itertools.combinations(gaps, k)]
+            fault = FaultSpec(gate=c.gates[0].id)
             for cuts in cut_sets:
                 expected = error_of(validate_cut_set, c, cuts)
+                if expected is None:
+                    continue
                 for d in Direction:
-                    assert error_of(arc_ends, c, cuts, d) == expected
-                checked += expected is not None
+                    assert error_of(linearize, c, cuts, d) == expected
+                    assert error_of(derive_transformations, c, cuts, d) == expected
+                    assert error_of(faulted_transformations, c, cuts, d, fault) == expected
+                checked += 1
         assert checked > 1000
 
     def test_wrap_slot_not_radial(self, swap):
@@ -456,12 +466,9 @@ class TestCutTable:
 
         monkeypatch.setattr(circuits_module, "spanning_gaps", refuse)
         monkeypatch.setattr(circuits_module, "_radial_families", refuse)
-        start, origins = arc_ends(c, record.seam, Direction.CW)
-        assert start == len(c.gates) - 1
-        assert validate_cut_set(c, record.seam) == cut_table(c, record.seam)
-        assert [(o.wire, o.input_cut, o.output_cut) for o in origins] == [
-            (g.wire, g, g) for g in record.seam.sorted_gaps()
-        ]
+        # one cut per wire, each its wire's last gap
+        expected = CutTable(len(c.gates) - 1, [[g.index] for g in record.seam.sorted_gaps()])
+        assert validate_cut_set(c, record.seam) == expected
 
 
 class TestCircularize:

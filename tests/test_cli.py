@@ -17,6 +17,7 @@ from circnot.circuits import CutSet, Gap, circularize
 from circnot.cli import build_parser, main, parity_text
 from circnot.errors import EmptyWire, quote
 from circnot.textio import format_circuit, format_cut_set, parse_circuit
+from helpers import spanning_gap_index
 
 SWAP_CIRC = "circular\nwires 2\ncnot 0 1\ncnot 1 0\ncnot 0 1\n"
 RADIAL_A = "cut 0 2\ncut 1 2\n"
@@ -477,14 +478,35 @@ def test_non_ascii_number_exit_code(tmp_path, swap_file, capsys, command, text, 
 
 
 def test_signed_ascii_numbers_still_read(tmp_path, swap_file, capsys):
-    # int() reads signs and digit separators in ASCII tokens, as before
+    # a leading minus reads, so a negative wire or gap is refused by the
+    # range check that names it
     cuts = tmp_path / "signed.cuts"
-    cuts.write_text("cut +0 2\ncut 1 0_2\n")
-    assert run(["derive", swap_file, "--cuts", str(cuts)]) == (0, "X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{1}\nZ1 -> Z{0}\n")
+    cuts.write_text("cut -1 0\ncut 1 2\n")
+    assert run(["derive", swap_file, "--cuts", str(cuts)]) == (1, "")
+    assert capsys.readouterr().err == "error unknown-gap: wire -1 gap 0 does not exist\n"
     circ = tmp_path / "negative.circ"
     circ.write_text("circular\nwires 2\ncnot 0 -1\n")
     assert run(["parse", str(circ)]) == (1, "")
     assert capsys.readouterr().err == "error wire-out-of-range: gate 0 references wire -1 of 2\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("parse", "circular\nwires 2\ncnot 0 1_0\n", "line 3: bad cnot line 'cnot 0 1_0'"),
+        ("parse", "circular\nwires 3\ncnot +1 2\n", "line 3: bad cnot line 'cnot +1 2'"),
+        ("validate", "cut 0 0_0\ncut 1 +0\n", "line 1: bad cut line 'cut 0 0_0'"),
+        ("validate", "cut 0 0\ncut 1 +0\n", "line 2: bad cut line 'cut 1 +0'"),
+    ],
+    ids=["cnot-underscore", "cnot-plus", "cut-underscore", "cut-plus"],
+)
+def test_plus_and_digit_separator_refused(tmp_path, swap_file, capsys, command, text, message):
+    # int() reads both; a circuit or cut integer is ASCII digits after at most a minus
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = ["parse", str(path)] if command == "parse" else ["cuts", swap_file, "--validate", str(path)]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == f"error syntax-error: {message}\n"
 
 
 def test_parser_built_once(swap_file, capsys):
@@ -1346,6 +1368,95 @@ def test_search_corpus_golden(tmp_path):
     assert any(q.endswith("found 0\n") for q in queries)
     for code in ("budget-too-small", "search-too-large", "wire-out-of-range", "count-mismatch", "syntax-error"):
         assert f"stderr: error {code}:" in golden
+
+
+def _cut_command_cases(seed: int) -> list[tuple[str, int, list[str]]]:
+    """Seeded circular circuits with cut files, as ``(circuit text, gate count, cut file texts)``.
+
+    Circuits have 2-5 wires and at most 14 gates. Per circuit, the cut
+    files are: the wrap slot's family (every wire's last gap) plus 0-2
+    other gaps; another slot's family plus 0-2 gaps, the wrap family left
+    incomplete; 1 to wires + 1 random gaps, mostly without a radial slot;
+    and one of those with a gap the circuit does not have. Families are
+    read off the gate list alone (``spanning_gap_index``).
+    """
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(10):
+        wires = rng.randint(2, 5)
+        pairs = _random_pairs(rng, wires, 14)[:14]
+        counts = [sum(1 for p in pairs if w in p) for w in range(wires)]
+        if 0 in counts:
+            continue
+        gaps = [(w, i) for w in range(wires) for i in range(counts[w])]
+        wrap = [(w, counts[w] - 1) for w in range(wires)]
+
+        def with_extras(family, avoid=()):
+            rest = [g for g in gaps if g not in family and g not in avoid]
+            return family + rng.sample(rest, min(len(rest), rng.randint(0, 2)))
+
+        slot = rng.randrange(len(pairs))
+        family = [(w, spanning_gap_index(pairs, w, slot)) for w in range(wires)]
+        shy = [g for g in wrap if g not in family][:1]  # keeps the wrap family uncut
+        random_cuts = rng.sample(gaps, rng.randint(1, min(len(gaps), wires + 1)))
+        w = rng.randrange(wires + 1)
+        unknown = (w, counts[w] if w < wires else 0)
+        sets = [with_extras(wrap), with_extras(family, shy), random_cuts, random_cuts + [unknown]]
+        cut_texts = ["".join(f"cut {w} {i}\n" for w, i in rng.sample(s, len(s))) for s in sets]
+        cases.append((_circular_text(wires, pairs), len(pairs), cut_texts))
+    return cases
+
+
+def _cut_commands_transcript(tmp_path: Path) -> str:
+    """Per command reading cuts, on seed 6's ``_cut_command_cases``: its argv, exit code, stdout and stderr.
+
+    Per circuit, ``cuts``; per cut file, ``cuts --validate`` and in each
+    direction ``linearize`` (text and kv), ``derive`` and ``fault`` on
+    every gate; and on the second and fourth cut files, ``model --kind
+    x|z --cuts --parity`` and ``export --cuts``, whose output is long.
+    Paths are written relative to ``tmp_path``.
+    """
+    parts = []
+    for k, (circuit, n_gates, cut_texts) in enumerate(_cut_command_cases(6)):
+        circ = tmp_path / f"c{k}.circ"
+        circ.write_text(circuit)
+        parts.append(f"== circuit {k}\n{circuit}")
+        argvs = [["cuts", str(circ)]]
+        for j, text in enumerate(cut_texts):
+            cut = tmp_path / f"c{k}-{j}.cuts"
+            cut.write_text(text)
+            parts.append(f"== cut file {cut.name}\n{text}")
+            c, f = str(circ), str(cut)
+            argvs.append(["cuts", c, "--validate", f])
+            if j % 2:  # the other-slot family and the unknown gap
+                argvs += [["model", c, "--kind", kind, "--cuts", f, "--parity"] for kind in "xz"]
+                argvs.append(["export", c, "--cuts", f])
+            for d in ("cw", "ccw"):
+                argvs.append(["linearize", c, "--cuts", f, "--dir", d])
+                argvs.append(["linearize", c, "--cuts", f, "--dir", d, "--format", "kv"])
+                argvs.append(["derive", c, "--cuts", f, "--dir", d])
+                argvs += [["fault", c, "--cuts", f, "--smgf", str(g), "--dir", d] for g in range(n_gates)]
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run(argv)
+            stderr = "".join(f"stderr: {line}\n" for line in err.getvalue().splitlines())
+            parts.append(f"== {' '.join(argv)}: exit {code}\n{out}{stderr}")
+    return "".join(parts).replace(f"{tmp_path}/", "")
+
+
+# exit codes, stdout and stderr of every command that reads a cut file, on
+# a seeded corpus, captured before ``cut_table`` and its anchors were
+# folded into ``validate_cut_set``
+CUT_COMMANDS_GOLDEN = KV_GOLDEN / "cut-commands.out"
+
+
+def test_cut_commands_golden(tmp_path):
+    golden = CUT_COMMANDS_GOLDEN.read_text()
+    assert _cut_commands_transcript(tmp_path) == golden
+    # the corpus holds valid sets, both refusals of a cut set, and faults
+    assert "valid (" in golden and "stderr: error no-radial-cut:" in golden
+    assert "stderr: error unknown-gap:" in golden and "ancilla wire" in golden
 
 
 # ``derive`` stdout, captured before the model solve and the elimination

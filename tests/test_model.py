@@ -43,7 +43,7 @@ from circnot.errors import (
 from circnot import circuits as circuits_module
 from circnot import gf2
 from circnot import model as model_module
-from circnot.circuits import LinearCircuit, cut_table
+from circnot.circuits import LinearCircuit, validate_cut_set
 from circnot.cli import parity_text
 from circnot.icm import FaultSpec, faulted_transformations, inject_smgf
 from circnot.model import MAX_SEARCH_CANDIDATES, ModelKind
@@ -373,7 +373,7 @@ class TestLargeDerivations:
         starts = set()
         for gaps in (seam | extra, middle | extra):
             cuts = CutSet.of(sorted(gaps))
-            starts.add(cut_table(c, cuts).start)
+            starts.add(validate_cut_set(c, cuts).start)
             for d in Direction:
                 assert derive_transformations(c, cuts, d) == oracle_map(linearize(c, cuts, d))
                 for gi in (0, 1, gates // 2, gates - 1):
@@ -402,7 +402,7 @@ class TestTraversalSubstitution:
             if not record.seam.gaps() <= middle | extra:
                 cut_sets.append(CutSet.of(sorted(middle | extra)))
             for cuts in cut_sets:
-                starts.add(cut_table(c, cuts).start == n_gates - 1)
+                starts.add(validate_cut_set(c, cuts).start == n_gates - 1)
                 assert_substitution_matches_reference(c, cuts)
                 for d in Direction:
                     assert derive_transformations(c, cuts, d) == oracle_map(linearize(c, cuts, d))
@@ -418,7 +418,7 @@ class TestTraversalSubstitution:
             lin = linearize(c, base, d)
             kept = tuple(g for g in lin.gates if g.source != gate.id)
             deleted = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
-            table = cut_table(c, base)
+            table = validate_cut_set(c, base)
             cut_ends = model_module._cut_ends(c, table, d)
             cols = model_module._x_columns(c, table, d, cut_ends, missing=c.gate_index(gate.id))
             assert cols == deleted.x_columns()
@@ -447,6 +447,17 @@ class TestTraversalSubstitution:
         assert added == {0, 1, 2}
 
 
+def test_cut_ends_follow_the_table_order(swap):
+    # wrap slot family (0, 2) and (1, 2) plus (0, 0): wire 0's cut at gap 2
+    # starts qubit 0 and ends qubit 1, its cut at gap 0 the other way round,
+    # and wire 1's one cut starts and ends qubit 2
+    table = validate_cut_set(swap, CutSet.of([(1, 2), (0, 2), (0, 0)]))
+    cw = [[(0, 1), None, (1, 0)], [None, None, (2, 2)]]
+    ccw = [[(1, 0), None, (0, 1)], [None, None, (2, 2)]]
+    assert model_module._cut_ends(swap, table, Direction.CW) == (cw, 3)
+    assert model_module._cut_ends(swap, table, Direction.CCW) == (ccw, 3)
+
+
 class TestCursorLapEdges:
     """``_x_columns`` steps a cursor per wire from its family gap; each edge of a lap, both ways."""
 
@@ -465,10 +476,10 @@ class TestCursorLapEdges:
             family = {c.gap_spanning(w, slot) for w in range(c.wires)}
             for extra in ([], *([gap] for gap in every)):
                 cuts = CutSet.of(sorted(family.union(extra)))
-                table = cut_table(c, cuts)
-                for w, (wire_cuts, k) in enumerate(zip(table.cuts, table.anchors)):
+                table = validate_cut_set(c, cuts)
+                for w, wire_cuts in enumerate(table.cuts):
                     last = c.symbol_count(w) - 1
-                    edges.add((table.start == n_gates - 1, wire_cuts[k] == 0, wire_cuts[k] == last, last == 0))
+                    edges.add((table.start == n_gates - 1, wire_cuts[0] == 0, wire_cuts[0] == last, last == 0))
                 for d in Direction:
                     lin = linearize(c, cuts, d)
                     cut_ends = model_module._cut_ends(c, table, d)
@@ -762,7 +773,7 @@ class TestSearchOneDerivation:
             raise AssertionError("search read a cut table or derived a map")
 
         monkeypatch.setattr(model_module, "_slot_system", counted)
-        monkeypatch.setattr(model_module, "cut_table", refuse)
+        monkeypatch.setattr(model_module, "validate_cut_set", refuse)
         monkeypatch.setattr(model_module, "derive_transformations", refuse)
         for need in needs:
             walked.clear()
@@ -1231,7 +1242,7 @@ def assert_substitution_matches_reference(c, cuts) -> bool:
     substituted along the traversal equal, both ways, the model reference's
     X columns, read at ``arc_ends``."""
     try:
-        table = cut_table(c, cuts)
+        table = validate_cut_set(c, cuts)
     except (EmptyCutSet, NoRadialCut):
         return False
     m = build_model(c, ModelKind.X)
@@ -1273,7 +1284,7 @@ class TestSubstitutionAnyCutSet:
 
 
 class TestCutTableReadOut:
-    """Derivations and faults number their qubits off ``cut_table``'s cut lists; ``arc_ends`` is the reference."""
+    """Derivations and faults number their qubits off ``validate_cut_set``'s cut lists; ``arc_ends``, read off the gate list, is the reference."""
 
     @given(data=st.data())
     def test_matches_origins_and_oracle(self, data):
@@ -1292,9 +1303,15 @@ class TestCutTableReadOut:
         ]
         extra = data.draw(st.lists(st.sampled_from(others), max_size=8, unique=True)) if others else []
         cuts = CutSet.of(family + extra)
-        table = cut_table(c, cuts)
+        table = validate_cut_set(c, cuts)
         if off_wrap:
             assert table.start != wrap
+        # clockwise, qubit q's arc is entered at the table's q-th cut
+        start, origins = arc_ends(c, cuts, Direction.CW)
+        assert (table.start, [Gap(w, i) for w, wire_cuts in enumerate(table.cuts) for i in wire_cuts]) == (
+            start,
+            [o.input_cut for o in origins],
+        )
         faulted = data.draw(st.lists(st.sampled_from([g.id for g in c.gates]), min_size=1, max_size=3, unique=True))
         for d in Direction:
             assert table.start == arc_ends(c, cuts, d)[0]

@@ -94,6 +94,25 @@ class TestWireLimit:
         assert err.value.line == 2
 
 
+class TestIntegerTokens:
+    """Circuit and cut integers are ASCII digits with at most a leading ``-``."""
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "-", "--1", "1-", "0x1", "\u0661", "\uff11"])
+    def test_other_tokens_refused(self, token):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(f"circular\nwires 2\ncnot 0 {token}\n")
+        assert str(err.value) == f"line 3: bad cnot line 'cnot 0 {token}'"
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_cut_file(f"cut 0 0\ncut {token} 0\n")
+        assert str(err.value) == f"line 2: bad cut line 'cut {token} 0'"
+
+    def test_minus_and_leading_zeros_read(self):
+        # a negative number reads, for the range checks to refuse by name
+        assert parse_cut_file("cut -1 007\n")[0] == CutSet.of([(-1, 7)])
+        c = parse_circuit("linear\nwires 3\ncnot 02 -0\n")
+        assert c.gate_pairs() == ((2, 0),)
+
+
 class TestCutFormat:
     def test_round_trip(self):
         cuts = CutSet.of([(0, 2), (1, 2)])
