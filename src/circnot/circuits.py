@@ -48,10 +48,8 @@ class Direction(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Direction":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown direction {text!r}; expected cw or ccw") from None
+        """The direction spelled exactly ``cw`` or ``ccw``, as ``--dir`` takes it; else ``ValueError``."""
+        return cls(text)
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -362,21 +360,18 @@ def validate_cut_set(c: CircularCircuit, cuts: CutSet) -> CutTable:
     return CutTable(start, [wire_cuts[k:] + wire_cuts[:k] for wire_cuts, k in zip(on_wire, at)])
 
 
-def traversal_order(c: CircularCircuit, start: int, d: Direction) -> list[int]:
-    """Gate indices in the order a traversal from slot ``start`` meets them."""
-    n_gates = len(c.gates)
-    if d is Direction.CW:
-        return [*range(start + 1, n_gates), *range(start + 1)]
-    return [*range(start, -1, -1), *range(n_gates - 1, start, -1)]
+def traversal_order(c: CircularCircuit, start: int) -> list[int]:
+    """Gate indices in the order a clockwise traversal from slot ``start`` meets them."""
+    return [*range(start + 1, len(c.gates)), *range(start + 1)]
 
 
 def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     """Cut the circle open and read the gates off in the given direction.
 
     ``validate_cut_set`` checks the cuts and gives the start slot and the
-    qubits; this emits the gates, the first one met from the start slot
-    first. Counter-clockwise reverses the gate order and swaps input/output
-    endpoints but keeps qubit indices.
+    qubits; this emits the gates clockwise, the first one met from the
+    start slot first. Counter-clockwise is that gate list reversed on the
+    same qubits: the inverse circuit, since every CNOT is its own inverse.
     """
     table = validate_cut_set(c, cuts)
     # clockwise, an arc holds the symbols after its start cut up to the next cut's
@@ -397,8 +392,10 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
     ]
     lin_gates = [
         LinearGate(*qubit_pairs[gi], source=c.gates[gi].id)
-        for gi in traversal_order(c, table.start, d)
+        for gi in traversal_order(c, table.start)
     ]
+    if d is Direction.CCW:
+        lin_gates.reverse()
     return LinearCircuit(n_qubits=q, gates=tuple(lin_gates))
 
 

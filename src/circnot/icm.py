@@ -5,8 +5,8 @@ An ICM circuit is a CNOT-only linear circuit plus one initialisation and
 one measurement choice per qubit. Rotations live entirely in the choice of
 ancilla states (|Y>, |A>) and measurement bases, so every construction here
 emits CNOTs only. A single missing gate leaves a CNOT circuit, so its
-fault map is one X substitution over the base cuts with that gate's XOR
-left out, and Z is read as the inverse transpose.
+fault map is one clockwise X substitution with that gate's XOR left out,
+Z read as the inverse transpose; read counter-clockwise, its inverse.
 """
 
 from __future__ import annotations
@@ -385,40 +385,35 @@ def faulted_transformations(
     """Derive the stabiliser map of the circuit with one gate missing.
 
     A missing gate is a CNOT circuit with one gate fewer, so this is a
-    derivation over the base cuts (``model._x_columns``, as
+    clockwise derivation over the base cuts (``model._x_columns``, as
     ``derive_transformations`` reads it) whose substitution along the
-    traversal skips the faulty gate's XOR but still meets the gaps next
-    to its symbols: one X walk, and Z read as the inverse transpose. The
-    |0> ancilla on the gate's control span then absorbs the base qubit a
-    traversal enters at its input gap and the one it leaves at its output
-    gap, when those gaps are base cuts. Both are read off the per-gap
-    table of entered and left qubits (``model._cut_ends``) that the walk
-    reads too, so it is built once per fault. An absorbed input's
-    X reaches no live output and its Z row is empty; an absorbed output's
-    X column is empty and no Z reaches it.
+    traversal skips the faulty gate's XOR but still meets the gaps next to
+    its symbols: one X walk, and Z read as the inverse transpose. The |0>
+    ancilla on the gate's control span then absorbs the base qubit the
+    traversal enters at the before gap and the one it leaves at the after
+    gap, when those gaps are base cuts. Both are read off the per-gap table
+    of entered and left qubits (``model._cut_ends``) that the walk reads
+    too, so it is built once per fault. An absorbed input's X reaches no
+    live output and its Z row is empty; an absorbed output's X column is
+    empty and no Z reaches it. Counter-clockwise the gate list is reversed,
+    so the map is the clockwise one's ``inverse()`` (exact on a restricted
+    map) and the absorbed input and output trade places.
     """
     table = validate_cut_set(c, base)
     cuts, patch = inject_smgf(c, base, f)
     w = patch.wire
     gi = c.symbols(w)[patch.after_gap.index]  # the after gap follows the gate's control symbol
-    cut_ends = _cut_ends(c, table, d)
-    cols = _x_columns(c, table, d, cut_ends, missing=gi)
-    # the base qubits entered at the before gap and left at the after gap
-    # clockwise, the other way round counter-clockwise
+    cut_ends = _cut_ends(c, table)
+    cols = _x_columns(c, table, cut_ends, missing=gi)
     at = cut_ends[0][w]
-    before, after = at[patch.before_gap.index], at[patch.after_gap.index]
-    entered, left = (before, after) if d is Direction.CW else (after, before)
+    entered, left = at[patch.before_gap.index], at[patch.after_gap.index]
     absorbed_in = None if entered is None else entered[1]
     absorbed_out = None if left is None else left[0]
-    n = len(cols)
-    every = frozenset(range(n))
-    full = (1 << n) - 1
+    every, full = frozenset(range(len(cols))), (1 << len(cols)) - 1
     in_mask = full if absorbed_in is None else full ^ 1 << absorbed_in
     out_mask = full if absorbed_out is None else full ^ 1 << absorbed_out
-    return FaultedDerivation(
-        cuts=cuts,
-        patch=patch,
-        map=StabiliserMap.from_x(cols).restricted(in_mask, out_mask),
-        live_inputs=every - {absorbed_in},
-        live_outputs=every - {absorbed_out},
-    )
+    m = StabiliserMap.from_x(cols).restricted(in_mask, out_mask)
+    live_in, live_out = every - {absorbed_in}, every - {absorbed_out}
+    if d is Direction.CCW:
+        m, live_in, live_out = m.inverse(), live_out, live_in
+    return FaultedDerivation(cuts=cuts, patch=patch, map=m, live_inputs=live_in, live_outputs=live_out)

@@ -26,7 +26,7 @@ included, as sparse ``(variables, rhs)`` rows for ``circnot model
 --parity``.
 
 Derivations, faults and the search build no model and call no solver.
-Read in traversal order (``traversal_order``) from a radial slot, each X
+Read in clockwise order (``traversal_order``) from a radial slot, each X
 clause fixes the segment after its target from segments already met, so
 the X equations are solved by substituting along the traversal: each
 wire holds the value of the segment it last entered, a gate XORs its
@@ -37,15 +37,18 @@ derivation whose missing gate writes nothing.
 A CNOT circuit acts symplectically, so its Z map is the inverse transpose
 of its X map: Z = (Xᵀ)⁻¹ is one ``gf2.invert`` of the X columns
 (``StabiliserMap.from_x``), for a derivation and a fault (``icm``) alike.
-The Z model serves ``circnot model``.
+The Z model serves ``circnot model``. Every walk runs clockwise: a
+counter-clockwise reading is the clockwise gate list reversed on the same
+qubits, and CNOTs are self-inverse, so its map is the clockwise one's
+``StabiliserMap.inverse``.
 
 ``search_hits`` derives no map per candidate. Per radial slot, the same
 walk gives the value arriving at each gap over the slot family's inputs
 and one tag bit per other gap (``_slot_system``). A depth-first walk over
 the other gaps then chooses the extra cuts (``_walk_slot``), checking
-each arc's X column against the target as its cut closes it. Its hits
-are ``(wire, gap)`` pairs and a direction; ``search_cuts`` reads them
-back as cut sets.
+each arc's X column against the target and against the target's inverse
+as its cut closes it. Its hits are ``(wire, gap)`` pairs and a direction;
+``search_cuts`` reads them back as cut sets.
 """
 
 from __future__ import annotations
@@ -238,29 +241,29 @@ def derive_transformations(
     model is built and no solver is called). A set bit in an output column
     means the output qubit carries that Pauli kind; signs are out of model.
     A CNOT circuit acts symplectically, so Z is the inverse transpose of X,
-    read off one ``gf2.invert`` of the X columns instead of a second solve.
-    ``models`` is accepted for callers that still pass an (X, Z) pair and
-    is not read.
+    read off one ``gf2.invert`` of the X columns instead of a second solve;
+    counter-clockwise, the map is its ``inverse()``. ``models`` is accepted
+    for callers that still pass an (X, Z) pair and is not read.
     """
     table = validate_cut_set(c, cuts)
-    return StabiliserMap.from_x(_x_columns(c, table, d, _cut_ends(c, table, d)))
+    m = StabiliserMap.from_x(_x_columns(c, table, _cut_ends(c, table)))
+    return m if d is Direction.CW else m.inverse()
 
 
-def _cut_ends(c: CircularCircuit, table: CutTable, d: Direction) -> tuple[list[list[tuple[int, int] | None]], int]:
-    """Per wire and gap, None when uncut, else the qubits a traversal in direction ``d`` leaves and enters there; and the qubit count.
+def _cut_ends(c: CircularCircuit, table: CutTable) -> tuple[list[list[tuple[int, int] | None]], int]:
+    """Per wire and gap, None when uncut, else the qubits a clockwise traversal leaves and enters there; and the qubit count.
 
     Qubits are numbered as ``CutTable`` orders the cuts and ``linearize``
     numbers them: a wire's ``j``-th cut ends its ``(j - 1)``-th arc,
-    cyclically, and starts its ``j``-th. Clockwise a traversal leaves the
-    ending arc and enters the starting one, counter-clockwise the reverse.
+    cyclically, and starts its ``j``-th, so a traversal leaves the ending
+    arc and enters the starting one.
     """
     at: list[list[tuple[int, int] | None]] = [[None] * c.symbol_count(w) for w in range(c.wires)]
     q = 0
     for row, wire_cuts in zip(at, table.cuts):
         k = len(wire_cuts)
         for j, i in enumerate(wire_cuts):
-            ending, starting = q + (j - 1) % k, q + j
-            row[i] = (ending, starting) if d is Direction.CW else (starting, ending)
+            row[i] = (q + (j - 1) % k, q + j)
         q += k
     return at, q
 
@@ -268,52 +271,41 @@ def _cut_ends(c: CircularCircuit, table: CutTable, d: Direction) -> tuple[list[l
 def _x_columns(
     c: CircularCircuit,
     table: CutTable,
-    d: Direction,
     cut_ends: tuple[list[list[tuple[int, int] | None]], int],
     missing: int | None = None,
 ) -> list[int]:
-    """X columns of the table's derivation: per output qubit, its mask over the inputs.
+    """X columns of the table's clockwise derivation: per output qubit, its mask over the inputs.
 
     Substitutes the X equations along the traversal from the table's start
     slot. Each wire holds the value of the segment it last entered, at
     first its family gap's input. A gate XORs its control's value into its
-    target's, and the traversal then meets the next gap on each of its
-    two wires: after the gate's symbol clockwise, before it
-    counter-clockwise. An uncut gap is a join. A cut gap ends one qubit's
-    arc, whose output column takes the value, and starts the next, whose
-    input bit the wire then holds. The qubits at each cut gap are read off
-    ``cut_ends``, the table's ``_cut_ends`` in direction ``d``. A
-    ``missing`` gate index (``icm.faulted_transformations``) writes
-    nothing.
+    target's, and the traversal then meets the gap after the gate's symbol
+    on each of its two wires. An uncut gap is a join. A cut gap ends one
+    qubit's arc, whose output column takes the value, and starts the next,
+    whose input bit the wire then holds. The qubits at each cut gap are
+    read off ``cut_ends``, the table's ``_cut_ends``. A ``missing`` gate
+    index (``icm.faulted_transformations``) writes nothing.
 
-    Each wire keeps a cursor on the index of the gap it met last, stepped
-    +1 clockwise and -1 counter-clockwise each time a gate passes the
-    wire; a wire meets each of its gaps once, its family gap (its first
-    cut) last. A counter-clockwise cursor starts on the family gap; a
-    clockwise one starts a lap below it (its index minus the wire's symbol
-    count), so its lap stays inside -count..count-1 and indexes the gap
-    list with no modulo.
+    Each wire's cursor on the gap it met last steps once per gate passing
+    the wire, from a lap below its family gap (its index minus the wire's
+    symbol count): it meets each gap once, the family gap (its first cut)
+    last, and indexes the gap list with no modulo.
     """
     at, n = cut_ends
-    if d is Direction.CW:
-        step = 1
-        pos = [wire_cuts[0] - len(gaps) for gaps, wire_cuts in zip(at, table.cuts)]
-    else:
-        step = -1
-        pos = [wire_cuts[0] for wire_cuts in table.cuts]
+    pos = [wire_cuts[0] - len(gaps) for gaps, wire_cuts in zip(at, table.cuts)]
     value = [1 << gaps[p][1] for gaps, p in zip(at, pos)]
     cols = [0] * n
     gates = c.gates
-    for gi in traversal_order(c, table.start, d):
+    for gi in traversal_order(c, table.start):
         g = gates[gi]
         control, target = g.control, g.target
         if gi != missing:
             value[target] ^= value[control]
-        p = pos[control] = pos[control] + step
+        p = pos[control] = pos[control] + 1
         cut = at[control][p]
         if cut:
             cols[cut[0]], value[control] = value[control], 1 << cut[1]
-        p = pos[target] = pos[target] + step
+        p = pos[target] = pos[target] + 1
         cut = at[target][p]
         if cut:
             cols[cut[0]], value[target] = value[target], 1 << cut[1]
@@ -401,7 +393,7 @@ def _slot_system(c: CircularCircuit, families: list[tuple[int, ...]], s: int) ->
     family_rows = [0] * n_wires
     tag = 1 << n_wires
     gates = c.gates
-    for x in traversal_order(c, s, Direction.CW):
+    for x in traversal_order(c, s):
         gate, after = gates[x], families[x]
         value[gate.target] ^= value[gate.control]
         for w in (gate.control, gate.target):
@@ -613,12 +605,11 @@ def search_hits(
     per way of sharing them among the wires (``_compositions``, computed
     once per search). The walk checks each arc's X column as its cut
     closes it and drops a branch as soon as a column matches the target in
-    neither direction. The counter-clockwise reading is the same gate list
-    reversed on the same qubits, and CNOTs are self-inverse, so it matches
-    exactly when the clockwise X columns equal those of the target's
-    inverse. X columns suffice because the target is checked to have Z the
-    inverse transpose of X, as every derived map has; the inverse's X
-    columns are then the target's own Z rows, so nothing is inverted.
+    neither direction. The counter-clockwise map is the inverse of the
+    clockwise one, so a candidate matches counter-clockwise exactly when
+    its clockwise X columns equal those of ``target.inverse()``. X columns
+    suffice because the target is checked to have Z the inverse transpose
+    of X, as every derived map has.
 
     A target with more qubits than the circuit has gaps returns no match
     before the candidate bound or the target is looked at. Raises
@@ -643,13 +634,11 @@ def search_hits(
             bound=bound,
             limit=MAX_SEARCH_CANDIDATES,
         )
-    # every derived map has Z the inverse transpose of X, so a target
-    # without that form matches no candidate in either direction, and for
-    # one with it equal X columns mean equal maps; its inverse's X columns,
-    # (Xᵀ)⁻¹ by rows, are then its Z rows
+    # every derived map has Z the inverse transpose of X: a target without
+    # that form matches no candidate, and for one with it X decides equality
     if not target.is_symplectic():
         return []
-    cw_cols, ccw_cols = target.x_columns(), list(target._z_rows)
+    cw_cols, ccw_cols = target.x_columns(), target.inverse().x_columns()
     n_extra = need - c.wires
     compositions = _compositions([c.symbol_count(w) - 1 for w in range(c.wires)], n_extra)
     families = _slot_families(c)

@@ -7,10 +7,10 @@ carrying an X (resp. Z) when that single Pauli enters.
 The map holds both as int masks. X is kept by columns, as derivations
 solve for it (bit ``i`` of column ``j``: the X entering on input ``i``
 reaches output ``j``), Z by rows, as ``gf2.invert`` returns it. ``from_x``
-is one ``gf2.invert``. ``from_report`` reads each row of a map file
-straight into an output mask, with no set in between; the frozenset rows
-``x_out``/``z_out`` and ``report()`` are read off the masks when asked
-for.
+is one ``gf2.invert``; ``inverse`` swaps the two. ``from_report`` reads
+each row of a map file straight into an output mask, with no set in
+between; the frozenset rows ``x_out``/``z_out`` and ``report()`` are read
+off the masks when asked for.
 """
 
 from __future__ import annotations
@@ -65,14 +65,17 @@ class StabiliserMap:
     def from_report(cls, text: str) -> "StabiliserMap":
         """The map of ``report()`` lines, each row read straight into an output mask.
 
+        Outputs are ASCII digits separated by commas, with optional spaces.
         Raises, in this order: ``CircuitSyntaxError`` on the first line
-        that is not a map row (a number too long for ``int`` included) or
-        that repeats a row; ``CountMismatch`` unless the X and the Z rows
-        both cover qubits ``0..n-1``; ``WireOutOfRange`` for the first row
-        naming an output past ``n - 1``, X rows first, each kind in file
-        order. A map has at most as many qubits as its file has lines, so
-        an output at or past that count is out of range whatever ``n`` is,
-        and it is never shifted into a mask.
+        that is not a map row (a number too long for ``int`` included),
+        names an output twice (over GF(2) a repeat would read as
+        cancelling, so it is not guessed at) or repeats a row;
+        ``CountMismatch`` unless the X and the Z rows both cover qubits
+        ``0..n-1``; ``WireOutOfRange`` for the first row naming an output
+        past ``n - 1``, X rows first, each kind in file order. A map has at
+        most as many qubits as its file has lines, so an output at or past
+        that count is out of range whatever ``n`` is, and it is never
+        shifted into a mask.
         """
         lines = list(clean_lines(text))
         limit = len(lines)
@@ -83,14 +86,19 @@ class StabiliserMap:
                 raise CircuitSyntaxError(f"bad map line {quote(line)}", line=ln)
             kind, body = m.group(1), m.group(3)
             mask = 0
+            items = body.split(",") if body.strip() else ()
             try:
                 q = int(m.group(2))
-                for tok in body.replace(",", " ").split():
+                # int() takes spaces around an item but no empty item, missing comma or too many digits
+                for tok in items:
                     o = int(tok)
                     # all bits set (-1) marks an output past ``limit``: no ``n`` holds it
                     mask |= 1 << o if o < limit else -1
-            except ValueError:  # more digits than int() reads
+            except ValueError:
                 raise CircuitSyntaxError(f"bad map line {quote(line)}", line=ln) from None
+            # a repeated output sets fewer bits than there are items
+            if (mask.bit_count() if mask >= 0 else len(set(map(int, items)))) != len(items):
+                raise CircuitSyntaxError(f"repeated output in map row {kind}{quote_int(q)}", line=ln)
             by_qubit = rows[kind]
             if q in by_qubit:
                 raise CircuitSyntaxError(f"repeated map row {kind}{quote_int(q)}", line=ln)
@@ -135,6 +143,16 @@ class StabiliserMap:
         x_cols = [col & live_in if live_out >> j & 1 else 0 for j, col in enumerate(self._x_cols)]
         z_rows = [row & live_out if live_in >> i & 1 else 0 for i, row in enumerate(self._z_rows)]
         return _fill(object.__new__(StabiliserMap), self.n_qubits, x_cols, z_rows)
+
+    def inverse(self) -> "StabiliserMap":
+        """The map of the reversed CNOT list (a clockwise derivation read counter-clockwise).
+
+        X⁻¹ = Zᵀ and Z⁻¹ = Xᵀ for a symplectic map, so the inverse's X columns
+        are these Z rows and its Z rows these X columns. On a restricted map
+        (a fault's) the swap is the inverse's restriction, inputs and outputs
+        exchanged: ``m.restricted(i, o).inverse() == m.inverse().restricted(o, i)``.
+        """
+        return _fill(object.__new__(StabiliserMap), self.n_qubits, self._z_rows, self._x_cols)
 
     def x_columns(self) -> list[int]:
         """The X part as ``from_x`` reads it: per output, the inputs reaching it."""

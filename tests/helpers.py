@@ -26,7 +26,8 @@ its code:
   and substitutes, and ``brute_force_solutions`` tries every assignment.
 
 ``inverse`` builds the map the counter-clockwise reading must equal, with
-``gf2.invert``; it is the CCW = CW⁻¹ relation, not a reference for ``gf2``.
+two ``gf2.invert``s; it is the reference for ``StabiliserMap.inverse``,
+which swaps the halves instead, not a reference for ``gf2``.
 
 ``sweep_table`` holds what the library says about every small cut set,
 beside its radial families read off the gate list, for the small-sweep

@@ -445,6 +445,17 @@ def test_repeated_single_valued_line_exit_code(tmp_path, swap_file, capsys, comm
     assert capsys.readouterr().err == f"error syntax-error: {message}\n"
 
 
+@pytest.mark.parametrize("word", ["CW", "Ccw"])
+@pytest.mark.parametrize("command", ["derive", "linearize", "fault"])
+def test_cut_file_direction_spelled_as_dir_spells_it(tmp_path, swap_file, capsys, command, word):
+    # ``--dir`` takes cw|ccw only, and so does a cut file's direction line
+    path = tmp_path / "cuts"
+    path.write_text(f"cut 0 2\ncut 1 2\ndirection {word}\n")
+    argv = [command, swap_file, "--cuts", str(path), *(["--smgf", "0"] if command == "fault" else [])]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == f"error syntax-error: line 3: bad direction '{word}'\n"
+
+
 @pytest.mark.parametrize(
     "command,text,message",
     [
@@ -614,6 +625,23 @@ HOSTILE_MAPS = {
     "malformed-line": (
         "X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{1}\nZ1 -> {0}\n",
         "error syntax-error: line 4: bad map line 'Z1 -> {0}'\n",
+    ),
+    # over GF(2) a repeated output would cancel: refused, not read as a set
+    "repeated-output": (
+        HOSTILE_ROWS.format(x1="0,0"),
+        "error syntax-error: line 2: repeated output in map row X1\n",
+    ),
+    "empty-outer-items": (
+        HOSTILE_ROWS.format(x1=",0,"),
+        "error syntax-error: line 2: bad map line 'X1 -> X{,0,}'\n",
+    ),
+    "empty-inner-item": (
+        "X0 -> X{1}\nX1 -> X{0}\nZ0 -> Z{0,,0,0}\nZ1 -> Z{0}\n",
+        "error syntax-error: line 3: bad map line 'Z0 -> Z{0,,0,0}'\n",
+    ),
+    "outputs-without-comma": (
+        HOSTILE_ROWS.format(x1="0 1"),
+        "error syntax-error: line 2: bad map line 'X1 -> X{0 1}'\n",
     ),
 }
 
@@ -1353,7 +1381,9 @@ def _search_transcript(tmp_path: Path) -> str:
 
 
 # ``search`` exit codes, stdout and stderr on a seeded corpus, captured
-# before the command printed hits without building cut sets
+# before the command printed hits without building cut sets; the last four
+# queries, map rows that used to be read as sets of outputs, were appended
+# when the map grammar refused them
 SEARCH_CORPUS_GOLDEN = KV_GOLDEN / "search-corpus.out"
 
 

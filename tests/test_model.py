@@ -412,19 +412,22 @@ class TestTraversalSubstitution:
         # the missing gate writes nothing: the columns are the X columns of
         # the linearization with that gate deleted, absorbed qubits included,
         # and the fault map is that map restricted to the live qubits
+        # clockwise; counter-clockwise, the gate-deleted map is the inverse
+        # of the clockwise one
         added = set()
 
-        def check(c, base, d, gate):
-            lin = linearize(c, base, d)
-            kept = tuple(g for g in lin.gates if g.source != gate.id)
-            deleted = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
+        def check(c, base, gate):
             table = validate_cut_set(c, base)
-            cut_ends = model_module._cut_ends(c, table, d)
-            cols = model_module._x_columns(c, table, d, cut_ends, missing=c.gate_index(gate.id))
-            assert cols == deleted.x_columns()
-            fd = faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
-            assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, base, d, gate.id)
-            added.add(len(fd.cuts) - len(base))
+            cut_ends = model_module._cut_ends(c, table)
+            cols = model_module._x_columns(c, table, cut_ends, missing=c.gate_index(gate.id))
+            for d, d_cols in ((Direction.CW, cols), (Direction.CCW, StabiliserMap.from_x(cols).inverse().x_columns())):
+                lin = linearize(c, base, d)
+                kept = tuple(g for g in lin.gates if g.source != gate.id)
+                deleted = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
+                assert d_cols == deleted.x_columns()
+                fd = faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
+                assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, base, d, gate.id)
+                added.add(len(fd.cuts) - len(base))
 
         for seed in range(3):
             rng = random.Random(seed)
@@ -437,29 +440,25 @@ class TestTraversalSubstitution:
             cuts, _ = inject_smgf(c, record.seam, FaultSpec(gate=gate.id))
             bases.append(cuts)
             for base in bases:
-                for d in Direction:
-                    for gate in {c.gates[seed], *c.gates[seed::3]}:
-                        check(c, base, d, gate)
+                for gate in {c.gates[seed], *c.gates[seed::3]}:
+                    check(c, base, gate)
         # wire 2's one symbol is gate 1's control: the fault's two gaps are one
         single = mkcirc(3, [(0, 1), (2, 1), (1, 0)])
-        for d in Direction:
-            check(single, CutSet.of([(0, 1), (1, 2), (2, 0)]), d, single.gates[1])
+        check(single, CutSet.of([(0, 1), (1, 2), (2, 0)]), single.gates[1])
         assert added == {0, 1, 2}
 
 
 def test_cut_ends_follow_the_table_order(swap):
     # wrap slot family (0, 2) and (1, 2) plus (0, 0): wire 0's cut at gap 2
     # starts qubit 0 and ends qubit 1, its cut at gap 0 the other way round,
-    # and wire 1's one cut starts and ends qubit 2
+    # and wire 1's one cut starts and ends qubit 2; each pair is (left, entered)
     table = validate_cut_set(swap, CutSet.of([(1, 2), (0, 2), (0, 0)]))
     cw = [[(0, 1), None, (1, 0)], [None, None, (2, 2)]]
-    ccw = [[(1, 0), None, (0, 1)], [None, None, (2, 2)]]
-    assert model_module._cut_ends(swap, table, Direction.CW) == (cw, 3)
-    assert model_module._cut_ends(swap, table, Direction.CCW) == (ccw, 3)
+    assert model_module._cut_ends(swap, table) == (cw, 3)
 
 
 class TestCursorLapEdges:
-    """``_x_columns`` steps a cursor per wire from its family gap; each edge of a lap, both ways."""
+    """``_x_columns`` steps a cursor per wire from its family gap; each edge of a lap, read both ways."""
 
     # wire 0 passes gates 0, 1, 3 and 4, wire 1 gates 1, 2 and 3, wire 2
     # gates 0 and 2, and wire 3 only gate 4: slot 0's family is wire 0's
@@ -480,10 +479,12 @@ class TestCursorLapEdges:
                 for w, wire_cuts in enumerate(table.cuts):
                     last = c.symbol_count(w) - 1
                     edges.add((table.start == n_gates - 1, wire_cuts[0] == 0, wire_cuts[0] == last, last == 0))
+                cut_ends = model_module._cut_ends(c, table)
+                cw_cols = model_module._x_columns(c, table, cut_ends)
+                assert cw_cols == oracle_map(linearize(c, cuts, Direction.CW)).x_columns()
+                ccw_cols = derive_transformations(c, cuts, Direction.CCW).x_columns()
+                assert ccw_cols == oracle_map(linearize(c, cuts, Direction.CCW)).x_columns()
                 for d in Direction:
-                    lin = linearize(c, cuts, d)
-                    cut_ends = model_module._cut_ends(c, table, d)
-                    assert model_module._x_columns(c, table, d, cut_ends) == oracle_map(lin).x_columns()
                     for g in c.gates:
                         fd = faulted_transformations(c, cuts, d, FaultSpec(gate=g.id))
                         assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, g.id)
@@ -637,7 +638,7 @@ def assert_ccw_inverts_cw(cw, ccw):
 
 
 class TestDirectionInverse:
-    """Derive CCW equals the inverse of derive CW, as ``search_cuts`` assumes.
+    """Derive CCW equals the inverse of derive CW, as derive, fault and the search read it.
 
     A CCW linearization is the CW gate list reversed on the same qubits and
     CNOTs are self-inverse; the two directions also fail together.
@@ -732,14 +733,16 @@ class MatchAnything:
 
 
 class AnyTarget:
-    """A stand-in target of ``n_qubits`` qubits whose X columns and Z rows equal anything."""
+    """A stand-in target of ``n_qubits`` qubits whose X columns, and its inverse's, equal anything."""
 
     def __init__(self, n_qubits):
         self.n_qubits = n_qubits
-        self._z_rows = (MatchAnything(),) * n_qubits
 
     def is_symplectic(self):
         return True
+
+    def inverse(self):
+        return self
 
     def x_columns(self):
         return [MatchAnything()] * self.n_qubits
@@ -1205,12 +1208,25 @@ class TestDeriveProperties:
 
     @given(data=st.data())
     def test_ccw_is_inverse_of_cw(self, data):
+        # read counter-clockwise, a cut set gives the clockwise gate list
+        # reversed: the inverse map, derived and faulted alike; starts off
+        # the wrap slot and extra cuts included
         pairs, c = data.draw(circular_circuits())
         slot = data.draw(st.integers(0, len(pairs) - 1))
         family = [Gap(w, spanning_gap_index(pairs, w, slot)) for w in range(c.wires)]
         others = [p.gap for p in enumerate_cut_points(c) if p.gap not in family]
-        extra = data.draw(st.lists(st.sampled_from(others), max_size=3, unique=True)) if others else []
-        assert_ccw_inverts_cw(*derive_both_ways(c, CutSet.of(family + extra)))
+        extra = data.draw(st.lists(st.sampled_from(others), max_size=4, unique=True)) if others else []
+        cuts = CutSet.of(family + extra)
+        cw, ccw = derive_both_ways(c, cuts)
+        # ``inverse`` inverts each half with ``gf2.invert``; the library swaps the halves
+        assert_ccw_inverts_cw(cw, ccw)
+        assert cw.inverse().inverse() == cw
+        gate_id = data.draw(st.sampled_from([g.id for g in c.gates]))
+        cw_fault, ccw_fault = (faulted_transformations(c, cuts, d, FaultSpec(gate=gate_id)) for d in Direction)
+        # the halves swapped, read as sets: CCW X on input i reaches j when CW Z on input j reached i
+        for ccw_rows, cw_rows in ((ccw_fault.map.x_out, cw_fault.map.z_out), (ccw_fault.map.z_out, cw_fault.map.x_out)):
+            assert ccw_rows == tuple(frozenset(j for j, row in enumerate(cw_rows) if i in row) for i in range(len(cw_rows)))
+        assert (ccw_fault.live_inputs, ccw_fault.live_outputs) == (cw_fault.live_outputs, cw_fault.live_inputs)
 
     @given(data=st.data())
     def test_no_radial_family_rejected(self, data):
@@ -1239,17 +1255,21 @@ def cut_for(c, mode, chosen):
 
 def assert_substitution_matches_reference(c, cuts) -> bool:
     """Whether the cut set holds a radial family; if so, its X columns
-    substituted along the traversal equal, both ways, the model reference's
-    X columns, read at ``arc_ends``."""
+    substituted along the clockwise traversal, and the counter-clockwise
+    derivation's, equal the model reference's X columns, read at
+    ``arc_ends`` in each direction."""
     try:
         table = validate_cut_set(c, cuts)
     except (EmptyCutSet, NoRadialCut):
         return False
     m = build_model(c, ModelKind.X)
-    for d in Direction:
+    found = {
+        Direction.CW: model_module._x_columns(c, table, model_module._cut_ends(c, table)),
+        Direction.CCW: derive_transformations(c, cuts, Direction.CCW).x_columns(),
+    }
+    for d, cols in found.items():
         ins, outs = input_output_segments(m, arc_ends(c, cuts, d)[1], d)
-        cut_ends = model_module._cut_ends(c, table, d)
-        assert model_module._x_columns(c, table, d, cut_ends) == model_columns(m, cuts, ins, outs)
+        assert cols == model_columns(m, cuts, ins, outs)
     return True
 
 
@@ -1413,7 +1433,7 @@ class TestMapReadOut:
 
     def test_inverse_x_columns_are_z_rows(self):
         # a CNOT circuit's map is symplectic, so its inverse's X columns,
-        # (Xᵀ)⁻¹ by rows, are its own Z rows: ``search_cuts`` reads them there
+        # (Xᵀ)⁻¹ by rows, are its own Z rows: ``StabiliserMap.inverse`` reads them there
         rng = random.Random(29)
         for _ in range(300):
             n = rng.randint(2, 12)
@@ -1475,6 +1495,11 @@ class TestMaskMap:
         assert StabiliserMap.from_report(text) == m
         assert m.is_symplectic()
         assert inverse(inverse(m)) == m
+        # the library's inverse swaps the halves; ``inverse`` inverts each
+        assert m.inverse() == inverse(m)
+        # a restricted map's swap is the inverse's restriction, live sets exchanged
+        live_in, live_out = ((1 << n) - 1) ^ 1, ((1 << n) - 1) ^ 1 << (n - 1)
+        assert m.restricted(live_in, live_out).inverse() == m.inverse().restricted(live_out, live_in)
         for name in ("n_qubits", "x_out", "z_out", "_x_cols", "_z_rows"):
             with pytest.raises(AttributeError):
                 setattr(m, name, ())

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from mutants import MUTANTS
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "circnot"
 
 
@@ -34,3 +36,12 @@ def test_no_module_rebinds_a_global():
 )
 def test_scan_sees_global_statements(source, lines):
     assert global_statements(source) == lines
+
+
+def test_each_mutant_names_its_source_once():
+    # ``python tests/mutants.py`` applies each mutant to the text it names;
+    # a mutant whose text moved or repeats would test nothing
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 14
+    sources = {name: (SRC / name).read_text(encoding="utf-8") for name in {m.file for m in MUTANTS}}
+    assert {m.name: sources[m.file].count(m.old) for m in MUTANTS if sources[m.file].count(m.old) != 1} == {}
+    assert all(m.old != m.new for m in MUTANTS)

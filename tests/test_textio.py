@@ -133,6 +133,17 @@ class TestCutFormat:
             parse_cut_file("direction cw\ncut 0 1\n# ccw\ndirection cw\n")
         assert str(err.value) == "line 4: repeated direction line"
 
+    @pytest.mark.parametrize("word", ["CW", "Ccw", "cW", "CCW"])
+    def test_direction_spelled_exactly(self, word):
+        # the grammar is ``direction cw|ccw``, as ``--dir`` reads it
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_cut_file(f"cut 0 1\ndirection {word}\n")
+        assert str(err.value) == f"line 2: bad direction '{word}'"
+        for text in (word, f" {word.lower()}", f"{word.lower()}\n"):
+            with pytest.raises(ValueError):
+                Direction.parse(text)
+        assert Direction.parse(word.lower()) is Direction(word.lower())
+
 
 class TestProgramFormat:
     def test_gates_and_qubit_count(self):
@@ -322,6 +333,34 @@ class TestMapReport:
         with pytest.raises(CircuitSyntaxError) as err:
             StabiliserMap.from_report(text)
         assert str(err.value) == f"line 5: repeated map row {name}"
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("X1 -> X{0,0}", "repeated output in map row X1"),
+            ("X1 -> X{1,01}", "repeated output in map row X1"),
+            ("X1 -> X{9999999999999,9999999999999}", "repeated output in map row X1"),
+            ("X1 -> X{,1,}", "bad map line 'X1 -> X{,1,}'"),
+            ("X1 -> X{1,}", "bad map line 'X1 -> X{1,}'"),
+            ("X1 -> X{,}", "bad map line 'X1 -> X{,}'"),
+            ("X1 -> X{0 1}", "bad map line 'X1 -> X{0 1}'"),
+            ("X1 -> X{0,,1,1}", "bad map line 'X1 -> X{0,,1,1}'"),
+            ("X1 -> X{1,\u0661}", "bad map line 'X1 -> X{1,\u0661}'"),
+        ],
+    )
+    def test_malformed_outputs_refused_on_their_line(self, row, message):
+        # an output is ASCII digits and outputs are comma-separated; over
+        # GF(2) a repeated output would cancel, so it is refused, not read
+        # as a set
+        text = f"X0 -> X{{0}}\n{row}\nZ0 -> Z{{0}}\nZ1 -> Z{{1}}\n"
+        with pytest.raises(CircuitSyntaxError) as err:
+            StabiliserMap.from_report(text)
+        assert str(err.value) == f"line 2: {message}"
+
+    def test_spaced_and_empty_rows_accepted(self):
+        m = StabiliserMap.from_report("X0 -> X{ 0 , 1 }\nX1 -> X{1}\nZ0 -> Z{ 0}\nZ1 -> Z{0 ,1 }")
+        assert m.report() == "X0 -> X{0,1}\nX1 -> X{1}\nZ0 -> Z{0}\nZ1 -> Z{0,1}"
+        assert StabiliserMap.from_report("X0 -> X{}\nZ0 -> Z{ }").report() == "X0 -> X{}\nZ0 -> Z{}"
 
     def test_number_too_long_for_int(self):
         with pytest.raises(CircuitSyntaxError) as err:
