@@ -24,7 +24,6 @@ from .icm import (
     InitBasis,
     MeasBasis,
     QubitConfig,
-    Role,
     faulted_transformations,
     gadget,
     inject_smgf,

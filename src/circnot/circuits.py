@@ -1,7 +1,8 @@
 """Circular and linear CNOT circuits, cut enumeration, and rewiring.
 
 A circular circuit is its gate list read around a circle: a gate's index
-in the list is its place, clockwise is increasing index, and the cyclic
+in the list is its place and its only name (a ``CNOTGate`` holds just its
+control and target wires), clockwise is increasing index, and the cyclic
 rotations of the list are the linear circuits the one circle stands for.
 Every wire is a closed loop passing all gates. A wire carries a control
 symbol at each gate that controls from it and a target symbol at each gate
@@ -31,7 +32,6 @@ from typing import NamedTuple
 from .errors import (
     ControlEqualsTarget,
     DuplicateCut,
-    DuplicateGate,
     EmptyCutSet,
     EmptyWire,
     NoRadialCut,
@@ -112,42 +112,37 @@ class CutSet:
 
 @dataclass(frozen=True, slots=True)
 class CNOTGate:
-    id: int
     control: int
     target: int
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ControlEqualsTarget(f"gate {self.id}: control == target == {quote_int(self.control)}")
 
 
 @dataclass(frozen=True)
 class CircularCircuit:
     """Closed-loop CNOT circuit: no inputs, no outputs.
 
-    ``gates`` is the clockwise order; every wire must carry at least one
-    symbol (segmentation is undefined for bare loops).
+    ``gates`` is the clockwise order, and a gate's index in it is its only
+    name; every wire must carry at least one symbol (segmentation is
+    undefined for bare loops). A gate whose control is its target is
+    refused before any wire count or range.
     """
 
     wires: int
     gates: tuple[CNOTGate, ...]
 
     def __post_init__(self):
-        if self.wires < 1:
-            raise WireOutOfRange(f"a circular circuit needs at least one wire, got {quote_int(self.wires)}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
-        ids: set[int] = set()
+        for gi, g in enumerate(gates):
+            if g.control == g.target:
+                raise ControlEqualsTarget(f"gate {gi}: control == target == {quote_int(g.control)}")
+        if self.wires < 1:
+            raise WireOutOfRange(f"a circular circuit needs at least one wire, got {quote_int(self.wires)}")
         # symbol tables: per wire, the indices of the gates it passes, clockwise
         symbols: list[list[int]] = [[] for _ in range(self.wires)]
         for gi, g in enumerate(gates):
-            # faults and the commutation check find a gate by its id
-            if g.id in ids:
-                raise DuplicateGate(f"gate id {quote_int(g.id)} repeated")
-            ids.add(g.id)
             for w in (g.control, g.target):
                 if not 0 <= w < self.wires:
-                    raise WireOutOfRange(f"gate {g.id} references wire {quote_int(w)} of {self.wires}")
+                    raise WireOutOfRange(f"gate {gi} references wire {quote_int(w)} of {self.wires}")
             symbols[g.control].append(gi)
             symbols[g.target].append(gi)
         empty = [w for w, row in enumerate(symbols) if not row]
@@ -166,12 +161,11 @@ class CircularCircuit:
     def symbol_count(self, wire: int) -> int:
         return len(self._symbols[wire])
 
-    def gate_index(self, gate_id: int) -> int:
-        """Index of the gate with the given id (ids are distinct)."""
-        for gi, g in enumerate(self.gates):
-            if g.id == gate_id:
-                return gi
-        raise UnknownGate(f"no gate with id {quote_int(gate_id)}")
+    def gate_index(self, gi: int) -> int:
+        """``gi`` when it names a gate, else ``UnknownGate``; a negative index is refused, never read from the end."""
+        if not 0 <= gi < len(self.gates):
+            raise UnknownGate(f"no gate with id {quote_int(gi)}")
+        return gi
 
     def slots(self) -> tuple[tuple[int, int], ...]:
         """Angular slots as (gate index before, gate index after).
@@ -391,7 +385,7 @@ def linearize(c: CircularCircuit, cuts: CutSet, d: Direction) -> LinearCircuit:
         for g, after in zip(c.gates, spanning_gaps(c))
     ]
     lin_gates = [
-        LinearGate(*qubit_pairs[gi], source=c.gates[gi].id)
+        LinearGate(*qubit_pairs[gi], source=gi)
         for gi in traversal_order(c, table.start)
     ]
     if d is Direction.CCW:
@@ -404,8 +398,10 @@ def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
 
     Scans qubits bottom-up; each joins its input to the output of the closest
     not-yet-consumed qubit above whose every gate symbol acts strictly before
-    the current qubit's first symbol. Remaining open endpoints are looped
-    chain-by-chain. Gate order survives as the clockwise order.
+    the current qubit's first symbol. An idle qubit has no symbols, so it
+    takes the first symbol of the qubit that consumes it: a chain through
+    it still meets its gates in time order. Remaining open endpoints are
+    looped chain-by-chain. Gate order survives as the clockwise order.
     """
     n = l.n_qubits
     times: list[list[int]] = [[] for _ in range(n)]  # per qubit, its gate times ascending
@@ -423,6 +419,8 @@ def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
                 continue
             joins.append((q, p))
             consumed[p] = True
+            if not times[p]:
+                first[p] = first[q]
             break
     consumer_of = {p: q for q, p in joins}
     heads = sorted(set(range(n)) - {q for q, _ in joins})
@@ -442,10 +440,7 @@ def circularize(l: LinearCircuit) -> tuple[CircularCircuit, JoinRecord]:
         wire_of=tuple(wire_of),
         seam=CutSet(frozenset()),
     )
-    gates = tuple(
-        CNOTGate(id=i, control=wire_of[g.control], target=wire_of[g.target])
-        for i, g in enumerate(l.gates)
-    )
+    gates = tuple(CNOTGate(wire_of[g.control], wire_of[g.target]) for g in l.gates)
     try:
         circ = CircularCircuit(wires=len(heads), gates=gates)
     except EmptyWire as err:

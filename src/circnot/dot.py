@@ -36,7 +36,7 @@ def _circular_dot(c: CircularCircuit, cuts: CutSet | None) -> str:
             sym_nodes[(w, gi)] = name
             g = c.gates[gi]
             label = "*" if g.control == w else "+"
-            lines.append(f'  {name} [label="{label}g{g.id}@{gi}" shape=circle];')
+            lines.append(f'  {name} [label="{label}g{gi}@{gi}" shape=circle];')
     for w in range(c.wires):
         k = c.symbol_count(w)
         for si in range(k):
@@ -53,7 +53,7 @@ def _circular_dot(c: CircularCircuit, cuts: CutSet | None) -> str:
     for gi, g in enumerate(c.gates):
         lines.append(
             f"  {sym_nodes[(g.control, gi)]} -> {sym_nodes[(g.target, gi)]}"
-            f' [style=dashed label="g{g.id}"];'
+            f' [style=dashed label="g{gi}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

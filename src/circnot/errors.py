@@ -107,12 +107,6 @@ class DuplicateCut(CircnotError):
     code = "duplicate-cut"
 
 
-class DuplicateGate(CircnotError):
-    """Two gates of a circular circuit share an id, which ``gate_index`` could not tell apart."""
-
-    code = "duplicate-gate"
-
-
 class UnknownGap(CircnotError):
     code = "unknown-gap"
 

@@ -4,7 +4,8 @@ translation, stripping back to circular form, and missing-gate faults.
 An ICM circuit is a CNOT-only linear circuit plus one initialisation and
 one measurement choice per qubit. Rotations live entirely in the choice of
 ancilla states (|Y>, |A>) and measurement bases, so every construction here
-emits CNOTs only. A single missing gate leaves a CNOT circuit, so its
+emits CNOTs only. A fault names its missing gate by its index in the
+circular gate list. A single missing gate leaves a CNOT circuit, so its
 fault map is one clockwise X substitution with that gate's XOR left out,
 Z read as the inverse transpose; read counter-clockwise, its inverse.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 from .circuits import (
     CircularCircuit,
@@ -28,12 +30,6 @@ from .circuits import (
 from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
 from .model import _cut_ends, _x_columns
 from .stabmap import StabiliserMap
-
-
-class Role(Enum):
-    INPUT = "input"
-    OUTPUT = "output"
-    ANCILLA = "ancilla"
 
 
 class BasisState(Enum):
@@ -137,13 +133,6 @@ class QubitConfig:
     init: InitBasis
     meas: MeasBasis
 
-    @property
-    def role(self) -> Role:
-        """Input when prepared symbolically, else ancilla when measured, else output."""
-        if self.init.is_symbolic:
-            return Role.INPUT
-        return Role.OUTPUT if self.meas.kind == "none" else Role.ANCILLA
-
 
 def _input(name: str, meas: MeasBasis) -> QubitConfig:
     return QubitConfig(InitBasis.symbolic(name), meas)
@@ -166,9 +155,6 @@ class ICMCircuit:
 
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(q for q, cfg in enumerate(self.configs) if cfg.meas.kind != "none")
-
-    def output_qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, cfg in enumerate(self.configs) if cfg.meas.kind == "none")
 
 
 def _chain(pairs) -> tuple[LinearGate, ...]:
@@ -325,7 +311,7 @@ def strip_and_circularize(icm: ICMCircuit) -> tuple[CircularCircuit, JoinRecord]
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """A single missing gate fault (smgf) on the gate with id ``gate``."""
+    """A single missing gate fault (smgf) on the gate with index ``gate``."""
 
     gate: int
 
@@ -335,13 +321,13 @@ class FaultPatch:
     """Ancilla produced by fault cuts: the control span pinned to |0>.
 
     |0> is stabilised by Z and never by X, so the faulty gate's target is
-    never toggled.
+    never toggled; every patch shares that one ``init``.
     """
 
     wire: int
     before_gap: Gap
     after_gap: Gap
-    init: InitBasis
+    init: ClassVar[InitBasis] = InitBasis.zero()
 
 
 def inject_smgf(c: CircularCircuit, base: CutSet, f: FaultSpec) -> tuple[CutSet, FaultPatch]:
@@ -356,7 +342,7 @@ def inject_smgf(c: CircularCircuit, base: CutSet, f: FaultSpec) -> tuple[CutSet,
     k = c.symbol_count(w)
     before = Gap(w, (si - 1) % k)
     after = Gap(w, si)
-    patch = FaultPatch(wire=w, before_gap=before, after_gap=after, init=InitBasis.zero())
+    patch = FaultPatch(wire=w, before_gap=before, after_gap=after)
     return CutSet(base.gaps() | {before, after}), patch
 
 
@@ -401,11 +387,9 @@ def faulted_transformations(
     """
     table = validate_cut_set(c, base)
     cuts, patch = inject_smgf(c, base, f)
-    w = patch.wire
-    gi = c.symbols(w)[patch.after_gap.index]  # the after gap follows the gate's control symbol
     cut_ends = _cut_ends(c, table)
-    cols = _x_columns(c, table, cut_ends, missing=gi)
-    at = cut_ends[0][w]
+    cols = _x_columns(c, table, cut_ends, missing=f.gate)
+    at = cut_ends[0][patch.wire]
     entered, left = at[patch.before_gap.index], at[patch.after_gap.index]
     absorbed_in = None if entered is None else entered[1]
     absorbed_out = None if left is None else left[0]

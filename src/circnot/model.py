@@ -97,9 +97,8 @@ class BooleanModel:
     Variable ``offsets[w] + j`` is segment ``j`` of wire ``w``, named
     ``w<w>s<j>`` (``segment_name``); ``offsets`` has one entry per wire
     plus a last one, ``n_vars``. ``gate_vars[k]`` holds the clause
-    variables of the circuit's ``k``-th gate and ``gate_ids[k]``
-    that gate's id: (split-before, split-after, crossing) in X and Z,
-    (control-before, control-after, target-before, target-after) combined.
+    variables of gate ``k``: (split-before, split-after, crossing) in X and
+    Z, (control-before, control-after, target-before, target-after) combined.
     ``gap_vars[w][i]`` is the (ending, starting) variable pair of gap
     ``(w, i)``. ``apply_cuts`` records only ``cut_gaps``; the joins the
     cuts leave are listed by ``joins``.
@@ -108,7 +107,6 @@ class BooleanModel:
     kind: ModelKind
     offsets: tuple[int, ...]
     gate_vars: tuple[tuple[int, ...], ...]
-    gate_ids: tuple[int, ...]
     gap_vars: tuple[tuple[tuple[int, int], ...], ...]
     cut_gaps: frozenset[Gap] = frozenset()
 
@@ -194,7 +192,6 @@ def build_model(c: CircularCircuit, kind: ModelKind) -> BooleanModel:
         kind=kind,
         offsets=tuple(offsets),
         gate_vars=tuple(gate_vars),
-        gate_ids=tuple(g.id for g in c.gates),
         gap_vars=tuple(gap_vars),
     )
 
@@ -221,8 +218,8 @@ def parity_rows(m: BooleanModel) -> list[tuple[tuple[int, ...], int]]:
     ``m.joins``. A combined clause is an X or a Z clause by a selector that
     no model pins, so a combined model with a gate raises UnpinnedSelector.
     """
-    if m.kind is ModelKind.COMBINED and m.gate_ids:
-        raise UnpinnedSelector(f"combined clause for gate {m.gate_ids[0]} has no selector")
+    if m.kind is ModelKind.COMBINED and m.gate_vars:
+        raise UnpinnedSelector("combined clause for gate 0 has no selector")
     rows = list(m.gate_vars)
     rows += [pair for _, pair in m.joins]
     return [(vs, 0) for vs in rows]
@@ -313,7 +310,7 @@ def _x_columns(
 
 
 def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
-    """Whether swapping two cyclically adjacent gates preserves every map.
+    """Whether swapping the cyclically adjacent gates ``g1`` and ``g2`` (indices) preserves every map.
 
     A circular circuit stands for every cyclic rotation of its gate list, so
     the swap is invariant when every radial reading that keeps the pair
@@ -324,10 +321,9 @@ def check_commutation_invariance(c: CircularCircuit, g1: int, g2: int) -> bool:
     commute over GF(2), and two CNOTs fail to commute only when one gate's
     target is the other's control.
     """
-    ia, ib = c.gate_index(g1), c.gate_index(g2)
-    if ia == ib or {ia, ib} not in ({a, b} for a, b in c.slots()):
+    ga, gb = c.gates[c.gate_index(g1)], c.gates[c.gate_index(g2)]
+    if g1 == g2 or {g1, g2} not in ({a, b} for a, b in c.slots()):
         raise NotAdjacent(f"gates {quote_int(g1)} and {quote_int(g2)} are not cyclically adjacent")
-    ga, gb = c.gates[ia], c.gates[ib]
     return not (ga.target == gb.control or gb.target == ga.control)
 
 

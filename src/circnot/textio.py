@@ -89,7 +89,7 @@ def parse_circuit(text: str) -> LinearCircuit | CircularCircuit:
         return LinearCircuit(n_qubits=wires, gates=tuple(LinearGate(control=c, target=t) for c, t in pairs))
     return CircularCircuit(
         wires=wires,
-        gates=tuple(CNOTGate(id=i, control=c, target=t) for i, (c, t) in enumerate(pairs)),
+        gates=tuple(CNOTGate(c, t) for c, t in pairs),
     )
 
 
@@ -287,7 +287,7 @@ def circuit_to_kv(c: LinearCircuit | CircularCircuit) -> dict:
                 "kind": "circular",
                 "wires": c.wires,
                 "gate": [
-                    {"id": g.id, "control": g.control, "target": g.target, "position": i}
+                    {"id": i, "control": g.control, "target": g.target, "position": i}
                     for i, g in enumerate(c.gates)
                 ],
             }

@@ -70,7 +70,7 @@ from circnot.model import BooleanModel, ModelKind, parity_rows
 def mkcirc(wires: int, pairs) -> CircularCircuit:
     return CircularCircuit(
         wires=wires,
-        gates=tuple(CNOTGate(id=i, control=c, target=t) for i, (c, t) in enumerate(pairs)),
+        gates=tuple(CNOTGate(c, t) for c, t in pairs),
     )
 
 
@@ -259,15 +259,15 @@ def solve_model_map(c: CircularCircuit, cuts: CutSet, d: Direction, model: Boole
     return rows_of_columns(model_columns(model, cuts, *input_output_segments(model, origins, d)))
 
 
-def fault_expected(c: CircularCircuit, cuts: CutSet, d: Direction, gate_id: int):
+def fault_expected(c: CircularCircuit, cuts: CutSet, d: Direction, gate: int):
     """The oracle of the linearization with the gate deleted, its qubits numbered as ``arc_ends`` numbers them.
 
     Returns the map and the live inputs and outputs: a base qubit whose
     input (output) cut is the fault ancilla's is absorbed.
     """
     lin = linearize(c, cuts, d)
-    kept = tuple(g for g in lin.gates if g.source != gate_id)
-    patch = inject_smgf(c, cuts, FaultSpec(gate=gate_id))[1]
+    kept = tuple(g for g in lin.gates if g.source != gate)
+    patch = inject_smgf(c, cuts, FaultSpec(gate=gate))[1]
     anc_in, anc_out = (patch.before_gap, patch.after_gap)[:: 1 if d is Direction.CW else -1]
     origins = arc_ends(c, cuts, d)[1]
     live_in = frozenset(q for q, o in enumerate(origins) if o.input_cut != anc_in)

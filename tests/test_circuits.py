@@ -3,10 +3,11 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from circnot import (
     CircularCircuit,
-    CNOTGate,
     CutSet,
     Direction,
     Gap,
@@ -24,7 +25,6 @@ from circnot.circuits import CutTable
 from circnot.errors import (
     ControlEqualsTarget,
     DuplicateCut,
-    DuplicateGate,
     EmptyCutSet,
     EmptyWire,
     NoRadialCut,
@@ -67,6 +67,20 @@ class TestParsing:
     def test_parse_wire_out_of_range(self):
         with pytest.raises(WireOutOfRange):
             parse_circuit("circular\nwires 2\ncnot 0 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("circular\nwires 3\ncnot 0 5\ncnot 1 1\n", "gate 1: control == target == 1"),
+            ("circular\nwires 0\ncnot 0 1\ncnot 0 0\n", "gate 1: control == target == 0"),
+        ],
+        ids=["wire-range", "wire-count"],
+    )
+    def test_control_equals_target_before_wire_range(self, text, message):
+        # every gate is checked for control == target before the wire count
+        # and any wire's range
+        with pytest.raises(ControlEqualsTarget, match=f"^{re.escape(message)}$"):
+            parse_circuit(text)
 
 
 class TestCircularConstruction:
@@ -112,15 +126,6 @@ class TestCircularConstruction:
         assert [swap.gates[gi].control == 1 for gi in swap.symbols(1)] == [False, True, False]
         c = mkcirc(3, [(0, 1), (2, 0), (1, 2), (1, 0)])
         assert [c.symbols(w) for w in range(3)] == [(0, 1, 3), (0, 2, 3), (1, 2)]
-
-    @pytest.mark.parametrize("ids, dup", [((0, 0), 0), ((3, 1, 2, 1), 1), ((5, 6, 5, 6), 5)])
-    def test_rejects_repeated_gate_ids(self, ids, dup):
-        # ``gate_index`` looks gates up by id, so a repeated id is refused,
-        # naming the first id seen twice
-        pairs = [(0, 1), (1, 0), (0, 1), (1, 0)]
-        gates = [CNOTGate(id=i, control=c, target=t) for i, (c, t) in zip(ids, pairs)]
-        with pytest.raises(DuplicateGate, match=f"^gate id {dup} repeated$"):
-            CircularCircuit(wires=2, gates=gates)
 
     @pytest.mark.parametrize(
         "wire, slot, error, message",
@@ -432,7 +437,7 @@ class TestCutTable:
             unknown = [Gap(c.wires, 0), Gap(0, c.symbol_count(0)), Gap(-1, 0)]
             cut_sets = [CutSet(frozenset()), CutSet.of(unknown), CutSet.of(gaps[:1] + unknown[1:])]
             cut_sets += [CutSet.of(combo) for k in (1, 2, 3) for combo in itertools.combinations(gaps, k)]
-            fault = FaultSpec(gate=c.gates[0].id)
+            fault = FaultSpec(gate=0)
             for cuts in cut_sets:
                 expected = error_of(validate_cut_set, c, cuts)
                 if expected is None:
@@ -485,6 +490,27 @@ class TestCircularize:
         assert circ.wires == 2
         assert rec.joins == ((2, 0),)
         assert rec.wire_of == (0, 1, 0)
+
+    @given(data=st.data())
+    def test_idle_qubits_join_in_time_order(self, data):
+        # a qubit no gate touches takes the first gate time of the qubit
+        # that consumes it, so every chain still meets its gates in time order
+        n = data.draw(st.integers(3, 7))
+        busy = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n - 1, unique=True))
+        pairs = data.draw(st.lists(st.permutations(busy).map(lambda p: tuple(p[:2])), min_size=1, max_size=10))
+        lin = mklin(n, pairs)
+        circ, rec = circularize(lin)
+        consumer_of = {p: q for q, p in rec.joins}
+        for head, tail in rec.loops:
+            chain = [head]
+            while chain[-1] in consumer_of:
+                chain.append(consumer_of[chain[-1]])
+            assert chain[-1] == tail
+            times = [t for q in chain for t in lin.times_on(q)]
+            assert times == sorted(set(times))
+        redone = linearize(circ, rec.seam, Direction.CW)
+        assert redone.gate_pairs() == tuple((rec.wire_of[c], rec.wire_of[t]) for c, t in pairs)
+        assert redone.n_qubits == circ.wires
 
     def test_empty_circuit_rejected_with_record(self):
         with pytest.raises(EmptyWire) as err:

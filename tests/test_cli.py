@@ -166,6 +166,26 @@ def test_fault_report(swap_file, cuts_file):
     assert "X0 -> X{0}" in out
 
 
+@pytest.mark.parametrize("gate", ["-1", "3"])
+def test_fault_gate_outside_the_list(swap_file, cuts_file, capsys, gate):
+    # a gate is named by its index: -1 is refused, never read as the last gate
+    assert run(["fault", swap_file, "--cuts", cuts_file, "--smgf", gate]) == (1, "")
+    assert capsys.readouterr().err == f"error unknown-gate: no gate with id {gate}\n"
+
+
+def test_circularize_idle_qubit(tmp_path, capsys):
+    # q1 carries no gate: q2 joins it, and q1 may then join q0 only when
+    # q0's last gate comes before q2's first, which it does not here
+    path = tmp_path / "idle.circ"
+    path.write_text("linear\nwires 3\ncnot 0 2\n")
+    assert run(["circularize", str(path)]) == (
+        0,
+        "circular\nwires 2\ncnot 0 1\n"
+        "join q2.in <- q1.out\nloop q0.in <- q0.out\nloop q1.in <- q2.out\nwires q0:w0 q1:w1 q2:w1\n",
+    )
+    assert capsys.readouterr().err == ""
+
+
 # ``fault`` stdout, captured before a fault was read off one X solve: one
 # file per case under tests/golden, by (circuit, cut set, gate, direction);
 # each SWAP cut set with each gate both ways, and the translated Toffoli
@@ -555,16 +575,19 @@ def test_unreadable_input_exit_code(tmp_path, swap_file, capsys):
             assert capsys.readouterr().err == f"error unreadable-file: {quote(str(path))}: {reason}\n"
 
 
-def test_missing_file_line(tmp_path, swap_file, capsys):
+def test_missing_file_line(tmp_path, swap_file, capsys, monkeypatch):
     # a path past 64 characters (here 15 components of 200) is quoted as its
-    # first characters and its length, so the line stays short
-    for missing in (str(tmp_path / "missing"), str(tmp_path.joinpath(*["d" * 200] * 15))):
+    # first characters and its length, so the line stays short; a short one,
+    # relative so that its length is not the temporary directory's, whole
+    monkeypatch.chdir(tmp_path)
+    short = "missing"
+    for missing in (short, str(tmp_path / "missing"), str(tmp_path.joinpath(*["d" * 200] * 15))):
         for argv in _file_argvs(swap_file, missing):
             assert run(argv) == (1, "")
             err = capsys.readouterr().err
             assert err == f"error file-not-found: [Errno 2] No such file or directory: {quote(missing)}\n"
             assert err.count("\n") == 1 and len(err) < 200
-    assert quote(str(tmp_path / "missing")) == repr(str(tmp_path / "missing"))
+    assert quote(short) == repr(short)
 
 
 @pytest.mark.parametrize(

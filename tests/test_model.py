@@ -37,6 +37,7 @@ from circnot.errors import (
     NotAdjacent,
     SearchTooLarge,
     UnknownGap,
+    UnknownGate,
     UnpinnedSelector,
     WireOutOfRange,
 )
@@ -377,9 +378,8 @@ class TestLargeDerivations:
             for d in Direction:
                 assert derive_transformations(c, cuts, d) == oracle_map(linearize(c, cuts, d))
                 for gi in (0, 1, gates // 2, gates - 1):
-                    gate_id = c.gates[gi].id
-                    fd = faulted_transformations(c, cuts, d, FaultSpec(gate=gate_id))
-                    assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, gate_id)
+                    fd = faulted_transformations(c, cuts, d, FaultSpec(gate=gi))
+                    assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, gi)
         assert len(starts) == 2
 
 
@@ -419,14 +419,14 @@ class TestTraversalSubstitution:
         def check(c, base, gate):
             table = validate_cut_set(c, base)
             cut_ends = model_module._cut_ends(c, table)
-            cols = model_module._x_columns(c, table, cut_ends, missing=c.gate_index(gate.id))
+            cols = model_module._x_columns(c, table, cut_ends, missing=gate)
             for d, d_cols in ((Direction.CW, cols), (Direction.CCW, StabiliserMap.from_x(cols).inverse().x_columns())):
                 lin = linearize(c, base, d)
-                kept = tuple(g for g in lin.gates if g.source != gate.id)
+                kept = tuple(g for g in lin.gates if g.source != gate)
                 deleted = oracle_map(LinearCircuit(n_qubits=lin.n_qubits, gates=kept))
                 assert d_cols == deleted.x_columns()
-                fd = faulted_transformations(c, base, d, FaultSpec(gate=gate.id))
-                assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, base, d, gate.id)
+                fd = faulted_transformations(c, base, d, FaultSpec(gate=gate))
+                assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, base, d, gate)
                 added.add(len(fd.cuts) - len(base))
 
         for seed in range(3):
@@ -436,15 +436,14 @@ class TestTraversalSubstitution:
             extra = rng.sample(sorted(every_gap - record.seam.gaps()), 6)
             bases = [record.seam, CutSet.of(sorted(record.seam.gaps() | set(extra)))]
             # a base already holding a gate's two fault gaps
-            gate = c.gates[seed]
-            cuts, _ = inject_smgf(c, record.seam, FaultSpec(gate=gate.id))
+            cuts, _ = inject_smgf(c, record.seam, FaultSpec(gate=seed))
             bases.append(cuts)
             for base in bases:
-                for gate in {c.gates[seed], *c.gates[seed::3]}:
+                for gate in range(seed, len(c.gates), 3):
                     check(c, base, gate)
         # wire 2's one symbol is gate 1's control: the fault's two gaps are one
         single = mkcirc(3, [(0, 1), (2, 1), (1, 0)])
-        check(single, CutSet.of([(0, 1), (1, 2), (2, 0)]), single.gates[1])
+        check(single, CutSet.of([(0, 1), (1, 2), (2, 0)]), 1)
         assert added == {0, 1, 2}
 
 
@@ -485,9 +484,9 @@ class TestCursorLapEdges:
                 ccw_cols = derive_transformations(c, cuts, Direction.CCW).x_columns()
                 assert ccw_cols == oracle_map(linearize(c, cuts, Direction.CCW)).x_columns()
                 for d in Direction:
-                    for g in c.gates:
-                        fd = faulted_transformations(c, cuts, d, FaultSpec(gate=g.id))
-                        assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, g.id)
+                    for g in range(n_gates):
+                        fd = faulted_transformations(c, cuts, d, FaultSpec(gate=g))
+                        assert (fd.map, fd.live_inputs, fd.live_outputs) == fault_expected(c, cuts, d, g)
         # off the wrap slot: a first gap, a last gap and a single-symbol wire
         assert {(False, True, False, False), (False, False, True, False), (False, True, True, True)} <= edges
 
@@ -509,6 +508,14 @@ class TestCommutation:
         c = mkcirc(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
         with pytest.raises(NotAdjacent):
             check_commutation_invariance(c, 0, 2)
+
+    @pytest.mark.parametrize("g1, g2, unknown", [(-1, 0, -1), (0, -1, -1), (4, 3, 4)])
+    def test_gate_outside_the_list(self, g1, g2, unknown):
+        # gates are named by index: -1 is refused, never read as the last
+        # gate, which is adjacent to gate 0
+        c = mkcirc(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+        with pytest.raises(UnknownGate, match=f"^no gate with id {unknown}$"):
+            check_commutation_invariance(c, g1, g2)
 
     @pytest.mark.parametrize(
         "pairs,expected",
@@ -532,9 +539,9 @@ class TestCommutation:
         assert check_commutation_invariance(mkcirc(3, pairs), 0, 1) is expected
 
 
-def adjacent_id_pairs(c):
-    """Every cyclically adjacent gate pair of ``c`` by id, in both orders."""
-    pairs = {(c.gates[a].id, c.gates[b].id) for a, b in c.slots() if a != b}
+def adjacent_index_pairs(c):
+    """Every cyclically adjacent gate pair of ``c`` by index, in both orders."""
+    pairs = {(a, b) for a, b in c.slots() if a != b}
     return sorted(pairs | {(b, a) for a, b in pairs})
 
 
@@ -544,7 +551,7 @@ class TestCommutationRule:
     def test_small_sweep_both_orders(self):
         checked = 0
         for c in all_small_circuits(3, 4):
-            adjacent = adjacent_id_pairs(c)
+            adjacent = adjacent_index_pairs(c)
             for g1, g2 in adjacent:
                 assert check_commutation_invariance(c, g1, g2) is commutation_by_derivation(c, g1, g2)
                 checked += 1
@@ -558,7 +565,7 @@ class TestCommutationRule:
     def test_random_pairs(self, wires, gates):
         rng = random.Random(wires * gates)
         c = mkcirc(wires, random_pairs(rng, wires, gates))
-        for g1, g2 in rng.sample(adjacent_id_pairs(c), 3):
+        for g1, g2 in rng.sample(adjacent_index_pairs(c), 3):
             assert check_commutation_invariance(c, g1, g2) is commutation_by_derivation(c, g1, g2)
 
 
@@ -1221,7 +1228,7 @@ class TestDeriveProperties:
         # ``inverse`` inverts each half with ``gf2.invert``; the library swaps the halves
         assert_ccw_inverts_cw(cw, ccw)
         assert cw.inverse().inverse() == cw
-        gate_id = data.draw(st.sampled_from([g.id for g in c.gates]))
+        gate_id = data.draw(st.sampled_from(range(len(c.gates))))
         cw_fault, ccw_fault = (faulted_transformations(c, cuts, d, FaultSpec(gate=gate_id)) for d in Direction)
         # the halves swapped, read as sets: CCW X on input i reaches j when CW Z on input j reached i
         for ccw_rows, cw_rows in ((ccw_fault.map.x_out, cw_fault.map.z_out), (ccw_fault.map.z_out, cw_fault.map.x_out)):
@@ -1332,7 +1339,7 @@ class TestCutTableReadOut:
             start,
             [o.input_cut for o in origins],
         )
-        faulted = data.draw(st.lists(st.sampled_from([g.id for g in c.gates]), min_size=1, max_size=3, unique=True))
+        faulted = data.draw(st.lists(st.sampled_from(range(len(c.gates))), min_size=1, max_size=3, unique=True))
         for d in Direction:
             assert table.start == arc_ends(c, cuts, d)[0]
             assert derive_transformations(c, cuts, d) == oracle_map(linearize(c, cuts, d))
@@ -1356,8 +1363,8 @@ class TestBuildsNoModel:
         monkeypatch.setattr(model_module, "build_model", refuse)
         monkeypatch.setattr(model_module, "BooleanModel", refuse)
         faults = [
-            (gate.id, d, faulted_transformations(c, record.seam, d, FaultSpec(gate=gate.id)))
-            for gate in c.gates[::5]
+            (gate, d, faulted_transformations(c, record.seam, d, FaultSpec(gate=gate)))
+            for gate in range(0, len(c.gates), 5)
             for d in Direction
         ]
         hits = search_cuts(c, target, c.wires)
@@ -1388,8 +1395,8 @@ class TestBuildsNoModel:
         derived = [derive_transformations(c, record.seam, d) for d in Direction]
         assert inverted == [c.wires] * 2
         faults = [
-            (gate.id, d, faulted_transformations(c, record.seam, d, FaultSpec(gate=gate.id)))
-            for gate in c.gates[::8]
+            (gate, d, faulted_transformations(c, record.seam, d, FaultSpec(gate=gate)))
+            for gate in range(0, len(c.gates), 8)
             for d in Direction
         ]
         assert inverted == [c.wires] * (2 + len(faults))

@@ -38,6 +38,25 @@ def test_scan_sees_global_statements(source, lines):
     assert global_statements(source) == lines
 
 
+def test_each_mutant_names_a_test_that_exists():
+    # ``python tests/mutants.py`` reports a catch by another test as
+    # "caught elsewhere"; a catcher naming no test would report them all so
+    missing = []
+    trees = {}
+    for m in MUTANTS:
+        path, *names = m.catcher.split("::")
+        if path not in trees:
+            trees[path] = ast.parse((SRC.parent.parent / path).read_text(encoding="utf-8"))
+        scope = trees[path].body
+        for name in names:
+            node = next((n for n in scope if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name), None)
+            if node is None:
+                missing.append(m.name)
+                break
+            scope = node.body
+    assert missing == []
+
+
 def test_each_mutant_names_its_source_once():
     # ``python tests/mutants.py`` applies each mutant to the text it names;
     # a mutant whose text moved or repeats would test nothing

@@ -17,7 +17,7 @@ from circnot import (
 )
 from circnot import textio
 from circnot.errors import CircnotError, CircuitSyntaxError, InvalidAncillaConfig, WireOutOfRange, quote_int
-from circnot.icm import InitBasis, Role
+from circnot.icm import InitBasis
 from circnot.textio import (
     MAX_WIRES,
     circuit_to_kv,
@@ -264,7 +264,7 @@ class TestIcmTokens:
 
     def test_last_qubit_accepted(self):
         icm, _ = parse_icm_file("linear\nwires 2\ncnot 0 1\ninit 1 zero\nmeasure 01 x\n")
-        assert [cfg.role for cfg in icm.configs] == [Role.INPUT, Role.ANCILLA]
+        assert [(cfg.init.text, cfg.meas.text) for cfg in icm.configs] == [("in:q0", "none"), ("zero", "x")]
 
     @pytest.mark.parametrize(
         "first,second", [("init 0 zero", "init 0 plus"), ("measure 1 x", "measure 01 z")]
@@ -428,7 +428,7 @@ class TestKvTree:
         node = circuit_to_kv(c)["circuit"]
         if isinstance(c, CircularCircuit):
             assert (node["kind"], node["wires"]) == ("circular", c.wires)
-            fields = [(g.id, g.control, g.target, i) for i, g in enumerate(c.gates)]
+            fields = [(i, g.control, g.target, i) for i, g in enumerate(c.gates)]
             keys = ("id", "control", "target", "position")
         else:
             assert (node["kind"], node["qubits"]) == ("linear", c.n_qubits)
