@@ -1,4 +1,6 @@
-"""Circular CNOT circuits: parity models, cuts, ICM construction, oracles."""
+"""Circular CNOT circuits: parity models, cuts, ICM construction, the Pauli oracle."""
+
+from types import ModuleType as _ModuleType
 
 from .circuits import (
     CircularCircuit,
@@ -42,12 +44,7 @@ from .model import (
     search_cuts,
 )
 from .dot import export_dot
-from .pauli import (
-    PauliString,
-    conjugate_cnot,
-    oracle_map,
-    propagate_pauli,
-)
+from .pauli import oracle_map
 from .stabmap import StabiliserMap
 from .textio import (
     format_circuit,
@@ -58,4 +55,7 @@ from .textio import (
     parse_icm_file,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules the imports above bind are not part of the star import
+__all__ = [
+    name for name, value in sorted(globals().items()) if not (name.startswith("_") or isinstance(value, _ModuleType))
+]

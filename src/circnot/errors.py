@@ -160,11 +160,3 @@ class CountMismatch(CircnotError):
 
 class InvalidAncillaConfig(CircnotError):
     code = "invalid-ancilla-config"
-
-
-class ZeroProbabilityOutcome(CircnotError):
-    code = "zero-probability-outcome"
-
-
-class TooManyQubits(CircnotError):
-    code = "too-many-qubits"

@@ -180,7 +180,7 @@ MUTANTS = [
         "circuits.py",
         "first[p] = first[q]",
         "pass",
-        "tests/test_circuits.py::TestCircularize::test_idle_qubits_join_in_time_order",
+        "tests/test_acceptance.py::test_criterion_7_round_trip_500",
     ),
     # the search
     Mutant(
@@ -232,6 +232,13 @@ MUTANTS = [
         'digits = token[1:] if token[:1] == "-" else token',
         'digits = token[1:] if token[:1] in "+-" else token',
         "tests/test_cli.py::test_plus_and_digit_separator_refused",
+    ),
+    Mutant(
+        "a flag's integer read by int()",
+        "cli.py",
+        'p.add_argument("--max-cuts", type=_int, required=True)',
+        'p.add_argument("--max-cuts", type=int, required=True)',
+        "tests/test_cli.py::test_int_flag_follows_file_grammar",
     ),
 ]
 

@@ -1,20 +1,99 @@
-"""Small dense statevector simulator with measurement post-selection.
+"""Verification oracles that only the tests call: Pauli strings and a statevector simulator.
 
-Used to functionally verify teleportation gadgets: initialise each qubit in
-its configured basis state, apply the CNOT list, then project every measured
-qubit onto the eigenstate selected by the supplied outcome bit and
-renormalise. Corrections are never applied; the all-zero outcome branch is
-the gadget's nominal behaviour. Qubit 0 is the first tensor factor (most
-significant index bit).
+``PauliString``, ``conjugate_cnot`` and ``propagate_pauli`` push one Pauli
+at a time through a CNOT list; they are the reference for
+``circnot.pauli.oracle_map``, which pushes every single-qubit input at
+once. Like it, they share no derivation code with the parity-model
+pipeline.
+
+``statevector_run`` is a small dense statevector simulator with
+measurement post-selection, used to functionally verify teleportation
+gadgets: initialise each qubit in its configured basis state, apply the
+CNOT list, then project every measured qubit onto the eigenstate selected
+by the supplied outcome bit and renormalise. Corrections are never
+applied; the all-zero outcome branch is the gadget's nominal behaviour.
+Qubit 0 is the first tensor factor (most significant index bit).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CountMismatch, TooManyQubits, ZeroProbabilityOutcome
+from circnot.circuits import LinearCircuit
+from circnot.errors import CountMismatch, WireOutOfRange
+
+
+class ZeroProbabilityOutcome(Exception):
+    """A post-selected measurement outcome the state cannot produce."""
+
+
+class TooManyQubits(Exception):
+    """A circuit too wide for the dense simulator."""
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """Per-qubit X/Z bits; Y is both bits set. No sign is kept: conjugating
+    an X/Z generator by a CNOT never flips it."""
+
+    n: int
+    xmask: int = 0
+    zmask: int = 0
+
+    def __post_init__(self):
+        if self.xmask >> self.n or self.zmask >> self.n:
+            raise WireOutOfRange("Pauli bits exceed qubit count")
+
+    @classmethod
+    def single(cls, n: int, qubit: int, kind: str) -> "PauliString":
+        if not 0 <= qubit < n:
+            raise WireOutOfRange(f"qubit {qubit} of {n}")
+        kind = kind.upper()
+        x = 1 << qubit if kind in ("X", "Y") else 0
+        z = 1 << qubit if kind in ("Z", "Y") else 0
+        if kind not in ("I", "X", "Y", "Z"):
+            raise ValueError(f"unknown Pauli kind {kind!r}")
+        return cls(n, x, z)
+
+    def kind_at(self, qubit: int) -> str:
+        x = self.xmask >> qubit & 1
+        z = self.zmask >> qubit & 1
+        return ("I", "X", "Z", "Y")[x + 2 * z]
+
+    def x_set(self) -> frozenset[int]:
+        return frozenset(q for q in range(self.n) if self.xmask >> q & 1)
+
+    def z_set(self) -> frozenset[int]:
+        return frozenset(q for q in range(self.n) if self.zmask >> q & 1)
+
+
+def conjugate_cnot(p: PauliString, control: int, target: int) -> PauliString:
+    """Push a Pauli through one CNOT: X spreads control-to-target, Z the other way."""
+    if control == target:
+        raise ValueError("control and target must differ")
+    for q in (control, target):
+        if not 0 <= q < p.n:
+            raise WireOutOfRange(f"qubit {q} of {p.n}")
+    xmask = p.xmask
+    zmask = p.zmask
+    if xmask >> control & 1:
+        xmask ^= 1 << target
+    if zmask >> target & 1:
+        zmask ^= 1 << control
+    return PauliString(p.n, xmask, zmask)
+
+
+def propagate_pauli(l: LinearCircuit, p: PauliString) -> PauliString:
+    """Fold conjugate_cnot over the gate list in time order."""
+    if p.n != l.n_qubits:
+        raise CountMismatch(f"Pauli over {p.n} qubits but circuit has {l.n_qubits}")
+    for g in l.gates:
+        p = conjugate_cnot(p, g.control, g.target)
+    return p
+
 
 MAX_QUBITS = 14
 _SQ2 = 1.0 / math.sqrt(2.0)

@@ -35,8 +35,6 @@ from circnot import (
 )
 from circnot.errors import Inconsistent
 from circnot.model import ModelKind, apply_cuts, build_model
-from circnot.pauli import PauliString, propagate_pauli
-from circnot.statevec import INIT_STATES, fidelity, kron_all, statevector_run
 from conftest import SWAP_CUT_FIXTURES
 from helpers import (
     SWAP_X_REF,
@@ -47,6 +45,7 @@ from helpers import (
     parity_solutions,
     restrict_map,
 )
+from oracles import INIT_STATES, PauliString, fidelity, kron_all, propagate_pauli, statevector_run
 
 
 @contextmanager
@@ -235,14 +234,10 @@ def test_criterion_7_round_trip_500():
     with criterion(7, "circularize/linearize round trip on 500 random circuits"):
         t0 = time.perf_counter()
         rng = random.Random(20240805)
-        done = 0
-        while done < 500:
+        for _ in range(500):
             n = rng.randint(2, 8)
             m = rng.randint(n, 20)
             lin = mklin(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
-            if any(not lin.times_on(q) for q in range(n)):
-                continue
-            done += 1
             circ, rec = circularize(lin)
             redone = linearize(circ, rec.seam, Direction.CW)
             expected = tuple(

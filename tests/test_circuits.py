@@ -520,14 +520,10 @@ class TestCircularize:
 
     def test_seam_round_trip_random(self):
         rng = random.Random(2024)
-        done = 0
-        while done < 120:
+        for _ in range(120):
             n = rng.randint(2, 8)
             m = rng.randint(n, 20)
             lin = mklin(n, [tuple(rng.sample(range(n), 2)) for _ in range(m)])
-            if any(not lin.times_on(q) for q in range(n)):
-                continue
-            done += 1
             circ, rec = circularize(lin)
             assert circ.wires == n - len(rec.joins)
             # joins form a permutation fragment: no endpoint reused

@@ -540,6 +540,33 @@ def test_plus_and_digit_separator_refused(tmp_path, swap_file, capsys, command, 
     assert capsys.readouterr().err == f"error syntax-error: {message}\n"
 
 
+# each integer flag, as the command line that gives it; no file is read
+# before the flags are parsed
+INT_FLAGS = {
+    "--smgf": ["fault", "c.circ", "--cuts", "c.cuts", "--smgf"],
+    "--max-cuts": ["search", "c.circ", "--target", "c.map", "--max-cuts"],
+    "--seed": ["check", "--seed"],
+    "--count": ["check", "--count"],
+}
+# int() reads each: a plus, a digit separator, another script's digit, a
+# space; the last is longer than int() reads
+REFUSED_INTS = {"plus": "+1", "underscore": "1_0", "arabic-indic": "\u0661", "space": " 1", "long": "1" * 5000}
+
+
+@pytest.mark.parametrize("token", sorted(REFUSED_INTS))
+@pytest.mark.parametrize("flag", sorted(INT_FLAGS))
+def test_int_flag_follows_file_grammar(capsys, flag, token):
+    # a flag's integer is what a circuit or cut file reads: ASCII digits after at most a minus
+    argv = INT_FLAGS[flag]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, REFUSED_INTS[token]])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"circnot {argv[0]}: error: argument {flag}: invalid int value: {REFUSED_INTS[token]!r}\n"
+    assert captured.err.endswith(message)
+
+
 def test_parser_built_once(swap_file, capsys):
     # a usage error after a successful call prints what a fresh parser prints
     build_parser.cache_clear()

@@ -29,8 +29,8 @@ from circnot import (
 )
 from circnot.errors import CountMismatch, InvalidAncillaConfig, UnknownGate
 from circnot.icm import SINGLE_QUBIT_GATES, BasisState
-from circnot.statevec import fidelity, kron_all, reduced_density, statevector_run
 from helpers import cyclic_equal, fault_expected, mklin, restrict_map
+from oracles import fidelity, kron_all, reduced_density, statevector_run
 
 T_MAT = np.diag([1.0, np.exp(1j * math.pi / 4)])
 P_MAT = np.diag([1.0, 1.0j])

@@ -48,7 +48,6 @@ from circnot.circuits import LinearCircuit, validate_cut_set
 from circnot.cli import parity_text
 from circnot.icm import FaultSpec, faulted_transformations, inject_smgf
 from circnot.model import MAX_SEARCH_CANDIDATES, ModelKind
-from circnot.pauli import PauliString, propagate_pauli
 from helpers import (
     SWAP_X_REF,
     SWAP_Z_REF,
@@ -76,6 +75,7 @@ from helpers import (
     spanning_gap_index,
     sweep_table,
 )
+from oracles import PauliString, propagate_pauli
 
 
 class TestBuildModel:

@@ -6,20 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circnot import (
-    CutSet,
-    Direction,
-    PauliString,
-    StabiliserMap,
-    conjugate_cnot,
-    linearize,
-    oracle_map,
-    propagate_pauli,
-)
+from circnot import CutSet, Direction, StabiliserMap, linearize, oracle_map
 from circnot.errors import CountMismatch, WireOutOfRange
 from helpers import all_small_circuits, circuit_unitary, mklin, pauli_matrix
+from oracles import PauliString, conjugate_cnot, propagate_pauli
 
-PAULI_SOURCE = Path(__file__).resolve().parent.parent / "src" / "circnot" / "pauli.py"
+TESTS = Path(__file__).resolve().parent
+# the library's oracle and the one-Pauli-at-a-time reference it is checked against
+ORACLE_SOURCES = [TESTS.parent / "src" / "circnot" / "pauli.py", TESTS / "oracles.py"]
 
 
 def imported_modules(source: str) -> set[str]:
@@ -39,9 +33,10 @@ def imported_modules(source: str) -> set[str]:
 def test_oracle_imports_no_derivation_code():
     # the oracle checks the parity-model derivation, so it must not share its code
     derivation = {"model", "gf2"}
-    imported = imported_modules(PAULI_SOURCE.read_text(encoding="utf-8"))
-    assert imported, "pauli.py imports something; an empty set means the scan is broken"
-    assert [name for name in imported if derivation & set(name.split("."))] == []
+    for path in ORACLE_SOURCES:
+        imported = imported_modules(path.read_text(encoding="utf-8"))
+        assert imported, f"{path.name} imports something; an empty set means the scan is broken"
+        assert [name for name in imported if derivation & set(name.split("."))] == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Source checks on ``src/circnot/``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,40 @@ def test_no_module_rebinds_a_global():
 )
 def test_scan_sees_global_statements(source, lines):
     assert global_statements(source) == lines
+
+
+def outside_imports(source: str) -> list[str]:
+    """Dotted names of every absolute import in a module's source whose top package is not standard library."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+
+
+def test_package_imports_only_the_standard_library():
+    # the package declares no runtime dependency; an import of anything
+    # else, at any depth of a module, would need one
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5, "no module found; an empty list means the scan is broken"
+    found = {path.name: outside_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+@pytest.mark.parametrize(
+    "source, imports",
+    [
+        ("import numpy as np\n", ["numpy"]),
+        ("def f():\n    from numpy.linalg import norm\n", ["numpy.linalg"]),
+        ("import os, scipy.sparse\n", ["scipy.sparse"]),
+        ("from . import gf2\nfrom .model import build_model\nimport math\n", []),
+    ],
+    ids=["top-level", "in-function", "beside-stdlib", "relative-and-stdlib"],
+)
+def test_scan_sees_outside_imports(source, imports):
+    assert outside_imports(source) == imports
 
 
 def test_each_mutant_names_a_test_that_exists():
