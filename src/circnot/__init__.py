@@ -19,12 +19,9 @@ from .circuits import (
     validate_cut_set,
 )
 from .icm import (
-    BasisState,
     FaultPatch,
     FaultSpec,
     ICMCircuit,
-    InitBasis,
-    MeasBasis,
     QubitConfig,
     faulted_transformations,
     gadget,

@@ -40,6 +40,7 @@ from .errors import (
     WireOutOfRange,
     quote,
     quote_int,
+    wire_list,
 )
 
 class Direction(Enum):
@@ -217,9 +218,6 @@ class LinearCircuit:
     def gate_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((g.control, g.target) for g in self.gates)
 
-    def times_on(self, qubit: int) -> tuple[int, ...]:
-        return tuple(t for t, g in enumerate(self.gates) if qubit in (g.control, g.target))
-
 
 @dataclass(frozen=True)
 class JoinRecord:
@@ -290,9 +288,10 @@ def _radial_families(c: CircularCircuit, on_wire: list[list[int]]) -> tuple[int,
         slot: tuple(w for w, mask in enumerate(masks) if not mask >> slot & 1)
         for slot in range(n_gates)
     }
-    uncut_everywhere = sorted(set(range(c.wires)).intersection(*missing.values()))
+    # every cut gap spans a slot, so a wire missing at every slot has no cut
+    uncut = [w for w, wire_cuts in enumerate(on_wire) if not wire_cuts]
     raise NoRadialCut(
-        f"no slot is cut across all wires (wires never cut at any slot: {uncut_everywhere})",
+        f"no slot is cut across all wires (wires never cut at any slot: {wire_list(uncut)})",
         missing_by_slot=missing,
     )
 

@@ -27,7 +27,7 @@ from .circuits import (
 )
 from .dot import export_dot
 from .errors import CircnotError, FileNotFound, UnreadableFile, WrongCircuitKind, quote
-from .icm import FaultSpec, faulted_transformations, gadget, translate_to_icm
+from .icm import GADGETS, FaultSpec, faulted_transformations, gadget, translate_to_icm
 from .model import (
     ModelKind,
     apply_cuts,
@@ -38,7 +38,8 @@ from .model import (
 )
 from .stabmap import StabiliserMap
 
-GADGET_NAMES = ("teleport", "t", "p", "v", "bell", "measurez", "remotecnot", "sdt")
+# argparse lists the choices in this order
+GADGET_NAMES = tuple(GADGETS)
 
 
 def _read(path: str) -> str:
@@ -198,7 +199,7 @@ def cmd_fault(args, out) -> int:
     _emit(
         out,
         f"ancilla wire {patch.wire} gaps ({patch.before_gap.index},{patch.after_gap.index})"
-        f" init {patch.init.text}",
+        f" init {patch.init}",
     )
     _emit(out, f"live-inputs {' '.join(str(q) for q in sorted(result.live_inputs))}")
     _emit(out, f"live-outputs {' '.join(str(q) for q in sorted(result.live_outputs))}")
@@ -242,14 +243,14 @@ def _int(text: str) -> int:
     try:
         return textio._ascii_int(text)
     except ValueError:  # also a number longer than int() reads
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}") from None
 
 
 def _count(text: str) -> int:
     """A non-negative ``_int``."""
     count = _int(text)
     if count < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+        raise argparse.ArgumentTypeError(f"must not be negative: {quote(text)}")
     return count
 
 

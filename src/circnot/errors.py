@@ -33,6 +33,17 @@ def quote_int(n: int) -> str:
     return f"{sign}{n // 10 ** (digits - shown)}... ({digits} digits)"
 
 
+# most wires a message names
+WIRES_SHOWN = 16
+
+
+def wire_list(wires) -> str:
+    """A list of wires as ``[0, 1]``, or its first ``WIRES_SHOWN`` and the count."""
+    shown = ", ".join(str(w) for w in wires[:WIRES_SHOWN])
+    more = f", ...] ({len(wires)} wires)" if len(wires) > WIRES_SHOWN else "]"
+    return f"[{shown}{more}"
+
+
 def clean_lines(text: str):
     """``(line number, line)`` of every line with text left once ``#`` comments are stripped."""
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -88,14 +99,9 @@ class EmptyWire(CircnotError):
 
     code = "empty-wire"
 
-    # wires named in the message; ``wires`` keeps them all
-    SHOWN = 16
-
     def __init__(self, wires, join_record=None):
-        self.wires = tuple(sorted(wires))
-        shown = ", ".join(str(w) for w in self.wires[: self.SHOWN])
-        more = f", ...] ({len(self.wires)} wires)" if len(self.wires) > self.SHOWN else "]"
-        super().__init__(f"wires without gate symbols: [{shown}{more}")
+        self.wires = tuple(sorted(wires))  # all of them; the message names at most ``WIRES_SHOWN``
+        super().__init__(f"wires without gate symbols: {wire_list(self.wires)}")
         self.join_record = join_record
 
 

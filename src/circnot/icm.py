@@ -2,18 +2,18 @@
 translation, stripping back to circular form, and missing-gate faults.
 
 An ICM circuit is a CNOT-only linear circuit plus one initialisation and
-one measurement choice per qubit. Rotations live entirely in the choice of
-ancilla states (|Y>, |A>) and measurement bases, so every construction here
-emits CNOTs only. A fault names its missing gate by its index in the
-circular gate list. A single missing gate leaves a CNOT circuit, so its
-fault map is one clockwise X substitution with that gate's XOR left out,
-Z read as the inverse transpose; read counter-clockwise, its inverse.
+one measurement per qubit, held as the tokens an ICM file spells them
+with. Rotations live entirely in the choice of ancilla states (|Y>, |A>)
+and measurement bases, so every construction here emits CNOTs only. A
+fault names its missing gate by its index in the circular gate list. A
+single missing gate leaves a CNOT circuit, so its fault map is one
+clockwise X substitution with that gate's XOR left out, Z read as the
+inverse transpose; read counter-clockwise, its inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import ClassVar
 
 from .circuits import (
@@ -27,119 +27,58 @@ from .circuits import (
     circularize,
     validate_cut_set,
 )
-from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate
+from .errors import CountMismatch, InvalidAncillaConfig, UnknownGate, quote
 from .model import _cut_ends, _x_columns
 from .stabmap import StabiliserMap
 
 
-class BasisState(Enum):
-    ZERO = "zero"
-    PLUS = "plus"
-    Y = "y"
-    A = "a"
+# the initialisation and measurement tokens of an ICM file, besides
+# ``in:<name>`` and ``cfg:<b1>/<b2>`` (two of ``BASES``)
+STATES = ("zero", "plus", "y", "a")
+BASES = ("x", "y", "z", "a")
 
 
-@dataclass(frozen=True)
-class InitBasis:
-    """Concrete preparation state, or a named symbolic input."""
+def init_error(token: str) -> str | None:
+    """Why ``token`` is no initialisation, or ``None``: one of ``STATES``, or ``in:`` and an input name.
 
-    state: BasisState | None
-    input_name: str | None = None
-
-    def __post_init__(self):
-        if self.state is not None and not isinstance(self.state, BasisState):
-            raise InvalidAncillaConfig(f"state {self.state!r} is not a BasisState")
-        name = self.input_name  # an ICM file reads it up to whitespace or a comment
-        if self.state is None and (not name or "#" in name or any(ch.isspace() for ch in name)):
-            raise InvalidAncillaConfig(f"input name {name!r} is empty or holds whitespace or '#'")
-        if self.state is not None and name is not None:
-            raise InvalidAncillaConfig(f"a concrete state takes no input name, got {name!r}")
-
-    @classmethod
-    def zero(cls):
-        return cls(BasisState.ZERO)
-
-    @classmethod
-    def plus(cls):
-        return cls(BasisState.PLUS)
-
-    @classmethod
-    def y(cls):
-        return cls(BasisState.Y)
-
-    @classmethod
-    def a(cls):
-        return cls(BasisState.A)
-
-    @classmethod
-    def symbolic(cls, name: str):
-        return cls(None, name)
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.state is None
-
-    @property
-    def text(self) -> str:
-        return f"in:{self.input_name}" if self.is_symbolic else self.state.value
+    A file reads a name up to whitespace or a ``#`` comment, so a name
+    holding either is refused.
+    """
+    if token.startswith("in:"):
+        name = token[3:]
+        if not name:
+            return "empty input name"
+        if "#" in name or any(ch.isspace() for ch in name):
+            return f"input name {quote(name)} holds whitespace or '#'"
+        return None
+    return None if token in STATES else f"unknown init basis {quote(token)}"
 
 
-@dataclass(frozen=True)
-class MeasBasis:
-    kind: str  # "x" | "y" | "z" | "a" | "cfg" | "none"
-    options: tuple[str, str] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("x", "y", "z", "a", "cfg", "none"):
-            raise ValueError(f"unknown measurement basis {self.kind!r}")
-        if (self.kind == "cfg") != (self.options is not None):
-            raise ValueError("cfg basis requires exactly two options")
-        if self.options is not None and (
-            len(self.options) != 2 or any(o not in ("x", "y", "z", "a") for o in self.options)
-        ):
-            raise ValueError(f"bad configurable options {self.options!r}")
-
-    @classmethod
-    def x(cls):
-        return cls("x")
-
-    @classmethod
-    def y(cls):
-        return cls("y")
-
-    @classmethod
-    def z(cls):
-        return cls("z")
-
-    @classmethod
-    def a(cls):
-        return cls("a")
-
-    @classmethod
-    def none(cls):
-        return cls("none")
-
-    @classmethod
-    def cfg(cls, first: str, second: str):
-        return cls("cfg", (first, second))
-
-    @property
-    def text(self) -> str:
-        return f"cfg:{self.options[0]}/{self.options[1]}" if self.kind == "cfg" else self.kind
+def meas_error(token: str) -> str | None:
+    """Why ``token`` is no measurement, or ``None``: one of ``BASES``, ``none``, or ``cfg:<b1>/<b2>``."""
+    if token.startswith("cfg:"):
+        options = token[4:].split("/")
+        if len(options) == 2 and all(o in BASES for o in options):
+            return None
+        return f"bad configurable basis {quote(token)}"
+    return None if token in BASES or token == "none" else f"unknown measurement basis {quote(token)}"
 
 
 @dataclass(frozen=True)
 class QubitConfig:
-    init: InitBasis
-    meas: MeasBasis
+    """An ICM qubit's initialisation and measurement, as the file tokens that spell them.
 
+    ``in:<name>`` makes the qubit an input and ``none`` leaves it carrying
+    an output; a configurable ``cfg:<b1>/<b2>`` defaults to ``b1``.
+    """
 
-def _input(name: str, meas: MeasBasis) -> QubitConfig:
-    return QubitConfig(InitBasis.symbolic(name), meas)
+    init: str
+    meas: str
 
-
-def _carrier(state: InitBasis) -> QubitConfig:
-    return QubitConfig(state, MeasBasis.none())
+    def __post_init__(self):
+        why = init_error(self.init) or meas_error(self.meas)
+        if why:
+            raise InvalidAncillaConfig(why)
 
 
 @dataclass(frozen=True)
@@ -153,68 +92,41 @@ class ICMCircuit:
                 f"{self.circuit.n_qubits} qubits but {len(self.configs)} configs"
             )
 
-    def measured_qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, cfg in enumerate(self.configs) if cfg.meas.kind != "none")
-
 
 def _chain(pairs) -> tuple[LinearGate, ...]:
     return tuple(LinearGate(control=c, target=t) for c, t in pairs)
 
 
-def gadget(kind: str) -> ICMCircuit:
-    """Fixed ICM templates for the teleported operations.
+# The teleported operations, by name: qubit count, CNOT (control, target)
+# pairs and (init, meas) per qubit. Teleport, T and P share one skeleton
+# (state injection from the control) and differ only in the ancilla state;
+# V teleports through the target; the remote CNOT and the selective
+# destination teleporter are the two four-qubit instances cut from the
+# circular three-CNOT loop. ``circnot icm --gadget`` lists them in this order.
+GADGETS = {
+    "teleport": (2, ((1, 0),), (("in:phi", "z"), ("plus", "none"))),
+    "t": (2, ((1, 0),), (("in:phi", "z"), ("a", "none"))),
+    "p": (2, ((1, 0),), (("in:phi", "z"), ("y", "none"))),
+    "v": (2, ((1, 0),), (("y", "none"), ("in:phi", "x"))),
+    "bell": (2, ((1, 0),), (("zero", "none"), ("plus", "none"))),
+    "measurez": (2, ((1, 0),), (("zero", "z"), ("in:phi", "none"))),
+    "remotecnot": (4, ((1, 0), (2, 1), (1, 3)), (("in:c", "z"), ("plus", "x"), ("in:t", "none"), ("zero", "none"))),
+    "sdt": (
+        4,
+        ((3, 1), (0, 1), (2, 0)),
+        (("in:phi", "cfg:z/x"), ("zero", "cfg:x/z"), ("plus", "none"), ("plus", "none")),
+    ),
+}
 
-    Teleport/T/P share one skeleton (state injection from the control) and
-    differ only in the ancilla state; V teleports through the target; the
-    remote CNOT and the selective destination teleporter are the two
-    four-qubit instances cut from the circular three-CNOT loop.
-    """
-    k = kind.strip().lower()
-    if k in ("teleport", "t", "p"):
-        state = {"teleport": InitBasis.plus(), "t": InitBasis.a(), "p": InitBasis.y()}[k]
-        return ICMCircuit(
-            circuit=LinearCircuit(n_qubits=2, gates=_chain([(1, 0)])),
-            configs=(_input("phi", MeasBasis.z()), _carrier(state)),
-        )
-    if k == "v":
-        return ICMCircuit(
-            circuit=LinearCircuit(n_qubits=2, gates=_chain([(1, 0)])),
-            configs=(_carrier(InitBasis.y()), _input("phi", MeasBasis.x())),
-        )
-    if k == "bell":
-        return ICMCircuit(
-            circuit=LinearCircuit(n_qubits=2, gates=_chain([(1, 0)])),
-            configs=(_carrier(InitBasis.zero()), _carrier(InitBasis.plus())),
-        )
-    if k == "measurez":
-        return ICMCircuit(
-            circuit=LinearCircuit(n_qubits=2, gates=_chain([(1, 0)])),
-            configs=(
-                QubitConfig(InitBasis.zero(), MeasBasis.z()),
-                _input("phi", MeasBasis.none()),
-            ),
-        )
-    if k == "remotecnot":
-        return ICMCircuit(
-            circuit=LinearCircuit(n_qubits=4, gates=_chain([(1, 0), (2, 1), (1, 3)])),
-            configs=(
-                _input("c", MeasBasis.z()),
-                QubitConfig(InitBasis.plus(), MeasBasis.x()),
-                _input("t", MeasBasis.none()),
-                _carrier(InitBasis.zero()),
-            ),
-        )
-    if k == "sdt":
-        return ICMCircuit(
-            circuit=LinearCircuit(n_qubits=4, gates=_chain([(3, 1), (0, 1), (2, 0)])),
-            configs=(
-                _input("phi", MeasBasis.cfg("z", "x")),
-                QubitConfig(InitBasis.zero(), MeasBasis.cfg("x", "z")),
-                _carrier(InitBasis.plus()),
-                _carrier(InitBasis.plus()),
-            ),
-        )
-    raise UnknownGate(f"no gadget named {kind!r}")
+
+def gadget(kind: str) -> ICMCircuit:
+    """The ICM circuit of the ``GADGETS`` row named ``kind``, in any case and spacing."""
+    try:
+        qubits, pairs, configs = GADGETS[kind.strip().lower()]
+    except KeyError:
+        raise UnknownGate(f"no gadget named {kind!r}") from None
+    circuit = LinearCircuit(n_qubits=qubits, gates=_chain(pairs))
+    return ICMCircuit(circuit=circuit, configs=tuple(QubitConfig(i, m) for i, m in configs))
 
 
 SINGLE_QUBIT_GATES = ("t", "tdg", "p", "pdg", "v", "h")
@@ -230,26 +142,26 @@ def translate_to_icm(gates, n_qubits: int) -> ICMCircuit:
     Adjoint T records a configurable measurement so the correction that
     post-selection would otherwise fix stays visible.
     """
-    inits: list[InitBasis] = [InitBasis.symbolic(f"q{i}") for i in range(n_qubits)]
-    meas: list[MeasBasis] = [MeasBasis.none() for _ in range(n_qubits)]
+    inits = [f"in:q{i}" for i in range(n_qubits)]
+    meas = ["none"] * n_qubits
     emitted: list[tuple[int, int]] = []
     cur = list(range(n_qubits))
 
-    def fresh(state: InitBasis) -> int:
+    def fresh(state: str) -> int:
         inits.append(state)
-        meas.append(MeasBasis.none())
+        meas.append("none")
         return len(inits) - 1
 
-    def inject(q: int, state: InitBasis, old_meas: MeasBasis) -> None:
+    def inject(q: int, state: str, old_meas: str) -> None:
         new = fresh(state)
         emitted.append((new, cur[q]))
         meas[cur[q]] = old_meas
         cur[q] = new
 
     def v_step(q: int) -> None:
-        new = fresh(InitBasis.y())
+        new = fresh("y")
         emitted.append((cur[q], new))
-        meas[cur[q]] = MeasBasis.x()
+        meas[cur[q]] = "x"
         cur[q] = new
 
     for op in gates:
@@ -258,20 +170,20 @@ def translate_to_icm(gates, n_qubits: int) -> ICMCircuit:
             _, cq, tq = op
             emitted.append((cur[cq], cur[tq]))
         elif name == "t":
-            inject(op[1], InitBasis.a(), MeasBasis.z())
+            inject(op[1], "a", "z")
         elif name == "tdg":
-            inject(op[1], InitBasis.a(), MeasBasis.cfg("z", "x"))
+            inject(op[1], "a", "cfg:z/x")
         elif name == "p":
-            inject(op[1], InitBasis.y(), MeasBasis.z())
+            inject(op[1], "y", "z")
         elif name == "pdg":
             for _ in range(3):
-                inject(op[1], InitBasis.y(), MeasBasis.z())
+                inject(op[1], "y", "z")
         elif name == "v":
             v_step(op[1])
         elif name == "h":
-            inject(op[1], InitBasis.y(), MeasBasis.z())
+            inject(op[1], "y", "z")
             v_step(op[1])
-            inject(op[1], InitBasis.y(), MeasBasis.z())
+            inject(op[1], "y", "z")
         else:
             raise UnknownGate(f"cannot translate gate {op[0]!r}")
 
@@ -327,7 +239,7 @@ class FaultPatch:
     wire: int
     before_gap: Gap
     after_gap: Gap
-    init: ClassVar[InitBasis] = InitBasis.zero()
+    init: ClassVar[str] = "zero"
 
 
 def inject_smgf(c: CircularCircuit, base: CutSet, f: FaultSpec) -> tuple[CutSet, FaultPatch]:

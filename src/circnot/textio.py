@@ -27,14 +27,7 @@ from .circuits import (
     LinearGate,
 )
 from .errors import CircuitSyntaxError, clean_lines, quote, quote_int
-from .icm import (
-    BasisState,
-    FaultSpec,
-    ICMCircuit,
-    InitBasis,
-    MeasBasis,
-    QubitConfig,
-)
+from .icm import FaultSpec, ICMCircuit, QubitConfig, init_error, meas_error
 
 # Largest wire (or qubit) count a circuit source may declare. Circuits keep
 # per-wire tables, so the count is checked before anything is built for it.
@@ -132,32 +125,6 @@ def format_cut_set(cuts: CutSet, direction: Direction | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_init(token: str, ln: int) -> InitBasis:
-    if token.startswith("in:"):
-        name = token[3:]
-        if not name:
-            raise CircuitSyntaxError("empty input name", ln)
-        return InitBasis.symbolic(name)
-    try:
-        return InitBasis(BasisState(token))
-    except ValueError:
-        raise CircuitSyntaxError(f"unknown init basis {quote(token)}", ln) from None
-
-
-def _parse_meas(token: str, ln: int) -> MeasBasis:
-    if token.startswith("cfg:"):
-        parts = token[4:].split("/")
-        if len(parts) != 2:
-            raise CircuitSyntaxError(f"bad configurable basis {quote(token)}", ln)
-        try:
-            return MeasBasis.cfg(parts[0], parts[1])
-        except ValueError:
-            raise CircuitSyntaxError(f"bad configurable basis {quote(token)}", ln) from None
-    if token in ("x", "y", "z", "a", "none"):
-        return MeasBasis(token)
-    raise CircuitSyntaxError(f"unknown measurement basis {quote(token)}", ln)
-
-
 def parse_index(token: str, what: str, ln: int) -> int:
     """An ASCII-decimal qubit or gate index, else ``CircuitSyntaxError``."""
     if token.isascii() and token.isdecimal():
@@ -176,8 +143,8 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
     each qubit at most once per keyword.
     """
     circuit_lines = text.splitlines()  # ICM lines blanked, line numbers kept
-    init_map: dict[int, InitBasis] = {}
-    meas_map: dict[int, MeasBasis] = {}
+    init_map: dict[int, str] = {}
+    meas_map: dict[int, str] = {}
     qubit_lines: list[tuple[int, int]] = []  # (qubit, line) per init/measure
     faults: list[FaultSpec] = []
     for ln, line in clean_lines(text):
@@ -185,13 +152,13 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
         if tokens[0] in ("init", "measure") and len(tokens) == 3:
             q = parse_index(tokens[1], "qubit", ln)
             qubit_lines.append((q, ln))
-            if tokens[0] == "init":
-                seen, basis = init_map, _parse_init(tokens[2], ln)
-            else:
-                seen, basis = meas_map, _parse_meas(tokens[2], ln)
+            seen, refusal = (init_map, init_error) if tokens[0] == "init" else (meas_map, meas_error)
+            why = refusal(tokens[2])
+            if why:
+                raise CircuitSyntaxError(why, ln)
             if q in seen:
                 raise CircuitSyntaxError(f"repeated {tokens[0]} line for qubit {quote_int(q)}", ln)
-            seen[q] = basis
+            seen[q] = tokens[2]
         elif tokens[0] == "smgf" and len(tokens) == 2:
             faults.append(FaultSpec(gate=parse_index(tokens[1], "gate", ln)))
         else:
@@ -203,12 +170,8 @@ def parse_icm_file(text: str) -> tuple[ICMCircuit, list[FaultSpec]]:
     for q, ln in qubit_lines:
         if q >= circuit.n_qubits:
             raise CircuitSyntaxError(f"qubit {quote_int(q)} out of range for {circuit.n_qubits} qubits", ln)
-    configs = []
-    for q in range(circuit.n_qubits):
-        init = init_map.get(q, InitBasis.symbolic(f"q{q}"))
-        meas = meas_map.get(q, MeasBasis.none())
-        configs.append(QubitConfig(init, meas))
-    return ICMCircuit(circuit=circuit, configs=tuple(configs)), faults
+    configs = tuple(QubitConfig(init_map.get(q, f"in:q{q}"), meas_map.get(q, "none")) for q in range(circuit.n_qubits))
+    return ICMCircuit(circuit=circuit, configs=configs), faults
 
 
 # program gates by their number of qubit operands
@@ -245,11 +208,8 @@ def parse_program(text: str) -> tuple[list[tuple], int]:
 
 def format_icm(icm: ICMCircuit, faults=()) -> str:
     lines = [format_circuit(icm.circuit).rstrip("\n")]
-    for q, cfg in enumerate(icm.configs):
-        lines.append(f"init {q} {cfg.init.text}")
-    for q, cfg in enumerate(icm.configs):
-        if cfg.meas.kind != "none":
-            lines.append(f"measure {q} {cfg.meas.text}")
+    lines += [f"init {q} {cfg.init}" for q, cfg in enumerate(icm.configs)]
+    lines += [f"measure {q} {cfg.meas}" for q, cfg in enumerate(icm.configs) if cfg.meas != "none"]
     for f in faults:
         lines.append(f"smgf {f.gate}")
     return "\n".join(lines) + "\n"

@@ -240,6 +240,59 @@ MUTANTS = [
         'p.add_argument("--max-cuts", type=int, required=True)',
         "tests/test_cli.py::test_int_flag_follows_file_grammar",
     ),
+    Mutant(
+        "a refused flag value quoted whole",
+        "cli.py",
+        'f"invalid int value: {quote(text)}"',
+        'f"invalid int value: {text!r}"',
+        "tests/test_cli.py::test_int_flag_follows_file_grammar",
+    ),
+    # ICM configurations are their file tokens
+    Mutant(
+        "the empty input name is accepted",
+        "icm.py",
+        "if not name:",
+        "if False:",
+        "tests/test_icm.py::TestConfigure::test_refused_token_names_why",
+    ),
+    Mutant(
+        "cfg: takes one option",
+        "icm.py",
+        "if len(options) == 2 and all(o in BASES for o in options):",
+        "if len(options) in (1, 2) and all(o in BASES for o in options):",
+        "tests/test_icm.py::TestConfigure::test_refused_token_names_why",
+    ),
+    Mutant(
+        "measure none lines are written",
+        "textio.py",
+        'for q, cfg in enumerate(icm.configs) if cfg.meas != "none"]',
+        "for q, cfg in enumerate(icm.configs)]",
+        "tests/test_cli.py::test_icm_commands_golden",
+    ),
+    Mutant(
+        "the t and p gadget rows swapped",
+        "icm.py",
+        '    "t": (2, ((1, 0),), (("in:phi", "z"), ("a", "none"))),\n'
+        '    "p": (2, ((1, 0),), (("in:phi", "z"), ("y", "none"))),\n',
+        '    "t": (2, ((1, 0),), (("in:phi", "z"), ("y", "none"))),\n'
+        '    "p": (2, ((1, 0),), (("in:phi", "z"), ("a", "none"))),\n',
+        "tests/test_acceptance.py::test_criterion_9_gadget_functional_checks",
+    ),
+    # refusals that name wires
+    Mutant(
+        "the cut wires named as never cut",
+        "circuits.py",
+        "uncut = [w for w, wire_cuts in enumerate(on_wire) if not wire_cuts]",
+        "uncut = [w for w, wire_cuts in enumerate(on_wire) if wire_cuts]",
+        "tests/test_circuits.py::TestValidateCutSet::test_uncut_wires_named_are_missing_at_every_slot",
+    ),
+    Mutant(
+        "a wire list named whole",
+        "errors.py",
+        "WIRES_SHOWN = 16",
+        "WIRES_SHOWN = 1 << 30",
+        "tests/test_cli.py::test_empty_wire_message_capped",
+    ),
 ]
 
 TIER_1 = [

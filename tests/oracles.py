@@ -190,24 +190,24 @@ def statevector_run(icm, outcomes, bindings=None, choices=None) -> np.ndarray:
     bindings = bindings or {}
     factors = []
     for cfg in icm.configs:
-        if cfg.init.state is None:
-            bound = bindings.get(cfg.init.input_name, INIT_STATES["zero"])
+        if cfg.init.startswith("in:"):
+            bound = bindings.get(cfg.init[3:], INIT_STATES["zero"])
             factors.append(normalized(bound))
         else:
-            factors.append(INIT_STATES[cfg.init.state.value])
+            factors.append(INIT_STATES[cfg.init])
     state = kron_all(factors)
     for g in icm.circuit.gates:
         state = apply_cnot(state, g.control, g.target, n)
-    measured = icm.measured_qubits()
+    measured = [q for q, cfg in enumerate(icm.configs) if cfg.meas != "none"]
     if len(outcomes) != len(measured):
         raise CountMismatch(
             f"{len(measured)} measured qubits but {len(outcomes)} outcome bits"
         )
     for q, bit in zip(measured, outcomes):
         cfg = icm.configs[q]
-        basis = cfg.meas.kind
-        if basis == "cfg":
-            basis = (choices or {}).get(q, cfg.meas.options[0])
+        basis = cfg.meas
+        if basis.startswith("cfg:"):
+            basis = (choices or {}).get(q, basis[4:].split("/")[0])
         eigen = MEAS_EIGENSTATES[basis][int(bit)]
         state = project_qubit(state, q, eigen, n)
     norm = np.linalg.norm(state)

@@ -53,7 +53,6 @@ class TestParsing:
         assert isinstance(lin, LinearCircuit)
         assert lin.n_qubits == 2
         assert lin.gate_pairs() == ((0, 1), (1, 0), (0, 1))
-        assert [lin.times_on(q) for q in range(2)] == [(0, 1, 2), (0, 1, 2)]
 
     def test_parse_empty_linear(self):
         lin = parse_circuit("linear\nwires 1\n")
@@ -239,6 +238,21 @@ class TestValidateCutSet:
             validate_cut_set(swap, CutSet.of([(0, 0), (0, 1), (0, 2)]))
         # wire 1 lacks a cut at every slot
         assert all(1 in wires for wires in err.value.missing_by_slot.values())
+
+    def test_uncut_wires_named_are_missing_at_every_slot(self, small_sweep):
+        # the message names the wires without a cut; since every cut gap
+        # spans a slot, they are the wires missing at every slot
+        refused = 0
+        for c, entries in small_sweep.table:
+            for entry in entries:
+                if entry.missing is None:
+                    continue
+                with pytest.raises(NoRadialCut) as err:
+                    validate_cut_set(c, entry.cuts)
+                everywhere = sorted(set(range(c.wires)).intersection(*entry.missing.values()))
+                assert str(err.value).endswith(f"(wires never cut at any slot: {everywhere})")
+                refused += 1
+        assert refused > 10000
 
 
 class TestSpanningReference:
@@ -506,7 +520,7 @@ class TestCircularize:
             while chain[-1] in consumer_of:
                 chain.append(consumer_of[chain[-1]])
             assert chain[-1] == tail
-            times = [t for q in chain for t in lin.times_on(q)]
+            times = [t for q in chain for t, pair in enumerate(pairs) if q in pair]
             assert times == sorted(set(times))
         redone = linearize(circ, rec.seam, Direction.CW)
         assert redone.gate_pairs() == tuple((rec.wire_of[c], rec.wire_of[t]) for c, t in pairs)

@@ -14,8 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circnot.circuits import CutSet, Gap, circularize
-from circnot.cli import build_parser, main, parity_text
-from circnot.errors import EmptyWire, quote
+from circnot.cli import GADGET_NAMES, build_parser, main, parity_text
+from circnot.errors import EmptyWire, quote, wire_list
+from circnot.icm import toffoli_decomposition
 from circnot.textio import format_circuit, format_cut_set, parse_circuit
 from helpers import spanning_gap_index
 
@@ -304,6 +305,10 @@ def test_check_negative_count_is_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.endswith("circnot check: error: argument --count: must not be negative: '-3'\n")
     assert run(["check", "--count", "0"]) == (0, "round-trip trials 0 failures 0\n")
+    with pytest.raises(SystemExit):
+        main(["check", "--count", "-" + "1" * 4000])
+    long_err = capsys.readouterr().err
+    assert long_err.endswith(f"must not be negative: {'-' + '1' * 63!r}... (4001 chars)\n")
 
 
 def test_determinism(swap_file, cuts_file):
@@ -549,8 +554,17 @@ INT_FLAGS = {
     "--count": ["check", "--count"],
 }
 # int() reads each: a plus, a digit separator, another script's digit, a
-# space; the last is longer than int() reads
-REFUSED_INTS = {"plus": "+1", "underscore": "1_0", "arabic-indic": "\u0661", "space": " 1", "long": "1" * 5000}
+# space; "long" is longer than int() reads; the last two are quoted whole
+# and cut, one either side of ``QUOTE_CAP``
+REFUSED_INTS = {
+    "plus": "+1",
+    "underscore": "1_0",
+    "arabic-indic": "\u0661",
+    "space": " 1",
+    "long": "1" * 5000,
+    "at-cap": "+" + "1" * 63,
+    "past-cap": "+" + "1" * 64,
+}
 
 
 @pytest.mark.parametrize("token", sorted(REFUSED_INTS))
@@ -563,8 +577,10 @@ def test_int_flag_follows_file_grammar(capsys, flag, token):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    message = f"circnot {argv[0]}: error: argument {flag}: invalid int value: {REFUSED_INTS[token]!r}\n"
+    # quoted as a file token is: whole up to QUOTE_CAP characters, else a prefix and the length
+    message = f"circnot {argv[0]}: error: argument {flag}: invalid int value: {quote(REFUSED_INTS[token])}\n"
     assert captured.err.endswith(message)
+    assert len(captured.err) < 1000
 
 
 def test_parser_built_once(swap_file, capsys):
@@ -1580,6 +1596,35 @@ def test_validate_no_radial_golden(tmp_path, swap_file, capsys, cut_text, uncut)
     )
 
 
+def test_no_radial_message_names_at_most_sixteen_wires(tmp_path, capsys):
+    # one cut on a 40-wire ring leaves 39 wires uncut; the message is capped
+    # as the empty-wire one is, and ``missing_by_slot`` keeps every wire
+    ring = tmp_path / "ring.circ"
+    ring.write_text("circular\nwires 40\n" + "".join(f"cnot {w} {(w + 1) % 40}\n" for w in range(40)))
+    cut = tmp_path / "one.cuts"
+    cut.write_text("cut 0 0\n")
+    assert run(["derive", str(ring), "--cuts", str(cut)]) == (1, "")
+    shown = ", ".join(map(str, range(1, 17)))
+    assert capsys.readouterr().err == (
+        "error no-radial-cut: no slot is cut across all wires"
+        f" (wires never cut at any slot: [{shown}, ...] (39 wires))\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "wires,text",
+    [
+        ((), "[]"),
+        ((3,), "[3]"),
+        (tuple(range(16)), str(list(range(16)))),
+        (tuple(range(17)), str(list(range(16)))[:-1] + ", ...] (17 wires)"),
+    ],
+)
+def test_wire_list_cap(wires, text):
+    # the one list format of the empty-wire and no-radial-cut messages
+    assert wire_list(wires) == text
+
+
 def test_import_leaves_numpy_unloaded():
     import circnot
 
@@ -1593,3 +1638,78 @@ def test_import_leaves_numpy_unloaded():
         check=True,
     )
     assert result.stdout == "False\n"
+
+
+# program files whose ``circnot icm`` refusal the transcript records,
+# each on the line after ``qubits 2`` and a CNOT
+ICM_PROGRAM_ERRORS = [
+    "t x", "cnot 0 -1", "h 2", "qubits 65537", "qubits 3", "rx 0", "t", "cnot 0 1 2", "cnot 1 1",
+    "t +1", "t \u0661", "v " + "9" * 5000, "p 1 # note",
+]
+_PROGRAM_GATES = ("cnot", "t", "tdg", "p", "pdg", "v", "h")
+
+
+def _icm_program_cases(seed: int) -> list[str]:
+    """Seeded program files: 1-4 qubits and 0-12 gates each, then the Toffoli program, then each refusal."""
+    rng = random.Random(seed)
+    programs = []
+    for _ in range(40):
+        qubits = rng.randint(1, 4)
+        lines = [f"qubits {qubits}"]
+        for _ in range(rng.randint(0, 12)):
+            name = rng.choice(_PROGRAM_GATES[qubits < 2 :])
+            operands = rng.sample(range(qubits), 2) if name == "cnot" else [rng.randrange(qubits)]
+            lines.append(" ".join([name, *map(str, operands)]))
+        programs.append("\n".join(lines) + "\n")
+    gates, qubits = toffoli_decomposition()
+    programs.append("".join([f"qubits {qubits}\n", *(" ".join(map(str, op)) + "\n" for op in gates)]))
+    programs += [f"qubits 2\ncnot 0 1\n{line}\n" for line in ICM_PROGRAM_ERRORS]
+    programs += ["", "# only a comment\n", "t 0\n", "qubits 1\nqubits 1\n"]
+    return programs
+
+
+def _icm_commands_transcript(tmp_path: Path) -> str:
+    """Per ``circnot icm`` call: its argv, exit code, stdout and stderr.
+
+    Every gadget, each of seed 7's ``_icm_program_cases``, a missing file
+    (a relative path, so its quoted name does not depend on ``tmp_path``),
+    no argument, and two gadget names ``--gadget`` refuses. A usage error
+    keeps only its last stderr line, since argparse wraps the usage line
+    to the terminal's width. Paths are written relative to ``tmp_path``.
+    """
+    argvs = [["icm", "--gadget", name] for name in GADGET_NAMES]
+    parts = []
+    for k, program in enumerate(_icm_program_cases(7)):
+        path = tmp_path / f"p{k}.prog"
+        path.write_text(program)
+        parts.append(f"== program {path.name}\n{program}")
+        argvs.append(["icm", str(path)])
+    argvs += [["icm", "no-such-dir/missing.prog"], ["icm"], ["icm", "--gadget", "T"], ["icm", "--gadget", "toffoli"]]
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code, out = run(argv)
+            except SystemExit as usage:
+                code, out = usage.code, ""
+                err = io.StringIO(err.getvalue().splitlines()[-1])
+        stderr = "".join(f"stderr: {line}\n" for line in err.getvalue().splitlines())
+        parts.append(f"== {' '.join(argv)}: exit {code}\n{out}{stderr}")
+    return "".join(parts).replace(f"{tmp_path}/", "")
+
+
+# exit codes, stdout and stderr of ``circnot icm`` on every gadget and a
+# seeded corpus of program files, captured while initialisations and
+# measurements were typed objects, before they became file tokens
+ICM_COMMANDS_GOLDEN = KV_GOLDEN / "icm-commands.out"
+
+
+def test_icm_commands_golden(tmp_path):
+    golden = ICM_COMMANDS_GOLDEN.read_text()
+    assert _icm_commands_transcript(tmp_path) == golden
+    # every gadget and init kind, configurable measurements, and refusals
+    for token in ("in:phi", "zero", "plus", "y", "a", "cfg:z/x", "cfg:x/z"):
+        assert f" {token}\n" in golden
+    for code in ("syntax-error", "control-equals-target", "file-not-found", "error"):
+        assert f"stderr: error {code}:" in golden
+    assert "exit 2\nstderr: circnot icm: error: argument --gadget: invalid choice: 'T'" in golden

@@ -5,10 +5,8 @@ import pytest
 
 from circnot import (
     ICMCircuit,
-    InitBasis,
     LinearCircuit,
     LinearGate,
-    MeasBasis,
     QubitConfig,
     gadget,
 )
@@ -132,8 +130,8 @@ def test_zero_probability_outcome():
     icm = ICMCircuit(
         circuit=lin,
         configs=(
-            QubitConfig(InitBasis.zero(), MeasBasis.z()),
-            QubitConfig(InitBasis.plus(), MeasBasis.z()),
+            QubitConfig("zero", "z"),
+            QubitConfig("plus", "z"),
         ),
     )
     with pytest.raises(ZeroProbabilityOutcome):
@@ -147,7 +145,7 @@ def test_too_many_qubits():
     )
     icm = ICMCircuit(
         circuit=lin,
-        configs=tuple(QubitConfig(InitBasis.zero(), MeasBasis.none()) for _ in range(n)),
+        configs=tuple(QubitConfig("zero", "none") for _ in range(n)),
     )
     with pytest.raises(TooManyQubits):
         statevector_run(icm, [])

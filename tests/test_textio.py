@@ -17,7 +17,7 @@ from circnot import (
 )
 from circnot import textio
 from circnot.errors import CircnotError, CircuitSyntaxError, InvalidAncillaConfig, WireOutOfRange, quote_int
-from circnot.icm import InitBasis
+from circnot.icm import BASES, STATES, QubitConfig, init_error
 from circnot.textio import (
     MAX_WIRES,
     circuit_to_kv,
@@ -176,8 +176,7 @@ class TestIcmFormat:
 
     def test_defaults_are_symbolic_inputs(self):
         icm, _ = parse_icm_file("linear\nwires 2\ncnot 0 1\n")
-        assert all(cfg.init.is_symbolic for cfg in icm.configs)
-        assert all(cfg.meas.kind == "none" for cfg in icm.configs)
+        assert icm.configs == (QubitConfig("in:q0", "none"), QubitConfig("in:q1", "none"))
 
     def test_rejects_circular(self):
         with pytest.raises(CircuitSyntaxError):
@@ -187,21 +186,49 @@ class TestIcmFormat:
     def test_input_names_that_cannot_round_trip_refused(self, name):
         # a file reads a name up to whitespace or a comment
         with pytest.raises(InvalidAncillaConfig):
-            InitBasis.symbolic(name)
+            QubitConfig(f"in:{name}", "none")
 
     @given(st.text(max_size=6))
     def test_accepted_input_names_round_trip(self, name):
         try:
-            init = InitBasis.symbolic(name)
+            config = QubitConfig(f"in:{name}", "z")
         except InvalidAncillaConfig:
             assert not name or "#" in name or any(ch.isspace() for ch in name)
             return
-        icm = gadget("t")
-        q = next(q for q, cfg in enumerate(icm.configs) if cfg.init.is_symbolic)
-        configs = list(icm.configs)
-        configs[q] = replace(configs[q], init=init)
-        icm = replace(icm, configs=tuple(configs))
+        icm = replace(gadget("t"), configs=(config, QubitConfig("a", "none")))
         assert parse_icm_file(format_icm(icm))[0].configs == icm.configs
+
+
+# Tokens for the init and measure grammar: the valid forms, near misses,
+# the valid forms in upper case, and other text a file line can carry
+# whole (no whitespace, no ``#``)
+_NAME_CHAR = st.characters(exclude_categories=("Cs",)).filter(lambda ch: ch != "#" and not ch.isspace())
+_NAME = st.text(_NAME_CHAR, min_size=1, max_size=6)
+_VALID_TOKEN = (
+    st.sampled_from((*STATES, *BASES, "none"))
+    | _NAME.map("in:".__add__)
+    | st.tuples(st.sampled_from(BASES), st.sampled_from(BASES)).map("cfg:{0[0]}/{0[1]}".format)
+)
+_NEAR_MISSES = ["in:", "in", "cfg", "cfg:", "cfg:x", "cfg:x/q", "cfg:/", "cfg:x/y/z", "cfg:none/x", "cfg:x/z/", "none:", "in;a"]
+_TOKEN = _VALID_TOKEN | st.sampled_from(_NEAR_MISSES) | _VALID_TOKEN.map(str.upper) | _NAME
+
+
+@given(_TOKEN, _TOKEN)
+def test_one_grammar_for_configs_and_files(init, meas):
+    # a config is accepted exactly when the file lines carrying its tokens
+    # parse, refused with the words of the file's error, and round-trips
+    text = f"linear\nwires 2\ncnot 0 1\ninit 1 {init}\nmeasure 1 {meas}\n"
+    try:
+        config = QubitConfig(init, meas)
+    except InvalidAncillaConfig as err:
+        with pytest.raises(CircuitSyntaxError) as refused:
+            parse_icm_file(text)
+        line = 4 if init_error(init) else 5
+        assert str(refused.value) == f"line {line}: {err}"
+        return
+    icm, _ = parse_icm_file(text)
+    assert icm.configs == (QubitConfig("in:q0", "none"), config)
+    assert parse_icm_file(format_icm(icm)) == (icm, [])
 
 
 # ICM file lines: well-formed and malformed directives, and pieces of them
@@ -264,7 +291,7 @@ class TestIcmTokens:
 
     def test_last_qubit_accepted(self):
         icm, _ = parse_icm_file("linear\nwires 2\ncnot 0 1\ninit 1 zero\nmeasure 01 x\n")
-        assert [(cfg.init.text, cfg.meas.text) for cfg in icm.configs] == [("in:q0", "none"), ("zero", "x")]
+        assert icm.configs == (QubitConfig("in:q0", "none"), QubitConfig("zero", "x"))
 
     @pytest.mark.parametrize(
         "first,second", [("init 0 zero", "init 0 plus"), ("measure 1 x", "measure 01 z")]
